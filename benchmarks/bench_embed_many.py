@@ -17,7 +17,7 @@ Not a paper figure: this benchmark guards the batch embedding engine
   amortised derivation pipeline, not the (orthogonal) cost of the MWM
   solver.
 * **Sharded embedding**: the same batch through worker processes
-  (:class:`~repro.core.embedding.ShardedEmbeddingPool`) must return
+  (``embed_many(..., policy=ExecutionPolicy(workers=4))``) must return
   bit-identical results in input order, and must beat the in-process
   path on wall clock when the machine actually has cores to shard
   across.
@@ -38,8 +38,8 @@ from repro.core.config import GenerationConfig
 from repro.core.detector import WatermarkDetector
 from repro.core.generator import WatermarkGenerator
 from repro.core.histogram import TokenHistogram
-from repro.core.sharding import default_worker_count
 from repro.exec.policy import ExecutionPolicy
+from repro.exec.scheduler import default_worker_count
 
 from bench_utils import experiment_banner
 

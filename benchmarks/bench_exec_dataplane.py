@@ -115,7 +115,7 @@ def _screen_specs(histogram, secret, detection, *, blobs: bool):
         TaskSpec(
             fingerprint=f"dataplane:{detection.fingerprint()}:{index}",
             function="secrets.chunk",
-            payload=(value, [secret], detection, False, "numpy"),
+            payload=(value, [secret], detection, False),
             blob_refs=refs,
         )
         for index in range(TASK_COUNT)

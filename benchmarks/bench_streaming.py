@@ -11,9 +11,9 @@ Not a paper figure: this benchmark guards the streaming + sharding layer
   typically faster than the one-shot Python loop).
 * **Sharded screening**: the 100-dataset raw-token screening workload —
   where per-dataset histogram building dominates and parallelises — run
-  through a 4-worker :class:`~repro.core.sharding.ShardedDetectionPool`
-  must return verdicts identical (and identically ordered) to in-process
-  ``detect_many``, and must beat it on wall clock when the machine
+  through :func:`~repro.core.batch.dispatch_detection` on a warm 4-worker
+  local scheduler must return verdicts identical (and identically
+  ordered) to in-process ``detect_many``, and must beat it on wall clock when the machine
   actually has cores to shard across.
 
 Run directly (``python benchmarks/bench_streaming.py``) or via pytest;
@@ -25,15 +25,15 @@ from __future__ import annotations
 import os
 import time
 
-from repro.core.batch import detect_many
+from repro.core.batch import detect_many, dispatch_detection
 from repro.core.config import DetectionConfig
 from repro.core.eligibility import generate_eligible_pairs
 from repro.core.histogram import TokenHistogram
 from repro.core.knapsack import select_within_budget
 from repro.core.matching import vertex_disjoint
 from repro.core.secrets import WatermarkSecret
-from repro.core.sharding import ShardedDetectionPool, default_worker_count
 from repro.exec.policy import ExecutionPolicy
+from repro.exec.scheduler import create_scheduler, default_worker_count
 from repro.core.streaming import StreamingHistogramBuilder, histogram_from_chunks
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.utils.rng import ensure_rng
@@ -131,11 +131,12 @@ def test_sharded_screening_100_datasets():
     config = DetectionConfig(pair_threshold=2)
 
     in_process_seconds, baseline = _time(detect_many, suspects, secret, config)
-    with ShardedDetectionPool(
-        secret, config, policy=ExecutionPolicy(workers=SHARD_WORKERS)
-    ) as pool:
-        pool.detect_many(suspects[:4])  # warm the worker processes
-        sharded_seconds, sharded = _time(pool.detect_many, suspects)
+    with create_scheduler(ExecutionPolicy(workers=SHARD_WORKERS)) as scheduler:
+        # Warm the worker processes (and their per-worker detectors).
+        dispatch_detection(scheduler, secret, config, suspects[:4])
+        sharded_seconds, sharded = _time(
+            dispatch_detection, scheduler, secret, config, suspects
+        )
 
     # Verdict parity and ordering: exact, not statistical.
     assert sharded.accepted_flags == baseline.accepted_flags

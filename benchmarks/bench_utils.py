@@ -151,7 +151,6 @@ SMOKE_PATTERNS = (
     "bench_embed_many.py",
     "bench_experiment.py",
     "bench_registry.py",
-    "bench_backend.py",
     "bench_exec_dataplane.py",
     "bench_obs_overhead.py",
 )

@@ -14,10 +14,10 @@ A data provider operates a watermarking service at production scale:
    (:func:`~repro.core.transform.apply_deltas_streaming`), so the raw
    dataset is never resident in memory.
 3. **Sharded screening** — 1 000 suspected datasets (leaked subsamples
-   mixed with unrelated decoys) are screened in parallel with a
-   :class:`~repro.core.sharding.ShardedDetectionPool`, and the verdicts
-   are checked to be identical — and identically ordered — to the
-   in-process ``detect_many`` path.
+   mixed with unrelated decoys) are screened in parallel with
+   ``detect_many(..., policy=ExecutionPolicy(workers=N))``, and the
+   verdicts are checked to be identical — and identically ordered — to
+   the in-process ``detect_many`` path.
 
 Run with:  python examples/streaming_service.py
 """
@@ -33,8 +33,8 @@ from repro.core.batch import detect_many
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.generator import WatermarkGenerator
 from repro.core.histogram import TokenHistogram
-from repro.core.sharding import ShardedDetectionPool, default_worker_count
 from repro.exec.policy import ExecutionPolicy
+from repro.exec.scheduler import default_worker_count
 from repro.core.streaming import StreamingHistogramBuilder
 from repro.core.transform import apply_deltas_streaming, histogram_deltas
 from repro.datasets.loaders import iter_token_chunks, iter_tokens, save_token_file
@@ -45,7 +45,7 @@ from repro.utils.rng import ensure_rng
 STREAM_SIZE = 400_000
 #: Tokens per ingestion chunk — the memory bound of the streaming pass.
 CHUNK_SIZE = 20_000
-#: Suspected datasets screened by the sharded pool.
+#: Suspected datasets screened by the sharded path.
 SUSPECTS = 1_000
 
 
@@ -132,12 +132,11 @@ def main() -> None:
     print(f"  in-process detect_many : {in_process:.2f}s")
 
     workers = max(2, min(4, default_worker_count()))
-    with ShardedDetectionPool(
-        result.secret, config, policy=ExecutionPolicy(workers=workers)
-    ) as pool:
-        start = time.perf_counter()
-        sharded = pool.detect_many(suspects)
-        sharded_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    sharded = detect_many(
+        suspects, result.secret, config, policy=ExecutionPolicy(workers=workers)
+    )
+    sharded_seconds = time.perf_counter() - start
     print(f"  sharded ({workers} workers) : {sharded_seconds:.2f}s "
           f"({default_worker_count()} cores visible; the sharded path wins "
           "once histogram building dominates on a multi-core box)")

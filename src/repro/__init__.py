@@ -27,8 +27,6 @@ from repro.core import (
     MultiWatermarker,
     ProvenanceChain,
     SelectionResult,
-    ShardedDetectionPool,
-    ShardedEmbeddingPool,
     StreamingHistogramBuilder,
     TokenHistogram,
     TokenPair,
@@ -36,9 +34,11 @@ from repro.core import (
     WatermarkGenerator,
     WatermarkResult,
     WatermarkSecret,
+    detect_files,
     detect_many,
     detect_many_secrets,
     detect_watermark,
+    embed_files,
     embed_many,
     generate_watermark,
 )
@@ -49,7 +49,7 @@ from repro.service import (
     SyncDetectionService,
 )
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "BatchDetectionReport",
@@ -61,8 +61,6 @@ __all__ = [
     "MultiWatermarker",
     "ProvenanceChain",
     "SelectionResult",
-    "ShardedDetectionPool",
-    "ShardedEmbeddingPool",
     "StreamingHistogramBuilder",
     "TokenHistogram",
     "TokenPair",
@@ -70,9 +68,11 @@ __all__ = [
     "WatermarkGenerator",
     "WatermarkResult",
     "WatermarkSecret",
+    "detect_files",
     "detect_many",
     "detect_many_secrets",
     "detect_watermark",
+    "embed_files",
     "embed_many",
     "generate_watermark",
     "DetectionService",

@@ -26,7 +26,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import BackendLike, resolve_backend
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -177,6 +176,17 @@ def uniform_probability_profile(
 MC_TRIAL_BATCH = 1024
 
 
+def monte_carlo_accept(remainders: np.ndarray, threshold: int, required: int) -> int:
+    """Count Monte-Carlo trials that clear the acceptance rule.
+
+    ``remainders`` is a ``(trials, pairs)`` matrix of simulated residues;
+    a trial is a false positive when at least ``required`` residues fall
+    within ``threshold``. Returns the number of such trials.
+    """
+    accepted = (remainders <= threshold).sum(axis=1)
+    return int((accepted >= required).sum())
+
+
 def empirical_false_positive_rate(
     moduli: Sequence[int],
     threshold: int,
@@ -184,7 +194,6 @@ def empirical_false_positive_rate(
     *,
     trials: int = 2000,
     rng: RngLike = None,
-    backend: BackendLike = None,
 ) -> float:
     """Monte-Carlo estimate of the false-positive rate.
 
@@ -192,8 +201,7 @@ def empirical_false_positive_rate(
     checks whether at least ``k`` pairs verify — a direct simulation of
     running detection on random, unwatermarked data.
 
-    Trials are drawn in batches and counted through the compute backend's
-    :meth:`~repro.core.backend.ArrayBackend.monte_carlo_accept` kernel.
+    Trials are drawn in batches and counted by :func:`monte_carlo_accept`.
     NumPy's ``Generator.integers`` produces the identical variate stream
     whether drawn row by row or as a ``(batch, pairs)`` matrix, so the
     estimate is bit-identical to the seed implementation's per-trial loop
@@ -203,13 +211,12 @@ def empirical_false_positive_rate(
     moduli_array = np.asarray(moduli, dtype=int)
     if np.any(moduli_array < 2):
         raise ConfigurationError("all moduli must be >= 2")
-    resolved = resolve_backend(backend)
     hits = 0
     remaining = trials
     while remaining > 0:
         batch = min(MC_TRIAL_BATCH, remaining)
         draws = generator.integers(0, moduli_array, size=(batch, moduli_array.size))
-        hits += resolved.monte_carlo_accept(draws, threshold, k)
+        hits += monte_carlo_accept(draws, threshold, k)
         remaining -= batch
     return hits / trials
 
@@ -225,4 +232,5 @@ __all__ = [
     "profile_from_moduli",
     "uniform_probability_profile",
     "empirical_false_positive_rate",
+    "monte_carlo_accept",
 ]

@@ -56,13 +56,12 @@ from repro.attacks.destroy import (
     ReorderingNoiseAttack,
 )
 from repro.attacks.sampling import SamplingAttack, rescale_suspect
+from repro.core.batch import detect_files, embed_files
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import WatermarkDetector
-from repro.core.embedding import ShardedEmbeddingPool
 from repro.core.generator import WatermarkGenerator
 from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
-from repro.core.sharding import ShardedDetectionPool
 from repro.core.transform import apply_deltas_streaming, histogram_deltas
 from repro.datasets.loaders import (
     iter_tokens,
@@ -170,9 +169,14 @@ def _generate_directory(args: argparse.Namespace, config: GenerationConfig) -> i
             "directory embedding (each file is loaded whole inside its worker)"
         )
     files = _token_files(args.input)
-    policy = _execution_policy(args)
-    with ShardedEmbeddingPool(config, seed=args.seed, policy=policy) as pool:
-        summaries = pool.embed_files(files, args.output, args.secret)
+    summaries = embed_files(
+        files,
+        args.output,
+        args.secret,
+        config,
+        seed=args.seed,
+        policy=_execution_policy(args),
+    )
     total = len(summaries)
     payload: Dict[str, object] = {
         "datasets": total,
@@ -238,8 +242,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     # its own chunk, so the dominant load-and-count cost parallelises and
     # no process ever holds more than one chunk of histograms.
     files = _token_files(args.input)
-    with ShardedDetectionPool(secret, config, policy=_execution_policy(args)) as pool:
-        report = pool.detect_files(files)
+    report = detect_files(files, secret, config, policy=_execution_policy(args))
     payload: Dict[str, object] = report.summary()
     payload["workers"] = args.workers
     payload["suspects"] = {

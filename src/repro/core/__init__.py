@@ -1,22 +1,13 @@
 """FreqyWM core: watermark generation, detection, and supporting stages."""
 
 from repro.core.arrays import HistogramArrays
-from repro.core.backend import (
-    BACKEND_ENV_VAR,
-    ArrayBackend,
-    BackendError,
-    CupyBackend,
-    NumpyBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.core.batch import (
     BatchDetectionReport,
     BatchEmbeddingReport,
+    detect_files,
     detect_many,
     detect_many_secrets,
+    embed_files,
     embed_many,
 )
 from repro.core.cache import DEFAULT_CACHE_CAPACITY, CacheStats, DetectorCache
@@ -32,7 +23,6 @@ from repro.core.eligibility import (
     EligibilityContext,
     generate_eligible_pairs,
 )
-from repro.core.embedding import ShardedEmbeddingPool
 from repro.core.generator import WatermarkGenerator, WatermarkResult, generate_watermark
 from repro.core.hashing import PairModulusCache
 from repro.core.histogram import TokenHistogram
@@ -44,7 +34,6 @@ from repro.core.streaming import (
     histogram_from_stream,
 )
 from repro.core.secrets import WatermarkSecret
-from repro.core.sharding import ShardedDetectionPool, default_worker_count
 from repro.core.similarity import (
     SimilarityTracker,
     distortion_percent,
@@ -57,19 +46,12 @@ from repro.core.tokens import TokenPair, canonical_token, compose_token
 
 __all__ = [
     "HistogramArrays",
-    "BACKEND_ENV_VAR",
-    "ArrayBackend",
-    "BackendError",
-    "CupyBackend",
-    "NumpyBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
     "BatchDetectionReport",
     "BatchEmbeddingReport",
+    "detect_files",
     "detect_many",
     "detect_many_secrets",
+    "embed_files",
     "embed_many",
     "DEFAULT_CACHE_CAPACITY",
     "CacheStats",
@@ -84,7 +66,6 @@ __all__ = [
     "EligibilityContext",
     "generate_eligible_pairs",
     "PairModulusCache",
-    "ShardedEmbeddingPool",
     "WatermarkGenerator",
     "WatermarkResult",
     "generate_watermark",
@@ -96,8 +77,6 @@ __all__ = [
     "StreamingHistogramBuilder",
     "histogram_from_chunks",
     "histogram_from_stream",
-    "ShardedDetectionPool",
-    "default_worker_count",
     "WatermarkSecret",
     "SimilarityTracker",
     "distortion_percent",

@@ -18,8 +18,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import get_backend
-
 #: Sentinel stored in integer boundary arrays for "no upper boundary"
 #: (the top-ranked token may grow without limit). Kept as a huge but
 #: finite int64 so boundary arrays stay integer-typed; the dataclass API
@@ -52,6 +50,26 @@ def sort_histogram(
         token_array = np.asarray(tokens, dtype=np.str_)
         order = np.lexsort((token_array, -counts))
     return [tokens[i] for i in order], counts[order]
+
+
+def boundary_slack(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper/lower modification boundaries of a descending count vector.
+
+    ``upper[i]`` is the increase token ``i`` tolerates before passing its
+    left neighbour (:data:`UNBOUNDED` for the head token); ``lower[i]`` the
+    decrease before being passed by its right neighbour (the count itself
+    for the tail token). Both are fresh ``int64`` arrays.
+    """
+    size = int(counts.shape[0])
+    upper = np.empty(size, dtype=np.int64)
+    lower = np.empty(size, dtype=np.int64)
+    if size:
+        gaps = counts[:-1] - counts[1:]
+        upper[0] = UNBOUNDED
+        upper[1:] = gaps
+        lower[-1] = counts[-1]
+        lower[:-1] = gaps
+    return upper, lower
 
 
 class HistogramArrays:
@@ -112,16 +130,10 @@ class HistogramArrays:
         overtaking its higher-ranked neighbour (:data:`UNBOUNDED` for the
         top-ranked token); ``lower[i]`` how many it may lose without
         falling behind its lower-ranked neighbour (its own count for the
-        last token). Both arrays are ``int64`` and cached.
-
-        The arithmetic runs on the active compute backend
-        (:func:`repro.core.backend.get_backend`); the cached result is
-        always a pair of read-only host arrays.
+        last token). Both arrays are ``int64``, read-only and cached.
         """
         if self._upper is None:
-            upper, lower = get_backend().boundary_slack(
-                self.counts, unbounded=UNBOUNDED
-            )
+            upper, lower = boundary_slack(self.counts)
             upper.flags.writeable = False
             lower.flags.writeable = False
             self._upper, self._lower = upper, lower
@@ -206,6 +218,7 @@ def counts_from_mapping(counts: Mapping[str, int]) -> Tuple[List[str], np.ndarra
 __all__ = [
     "UNBOUNDED",
     "HistogramArrays",
+    "boundary_slack",
     "sort_histogram",
     "frequency_matrix",
     "counts_from_mapping",

@@ -7,24 +7,40 @@ Marketplace-scale operation means running the two algorithms over
   (screening every buyer's copy) with a single vectorized
   ``(f_i - f_j) mod s_ij <= t`` matrix pass (see
   :meth:`repro.core.detector.WatermarkDetector.detect_many`);
+  :func:`detect_files` screens token files, loading each inside its
+  worker;
 * :func:`detect_many_secrets` — many secrets against one dataset
   (Monte-Carlo forged candidates, per-buyer leak attribution,
   provenance-chain stages) with one stacked vectorized pass instead of
   constructing a detector per secret;
-* :func:`embed_many` — ``WM_Generate`` over many datasets, amortising
-  secret derivation, pair-modulus hashing and eligibility
-  precomputation across the batch (and across worker processes), with
-  outputs bit-identical to the sequential generator loop.
+* :func:`embed_many` / :func:`embed_files` — ``WM_Generate`` over many
+  datasets (or files), amortising secret derivation, pair-modulus
+  hashing and eligibility precomputation across the batch (and across
+  worker processes), with outputs bit-identical to the sequential
+  generator loop.
+
+When an :class:`~repro.exec.policy.ExecutionPolicy` asks for parallelism
+(``workers > 1`` or a remote scheduler), each function splits its batch
+into contiguous chunks, builds one fingerprinted
+:class:`~repro.exec.scheduler.TaskSpec` per chunk and runs them through
+:func:`~repro.exec.scheduler.create_scheduler`: every worker builds its
+detector (``detect.state``) or generator (``embed.state``) once per
+``init_key``, large chunks travel as content-addressed blobs, and results
+are gathered **in input order** with verdicts identical to the
+in-process path. A local pool that cannot spawn falls back in-process,
+logging the reason and raising a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
 
+import logging
+import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.backend import BackendLike, resolve_backend
 from repro.core.cache import DetectorCache
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import (
@@ -33,31 +49,144 @@ from repro.core.detector import (
     SuspectData,
     WatermarkDetector,
     build_pair_evidence,
+    detector_fingerprint,
     verify_pair_arrays,
 )
-from repro.core.embedding import BatchEmbeddingReport, EmbedData, ShardedEmbeddingPool
+from repro.core.embedding import BatchEmbeddingReport, EmbedData, generator_fingerprint
+from repro.core.generator import WatermarkGenerator
 from repro.core.hashing import PairModulusCache
 from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
-from repro.exceptions import DetectionError
+from repro.exceptions import DetectionError, GenerationError
 from repro.exec.blobs import dataplane_enabled, maybe_blob
-from repro.exec.chunking import derive_chunk_size, split_chunks
-from repro.exec.policy import ExecutionPolicy, policy_from_kwargs
-from repro.exec.scheduler import TaskSpec, create_scheduler, register_task_function
+from repro.exec.chunking import (
+    DETECTION_CHUNKS_PER_WORKER,
+    DETECTION_MAX_CHUNK,
+    chunk_spans,
+    derive_chunk_size,
+    split_chunks,
+)
+from repro.exec.policy import ExecutionPolicy
+from repro.exec.scheduler import (
+    Scheduler,
+    TaskSpec,
+    create_scheduler,
+    register_initializer,
+    register_task_function,
+)
+from repro.obs.logging import get_logger, log_record
 from repro.utils.rng import RngLike
+
+logger = get_logger(__name__)
 
 
 def _wants_sharding(policy: ExecutionPolicy) -> bool:
-    """Whether a policy asks the batch helpers to dispatch via a scheduler.
+    """Whether a policy asks the batch functions to dispatch via a scheduler.
 
-    The batch functions historically default to in-process execution, so
-    ``workers=None`` stays in-process here (unlike the pools, whose
-    ``workers=None`` means "all visible cores"); any non-local scheduler
-    always shards.
+    ``workers=None`` (the default) and ``workers=1`` run in-process under
+    the local scheduler; any non-local scheduler always shards.
     """
     return policy.scheduler != "local" or (
         policy.workers is not None and policy.workers > 1
     )
+
+
+def _spawn_failure_hook(kind: str) -> Callable[[BaseException], None]:
+    """Spawn-failure hook shared by the detection and embedding paths.
+
+    Restricted sandboxes (no /dev/shm, seccomp'd fork, ...) degrade to
+    in-process execution rather than failing the whole batch — but never
+    silently: the reason lands both in the logging stream (for resident
+    services) and as a RuntimeWarning (for interactive/CLI runs).
+    """
+
+    def hook(error: BaseException) -> None:
+        log_record(
+            logger,
+            logging.WARNING,
+            f"cannot start {kind} workers; falling back to in-process "
+            f"{kind} ({type(error).__name__}: {error})",
+            error=str(error),
+            error_type=type(error).__name__,
+        )
+        warnings.warn(
+            f"cannot start {kind} workers ({error}); "
+            f"falling back to in-process {kind}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+    return hook
+
+
+def batch_scheduler(
+    policy: ExecutionPolicy,
+    kind: str,
+    inline_state: Optional[Dict[str, Any]] = None,
+) -> Scheduler:
+    """The scheduler ``policy`` names, with the ``kind`` spawn-failure hook.
+
+    A policy that does not ask for sharding gets a one-worker local
+    scheduler, which walks the same chunks in-process. ``inline_state``
+    maps ``init_key`` to a prebuilt initializer product the in-process
+    path reuses instead of rebuilding (remote schedulers ignore it).
+    """
+    if not _wants_sharding(policy):
+        policy = policy.merged(workers=1)
+    return create_scheduler(
+        policy,
+        on_spawn_failure=_spawn_failure_hook(kind),
+        inline_state=inline_state,
+    )
+
+
+def _gathered(chunk_results: Iterable[List[Any]]) -> List[Any]:
+    """Flatten per-chunk result lists, keeping submission order."""
+    collected: List[Any] = []
+    for results in chunk_results:
+        collected.extend(results)
+    return collected
+
+
+# --------------------------------------------------------------------- #
+# Detection tasks (run inside scheduler workers)
+# --------------------------------------------------------------------- #
+
+
+def _build_detector(
+    secret: WatermarkSecret, config: Optional[DetectionConfig]
+) -> WatermarkDetector:
+    """``detect.state`` initializer: build the per-worker detector."""
+    return WatermarkDetector(secret, config)
+
+
+def _detect_chunk(
+    detector: WatermarkDetector,
+    payload: Tuple[List[SuspectData], bool],
+) -> List[DetectionResult]:
+    """``detect.chunk`` task: one vectorized pass over a dispatched chunk."""
+    chunk, collect_evidence = payload
+    return detector.detect_many(chunk, collect_evidence=collect_evidence)
+
+
+def _detect_file_chunk(
+    detector: WatermarkDetector, payload: Tuple[List, bool]
+) -> List[DetectionResult]:
+    """``detect.files`` task: stream-load one chunk of files and screen it."""
+    # Imported lazily: repro.datasets depends on repro.core, so the
+    # dependency must stay one-way at module-import time.
+    from repro.datasets.loaders import load_histogram_streaming
+
+    paths, collect_evidence = payload
+    return detector.detect_many(
+        [load_histogram_streaming(path) for path in paths],
+        collect_evidence=collect_evidence,
+    )
+
+
+register_initializer("detect.state", _build_detector)
+register_task_function("detect.chunk", _detect_chunk)
+register_task_function("detect.files", _detect_file_chunk)
 
 
 @dataclass(frozen=True)
@@ -110,6 +239,60 @@ class BatchDetectionReport:
         }
 
 
+def dispatch_detection(
+    scheduler: Scheduler,
+    secret: WatermarkSecret,
+    config: Optional[DetectionConfig],
+    items: Sequence,
+    *,
+    function: str = "detect.chunk",
+    collect_evidence: bool = False,
+    chunk_size: Optional[int] = None,
+) -> BatchDetectionReport:
+    """Screen ``items`` through ``scheduler``, gathered in input order.
+
+    ``items`` are datasets (``function="detect.chunk"``) or token-file
+    paths (``"detect.files"``). They are split into contiguous chunks —
+    about four per worker, capped, unless ``chunk_size`` is given — and
+    every chunk becomes one task whose worker-side detector is built once
+    per ``init_key`` from the serializable ``(secret, config)``. When the
+    scheduler ships payloads to other processes and the data plane is on,
+    the secret (identical in every task) and each large chunk travel as
+    blob refs. A scheduler that runs inline walks the same chunks
+    in-process, so at most one chunk's histograms are resident at a time.
+    """
+    if len(secret.pairs) == 0:
+        raise DetectionError("the secret list contains no watermarked pairs")
+    items = list(items)
+    if not items:
+        return BatchDetectionReport(results=())
+    init_key = detector_fingerprint(secret, config)
+    size = derive_chunk_size(
+        len(items),
+        scheduler.workers,
+        chunk_size=chunk_size,
+        chunks_per_worker=DETECTION_CHUNKS_PER_WORKER,
+        max_chunk=DETECTION_MAX_CHUNK,
+    )
+    use_blobs = dataplane_enabled() and scheduler.ships_payloads
+    secret_value, secret_refs = maybe_blob(secret) if use_blobs else (secret, ())
+    specs: List[TaskSpec] = []
+    for index, chunk in enumerate(split_chunks(items, size)):
+        chunk_value, chunk_refs = maybe_blob(chunk) if use_blobs else (chunk, ())
+        specs.append(
+            TaskSpec(
+                fingerprint=f"{init_key}:{function}:{index}",
+                function=function,
+                payload=(chunk_value, collect_evidence),
+                initializer="detect.state",
+                init_key=init_key,
+                init_args=(secret_value, config),
+                blob_refs=secret_refs + chunk_refs,
+            )
+        )
+    return BatchDetectionReport(results=tuple(_gathered(scheduler.run(specs))))
+
+
 def detect_many(
     datasets: Sequence[SuspectData],
     secret: Optional[WatermarkSecret] = None,
@@ -118,9 +301,6 @@ def detect_many(
     detector: Optional[WatermarkDetector] = None,
     collect_evidence: bool = False,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    backend: BackendLike = None,
 ) -> BatchDetectionReport:
     """Run ``WM_Detect`` over a batch of suspected datasets at once.
 
@@ -146,21 +326,14 @@ def detect_many(
         materialised for every dataset (slower; intended for dispute /
         debugging flows, not for large screens).
     policy : ExecutionPolicy, optional
-        How to parallelise the batch. ``policy.workers > 1`` partitions
-        the datasets across a
-        :class:`~repro.core.sharding.ShardedDetectionPool` (local worker
-        processes, or ``freqywm worker`` processes when
+        How to parallelise the batch. ``policy.workers > 1`` or a remote
+        scheduler partitions the datasets across scheduler workers
+        (local processes, or ``freqywm worker`` processes when
         ``policy.scheduler == "remote"``); verdicts and ordering are
-        identical to the in-process path. The default runs in-process.
-    workers : int, optional
-        Deprecated alias for ``policy=ExecutionPolicy(workers=...)``.
-    chunk_size : int, optional
-        Deprecated alias for ``policy=ExecutionPolicy(chunk_size=...)``.
-    backend :
-        Compute backend for the verification pass (name, instance or
-        ``None`` for the ``FREQYWM_BACKEND`` / NumPy default). With a
-        prebuilt ``detector`` the detector's own backend is used and an
-        explicit conflicting ``backend`` is rejected.
+        identical to the in-process path. The driver builds no detector
+        for a sharded batch: a prebuilt ``detector`` serves the
+        in-process fallback, otherwise one is built only if the batch
+        ends up running inline. The default runs in-process.
 
     Returns
     -------
@@ -170,7 +343,6 @@ def detect_many(
     if detector is None:
         if secret is None:
             raise DetectionError("detect_many needs a secret or a prebuilt detector")
-        detector = WatermarkDetector(secret, config, backend=backend)
     else:
         if secret is not None and secret.fingerprint() != detector.secret.fingerprint():
             raise DetectionError(
@@ -181,30 +353,76 @@ def detect_many(
                 "detect_many was given a config that differs from the prebuilt "
                 "detector's thresholds"
             )
-        if backend is not None and resolve_backend(backend) is not detector.backend:
-            raise DetectionError(
-                "detect_many was given a detector built for backend "
-                f"{detector.backend.name!r} but backend "
-                f"{resolve_backend(backend).name!r} was requested"
+    if policy is not None and _wants_sharding(policy):
+        inline_state = None
+        if detector is not None:
+            secret, config = detector.secret, detector.config
+            inline_state = {detector.fingerprint: detector}
+        with batch_scheduler(policy, "detection", inline_state) as scheduler:
+            return dispatch_detection(
+                scheduler,
+                secret,
+                config,
+                datasets,
+                collect_evidence=collect_evidence,
+                chunk_size=policy.chunk_size,
             )
-    exec_policy = policy_from_kwargs(
-        policy, workers=workers, chunk_size=chunk_size, caller="detect_many"
-    )
-    if _wants_sharding(exec_policy):
-        # Imported here: sharding imports BatchDetectionReport from this
-        # module, so the dependency must stay one-way at import time.
-        from repro.core.sharding import ShardedDetectionPool
-
-        with ShardedDetectionPool(
-            detector.secret,
-            detector.config,
-            policy=exec_policy,
-            local_detector=detector,
-            backend=detector.backend,
-        ) as pool:
-            return pool.detect_many(datasets, collect_evidence=collect_evidence)
+    if detector is None:
+        detector = WatermarkDetector(secret, config)
     results = detector.detect_many(datasets, collect_evidence=collect_evidence)
     return BatchDetectionReport(results=tuple(results))
+
+
+def detect_files(
+    paths: Sequence[Union[str, Path]],
+    secret: WatermarkSecret,
+    config: Optional[DetectionConfig] = None,
+    *,
+    collect_evidence: bool = False,
+    policy: Optional[ExecutionPolicy] = None,
+) -> BatchDetectionReport:
+    """Screen token-per-line files, loading each inside its worker.
+
+    Unlike :func:`detect_many` over pre-loaded data, only the *file
+    paths* are dispatched: each worker stream-loads its chunk's
+    histograms (:func:`repro.datasets.loaders.load_histogram_streaming`)
+    and screens them, so the dominant per-suspect cost — reading and
+    counting the tokens — parallelises too, and the driver holds nothing
+    heavier than the verdicts (in-process: at most one chunk of
+    histograms at a time).
+
+    Parameters
+    ----------
+    paths : Sequence
+        Token-per-line file paths (anything ``open``-able and picklable).
+    secret : WatermarkSecret
+        The owner's secret list ``L_sc``.
+    config : DetectionConfig, optional
+        Detection thresholds shared by every file.
+    collect_evidence : bool, optional
+        When True, per-pair evidence objects are materialised for every
+        file.
+    policy : ExecutionPolicy, optional
+        How to parallelise, as for :func:`detect_many`; the default
+        screens the files in-process, one chunk at a time.
+
+    Returns
+    -------
+    BatchDetectionReport
+        One result per file, in input order, with verdicts identical to
+        loading each file and running the in-process path.
+    """
+    exec_policy = policy or ExecutionPolicy()
+    with batch_scheduler(exec_policy, "detection") as scheduler:
+        return dispatch_detection(
+            scheduler,
+            secret,
+            config,
+            paths,
+            function="detect.files",
+            collect_evidence=collect_evidence,
+            chunk_size=exec_policy.chunk_size,
+        )
 
 
 def detect_many_secrets(
@@ -214,7 +432,6 @@ def detect_many_secrets(
     *,
     collect_evidence: bool = False,
     detector_cache: Optional[DetectorCache] = None,
-    backend: BackendLike = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> List[DetectionResult]:
     """Run ``WM_Detect`` for many secrets against one dataset at once.
@@ -254,12 +471,6 @@ def detect_many_secrets(
         many-secrets screens — leak attribution over a registry's vault,
         provenance-chain reports — make repeated calls construction-free;
         verdicts are identical either way.
-    backend :
-        Compute backend for the stacked verification pass (name, instance
-        or ``None`` for the ``FREQYWM_BACKEND`` / NumPy default). Cached
-        detectors are looked up under the same backend, so one
-        ``detector_cache`` may serve callers on different backends
-        without ever mixing them.
     policy : ExecutionPolicy, optional
         When the policy asks for parallelism (``workers > 1`` or a
         remote scheduler), the *secrets* are partitioned into chunks and
@@ -276,18 +487,12 @@ def detect_many_secrets(
     if not secrets:
         return []
     detection = config or DetectionConfig()
-    resolved_backend = resolve_backend(backend)
     histogram = (
         data if isinstance(data, TokenHistogram) else TokenHistogram.from_tokens(data)
     )
     if policy is not None and _wants_sharding(policy) and len(secrets) > 1:
         return _detect_secrets_sharded(
-            histogram,
-            secrets,
-            detection,
-            collect_evidence,
-            resolved_backend,
-            policy,
+            histogram, secrets, detection, collect_evidence, policy
         )
     arrays = histogram.arrays()
     first_tokens: List[str] = []
@@ -299,7 +504,7 @@ def detect_many_secrets(
         for secret in secrets:
             if len(secret.pairs) == 0:
                 raise DetectionError("a secret list contains no watermarked pairs")
-            detector = detector_cache.get(secret, detection, backend=resolved_backend)
+            detector = detector_cache.get(secret, detection)
             firsts, seconds, secret_moduli, secret_thresholds = (
                 detector.pair_components()
             )
@@ -338,7 +543,6 @@ def detect_many_secrets(
         valid=valid,
         thresholds=thresholds,
         symmetric_tolerance=detection.symmetric_tolerance,
-        backend=resolved_backend,
     )
     results: List[DetectionResult] = []
     for index, secret in enumerate(secrets):
@@ -370,13 +574,9 @@ def detect_many_secrets(
 
 def _detect_secrets_chunk(_state: object, payload: tuple) -> List[DetectionResult]:
     """Scheduler task: the stacked many-secrets pass over one secret chunk."""
-    histogram, chunk, detection, collect_evidence, backend_name = payload
+    histogram, chunk, detection, collect_evidence = payload
     return detect_many_secrets(
-        histogram,
-        chunk,
-        detection,
-        collect_evidence=collect_evidence,
-        backend=backend_name,
+        histogram, chunk, detection, collect_evidence=collect_evidence
     )
 
 
@@ -388,7 +588,6 @@ def _detect_secrets_sharded(
     secrets: Sequence[WatermarkSecret],
     detection: DetectionConfig,
     collect_evidence: bool,
-    backend,
     policy: ExecutionPolicy,
 ) -> List[DetectionResult]:
     """Partition a many-secrets screen across scheduler workers."""
@@ -408,23 +607,49 @@ def _detect_secrets_sharded(
             TaskSpec(
                 fingerprint=f"secrets:{detection.fingerprint()}:{index}",
                 function="secrets.chunk",
-                payload=(
-                    histogram_value,
-                    chunk,
-                    detection,
-                    collect_evidence,
-                    backend.name,
-                ),
+                payload=(histogram_value, chunk, detection, collect_evidence),
                 blob_refs=histogram_refs,
             )
             for index, chunk in enumerate(split_chunks(list(secrets), size))
         ]
-        results: List[DetectionResult] = []
-        for chunk_results in scheduler.run(specs):
-            results.extend(chunk_results)
-        return results
+        return _gathered(scheduler.run(specs))
     finally:
         scheduler.close()
+
+
+def _plain_seed(rng: RngLike) -> Optional[int]:
+    """Validate a sharded embedding's randomness source: a seed or None."""
+    if isinstance(rng, np.random.Generator):
+        raise GenerationError(
+            "sharded embedding needs a plain integer seed (or None): a "
+            "live Generator cannot reproduce deterministically across "
+            "worker processes"
+        )
+    return rng  # type: ignore[return-value]
+
+
+def _run_embedding(
+    scheduler: Scheduler,
+    function: str,
+    payloads: Sequence[Tuple[object, Tuple[str, ...]]],
+    config: GenerationConfig,
+    seed: Optional[int],
+) -> List[Any]:
+    """Run one ``embed.*`` task per ``(payload, blob_refs)``, in order."""
+    init_key = generator_fingerprint(config, seed)
+    specs = [
+        TaskSpec(
+            fingerprint=f"{init_key}:{function}:{index}",
+            function=function,
+            payload=payload,
+            initializer="embed.state",
+            init_key=init_key,
+            init_args=(config, seed),
+            blob_refs=blob_refs,
+        )
+        for index, (payload, blob_refs) in enumerate(payloads)
+    ]
+    return _gathered(scheduler.run(specs))
 
 
 def embed_many(
@@ -435,8 +660,6 @@ def embed_many(
     secret_value: Optional[int] = None,
     secret_values: Optional[Sequence[Optional[int]]] = None,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
 ) -> BatchEmbeddingReport:
     """Run ``WM_Generate`` over a batch of datasets at once.
 
@@ -459,7 +682,7 @@ def embed_many(
     rng :
         Seed (or generator) for every random choice, as for
         :class:`~repro.core.generator.WatermarkGenerator`. Sharded mode
-        (``workers > 1``) accepts only a plain seed or ``None``.
+        accepts only a plain seed or ``None``.
     secret_value : int, optional
         One explicit secret ``R`` shared by every dataset — the
         one-owner-many-datasets mode that maximises cross-dataset
@@ -467,15 +690,12 @@ def embed_many(
     secret_values : Sequence[int | None], optional
         Per-dataset explicit secrets, aligned with ``datasets``.
     policy : ExecutionPolicy, optional
-        How to parallelise the batch. ``policy.workers > 1`` partitions
-        the datasets across a
-        :class:`~repro.core.embedding.ShardedEmbeddingPool` (local or
-        remote, per ``policy.scheduler``); results and ordering are
-        identical to the in-process path. The default runs in-process.
-    workers : int, optional
-        Deprecated alias for ``policy=ExecutionPolicy(workers=...)``.
-    chunk_size : int, optional
-        Deprecated alias for ``policy=ExecutionPolicy(chunk_size=...)``.
+        How to parallelise the batch. ``policy.workers > 1`` or a remote
+        scheduler partitions the datasets across scheduler workers, one
+        chunk per worker unless ``policy.chunk_size`` says otherwise —
+        each chunk shares one modulus cache, so bigger chunks amortise
+        more. Results and ordering are identical to the in-process path.
+        The default runs in-process.
 
     Returns
     -------
@@ -483,9 +703,6 @@ def embed_many(
         One :class:`~repro.core.generator.WatermarkResult` per dataset,
         in input order.
     """
-    from repro.core.generator import WatermarkGenerator
-    from repro.exceptions import GenerationError
-
     if secret_value is not None and secret_values is not None:
         raise GenerationError(
             "pass either one shared secret_value or per-dataset secret_values, "
@@ -496,26 +713,119 @@ def embed_many(
         values = [secret_value] * len(datasets)
     elif secret_values is not None:
         values = list(secret_values)
-    exec_policy = policy_from_kwargs(
-        policy, workers=workers, chunk_size=chunk_size, caller="embed_many"
-    )
-    if _wants_sharding(exec_policy):
-        with ShardedEmbeddingPool(
-            config,
-            seed=rng,  # validated by the pool: plain seed or None
-            policy=exec_policy,
-        ) as pool:
-            return pool.embed_many(datasets, secret_values=values)
-    generator = WatermarkGenerator(config, rng=rng)
-    return BatchEmbeddingReport(
-        results=tuple(generator.generate_many(datasets, secret_values=values))
-    )
+    if policy is None or not _wants_sharding(policy):
+        generator = WatermarkGenerator(config, rng=rng)
+        return BatchEmbeddingReport(
+            results=tuple(generator.generate_many(datasets, secret_values=values))
+        )
+    seed = _plain_seed(rng)
+    if values is not None and len(values) != len(datasets):
+        raise GenerationError(
+            f"secret_values has {len(values)} entries for {len(datasets)} datasets"
+        )
+    items = list(datasets)
+    if not items:
+        return BatchEmbeddingReport(results=())
+    resolved = config or GenerationConfig()
+    with batch_scheduler(policy, "embedding") as scheduler:
+        payloads: List[Tuple[object, Tuple[str, ...]]] = []
+        if scheduler.workers > 1 and len(items) > 1:
+            size = derive_chunk_size(
+                len(items), scheduler.workers, chunk_size=policy.chunk_size
+            )
+            use_blobs = dataplane_enabled() and scheduler.ships_payloads
+            for start, stop in chunk_spans(len(items), size):
+                chunk: object = items[start:stop]
+                chunk_refs: Tuple[str, ...] = ()
+                if use_blobs:
+                    # Large chunks travel as content-addressed blobs so the
+                    # local shm transport can ship them zero-copy.
+                    chunk, chunk_refs = maybe_blob(chunk)
+                chunk_values = values[start:stop] if values else None
+                payloads.append(((chunk, chunk_values), chunk_refs))
+        else:
+            # One whole-batch task: the in-process fallback keeps the
+            # full cross-dataset amortisation of generate_many.
+            payloads.append(((items, values), ()))
+        results = _run_embedding(scheduler, "embed.chunk", payloads, resolved, seed)
+    return BatchEmbeddingReport(results=tuple(results))
+
+
+def embed_files(
+    paths: Sequence[Union[str, Path]],
+    output_dir: Union[str, Path],
+    secret_dir: Union[str, Path],
+    config: Optional[GenerationConfig] = None,
+    *,
+    seed: Optional[int] = None,
+    policy: Optional[ExecutionPolicy] = None,
+) -> List[Dict[str, object]]:
+    """Watermark token-per-line files, each loaded inside its worker.
+
+    Only the file *paths* are dispatched: each worker loads its chunk's
+    token sequences, embeds them, and writes the watermarked file (same
+    name under ``output_dir``) and the secret list (``<name>.json`` under
+    ``secret_dir``) itself — so the dominant read/embed/write cost
+    parallelises and the driver only collects flat per-file summaries.
+
+    Every file receives its **own** secret ``R``. With a ``seed`` the
+    per-file randomness is derived from ``(seed, file name)`` —
+    reproducible, but never shared between files, so one recipient's
+    secret list reveals nothing about another file's watermark. ``None``
+    uses the OS CSPRNG; a live :class:`numpy.random.Generator` is
+    rejected.
+
+    Parameters
+    ----------
+    paths : Sequence
+        Token-per-line input files.
+    output_dir, secret_dir :
+        Directories (created as needed) receiving the watermarked files
+        and their secret lists.
+    config : GenerationConfig, optional
+        Generation parameters shared by every file.
+    seed : int, optional
+        Seed for the per-file randomness (see above).
+    policy : ExecutionPolicy, optional
+        How to parallelise, one chunk of files per worker unless
+        ``policy.chunk_size`` says otherwise; the default runs
+        in-process.
+
+    Returns
+    -------
+    list of dict
+        One :meth:`WatermarkResult.summary` per file (plus ``input`` /
+        ``output`` / ``secret_file`` paths), in input order.
+    """
+    seed = _plain_seed(seed)
+    items = [Path(path) for path in paths]
+    if not items:
+        return []
+    out_dir = Path(output_dir)
+    sec_dir = Path(secret_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sec_dir.mkdir(parents=True, exist_ok=True)
+    exec_policy = policy or ExecutionPolicy()
+    with batch_scheduler(exec_policy, "embedding") as scheduler:
+        size = derive_chunk_size(
+            len(items), scheduler.workers, chunk_size=exec_policy.chunk_size
+        )
+        payloads = [
+            ((items[start:stop], out_dir, sec_dir), ())
+            for start, stop in chunk_spans(len(items), size)
+        ]
+        return _run_embedding(
+            scheduler, "embed.files", payloads, config or GenerationConfig(), seed
+        )
 
 
 __all__ = [
     "BatchDetectionReport",
     "BatchEmbeddingReport",
+    "detect_files",
     "detect_many",
     "detect_many_secrets",
+    "dispatch_detection",
+    "embed_files",
     "embed_many",
 ]

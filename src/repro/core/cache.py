@@ -27,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.core.backend import BackendLike
 from repro.core.config import DetectionConfig
 from repro.core.detector import WatermarkDetector, detector_fingerprint
 from repro.core.secrets import WatermarkSecret
@@ -129,19 +128,14 @@ class DetectorCache:
         self,
         secret: WatermarkSecret,
         config: Optional[DetectionConfig] = None,
-        *,
-        backend: BackendLike = None,
     ) -> Tuple[WatermarkDetector, bool]:
         """Return ``(detector, cache_hit)`` for a secret/config pair.
 
         On a miss the detector is constructed (paying the moduli
         precomputation) and inserted, evicting the least recently used
-        entry when the cache is full. The compute backend is part of the
-        fingerprint key, so detectors built for different backends are
-        distinct residents — a cache shared between CPU and GPU callers
-        never hands out a detector with operands on the wrong device.
+        entry when the cache is full.
         """
-        key = detector_fingerprint(secret, config, backend)
+        key = detector_fingerprint(secret, config)
         with self._lock:
             detector = self._entries.get(key)
             if detector is not None:
@@ -151,7 +145,7 @@ class DetectorCache:
             self._misses += 1
         # Construct outside the lock: moduli derivation is the expensive
         # part and must not serialise unrelated lookups.
-        detector = WatermarkDetector(secret, config, backend=backend)
+        detector = WatermarkDetector(secret, config)
         with self._lock:
             resident = self._entries.get(key)
             if resident is not None:  # lost a construction race: keep first
@@ -167,11 +161,9 @@ class DetectorCache:
         self,
         secret: WatermarkSecret,
         config: Optional[DetectionConfig] = None,
-        *,
-        backend: BackendLike = None,
     ) -> WatermarkDetector:
         """:meth:`lookup` without the hit flag."""
-        detector, _hit = self.lookup(secret, config, backend=backend)
+        detector, _hit = self.lookup(secret, config)
         return detector
 
     def peek(self, key: str) -> Optional[WatermarkDetector]:

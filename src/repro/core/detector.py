@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.arrays import frequency_matrix
-from repro.core.backend import ArrayBackend, BackendLike, resolve_backend
 from repro.core.config import DetectionConfig
 from repro.core.hashing import pair_modulus
 from repro.core.histogram import TokenHistogram
@@ -47,9 +46,8 @@ SuspectData = Union[Sequence[TokenValue], TokenHistogram]
 def detector_fingerprint(
     secret: WatermarkSecret,
     config: Optional[DetectionConfig] = None,
-    backend: BackendLike = None,
 ) -> str:
-    """Cache key of the detector a ``(secret, config, backend)`` triple builds.
+    """Cache key of the detector a ``(secret, config)`` pair builds.
 
     Equal fingerprints guarantee identical moduli, thresholds and
     required-pair counts — i.e. a detector built from one input can
@@ -57,16 +55,9 @@ def detector_fingerprint(
     commitment from :meth:`~repro.core.secrets.WatermarkSecret.fingerprint`,
     so the key reveals nothing about the pairs; the config half is the
     plain-text knob listing from
-    :meth:`~repro.core.config.DetectionConfig.fingerprint`. The trailing
-    ``xp=`` component names the compute backend the detector runs on, so
-    caches keyed by fingerprint (:class:`repro.core.cache.DetectorCache`)
-    never hand a GPU-resident detector to a CPU caller or vice versa.
+    :meth:`~repro.core.config.DetectionConfig.fingerprint`.
     """
-    resolved = resolve_backend(backend)
-    return (
-        f"{secret.fingerprint()}|{(config or DetectionConfig()).fingerprint()}"
-        f"|xp={resolved.name}"
-    )
+    return f"{secret.fingerprint()}|{(config or DetectionConfig()).fingerprint()}"
 
 
 def verify_pair_arrays(
@@ -77,31 +68,33 @@ def verify_pair_arrays(
     valid: np.ndarray,
     thresholds: np.ndarray,
     symmetric_tolerance: bool,
-    backend: BackendLike = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The vectorized ``(f_i - f_j) mod s_ij <= t`` acceptance rule.
 
-    This is the single entry point for the paper's pair-verification
+    This is the single implementation of the paper's pair-verification
     arithmetic, shared by :class:`WatermarkDetector` (one secret, one or
     many datasets) and :func:`repro.core.batch.detect_many_secrets`
-    (many secrets, one dataset) so the two paths cannot diverge. The
-    arithmetic itself lives in
-    :meth:`repro.core.backend.ArrayBackend.stacked_modulo` and runs on the
-    resolved compute backend.
+    (many secrets, one dataset) so the two paths cannot diverge.
 
     ``first``/``second`` hold the pair-member frequencies (0 marks a
-    missing token), broadcastable against the per-pair ``safe_moduli`` /
+    missing token) — 1-D for one suspect, 2-D ``(datasets, pairs)`` for
+    a batch — broadcastable against the per-pair ``safe_moduli`` /
     ``valid`` / ``thresholds`` arrays. Returns ``(accepted, present,
-    remainder)`` host arrays of the broadcast shape.
+    remainder)`` arrays of the broadcast shape, where ``remainder`` is
+    ``(first - second) mod safe_moduli`` and acceptance requires both
+    tokens present, a usable modulus and the (optionally symmetric)
+    residue within threshold.
     """
-    return resolve_backend(backend).stacked_modulo(
-        first,
-        second,
-        safe_moduli=safe_moduli,
-        valid=valid,
-        thresholds=thresholds,
-        symmetric_tolerance=symmetric_tolerance,
-    )
+    first = np.asarray(first)
+    second = np.asarray(second)
+    present = (first > 0) & (second > 0)
+    remainder = (first - second) % safe_moduli
+    if symmetric_tolerance:
+        residue = np.minimum(remainder, safe_moduli - remainder)
+    else:
+        residue = remainder
+    accepted = present & valid & (residue <= thresholds)
+    return accepted, present, remainder
 
 
 def build_pair_evidence(
@@ -190,25 +183,17 @@ class WatermarkDetector:
     config:
         Detection thresholds; defaults to the strict setting ``t = 0`` and
         ``k = 50%`` of the stored pairs.
-    backend:
-        Compute backend (name, instance or ``None`` for the
-        ``FREQYWM_BACKEND`` / NumPy default). The per-pair operand arrays
-        are moved to the backend's device once, at construction, and every
-        ``detect`` call dispatches through its fused kernels.
     """
 
     def __init__(
         self,
         secret: WatermarkSecret,
         config: Optional[DetectionConfig] = None,
-        *,
-        backend: BackendLike = None,
     ) -> None:
         if len(secret.pairs) == 0:
             raise DetectionError("the secret list contains no watermarked pairs")
         self.secret = secret
         self.config = config or DetectionConfig()
-        self.backend: ArrayBackend = resolve_backend(backend)
         # The moduli depend only on the secret, the thresholds only on the
         # moduli and the configuration: compute both once per detector so
         # repeated detect calls skip all SHA-256 work.
@@ -234,13 +219,6 @@ class WatermarkDetector:
         self._second_tokens = [pair.second for pair in secret.pairs]
         self._required = self.config.required_pairs(len(secret.pairs))
         self._fingerprint: Optional[str] = None
-        # Long-lived verification operands live on the backend's device;
-        # uploaded once here, reused by every detect/detect_many call.
-        # (The NumPy backend's transfers are the identity, so the default
-        # path keeps its zero-copy behaviour.)
-        self._safe_moduli_device = self.backend.from_host(self._safe_moduli)
-        self._valid_device = self.backend.from_host(self._valid)
-        self._thresholds_device = self.backend.from_host(self._thresholds)
 
     @property
     def fingerprint(self) -> str:
@@ -250,9 +228,7 @@ class WatermarkDetector:
         detector once, not per request.
         """
         if self._fingerprint is None:
-            self._fingerprint = detector_fingerprint(
-                self.secret, self.config, self.backend
-            )
+            self._fingerprint = detector_fingerprint(self.secret, self.config)
         return self._fingerprint
 
     def reconfigured(self, config: Optional[DetectionConfig] = None) -> "WatermarkDetector":
@@ -269,7 +245,6 @@ class WatermarkDetector:
         clone = object.__new__(WatermarkDetector)
         clone.secret = self.secret
         clone.config = config or DetectionConfig()
-        clone.backend = self.backend
         clone._moduli = self._moduli
         clone._thresholds = np.fromiter(
             (clone.config.threshold_for(int(modulus)) for modulus in self._moduli),
@@ -282,11 +257,6 @@ class WatermarkDetector:
         clone._second_tokens = self._second_tokens
         clone._required = clone.config.required_pairs(len(self.secret.pairs))
         clone._fingerprint = None
-        # Only the thresholds changed; the modulus-derived device buffers
-        # are shared with this detector.
-        clone._safe_moduli_device = self._safe_moduli_device
-        clone._valid_device = self._valid_device
-        clone._thresholds_device = clone.backend.from_host(clone._thresholds)
         return clone
 
     def pair_components(self) -> Tuple[List[str], List[str], np.ndarray, np.ndarray]:
@@ -312,16 +282,15 @@ class WatermarkDetector:
 
         ``first``/``second`` hold the pair-member frequencies (0 marks a
         missing token) for one dataset (1-D) or a batch (2-D, one row per
-        dataset). Returns ``(accepted, present, remainder)`` host arrays
-        of the same shape. Dispatches to the detector's compute backend
-        with the device-resident operands uploaded at construction.
+        dataset). Returns ``(accepted, present, remainder)`` arrays of
+        the same shape.
         """
-        return self.backend.stacked_modulo(
+        return verify_pair_arrays(
             first,
             second,
-            safe_moduli=self._safe_moduli_device,
-            valid=self._valid_device,
-            thresholds=self._thresholds_device,
+            safe_moduli=self._safe_moduli,
+            valid=self._valid,
+            thresholds=self._thresholds,
             symmetric_tolerance=self.config.symmetric_tolerance,
         )
 
@@ -410,8 +379,7 @@ class WatermarkDetector:
         -------
         List[DetectionResult]
             One result per dataset, in input order. To shard this call
-            across processes, see
-            :class:`repro.core.sharding.ShardedDetectionPool`.
+            across processes, see :func:`repro.core.batch.detect_many`.
         """
         if not datasets:
             return []

@@ -21,12 +21,11 @@ most promising tokens to keep generation latency predictable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import ArrayBackend, BackendLike, resolve_backend
 from repro.core.hashing import PairModulusCache, pair_modulus
 from repro.core.histogram import TokenHistogram
 from repro.core.tokens import TokenPair
@@ -183,6 +182,38 @@ class EligibilityContext:
         )
 
 
+def pair_scan(
+    counts: np.ndarray,
+    slack: np.ndarray,
+    *,
+    first_index: np.ndarray,
+    second_index: np.ndarray,
+    need: np.ndarray,
+    safe_moduli: np.ndarray,
+    valid: np.ndarray,
+    require_modification: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eligibility scan over a :class:`PairScanPlan`'s candidate pairs.
+
+    ``counts``/``slack`` are per-candidate arrays; the remaining operands
+    are the plan's pair arrays. A pair survives when its modulus is usable
+    and both members carry at least ``ceil(modulus / 2)`` slack;
+    ``require_modification`` additionally drops already-aligned pairs.
+    Returns ``(survivors, remainder, difference)`` — survivor positions
+    into the plan's pair arrays plus the gathered remainder/difference
+    values.
+    """
+    first = counts[first_index]
+    second = counts[second_index]
+    keep = valid & (slack[first_index] >= need) & (slack[second_index] >= need)
+    difference = first - second
+    remainder = difference % safe_moduli
+    if require_modification:
+        keep = keep & (remainder != 0)
+    survivors = np.nonzero(keep)[0]
+    return survivors, remainder[survivors], difference[survivors]
+
+
 #: Largest candidate-pair count the vectorized scan materialises index
 #: arrays for; wider histograms fall back to the streaming loop, which
 #: allocates only for survivors (values are identical either way).
@@ -220,12 +251,6 @@ class PairScanPlan:
     need: "np.ndarray"
     safe_moduli: "np.ndarray"
     valid: "np.ndarray"
-    #: Per-backend device copies of the pair arrays, uploaded lazily on
-    #: the first scan through each backend and reused for the plan's
-    #: lifetime (a memo, not part of the plan's identity).
-    _device: Dict[str, Tuple] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @classmethod
     def build(
@@ -256,48 +281,27 @@ class PairScanPlan:
             valid=valid,
         )
 
-    def _device_buffers(self, backend: ArrayBackend) -> Tuple:
-        """This plan's pair arrays on ``backend``'s device (uploaded once)."""
-        buffers = self._device.get(backend.name)
-        if buffers is None:
-            buffers = (
-                backend.from_host(self.first_index),
-                backend.from_host(self.second_index),
-                backend.from_host(self.need),
-                backend.from_host(self.safe_moduli),
-                backend.from_host(self.valid),
-            )
-            self._device[backend.name] = buffers
-        return buffers
-
     def scan(
         self,
         counts: "np.ndarray",
         slack: "np.ndarray",
         *,
         require_modification: bool = False,
-        backend: BackendLike = None,
     ) -> List[EligiblePair]:
         """One dataset's eligibility scan over the cached pair plan.
 
         ``counts`` / ``slack`` are the candidate tokens' frequencies and
-        binding boundaries (aligned with :attr:`candidate_tokens`). The
-        scan arithmetic runs on the resolved compute backend through
-        :meth:`repro.core.backend.ArrayBackend.pair_scan`, against device
-        copies of the plan arrays that are uploaded once per backend.
+        binding boundaries (aligned with :attr:`candidate_tokens`); the
+        arithmetic is one :func:`pair_scan` over the plan arrays.
         """
-        resolved = resolve_backend(backend)
-        first_index, second_index, need, safe_moduli, valid = self._device_buffers(
-            resolved
-        )
-        survivors, remainder, difference = resolved.pair_scan(
+        survivors, remainder, difference = pair_scan(
             counts,
             slack,
-            first_index=first_index,
-            second_index=second_index,
-            need=need,
-            safe_moduli=safe_moduli,
-            valid=valid,
+            first_index=self.first_index,
+            second_index=self.second_index,
+            need=self.need,
+            safe_moduli=self.safe_moduli,
+            valid=self.valid,
             require_modification=require_modification,
         )
         tokens = self.candidate_tokens
@@ -328,7 +332,6 @@ def generate_eligible_pairs(
     context: Optional[EligibilityContext] = None,
     modulus_cache: Optional[PairModulusCache] = None,
     plan_store: Optional[Dict[Tuple[str, ...], PairScanPlan]] = None,
-    backend: BackendLike = None,
 ) -> List[EligiblePair]:
     """Compute the eligible pair list ``L_e`` for a histogram.
 
@@ -368,11 +371,6 @@ def generate_eligible_pairs(
         candidate token list repeats across a batch, the scan runs
         vectorized over the cached plan instead of looping; results are
         identical.
-    backend:
-        Compute backend for the vectorized scan (name, instance or
-        ``None`` for the ``FREQYWM_BACKEND`` / NumPy default). The
-        streaming loop fallback always runs on the host; values are
-        identical on every path.
 
     Returns
     -------
@@ -430,12 +428,7 @@ def generate_eligible_pairs(
             dtype=np.int64,
             count=len(candidate_indices),
         )
-        return plan.scan(
-            counts,
-            slack,
-            require_modification=require_modification,
-            backend=backend,
-        )
+        return plan.scan(counts, slack, require_modification=require_modification)
     modulus_of = (
         modulus_cache.modulus
         if modulus_cache is not None

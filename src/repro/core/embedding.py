@@ -1,22 +1,20 @@
-"""Batch embedding: ``WM_Generate`` over many datasets at scale.
+"""Batch embedding: the task bodies and report behind ``embed_many``.
 
-PRs 1–3 made *detection* batched, sharded and serveable; this module does
-the same for the embedding side. Two independent levers compose:
+Two independent levers compose, both driven from
+:mod:`repro.core.batch`:
 
 * **In-process amortisation** —
   :meth:`repro.core.generator.WatermarkGenerator.generate_many` shares
   the SHA-256 pair-modulus derivations (per owner secret) and the
   histogram-side eligibility precomputation (per dataset) across a whole
   batch, with outputs bit-identical to the sequential loop;
-* **Worker sharding** — :class:`ShardedEmbeddingPool` partitions a
-  batch across scheduler workers the way
-  :class:`~repro.core.sharding.ShardedDetectionPool` does for detection:
-  every worker builds its :class:`~repro.core.generator.WatermarkGenerator`
-  once per ``init_key`` via the registered ``embed.state`` initializer,
-  chunks are dispatched in input order, and results come back in input
-  order — on the default local scheduler or a remote worker fleet.
-  ``workers=1`` — and any environment where processes cannot be
-  spawned — falls back in-process.
+* **Worker sharding** — :func:`repro.core.batch.embed_many` and
+  :func:`~repro.core.batch.embed_files` partition a batch across
+  scheduler workers: every worker builds its
+  :class:`~repro.core.generator.WatermarkGenerator` once per ``init_key``
+  via the ``embed.state`` initializer registered here, chunks are
+  dispatched in input order, and results come back in input order — on
+  the local scheduler or a remote worker fleet.
 
 Sharded embedding requires the generator's randomness source to be a
 plain seed (or ``None``): an ``int`` seed reproduces per dataset rather
@@ -35,35 +33,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.core.config import GenerationConfig
 from repro.core.generator import WatermarkGenerator, WatermarkResult
 from repro.core.histogram import TokenHistogram
 from repro.core.tokens import TokenValue
-from repro.exceptions import GenerationError
-from repro.exec.blobs import dataplane_enabled, maybe_blob
-from repro.exec.chunking import chunk_spans, derive_chunk_size
-from repro.exec.policy import ExecutionPolicy, policy_from_kwargs
-from repro.exec.scheduler import (
-    Scheduler,
-    TaskSpec,
-    create_scheduler,
-    register_initializer,
-    register_task_function,
-)
-from repro.obs.logging import get_logger, log_record
+from repro.exec.scheduler import register_initializer, register_task_function
 
 #: A dataset to embed: a raw token sequence or a pre-built histogram.
 EmbedData = Union[Sequence[TokenValue], TokenHistogram]
-
-logger = get_logger(__name__)
 
 
 def generator_fingerprint(
@@ -72,7 +53,7 @@ def generator_fingerprint(
     """Stable cache key for a ``(config, seed)`` generator build.
 
     The scheduler caches initializer products per ``init_key`` — two
-    pools sharing a configuration and seed share one worker-side
+    batches sharing a configuration and seed share one worker-side
     generator, while any differing field forces a rebuild.
     """
     resolved = config or GenerationConfig()
@@ -209,281 +190,8 @@ class BatchEmbeddingReport:
         }
 
 
-class ShardedEmbeddingPool:
-    """Partition batch embedding workloads across scheduler workers.
-
-    A thin client of the pluggable scheduler: every worker owns one
-    :class:`~repro.core.generator.WatermarkGenerator` (built once per
-    ``init_key`` by the registered ``embed.state`` initializer from the
-    pickled configuration and seed) and batches are embedded by
-    dispatching contiguous chunks as fingerprinted tasks. Results come
-    back in input order and are bit-identical to the in-process
-    sequential loop.
-
-    Parameters
-    ----------
-    config : GenerationConfig, optional
-        Generation parameters shared by every worker.
-    seed : int, optional
-        Seed for the per-worker randomness source. ``None`` uses the OS
-        CSPRNG for secret sampling (the secure default; results are then
-        not reproducible, sequentially or sharded). A live
-        :class:`numpy.random.Generator` is *not* accepted: its mutable
-        state cannot be split across processes deterministically.
-    policy : ExecutionPolicy, optional
-        How to parallelise — worker count, chunking, start method and
-        scheduler choice in one object (the preferred configuration
-        surface).
-    workers : int, optional
-        Deprecated alias for ``policy.workers`` (emits
-        ``DeprecationWarning``). ``None`` uses
-        :func:`~repro.exec.scheduler.default_worker_count`; ``1``
-        short-circuits in-process — no processes are ever spawned.
-    chunk_size : int, optional
-        Deprecated alias for ``policy.chunk_size``. ``None`` splits
-        each batch into one chunk per worker — embedding chunks should
-        be as large as possible so the per-chunk modulus cache amortises
-        across many datasets.
-    start_method : str, optional
-        Deprecated alias for ``policy.start_method``.
-    scheduler : Scheduler, optional
-        A prebuilt scheduler to dispatch through; the pool then does not
-        own its lifecycle and ``close()`` leaves it running.
-    """
-
-    def __init__(
-        self,
-        config: Optional[GenerationConfig] = None,
-        *,
-        seed: Optional[int] = None,
-        policy: Optional[ExecutionPolicy] = None,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-        scheduler: Optional[Scheduler] = None,
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise GenerationError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise GenerationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if isinstance(seed, np.random.Generator):
-            raise GenerationError(
-                "sharded embedding needs a plain integer seed (or None): a "
-                "live Generator cannot reproduce deterministically across "
-                "worker processes"
-            )
-        self.policy = policy_from_kwargs(
-            policy,
-            workers=workers,
-            chunk_size=chunk_size,
-            start_method=start_method,
-            caller="ShardedEmbeddingPool",
-        )
-        self.config = config or GenerationConfig()
-        self.seed = seed
-        self.chunk_size = self.policy.chunk_size
-        self.start_method = self.policy.start_method
-        self._local = WatermarkGenerator(self.config, rng=seed)
-        self._init_key = generator_fingerprint(self.config, seed)
-        if scheduler is not None:
-            self._scheduler = scheduler
-            self._owns_scheduler = False
-        else:
-            self._scheduler = create_scheduler(
-                self.policy,
-                on_spawn_failure=self._spawn_failure,
-                inline_state={self._init_key: self._local},
-            )
-            self._owns_scheduler = True
-
-    def _spawn_failure(self, error: BaseException) -> None:
-        """Spawn-failure hook: same degradation contract as detection.
-
-        Restricted sandboxes fall back in-process, loudly — the reason
-        lands in the logging stream and as a RuntimeWarning.
-        """
-        log_record(
-            logger,
-            logging.WARNING,
-            "cannot start embedding workers; falling back to in-process "
-            f"embedding ({type(error).__name__}: {error})",
-            error=str(error),
-            error_type=type(error).__name__,
-        )
-        warnings.warn(
-            f"cannot start embedding workers ({error}); "
-            "falling back to in-process embedding",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    @property
-    def workers(self) -> int:
-        """Effective worker count (drops to 1 after a spawn failure)."""
-        return self._scheduler.workers
-
-    @property
-    def _pool(self):
-        """The scheduler's live worker pool, None until (re)spawned."""
-        return getattr(self._scheduler, "_pool", None)
-
-    def __enter__(self) -> "ShardedEmbeddingPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut down owned workers (idempotent; the pool respawns lazily)."""
-        if self._owns_scheduler:
-            self._scheduler.close()
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
-
-    def _spec(
-        self,
-        function: str,
-        payload,
-        index: int,
-        blob_refs: Tuple[str, ...] = (),
-    ) -> TaskSpec:
-        """One fingerprinted chunk task bound to this pool's generator."""
-        return TaskSpec(
-            fingerprint=f"{self._init_key}:{function}:{index}",
-            function=function,
-            payload=payload,
-            initializer="embed.state",
-            init_key=self._init_key,
-            init_args=(self.config, self.seed),
-            blob_refs=blob_refs,
-        )
-
-    def _chunk_size(self, n_items: int) -> int:
-        """Embedding's chunk size: one chunk per worker unless overridden.
-
-        Unlike detection's many-small-chunks default, embedding defaults
-        to one chunk per worker: each chunk shares one modulus cache, so
-        bigger chunks amortise more (and per-dataset embedding cost is
-        far more uniform than suspect-file sizes).
-        """
-        return derive_chunk_size(
-            n_items, self.workers, chunk_size=self.chunk_size
-        )
-
-    def embed_many(
-        self,
-        datasets: Sequence[EmbedData],
-        *,
-        secret_values: Optional[Sequence[Optional[int]]] = None,
-    ) -> BatchEmbeddingReport:
-        """Embed a batch of datasets across the workers.
-
-        Parameters
-        ----------
-        datasets : Sequence[EmbedData]
-            Raw token sequences and/or pre-built histograms, mixed
-            freely. Everything dispatched must be picklable.
-        secret_values : Sequence[int | None], optional
-            Per-dataset explicit secrets, aligned with ``datasets``
-            (see :meth:`WatermarkGenerator.generate_many`).
-
-        Returns
-        -------
-        BatchEmbeddingReport
-            One result per dataset, **in input order**, bit-identical to
-            the sequential in-process loop.
-        """
-        if secret_values is not None and len(secret_values) != len(datasets):
-            raise GenerationError(
-                f"secret_values has {len(secret_values)} entries for "
-                f"{len(datasets)} datasets"
-            )
-        items = list(datasets)
-        if not items:
-            return BatchEmbeddingReport(results=())
-        values = list(secret_values) if secret_values is not None else None
-        if self.workers > 1 and len(items) > 1:
-            size = self._chunk_size(len(items))
-            use_blobs = dataplane_enabled() and self._scheduler.ships_payloads
-            specs = []
-            for index, (start, stop) in enumerate(chunk_spans(len(items), size)):
-                chunk: object = items[start:stop]
-                chunk_refs: Tuple[str, ...] = ()
-                if use_blobs:
-                    # Large chunks travel as content-addressed blobs so the
-                    # local shm transport can ship them zero-copy.
-                    chunk, chunk_refs = maybe_blob(chunk)
-                specs.append(
-                    self._spec(
-                        "embed.chunk",
-                        (chunk, values[start:stop] if values else None),
-                        index,
-                        blob_refs=chunk_refs,
-                    )
-                )
-        else:
-            # One whole-batch task: the in-process fast path keeps the
-            # full cross-dataset amortisation of generate_many.
-            specs = [self._spec("embed.chunk", (items, values), 0)]
-        collected: List[WatermarkResult] = []
-        for chunk_results in self._scheduler.run(specs):
-            collected.extend(chunk_results)
-        return BatchEmbeddingReport(results=tuple(collected))
-
-    def embed_files(
-        self,
-        paths: Sequence[Union[str, Path]],
-        output_dir: Union[str, Path],
-        secret_dir: Union[str, Path],
-    ) -> List[Dict[str, object]]:
-        """Watermark token-per-line files, each loaded inside its worker.
-
-        Only the file *paths* are dispatched: each worker loads its
-        chunk's token sequences, embeds them, and writes the watermarked
-        file (same name under ``output_dir``) and the secret list
-        (``<name>.json`` under ``secret_dir``) itself — so the dominant
-        read/embed/write cost parallelises and the parent only collects
-        flat per-file summaries.
-
-        Every file receives its **own** secret ``R``. With a seeded pool
-        the per-file randomness is derived from ``(seed, file name)`` —
-        reproducible, but never shared between files, so one recipient's
-        secret list reveals nothing about another file's watermark.
-
-        Returns
-        -------
-        list of dict
-            One :meth:`WatermarkResult.summary` per file (plus
-            ``input`` / ``output`` / ``secret_file`` paths), in input
-            order.
-        """
-        items = [Path(path) for path in paths]
-        if not items:
-            return []
-        out_dir = Path(output_dir)
-        sec_dir = Path(secret_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        sec_dir.mkdir(parents=True, exist_ok=True)
-        size = self._chunk_size(len(items))
-        specs = [
-            self._spec("embed.files", (items[start:stop], out_dir, sec_dir), index)
-            for index, (start, stop) in enumerate(chunk_spans(len(items), size))
-        ]
-        collected: List[Dict[str, object]] = []
-        for chunk_results in self._scheduler.run(specs):
-            collected.extend(chunk_results)
-        return collected
-
-
 __all__ = [
     "EmbedData",
     "BatchEmbeddingReport",
-    "ShardedEmbeddingPool",
     "generator_fingerprint",
 ]

@@ -39,9 +39,22 @@ from repro.core.arrays import (
     counts_from_mapping,
     sort_histogram,
 )
-from repro.core.backend import get_backend
 from repro.core.tokens import TokenValue, canonical_token
 from repro.exceptions import HistogramError
+
+
+def apply_deltas(
+    counts: np.ndarray, positions: np.ndarray, deltas: np.ndarray
+) -> np.ndarray:
+    """Scatter-add ``deltas`` into a copy of ``counts`` at ``positions``.
+
+    ``positions`` must be unique (one entry per token, as produced from a
+    delta mapping): fancy-index assignment is well-defined only without
+    duplicates.
+    """
+    updated = counts.copy()
+    updated[positions] = updated[positions] + deltas
+    return updated
 
 
 @dataclass(frozen=True)
@@ -318,9 +331,8 @@ class TokenHistogram:
 
         Counts may not become negative; tokens whose count reaches zero are
         dropped from the histogram (they no longer appear in the dataset).
-        The delta application over existing tokens runs as one scatter on
-        the active compute backend
-        (:meth:`repro.core.backend.ArrayBackend.apply_deltas`).
+        The delta application over existing tokens runs as one
+        :func:`apply_deltas` scatter.
         """
         added: Dict[str, int] = {}
         changed: Dict[int, int] = {}
@@ -337,7 +349,7 @@ class TokenHistogram:
         if changed:
             positions = np.fromiter(changed.keys(), dtype=np.intp, count=len(changed))
             values = np.fromiter(changed.values(), dtype=np.int64, count=len(changed))
-            array = get_backend().apply_deltas(self._array, positions, values)
+            array = apply_deltas(self._array, positions, values)
         else:
             array = self._array.copy()
         for token, delta in added.items():

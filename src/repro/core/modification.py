@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import BackendLike, resolve_backend
 from repro.core.eligibility import EligiblePair
 from repro.core.histogram import TokenHistogram
 from repro.core.tokens import TokenPair
@@ -96,18 +95,37 @@ def plan_adjustment(
     )
 
 
+def plan_deltas(
+    first: np.ndarray, second: np.ndarray, moduli: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized :func:`plan_adjustment` arithmetic over many pairs.
+
+    For each pair, split the cheaper of the shrink distance ``r`` and the
+    growth distance ``modulus - r`` across both tokens (first token gets
+    the ``ceil`` half) so that ``(f_i - f_j) mod modulus == 0`` afterwards.
+    Already-aligned pairs get zero deltas. Returns ``(delta_first,
+    delta_second)``, bit-identical to :func:`plan_adjustment` per pair.
+    """
+    remainder = (first - second) % moduli
+    growth = moduli - remainder
+    shrink = remainder <= moduli // 2
+    delta_first = np.where(shrink, -((remainder + 1) // 2), (growth + 1) // 2)
+    delta_second = np.where(shrink, remainder + delta_first, delta_first - growth)
+    aligned = remainder == 0
+    delta_first = np.where(aligned, 0, delta_first)
+    delta_second = np.where(aligned, 0, delta_second)
+    return delta_first, delta_second
+
+
 def plan_adjustments(
     histogram: TokenHistogram,
     selected: Sequence[EligiblePair],
-    *,
-    backend: BackendLike = None,
 ) -> List[PairAdjustment]:
     """Plan the adjustments for every selected pair against ``histogram``.
 
     The ceil/floor arithmetic of :func:`plan_adjustment` is evaluated for
-    all pairs at once through the compute backend's
-    :meth:`~repro.core.backend.ArrayBackend.plan_deltas` kernel; the
-    result is identical to calling :func:`plan_adjustment` per pair.
+    all pairs at once by :func:`plan_deltas`; the result is identical to
+    calling :func:`plan_adjustment` per pair.
     """
     if not selected:
         return []
@@ -126,9 +144,7 @@ def plan_adjustments(
             "pair convention violated: first token must have the larger frequency "
             f"({int(first[index])} < {int(second[index])})"
         )
-    delta_first, delta_second = resolve_backend(backend).plan_deltas(
-        first, second, moduli
-    )
+    delta_first, delta_second = plan_deltas(first, second, moduli)
     return [
         PairAdjustment(
             pair=item.pair,
@@ -194,6 +210,7 @@ __all__ = [
     "PairAdjustment",
     "plan_adjustment",
     "plan_adjustments",
+    "plan_deltas",
     "combined_deltas",
     "apply_adjustments",
     "verify_alignment",

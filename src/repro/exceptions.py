@@ -21,17 +21,6 @@ class ConfigurationError(ReproError):
     """
 
 
-class BackendError(ConfigurationError):
-    """Raised when a compute backend is unknown or unavailable.
-
-    Selecting an unregistered backend name (via argument or the
-    ``FREQYWM_BACKEND`` environment variable) or a registered backend
-    whose library is not installed (e.g. ``cupy`` without CuPy) raises
-    this; it subclasses :class:`ConfigurationError` because the backend
-    choice is user-supplied configuration.
-    """
-
-
 class HistogramError(ReproError):
     """Raised when a token histogram cannot be built or is malformed."""
 

@@ -1,12 +1,12 @@
 """Pluggable task execution: one API from in-process to distributed.
 
-The :mod:`repro.exec` package is the execution substrate the sharded
-pools and the experiment executor stand on:
+The :mod:`repro.exec` package is the execution substrate the batch
+functions and the experiment executor stand on:
 
 * :mod:`repro.exec.policy` — the frozen
   :class:`~repro.exec.policy.ExecutionPolicy`, the single way callers
-  configure parallelism (workers, chunking, start method, backend,
-  scheduler name and worker addresses);
+  configure parallelism (workers, chunking, start method, scheduler
+  name and worker addresses);
 * :mod:`repro.exec.scheduler` — the
   :class:`~repro.exec.scheduler.Scheduler` API,
   :class:`~repro.exec.scheduler.TaskSpec`, the task/initializer name
@@ -41,7 +41,7 @@ from repro.exec.chunking import (
     derive_chunk_size,
     split_chunks,
 )
-from repro.exec.policy import ExecutionPolicy, policy_from_kwargs
+from repro.exec.policy import ExecutionPolicy
 from repro.exec.scheduler import (
     LocalScheduler,
     Scheduler,
@@ -51,7 +51,6 @@ from repro.exec.scheduler import (
     default_worker_count,
     load_builtin_tasks,
     register_initializer,
-    register_scheduler,
     register_task_function,
     run_task,
 )
@@ -74,9 +73,7 @@ __all__ = [
     "derive_chunk_size",
     "load_builtin_tasks",
     "maybe_blob",
-    "policy_from_kwargs",
     "register_initializer",
-    "register_scheduler",
     "register_task_function",
     "resolve_refs",
     "run_task",

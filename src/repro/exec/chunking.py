@@ -1,9 +1,8 @@
-"""Shared chunk-size heuristic for every sharded dispatch layer.
+"""Shared chunk-size heuristic for every sharded dispatch path.
 
-Both sharded pools used to carry a private copy of the same arithmetic:
-split ``n`` items into contiguous chunks sized so each worker receives a
-target number of chunks, optionally capped so no single dispatch holds
-too many items. Detection wants several small chunks per worker (suspect
+Detection and embedding batches split ``n`` items into contiguous
+chunks sized so each worker receives a target number of chunks,
+optionally capped so no single dispatch holds too many items. Detection wants several small chunks per worker (suspect
 files vary wildly in size, so slack load-balances) while embedding wants
 one big chunk per worker (each chunk shares one modulus cache, so bigger
 amortises more) — the *heuristic* is one function with two parameter

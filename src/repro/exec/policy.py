@@ -2,23 +2,19 @@
 
 :class:`ExecutionPolicy` is the single way to say *how* a batch runs —
 how many workers, which chunking, which multiprocessing start method,
-which compute backend, and which scheduler (the default in-machine
-``"local"`` pool, or ``"remote"`` dispatch to ``freqywm worker``
-processes at the given addresses). Every parallel entry point
-(:func:`repro.core.batch.detect_many`, :func:`~repro.core.batch.embed_many`,
-:func:`~repro.core.batch.detect_many_secrets`, both sharded pools, and
-the experiment executor) takes ``policy=``; the pre-existing
-``workers=`` / ``chunk_size=`` / ``start_method=`` keyword arguments are
-kept as deprecated aliases that fold into a policy and emit
-:class:`DeprecationWarning` (equivalence is pinned by
-``tests/test_exec_policy.py``).
+and which scheduler (the default in-machine ``"local"`` pool, or
+``"remote"`` dispatch to ``freqywm worker`` processes at the given
+addresses). Every parallel entry point
+(:func:`repro.core.batch.detect_many`, :func:`~repro.core.batch.detect_files`,
+:func:`~repro.core.batch.embed_many`, :func:`~repro.core.batch.embed_files`,
+:func:`~repro.core.batch.detect_many_secrets` and the experiment executor)
+takes ``policy=``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.obs.trace import parse_telemetry
@@ -31,9 +27,10 @@ class ExecutionPolicy:
     Attributes
     ----------
     workers:
-        Worker count. ``None`` lets the scheduler pick (the local
-        scheduler uses the visible CPU cores; the remote scheduler uses
-        one logical worker per address). ``1`` always runs in-process.
+        Worker count. Under the local scheduler ``None`` (the default)
+        and ``1`` run in-process; ``> 1`` shards across that many worker
+        processes. The remote scheduler always shards, with one logical
+        worker per address.
     chunk_size:
         Items per dispatched chunk; ``None`` derives a size from the
         batch via :func:`repro.exec.chunking.derive_chunk_size`.
@@ -41,16 +38,10 @@ class ExecutionPolicy:
         ``multiprocessing`` start method for the local scheduler
         (``"fork"``, ``"spawn"``, ``"forkserver"``; ``None`` = platform
         default). Ignored by remote schedulers.
-    backend:
-        Compute-backend *name* for the workers (``None`` = the
-        ``FREQYWM_BACKEND`` / NumPy default). Names, not instances:
-        backends hold device handles and never cross process boundaries.
     scheduler:
         Scheduler name — ``"local"`` (default, the in-machine
         multiprocessing pool) or ``"remote"`` (dispatch over the
-        JSON-lines wire to ``freqywm worker`` processes); additional
-        names may be registered via
-        :func:`repro.exec.scheduler.register_scheduler`.
+        JSON-lines wire to ``freqywm worker`` processes).
     addresses:
         Remote worker addresses (``"unix:/path.sock"``, ``"host:port"``)
         for the ``"remote"`` scheduler; must be empty for ``"local"``.
@@ -65,7 +56,6 @@ class ExecutionPolicy:
     workers: Optional[int] = None
     chunk_size: Optional[int] = None
     start_method: Optional[str] = None
-    backend: Optional[str] = None
     scheduler: str = "local"
     addresses: Tuple[str, ...] = field(default_factory=tuple)
     telemetry: Optional[str] = None
@@ -97,90 +87,9 @@ class ExecutionPolicy:
         # Reject typos at construction, not at run time deep in a sweep.
         parse_telemetry(self.telemetry)
 
-    @property
-    def parallel(self) -> bool:
-        """Whether this policy can run more than one task at a time.
-
-        ``workers=None`` counts as parallel (the scheduler picks a
-        count); only an explicit ``workers=1`` under the local scheduler
-        is strictly in-process.
-        """
-        if self.scheduler != "local":
-            return True
-        return self.workers is None or self.workers > 1
-
     def merged(self, **overrides: object) -> "ExecutionPolicy":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **overrides)  # type: ignore[arg-type]
 
 
-def policy_from_kwargs(
-    policy: Optional[ExecutionPolicy] = None,
-    *,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    start_method: Optional[str] = None,
-    addresses: Optional[Sequence[str]] = None,
-    caller: str = "this API",
-    stacklevel: int = 3,
-) -> ExecutionPolicy:
-    """Fold deprecated per-knob keyword arguments into one policy.
-
-    The legacy ``workers=`` / ``chunk_size=`` / ``start_method=``
-    keyword arguments still work everywhere they used to, but emit a
-    :class:`DeprecationWarning` pointing at ``policy=``. Passing both a
-    policy *and* a legacy knob that the policy already sets is an error
-    — silently preferring one would make migration bugs invisible.
-
-    Parameters
-    ----------
-    policy : ExecutionPolicy, optional
-        The caller's explicit policy (``None`` = defaults).
-    workers, chunk_size, start_method : optional
-        Deprecated aliases for the matching policy fields.
-    addresses : Sequence[str], optional
-        Remote worker addresses to merge (used by the CLI, which maps
-        ``--scheduler`` / ``--address`` onto the policy — not
-        deprecated).
-    caller : str
-        Name used in the deprecation message.
-    stacklevel : int
-        ``warnings.warn`` stacklevel so the warning points at user code.
-
-    Returns
-    -------
-    ExecutionPolicy
-        The merged, validated policy.
-    """
-    legacy = {
-        "workers": workers,
-        "chunk_size": chunk_size,
-        "start_method": start_method,
-    }
-    supplied = {name: value for name, value in legacy.items() if value is not None}
-    if supplied:
-        names = "/".join(f"{name}=" for name in supplied)
-        warnings.warn(
-            f"{caller}: {names} keyword arguments are deprecated; pass "
-            "policy=ExecutionPolicy(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-    if policy is None:
-        merged = ExecutionPolicy(**supplied)  # type: ignore[arg-type]
-    else:
-        conflicts = [
-            name for name in supplied if getattr(policy, name) is not None
-        ]
-        if conflicts:
-            raise ConfigurationError(
-                f"{caller}: {', '.join(conflicts)} given both on the policy "
-                "and as a deprecated keyword argument"
-            )
-        merged = policy.merged(**supplied) if supplied else policy
-    if addresses:
-        merged = merged.merged(addresses=tuple(addresses))
-    return merged
-
-
-__all__ = ["ExecutionPolicy", "policy_from_kwargs"]
+__all__ = ["ExecutionPolicy"]

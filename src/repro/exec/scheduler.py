@@ -1,11 +1,8 @@
-"""Pluggable task scheduler: one execution API behind every pool.
+"""Task scheduler: one execution API behind every parallel path.
 
-Before this module, three call sites hand-rolled the same
-``multiprocessing.Pool`` dance —
-:class:`~repro.core.sharding.ShardedDetectionPool`,
-:class:`~repro.core.embedding.ShardedEmbeddingPool` and the experiment
-executor each owned its own worker lifecycle, chunk math and
-spawn-failure fallback. They are now thin clients of one abstraction:
+The batch functions in :mod:`repro.core.batch` and the experiment
+executor share one abstraction for worker lifecycle, ordering and
+fallback:
 
 * a **task** is a :class:`TaskSpec` — a registered *function name*, a
   picklable payload, a fingerprint for error reporting/retry, and an
@@ -172,9 +169,7 @@ def load_builtin_tasks() -> None:
     if _BUILTINS_LOADED:
         return
     _BUILTINS_LOADED = True
-    import repro.core.batch  # noqa: F401
-    import repro.core.embedding  # noqa: F401
-    import repro.core.sharding  # noqa: F401
+    import repro.core.batch  # noqa: F401  (detect.*, embed.*, secrets.chunk)
     import repro.experiments.executor  # noqa: F401
 
 
@@ -522,7 +517,7 @@ class _ShmExporter:
 class LocalScheduler(Scheduler):
     """In-machine scheduler over a ``multiprocessing`` pool.
 
-    Preserves the historical pool contracts the sharding layers exposed:
+    Contracts:
 
     * ``workers=1`` — or a single submitted task — executes inline in
       the calling process; no worker is ever spawned;
@@ -560,8 +555,10 @@ class LocalScheduler(Scheduler):
         declaring still-unfinished tasks lost.
     inline_state : dict, optional
         Prebuilt initializer products keyed by ``init_key`` for the
-        inline path — how a pool's existing local detector is reused
-        instead of rebuilt.
+        inline path — how a caller's existing detector is reused instead
+        of rebuilt. Products the inline path builds itself join it; like
+        a worker's state cache it keeps the :data:`DEFAULT_STATE_CACHE`
+        most recently used entries.
     """
 
     def __init__(
@@ -585,7 +582,7 @@ class LocalScheduler(Scheduler):
         self.on_spawn_failure = on_spawn_failure
         self.max_retries = max_retries
         self.crash_grace = crash_grace
-        self.inline_state: Dict[str, Any] = dict(inline_state or {})
+        self.inline_state: "OrderedDict[str, Any]" = OrderedDict(inline_state or {})
         self._pool = None
         self._poll_interval = 0.005
 
@@ -707,6 +704,10 @@ class LocalScheduler(Scheduler):
                     init_args = resolve_refs(spec.init_args)
                     state = resolve_initializer(spec.initializer)(*init_args)
                     self.inline_state[spec.init_key] = state
+                    while len(self.inline_state) > DEFAULT_STATE_CACHE:
+                        self.inline_state.popitem(last=False)
+                else:
+                    self.inline_state.move_to_end(spec.init_key)
             with trace_span(
                 f"task:{spec.function}",
                 parent=spec.trace,
@@ -888,52 +889,30 @@ class LocalScheduler(Scheduler):
 # --------------------------------------------------------------------- #
 
 
-def _local_factory(policy, **kwargs) -> Scheduler:
-    """Build a :class:`LocalScheduler` from an execution policy."""
-    return LocalScheduler(
-        policy.workers, start_method=policy.start_method, **kwargs
-    )
-
-
-def _remote_factory(policy, **kwargs) -> Scheduler:
-    """Build a :class:`~repro.exec.remote.RemoteScheduler` from a policy."""
-    from repro.exec.remote import RemoteScheduler
-
-    kwargs.pop("start_method", None)
-    kwargs.pop("size_to_batch", None)
-    kwargs.pop("on_spawn_failure", None)
-    kwargs.pop("inline_state", None)
-    return RemoteScheduler(policy.addresses, **kwargs)
-
-
-_SCHEDULER_FACTORIES: Dict[str, Callable[..., Scheduler]] = {
-    "local": _local_factory,
-    "remote": _remote_factory,
-}
-
-
-def register_scheduler(name: str, factory: Callable[..., Scheduler]) -> None:
-    """Register a scheduler factory ``factory(policy, **kwargs)`` by name."""
-    existing = _SCHEDULER_FACTORIES.get(name)
-    if existing is not None and existing is not factory:
-        raise SchedulerError(f"scheduler {name!r} is already registered")
-    _SCHEDULER_FACTORIES[name] = factory
-
-
 def create_scheduler(policy, **kwargs) -> Scheduler:
     """Build the scheduler an :class:`~repro.exec.policy.ExecutionPolicy` names.
 
-    Extra keyword arguments go to the factory (the local factory accepts
-    every :class:`LocalScheduler` knob; the remote factory silently
-    drops the local-only ones so call sites can pass a uniform set).
+    ``"local"`` builds a :class:`LocalScheduler` (extra keyword arguments
+    are its knobs); ``"remote"`` builds a
+    :class:`~repro.exec.remote.RemoteScheduler` over ``policy.addresses``,
+    silently dropping the local-only knobs so call sites can pass a
+    uniform set.
     """
-    factory = _SCHEDULER_FACTORIES.get(policy.scheduler)
-    if factory is None:
-        raise SchedulerError(
-            f"unknown scheduler {policy.scheduler!r} (registered: "
-            f"{sorted(_SCHEDULER_FACTORIES)})"
+    if policy.scheduler == "local":
+        return LocalScheduler(
+            policy.workers, start_method=policy.start_method, **kwargs
         )
-    return factory(policy, **kwargs)
+    if policy.scheduler == "remote":
+        from repro.exec.remote import RemoteScheduler
+
+        for local_only in (
+            "start_method", "size_to_batch", "on_spawn_failure", "inline_state"
+        ):
+            kwargs.pop(local_only, None)
+        return RemoteScheduler(policy.addresses, **kwargs)
+    raise SchedulerError(
+        f"unknown scheduler {policy.scheduler!r} (known: ['local', 'remote'])"
+    )
 
 
 __all__ = [
@@ -946,7 +925,6 @@ __all__ = [
     "default_worker_count",
     "load_builtin_tasks",
     "register_initializer",
-    "register_scheduler",
     "register_task_function",
     "resolve_initializer",
     "resolve_task_function",

@@ -1,7 +1,7 @@
 """Experiment orchestration: declarative, resumable, sharded reproduction.
 
 This package turns the library's fast primitives (batched embedding,
-vectorized detection, sharded pools, cached detectors) into a
+vectorized detection, sharded batches, cached detectors) into a
 first-class experiment runner:
 
 * :mod:`repro.experiments.spec` — declarative :class:`ExperimentSpec`

@@ -7,10 +7,10 @@ in the run cache and handing the remainder to a
 randomness from a stream keyed by its own fingerprint
 (:func:`repro.experiments.tasks.task_rng`), the artifacts — and therefore
 the rendered reports — are bit-identical regardless of worker count,
-scheduler backend or completion order.
+scheduler or completion order.
 
 Execution is configured by an :class:`~repro.exec.policy.ExecutionPolicy`:
-the default ``workers=1`` never spawns anything, a local pool that fails
+the default (``workers`` unset or ``1``) never spawns anything, a local pool that fails
 to start (restricted sandboxes) falls back to in-process execution with a
 logged warning rather than failing the run, and
 ``ExecutionPolicy(scheduler="remote", addresses=...)`` fans the same plan
@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.exceptions import ReproError
 from repro.exec.blobs import dataplane_enabled, maybe_blob
-from repro.exec.policy import ExecutionPolicy, policy_from_kwargs
+from repro.exec.policy import ExecutionPolicy
 from repro.exec.scheduler import TaskSpec, create_scheduler, register_task_function
 from repro.experiments.cache import RunCache
 from repro.experiments.plan import Task, build_plan, validate_plan
@@ -123,20 +122,11 @@ class ExperimentRunner:
         run_dir: Union[str, Path],
         *,
         policy: Optional[ExecutionPolicy] = None,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
     ) -> None:
-        if workers is not None and workers < 1:
-            raise ReproError(f"workers must be >= 1, got {workers}")
-        exec_policy = policy_from_kwargs(
-            policy,
-            workers=workers,
-            start_method=start_method,
-            caller="ExperimentRunner",
-        )
+        exec_policy = policy or ExecutionPolicy()
         if exec_policy.scheduler == "local" and exec_policy.workers is None:
-            # The runner's historical default is sequential execution,
-            # not all-cores (sweeps are often cache-bound, not CPU-bound).
+            # Unset workers run sequentially, as in the batch functions
+            # (sweeps are often cache-bound, not CPU-bound).
             exec_policy = exec_policy.merged(workers=1)
         if exec_policy.telemetry is not None:
             # The policy beats the environment, mirroring how the CLI's
@@ -242,7 +232,7 @@ class ExperimentRunner:
         executed: Dict[str, int] = {}
         cached: Dict[str, int] = {}
         # Results may be delivered from scheduler client threads (remote
-        # backend); the cache and counters are guarded accordingly.
+        # scheduler); the cache and counters are guarded accordingly.
         lock = threading.Lock()
         use_blobs = dataplane_enabled() and self._scheduler.ships_payloads
         # Dependency artifacts are shared by every downstream task in a
@@ -324,13 +314,9 @@ def run_experiment(
     run_dir: Union[str, Path],
     *,
     policy: Optional[ExecutionPolicy] = None,
-    workers: Optional[int] = None,
-    start_method: Optional[str] = None,
 ) -> RunResult:
     """Plan, execute (or resume) and log one experiment run."""
-    runner = ExperimentRunner(
-        spec, run_dir, policy=policy, workers=workers, start_method=start_method
-    )
+    runner = ExperimentRunner(spec, run_dir, policy=policy)
     try:
         return runner.run()
     finally:

@@ -12,7 +12,7 @@ variable picks the level and format without touching code::
     FREQYWM_LOG=info:json        # one JSON object per record
     FREQYWM_LOG=warning:plain    # explicit plain format
 
-Structured events — a worker's shutdown summary, a sharding pool's
+Structured events — a worker's shutdown summary, a sharded batch's
 spawn failure — go through :func:`log_record`, which renders the same
 ``key=value`` pairs in plain mode and a proper JSON object in json
 mode, so log scrapers never parse prose.

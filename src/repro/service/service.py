@@ -17,9 +17,10 @@ pass. A resident service amortises both:
   coordinating with each other.
 * **Shard fan-out** — when a coalesced group is large
   (:attr:`ServiceConfig.shard_min_batch`) and the service was configured
-  with ``shard_workers``, the group is fanned out through a pooled
-  :class:`~repro.core.sharding.ShardedDetectionPool` (one pool per
-  cached detector, reusing it as the pool's in-process fallback).
+  with ``shard_workers``, the group is fanned out through
+  :func:`repro.core.batch.dispatch_detection` on one scheduler the
+  service keeps for its whole lifetime (workers cache the detectors of
+  the most recent secrets).
 
 Verdicts are identical to direct :meth:`WatermarkDetector.detect` — the
 coalescing only changes *when* the vectorized pass runs, never its
@@ -36,18 +37,18 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.batch import batch_scheduler, dispatch_detection
 from repro.core.cache import DEFAULT_CACHE_CAPACITY, CacheStats, DetectorCache
 from repro.core.config import DetectionConfig
 from repro.core.detector import DetectionResult, SuspectData, WatermarkDetector
 from repro.core.generator import WatermarkGenerator
 from repro.core.secrets import WatermarkSecret
-from repro.core.sharding import ShardedDetectionPool
 from repro.exceptions import ReproError, ServiceError
 from repro.exec.policy import ExecutionPolicy
+from repro.exec.scheduler import Scheduler
 from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import span as trace_span
 from repro.service.wire import (
@@ -228,10 +229,10 @@ class DetectionService:
         self._queue: "Optional[asyncio.Queue[Optional[_Pending]]]" = None
         self._batcher: Optional[asyncio.Task] = None
         self._closing = False
-        # Shard pools are bounded like the detector cache: at most
-        # cache_capacity pools stay resident, LRU-evicted (and closed, so
-        # their worker processes die) beyond that.
-        self._pools: "OrderedDict[str, ShardedDetectionPool]" = OrderedDict()
+        # One scheduler serves every sharded group (created on the first,
+        # closed in stop()); batcher windows and groups run one at a time,
+        # so sharing it is safe.
+        self._scheduler: Optional[Scheduler] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -253,7 +254,7 @@ class DetectionService:
         )
 
     async def stop(self) -> None:
-        """Drain the queue, stop the batcher, release shard pools."""
+        """Drain the queue, stop the batcher, release the shard scheduler."""
         if self._batcher is None:
             return
         assert self._queue is not None
@@ -271,9 +272,9 @@ class DetectionService:
                 )
         self._batcher = None
         self._queue = None
-        for pool in self._pools.values():
-            pool.close()
-        self._pools.clear()
+        if self._scheduler is not None:
+            self._scheduler.close()
+            self._scheduler = None
 
     async def __aenter__(self) -> "DetectionService":
         await self.start()
@@ -666,22 +667,15 @@ class DetectionService:
             and workers > 1
             and len(suspects) >= self.config.shard_min_batch
         ):
-            pool = self._pools.get(detector.fingerprint)
-            if pool is None:
-                pool = ShardedDetectionPool(
-                    detector.secret,
-                    detector.config,
-                    policy=ExecutionPolicy(workers=workers),
-                    local_detector=detector,
+            if self._scheduler is None:
+                self._scheduler = batch_scheduler(
+                    ExecutionPolicy(workers=workers), "detection"
                 )
-                self._pools[detector.fingerprint] = pool
-                while len(self._pools) > self.config.cache_capacity:
-                    _key, evicted = self._pools.popitem(last=False)
-                    evicted.close()
-            else:
-                self._pools.move_to_end(detector.fingerprint)
             self.stats.sharded_batches += 1
-            return list(pool.detect_many(suspects).results)
+            report = dispatch_detection(
+                self._scheduler, detector.secret, detector.config, suspects
+            )
+            return list(report.results)
         return detector.detect_many(suspects)
 
     def cache_stats(self) -> CacheStats:

@@ -1,0 +1,308 @@
+"""Differential parity harness anchored at the reference implementation.
+
+The **reference dict implementations** (:mod:`repro.core.reference` and
+the per-pair arithmetic in :func:`repro.core.modification.plan_adjustment`)
+are the executable specification; the vectorized NumPy engine must agree
+with them bit for bit — verdicts, evidence vectors, embedding deltas.
+
+The ``assert_*`` helpers below run one (dataset, secret, config) case
+through both layers and raise on any divergence. They are used by
+``tests/test_backend_parity.py`` (hypothesis-driven sweeps) and reused by
+the other parity suites (``test_engine_parity.py``,
+``test_batch_secrets.py``, ``test_embedding.py``) so the repo has a single
+parity implementation instead of several ad-hoc ones.
+
+This module is importable (no ``test_`` prefix) and must stay free of
+test functions; pytest's rootdir-on-``sys.path`` behaviour makes it
+reachable as ``import parity_harness`` from any test module.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.batch import detect_many, detect_many_secrets, dispatch_detection
+from repro.core.cache import DetectorCache
+from repro.core.config import DetectionConfig, GenerationConfig
+from repro.core.detector import DetectionResult, WatermarkDetector
+from repro.core.eligibility import generate_eligible_pairs
+from repro.core.generator import WatermarkGenerator, WatermarkResult
+from repro.core.hashing import PairModulusCache
+from repro.core.histogram import TokenHistogram
+from repro.core.knapsack import select_within_budget
+from repro.core.matching import vertex_disjoint
+from repro.core.modification import plan_adjustment
+from repro.core.reference import detect_reference
+from repro.core.secrets import WatermarkSecret
+from repro.exceptions import HistogramError
+from repro.exec.scheduler import LocalScheduler
+
+#: Default secret / modulus cap shared with the engine-parity suite.
+HARNESS_SECRET = 0xFEEDFACE
+HARNESS_Z = 61
+
+
+# --------------------------------------------------------------------------- #
+# Case construction
+# --------------------------------------------------------------------------- #
+
+
+def build_watermarked_case(
+    counts,
+    *,
+    secret_value: int = HARNESS_SECRET,
+    modulus_cap: int = HARNESS_Z,
+    budget: float = 2.0,
+) -> Optional[Tuple[TokenHistogram, WatermarkSecret]]:
+    """Build ``(histogram, secret)`` for a counts mapping, or ``None``.
+
+    Follows the generation pipeline's shape (eligibility -> vertex-disjoint
+    matching -> budgeted selection) and commits the selected pairs into a
+    :class:`WatermarkSecret`. Returns ``None`` when the counts admit no
+    watermark (no eligible pairs / empty selection), which hypothesis
+    callers treat as a vacuous draw.
+    """
+    histogram = TokenHistogram.from_counts(counts)
+    candidates = vertex_disjoint(
+        generate_eligible_pairs(histogram, secret_value, modulus_cap)
+    )
+    if not candidates:
+        return None
+    selection = select_within_budget(histogram, candidates, budget)
+    if not selection.selected:
+        return None
+    secret = WatermarkSecret.build(
+        [item.pair for item in selection.selected], secret_value, modulus_cap
+    )
+    return histogram, secret
+
+
+def perturbed(histogram: TokenHistogram, deltas) -> TokenHistogram:
+    """Apply a (possibly destructive) delta mapping, tolerating rejects."""
+    try:
+        return histogram.with_updates(dict(deltas))
+    except HistogramError:
+        return histogram
+
+
+# --------------------------------------------------------------------------- #
+# Parity assertions
+# --------------------------------------------------------------------------- #
+
+
+def _assert_results_match(
+    ours: DetectionResult, reference: DetectionResult, *, where: str
+) -> None:
+    assert ours.accepted == reference.accepted, where
+    assert ours.accepted_pairs == reference.accepted_pairs, where
+    assert ours.required_pairs == reference.required_pairs, where
+    assert ours.total_pairs == reference.total_pairs, where
+
+
+def assert_detection_parity(
+    suspect,
+    secret: WatermarkSecret,
+    config: Optional[DetectionConfig] = None,
+) -> DetectionResult:
+    """Reference vs the detector for one suspect: verdicts AND evidence.
+
+    Runs the reference dict loop, then checks the single-dataset detector
+    pass (including the full per-pair evidence tuple) and the one-row
+    batch pass. Returns the reference result so callers can make
+    additional assertions on it.
+    """
+    reference = detect_reference(suspect, secret, config)
+    detector = WatermarkDetector(secret, config)
+    single = detector.detect(suspect)
+    _assert_results_match(single, reference, where="single-detect diverged")
+    assert single.evidence == reference.evidence, "single-detect evidence diverged"
+    batched = detector.detect_many([suspect], collect_evidence=True)
+    _assert_results_match(batched[0], reference, where="batched detect diverged")
+    assert batched[0].evidence == reference.evidence, "batched evidence diverged"
+    return reference
+
+
+def assert_batch_parity(
+    suspects: Sequence,
+    secret: WatermarkSecret,
+    config: Optional[DetectionConfig] = None,
+    *,
+    chunk_size: Optional[int] = None,
+) -> List[DetectionResult]:
+    """Reference vs the engine for a whole batch, in input order.
+
+    Covers the matrix ``detect_many`` pass and, when ``chunk_size`` is
+    given, the chunked scheduler dispatch of
+    :func:`repro.core.batch.dispatch_detection` running in-process — the
+    same chunk boundaries the sharded workers see, without spawning
+    processes.
+    """
+    references = [detect_reference(suspect, secret, config) for suspect in suspects]
+    detector = WatermarkDetector(secret, config)
+    report = detect_many(suspects, detector=detector)
+    assert len(report) == len(references)
+    for index, reference in enumerate(references):
+        _assert_results_match(
+            report[index], reference, where=f"detect_many[{index}] diverged"
+        )
+    if chunk_size is not None:
+        inline_state = {detector.fingerprint: detector}
+        with LocalScheduler(1, inline_state=inline_state) as scheduler:
+            chunked = dispatch_detection(
+                scheduler, secret, config, suspects, chunk_size=chunk_size
+            )
+        for index, reference in enumerate(references):
+            _assert_results_match(
+                chunked[index],
+                reference,
+                where=(
+                    f"chunked detect_many[{index}] (chunk_size={chunk_size}) "
+                    "diverged"
+                ),
+            )
+    return references
+
+
+def assert_many_secrets_parity(
+    data,
+    secrets: Sequence[WatermarkSecret],
+    config: Optional[DetectionConfig] = None,
+) -> List[DetectionResult]:
+    """Reference vs the stacked many-secrets pass.
+
+    Each secret's reference verdict comes from the dict loop; the engine
+    must reproduce it through both the uncached
+    :func:`detect_many_secrets` path and the detector-cache path.
+    """
+    references = [detect_reference(data, secret, config) for secret in secrets]
+    for cache in (None, DetectorCache(capacity=None)):
+        results = detect_many_secrets(
+            data,
+            secrets,
+            config,
+            collect_evidence=True,
+            detector_cache=cache,
+        )
+        assert len(results) == len(references)
+        path = "cached" if cache is not None else "uncached"
+        for index, reference in enumerate(references):
+            where = f"detect_many_secrets[{index}] ({path}) diverged"
+            _assert_results_match(results[index], reference, where=where)
+            assert results[index].evidence == reference.evidence, where
+    return references
+
+
+def assert_embedding_results_identical(
+    left: WatermarkResult, right: WatermarkResult, *, where: str = "embedding"
+) -> None:
+    """Field-by-field ``WatermarkResult`` equality (timings excluded)."""
+    assert left.original_histogram == right.original_histogram, where
+    assert left.watermarked_histogram == right.watermarked_histogram, where
+    assert left.watermarked_tokens == right.watermarked_tokens, where
+    assert left.secret == right.secret, where
+    assert left.selection == right.selection, where
+    assert left.adjustments == right.adjustments, where
+    assert left.eligible_pairs == right.eligible_pairs, where
+
+
+def assert_embedding_parity(
+    counts,
+    *,
+    secret_value: int = HARNESS_SECRET,
+    config: Optional[GenerationConfig] = None,
+    rng_seed: int = 1234,
+) -> Optional[WatermarkResult]:
+    """Embedding deltas: the full pipeline vs reference per-pair arithmetic.
+
+    Runs ``WM_Generate`` on a fresh histogram (cold array caches, so the
+    eligibility scan, the delta planning and the histogram scatter all
+    run) and asserts:
+
+    * every planned adjustment equals the reference
+      :func:`plan_adjustment` arithmetic evaluated per pair;
+    * the watermarked histogram equals the original with the reference
+      deltas applied.
+
+    Returns the result (``None`` when the counts admit no watermark).
+    """
+    histogram = TokenHistogram.from_counts(counts)
+    fresh = TokenHistogram.from_counts(counts)  # cold array caches
+    generator = WatermarkGenerator(config, rng=rng_seed)
+    try:
+        result = generator.generate(fresh, secret_value=secret_value)
+    except Exception:
+        return None
+    # Reference check: per-pair dict arithmetic reproduces the deltas.
+    reference_deltas: dict = {}
+    for item, adjustment in zip(result.selection.selected, result.adjustments):
+        expected = plan_adjustment(
+            histogram.frequency(item.pair.first),
+            histogram.frequency(item.pair.second),
+            item.modulus,
+            item.pair,
+        )
+        assert adjustment == expected, (
+            f"adjustment for {item.pair} diverged from plan_adjustment reference"
+        )
+        for token, delta in expected.as_deltas().items():
+            reference_deltas[token] = reference_deltas.get(token, 0) + delta
+    assert result.watermarked_histogram == histogram.with_updates(
+        reference_deltas
+    ), "watermarked histogram diverged from reference delta application"
+    return result
+
+
+def assert_eligibility_parity(
+    histogram: TokenHistogram,
+    *,
+    secret_value: int = HARNESS_SECRET,
+    modulus_cap: int = HARNESS_Z,
+    require_modification: bool = False,
+) -> list:
+    """Streaming-loop eligibility vs the vectorized :class:`PairScanPlan`.
+
+    The loop fallback (no plan store) is the reference; the plan path
+    must reproduce the exact ordered :class:`EligiblePair` list.
+    """
+    reference = generate_eligible_pairs(
+        histogram,
+        secret_value,
+        modulus_cap,
+        require_modification=require_modification,
+    )
+    plan_store: dict = {}
+    vectorized = generate_eligible_pairs(
+        histogram,
+        secret_value,
+        modulus_cap,
+        require_modification=require_modification,
+        modulus_cache=PairModulusCache(secret_value, modulus_cap),
+        plan_store=plan_store,
+    )
+    if len(histogram) >= 2:
+        assert plan_store, "vectorized eligibility path was not taken"
+    assert vectorized == reference, "vectorized eligibility scan diverged"
+    return reference
+
+
+def reference_false_positive_rate(
+    moduli: Sequence[int], threshold: int, k: int, *, trials: int, seed
+) -> float:
+    """The seed Monte-Carlo loop: one 1-D draw and Python count per trial.
+
+    Byte-for-byte the original per-trial implementation of
+    :func:`repro.analysis.false_positive.empirical_false_positive_rate`;
+    kept here as the harness's anchor for RNG-stream parity of the
+    batched path.
+    """
+    generator = np.random.default_rng(seed)
+    moduli_array = np.asarray(moduli, dtype=int)
+    hits = 0
+    for _ in range(trials):
+        remainders = generator.integers(0, moduli_array)
+        accepted = int(np.sum(remainders <= threshold))
+        if accepted >= k:
+            hits += 1
+    return hits / trials

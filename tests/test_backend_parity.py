@@ -1,38 +1,25 @@
-"""Cross-backend differential parity suite.
+"""Differential parity suite: the vectorized engine vs the reference.
 
 Hypothesis-driven sweeps over vocabulary sizes, modulus caps, detection
-thresholds and chunk boundaries, every case run through the harness in
-``backend_harness``: the reference dict implementations, the NumPy
-backend, and every other importable backend (always at least the
-registered :class:`~backend_harness.MirrorBackend`; CuPy too on GPU
-machines) must agree bit for bit — verdicts, evidence vectors,
-embedding deltas.
+thresholds and chunk boundaries, every case run through the helpers in
+``parity_harness``: the NumPy engine must agree with the reference dict
+implementations in :mod:`repro.core.reference` (and the scalar
+:func:`~repro.core.modification.plan_adjustment`) bit for bit —
+verdicts, evidence vectors, embedding deltas.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import backend_harness as harness
-from repro.core.backend import (
-    BACKEND_ENV_VAR,
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    backend_names,
-    get_backend,
-    resolve_backend,
-)
-from repro.core.cache import DetectorCache
+import parity_harness as harness
 from repro.core.config import DetectionConfig
-from repro.core.detector import WatermarkDetector, detector_fingerprint
+from repro.core.detector import verify_pair_arrays
 from repro.core.histogram import TokenHistogram
-from repro.exceptions import BackendError
+from repro.core.modification import plan_deltas
 
 _settings = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -79,61 +66,8 @@ def _watermarked_case(counts):
     return histogram, watermarked, secret
 
 
-class TestBackendRegistry:
-    def test_numpy_is_default_and_listed_first(self):
-        names = available_backends()
-        assert names[0] == "numpy"
-        assert get_backend().name == "numpy"
-        assert isinstance(get_backend("numpy"), NumpyBackend)
-
-    def test_mirror_backend_is_registered_and_available(self):
-        assert "mirror" in backend_names()
-        assert "mirror" in available_backends()
-        assert get_backend("mirror").name == "mirror"
-
-    def test_backend_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
-        assert get_backend("mirror") is get_backend("mirror")
-        assert get_backend("numpy") is not get_backend("mirror")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(BackendError, match="unknown"):
-            get_backend("tpu-v9")
-
-    def test_cupy_backend_is_registered_but_guarded(self):
-        assert "cupy" in backend_names()
-        try:
-            instance = get_backend("cupy")
-        except BackendError as error:
-            # No GPU / no CuPy in this environment: the guard must fire
-            # with an actionable message, not an ImportError.
-            assert "cupy" in str(error).lower()
-        else:  # pragma: no cover - GPU machines only
-            assert instance.name == "cupy"
-            assert "cupy" in available_backends()
-
-    def test_env_variable_selects_backend(self):
-        with harness.use_backend("mirror"):
-            assert os.environ[BACKEND_ENV_VAR] == "mirror"
-            assert get_backend().name == "mirror"
-        assert get_backend().name == "numpy"
-
-    def test_env_variable_with_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "quantum")
-        with pytest.raises(BackendError, match="quantum"):
-            get_backend()
-
-    def test_resolve_backend_accepts_none_name_and_instance(self):
-        mirror = get_backend("mirror")
-        assert resolve_backend(None).name == "numpy"
-        assert resolve_backend("mirror") is mirror
-        assert resolve_backend(mirror) is mirror
-        with pytest.raises(BackendError):
-            resolve_backend("nope")
-
-
 class TestKernelParity:
-    """Direct kernel-level agreement between every backend and a dict loop."""
+    """Direct kernel-level agreement between the NumPy kernels and a dict loop."""
 
     @_settings
     @given(
@@ -166,19 +100,17 @@ class TestKernelParity:
             expected_accepted.append(present and usable and residue <= threshold)
             expected_present.append(present)
             expected_remainder.append(remainder)
-        for backend in harness.parity_backends():
-            accepted, present, remainder = backend.stacked_modulo(
-                backend.from_host(first),
-                backend.from_host(second),
-                safe_moduli=backend.from_host(safe_moduli),
-                valid=backend.from_host(valid),
-                thresholds=backend.from_host(thresholds),
-                symmetric_tolerance=symmetric,
-            )
-            where = f"stacked_modulo diverged on {backend.name!r}"
-            assert accepted.tolist() == expected_accepted, where
-            assert present.tolist() == expected_present, where
-            assert remainder.tolist() == expected_remainder, where
+        accepted, present, remainder = verify_pair_arrays(
+            first,
+            second,
+            safe_moduli=safe_moduli,
+            valid=valid,
+            thresholds=thresholds,
+            symmetric_tolerance=symmetric,
+        )
+        assert accepted.tolist() == expected_accepted
+        assert present.tolist() == expected_present
+        assert remainder.tolist() == expected_remainder
 
     @_settings
     @given(
@@ -200,15 +132,14 @@ class TestKernelParity:
         first = np.array([row[0] for row in ordered], dtype=np.int64)
         second = np.array([row[1] for row in ordered], dtype=np.int64)
         moduli = np.array([row[2] for row in ordered], dtype=np.int64)
-        for backend in harness.parity_backends():
-            delta_first, delta_second = backend.plan_deltas(first, second, moduli)
-            for index, (f_i, f_j, modulus) in enumerate(ordered):
-                expected = plan_adjustment(
-                    f_i, f_j, modulus, TokenPair(first="hi", second="lo")
-                )
-                where = f"plan_deltas[{index}] diverged on {backend.name!r}"
-                assert delta_first[index] == expected.delta_first, where
-                assert delta_second[index] == expected.delta_second, where
+        delta_first, delta_second = plan_deltas(first, second, moduli)
+        for index, (f_i, f_j, modulus) in enumerate(ordered):
+            expected = plan_adjustment(
+                f_i, f_j, modulus, TokenPair(first="hi", second="lo")
+            )
+            where = f"plan_deltas[{index}] diverged"
+            assert delta_first[index] == expected.delta_first, where
+            assert delta_second[index] == expected.delta_second, where
 
 
 class TestDetectionParity:
@@ -310,8 +241,7 @@ class TestMonteCarloParity:
     @pytest.mark.parametrize(
         "trials", [1, 1023, 1024, 1025, 2048 + 7], ids=lambda t: f"trials{t}"
     )
-    @pytest.mark.parametrize("backend_name", available_backends())
-    def test_batched_rate_equals_per_trial_loop(self, trials, backend_name):
+    def test_batched_rate_equals_per_trial_loop(self, trials):
         from repro.analysis.false_positive import empirical_false_positive_rate
 
         moduli = [7, 11, 13, 29, 61]
@@ -319,34 +249,31 @@ class TestMonteCarloParity:
             moduli, 2, 2, trials=trials, seed=20240807
         )
         actual = empirical_false_positive_rate(
-            moduli, 2, 2, trials=trials, rng=20240807, backend=backend_name
+            moduli, 2, 2, trials=trials, rng=20240807
         )
         assert actual == expected
 
-    def test_rng_stream_is_identical_across_backends(self):
+    def test_rng_stream_matches_per_trial_loop(self):
         from repro.analysis.false_positive import empirical_false_positive_rate
 
-        rates = {
-            name: empirical_false_positive_rate(
-                [5, 9, 17, 33], 1, 3, trials=1500, rng=7, backend=name
-            )
-            for name in available_backends()
-        }
-        assert len(set(rates.values())) == 1, rates
+        expected = harness.reference_false_positive_rate(
+            [5, 9, 17, 33], 1, 3, trials=1500, seed=7
+        )
+        actual = empirical_false_positive_rate(
+            [5, 9, 17, 33], 1, 3, trials=1500, rng=7
+        )
+        assert actual == expected
 
 
 class TestSpawnFailureFallback:
-    """Sharded dispatch that cannot spawn must fall back in-process,
-    on whichever backend was requested."""
+    """Sharded dispatch that cannot spawn must fall back in-process."""
 
-    @pytest.mark.parametrize("backend_name", available_backends())
-    def test_detect_many_falls_back_on_requested_backend(
-        self, monkeypatch, backend_name
-    ):
+    def test_detect_many_falls_back_in_process(self, monkeypatch):
         import multiprocessing
 
         from repro.core.batch import detect_many
         from repro.core.reference import detect_reference
+        from repro.exec.policy import ExecutionPolicy
 
         class FailingContext:
             def Pool(self, *args, **kwargs):
@@ -363,67 +290,10 @@ class TestSpawnFailureFallback:
         suspects = [histogram, histogram.scaled(1.2), histogram.scaled(0.8)]
         with pytest.warns(RuntimeWarning, match="no /dev/shm in this sandbox"):
             report = detect_many(
-                suspects, secret, workers=4, backend=backend_name
+                suspects, secret, policy=ExecutionPolicy(workers=4)
             )
         assert len(report) == len(suspects)
         for suspect, result in zip(suspects, report):
             reference = detect_reference(suspect, secret)
             assert result.accepted == reference.accepted
             assert result.accepted_pairs == reference.accepted_pairs
-
-
-class TestBackendIsolation:
-    """Caches and fingerprints must never mix backends."""
-
-    def test_fingerprint_embeds_backend_name(self):
-        case = harness.build_watermarked_case(
-            {"a": 900, "b": 500, "c": 260, "d": 120, "e": 55}
-        )
-        assert case is not None
-        _, secret = case
-        numpy_print = detector_fingerprint(secret, backend="numpy")
-        mirror_print = detector_fingerprint(secret, backend="mirror")
-        assert numpy_print.endswith("|xp=numpy")
-        assert mirror_print.endswith("|xp=mirror")
-        assert numpy_print != mirror_print
-        detector = WatermarkDetector(secret, backend="mirror")
-        assert detector.fingerprint == mirror_print
-
-    def test_detector_cache_keeps_backends_apart(self):
-        case = harness.build_watermarked_case(
-            {"a": 900, "b": 500, "c": 260, "d": 120, "e": 55}
-        )
-        assert case is not None
-        _, secret = case
-        cache = DetectorCache(capacity=None)
-        on_numpy = cache.get(secret, backend="numpy")
-        on_mirror = cache.get(secret, backend="mirror")
-        assert on_numpy is not on_mirror
-        assert on_numpy.backend.name == "numpy"
-        assert on_mirror.backend.name == "mirror"
-        assert cache.get(secret, backend="numpy") is on_numpy
-        assert cache.get(secret, backend="mirror") is on_mirror
-        assert len(cache) == 2
-
-    def test_env_switch_threads_through_whole_pipeline(self):
-        counts = {"a": 4000, "b": 2600, "c": 1500, "d": 900, "e": 500, "f": 220}
-        with harness.use_backend("mirror"):
-            result = harness.assert_embedding_parity(
-                counts, backend_names=["mirror"]
-            )
-            assert result is not None
-            detector = WatermarkDetector(result.secret)
-            assert detector.backend.name == "mirror"
-            assert detector.fingerprint.endswith("|xp=mirror")
-            assert detector.detect(result.watermarked_histogram).accepted
-        assert WatermarkDetector(result.secret).backend.name == "numpy"
-
-    def test_every_backend_satisfies_protocol(self):
-        for backend in harness.parity_backends():
-            assert isinstance(backend, ArrayBackend)
-            assert backend.name
-            round_trip = backend.to_host(
-                backend.from_host(np.array([1, 2, 3], dtype=np.int64))
-            )
-            assert isinstance(round_trip, np.ndarray)
-            assert round_trip.tolist() == [1, 2, 3]

@@ -112,11 +112,11 @@ class TestDetectManySecretsCached:
         ],
     )
     def test_cached_path_matches_uncached(self, histogram, secrets, config):
-        import backend_harness
+        import parity_harness
 
         # Harness: cached AND uncached stacked passes against the
-        # per-secret reference loop, on every available backend.
-        backend_harness.assert_many_secrets_parity(histogram, secrets, config)
+        # per-secret reference loop.
+        parity_harness.assert_many_secrets_parity(histogram, secrets, config)
 
     def test_cached_evidence_matches_uncached(self, histogram, secrets):
         cache = DetectorCache(capacity=None)

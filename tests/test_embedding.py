@@ -1,7 +1,7 @@
 """Batch embedding engine: parity, sharding, caches, lean pickling.
 
-The contract under test is the PR's golden rule: everything
-``embed_many`` / ``generate_many`` / ``ShardedEmbeddingPool`` amortise —
+The contract under test is the golden rule: everything
+``embed_many`` / ``generate_many`` / ``embed_files`` amortise —
 pair-modulus hashing, eligibility precomputation, vectorized scan plans,
 process sharding — is *value-transparent*. Batched outputs must be
 element-wise identical to the sequential ``WatermarkGenerator.generate``
@@ -18,20 +18,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import embed_many
+from repro.core.batch import embed_files, embed_many
 from repro.core.config import GenerationConfig
 from repro.core.detector import WatermarkDetector
 from repro.core.eligibility import (
     EligibilityContext,
     generate_eligible_pairs,
 )
-from repro.core.embedding import BatchEmbeddingReport, ShardedEmbeddingPool
+from repro.core.embedding import BatchEmbeddingReport
 from repro.core.generator import WatermarkGenerator
 from repro.core.hashing import PairModulusCache, pair_modulus
 from repro.core.histogram import TokenHistogram
 from repro.datasets.loaders import load_token_file, save_token_file
 from repro.datasets.synthetic import generate_power_law_tokens
-from repro.exceptions import EligibilityError, GenerationError
+from repro.exceptions import ConfigurationError, EligibilityError, GenerationError
+from repro.exec.policy import ExecutionPolicy
 
 
 def _histogram(seed: int, tokens: int = 40, size: int = 8_000) -> TokenHistogram:
@@ -41,7 +42,7 @@ def _histogram(seed: int, tokens: int = 40, size: int = 8_000) -> TokenHistogram
 
 
 # One shared WatermarkResult equality helper for every parity suite.
-from backend_harness import (
+from parity_harness import (
     assert_embedding_results_identical as assert_results_identical,
 )
 
@@ -134,7 +135,7 @@ class TestEmbedManyFunction:
             embed_many([_histogram(1)], secret_value=1, secret_values=[1])
 
 
-class TestShardedEmbeddingPool:
+class TestShardedEmbedding:
     def test_sharded_matches_sequential(self):
         datasets = [_histogram(seed) for seed in range(6)]
         config = GenerationConfig()
@@ -144,21 +145,39 @@ class TestShardedEmbeddingPool:
             # parity must hold either way.
             warnings.simplefilter("ignore", RuntimeWarning)
             sharded = embed_many(
-                datasets, config, rng=3, secret_value=0xACE, workers=2, chunk_size=2
+                datasets,
+                config,
+                rng=3,
+                secret_value=0xACE,
+                policy=ExecutionPolicy(workers=2, chunk_size=2),
             )
         assert len(sharded) == len(baseline)
         for left, right in zip(baseline, sharded):
             assert_results_identical(left, right)
 
-    def test_rejects_live_generator_source(self):
+    def test_rejects_live_generator_source(self, tmp_path):
         with pytest.raises(GenerationError):
-            ShardedEmbeddingPool(seed=np.random.default_rng(1), workers=2)
+            embed_many(
+                [_histogram(1)],
+                rng=np.random.default_rng(1),
+                policy=ExecutionPolicy(workers=2),
+            )
+        with pytest.raises(GenerationError):
+            embed_files(
+                [], tmp_path / "out", tmp_path / "secrets", seed=np.random.default_rng(1)
+            )
 
     def test_rejects_invalid_workers_and_chunks(self):
-        with pytest.raises(GenerationError):
-            ShardedEmbeddingPool(workers=0)
-        with pytest.raises(GenerationError):
-            ShardedEmbeddingPool(chunk_size=0)
+        with pytest.raises(ConfigurationError):
+            ExecutionPolicy(workers=0)
+        with pytest.raises(ConfigurationError):
+            ExecutionPolicy(chunk_size=0)
+        with pytest.raises(GenerationError, match="secret_values"):
+            embed_many(
+                [_histogram(1), _histogram(2)],
+                secret_values=[1],
+                policy=ExecutionPolicy(workers=2),
+            )
 
     def test_embed_files_round_trip(self, tmp_path):
         inputs = []
@@ -173,8 +192,14 @@ class TestShardedEmbeddingPool:
             inputs.append(path)
         out_dir = tmp_path / "out"
         secret_dir = tmp_path / "secrets"
-        with ShardedEmbeddingPool(GenerationConfig(), seed=4, workers=1) as pool:
-            summaries = pool.embed_files(inputs, out_dir, secret_dir)
+        summaries = embed_files(
+            inputs,
+            out_dir,
+            secret_dir,
+            GenerationConfig(),
+            seed=4,
+            policy=ExecutionPolicy(workers=1),
+        )
         assert [summary["input"] for summary in summaries] == [
             str(path) for path in inputs
         ]
@@ -268,12 +293,11 @@ class TestEligibilityReuse:
         assert direct == via_context
 
     def test_vectorized_plan_matches_loop(self):
-        import backend_harness
+        import parity_harness
 
         histogram = _histogram(4, tokens=60, size=12_000)
-        # Harness: streaming-loop reference vs the vectorized plan scan on
-        # every available backend.
-        loop = backend_harness.assert_eligibility_parity(
+        # Harness: streaming-loop reference vs the vectorized plan scan.
+        loop = parity_harness.assert_eligibility_parity(
             histogram, secret_value=0xFEED, modulus_cap=131
         )
         assert loop  # non-vacuous case
@@ -411,8 +435,13 @@ class TestScratchBounds:
             _histogram(seed, tokens=30, size=5_000) for seed in range(10)
         ]
         secret_values = [0x1000 + seed for seed in range(10)]
-        with ShardedEmbeddingPool(GenerationConfig(), workers=1, seed=3) as pool:
-            report = pool.embed_many(datasets, secret_values=secret_values)
+        report = embed_many(
+            datasets,
+            GenerationConfig(),
+            rng=3,
+            secret_values=secret_values,
+            policy=ExecutionPolicy(workers=1),
+        )
 
         sequential = [
             WatermarkGenerator(GenerationConfig(), rng=3).generate(

@@ -32,7 +32,7 @@ from repro.core.similarity import (
 )
 from repro.exceptions import HistogramError
 
-import backend_harness as harness
+import parity_harness as harness
 
 SECRET = 0xFEEDFACE
 Z = 61
@@ -219,7 +219,7 @@ class TestDetectionParity:
             pair_threshold=threshold, symmetric_tolerance=symmetric
         )
         # The harness checks the engine against the reference dict loop —
-        # verdict, counts and evidence — on every available backend.
+        # verdict, counts and evidence.
         harness.assert_detection_parity(suspected, secret, config)
 
     def test_missing_pair_tokens_fail_that_pair(self):
@@ -248,8 +248,8 @@ class TestBatchDetectionParity:
             return
         histogram, secret = case
         suspects = [histogram.scaled(1.0 + 0.1 * index) for index in range(batch)]
-        # Harness: detect_many (and the in-process chunked pool path)
-        # against the reference loop, per dataset, on every backend.
+        # Harness: detect_many (and the in-process chunked dispatch path)
+        # against the reference loop, per dataset.
         harness.assert_batch_parity(suspects, secret, chunk_size=max(1, batch // 2))
 
     def test_detect_many_empty_batch(self):

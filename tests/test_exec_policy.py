@@ -1,25 +1,16 @@
-"""ExecutionPolicy: validation, merging, and deprecated-alias parity.
+"""ExecutionPolicy: construction-time validation and merging.
 
-The policy is the single way callers configure parallelism; the old
-``workers=`` / ``chunk_size=`` / ``start_method=`` keyword arguments on
+The policy is the single way callers configure parallelism for
 :func:`repro.core.batch.detect_many`, :func:`~repro.core.batch.embed_many`,
-the sharded pools and the experiment runner survive as deprecated
-aliases. The parity tests here pin the contract the deprecation relies
-on: alias and policy spellings produce identical results, the alias
-emits :class:`DeprecationWarning`, and supplying both is an error rather
-than a silent preference.
+the file-batch functions and the experiment runner.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.core.batch import detect_many, embed_many
-from repro.core.sharding import ShardedDetectionPool
 from repro.exceptions import ConfigurationError
-from repro.exec.policy import ExecutionPolicy, policy_from_kwargs
+from repro.exec.policy import ExecutionPolicy
 
 
 class TestValidation:
@@ -61,99 +52,3 @@ class TestValidation:
         assert policy.merged(workers=4).workers == 4
         with pytest.raises(ConfigurationError):
             policy.merged(workers=0)
-
-    def test_parallel_property(self):
-        assert ExecutionPolicy().parallel  # scheduler picks a count
-        assert ExecutionPolicy(workers=2).parallel
-        assert not ExecutionPolicy(workers=1).parallel
-        assert ExecutionPolicy(
-            scheduler="remote", addresses=("unix:/w.sock",)
-        ).parallel
-
-
-class TestPolicyFromKwargs:
-    def test_no_legacy_kwargs_passes_the_policy_through(self):
-        policy = ExecutionPolicy(workers=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert policy_from_kwargs(policy) is policy
-
-    def test_legacy_kwargs_warn_and_fold_into_a_policy(self):
-        with pytest.warns(DeprecationWarning, match="detect_many: workers="):
-            merged = policy_from_kwargs(None, workers=4, caller="detect_many")
-        assert merged == ExecutionPolicy(workers=4)
-
-    def test_legacy_kwargs_merge_into_an_explicit_policy(self):
-        policy = ExecutionPolicy(workers=2)
-        with pytest.warns(DeprecationWarning):
-            merged = policy_from_kwargs(policy, chunk_size=5)
-        assert merged == ExecutionPolicy(workers=2, chunk_size=5)
-
-    def test_conflicting_policy_and_kwarg_is_an_error(self):
-        policy = ExecutionPolicy(workers=2)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="workers"):
-                policy_from_kwargs(policy, workers=3, caller="detect_many")
-
-    def test_addresses_merge_without_deprecation(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            merged = policy_from_kwargs(
-                ExecutionPolicy(scheduler="remote", addresses=("unix:/a",)),
-                addresses=("unix:/b",),
-            )
-        assert merged.addresses == ("unix:/b",)
-
-
-class TestDeprecatedAliasParity:
-    """Alias and policy spellings must agree bit-for-bit."""
-
-    def test_detect_many_workers_alias(self, watermarked_bundle):
-        result, _ = watermarked_bundle
-        suspects = [result.watermarked_histogram] * 3
-        baseline = detect_many(
-            suspects,
-            result.secret,
-            policy=ExecutionPolicy(workers=2, chunk_size=2),
-        )
-        with pytest.warns(DeprecationWarning, match="detect_many"):
-            aliased = detect_many(
-                suspects, result.secret, workers=2, chunk_size=2
-            )
-        assert aliased.accepted_flags == baseline.accepted_flags
-        assert [r.accepted_pairs for r in aliased.results] == [
-            r.accepted_pairs for r in baseline.results
-        ]
-
-    def test_embed_many_workers_alias(self, skewed_histogram):
-        datasets = [skewed_histogram] * 2
-        baseline = embed_many(
-            datasets, rng=7, policy=ExecutionPolicy(workers=2)
-        )
-        with pytest.warns(DeprecationWarning, match="embed_many"):
-            aliased = embed_many(datasets, rng=7, workers=2)
-        assert [r.secret.fingerprint() for r in aliased.results] == [
-            r.secret.fingerprint() for r in baseline.results
-        ]
-
-    def test_pool_workers_alias(self, watermarked_bundle):
-        result, _ = watermarked_bundle
-        with pytest.warns(DeprecationWarning, match="ShardedDetectionPool"):
-            aliased_pool = ShardedDetectionPool(result.secret, workers=1)
-        with aliased_pool:
-            aliased = aliased_pool.detect_many([result.watermarked_histogram])
-        with ShardedDetectionPool(
-            result.secret, policy=ExecutionPolicy(workers=1)
-        ) as pool:
-            baseline = pool.detect_many([result.watermarked_histogram])
-        assert aliased.accepted_flags == baseline.accepted_flags
-
-    def test_experiment_runner_alias_warns(self, tmp_path):
-        from repro.experiments import load_spec
-        from repro.experiments.executor import ExperimentRunner
-
-        spec = load_spec("experiments/specs/smoke.json")
-        with pytest.warns(DeprecationWarning, match="ExperimentRunner"):
-            runner = ExperimentRunner(spec, tmp_path / "run", workers=1)
-        assert runner.workers == 1
-        runner.close()

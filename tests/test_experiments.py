@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ConfigurationError, ReproError
+from repro.exec.policy import ExecutionPolicy
 from repro.experiments import (
     CacheError,
     ExperimentSpec,
@@ -67,7 +68,7 @@ def tiny_run(tmp_path_factory):
     """One executed tiny run, shared by the read-only assertions."""
     run_dir = tmp_path_factory.mktemp("experiment") / "run"
     spec = _tiny_spec()
-    outcome = run_experiment(spec, run_dir, workers=1)
+    outcome = run_experiment(spec, run_dir, policy=ExecutionPolicy(workers=1))
     return spec, run_dir, outcome
 
 
@@ -214,7 +215,7 @@ class TestExecutor:
 
     def test_repeat_run_is_pure_cache(self, tiny_run):
         spec, run_dir, outcome = tiny_run
-        again = run_experiment(spec, run_dir, workers=1)
+        again = run_experiment(spec, run_dir, policy=ExecutionPolicy(workers=1))
         # The acceptance contract: zero embed/detect (indeed zero any)
         # task executions on an immediately repeated run.
         assert again.executed == {}
@@ -230,12 +231,12 @@ class TestExecutor:
         ]
         victim = detect_entries[0]
         (cache.artifact_dir / f"{victim['fingerprint']}.json").unlink()
-        resumed = run_experiment(spec, run_dir, workers=1)
+        resumed = run_experiment(spec, run_dir, policy=ExecutionPolicy(workers=1))
         assert resumed.executed == {"detect": 1}
 
     def test_run_log_written(self, tiny_run):
         spec, run_dir, _outcome = tiny_run
-        run_experiment(spec, run_dir, workers=1)
+        run_experiment(spec, run_dir, policy=ExecutionPolicy(workers=1))
         log = RunCache(run_dir).read_run_log()
         assert log is not None
         assert log["executed_total"] == 0
@@ -243,7 +244,9 @@ class TestExecutor:
 
     def test_invalid_worker_count_rejected(self, tmp_path):
         with pytest.raises(ReproError):
-            run_experiment(_tiny_spec(), tmp_path / "run", workers=0)
+            run_experiment(
+                _tiny_spec(), tmp_path / "run", policy=ExecutionPolicy(workers=0)
+            )
 
 
 class TestWorkerParity:
@@ -251,7 +254,7 @@ class TestWorkerParity:
         """--workers N parity: artifacts and reports match byte for byte."""
         spec, serial_dir, _outcome = tiny_run
         sharded_dir = tmp_path / "sharded"
-        outcome = run_experiment(spec, sharded_dir, workers=3)
+        outcome = run_experiment(spec, sharded_dir, policy=ExecutionPolicy(workers=3))
         assert outcome.executed_total > 0
         serial_artifacts = sorted(
             path.name for path in (Path(serial_dir) / "artifacts").iterdir()
@@ -351,7 +354,7 @@ class TestEdgePaths:
             }
         )
         run_dir = tmp_path_factory.mktemp("experiment-edge") / "run"
-        run_experiment(spec, run_dir, workers=1)
+        run_experiment(spec, run_dir, policy=ExecutionPolicy(workers=1))
         return build_report(run_dir)
 
     def test_uniform_dataset_is_a_negative_control(self, edge_run):
@@ -380,9 +383,9 @@ class TestBundledSmokeSpec:
         """The CI experiment-smoke contract, exercised at test scale."""
         spec = ExperimentSpec.load(SPEC_DIR / "smoke.json")
         run_dir = tmp_path / "smoke-run"
-        first = run_experiment(spec, run_dir, workers=2)
+        first = run_experiment(spec, run_dir, policy=ExecutionPolicy(workers=2))
         assert first.executed_total > 0
-        second = run_experiment(spec, run_dir, workers=2)
+        second = run_experiment(spec, run_dir, policy=ExecutionPolicy(workers=2))
         assert second.executed_total == 0
         json_path, md_path = write_report(run_dir)
         payload = json.loads(json_path.read_text(encoding="utf-8"))

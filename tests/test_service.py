@@ -282,37 +282,41 @@ class TestCoalescing:
 
         asyncio.run(run())
 
-    def test_shard_pools_are_lru_bounded(self, watermark, other_watermark):
+    def test_sharded_groups_share_one_scheduler(self, watermark, other_watermark):
         config = ServiceConfig(
             cache_capacity=1,
             shard_workers=2,
             shard_min_batch=2,
             max_delay=0.05,
         )
+        cases = [
+            (watermark.watermarked_histogram, watermark.secret),
+            (other_watermark.watermarked_histogram, other_watermark.secret),
+        ]
 
         async def run():
+            schedulers, verdicts = [], []
             async with DetectionService(config) as service:
-                await asyncio.gather(
-                    *(
-                        service.detect(watermark.watermarked_histogram, watermark.secret)
-                        for _ in range(3)
+                for histogram, secret in cases:
+                    results = await asyncio.gather(
+                        *(service.detect(histogram, secret) for _ in range(3))
                     )
-                )
-                first_pools = len(service._pools)
-                await asyncio.gather(
-                    *(
-                        service.detect(
-                            other_watermark.watermarked_histogram, other_watermark.secret
-                        )
-                        for _ in range(3)
-                    )
-                )
-                return first_pools, len(service._pools), service.stats.sharded_batches
+                    schedulers.append(service._scheduler)
+                    verdicts.append(results)
+                sharded = service.stats.sharded_batches
+            return schedulers, verdicts, sharded, service._scheduler
 
-        first_pools, final_pools, sharded = asyncio.run(run())
+        schedulers, verdicts, sharded, after_stop = asyncio.run(run())
         assert sharded >= 2
-        assert first_pools == 1
-        assert final_pools == 1  # the first secret's pool was evicted and closed
+        # Both secrets' groups ran on the one scheduler the service keeps
+        # (the detector cache holds one entry; the scheduler is unaffected).
+        assert schedulers[0] is not None and schedulers[0] is schedulers[1]
+        assert after_stop is None  # stop() closed and released it
+        for (histogram, secret), results in zip(cases, verdicts):
+            direct = WatermarkDetector(secret).detect(histogram)
+            for result in results:
+                assert result.accepted == direct.accepted
+                assert result.accepted_pairs == direct.accepted_pairs
 
     def test_unknown_fingerprint_is_service_error(self):
         async def run():

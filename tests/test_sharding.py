@@ -6,14 +6,17 @@ import pickle
 
 import pytest
 
-from repro.core.batch import detect_many
+import scheduler_tasks
+from repro.core.batch import detect_files, detect_many, dispatch_detection
 from repro.core.config import DetectionConfig
 from repro.core.detector import WatermarkDetector
 from repro.core.generator import generate_watermark
 from repro.core.histogram import TokenHistogram
-from repro.core.sharding import ShardedDetectionPool, default_worker_count
+from repro.core.secrets import WatermarkSecret
 from repro.datasets.synthetic import generate_power_law_tokens
-from repro.exceptions import DetectionError
+from repro.exceptions import ConfigurationError, DetectionError
+from repro.exec.policy import ExecutionPolicy
+from repro.exec.scheduler import LocalScheduler, default_worker_count
 
 
 @pytest.fixture(scope="module")
@@ -45,18 +48,52 @@ def _signatures(report):
     ]
 
 
+@pytest.fixture()
+def no_pools(monkeypatch):
+    """Fail the test if anything tries to start a multiprocessing pool."""
+    import multiprocessing
+
+    class ForbiddenContext:
+        def Pool(self, *args, **kwargs):
+            raise AssertionError("a worker pool was spawned")
+
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method=None: ForbiddenContext()
+    )
+
+
+@pytest.fixture()
+def count_detector_builds(monkeypatch):
+    """Count ``WatermarkDetector`` constructions in this process."""
+    built = []
+    original = WatermarkDetector.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WatermarkDetector, "__init__", counting_init)
+    return built
+
+
 class TestParity:
     def test_sharded_matches_in_process_exactly(self, watermark, suspects):
-        """ISSUE 2 property: identical results, identically ordered."""
+        """Identical results, identically ordered."""
         baseline = detect_many(suspects, watermark.secret)
-        with ShardedDetectionPool(watermark.secret, workers=2, chunk_size=2) as pool:
-            sharded = pool.detect_many(suspects)
+        sharded = detect_many(
+            suspects,
+            watermark.secret,
+            policy=ExecutionPolicy(workers=2, chunk_size=2),
+        )
         assert _signatures(sharded) == _signatures(baseline)
 
     def test_chunk_size_one_preserves_order(self, watermark, suspects):
         baseline = detect_many(suspects, watermark.secret)
-        with ShardedDetectionPool(watermark.secret, workers=2, chunk_size=1) as pool:
-            sharded = pool.detect_many(suspects)
+        sharded = detect_many(
+            suspects,
+            watermark.secret,
+            policy=ExecutionPolicy(workers=2, chunk_size=1),
+        )
         assert _signatures(sharded) == _signatures(baseline)
 
     def test_evidence_parity(self, watermark, suspects):
@@ -64,14 +101,18 @@ class TestParity:
         baseline = detect_many(
             suspects, watermark.secret, config, collect_evidence=True
         )
-        with ShardedDetectionPool(watermark.secret, config, workers=2) as pool:
-            sharded = pool.detect_many(suspects, collect_evidence=True)
+        sharded = detect_many(
+            suspects,
+            watermark.secret,
+            config,
+            collect_evidence=True,
+            policy=ExecutionPolicy(workers=2),
+        )
         for ours, theirs in zip(sharded.results, baseline.results):
             assert ours.evidence == theirs.evidence
 
     def test_detect_files_matches_preloaded_path(self, watermark, tmp_path):
         from repro.datasets.loaders import load_histogram_streaming, save_token_file
-        from repro.datasets.synthetic import generate_power_law_tokens
 
         wm_tokens = generate_power_law_tokens(0.7, n_tokens=60, sample_size=8_000, rng=5)
         paths = []
@@ -87,52 +128,64 @@ class TestParity:
             [load_histogram_streaming(path) for path in paths], watermark.secret
         )
         for workers in (1, 2):
-            with ShardedDetectionPool(
-                watermark.secret, workers=workers, chunk_size=1
-            ) as pool:
-                assert _signatures(pool.detect_files(paths)) == _signatures(preloaded)
+            policy = ExecutionPolicy(workers=workers, chunk_size=1)
+            report = detect_files(paths, watermark.secret, policy=policy)
+            assert _signatures(report) == _signatures(preloaded)
 
     def test_batch_detect_many_workers_parameter(self, watermark, suspects):
+        """A prebuilt detector and a sharding policy compose."""
         baseline = detect_many(suspects, watermark.secret)
-        sharded = detect_many(suspects, watermark.secret, workers=2, chunk_size=2)
+        sharded = detect_many(
+            suspects,
+            detector=WatermarkDetector(watermark.secret),
+            policy=ExecutionPolicy(workers=2, chunk_size=2),
+        )
         assert _signatures(sharded) == _signatures(baseline)
 
 
 class TestFallbacksAndLifecycle:
-    def test_workers_one_never_spawns_processes(self, watermark, suspects):
-        pool = ShardedDetectionPool(watermark.secret, workers=1)
-        report = pool.detect_many(suspects)
-        assert pool._pool is None  # in-process fast path
-        assert _signatures(report) == _signatures(detect_many(suspects, watermark.secret))
-        pool.close()
+    def test_workers_one_never_spawns_processes(self, watermark, suspects, no_pools):
+        expected = _signatures(detect_many(suspects, watermark.secret))
+        for policy in (ExecutionPolicy(workers=1), ExecutionPolicy()):
+            report = detect_many(suspects, watermark.secret, policy=policy)
+            assert _signatures(report) == expected
 
-    def test_single_dataset_short_circuits(self, watermark):
-        with ShardedDetectionPool(watermark.secret, workers=2) as pool:
-            report = pool.detect_many([watermark.watermarked_histogram])
-            assert pool._pool is None
-            assert report[0].accepted
+    def test_single_dataset_short_circuits(self, watermark, no_pools):
+        report = detect_many(
+            [watermark.watermarked_histogram],
+            watermark.secret,
+            policy=ExecutionPolicy(workers=2),
+        )
+        assert report[0].accepted
 
     def test_empty_batch(self, watermark):
-        with ShardedDetectionPool(watermark.secret, workers=2) as pool:
-            report = pool.detect_many([])
+        report = detect_many(
+            [], watermark.secret, policy=ExecutionPolicy(workers=2)
+        )
         assert len(report) == 0
 
     def test_close_is_idempotent(self, watermark, suspects):
-        pool = ShardedDetectionPool(watermark.secret, workers=2)
-        pool.detect_many(suspects)
-        pool.close()
-        pool.close()
-        # After close a new pool is created lazily on the next call.
-        assert _signatures(pool.detect_many(suspects)) == _signatures(
-            detect_many(suspects, watermark.secret)
-        )
-        pool.close()
+        """A long-lived scheduler survives close() and respawns lazily."""
+        expected = _signatures(detect_many(suspects, watermark.secret))
+        scheduler = LocalScheduler(2)
+        report = dispatch_detection(scheduler, watermark.secret, None, suspects)
+        assert _signatures(report) == expected
+        scheduler.close()
+        scheduler.close()
+        report = dispatch_detection(scheduler, watermark.secret, None, suspects)
+        assert _signatures(report) == expected
+        scheduler.close()
 
-    def test_invalid_parameters_rejected(self, watermark):
-        with pytest.raises(DetectionError):
-            ShardedDetectionPool(watermark.secret, workers=0)
-        with pytest.raises(DetectionError):
-            ShardedDetectionPool(watermark.secret, chunk_size=0)
+    def test_invalid_parameters_rejected(self, watermark, suspects):
+        with pytest.raises(ConfigurationError):
+            ExecutionPolicy(workers=0)
+        with pytest.raises(ConfigurationError):
+            ExecutionPolicy(chunk_size=0)
+        # A secret without pairs is rejected in the driver, before any
+        # task is dispatched.
+        pairless = WatermarkSecret.build([], watermark.secret.secret, 31)
+        with pytest.raises(DetectionError, match="no watermarked pairs"):
+            detect_many(suspects, pairless, policy=ExecutionPolicy(workers=2))
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
@@ -142,7 +195,7 @@ class TestSpawnFailureFallback:
     def test_spawn_failure_is_warned_and_logged_with_reason(
         self, watermark, suspects, monkeypatch, caplog
     ):
-        """ISSUE 3 regression: the fallback must surface *why* it fell back."""
+        """The fallback must surface *why* it fell back."""
         import logging
         import multiprocessing
 
@@ -153,31 +206,51 @@ class TestSpawnFailureFallback:
         monkeypatch.setattr(
             multiprocessing, "get_context", lambda method=None: FailingContext()
         )
-        pool = ShardedDetectionPool(watermark.secret, workers=2)
-        with caplog.at_level(logging.WARNING, logger="repro.core.sharding"):
+        with caplog.at_level(logging.WARNING, logger="repro.core.batch"):
             with pytest.warns(RuntimeWarning, match="no /dev/shm in this sandbox"):
-                report = pool.detect_many(suspects)
+                report = detect_many(
+                    suspects, watermark.secret, policy=ExecutionPolicy(workers=2)
+                )
         # The logging stream carries the exception type and message.
         assert "no /dev/shm in this sandbox" in caplog.text
         assert "OSError" in caplog.text
         assert "falling back to in-process detection" in caplog.text
         # The batch still completes, in-process, with identical verdicts.
-        assert pool.workers == 1
         assert _signatures(report) == _signatures(
             detect_many(suspects, watermark.secret)
         )
-        pool.close()
 
-    def test_local_detector_reuse_hook(self, watermark, suspects):
+    def test_local_detector_reuse_hook(
+        self, watermark, suspects, no_pools, count_detector_builds
+    ):
+        """A prebuilt detector serves the in-process path: nothing is rebuilt."""
         detector = WatermarkDetector(watermark.secret)
-        with ShardedDetectionPool(
-            watermark.secret, workers=1, local_detector=detector
-        ) as pool:
-            assert pool._local is detector
-            report = pool.detect_many(suspects)
-        assert _signatures(report) == _signatures(
-            detect_many(suspects, watermark.secret)
+        count_detector_builds.clear()
+        report = detect_many(
+            [watermark.watermarked_histogram],
+            detector=detector,
+            policy=ExecutionPolicy(workers=2),
         )
+        assert count_detector_builds == []
+        assert report[0].accepted
+
+
+class TestRemoteDriver:
+    def test_remote_sweep_builds_no_driver_detector(
+        self, watermark, suspects, tmp_path, count_detector_builds
+    ):
+        """Only the workers build detectors for a remote sweep."""
+        expected = _signatures(detect_many(suspects, watermark.secret))
+        sock_a = tmp_path / "worker-a.sock"
+        sock_b = tmp_path / "worker-b.sock"
+        with scheduler_tasks.spawn_worker(sock_a), scheduler_tasks.spawn_worker(sock_b):
+            policy = ExecutionPolicy(
+                scheduler="remote", addresses=(f"unix:{sock_a}", f"unix:{sock_b}")
+            )
+            count_detector_builds.clear()
+            report = detect_many(suspects, watermark.secret, policy=policy)
+        assert count_detector_builds == []
+        assert _signatures(report) == expected
 
 
 class TestSerialisation:
