@@ -1,15 +1,17 @@
 """Zero-copy data plane — bytes-on-wire dedup and shm dispatch guards.
 
 Not a paper figure: this benchmark guards the execution-layer data plane
-(content-addressed blobs, shared-memory local transport, deduplicated v4
+(content-addressed blobs, shared-memory local transport, deduplicated
 remote payloads) against functional and performance regression.
 
 * **Remote dedup**: a 200-task shared-secret screen — every task carries
   the same suspect histogram — dispatched to a spawned ``freqywm
   worker`` must move **>=5x fewer bytes** over the socket with the blob
-  plane on than with inline pickled payloads, while returning verdicts
-  identical to the inline run. The shared histogram ships once as a
-  content-addressed blob; each task line then carries only its digest.
+  plane on than with it off (``FREQYWM_DATAPLANE=inline``: framed
+  payloads without blob refs, so every task's frames carry the whole
+  histogram), while returning verdicts identical to the inline run. The
+  shared histogram ships once as a content-addressed blob; each task
+  line then carries only its digest.
 * **Local shm dispatch**: fanning a large shared NumPy array out to a
   :class:`~repro.exec.scheduler.LocalScheduler` pool must be faster
   through the shared-memory transport (one exported segment, zero-copy

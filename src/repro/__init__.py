@@ -49,7 +49,7 @@ from repro.service import (
     SyncDetectionService,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "BatchDetectionReport",

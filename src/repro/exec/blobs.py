@@ -16,8 +16,8 @@ then move the bytes in whatever way is cheapest:
   ``multiprocessing.shared_memory`` segment (:func:`export_shm_blob`)
   and replaces refs with :class:`ShmBlobHandle`\\ s; workers attach and
   reconstruct NumPy buffers **zero-copy** over the mapped segment;
-* **remote** — the protocol-v4 wire ships each blob to each worker at
-  most once (``blob-request`` / ``blob`` verbs, see
+* **remote** — the wire ships each blob to each worker at most once as
+  binary frames (``blob-request`` / ``blob`` verbs, see
   :mod:`repro.exec.remote` / :mod:`repro.exec.worker`), cached in a
   bounded per-worker store.
 
@@ -26,9 +26,10 @@ entries optionally spill to disk with the run cache's atomic-write
 pattern (temp file + ``os.replace``) and are reloaded transparently on
 the next ``get``. ``pin``/``unpin`` exempt digests that must survive a
 sweep. Everything is gated by the ``FREQYWM_DATAPLANE`` environment
-variable: ``inline`` (or ``off``) disables blob-ification entirely and
-every scheduler falls back to the historical inline payloads —
-byte-identical results either way (``tests/test_dataplane.py``).
+variable: ``inline`` (or ``off``) disables blob-ification entirely, so
+every scheduler ships values inside the task payloads themselves (still
+as frames on the remote wire, just without blob refs) — byte-identical
+results either way (``tests/test_dataplane.py``).
 """
 
 from __future__ import annotations
@@ -57,17 +58,15 @@ MIN_BLOB_BYTES = 4096
 #: ``0`` force the historical inline-payload path everywhere.
 DATAPLANE_ENV = "FREQYWM_DATAPLANE"
 
-#: Upper bound on a single frame read off the wire — a corrupted length
-#: prefix must never convince a peer to allocate unbounded memory.
-MAX_FRAME_BYTES = 1 << 31
-
 
 def dataplane_enabled() -> bool:
     """Whether blob-ification is on (checked per call, so tests/CI can flip it).
 
     ``FREQYWM_DATAPLANE=inline`` (also ``off``/``0``/``false``) disables
-    the data plane: payload builders ship values inline exactly as
-    protocol v3 did. Any other value — including unset — enables it.
+    the data plane: payload builders keep values inside the payload
+    instead of referencing them by digest, so no blob or shared-memory
+    segment is ever created. Any other value — including unset —
+    enables it.
     """
     value = os.environ.get(DATAPLANE_ENV, "auto").strip().lower()
     return value not in {"inline", "off", "0", "false"}
@@ -678,7 +677,6 @@ def export_shm_blob(digest: str, data: BlobData) -> Tuple[ShmBlobHandle, Any]:
 __all__ = [
     "DATAPLANE_ENV",
     "DEFAULT_CAPACITY",
-    "MAX_FRAME_BYTES",
     "MIN_BLOB_BYTES",
     "BlobData",
     "BlobRef",

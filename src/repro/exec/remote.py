@@ -3,9 +3,9 @@
 :class:`RemoteScheduler` implements the same
 :class:`~repro.exec.scheduler.Scheduler` API as the in-machine pool,
 but dispatches each :class:`~repro.exec.scheduler.TaskSpec` as one
-``task`` line (protocol version 3, :mod:`repro.service.wire`) to a
-``freqywm worker`` process reachable by Unix socket or TCP, and reads
-one ``result`` line back. The distribution model is deliberately plain:
+``task`` line (:mod:`repro.service.wire`) to a ``freqywm worker``
+process reachable by Unix socket or TCP, and reads one ``result`` line
+back. The distribution model is deliberately plain:
 
 * one client thread per worker address pulls indices off a shared work
   queue, so a fast worker simply takes more tasks (work stealing by
@@ -21,26 +21,21 @@ one ``result`` line back. The distribution model is deliberately plain:
 * results are gathered **in submission order** regardless of which
   worker answered first.
 
-Task data rides the **v4 data plane** when the worker speaks it: the
-client probes each worker's protocol version at connect time, and a v4
-worker gets payloads as length-prefixed binary frames after the JSON
-header (pickle protocol 5, no base64 tax) with shared values referenced
-by digest — the worker ``blob-request``\\ s each digest it has not
-cached, once, so a sweep ships a shared secret per *worker*, not per
-*task*. A v3 worker (or ``FREQYWM_DATAPLANE=inline``) transparently
-gets the historical base64-pickled payloads (:func:`pickle_b64`).
-Either way the wire carries exactly what a ``multiprocessing`` pool
-would pickle anyway, so the trust model is unchanged — run workers only
-on hosts you would run a pool on. ``docs/scheduler.md`` spells this
-out.
+Task data always travels as length-prefixed binary frames after the
+JSON header (pickle protocol 5), with shared values
+referenced by digest — the worker ``blob-request``\\ s each digest it
+has not cached, once, so a sweep ships a shared secret per *worker*,
+not per *task*. Under ``FREQYWM_DATAPLANE=inline`` (and when a task is
+resent after a blob miss) the refs are materialised first, so the
+frames carry the full values and no blob is fetched. Either way the
+wire carries exactly what a ``multiprocessing`` pool would pickle
+anyway, so the trust model is unchanged — run workers only on hosts you
+would run a pool on. ``docs/scheduler.md`` spells this out.
 """
 
 from __future__ import annotations
 
-import base64
 import itertools
-import json
-import pickle
 import socket
 import threading
 import time
@@ -67,7 +62,6 @@ from repro.exec.scheduler import Scheduler, TaskSpec
 from repro.obs.trace import span as trace_span, tracer
 from repro.service.wire import (
     HEARTBEAT_FUNCTION,
-    PROTOCOL_VERSION,
     BlobRequest,
     BlobResponse,
     TaskRequest,
@@ -75,49 +69,6 @@ from repro.service.wire import (
     decode_response,
     encode_line,
 )
-
-# --------------------------------------------------------------------- #
-# Payload codec + spec <-> wire conversion
-# --------------------------------------------------------------------- #
-
-
-def pickle_b64(value: Any) -> str:
-    """Pickle ``value`` and encode it as base64 text for the JSON wire."""
-    return base64.b64encode(pickle.dumps(value)).decode("ascii")
-
-
-def unpickle_b64(text: str) -> Any:
-    """Invert :func:`pickle_b64` (trusted input only — see module doc)."""
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
-
-
-def spec_to_request(spec: TaskSpec, request_id: str) -> TaskRequest:
-    """Encode a task spec as one ``task`` wire request."""
-    return TaskRequest(
-        request_id=request_id,
-        function=spec.function,
-        payload=pickle_b64(spec.payload),
-        initializer=spec.initializer,
-        init_key=spec.init_key,
-        init_args=pickle_b64(spec.init_args) if spec.init_args else None,
-        fingerprint=spec.fingerprint,
-        trace=spec.trace,
-    )
-
-
-def spec_from_request(request: TaskRequest) -> TaskSpec:
-    """Decode a ``task`` wire request back into a runnable spec."""
-    return TaskSpec(
-        fingerprint=request.fingerprint or request.request_id,
-        function=request.function,
-        payload=unpickle_b64(request.payload) if request.payload is not None else None,
-        initializer=request.initializer,
-        init_key=request.init_key,
-        init_args=tuple(unpickle_b64(request.init_args))
-        if request.init_args is not None
-        else (),
-        trace=request.trace,
-    )
 
 
 def parse_address(address: str) -> Tuple[str, Any]:
@@ -177,18 +128,18 @@ class _WorkerDied(Exception):
 class _RetryInline(Exception):
     """Internal: the worker misses a blob the client evicted.
 
-    The task itself never ran — re-queue it with the inline-payload
-    flag so the resubmission carries full values, under the same
-    bounded-attempt budget as a crash.
+    The task itself never ran — re-queue it with its blob refs
+    materialised so the resubmission's frames carry full values, under
+    the same bounded-attempt budget as a crash.
     """
 
 
 class _LineChannel:
     """Blocking JSON-lines channel over one socket, with recv timeouts.
 
-    v4 adds binary frames: :meth:`send_payload` writes a header line
-    followed by raw frame bytes, and :meth:`recv_exact` reads a frame
-    body announced by a decoded header. Line and frame reads share one
+    :meth:`send_payload` writes a header line followed by raw frame
+    bytes, and :meth:`recv_exact` reads a frame body announced by a
+    decoded header. Line and frame reads share one
     buffer, so interleaving them never loses stream position.
     """
 
@@ -319,8 +270,6 @@ class RemoteScheduler(Scheduler):
         self._channels: Dict[str, _LineChannel] = {}
         self._dead: set = set()
         self._sequence = itertools.count()
-        #: Negotiated wire version per address (connect-time probe).
-        self._versions: Dict[str, int] = {}
         #: Digests each worker already holds (shipped or announced).
         self._shipped: Dict[str, set] = {}
         self._stats_lock = threading.Lock()
@@ -332,8 +281,8 @@ class RemoteScheduler(Scheduler):
         self._results: Dict[int, Any] = {}
         self._failure: Optional[BaseException] = None
         self._on_result: Optional[Callable[[int, Any], None]] = None
-        #: Task indices forced onto the inline-payload path after a
-        #: blob miss (the client evicted a digest a worker asked for).
+        #: Task indices resent with their blob refs materialised after
+        #: a blob miss (the client evicted a digest a worker asked for).
         self._inline_only: set = set()
 
     @property
@@ -364,54 +313,9 @@ class RemoteScheduler(Scheduler):
         else:
             sock = socket.create_connection(target, timeout=self.connect_timeout)
         channel = _LineChannel(sock)
-        self._versions[address] = self._negotiate(channel, address)
         self._shipped[address] = set()
         self._channels[address] = channel
         return channel
-
-    def _negotiate(self, channel: _LineChannel, address: str) -> int:
-        """Probe the worker's protocol version with a heartbeat line.
-
-        The probe is a v4-stamped heartbeat. A v4 worker answers it OK
-        with its own ``v`` stamp; a v3 worker *rejects* the line (it
-        speaks a newer version than the worker understands) but still
-        preserves the request id and answers a failure stamped ``v: 3``
-        — either way, the response's stamp is the worker's ceiling, and
-        the channel speaks ``min(theirs, ours)`` from then on. Binary
-        frames are never sent before this completes, so an old worker
-        never sees bytes it would misparse as lines.
-        """
-        probe_id = f"hb-probe-{next(self._sequence)}"
-        channel.send_line(
-            encode_line(
-                TaskRequest(request_id=probe_id, function=HEARTBEAT_FUNCTION)
-            )
-        )
-        # A connected-but-silent peer is the heartbeat machinery's case,
-        # not the connect path's, so the probe waits at most the
-        # heartbeat timeout (a healthy worker answers immediately).
-        budget = max(0.1, min(self.connect_timeout, self.heartbeat_timeout))
-        deadline = time.monotonic() + budget
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _WorkerDied(
-                    f"worker {address} did not answer the version probe "
-                    f"within {budget:.1f}s"
-                )
-            line = channel.recv_line(timeout=remaining)
-            if line is None:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(payload, dict) or payload.get("id") != probe_id:
-                continue
-            version = payload.get("v", 1)
-            if isinstance(version, bool) or not isinstance(version, int) or version < 1:
-                version = 1
-            return min(version, PROTOCOL_VERSION)
 
     def _drop(self, address: str) -> None:
         """Forget a dead worker's connection."""
@@ -511,9 +415,9 @@ class RemoteScheduler(Scheduler):
                 value = self._execute(channel, address, index, attempt)
             except _RetryInline as error:
                 # The worker is healthy; the client side evicted a blob
-                # it asked for. Re-queue the task on the inline-payload
-                # path under the same bounded-attempt budget a crash
-                # gets, and keep serving.
+                # it asked for. Re-queue the task with its refs
+                # materialised under the same bounded-attempt budget a
+                # crash gets, and keep serving.
                 with self._cond:
                     if self._attempts[index] > self.max_retries:
                         if self._failure is None:
@@ -567,31 +471,13 @@ class RemoteScheduler(Scheduler):
     def _send_task(
         self, channel: _LineChannel, address: str, index: int, request_id: str
     ) -> None:
-        """Ship one task line, framed (v4) or inline base64 (v3/fallback)."""
+        """Ship one task line plus its payload and init-args frames."""
         spec = self._specs[index]
-        version = self._versions.get(address, PROTOCOL_VERSION)
-        framed = (
-            version >= 4
-            and dataplane_enabled()
-            and index not in self._inline_only
-        )
-        if not framed:
-            inline = self._inline_spec(spec)
-            sent = channel.send_line(
-                encode_line(spec_to_request(inline, request_id), version=version)
-            )
-            with self._stats_lock:
-                self.stats.bytes_sent += sent
-            return
-        payload_data = dumps_oob(spec.payload)
-        init_data = dumps_oob(spec.init_args) if spec.init_args else None
-        frames: List[Any] = payload_data.frames()
-        payload_count = len(frames)
-        init_count = 0
-        if init_data is not None:
-            init_frames = init_data.frames()
-            init_count = len(init_frames)
-            frames = frames + init_frames
+        if not dataplane_enabled() or index in self._inline_only:
+            spec = self._inline_spec(spec)
+        payload_frames = dumps_oob(spec.payload).frames()
+        init_frames = dumps_oob(spec.init_args).frames() if spec.init_args else []
+        frames = payload_frames + init_frames
         request = TaskRequest(
             request_id=request_id,
             function=spec.function,
@@ -600,8 +486,8 @@ class RemoteScheduler(Scheduler):
             fingerprint=spec.fingerprint,
             blob_refs=spec.blob_refs,
             frames=tuple(len(frame) for frame in frames),
-            payload_frames=payload_count,
-            init_frames=init_count,
+            payload_frames=len(payload_frames),
+            init_frames=len(init_frames),
             trace=spec.trace,
         )
         sent = channel.send_payload(encode_line(request), frames)
@@ -611,8 +497,8 @@ class RemoteScheduler(Scheduler):
             self.stats.bytes_sent += sent
             for digest in spec.blob_refs:
                 if digest in shipped:
-                    # The worker holds this blob already: the inline wire
-                    # would have re-shipped its full serialised size.
+                    # The worker holds this blob already: shipping it by
+                    # value would have cost its full serialised size.
                     self.stats.bytes_deduped += store.size_of(digest)
                     self.stats.blobs_deduped += 1
 
@@ -677,7 +563,6 @@ class RemoteScheduler(Scheduler):
         them would desynchronise the byte stream.
         """
         spec = self._specs[index]
-        version = self._versions.get(address, PROTOCOL_VERSION)
         request_id = f"task-{index}-{attempt}-{next(self._sequence)}"
         self._send_task(channel, address, index, request_id)
         last_heard = time.monotonic()
@@ -696,8 +581,7 @@ class RemoteScheduler(Scheduler):
                         TaskRequest(
                             request_id=f"hb-{next(self._sequence)}",
                             function=HEARTBEAT_FUNCTION,
-                        ),
-                        version=version,
+                        )
                     )
                 )
                 continue
@@ -721,13 +605,7 @@ class RemoteScheduler(Scheduler):
             if response.spans:
                 tracer().ingest(response.spans)
             if response.ok:
-                if frame_bytes:
-                    return loads_oob(BlobData.from_frames(frame_bytes))
-                return (
-                    unpickle_b64(response.result)
-                    if response.result is not None
-                    else None
-                )
+                return loads_oob(BlobData.from_frames(frame_bytes))
             if response.error_type == "BlobNotFoundError":
                 raise _RetryInline(response.error or "worker missed a blob")
             raise _remote_error(response)
@@ -763,11 +641,4 @@ class RemoteScheduler(Scheduler):
             self._cond.notify_all()
 
 
-__all__ = [
-    "RemoteScheduler",
-    "parse_address",
-    "pickle_b64",
-    "spec_from_request",
-    "spec_to_request",
-    "unpickle_b64",
-]
+__all__ = ["RemoteScheduler", "parse_address"]

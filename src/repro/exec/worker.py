@@ -2,19 +2,19 @@
 
 One worker is a small asyncio JSON-lines server (the same transport
 shape as ``freqywm serve``, :mod:`repro.service.server`) that accepts
-``task`` lines — protocol v3 base64 payloads or v4 binary frames — and
-executes them through the shared worker-side entry point
-:func:`repro.exec.scheduler.run_task`, answering each with one
+``task`` lines followed by their binary payload frames and executes
+them through the shared worker-side entry point
+:func:`repro.exec.scheduler.run_task`, answering each with one framed
 ``result`` line. Four properties matter:
 
 * **worker-local state reuse** — ``run_task`` caches initializer
   products (detectors, generators) under their ``init_key``, so a
   long-lived worker serving a sweep builds each expensive state once;
-* **blob dedup** (v4) — a task line may reference shared values by
-  digest (``blob_refs``); the worker asks for each digest it has not
-  cached with a single ``blob-request`` line and keeps the answer in a
-  bounded per-worker :class:`~repro.exec.blobs.BlobStore`, so the
-  client ships a shared secret once per worker, not once per task (the
+* **blob dedup** — a task line may reference shared values by digest
+  (``blob_refs``); the worker asks for each digest it has not cached
+  with a single ``blob-request`` line and keeps the answer in a bounded
+  per-worker :class:`~repro.exec.blobs.BlobStore`, so the client ships a
+  shared secret once per worker, not once per task (the
   ``bytes_deduped`` counter measures exactly this saving);
 * **heartbeats answer mid-task** — real tasks run on a single-thread
   executor while the event loop keeps reading lines, so a
@@ -24,13 +24,9 @@ executes them through the shared worker-side entry point
   with the exception's type name and message, never a pickled exception
   object, and never kills the connection. A blob the client can no
   longer supply fails with ``BlobNotFoundError``, which the scheduler
-  turns into an inline-payload retry.
+  turns into a retry with the blob's value in the frames.
 
-Every response line is stamped at ``min(incoming v, own ceiling)``, so
-a v3 client talking to a v4 worker still decodes what comes back; the
-``FREQYWM_WIRE_CEILING`` environment variable lowers the ceiling (the
-mixed-fleet tests use it to impersonate old workers). Started by
-``freqywm worker --socket PATH`` or ``--tcp HOST:PORT``
+Started by ``freqywm worker --socket PATH`` or ``--tcp HOST:PORT``
 (:mod:`repro.cli`); the worker announces ``listening on <address>`` on
 stderr once bound, which tests and the CI scheduler-smoke job use as
 the readiness signal, and prints a :meth:`TaskWorkerServer.summary_line`
@@ -41,93 +37,36 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import BlobError, BlobNotFoundError, ReproError
 from repro.exec.blobs import BlobData, BlobStore, dumps_oob, loads_oob
-from repro.exec.remote import pickle_b64, spec_from_request
 from repro.exec.scheduler import TaskSpec, run_task, set_state_cache_size
 from repro.obs.trace import span as trace_span, tracer
 from repro.service.wire import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    MAX_LINE_BYTES,
     BlobRequest,
     TaskRequest,
     TaskResult,
+    announced_frames,
     decode_request,
     encode_line,
+    failure_for_line,
 )
-
-#: Environment variable capping the protocol version this worker admits
-#: (defaults to its own :data:`~repro.service.wire.PROTOCOL_VERSION`).
-#: Lowering it makes a new binary impersonate an old worker — the
-#: mixed-fleet degradation tests run real v3 negotiation through it.
-WIRE_CEILING_ENV = "FREQYWM_WIRE_CEILING"
 
 #: Seconds a task waits for the client to answer a ``blob-request``.
 BLOB_FETCH_TIMEOUT = 30.0
-
-#: StreamReader line-length cap. The v3/inline fallback carries a whole
-#: base64 payload in one JSON line, so asyncio's 64 KiB default would
-#: sever the connection on any task beyond a toy histogram; frames
-#: (``readexactly``) are not line-limited.
-MAX_LINE_BYTES = 1 << 27
-
-
-def _failure_for_line(line: str, error: Exception) -> TaskResult:
-    """A failure result for an undecodable line, best-effort request id."""
-    request_id = "?"
-    try:
-        payload = json.loads(line)
-        if isinstance(payload, dict) and isinstance(payload.get("id"), str):
-            request_id = payload["id"]
-    except json.JSONDecodeError:
-        pass
-    return TaskResult.failure(request_id, str(error))
 
 
 def _parse_header(line: str) -> Optional[Dict[str, object]]:
     """The line's JSON object, or None when it is not one."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return None
     return payload if isinstance(payload, dict) else None
-
-
-def _line_version(header: Optional[Dict[str, object]]) -> int:
-    """The ``v`` stamp of a parsed line (absent/malformed = 1)."""
-    if header is None:
-        return 1
-    version = header.get("v", 1)
-    if isinstance(version, bool) or not isinstance(version, int) or version < 1:
-        return 1
-    return version
-
-
-def _frame_sizes(header: Optional[Dict[str, object]]) -> Optional[List[int]]:
-    """The announced frame sizes, ``[]`` when absent, None when invalid.
-
-    Invalid sizes are unrecoverable: the connection's byte stream can no
-    longer be trusted, so the caller drops the connection rather than
-    guessing where the next line starts.
-    """
-    if header is None:
-        return []
-    value = header.get("frames")
-    if value is None:
-        return []
-    if not isinstance(value, list) or not all(
-        isinstance(item, int)
-        and not isinstance(item, bool)
-        and 0 <= item <= MAX_FRAME_BYTES
-        for item in value
-    ):
-        return None
-    return list(value)
 
 
 class TaskWorkerServer:
@@ -141,10 +80,6 @@ class TaskWorkerServer:
     blob_capacity : int, optional
         Byte budget of the per-worker blob cache (default: the store's
         own default, 256 MiB).
-    protocol_ceiling : int, optional
-        Highest wire version this worker admits; defaults to the
-        ``FREQYWM_WIRE_CEILING`` environment variable, else
-        :data:`~repro.service.wire.PROTOCOL_VERSION`.
     """
 
     def __init__(
@@ -152,14 +87,9 @@ class TaskWorkerServer:
         *,
         max_state: Optional[int] = None,
         blob_capacity: Optional[int] = None,
-        protocol_ceiling: Optional[int] = None,
     ) -> None:
         if max_state is not None:
             set_state_cache_size(max_state)
-        if protocol_ceiling is None:
-            env = os.environ.get(WIRE_CEILING_ENV, "").strip()
-            protocol_ceiling = int(env) if env else PROTOCOL_VERSION
-        self.protocol_ceiling = max(1, min(protocol_ceiling, PROTOCOL_VERSION))
         #: Bounded per-worker cache of client-shipped blobs, by digest.
         self.blobs = (
             BlobStore(capacity=blob_capacity) if blob_capacity else BlobStore()
@@ -183,9 +113,7 @@ class TaskWorkerServer:
     def _spec_from(
         self, request: TaskRequest, frames: Sequence[bytes]
     ) -> TaskSpec:
-        """A runnable spec from a v3 (base64) or v4 (framed) task line."""
-        if not request.frames:
-            return spec_from_request(request)
+        """A runnable spec from a task line and the frames that followed it."""
         if len(frames) != len(request.frames):
             raise BlobError(
                 f"task {request.request_id!r} announced "
@@ -241,7 +169,7 @@ class TaskWorkerServer:
                 )
 
     def _run(
-        self, request: TaskRequest, spec: TaskSpec, framed: bool
+        self, request: TaskRequest, spec: TaskSpec
     ) -> Tuple[TaskResult, List[Union[bytes, memoryview]]]:
         """Execute one task in the executor thread; always returns a result.
 
@@ -252,43 +180,35 @@ class TaskWorkerServer:
         when the task raised.
         """
         try:
-            value = run_task(spec, blob_fetch=self.blobs.get_object)
-            spans = self._drain_spans(request)
-            if framed:
-                data = dumps_oob(value)
-                frames = data.frames()
-                return (
-                    TaskResult(
-                        request_id=request.request_id,
-                        ok=True,
-                        frames=tuple(len(frame) for frame in frames),
-                        fingerprint=request.fingerprint,
-                        spans=spans,
-                    ),
-                    frames,
-                )
-            return (
-                TaskResult(
-                    request_id=request.request_id,
-                    ok=True,
-                    result=pickle_b64(value),
-                    fingerprint=request.fingerprint,
-                    spans=spans,
-                ),
-                [],
-            )
+            frames = dumps_oob(run_task(spec, blob_fetch=self.blobs.get_object)).frames()
         except Exception as error:  # noqa: BLE001 - typed failure on the wire
-            return (
-                TaskResult(
-                    request_id=request.request_id,
-                    ok=False,
-                    error=str(error),
-                    error_type=type(error).__name__,
-                    fingerprint=request.fingerprint,
-                    spans=self._drain_spans(request),
-                ),
-                [],
-            )
+            return self._failure(request, error, self._drain_spans(request)), []
+        return (
+            TaskResult(
+                request_id=request.request_id,
+                ok=True,
+                frames=tuple(len(frame) for frame in frames),
+                fingerprint=request.fingerprint,
+                spans=self._drain_spans(request),
+            ),
+            frames,
+        )
+
+    @staticmethod
+    def _failure(
+        request: TaskRequest,
+        error: Exception,
+        spans: Tuple[Dict[str, object], ...] = (),
+    ) -> TaskResult:
+        """A typed failure result: the exception's type name and message."""
+        return TaskResult(
+            request_id=request.request_id,
+            ok=False,
+            error=str(error),
+            error_type=type(error).__name__,
+            fingerprint=request.fingerprint,
+            spans=spans,
+        )
 
     @staticmethod
     def _drain_spans(request: TaskRequest) -> Tuple[Dict[str, object], ...]:
@@ -301,32 +221,18 @@ class TaskWorkerServer:
         self,
         line: str,
         *,
-        version: int = 1,
         frames: Sequence[bytes] = (),
         fetch_blob=None,
     ) -> Tuple[TaskResult, List[Union[bytes, memoryview]]]:
         """Answer one request line (never raises for bad input).
 
-        Returns the result plus any binary frames to write after it —
-        non-empty only when the request arrived at v4 or above (an old
-        client must never receive frames it would read as lines).
+        Returns the result plus the binary frames to write after it
+        (the pickled return value of a task that succeeded).
         """
-        if version > self.protocol_ceiling:
-            return (
-                _failure_for_line(
-                    line,
-                    ReproError(
-                        f"line speaks protocol version {version}, but this "
-                        f"worker only understands versions up to "
-                        f"{self.protocol_ceiling}"
-                    ),
-                ),
-                [],
-            )
         try:
             request = decode_request(line)
         except ReproError as error:
-            return _failure_for_line(line, error), []
+            return failure_for_line(line, error, TaskResult), []
         if not isinstance(request, TaskRequest):
             return (
                 TaskResult.failure(
@@ -343,21 +249,9 @@ class TaskWorkerServer:
             await self._ensure_blobs(request, fetch_blob)
             spec = self._spec_from(request, frames)
         except Exception as error:  # noqa: BLE001 - typed failure on the wire
-            return (
-                TaskResult(
-                    request_id=request.request_id,
-                    ok=False,
-                    error=str(error),
-                    error_type=type(error).__name__,
-                    fingerprint=request.fingerprint,
-                ),
-                [],
-            )
-        framed = version >= 4 and self.protocol_ceiling >= 4
+            return self._failure(request, error), []
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._executor, self._run, request, spec, framed
-        )
+        return await loop.run_in_executor(self._executor, self._run, request, spec)
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -382,11 +276,9 @@ class TaskWorkerServer:
         tasks: set = set()
         loop = asyncio.get_running_loop()
 
-        async def send(message, version: int, out_frames: Sequence = ()) -> None:
+        async def send(message, out_frames: Sequence = ()) -> None:
             async with write_lock:
-                conn_writer.write(
-                    (encode_line(message, version=version) + "\n").encode("utf-8")
-                )
+                conn_writer.write((encode_line(message) + "\n").encode("utf-8"))
                 for frame in out_frames:
                     conn_writer.write(bytes(frame))
                 await conn_writer.drain()
@@ -397,10 +289,7 @@ class TaskWorkerServer:
             if future is None:
                 future = loop.create_future()
                 blob_waits[digest] = future
-                await send(
-                    BlobRequest(request_id=request_id, digest=digest),
-                    self.protocol_ceiling,
-                )
+                await send(BlobRequest(request_id=request_id, digest=digest))
             try:
                 header, frames = await asyncio.wait_for(
                     asyncio.shield(future), timeout=BLOB_FETCH_TIMEOUT
@@ -420,11 +309,11 @@ class TaskWorkerServer:
                 )
             return BlobData.from_frames(frames)
 
-        async def handle(line: str, version: int, frames: List[bytes]) -> None:
+        async def handle(line: str, frames: List[bytes]) -> None:
             response, out_frames = await self.respond(
-                line, version=version, frames=frames, fetch_blob=fetch_blob
+                line, frames=frames, fetch_blob=fetch_blob
             )
-            await send(response, min(version, self.protocol_ceiling), out_frames)
+            await send(response, out_frames)
 
         try:
             while True:
@@ -435,8 +324,9 @@ class TaskWorkerServer:
                 if not line:
                     continue
                 header = _parse_header(line)
-                sizes = _frame_sizes(header)
-                if sizes is None:
+                try:
+                    sizes = announced_frames(header) if header is not None else ()
+                except ReproError:
                     # Unparseable frame announcement: the stream position
                     # is lost, so the connection cannot continue.
                     break
@@ -450,9 +340,7 @@ class TaskWorkerServer:
                     if future is not None and not future.done():
                         future.set_result((header, frames))
                     continue
-                task = asyncio.ensure_future(
-                    handle(line, _line_version(header), frames)
-                )
+                task = asyncio.ensure_future(handle(line, frames))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
             if tasks:
@@ -559,8 +447,6 @@ async def serve_worker_tcp(
 
 __all__ = [
     "BLOB_FETCH_TIMEOUT",
-    "MAX_LINE_BYTES",
-    "WIRE_CEILING_ENV",
     "TaskWorkerServer",
     "serve_worker_tcp",
     "serve_worker_unix",

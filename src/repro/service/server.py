@@ -20,7 +20,6 @@ failure response carrying the best-effort request id.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 from pathlib import Path
 from typing import IO, Optional, Union
@@ -28,44 +27,12 @@ from typing import IO, Optional, Union
 from repro.exceptions import ReproError
 from repro.service.service import DetectionService
 from repro.service.wire import (
-    AttributeResponse,
-    DetectResponse,
-    EmbedResponse,
-    RegisterResponse,
-    RevokeResponse,
-    StatsResponse,
-    TaskResult,
+    MAX_LINE_BYTES,
     WireResponse,
     decode_request,
     encode_line,
+    failure_for_line,
 )
-
-#: Failure-response constructor per verb, for undecodable lines.
-_FAILURE_TYPES = {
-    "detect": DetectResponse,
-    "embed": EmbedResponse,
-    "register": RegisterResponse,
-    "revoke": RevokeResponse,
-    "attribute": AttributeResponse,
-    "stats": StatsResponse,
-    "task": TaskResult,
-}
-
-
-def _failure_for_line(line: str, error: Exception) -> WireResponse:
-    """A failure response for an undecodable line, best-effort id/verb."""
-    request_id = "?"
-    operation = "detect"
-    try:
-        payload = json.loads(line)
-        if isinstance(payload, dict):
-            if isinstance(payload.get("id"), str):
-                request_id = payload["id"]
-            operation = payload.get("op", "detect")
-    except json.JSONDecodeError:
-        pass
-    failure_type = _FAILURE_TYPES.get(operation, DetectResponse)
-    return failure_type.failure(request_id, str(error))
 
 
 async def _respond(service: DetectionService, line: str) -> WireResponse:
@@ -74,7 +41,7 @@ async def _respond(service: DetectionService, line: str) -> WireResponse:
         request = decode_request(line)
     except ReproError as error:
         service.stats.failures += 1
-        return _failure_for_line(line, error)
+        return failure_for_line(line, error)
     return await service.submit(request)
 
 
@@ -170,7 +137,9 @@ async def serve_unix(
         finally:
             conn_writer.close()
 
-    server = await asyncio.start_unix_server(handle_connection, path=str(path))
+    server = await asyncio.start_unix_server(
+        handle_connection, path=str(path), limit=MAX_LINE_BYTES
+    )
     try:
         if ready is not None:
             ready.set()

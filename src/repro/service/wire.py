@@ -1,6 +1,6 @@
 """Typed request/response wire format of the watermarking service.
 
-Seven verbs share the JSON-lines transport, discriminated by the
+Eight verbs share the JSON-lines transport, discriminated by the
 optional ``op`` field:
 
 * **detect** (the default when ``op`` is absent) — *is this dataset
@@ -24,35 +24,38 @@ optional ``op`` field:
 * **attribute** (``op: "attribute"``) — *whose watermark does this
   leaked copy carry?* The service runs the index-backed registry lookup
   and answers with the matching buyers, strongest first.
+* **stats** (``op: "stats"``) — a snapshot of the metrics registry.
 * **task** (``op: "task"``) / **result** (``op: "result"``) — the
-  distributed-scheduler leg (version 3): a
-  :class:`~repro.exec.remote.RemoteScheduler` ships one fingerprinted
-  :class:`~repro.exec.scheduler.TaskSpec` per ``task`` line to a
-  ``freqywm worker`` process, which answers with one ``result`` line.
-  Payloads travel as base64-pickled blobs (``payload`` /
-  ``init_args``), which assumes a *trusted* transport — exactly the
-  stance of the multiprocessing pools these verbs generalise; see
-  ``docs/scheduler.md``. A ``task`` line whose ``function`` is
+  distributed-scheduler leg: a :class:`~repro.exec.remote.RemoteScheduler`
+  ships one fingerprinted :class:`~repro.exec.scheduler.TaskSpec` per
+  ``task`` line to a ``freqywm worker`` process, which answers with one
+  ``result`` line. A ``task`` line whose ``function`` is
   ``"__heartbeat__"`` is a liveness probe: workers answer it
   immediately, even while a real task is running.
 
-* **Data plane** (v4): a line whose ``frames`` field lists byte counts
-  is followed by exactly those **length-prefixed binary frames** on the
-  same stream — pickle-protocol-5 metadata plus out-of-band buffers,
-  replacing the base64 text encoding (a 33% wire tax) for task
-  payloads, results and blobs. ``task`` lines may carry ``blob_refs``
-  (SHA-256 digests of shared values); a worker missing a digest asks
-  for it once with a ``blob-request`` line and the client answers with
-  a ``blob`` line + frames, so a 200-task sweep ships a shared secret
-  once per worker rather than once per task. v3 peers never see frames:
-  the scheduler probes each worker's version first and falls back to
-  inline base64 payloads automatically.
+Task payloads and results never ride inside the JSON: a line whose
+``frames`` field lists byte counts is followed by exactly those
+**length-prefixed binary frames** on the same stream — pickle-protocol-5
+metadata plus out-of-band buffers. Pickle on the wire assumes a
+*trusted* transport, exactly the stance of the ``multiprocessing`` pools
+these verbs generalise (see ``docs/scheduler.md``). ``task`` lines may
+carry ``blob_refs`` (SHA-256 digests of shared values); a worker missing
+a digest asks for it once with a ``blob-request`` line and the client
+answers with a ``blob`` line + frames, so a 200-task sweep ships a
+shared secret once per worker rather than once per task.
 
 On the transport, each request and each response is **one JSON object per
 line** (JSON-lines). Responses carry the request's ``id`` so they may be
 delivered out of order; detect responses' ``batch_size`` and
 ``cache_hit`` expose what the coalescing layer actually did, which the
 benchmarks and the property tests use to assert the batching happened.
+
+Every message class declares each field once with :func:`_wire` — its
+JSON kind, when it is written, and its wire key — and one codec
+(:class:`_Message`) derives ``to_dict`` / ``from_dict`` from those
+declarations for all sixteen classes. Decoding checks every field's JSON
+type, so a malformed line of any verb fails with a
+:class:`~repro.exceptions.ServiceError` naming the offending field.
 
 Every line :func:`encode_line` produces also carries the protocol
 version as ``v`` (an absent ``v`` means version 1, the pre-registry
@@ -65,9 +68,11 @@ The field-by-field schema per verb is documented in ``docs/service.md``.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import DetectionResult, SuspectData
@@ -86,6 +91,20 @@ from repro.exceptions import ConfigurationError, HistogramError, ServiceError
 #: lines with ``v`` at most their own version (absent means 1) and
 #: reject higher ones — see the module docstring.
 PROTOCOL_VERSION = 4
+
+#: ``function`` value marking a task request as a liveness probe.
+HEARTBEAT_FUNCTION = "__heartbeat__"
+
+#: Upper bound on any single binary frame a line may announce; a
+#: corrupt length must never talk a peer into an unbounded allocation.
+MAX_FRAME_BYTES = 1 << 31
+
+#: Line-length cap of every stream transport (``serve --socket`` and
+#: both worker listeners). Request lines carry whole histograms and
+#: token lists — a detect line whose ``counts`` hold 6,000 tokens is
+#: ~95 KB — so asyncio's 64 KiB default would sever the connection on
+#: ordinary requests. Binary frames are read by size, not by line.
+MAX_LINE_BYTES = 1 << 27
 
 #: Keys accepted in a request's ``config`` object (DetectionConfig kwargs).
 _CONFIG_KEYS = frozenset(
@@ -115,8 +134,377 @@ _GENERATION_CONFIG_KEYS = frozenset(
 )
 
 
+# --------------------------------------------------------------------- #
+# Field kinds: the JSON type of a field and its attribute <-> JSON map
+# --------------------------------------------------------------------- #
+
+
+def _same(value: Any) -> Any:
+    """Identity: the attribute already is its JSON form."""
+    return value
+
+
+class _Kind(NamedTuple):
+    """The JSON type of one field.
+
+    ``decode`` maps a JSON value to the attribute value, raising
+    ``TypeError`` / ``ValueError`` when the value has the wrong shape;
+    ``expects`` completes the resulting error ("must be ...");
+    ``encode`` maps the attribute back to its JSON form.
+    """
+
+    expects: str
+    decode: Callable[[Any], Any]
+    encode: Callable[[Any], Any] = _same
+
+
+def _exactly(json_type: type) -> Callable[[Any], Any]:
+    """A decoder admitting one exact JSON type (so ``true`` is no integer)."""
+
+    def decode(value: Any) -> Any:
+        if type(value) is not json_type:
+            raise TypeError(type(value).__name__)
+        return value
+
+    return decode
+
+
+_text = _exactly(str)
+_object = _exactly(dict)
+_list = _exactly(list)
+
+
+def _name(value: Any) -> str:
+    """A non-empty string."""
+    if type(value) is not str or not value:
+        raise ValueError(value)
+    return value
+
+
+def _natural(value: Any) -> int:
+    """A non-negative integer."""
+    if type(value) is not int or value < 0:
+        raise ValueError(value)
+    return value
+
+
+def _number(value: Any) -> float:
+    """An integer or float JSON number, as a float."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(type(value).__name__)
+    return float(value)
+
+
+_INT_ONLY = frozenset({int})
+_STR_ONLY = frozenset({str})
+
+
+def _counts(value: Any) -> Dict[str, int]:
+    """A token→count object, checked in one pass and kept as decoded.
+
+    Strict: a float count would be silently truncated downstream and
+    the verdict computed on an altered histogram. JSON object keys are
+    always strings, so only the values need a look.
+    """
+    if type(value) is not dict or not _INT_ONLY.issuperset(map(type, value.values())):
+        raise ValueError(value)
+    return value
+
+
+def _strings(value: Any) -> Tuple[str, ...]:
+    """A list of strings, as a tuple."""
+    if type(value) is not list or not _STR_ONLY.issuperset(map(type, value)):
+        raise ValueError(value)
+    return tuple(value)
+
+
+def _digests(value: Any) -> Tuple[str, ...]:
+    """A list of non-empty strings, as a tuple."""
+    return tuple(map(_name, _list(value)))
+
+
+def _frame_sizes(value: Any) -> Tuple[int, ...]:
+    """A list of frame byte counts, each at most :data:`MAX_FRAME_BYTES`."""
+    sizes = tuple(map(_natural, _list(value)))
+    if sizes and max(sizes) > MAX_FRAME_BYTES:
+        raise ValueError(sizes)
+    return sizes
+
+
+def _trace(value: Any) -> Tuple[str, str]:
+    """A ``[trace_id, parent_span_id]`` pair of non-empty strings."""
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(value)
+    return (_name(value[0]), _name(value[1]))
+
+
+def _spans(value: Any) -> Tuple[Dict[str, object], ...]:
+    """A list of span objects, as a tuple."""
+    return tuple(map(_object, _list(value)))
+
+
+def _matches(value: Any) -> Tuple[Tuple[str, float], ...]:
+    """``{"buyer_id", "accepted_fraction"}`` objects, as ``(buyer, fraction)`` pairs."""
+    return tuple(
+        (_text(match.get("buyer_id")), _number(match.get("accepted_fraction")))
+        for match in map(_object, _list(value))
+    )
+
+
+def _match_objects(matches: Tuple[Tuple[str, float], ...]) -> List[Dict[str, object]]:
+    """Invert :func:`_matches`."""
+    return [
+        {"buyer_id": buyer_id, "accepted_fraction": fraction}
+        for buyer_id, fraction in matches
+    ]
+
+
+def _decimal(value: Any) -> int:
+    """An integer sent as a decimal string.
+
+    ``R`` may exceed what non-Python JSON consumers keep exact, which
+    is why it travels as a string (mirroring ``WatermarkSecret.to_dict``).
+    """
+    return int(_text(value))
+
+
+TEXT = _Kind("a string", _text)
+NAME = _Kind("a non-empty string", _name)
+INTEGER = _Kind("an integer", _exactly(int))
+COUNT = _Kind("a non-negative integer", _natural)
+FLAG = _Kind("a boolean", _exactly(bool))
+NUMBER = _Kind("a number", _number)
+OBJECT = _Kind("an object", _object)
+COUNTS = _Kind("an object of integer counts", _counts)
+STRINGS = _Kind("a list of strings", _strings, list)
+DIGESTS = _Kind("a list of digests", _digests, list)
+FRAMES = _Kind("a list of frame byte counts", _frame_sizes, list)
+TRACE = _Kind("a [trace_id, parent_span_id] pair of strings", _trace, list)
+SPANS = _Kind("a list of span objects", _spans, list)
+MATCHES = _Kind(
+    "a list of {buyer_id, accepted_fraction} objects", _matches, _match_objects
+)
+DECIMAL = _Kind("a decimal string", _decimal, str)
+
+
+# --------------------------------------------------------------------- #
+# Write rules: when a field appears on the wire
+# --------------------------------------------------------------------- #
+
+#: A write rule sees the message and the field's value.
+_Rule = Callable[[Any, Any], bool]
+
+
+def _always(message: Any, value: Any) -> bool:
+    """Written on every line."""
+    return True
+
+
+def _if_set(message: Any, value: Any) -> bool:
+    """Written when the value is not ``None``."""
+    return value is not None
+
+
+def _if_nonempty(message: Any, value: Any) -> bool:
+    """Written when the value is truthy (non-empty, non-zero, true)."""
+    return bool(value)
+
+
+def _on_success(message: Any, value: Any) -> bool:
+    """Written only on a success response."""
+    return message.ok
+
+
+def _on_failure(message: Any, value: Any) -> bool:
+    """Written only on a failure response."""
+    return not message.ok
+
+
+def _both(first: _Rule, second: _Rule) -> _Rule:
+    """Written when both rules agree."""
+    return lambda message, value: first(message, value) and second(message, value)
+
+
+def _with_frames(message: Any, value: Any) -> bool:
+    """Written alongside a non-empty ``frames`` announcement."""
+    return bool(message.frames)
+
+
+def _wire(
+    kind: _Kind, when: _Rule = _always, *, key: Optional[str] = None, **default: Any
+) -> Any:
+    """Declare one message field: its JSON kind, write rule and wire key.
+
+    ``default`` / ``default_factory`` pass through to
+    :func:`dataclasses.field`. A field without a default is required on
+    the wire; a field defaulting to ``None`` also accepts JSON ``null``.
+    The wire key defaults to the attribute name.
+    """
+    return dataclasses.field(metadata={"wire": (key, kind, when)}, **default)
+
+
+class _Spec(NamedTuple):
+    """One declared field, resolved for the codec loops."""
+
+    name: str
+    key: str
+    kind: _Kind
+    when: _Rule
+    required: bool
+    nullable: bool
+
+
+@functools.lru_cache(maxsize=None)
+def _specs(message_type: type) -> Tuple[_Spec, ...]:
+    """The declared fields of a message class, in declaration order."""
+    specs = []
+    for item in dataclasses.fields(message_type):
+        key, kind, when = item.metadata["wire"]
+        specs.append(
+            _Spec(
+                name=item.name,
+                key=key or item.name,
+                kind=kind,
+                when=when,
+                required=item.default is dataclasses.MISSING
+                and item.default_factory is dataclasses.MISSING,
+                nullable=item.default is None,
+            )
+        )
+    return tuple(specs)
+
+
+_ABSENT = object()
+
+
+def _label(message_type: type, request_id: object) -> str:
+    """``"<Class> '<id>'"`` for error messages (the class alone without an id)."""
+    if type(request_id) is str and request_id:
+        return f"{message_type.__name__} {request_id!r}"
+    return message_type.__name__
+
+
 @dataclass(frozen=True)
-class DetectRequest:
+class _Message:
+    """The codec every wire message shares.
+
+    Subclasses are frozen dataclasses declaring every field with
+    :func:`_wire`. ``OP`` is the ``op`` value a message is written with;
+    detect messages leave it ``None``, since an absent ``op`` means
+    detect.
+    """
+
+    OP: ClassVar[Optional[str]] = None
+
+    request_id: str = _wire(NAME, key="id")
+
+    def __post_init__(self) -> None:
+        if not self.request_id:
+            raise ServiceError(
+                f"{type(self).__name__} id must be a non-empty string"
+            )
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-serialisable payload: each field written by its rule.
+
+        Nested containers are shared with the message, not copied.
+        """
+        payload: Dict[str, object] = {} if self.OP is None else {"op": self.OP}
+        for spec in _specs(type(self)):
+            value = getattr(self, spec.name)
+            if spec.when(self, value):
+                payload[spec.key] = spec.kind.encode(value)
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> Any:
+        """Rebuild a message from :meth:`to_dict` output, checking each field.
+
+        Unknown keys are ignored (the compatibility rule); a missing
+        required field or a value of the wrong JSON type raises
+        :class:`~repro.exceptions.ServiceError` naming the field.
+        """
+        if type(payload) is not dict:
+            raise ServiceError(f"{cls.__name__} payload must be a JSON object")
+        values: Dict[str, Any] = {}
+        for spec in _specs(cls):
+            value = payload.get(spec.key, _ABSENT)
+            if value is _ABSENT:
+                if spec.required:
+                    raise ServiceError(
+                        f"{_label(cls, payload.get('id'))} is missing field {spec.key!r}"
+                    )
+            elif value is None and spec.nullable:
+                values[spec.name] = None
+            else:
+                try:
+                    values[spec.name] = spec.kind.decode(value)
+                except (TypeError, ValueError, ArithmeticError):
+                    raise ServiceError(
+                        f"{_label(cls, payload.get('id'))} field {spec.key!r} must be "
+                        f"{spec.kind.expects}"
+                    ) from None
+        return cls(**values)
+
+
+class _Reply(_Message):
+    """A response: an ``ok`` flag plus an ``error`` written on failure."""
+
+    @classmethod
+    def failure(cls, request_id: str, message: str) -> Any:
+        """A failure response carrying only the error message."""
+        return cls(request_id=request_id, ok=False, error=message)
+
+
+# --------------------------------------------------------------------- #
+# Dataset-carrying requests (detect / embed / attribute)
+# --------------------------------------------------------------------- #
+
+
+def _check_dataset(message: Any, config_keys: frozenset) -> None:
+    """Exactly one of ``tokens`` / ``counts``, and only known config keys."""
+    label = _label(type(message), message.request_id)
+    if (message.tokens is None) == (message.counts is None):
+        raise ServiceError(f"{label} must carry exactly one of tokens/counts")
+    if message.config is not None:
+        unknown = set(message.config) - config_keys
+        if unknown:
+            raise ServiceError(f"{label} has unknown config keys: {sorted(unknown)}")
+
+
+def _dataset(message: Any) -> Union[List[str], TokenHistogram]:
+    """The request's dataset: ``counts`` as a histogram, else the tokens."""
+    if message.counts is not None:
+        try:
+            return TokenHistogram.from_counts(message.counts)
+        except (HistogramError, TypeError, ValueError) as exc:
+            raise ServiceError(
+                f"{_label(type(message), message.request_id)} has malformed counts: {exc}"
+            ) from exc
+    return list(message.tokens or ())
+
+
+class _Screening:
+    """Mixin for requests screening a dataset under detection thresholds."""
+
+    def suspect(self) -> SuspectData:
+        """The suspected dataset as detector input."""
+        return _dataset(self)
+
+    def detection_config(self) -> Optional[DetectionConfig]:
+        """The per-request threshold overrides, decoded — None when absent."""
+        if self.config is None:
+            return None
+        try:
+            return DetectionConfig(**self.config)  # type: ignore[arg-type]
+        except (ConfigurationError, TypeError) as exc:
+            raise ServiceError(
+                f"{_label(type(self), self.request_id)} has a malformed config: {exc}"
+            ) from exc
+
+
+@dataclass(frozen=True)
+class DetectRequest(_Screening, _Message):
     """One detection request on the service wire.
 
     Attributes
@@ -140,48 +528,20 @@ class DetectRequest:
         (:class:`~repro.core.config.DetectionConfig` keyword arguments).
     """
 
-    request_id: str
-    tokens: Optional[Tuple[str, ...]] = None
-    counts: Optional[Dict[str, int]] = None
-    secret: Optional[Dict[str, object]] = None
-    secret_fingerprint: Optional[str] = None
-    config: Optional[Dict[str, object]] = None
+    tokens: Optional[Tuple[str, ...]] = _wire(STRINGS, _if_set, default=None)
+    counts: Optional[Dict[str, int]] = _wire(COUNTS, _if_set, default=None)
+    secret: Optional[Dict[str, object]] = _wire(OBJECT, _if_set, default=None)
+    secret_fingerprint: Optional[str] = _wire(TEXT, _if_set, default=None)
+    config: Optional[Dict[str, object]] = _wire(OBJECT, _if_set, default=None)
 
     def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("request id must be a non-empty string")
-        if (self.tokens is None) == (self.counts is None):
-            raise ServiceError(
-                f"request {self.request_id!r} must carry exactly one of "
-                "tokens/counts"
-            )
+        super().__post_init__()
+        _check_dataset(self, _CONFIG_KEYS)
         if (self.secret is None) == (self.secret_fingerprint is None):
             raise ServiceError(
                 f"request {self.request_id!r} must carry exactly one of "
                 "secret/secret_fingerprint"
             )
-        if self.config is not None:
-            unknown = set(self.config) - _CONFIG_KEYS
-            if unknown:
-                raise ServiceError(
-                    f"request {self.request_id!r} has unknown config keys: "
-                    f"{sorted(unknown)}"
-                )
-
-    # ------------------------------------------------------------------ #
-    # Decoding into pipeline objects
-    # ------------------------------------------------------------------ #
-
-    def suspect(self) -> SuspectData:
-        """The suspected dataset as detector input."""
-        if self.counts is not None:
-            try:
-                return TokenHistogram.from_counts(self.counts)
-            except (HistogramError, TypeError, ValueError) as exc:
-                raise ServiceError(
-                    f"request {self.request_id!r} has malformed counts: {exc}"
-                ) from exc
-        return list(self.tokens or ())
 
     def inline_secret(self) -> Optional[WatermarkSecret]:
         """The inline secret, decoded — None for fingerprint references."""
@@ -194,80 +554,9 @@ class DetectRequest:
                 f"request {self.request_id!r} has a malformed secret: {exc}"
             ) from exc
 
-    def detection_config(self) -> Optional[DetectionConfig]:
-        """The per-request threshold overrides, decoded — None when absent."""
-        if self.config is None:
-            return None
-        try:
-            return DetectionConfig(**self.config)  # type: ignore[arg-type]
-        except (ConfigurationError, TypeError) as exc:
-            raise ServiceError(
-                f"request {self.request_id!r} has a malformed config: {exc}"
-            ) from exc
-
-    # ------------------------------------------------------------------ #
-    # JSON codec
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (None fields omitted)."""
-        payload: Dict[str, object] = {"id": self.request_id}
-        if self.tokens is not None:
-            payload["tokens"] = list(self.tokens)
-        if self.counts is not None:
-            payload["counts"] = dict(self.counts)
-        if self.secret is not None:
-            payload["secret"] = dict(self.secret)
-        if self.secret_fingerprint is not None:
-            payload["secret_fingerprint"] = self.secret_fingerprint
-        if self.config is not None:
-            payload["config"] = dict(self.config)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "DetectRequest":
-        """Rebuild a request from :meth:`to_dict` output (validating)."""
-        if not isinstance(payload, dict):
-            raise ServiceError("request payload must be a JSON object")
-        request_id = payload.get("id")
-        if not isinstance(request_id, str) or not request_id:
-            raise ServiceError("request payload is missing a string 'id'")
-        tokens = payload.get("tokens")
-        counts = payload.get("counts")
-        if counts is not None:
-            if not isinstance(counts, dict):
-                raise ServiceError(
-                    f"request {request_id!r} counts must be an object"
-                )
-            for token, count in counts.items():
-                # Strict: a float count would be silently truncated by
-                # int() and the verdict computed on an altered histogram.
-                if isinstance(count, bool) or not isinstance(count, int):
-                    raise ServiceError(
-                        f"request {request_id!r} count for {token!r} must be "
-                        f"an integer, got {count!r}"
-                    )
-        try:
-            return cls(
-                request_id=request_id,
-                tokens=tuple(str(token) for token in tokens)
-                if tokens is not None
-                else None,
-                counts={str(k): int(v) for k, v in counts.items()}
-                if counts is not None
-                else None,
-                secret=payload.get("secret"),  # type: ignore[arg-type]
-                secret_fingerprint=payload.get("secret_fingerprint"),  # type: ignore[arg-type]
-                config=payload.get("config"),  # type: ignore[arg-type]
-            )
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ServiceError(
-                f"request {request_id!r} payload is malformed: {exc}"
-            ) from exc
-
 
 @dataclass(frozen=True)
-class DetectResponse:
+class DetectResponse(_Reply):
     """One verdict (or failure) on the service wire.
 
     ``ok`` distinguishes verdicts from failures: a failure carries only
@@ -278,16 +567,15 @@ class DetectResponse:
     detector came from the LRU cache.
     """
 
-    request_id: str
-    ok: bool
-    accepted: Optional[bool] = None
-    accepted_pairs: Optional[int] = None
-    required_pairs: Optional[int] = None
-    total_pairs: Optional[int] = None
-    batch_size: int = 0
-    cache_hit: bool = False
-    error: Optional[str] = None
-    extra: Dict[str, object] = field(default_factory=dict)
+    ok: bool = _wire(FLAG)
+    accepted: Optional[bool] = _wire(FLAG, _on_success, default=None)
+    accepted_pairs: Optional[int] = _wire(INTEGER, _on_success, default=None)
+    required_pairs: Optional[int] = _wire(INTEGER, _on_success, default=None)
+    total_pairs: Optional[int] = _wire(INTEGER, _on_success, default=None)
+    batch_size: int = _wire(INTEGER, _on_success, default=0)
+    cache_hit: bool = _wire(FLAG, _on_success, default=False)
+    error: Optional[str] = _wire(TEXT, _on_failure, default=None)
+    extra: Dict[str, object] = _wire(OBJECT, _if_nonempty, default_factory=dict)
 
     @classmethod
     def from_result(
@@ -310,11 +598,6 @@ class DetectResponse:
             cache_hit=cache_hit,
         )
 
-    @classmethod
-    def failure(cls, request_id: str, message: str) -> "DetectResponse":
-        """A failure response carrying only the error message."""
-        return cls(request_id=request_id, ok=False, error=message)
-
     @property
     def accepted_fraction(self) -> float:
         """Fraction of stored pairs that verified (0 for failures)."""
@@ -322,50 +605,9 @@ class DetectResponse:
             return 0.0
         return (self.accepted_pairs or 0) / self.total_pairs
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (failure fields omitted on success)."""
-        payload: Dict[str, object] = {"id": self.request_id, "ok": self.ok}
-        if self.ok:
-            payload.update(
-                {
-                    "accepted": self.accepted,
-                    "accepted_pairs": self.accepted_pairs,
-                    "required_pairs": self.required_pairs,
-                    "total_pairs": self.total_pairs,
-                    "batch_size": self.batch_size,
-                    "cache_hit": self.cache_hit,
-                }
-            )
-        else:
-            payload["error"] = self.error
-        if self.extra:
-            payload["extra"] = dict(self.extra)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "DetectResponse":
-        """Rebuild a response from :meth:`to_dict` output."""
-        if not isinstance(payload, dict) or "id" not in payload:
-            raise ServiceError("response payload must be a JSON object with 'id'")
-        if not payload.get("ok"):
-            return cls.failure(
-                str(payload["id"]), str(payload.get("error", "unknown error"))
-            )
-        return cls(
-            request_id=str(payload["id"]),
-            ok=True,
-            accepted=bool(payload.get("accepted")),
-            accepted_pairs=int(payload.get("accepted_pairs", 0)),  # type: ignore[arg-type]
-            required_pairs=int(payload.get("required_pairs", 0)),  # type: ignore[arg-type]
-            total_pairs=int(payload.get("total_pairs", 0)),  # type: ignore[arg-type]
-            batch_size=int(payload.get("batch_size", 0)),  # type: ignore[arg-type]
-            cache_hit=bool(payload.get("cache_hit")),
-            extra=dict(payload.get("extra", {})),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
-class EmbedRequest:
+class EmbedRequest(_Message):
     """One embedding (generation) request on the service wire.
 
     Attributes
@@ -385,150 +627,58 @@ class EmbedRequest:
         Optional integer seed for reproducible embedding. ``None`` (the
         secure default) samples the secret from the OS CSPRNG.
     secret_value:
-        Optional explicit secret ``R``. Each embed request runs
-        independently on the service (no cross-request derivation
-        sharing); for fleet-scale embedding under one owner secret use
-        the batch engine (:func:`repro.core.batch.embed_many`), which
-        does amortise the moduli derivations across the batch.
+        Optional explicit secret ``R``, sent as a decimal string. Each
+        embed request runs independently on the service (no
+        cross-request derivation sharing); for fleet-scale embedding
+        under one owner secret use the batch engine
+        (:func:`repro.core.batch.embed_many`), which does amortise the
+        moduli derivations across the batch.
     return_tokens:
         When True (``tokens`` input only), the response carries the
         edited token sequence, not just the watermarked histogram.
     """
 
-    request_id: str
-    tokens: Optional[Tuple[str, ...]] = None
-    counts: Optional[Dict[str, int]] = None
-    config: Optional[Dict[str, object]] = None
-    seed: Optional[int] = None
-    secret_value: Optional[int] = None
-    return_tokens: bool = False
+    OP = "embed"
+
+    tokens: Optional[Tuple[str, ...]] = _wire(STRINGS, _if_set, default=None)
+    counts: Optional[Dict[str, int]] = _wire(COUNTS, _if_set, default=None)
+    config: Optional[Dict[str, object]] = _wire(OBJECT, _if_set, default=None)
+    seed: Optional[int] = _wire(INTEGER, _if_set, default=None)
+    secret_value: Optional[int] = _wire(DECIMAL, _if_set, default=None)
+    return_tokens: bool = _wire(FLAG, _if_nonempty, default=False)
 
     def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("request id must be a non-empty string")
-        if (self.tokens is None) == (self.counts is None):
-            raise ServiceError(
-                f"embed request {self.request_id!r} must carry exactly one of "
-                "tokens/counts"
-            )
+        super().__post_init__()
+        _check_dataset(self, _GENERATION_CONFIG_KEYS)
         if self.return_tokens and self.tokens is None:
             raise ServiceError(
                 f"embed request {self.request_id!r} asks for tokens back but "
                 "sent only counts"
             )
-        if self.config is not None:
-            unknown = set(self.config) - _GENERATION_CONFIG_KEYS
-            if unknown:
-                raise ServiceError(
-                    f"embed request {self.request_id!r} has unknown config "
-                    f"keys: {sorted(unknown)}"
-                )
-
-    # ------------------------------------------------------------------ #
-    # Decoding into pipeline objects
-    # ------------------------------------------------------------------ #
 
     def data(self) -> Union[List[str], TokenHistogram]:
         """The dataset as generator input."""
-        if self.counts is not None:
-            try:
-                return TokenHistogram.from_counts(self.counts)
-            except (HistogramError, TypeError, ValueError) as exc:
-                raise ServiceError(
-                    f"embed request {self.request_id!r} has malformed counts: {exc}"
-                ) from exc
-        return list(self.tokens or ())
+        return _dataset(self)
 
     def generation_config(self) -> GenerationConfig:
         """The generation parameters, decoded (defaults when absent)."""
         if self.config is None:
             return GenerationConfig()
         arguments = dict(self.config)
-        if "excluded_tokens" in arguments:
-            arguments["excluded_tokens"] = tuple(
-                str(token) for token in arguments["excluded_tokens"]  # type: ignore[union-attr]
-            )
         try:
+            if "excluded_tokens" in arguments:
+                arguments["excluded_tokens"] = tuple(
+                    str(token) for token in arguments["excluded_tokens"]  # type: ignore[union-attr]
+                )
             return GenerationConfig(**arguments)  # type: ignore[arg-type]
         except (ConfigurationError, TypeError) as exc:
             raise ServiceError(
                 f"embed request {self.request_id!r} has a malformed config: {exc}"
             ) from exc
 
-    # ------------------------------------------------------------------ #
-    # JSON codec
-    # ------------------------------------------------------------------ #
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (None fields omitted)."""
-        payload: Dict[str, object] = {"op": "embed", "id": self.request_id}
-        if self.tokens is not None:
-            payload["tokens"] = list(self.tokens)
-        if self.counts is not None:
-            payload["counts"] = dict(self.counts)
-        if self.config is not None:
-            payload["config"] = dict(self.config)
-        if self.seed is not None:
-            payload["seed"] = self.seed
-        if self.secret_value is not None:
-            # Decimal string, mirroring WatermarkSecret.to_dict: R may
-            # exceed what non-Python JSON consumers keep exact.
-            payload["secret_value"] = str(self.secret_value)
-        if self.return_tokens:
-            payload["return_tokens"] = True
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "EmbedRequest":
-        """Rebuild an embed request from :meth:`to_dict` output (validating)."""
-        if not isinstance(payload, dict):
-            raise ServiceError("request payload must be a JSON object")
-        request_id = payload.get("id")
-        if not isinstance(request_id, str) or not request_id:
-            raise ServiceError("request payload is missing a string 'id'")
-        tokens = payload.get("tokens")
-        counts = payload.get("counts")
-        if counts is not None:
-            if not isinstance(counts, dict):
-                raise ServiceError(
-                    f"embed request {request_id!r} counts must be an object"
-                )
-            for token, count in counts.items():
-                if isinstance(count, bool) or not isinstance(count, int):
-                    raise ServiceError(
-                        f"embed request {request_id!r} count for {token!r} must "
-                        f"be an integer, got {count!r}"
-                    )
-        seed = payload.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ServiceError(
-                f"embed request {request_id!r} seed must be an integer, got {seed!r}"
-            )
-        secret_value = payload.get("secret_value")
-        try:
-            return cls(
-                request_id=request_id,
-                tokens=tuple(str(token) for token in tokens)
-                if tokens is not None
-                else None,
-                counts={str(k): int(v) for k, v in counts.items()}
-                if counts is not None
-                else None,
-                config=payload.get("config"),  # type: ignore[arg-type]
-                seed=seed,
-                secret_value=int(str(secret_value))
-                if secret_value is not None
-                else None,
-                return_tokens=bool(payload.get("return_tokens", False)),
-            )
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ServiceError(
-                f"embed request {request_id!r} payload is malformed: {exc}"
-            ) from exc
-
 
 @dataclass(frozen=True)
-class EmbedResponse:
+class EmbedResponse(_Reply):
     """One embedding outcome (or failure) on the service wire.
 
     A success carries the watermarked histogram (``counts``), optionally
@@ -537,15 +687,18 @@ class EmbedResponse:
     generation summary counters.
     """
 
-    request_id: str
-    ok: bool
-    counts: Optional[Dict[str, int]] = None
-    tokens: Optional[Tuple[str, ...]] = None
-    secret: Optional[Dict[str, object]] = None
-    selected_pairs: Optional[int] = None
-    similarity_percent: Optional[float] = None
-    total_changes: Optional[int] = None
-    error: Optional[str] = None
+    OP = "embed"
+
+    ok: bool = _wire(FLAG)
+    counts: Dict[str, int] = _wire(COUNTS, _on_success, default_factory=dict)
+    tokens: Optional[Tuple[str, ...]] = _wire(
+        STRINGS, _both(_on_success, _if_set), default=None
+    )
+    secret: Dict[str, object] = _wire(OBJECT, _on_success, default_factory=dict)
+    selected_pairs: Optional[int] = _wire(INTEGER, _on_success, default=None)
+    similarity_percent: Optional[float] = _wire(NUMBER, _on_success, default=None)
+    total_changes: Optional[int] = _wire(INTEGER, _on_success, default=None)
+    error: Optional[str] = _wire(TEXT, _on_failure, default=None)
 
     @classmethod
     def from_result(
@@ -569,86 +722,22 @@ class EmbedResponse:
             total_changes=result.total_changes,
         )
 
-    @classmethod
-    def failure(cls, request_id: str, message: str) -> "EmbedResponse":
-        """A failure response carrying only the error message."""
-        return cls(request_id=request_id, ok=False, error=message)
-
     def watermark_secret(self) -> WatermarkSecret:
         """The produced secret list, decoded (raises for failures)."""
-        if not self.ok or self.secret is None:
+        if not self.ok or not self.secret:
             raise ServiceError(
                 f"embed response {self.request_id!r} carries no secret"
             )
         return WatermarkSecret.from_dict(self.secret)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (failure fields omitted on success)."""
-        payload: Dict[str, object] = {
-            "op": "embed",
-            "id": self.request_id,
-            "ok": self.ok,
-        }
-        if self.ok:
-            payload.update(
-                {
-                    "counts": dict(self.counts or {}),
-                    "secret": dict(self.secret or {}),
-                    "selected_pairs": self.selected_pairs,
-                    "similarity_percent": self.similarity_percent,
-                    "total_changes": self.total_changes,
-                }
-            )
-            if self.tokens is not None:
-                payload["tokens"] = list(self.tokens)
-        else:
-            payload["error"] = self.error
-        return payload
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "EmbedResponse":
-        """Rebuild a response from :meth:`to_dict` output."""
-        if not isinstance(payload, dict) or "id" not in payload:
-            raise ServiceError("response payload must be a JSON object with 'id'")
-        if not payload.get("ok"):
-            return cls.failure(
-                str(payload["id"]), str(payload.get("error", "unknown error"))
-            )
-        tokens = payload.get("tokens")
-        return cls(
-            request_id=str(payload["id"]),
-            ok=True,
-            counts={str(k): int(v) for k, v in dict(payload.get("counts", {})).items()},  # type: ignore[arg-type]
-            tokens=tuple(str(token) for token in tokens) if tokens is not None else None,
-            secret=dict(payload.get("secret", {})),  # type: ignore[arg-type]
-            selected_pairs=int(payload.get("selected_pairs", 0)),  # type: ignore[arg-type]
-            similarity_percent=float(payload.get("similarity_percent", 0.0)),  # type: ignore[arg-type]
-            total_changes=int(payload.get("total_changes", 0)),  # type: ignore[arg-type]
-        )
-
-
-def _validated_id(payload: Dict[str, object], verb: str) -> str:
-    """Extract and validate the ``id`` field of a request payload."""
-    if not isinstance(payload, dict):
-        raise ServiceError(f"{verb} request payload must be a JSON object")
-    request_id = payload.get("id")
-    if not isinstance(request_id, str) or not request_id:
-        raise ServiceError(f"{verb} request payload is missing a string 'id'")
-    return request_id
-
-
-def _validated_buyer(payload: Dict[str, object], request_id: str, verb: str) -> str:
-    """Extract and validate the ``buyer_id`` field of a registry payload."""
-    buyer_id = payload.get("buyer_id")
-    if not isinstance(buyer_id, str) or not buyer_id:
-        raise ServiceError(
-            f"{verb} request {request_id!r} is missing a string 'buyer_id'"
-        )
-    return buyer_id
+# --------------------------------------------------------------------- #
+# Vault verbs (register / revoke / attribute)
+# --------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
-class RegisterRequest:
+class RegisterRequest(_Message):
     """One vault registration on the service wire (``op: "register"``).
 
     Attributes
@@ -666,14 +755,14 @@ class RegisterRequest:
         Free-form provenance recorded on the chained ledger entry.
     """
 
-    request_id: str
-    buyer_id: str
-    secret: Dict[str, object]
-    metadata: Dict[str, object] = field(default_factory=dict)
+    OP = "register"
+
+    buyer_id: str = _wire(NAME)
+    secret: Dict[str, object] = _wire(OBJECT)
+    metadata: Dict[str, object] = _wire(OBJECT, _if_nonempty, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("request id must be a non-empty string")
+        super().__post_init__()
         if not self.buyer_id:
             raise ServiceError(
                 f"register request {self.request_id!r} needs a non-empty buyer_id"
@@ -688,189 +777,49 @@ class RegisterRequest:
                 f"register request {self.request_id!r} has a malformed secret: {exc}"
             ) from exc
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (empty metadata omitted)."""
-        payload: Dict[str, object] = {
-            "op": "register",
-            "id": self.request_id,
-            "buyer_id": self.buyer_id,
-            "secret": dict(self.secret),
-        }
-        if self.metadata:
-            payload["metadata"] = dict(self.metadata)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RegisterRequest":
-        """Rebuild a register request from :meth:`to_dict` output (validating)."""
-        request_id = _validated_id(payload, "register")
-        buyer_id = _validated_buyer(payload, request_id, "register")
-        secret = payload.get("secret")
-        if not isinstance(secret, dict):
-            raise ServiceError(
-                f"register request {request_id!r} needs a 'secret' object"
-            )
-        metadata = payload.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise ServiceError(
-                f"register request {request_id!r} metadata must be an object"
-            )
-        return cls(
-            request_id=request_id,
-            buyer_id=buyer_id,
-            secret=secret,
-            metadata=dict(metadata),
-        )
-
 
 @dataclass(frozen=True)
-class RegisterResponse:
+class _VaultChange(_Reply):
+    """The body shared by the register and revoke outcomes."""
+
+    ok: bool = _wire(FLAG)
+    buyer_id: Optional[str] = _wire(TEXT, _on_success, default=None)
+    fingerprint: Optional[str] = _wire(TEXT, _on_success, default=None)
+    vault_size: Optional[int] = _wire(INTEGER, _on_success, default=None)
+    error: Optional[str] = _wire(TEXT, _on_failure, default=None)
+
+
+class RegisterResponse(_VaultChange):
     """One registration outcome (or failure) on the service wire."""
 
-    request_id: str
-    ok: bool
-    buyer_id: Optional[str] = None
-    fingerprint: Optional[str] = None
-    vault_size: Optional[int] = None
-    error: Optional[str] = None
-
-    @classmethod
-    def failure(cls, request_id: str, message: str) -> "RegisterResponse":
-        """A failure response carrying only the error message."""
-        return cls(request_id=request_id, ok=False, error=message)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (failure fields omitted on success)."""
-        payload: Dict[str, object] = {
-            "op": "register",
-            "id": self.request_id,
-            "ok": self.ok,
-        }
-        if self.ok:
-            payload.update(
-                {
-                    "buyer_id": self.buyer_id,
-                    "fingerprint": self.fingerprint,
-                    "vault_size": self.vault_size,
-                }
-            )
-        else:
-            payload["error"] = self.error
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RegisterResponse":
-        """Rebuild a response from :meth:`to_dict` output."""
-        if not isinstance(payload, dict) or "id" not in payload:
-            raise ServiceError("response payload must be a JSON object with 'id'")
-        if not payload.get("ok"):
-            return cls.failure(
-                str(payload["id"]), str(payload.get("error", "unknown error"))
-            )
-        return cls(
-            request_id=str(payload["id"]),
-            ok=True,
-            buyer_id=str(payload.get("buyer_id", "")),
-            fingerprint=str(payload.get("fingerprint", "")),
-            vault_size=int(payload.get("vault_size", 0)),  # type: ignore[arg-type]
-        )
+    OP = "register"
 
 
 @dataclass(frozen=True)
-class RevokeRequest:
+class RevokeRequest(_Message):
     """One vault revocation on the service wire (``op: "revoke"``)."""
 
-    request_id: str
-    buyer_id: str
-    metadata: Dict[str, object] = field(default_factory=dict)
+    OP = "revoke"
+
+    buyer_id: str = _wire(NAME)
+    metadata: Dict[str, object] = _wire(OBJECT, _if_nonempty, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("request id must be a non-empty string")
+        super().__post_init__()
         if not self.buyer_id:
             raise ServiceError(
                 f"revoke request {self.request_id!r} needs a non-empty buyer_id"
             )
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (empty metadata omitted)."""
-        payload: Dict[str, object] = {
-            "op": "revoke",
-            "id": self.request_id,
-            "buyer_id": self.buyer_id,
-        }
-        if self.metadata:
-            payload["metadata"] = dict(self.metadata)
-        return payload
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RevokeRequest":
-        """Rebuild a revoke request from :meth:`to_dict` output (validating)."""
-        request_id = _validated_id(payload, "revoke")
-        buyer_id = _validated_buyer(payload, request_id, "revoke")
-        metadata = payload.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise ServiceError(
-                f"revoke request {request_id!r} metadata must be an object"
-            )
-        return cls(request_id=request_id, buyer_id=buyer_id, metadata=dict(metadata))
-
-
-@dataclass(frozen=True)
-class RevokeResponse:
+class RevokeResponse(_VaultChange):
     """One revocation outcome (or failure) on the service wire."""
 
-    request_id: str
-    ok: bool
-    buyer_id: Optional[str] = None
-    fingerprint: Optional[str] = None
-    vault_size: Optional[int] = None
-    error: Optional[str] = None
-
-    @classmethod
-    def failure(cls, request_id: str, message: str) -> "RevokeResponse":
-        """A failure response carrying only the error message."""
-        return cls(request_id=request_id, ok=False, error=message)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (failure fields omitted on success)."""
-        payload: Dict[str, object] = {
-            "op": "revoke",
-            "id": self.request_id,
-            "ok": self.ok,
-        }
-        if self.ok:
-            payload.update(
-                {
-                    "buyer_id": self.buyer_id,
-                    "fingerprint": self.fingerprint,
-                    "vault_size": self.vault_size,
-                }
-            )
-        else:
-            payload["error"] = self.error
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "RevokeResponse":
-        """Rebuild a response from :meth:`to_dict` output."""
-        if not isinstance(payload, dict) or "id" not in payload:
-            raise ServiceError("response payload must be a JSON object with 'id'")
-        if not payload.get("ok"):
-            return cls.failure(
-                str(payload["id"]), str(payload.get("error", "unknown error"))
-            )
-        return cls(
-            request_id=str(payload["id"]),
-            ok=True,
-            buyer_id=str(payload.get("buyer_id", "")),
-            fingerprint=str(payload.get("fingerprint", "")),
-            vault_size=int(payload.get("vault_size", 0)),  # type: ignore[arg-type]
-        )
+    OP = "revoke"
 
 
 @dataclass(frozen=True)
-class AttributeRequest:
+class AttributeRequest(_Screening, _Message):
     """One leak-attribution request on the service wire (``op: "attribute"``).
 
     The leaked copy travels like a detect request's dataset — ``tokens``
@@ -881,98 +830,19 @@ class AttributeRequest:
     service default is the registry's ``pair_threshold=1``).
     """
 
-    request_id: str
-    tokens: Optional[Tuple[str, ...]] = None
-    counts: Optional[Dict[str, int]] = None
-    config: Optional[Dict[str, object]] = None
+    OP = "attribute"
+
+    tokens: Optional[Tuple[str, ...]] = _wire(STRINGS, _if_set, default=None)
+    counts: Optional[Dict[str, int]] = _wire(COUNTS, _if_set, default=None)
+    config: Optional[Dict[str, object]] = _wire(OBJECT, _if_set, default=None)
 
     def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("request id must be a non-empty string")
-        if (self.tokens is None) == (self.counts is None):
-            raise ServiceError(
-                f"attribute request {self.request_id!r} must carry exactly one "
-                "of tokens/counts"
-            )
-        if self.config is not None:
-            unknown = set(self.config) - _CONFIG_KEYS
-            if unknown:
-                raise ServiceError(
-                    f"attribute request {self.request_id!r} has unknown config "
-                    f"keys: {sorted(unknown)}"
-                )
-
-    def suspect(self) -> SuspectData:
-        """The leaked copy as attribution input."""
-        if self.counts is not None:
-            try:
-                return TokenHistogram.from_counts(self.counts)
-            except (HistogramError, TypeError, ValueError) as exc:
-                raise ServiceError(
-                    f"attribute request {self.request_id!r} has malformed "
-                    f"counts: {exc}"
-                ) from exc
-        return list(self.tokens or ())
-
-    def detection_config(self) -> Optional[DetectionConfig]:
-        """The threshold overrides, decoded — None when absent."""
-        if self.config is None:
-            return None
-        try:
-            return DetectionConfig(**self.config)  # type: ignore[arg-type]
-        except (ConfigurationError, TypeError) as exc:
-            raise ServiceError(
-                f"attribute request {self.request_id!r} has a malformed "
-                f"config: {exc}"
-            ) from exc
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (None fields omitted)."""
-        payload: Dict[str, object] = {"op": "attribute", "id": self.request_id}
-        if self.tokens is not None:
-            payload["tokens"] = list(self.tokens)
-        if self.counts is not None:
-            payload["counts"] = dict(self.counts)
-        if self.config is not None:
-            payload["config"] = dict(self.config)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "AttributeRequest":
-        """Rebuild an attribute request from :meth:`to_dict` output (validating)."""
-        request_id = _validated_id(payload, "attribute")
-        tokens = payload.get("tokens")
-        counts = payload.get("counts")
-        if counts is not None:
-            if not isinstance(counts, dict):
-                raise ServiceError(
-                    f"attribute request {request_id!r} counts must be an object"
-                )
-            for token, count in counts.items():
-                if isinstance(count, bool) or not isinstance(count, int):
-                    raise ServiceError(
-                        f"attribute request {request_id!r} count for {token!r} "
-                        f"must be an integer, got {count!r}"
-                    )
-        try:
-            return cls(
-                request_id=request_id,
-                tokens=tuple(str(token) for token in tokens)
-                if tokens is not None
-                else None,
-                counts={str(k): int(v) for k, v in counts.items()}
-                if counts is not None
-                else None,
-                config=payload.get("config"),  # type: ignore[arg-type]
-            )
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise ServiceError(
-                f"attribute request {request_id!r} payload is malformed: {exc}"
-            ) from exc
+        super().__post_init__()
+        _check_dataset(self, _CONFIG_KEYS)
 
 
 @dataclass(frozen=True)
-class AttributeResponse:
+class AttributeResponse(_Reply):
     """One attribution outcome (or failure) on the service wire.
 
     ``matches`` lists the buyers whose watermark verified on the leaked
@@ -982,163 +852,30 @@ class AttributeResponse:
     observe how much the candidate index pruned.
     """
 
-    request_id: str
-    ok: bool
-    matches: Tuple[Tuple[str, float], ...] = ()
-    mode: Optional[str] = None
-    candidates: Optional[int] = None
-    active_secrets: Optional[int] = None
-    error: Optional[str] = None
+    OP = "attribute"
 
-    @classmethod
-    def failure(cls, request_id: str, message: str) -> "AttributeResponse":
-        """A failure response carrying only the error message."""
-        return cls(request_id=request_id, ok=False, error=message)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (failure fields omitted on success)."""
-        payload: Dict[str, object] = {
-            "op": "attribute",
-            "id": self.request_id,
-            "ok": self.ok,
-        }
-        if self.ok:
-            payload.update(
-                {
-                    "matches": [
-                        {"buyer_id": buyer_id, "accepted_fraction": fraction}
-                        for buyer_id, fraction in self.matches
-                    ],
-                    "mode": self.mode,
-                    "candidates": self.candidates,
-                    "active_secrets": self.active_secrets,
-                }
-            )
-        else:
-            payload["error"] = self.error
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "AttributeResponse":
-        """Rebuild a response from :meth:`to_dict` output."""
-        if not isinstance(payload, dict) or "id" not in payload:
-            raise ServiceError("response payload must be a JSON object with 'id'")
-        if not payload.get("ok"):
-            return cls.failure(
-                str(payload["id"]), str(payload.get("error", "unknown error"))
-            )
-        raw_matches = payload.get("matches", [])
-        if not isinstance(raw_matches, list):
-            raise ServiceError(
-                f"attribute response {payload['id']!r} matches must be a list"
-            )
-        matches = tuple(
-            (str(match["buyer_id"]), float(match["accepted_fraction"]))
-            for match in raw_matches
-        )
-        return cls(
-            request_id=str(payload["id"]),
-            ok=True,
-            matches=matches,
-            mode=str(payload.get("mode", "")) or None,
-            candidates=int(payload.get("candidates", 0)),  # type: ignore[arg-type]
-            active_secrets=int(payload.get("active_secrets", 0)),  # type: ignore[arg-type]
-        )
+    ok: bool = _wire(FLAG)
+    matches: Tuple[Tuple[str, float], ...] = _wire(MATCHES, _on_success, default=())
+    mode: Optional[str] = _wire(TEXT, _on_success, default=None)
+    candidates: Optional[int] = _wire(INTEGER, _on_success, default=None)
+    active_secrets: Optional[int] = _wire(INTEGER, _on_success, default=None)
+    error: Optional[str] = _wire(TEXT, _on_failure, default=None)
 
 
-#: ``function`` value marking a task request as a liveness probe.
-HEARTBEAT_FUNCTION = "__heartbeat__"
-
-#: Upper bound on any single binary frame a v4 line may announce; a
-#: corrupt length must never talk a peer into an unbounded allocation.
-MAX_FRAME_BYTES = 1 << 31
-
-
-def _validated_frames(payload: Dict[str, object], request_id: str) -> Tuple[int, ...]:
-    """The ``frames`` field as a validated tuple of byte counts."""
-    value = payload.get("frames")
-    if value is None:
-        return ()
-    if not isinstance(value, list) or not all(
-        isinstance(item, int)
-        and not isinstance(item, bool)
-        and 0 <= item <= MAX_FRAME_BYTES
-        for item in value
-    ):
-        raise ServiceError(
-            f"line {request_id!r} 'frames' must be a list of frame byte counts"
-        )
-    return tuple(value)
-
-
-def _validated_digests(payload: Dict[str, object], request_id: str) -> Tuple[str, ...]:
-    """The ``blob_refs`` field as a validated tuple of digest strings."""
-    value = payload.get("blob_refs")
-    if value is None:
-        return ()
-    if not isinstance(value, list) or not all(
-        isinstance(item, str) and item for item in value
-    ):
-        raise ServiceError(
-            f"task request {request_id!r} 'blob_refs' must be a list of digests"
-        )
-    return tuple(value)
-
-
-def _validated_count(payload: Dict[str, object], name: str, request_id: str) -> int:
-    """A non-negative integer field (absent = 0)."""
-    value = payload.get(name, 0)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ServiceError(
-            f"line {request_id!r} field {name!r} must be a non-negative integer"
-        )
-    return value
-
-
-def _validated_trace(
-    payload: Dict[str, object], request_id: str
-) -> Optional[Tuple[str, str]]:
-    """The optional ``trace`` field as a ``(trace_id, parent_id)`` pair."""
-    value = payload.get("trace")
-    if value is None:
-        return None
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(item, str) and item for item in value)
-    ):
-        raise ServiceError(
-            f"task request {request_id!r} 'trace' must be a "
-            "[trace_id, parent_span_id] pair of strings"
-        )
-    return (value[0], value[1])
-
-
-def _validated_spans(
-    payload: Dict[str, object], request_id: str
-) -> Tuple[Dict[str, object], ...]:
-    """The optional ``spans`` field as a tuple of span dicts."""
-    value = payload.get("spans")
-    if value is None:
-        return ()
-    if not isinstance(value, list) or not all(
-        isinstance(item, dict) for item in value
-    ):
-        raise ServiceError(
-            f"line {request_id!r} 'spans' must be a list of span objects"
-        )
-    return tuple(value)
+# --------------------------------------------------------------------- #
+# Scheduler verbs (task / result / blob-request / blob)
+# --------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
-class TaskRequest:
+class TaskRequest(_Message):
     """One scheduler task on the service wire (``op: "task"``).
 
     The executable part travels as *names* — a registered task
     ``function`` and optional ``initializer`` — while the data parts
-    (``payload``, ``init_args``) are base64-pickled blobs produced by
-    :func:`repro.exec.remote.pickle_b64`. Pickle on the wire is a
-    deliberate trusted-transport trade-off (documented in
+    (payload, initializer arguments) follow the line as binary frames
+    (pickle protocol 5, see :mod:`repro.exec.blobs`). Pickle on the
+    wire is a deliberate trusted-transport trade-off (documented in
     ``docs/scheduler.md``): the remote leg generalises an in-machine
     ``multiprocessing`` pool, which pickles the very same objects.
 
@@ -1149,56 +886,46 @@ class TaskRequest:
     function:
         Registered task-function name, or :data:`HEARTBEAT_FUNCTION`
         for a liveness probe (all other fields then stay empty).
-    payload:
-        Base64-pickled task payload (``None`` for heartbeats).
     initializer:
         Optional registered initializer name for worker-local state.
     init_key:
         Cache key for the initializer product (required with
         ``initializer``).
-    init_args:
-        Base64-pickled initializer arguments tuple.
     fingerprint:
         The task's stable identifier, echoed on the result so lost or
         failed work stays attributable.
     blob_refs:
-        v4: SHA-256 digests of blobs this task references. The worker
+        SHA-256 digests of blobs this task references. The worker
         fetches any digest it has not cached via ``blob-request``
         before running the task.
     frames:
-        v4: byte sizes of the binary frames following this line. When
-        set, ``payload``/``init_args`` are absent and the frames carry
-        their pickle-protocol-5 serialisations instead.
+        Byte sizes of the binary frames following this line.
     payload_frames:
-        v4: how many leading entries of ``frames`` belong to the
-        payload (metadata frame + out-of-band buffers).
+        How many leading entries of ``frames`` belong to the payload
+        (metadata frame + out-of-band buffers).
     init_frames:
-        v4: how many entries after the payload's belong to
-        ``init_args`` (0 = inherit the v3 ``init_args`` field).
+        How many entries after the payload's belong to the
+        initializer arguments (0 = none).
     trace:
         Optional ``(trace_id, parent_span_id)`` telemetry context.
         A worker receiving it records a span for the task and ships
-        the span back on the result line; peers that predate the field
-        ignore it (fields are only ever *added* within a protocol
-        version, so this stays v4).
+        the span back on the result line.
     """
 
-    request_id: str
-    function: str
-    payload: Optional[str] = None
-    initializer: Optional[str] = None
-    init_key: str = ""
-    init_args: Optional[str] = None
-    fingerprint: str = ""
-    blob_refs: Tuple[str, ...] = ()
-    frames: Tuple[int, ...] = ()
-    payload_frames: int = 0
-    init_frames: int = 0
-    trace: Optional[Tuple[str, str]] = None
+    OP = "task"
+
+    function: str = _wire(NAME)
+    initializer: Optional[str] = _wire(TEXT, _if_set, default=None)
+    init_key: str = _wire(TEXT, _if_nonempty, default="")
+    fingerprint: str = _wire(TEXT, _if_nonempty, default="")
+    blob_refs: Tuple[str, ...] = _wire(DIGESTS, _if_nonempty, default=())
+    frames: Tuple[int, ...] = _wire(FRAMES, _if_nonempty, default=())
+    payload_frames: int = _wire(COUNT, _with_frames, default=0)
+    init_frames: int = _wire(COUNT, _with_frames, default=0)
+    trace: Optional[Tuple[str, str]] = _wire(TRACE, _if_set, default=None)
 
     def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("request id must be a non-empty string")
+        super().__post_init__()
         if not self.function:
             raise ServiceError(
                 f"task request {self.request_id!r} needs a function name"
@@ -1214,73 +941,16 @@ class TaskRequest:
         """Whether this request is a liveness probe, not a task."""
         return self.function == HEARTBEAT_FUNCTION
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (None fields omitted)."""
-        payload: Dict[str, object] = {
-            "op": "task",
-            "id": self.request_id,
-            "function": self.function,
-        }
-        if self.payload is not None:
-            payload["payload"] = self.payload
-        if self.initializer is not None:
-            payload["initializer"] = self.initializer
-        if self.init_key:
-            payload["init_key"] = self.init_key
-        if self.init_args is not None:
-            payload["init_args"] = self.init_args
-        if self.fingerprint:
-            payload["fingerprint"] = self.fingerprint
-        if self.blob_refs:
-            payload["blob_refs"] = list(self.blob_refs)
-        if self.frames:
-            payload["frames"] = list(self.frames)
-            payload["payload_frames"] = self.payload_frames
-            payload["init_frames"] = self.init_frames
-        if self.trace is not None:
-            payload["trace"] = list(self.trace)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "TaskRequest":
-        """Rebuild a task request from :meth:`to_dict` output (validating)."""
-        request_id = _validated_id(payload, "task")
-        function = payload.get("function")
-        if not isinstance(function, str) or not function:
-            raise ServiceError(
-                f"task request {request_id!r} needs a string 'function'"
-            )
-        for name in ("payload", "initializer", "init_key", "init_args", "fingerprint"):
-            value = payload.get(name)
-            if value is not None and not isinstance(value, str):
-                raise ServiceError(
-                    f"task request {request_id!r} field {name!r} must be a string"
-                )
-        return cls(
-            request_id=request_id,
-            function=function,
-            payload=payload.get("payload"),  # type: ignore[arg-type]
-            initializer=payload.get("initializer"),  # type: ignore[arg-type]
-            init_key=str(payload.get("init_key", "")),
-            init_args=payload.get("init_args"),  # type: ignore[arg-type]
-            fingerprint=str(payload.get("fingerprint", "")),
-            blob_refs=_validated_digests(payload, request_id),
-            frames=_validated_frames(payload, request_id),
-            payload_frames=_validated_count(payload, "payload_frames", request_id),
-            init_frames=_validated_count(payload, "init_frames", request_id),
-            trace=_validated_trace(payload, request_id),
-        )
-
 
 @dataclass(frozen=True)
-class TaskResult:
+class TaskResult(_Reply):
     """One scheduler task outcome on the service wire (``op: "result"``).
 
-    A success carries the base64-pickled return value — or, on a v4
-    stream, announces binary ``frames`` after the line holding the
-    value's pickle-protocol-5 serialisation instead. A failure carries
-    the exception's type name and message so the client can re-raise a
-    typed error without unpickling arbitrary exception objects.
+    A success announces binary ``frames`` after the line holding the
+    return value's pickle-protocol-5 serialisation (a heartbeat ack
+    carries none). A failure carries the exception's type name and
+    message so the client can re-raise a typed error without unpickling
+    arbitrary exception objects.
 
     ``spans`` carries the telemetry spans the worker recorded for this
     task when the request asked for a trace (plain JSON objects, no
@@ -1288,80 +958,20 @@ class TaskResult:
     stitched tree spans both processes.
     """
 
-    request_id: str
-    ok: bool
-    result: Optional[str] = None
-    error: Optional[str] = None
-    error_type: Optional[str] = None
-    fingerprint: str = ""
-    frames: Tuple[int, ...] = ()
-    spans: Tuple[Dict[str, object], ...] = ()
+    OP = "result"
 
-    def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("result id must be a non-empty string")
-
-    @classmethod
-    def failure(cls, request_id: str, message: str) -> "TaskResult":
-        """A failure result carrying only the error message."""
-        return cls(request_id=request_id, ok=False, error=message)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (failure fields omitted on success)."""
-        payload: Dict[str, object] = {
-            "op": "result",
-            "id": self.request_id,
-            "ok": self.ok,
-        }
-        if self.ok:
-            if self.result is not None:
-                payload["result"] = self.result
-        else:
-            payload["error"] = self.error
-            if self.error_type is not None:
-                payload["error_type"] = self.error_type
-        if self.fingerprint:
-            payload["fingerprint"] = self.fingerprint
-        if self.frames:
-            payload["frames"] = list(self.frames)
-        if self.spans:
-            payload["spans"] = list(self.spans)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "TaskResult":
-        """Rebuild a task result from :meth:`to_dict` output."""
-        if not isinstance(payload, dict) or "id" not in payload:
-            raise ServiceError("response payload must be a JSON object with 'id'")
-        request_id = str(payload["id"])
-        if not payload.get("ok"):
-            error_type = payload.get("error_type")
-            return cls(
-                request_id=request_id,
-                ok=False,
-                error=str(payload.get("error", "unknown error")),
-                error_type=str(error_type) if error_type is not None else None,
-                fingerprint=str(payload.get("fingerprint", "")),
-                frames=_validated_frames(payload, request_id),
-                spans=_validated_spans(payload, request_id),
-            )
-        result = payload.get("result")
-        if result is not None and not isinstance(result, str):
-            raise ServiceError(
-                f"task result {payload['id']!r} 'result' must be a string"
-            )
-        return cls(
-            request_id=request_id,
-            ok=True,
-            result=result,
-            fingerprint=str(payload.get("fingerprint", "")),
-            frames=_validated_frames(payload, request_id),
-            spans=_validated_spans(payload, request_id),
-        )
+    ok: bool = _wire(FLAG)
+    error: Optional[str] = _wire(TEXT, _on_failure, default=None)
+    error_type: Optional[str] = _wire(
+        TEXT, _both(_on_failure, _if_set), default=None
+    )
+    fingerprint: str = _wire(TEXT, _if_nonempty, default="")
+    frames: Tuple[int, ...] = _wire(FRAMES, _if_nonempty, default=())
+    spans: Tuple[Dict[str, object], ...] = _wire(SPANS, _if_nonempty, default=())
 
 
 @dataclass(frozen=True)
-class BlobRequest:
+class BlobRequest(_Message):
     """A worker asking for a blob it does not hold (``op: "blob-request"``).
 
     Sent worker→client while a task naming unknown ``blob_refs`` is
@@ -1370,33 +980,13 @@ class BlobRequest:
     at most once per connection — the answer lands in its bounded store.
     """
 
-    request_id: str
-    digest: str
+    OP = "blob-request"
 
-    def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("blob request id must be a non-empty string")
-        if not self.digest:
-            raise ServiceError("blob request needs a digest")
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload."""
-        return {"op": "blob-request", "id": self.request_id, "digest": self.digest}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "BlobRequest":
-        """Rebuild from :meth:`to_dict` output (validating)."""
-        request_id = _validated_id(payload, "blob-request")
-        digest = payload.get("digest")
-        if not isinstance(digest, str) or not digest:
-            raise ServiceError(
-                f"blob request {request_id!r} needs a string 'digest'"
-            )
-        return cls(request_id=request_id, digest=digest)
+    digest: str = _wire(NAME)
 
 
 @dataclass(frozen=True)
-class BlobResponse:
+class BlobResponse(_Message):
     """A blob delivery answering a :class:`BlobRequest` (``op: "blob"``).
 
     On success the line's ``frames`` announce the blob's binary frames
@@ -1407,61 +997,24 @@ class BlobResponse:
     fail the dependent task in a way the scheduler retries inline.
     """
 
-    request_id: str
-    digest: str
-    ok: bool = True
-    frames: Tuple[int, ...] = ()
-    error: Optional[str] = None
-    error_type: Optional[str] = None
+    OP = "blob"
 
-    def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("blob response id must be a non-empty string")
-        if not self.digest:
-            raise ServiceError("blob response needs a digest")
+    digest: str = _wire(NAME)
+    ok: bool = _wire(FLAG, default=True)
+    frames: Tuple[int, ...] = _wire(FRAMES, _on_success, default=())
+    error: Optional[str] = _wire(TEXT, _on_failure, default=None)
+    error_type: Optional[str] = _wire(
+        TEXT, _both(_on_failure, _if_set), default=None
+    )
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (failure fields omitted on success)."""
-        payload: Dict[str, object] = {
-            "op": "blob",
-            "id": self.request_id,
-            "digest": self.digest,
-            "ok": self.ok,
-        }
-        if self.ok:
-            payload["frames"] = list(self.frames)
-        else:
-            payload["error"] = self.error
-            if self.error_type is not None:
-                payload["error_type"] = self.error_type
-        return payload
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "BlobResponse":
-        """Rebuild from :meth:`to_dict` output (validating)."""
-        request_id = _validated_id(payload, "blob")
-        digest = payload.get("digest")
-        if not isinstance(digest, str) or not digest:
-            raise ServiceError(f"blob line {request_id!r} needs a string 'digest'")
-        if not payload.get("ok"):
-            error_type = payload.get("error_type")
-            return cls(
-                request_id=request_id,
-                digest=digest,
-                ok=False,
-                error=str(payload.get("error", "unknown error")),
-                error_type=str(error_type) if error_type is not None else None,
-            )
-        return cls(
-            request_id=request_id,
-            digest=digest,
-            ok=True,
-            frames=_validated_frames(payload, request_id),
-        )
+# --------------------------------------------------------------------- #
+# Telemetry verb (stats)
+# --------------------------------------------------------------------- #
 
 
 @dataclass(frozen=True)
-class StatsRequest:
+class StatsRequest(_Message):
     """A telemetry snapshot request (``op: "stats"``).
 
     Asks the service for its metrics registry — counters, gauges,
@@ -1471,24 +1024,11 @@ class StatsRequest:
     error envelope, which clients surface as a typed failure).
     """
 
-    request_id: str
-
-    def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("stats request id must be a non-empty string")
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload."""
-        return {"op": "stats", "id": self.request_id}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "StatsRequest":
-        """Rebuild from :meth:`to_dict` output (validating)."""
-        return cls(request_id=_validated_id(payload, "stats"))
+    OP = "stats"
 
 
 @dataclass(frozen=True)
-class StatsResponse:
+class StatsResponse(_Reply):
     """The telemetry snapshot answering a :class:`StatsRequest`.
 
     ``metrics`` is the registry's JSON snapshot
@@ -1497,62 +1037,20 @@ class StatsResponse:
     exposition format, ready to serve to a scraper.
     """
 
-    request_id: str
-    ok: bool = True
-    metrics: Dict[str, object] = field(default_factory=dict)
-    prometheus: str = ""
-    error: Optional[str] = None
-    error_type: Optional[str] = None
+    OP = "stats"
 
-    def __post_init__(self) -> None:
-        if not self.request_id:
-            raise ServiceError("stats response id must be a non-empty string")
+    ok: bool = _wire(FLAG, default=True)
+    metrics: Dict[str, object] = _wire(OBJECT, _on_success, default_factory=dict)
+    prometheus: str = _wire(TEXT, _on_success, default="")
+    error: Optional[str] = _wire(TEXT, _on_failure, default=None)
+    error_type: Optional[str] = _wire(
+        TEXT, _both(_on_failure, _if_set), default=None
+    )
 
-    @classmethod
-    def failure(cls, request_id: str, message: str) -> "StatsResponse":
-        """A failure response carrying only the error message."""
-        return cls(request_id=request_id, ok=False, error=message)
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable payload (failure fields omitted on success)."""
-        payload: Dict[str, object] = {
-            "op": "stats",
-            "id": self.request_id,
-            "ok": self.ok,
-        }
-        if self.ok:
-            payload["metrics"] = self.metrics
-            payload["prometheus"] = self.prometheus
-        else:
-            payload["error"] = self.error
-            if self.error_type is not None:
-                payload["error_type"] = self.error_type
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "StatsResponse":
-        """Rebuild from :meth:`to_dict` output (validating)."""
-        request_id = _validated_id(payload, "stats")
-        if not payload.get("ok"):
-            error_type = payload.get("error_type")
-            return cls(
-                request_id=request_id,
-                ok=False,
-                error=str(payload.get("error", "unknown error")),
-                error_type=str(error_type) if error_type is not None else None,
-            )
-        metrics = payload.get("metrics", {})
-        if not isinstance(metrics, dict):
-            raise ServiceError(
-                f"stats response {request_id!r} 'metrics' must be an object"
-            )
-        prometheus = payload.get("prometheus", "")
-        if not isinstance(prometheus, str):
-            raise ServiceError(
-                f"stats response {request_id!r} 'prometheus' must be a string"
-            )
-        return cls(request_id=request_id, ok=True, metrics=metrics, prometheus=prometheus)
-
+# --------------------------------------------------------------------- #
+# Lines
+# --------------------------------------------------------------------- #
 
 #: Any verb's request / response, as produced by the line decoders. The
 #: blob verbs appear in both unions: ``blob-request`` flows worker→client
@@ -1583,30 +1081,51 @@ WireResponse = Union[
 
 _REQUEST_TYPES: Dict[str, type] = {
     "detect": DetectRequest,
-    "embed": EmbedRequest,
-    "register": RegisterRequest,
-    "revoke": RevokeRequest,
-    "attribute": AttributeRequest,
-    "task": TaskRequest,
-    "stats": StatsRequest,
-    "blob": BlobResponse,
-    "blob-request": BlobRequest,
+    **{
+        message_type.OP: message_type
+        for message_type in (
+            EmbedRequest,
+            RegisterRequest,
+            RevokeRequest,
+            AttributeRequest,
+            TaskRequest,
+            StatsRequest,
+            BlobResponse,
+            BlobRequest,
+        )
+    },
 }
 
 _RESPONSE_TYPES: Dict[str, type] = {
+    "detect": DetectResponse,
+    **{
+        message_type.OP: message_type
+        for message_type in (
+            EmbedResponse,
+            RegisterResponse,
+            RevokeResponse,
+            AttributeResponse,
+            TaskResult,
+            StatsResponse,
+            BlobResponse,
+            BlobRequest,
+        )
+    },
+}
+
+#: The reply answering each request verb, for failure envelopes.
+_REPLY_TYPES: Dict[str, type] = {
     "detect": DetectResponse,
     "embed": EmbedResponse,
     "register": RegisterResponse,
     "revoke": RevokeResponse,
     "attribute": AttributeResponse,
-    "result": TaskResult,
     "stats": StatsResponse,
-    "blob": BlobResponse,
-    "blob-request": BlobRequest,
+    "task": TaskResult,
 }
 
 
-def _check_protocol(payload: object) -> None:
+def _check_protocol(payload: Dict[str, object]) -> None:
     """Enforce the compatibility rule on a decoded payload's ``v`` field.
 
     An absent ``v`` means protocol version 1 (the pre-registry wire);
@@ -1614,8 +1133,6 @@ def _check_protocol(payload: object) -> None:
     newer (or malformed) is rejected so a peer never silently
     misinterprets semantics it does not implement.
     """
-    if not isinstance(payload, dict):
-        return
     version = payload.get("v", 1)
     if isinstance(version, bool) or not isinstance(version, int) or version < 1:
         raise ServiceError(f"protocol version must be a positive integer, got {version!r}")
@@ -1626,17 +1143,27 @@ def _check_protocol(payload: object) -> None:
         )
 
 
-def encode_line(message, *, version: Optional[int] = None) -> str:
+def _parse(line: str, side: str) -> Tuple[Dict[str, object], object]:
+    """A line's version-checked JSON object and its ``op`` (default detect)."""
+    try:
+        payload = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise ServiceError(f"{side} line is not valid JSON: {exc}") from exc
+    if type(payload) is not dict:
+        raise ServiceError(f"{side} line must be a JSON object")
+    _check_protocol(payload)
+    return payload, payload.get("op", "detect")
+
+
+def encode_line(message: Any) -> str:
     """Encode a request/response as one JSON line (no trailing newline).
 
     The line carries the sender's :data:`PROTOCOL_VERSION` as ``v`` next
     to the message payload, so peers can apply the compatibility rule
-    before interpreting any verb-specific field. ``version`` lets a
-    sender speak *down* to a negotiated older peer (the scheduler's
-    v3 fallback path); speaking up is never valid.
+    before interpreting any verb-specific field.
     """
     payload = message.to_dict()
-    payload["v"] = PROTOCOL_VERSION if version is None else min(version, PROTOCOL_VERSION)
+    payload["v"] = PROTOCOL_VERSION
     return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
@@ -1645,38 +1172,72 @@ def decode_request(line: str) -> WireRequest:
 
     The ``op`` field discriminates (absent means ``"detect"``); the
     ``v`` field is checked against :data:`PROTOCOL_VERSION` first.
+    Every malformed line raises :class:`~repro.exceptions.ServiceError`.
     """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ServiceError(f"request line is not valid JSON: {exc}") from exc
-    _check_protocol(payload)
-    if isinstance(payload, dict):
-        operation = payload.get("op", "detect")
-        request_type = _REQUEST_TYPES.get(operation)  # type: ignore[arg-type]
-        if request_type is None:
-            raise ServiceError(f"unknown request op {operation!r}")
-        return request_type.from_dict(payload)
-    return DetectRequest.from_dict(payload)
+    payload, operation = _parse(line, "request")
+    request_type = _REQUEST_TYPES.get(operation) if type(operation) is str else None
+    if request_type is None:
+        raise ServiceError(f"unknown request op {operation!r}")
+    return request_type.from_dict(payload)
 
 
 def decode_response(line: str) -> WireResponse:
-    """Decode one JSON line into a response (any verb, op-discriminated)."""
+    """Decode one JSON line into a response (any verb, op-discriminated).
+
+    A line with an unknown ``op`` decodes as a detect response, so a
+    client still sees the ``id`` / ``ok`` / ``error`` of a newer verb.
+    """
+    payload, operation = _parse(line, "response")
+    response_type = _RESPONSE_TYPES.get(operation) if type(operation) is str else None
+    return (response_type or DetectResponse).from_dict(payload)
+
+
+def announced_frames(payload: Dict[str, object]) -> Tuple[int, ...]:
+    """The binary frame sizes a parsed line announces (``()`` for none).
+
+    Raises :class:`~repro.exceptions.ServiceError` for an invalid
+    announcement — the same check the codec applies to ``frames``.
+    """
+    value = payload.get("frames")
+    if value is None:
+        return ()
+    try:
+        return _frame_sizes(value)
+    except (TypeError, ValueError):
+        raise ServiceError(f"'frames' must be {FRAMES.expects}") from None
+
+
+def failure_for_line(
+    line: str, error: Exception, reply_type: Optional[type] = None
+) -> WireResponse:
+    """A failure answering an undecodable line, with its id when it has one.
+
+    ``reply_type`` fixes the response class (a worker answers every
+    line with a :class:`TaskResult`); by default the line's ``op`` picks
+    the reply of that verb, and a detect response answers anything else.
+    """
+    request_id, operation = "?", "detect"
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ServiceError(f"response line is not valid JSON: {exc}") from exc
-    _check_protocol(payload)
-    if isinstance(payload, dict):
-        response_type = _RESPONSE_TYPES.get(payload.get("op", "detect"))  # type: ignore[arg-type]
-        if response_type is not None:
-            return response_type.from_dict(payload)
-    return DetectResponse.from_dict(payload)
+    except (ValueError, RecursionError):
+        payload = None
+    if type(payload) is dict:
+        if type(payload.get("id")) is str and payload["id"]:
+            request_id = payload["id"]
+        operation = payload.get("op", "detect")
+    if reply_type is None:
+        reply_type = (
+            _REPLY_TYPES.get(operation, DetectResponse)
+            if type(operation) is str
+            else DetectResponse
+        )
+    return reply_type.failure(request_id, str(error))
 
 
 __all__ = [
     "HEARTBEAT_FUNCTION",
     "MAX_FRAME_BYTES",
+    "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
     "AttributeRequest",
     "AttributeResponse",
@@ -1696,7 +1257,9 @@ __all__ = [
     "TaskResult",
     "WireRequest",
     "WireResponse",
-    "encode_line",
+    "announced_frames",
     "decode_request",
     "decode_response",
+    "encode_line",
+    "failure_for_line",
 ]

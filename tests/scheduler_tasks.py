@@ -71,20 +71,16 @@ register_initializer("schedtest.state", make_state)
 
 
 @contextmanager
-def spawn_worker(socket_path, extra_env=None):
+def spawn_worker(socket_path):
     """Run ``freqywm worker --socket socket_path`` until the block exits.
 
     Waits for the ``listening on ...`` readiness line on stderr before
     yielding, and terminates the process afterwards. The worker imports
     this module, so the ``schedtest.*`` registrations above are served.
-    ``extra_env`` adds/overrides environment variables for the worker
-    (the mixed-fleet tests lower ``FREQYWM_WIRE_CEILING`` through it).
     """
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src_dir = os.path.join(os.path.dirname(tests_dir), "src")
     env = dict(os.environ)
-    if extra_env:
-        env.update(extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
         [src_dir, tests_dir] + env.get("PYTHONPATH", "").split(os.pathsep)
     ).rstrip(os.pathsep)

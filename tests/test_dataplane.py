@@ -15,10 +15,9 @@ Four layers, matching ``docs/scheduler.md``:
   shared memory, unlinks every segment on completion, and — the crash
   contract — on teardown after a worker death, with verdicts identical
   to the inline path.
-* **Remote v4** — a real ``freqywm worker`` fetches each missing blob
-  exactly once (dedup counters prove it), a ceiling-lowered worker
-  negotiates down to v3 inline payloads transparently, and a
-  blob-request for an evicted digest fails typed and bounded.
+* **Remote wire** — a real ``freqywm worker`` fetches each missing blob
+  exactly once (dedup counters prove it), and a blob-request for an
+  evicted digest fails typed and bounded.
 """
 
 from __future__ import annotations
@@ -288,35 +287,10 @@ class TestRemoteDataPlane:
             with scheduler:
                 results = scheduler.run(specs)
             assert results == [shared] * 5
-            address = f"unix:{socket_path}"
-            assert scheduler._versions[address] == 4
             stats = scheduler.stats
             assert stats.blobs_sent == 1  # fetched exactly once
             assert stats.blobs_deduped == 4  # reused by the other tasks
             assert stats.bytes_deduped >= 4 * len(shared)
-
-    def test_v3_worker_degrades_to_inline_payloads(self, fresh_store, tmp_path):
-        shared = _payload_bytes()
-        payload, refs = maybe_blob(shared, store=fresh_store)
-        specs = [
-            TaskSpec(
-                fingerprint=f"old-{i}",
-                function="schedtest.echo",
-                payload=payload,
-                blob_refs=refs,
-            )
-            for i in range(3)
-        ]
-        socket_path = tmp_path / "old-worker.sock"
-        with scheduler_tasks.spawn_worker(
-            socket_path, extra_env={"FREQYWM_WIRE_CEILING": "3"}
-        ):
-            scheduler = RemoteScheduler([f"unix:{socket_path}"])
-            with scheduler:
-                results = scheduler.run(specs)
-            assert results == [shared] * 3
-            assert scheduler._versions[f"unix:{socket_path}"] == 3
-            assert scheduler.stats.blobs_sent == 0  # nothing framed
 
     def test_evicted_digest_fails_typed_within_the_retry_bound(
         self, fresh_store, tmp_path

@@ -451,7 +451,7 @@ class TestWireTelemetry:
 
     def test_task_result_spans_round_trip_on_success_and_failure(self):
         shipped = ({"trace": "t", "span": "s", "parent": "p", "name": "task:x"},)
-        success = TaskResult(request_id="r1", ok=True, result=None, spans=shipped)
+        success = TaskResult(request_id="r1", ok=True, spans=shipped)
         assert TaskResult.from_dict(success.to_dict()).spans == shipped
         failure = TaskResult.failure("r2", "kaput")
         payload = failure.to_dict()

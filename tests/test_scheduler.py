@@ -8,8 +8,7 @@ Three layers, matching ``docs/scheduler.md``:
   mid-task is retried exactly once, then surfaces as
   :class:`~repro.exceptions.WorkerCrashError` with the task's
   fingerprint).
-* **Wire codec** — address parsing and TaskSpec ↔ TaskRequest round
-  trips.
+* **Addresses** — worker address parsing.
 * **RemoteScheduler** — real ``freqywm worker`` subprocesses over Unix
   sockets: ordered gather across two workers, typed remote errors, a
   heartbeat timeout marking an unresponsive worker dead *without* losing
@@ -29,12 +28,7 @@ import pytest
 
 import scheduler_tasks
 from repro.exceptions import DetectionError, SchedulerError, WorkerCrashError
-from repro.exec.remote import (
-    RemoteScheduler,
-    parse_address,
-    spec_from_request,
-    spec_to_request,
-)
+from repro.exec.remote import RemoteScheduler, parse_address
 from repro.exec.scheduler import (
     LocalScheduler,
     TaskSpec,
@@ -210,17 +204,6 @@ class TestAddressesAndCodec:
     def test_malformed_addresses_are_rejected(self, bad):
         with pytest.raises(SchedulerError):
             parse_address(bad)
-
-    def test_spec_round_trips_through_the_wire_request(self):
-        spec = TaskSpec(
-            fingerprint="fp-1",
-            function="schedtest.with_state",
-            payload={"k": [1, 2]},
-            initializer="schedtest.state",
-            init_key="key-z",
-            init_args=("z",),
-        )
-        assert spec_from_request(spec_to_request(spec, "task-0-1-1")) == spec
 
 
 # --------------------------------------------------------------------------- #

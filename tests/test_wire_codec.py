@@ -1,0 +1,693 @@
+"""The one wire codec: pinned bytes, round trips, fuzzing, transports.
+
+Four layers:
+
+* **Golden lines** — the exact :func:`encode_line` output of one success
+  and one failure message per verb (plus the request of each verb) is
+  pinned byte for byte, and each line decodes back to its message.
+* **Round trip** — for every message each of the sixteen classes can
+  construct, ``decode(encode_line(m)) == m``.
+* **Fuzz** — on any JSON line, :func:`decode_request` and
+  :func:`decode_response` return a message or raise
+  :class:`~repro.exceptions.ServiceError`, nothing else.
+* **Transports** — lines the codec rejects (a non-string ``op``) are
+  still answered by ``serve`` and by a worker, and a detect line over
+  asyncio's 64 KiB default line limit is served over a Unix socket.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.detector import WatermarkDetector
+from repro.core.generator import generate_watermark
+from repro.core.histogram import TokenHistogram
+from repro.datasets.synthetic import generate_power_law_tokens
+from repro.exceptions import ServiceError
+from repro.exec.worker import TaskWorkerServer
+from repro.service import DetectionService, ServiceClient, ServiceConfig, serve_stdio, serve_unix
+from repro.service.wire import (
+    HEARTBEAT_FUNCTION,
+    MAX_FRAME_BYTES,
+    AttributeRequest,
+    AttributeResponse,
+    BlobRequest,
+    BlobResponse,
+    DetectRequest,
+    DetectResponse,
+    EmbedRequest,
+    EmbedResponse,
+    RegisterRequest,
+    RegisterResponse,
+    RevokeRequest,
+    RevokeResponse,
+    StatsRequest,
+    StatsResponse,
+    TaskRequest,
+    TaskResult,
+    decode_request,
+    decode_response,
+    encode_line,
+)
+
+#: Messages decoded with :func:`decode_request`; the rest (and the blob
+#: verbs, which flow both ways) decode with :func:`decode_response`.
+_REQUESTS = (
+    DetectRequest,
+    EmbedRequest,
+    RegisterRequest,
+    RevokeRequest,
+    AttributeRequest,
+    TaskRequest,
+    StatsRequest,
+    BlobResponse,
+)
+
+
+def _decode(message, line):
+    decoder = decode_request if isinstance(message, _REQUESTS) else decode_response
+    return decoder(line)
+
+
+# --------------------------------------------------------------------------- #
+# Golden lines
+# --------------------------------------------------------------------------- #
+
+_SECRET = {"pairs": [["a", "b"]], "modulus_cap": 31, "secret_value": "12345"}
+_DIGEST = "d" * 64
+
+#: (message, the exact line encode_line produced for it before the codec
+#: was made declarative).
+GOLDEN = [
+    (
+        DetectRequest(
+            request_id="d1",
+            counts={"a": 5, "b": 2},
+            secret_fingerprint="f" * 8,
+            config={"pair_threshold": 1},
+        ),
+        '{"config":{"pair_threshold":1},"counts":{"a":5,"b":2},"id":"d1",'
+        '"secret_fingerprint":"ffffffff","v":4}',
+    ),
+    (
+        DetectRequest(request_id="d2", tokens=("a", "b", "a"), secret=_SECRET),
+        '{"id":"d2","secret":{"modulus_cap":31,"pairs":[["a","b"]],'
+        '"secret_value":"12345"},"tokens":["a","b","a"],"v":4}',
+    ),
+    (
+        DetectResponse(
+            request_id="d1",
+            ok=True,
+            accepted=True,
+            accepted_pairs=7,
+            required_pairs=4,
+            total_pairs=8,
+            batch_size=3,
+            cache_hit=True,
+            extra={"note": "x"},
+        ),
+        '{"accepted":true,"accepted_pairs":7,"batch_size":3,"cache_hit":true,'
+        '"extra":{"note":"x"},"id":"d1","ok":true,"required_pairs":4,'
+        '"total_pairs":8,"v":4}',
+    ),
+    (
+        DetectResponse(request_id="d", ok=True),
+        '{"accepted":null,"accepted_pairs":null,"batch_size":0,"cache_hit":false,'
+        '"id":"d","ok":true,"required_pairs":null,"total_pairs":null,"v":4}',
+    ),
+    (
+        DetectResponse.failure("d2", "no such secret"),
+        '{"error":"no such secret","id":"d2","ok":false,"v":4}',
+    ),
+    (
+        EmbedRequest(
+            request_id="e1",
+            tokens=("a", "b", "b"),
+            config={"budget_percent": 1.5, "excluded_tokens": ["z"]},
+            seed=3,
+            secret_value=2**80 + 1,
+            return_tokens=True,
+        ),
+        '{"config":{"budget_percent":1.5,"excluded_tokens":["z"]},"id":"e1",'
+        '"op":"embed","return_tokens":true,"secret_value":"1208925819614629174706177",'
+        '"seed":3,"tokens":["a","b","b"],"v":4}',
+    ),
+    (
+        EmbedRequest(request_id="e2", counts={"a": 9, "b": 4}),
+        '{"counts":{"a":9,"b":4},"id":"e2","op":"embed","v":4}',
+    ),
+    (
+        EmbedResponse(
+            request_id="e1",
+            ok=True,
+            counts={"a": 1, "b": 2},
+            tokens=("a", "b", "b"),
+            secret=_SECRET,
+            selected_pairs=1,
+            similarity_percent=99.5,
+            total_changes=2,
+        ),
+        '{"counts":{"a":1,"b":2},"id":"e1","ok":true,"op":"embed","secret":'
+        '{"modulus_cap":31,"pairs":[["a","b"]],"secret_value":"12345"},'
+        '"selected_pairs":1,"similarity_percent":99.5,"tokens":["a","b","b"],'
+        '"total_changes":2,"v":4}',
+    ),
+    (
+        EmbedResponse.failure("e2", "needs two distinct tokens"),
+        '{"error":"needs two distinct tokens","id":"e2","ok":false,"op":"embed","v":4}',
+    ),
+    (
+        RegisterRequest(
+            request_id="r1", buyer_id="acme", secret=_SECRET, metadata={"tier": "gold"}
+        ),
+        '{"buyer_id":"acme","id":"r1","metadata":{"tier":"gold"},"op":"register",'
+        '"secret":{"modulus_cap":31,"pairs":[["a","b"]],"secret_value":"12345"},"v":4}',
+    ),
+    (
+        RegisterResponse(
+            request_id="r1", ok=True, buyer_id="acme", fingerprint="ab" * 4, vault_size=3
+        ),
+        '{"buyer_id":"acme","fingerprint":"abababab","id":"r1","ok":true,'
+        '"op":"register","v":4,"vault_size":3}',
+    ),
+    (
+        RegisterResponse.failure("r2", "buyer already registered"),
+        '{"error":"buyer already registered","id":"r2","ok":false,"op":"register","v":4}',
+    ),
+    (
+        RevokeRequest(request_id="v1", buyer_id="acme", metadata={"reason": "leak"}),
+        '{"buyer_id":"acme","id":"v1","metadata":{"reason":"leak"},"op":"revoke","v":4}',
+    ),
+    (
+        RevokeResponse(
+            request_id="v1", ok=True, buyer_id="acme", fingerprint="ab" * 4, vault_size=2
+        ),
+        '{"buyer_id":"acme","fingerprint":"abababab","id":"v1","ok":true,'
+        '"op":"revoke","v":4,"vault_size":2}',
+    ),
+    (
+        RevokeResponse.failure("v2", "unknown buyer"),
+        '{"error":"unknown buyer","id":"v2","ok":false,"op":"revoke","v":4}',
+    ),
+    (
+        AttributeRequest(
+            request_id="a1", counts={"a": 5, "b": 2}, config={"min_accepted_fraction": 1.0}
+        ),
+        '{"config":{"min_accepted_fraction":1.0},"counts":{"a":5,"b":2},"id":"a1",'
+        '"op":"attribute","v":4}',
+    ),
+    (
+        AttributeResponse(
+            request_id="a1",
+            ok=True,
+            matches=(("acme", 1.0), ("beta", 0.5)),
+            mode="index",
+            candidates=2,
+            active_secrets=100,
+        ),
+        '{"active_secrets":100,"candidates":2,"id":"a1","matches":'
+        '[{"accepted_fraction":1.0,"buyer_id":"acme"},'
+        '{"accepted_fraction":0.5,"buyer_id":"beta"}],"mode":"index","ok":true,'
+        '"op":"attribute","v":4}',
+    ),
+    (
+        AttributeResponse.failure("a2", "vault is empty"),
+        '{"error":"vault is empty","id":"a2","ok":false,"op":"attribute","v":4}',
+    ),
+    (
+        TaskRequest(request_id="hb-1", function=HEARTBEAT_FUNCTION),
+        '{"function":"__heartbeat__","id":"hb-1","op":"task","v":4}',
+    ),
+    (
+        TaskRequest(
+            request_id="task-0-1-2",
+            function="schedtest.with_state",
+            initializer="schedtest.state",
+            init_key="key-z",
+            fingerprint="fp-0",
+            blob_refs=(_DIGEST,),
+            frames=(120, 4096, 33),
+            payload_frames=2,
+            init_frames=1,
+            trace=("a" * 32, "b" * 16),
+        ),
+        '{"blob_refs":["' + _DIGEST + '"],"fingerprint":"fp-0","frames":[120,4096,33],'
+        '"function":"schedtest.with_state","id":"task-0-1-2","init_frames":1,'
+        '"init_key":"key-z","initializer":"schedtest.state","op":"task",'
+        '"payload_frames":2,"trace":["' + "a" * 32 + '","' + "b" * 16 + '"],"v":4}',
+    ),
+    (
+        TaskRequest(
+            request_id="task-1-1-3",
+            function="schedtest.echo",
+            fingerprint="fp-1",
+            frames=(57,),
+            payload_frames=1,
+        ),
+        '{"fingerprint":"fp-1","frames":[57],"function":"schedtest.echo",'
+        '"id":"task-1-1-3","init_frames":0,"op":"task","payload_frames":1,"v":4}',
+    ),
+    (
+        TaskResult(request_id="hb-1", ok=True),
+        '{"id":"hb-1","ok":true,"op":"result","v":4}',
+    ),
+    (
+        TaskResult(
+            request_id="task-0-1-2",
+            ok=True,
+            fingerprint="fp-0",
+            frames=(64, 8000),
+            spans=({"name": "task:schedtest.echo", "span": "s1", "trace": "t1"},),
+        ),
+        '{"fingerprint":"fp-0","frames":[64,8000],"id":"task-0-1-2","ok":true,'
+        '"op":"result","spans":[{"name":"task:schedtest.echo","span":"s1",'
+        '"trace":"t1"}],"v":4}',
+    ),
+    (
+        TaskResult(
+            request_id="task-1-1-3",
+            ok=False,
+            error="remote kaput",
+            error_type="DetectionError",
+            fingerprint="fp-1",
+            spans=({"name": "task:schedtest.fail"},),
+        ),
+        '{"error":"remote kaput","error_type":"DetectionError","fingerprint":"fp-1",'
+        '"id":"task-1-1-3","ok":false,"op":"result","spans":'
+        '[{"name":"task:schedtest.fail"}],"v":4}',
+    ),
+    (
+        BlobRequest(request_id="task-0-1-2", digest=_DIGEST),
+        '{"digest":"' + _DIGEST + '","id":"task-0-1-2","op":"blob-request","v":4}',
+    ),
+    (
+        BlobResponse(request_id="task-0-1-2", digest=_DIGEST, frames=(300, 65536)),
+        '{"digest":"' + _DIGEST + '","frames":[300,65536],"id":"task-0-1-2",'
+        '"ok":true,"op":"blob","v":4}',
+    ),
+    (
+        BlobResponse(
+            request_id="task-0-1-2",
+            digest=_DIGEST,
+            ok=False,
+            error="blob evicted",
+            error_type="BlobNotFoundError",
+        ),
+        '{"digest":"' + _DIGEST + '","error":"blob evicted",'
+        '"error_type":"BlobNotFoundError","id":"task-0-1-2","ok":false,"op":"blob","v":4}',
+    ),
+    (
+        StatsRequest(request_id="s1"),
+        '{"id":"s1","op":"stats","v":4}',
+    ),
+    (
+        StatsResponse(
+            request_id="s1",
+            metrics={"counters": {"x": 1}},
+            prometheus="# TYPE freqywm_x counter\nfreqywm_x 1\n",
+        ),
+        '{"id":"s1","metrics":{"counters":{"x":1}},"ok":true,"op":"stats",'
+        '"prometheus":"# TYPE freqywm_x counter\\nfreqywm_x 1\\n","v":4}',
+    ),
+    (
+        StatsResponse.failure("s2", "overloaded"),
+        '{"error":"overloaded","id":"s2","ok":false,"op":"stats","v":4}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "message, line", GOLDEN, ids=[f"{type(m).__name__}-{m.request_id}" for m, _ in GOLDEN]
+)
+def test_golden_line_bytes_and_decoding(message, line):
+    assert encode_line(message) == line
+    assert _decode(message, line) == message
+
+
+def test_golden_corpus_covers_every_class():
+    assert {type(message) for message, _ in GOLDEN} == set(_REQUESTS) | {
+        DetectResponse,
+        EmbedResponse,
+        RegisterResponse,
+        RevokeResponse,
+        AttributeResponse,
+        TaskResult,
+        StatsResponse,
+        BlobRequest,
+    }
+
+
+# --------------------------------------------------------------------------- #
+# Round trip
+# --------------------------------------------------------------------------- #
+
+_ids = st.text(min_size=1, max_size=6)
+_texts = st.text(max_size=6)
+_ints = st.integers()
+_floats = st.floats(allow_nan=False)
+_json = st.recursive(
+    st.none() | st.booleans() | _ints | _floats | _texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=8,
+)
+_objects = st.dictionaries(_texts, _json, max_size=3)
+_counts = st.dictionaries(_texts, _ints, max_size=4)
+_tokens = st.lists(_texts, max_size=4).map(tuple)
+_frames = st.lists(st.integers(0, MAX_FRAME_BYTES), min_size=1, max_size=3).map(tuple)
+_spans = st.lists(_objects, max_size=2).map(tuple)
+_DETECT_KEYS = [
+    "min_accepted_fraction",
+    "min_accepted_pairs",
+    "pair_threshold",
+    "pair_threshold_fraction",
+    "symmetric_tolerance",
+]
+_GENERATE_KEYS = ["budget_percent", "excluded_tokens", "max_pairs", "modulus_cap", "strategy"]
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+def _config(keys):
+    return _maybe(st.dictionaries(st.sampled_from(keys), _json, max_size=3))
+
+
+def _one_of(**options):
+    """Exactly one of the named keyword strategies, as a kwargs dict."""
+    return st.one_of(*(st.fixed_dictionaries({name: value}) for name, value in options.items()))
+
+
+def _reply(cls, success, failure=None):
+    """Success and failure messages of one reply class."""
+    failure = dict(failure or {}, error=_maybe(_texts))
+    return st.one_of(
+        st.builds(cls, request_id=_ids, ok=st.just(True), **success),
+        st.builds(cls, request_id=_ids, ok=st.just(False), **failure),
+    )
+
+
+@st.composite
+def _dataset_requests(draw, cls, keys, **extra):
+    return cls(
+        request_id=draw(_ids),
+        config=draw(_config(keys)),
+        **draw(_one_of(tokens=_tokens, counts=_counts)),
+        **{name: draw(strategy) for name, strategy in extra.items()},
+    )
+
+
+@st.composite
+def _embed_requests(draw):
+    dataset = draw(_one_of(tokens=_tokens, counts=_counts))
+    return EmbedRequest(
+        request_id=draw(_ids),
+        config=draw(_config(_GENERATE_KEYS)),
+        seed=draw(_maybe(_ints)),
+        secret_value=draw(_maybe(_ints)),
+        return_tokens="tokens" in dataset and draw(st.booleans()),
+        **dataset,
+    )
+
+
+@st.composite
+def _task_requests(draw):
+    initializer = draw(_maybe(_texts))
+    frames = draw(st.just(()) | _frames)
+    return TaskRequest(
+        request_id=draw(_ids),
+        function=draw(st.just(HEARTBEAT_FUNCTION) | _ids),
+        initializer=initializer,
+        init_key=draw(_texts if initializer is None else _ids),
+        fingerprint=draw(_texts),
+        blob_refs=draw(st.lists(_ids, max_size=2).map(tuple)),
+        frames=frames,
+        payload_frames=draw(st.integers(0, 4)) if frames else 0,
+        init_frames=draw(st.integers(0, 4)) if frames else 0,
+        trace=draw(_maybe(st.tuples(_ids, _ids))),
+    )
+
+
+_vault_change = dict(buyer_id=_maybe(_texts), fingerprint=_maybe(_texts), vault_size=_maybe(_ints))
+
+MESSAGES = st.one_of(
+    _dataset_requests(
+        DetectRequest, _DETECT_KEYS, secret=st.none(), secret_fingerprint=_texts
+    ),
+    _dataset_requests(
+        DetectRequest, _DETECT_KEYS, secret=_objects, secret_fingerprint=st.none()
+    ),
+    _reply(
+        DetectResponse,
+        dict(
+            accepted=_maybe(st.booleans()),
+            accepted_pairs=_maybe(_ints),
+            required_pairs=_maybe(_ints),
+            total_pairs=_maybe(_ints),
+            batch_size=_ints,
+            cache_hit=st.booleans(),
+            extra=_objects,
+        ),
+        dict(extra=_objects),
+    ),
+    _embed_requests(),
+    _reply(
+        EmbedResponse,
+        dict(
+            counts=_counts,
+            tokens=_maybe(_tokens),
+            secret=_objects,
+            selected_pairs=_maybe(_ints),
+            similarity_percent=_maybe(_floats),
+            total_changes=_maybe(_ints),
+        ),
+    ),
+    st.builds(RegisterRequest, request_id=_ids, buyer_id=_ids, secret=_objects, metadata=_objects),
+    _reply(RegisterResponse, _vault_change),
+    st.builds(RevokeRequest, request_id=_ids, buyer_id=_ids, metadata=_objects),
+    _reply(RevokeResponse, _vault_change),
+    _dataset_requests(AttributeRequest, _DETECT_KEYS),
+    _reply(
+        AttributeResponse,
+        dict(
+            matches=st.lists(st.tuples(_texts, _floats), max_size=3).map(tuple),
+            mode=_maybe(_texts),
+            candidates=_maybe(_ints),
+            active_secrets=_maybe(_ints),
+        ),
+    ),
+    _task_requests(),
+    _reply(
+        TaskResult,
+        dict(fingerprint=_texts, frames=st.just(()) | _frames, spans=_spans),
+        dict(
+            error_type=_maybe(_texts),
+            fingerprint=_texts,
+            frames=st.just(()) | _frames,
+            spans=_spans,
+        ),
+    ),
+    st.builds(BlobRequest, request_id=_ids, digest=_ids),
+    st.one_of(
+        st.builds(BlobResponse, request_id=_ids, digest=_ids, frames=st.just(()) | _frames),
+        st.builds(
+            BlobResponse,
+            request_id=_ids,
+            digest=_ids,
+            ok=st.just(False),
+            error=_maybe(_texts),
+            error_type=_maybe(_texts),
+        ),
+    ),
+    st.builds(StatsRequest, request_id=_ids),
+    _reply(
+        StatsResponse,
+        dict(metrics=_objects, prometheus=_texts),
+        dict(error_type=_maybe(_texts)),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(message=MESSAGES)
+@example(message=DetectResponse(request_id="d", ok=True))
+@example(message=AttributeResponse(request_id="a", ok=True))
+@example(message=TaskResult(request_id="t", ok=False))
+def test_every_message_round_trips(message):
+    assert _decode(message, encode_line(message)) == message
+
+
+# --------------------------------------------------------------------------- #
+# Fuzz
+# --------------------------------------------------------------------------- #
+
+_OPS = ["detect", "embed", "register", "revoke", "attribute", "stats", "task",
+        "result", "blob", "blob-request", "frobnicate"]
+
+#: Plausible values for every wire key, so fuzzed lines reach past the
+#: first type check into the later fields and the constructors.
+_PLAUSIBLE = {
+    "id": _ids,
+    "op": st.sampled_from(_OPS),
+    "v": st.integers(0, 5),
+    "ok": st.booleans(),
+    "tokens": st.lists(_texts, max_size=3),
+    "counts": _counts,
+    "secret": _objects,
+    "secret_fingerprint": _texts,
+    "config": st.dictionaries(st.sampled_from(_DETECT_KEYS + _GENERATE_KEYS), _json, max_size=2),
+    "seed": _ints,
+    "secret_value": _ints.map(str) | _texts,
+    "return_tokens": st.booleans(),
+    "buyer_id": _texts,
+    "metadata": _objects,
+    "matches": st.lists(
+        st.fixed_dictionaries({}, optional={"buyer_id": _json, "accepted_fraction": _json}),
+        max_size=2,
+    ),
+    "function": _texts,
+    "initializer": _texts,
+    "init_key": _texts,
+    "fingerprint": _texts,
+    "blob_refs": st.lists(_texts, max_size=2),
+    "frames": st.lists(st.integers(-1, MAX_FRAME_BYTES + 1), max_size=2),
+    "payload_frames": st.integers(-1, 3),
+    "init_frames": st.integers(-1, 3),
+    "trace": st.lists(_texts, max_size=3),
+    "spans": st.lists(_json, max_size=2),
+    "digest": _texts,
+    "error": _texts,
+    "error_type": _texts,
+    "metrics": _objects,
+    "prometheus": _texts,
+    "accepted": st.booleans(),
+    "accepted_pairs": _ints,
+    "required_pairs": _ints,
+    "total_pairs": _ints,
+    "batch_size": _ints,
+    "cache_hit": st.booleans(),
+    "extra": _objects,
+    "selected_pairs": _ints,
+    "similarity_percent": _floats,
+    "total_changes": _ints,
+    "vault_size": _ints,
+    "mode": _texts,
+    "candidates": _ints,
+    "active_secrets": _ints,
+}
+
+_LINES = st.one_of(
+    _json.map(json.dumps),
+    st.fixed_dictionaries(
+        {}, optional={key: _json | value for key, value in _PLAUSIBLE.items()}
+    ).map(json.dumps),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(line=_LINES)
+@example(line='{"id": "a", "ok": true, "accepted_pairs": "x"}')
+@example(line='{"op": ["x"], "id": "a1"}')
+@example(line='{"op": "embed", "id": "e", "tokens": [], "secret_value": "' + "9" * 5000 + '"}')
+@example(line="[" * 100_000)
+def test_decoders_answer_any_line_with_a_message_or_a_service_error(line):
+    for decoder in (decode_request, decode_response):
+        try:
+            decoder(line)
+        except ServiceError:
+            pass
+
+
+def test_bad_fields_are_named_in_the_error():
+    with pytest.raises(ServiceError, match="'accepted_pairs' must be an integer"):
+        decode_response('{"id": "a", "ok": true, "accepted_pairs": "x"}')
+    with pytest.raises(ServiceError, match="'counts' must be an object of integer counts"):
+        decode_request('{"id": "x", "counts": {"tok": 5.9}, "secret_fingerprint": "f"}')
+    with pytest.raises(ServiceError, match="unknown request op"):
+        decode_request('{"op": ["x"], "id": "a1"}')
+    with pytest.raises(ServiceError, match="'secret_value' must be a decimal string"):
+        decode_request('{"op": "embed", "id": "e", "counts": {}, "secret_value": 12}')
+
+
+def test_detect_counts_are_kept_as_decoded():
+    line = '{"counts":{"a":3,"b":1},"id":"x","secret_fingerprint":"f","v":4}'
+    request = decode_request(line)
+    assert request.counts == {"a": 3, "b": 1}
+    assert encode_line(request) == line
+
+
+# --------------------------------------------------------------------------- #
+# Transports
+# --------------------------------------------------------------------------- #
+
+
+def test_serve_stdio_answers_lines_with_a_non_string_op():
+    in_stream = io.StringIO('{"op": ["x"], "id": "a1"}\n{"op": {}, "id": "a2"}\n')
+    out_stream = io.StringIO()
+
+    async def run():
+        async with DetectionService() as service:
+            return await serve_stdio(service, in_stream, out_stream)
+
+    assert asyncio.run(run()) == 2
+    responses = [decode_response(line) for line in out_stream.getvalue().splitlines()]
+    assert sorted(response.request_id for response in responses) == ["a1", "a2"]
+    assert not any(response.ok for response in responses)
+
+
+def test_worker_answers_a_non_string_op_with_a_failed_result():
+    server = TaskWorkerServer()
+    try:
+        result, frames = asyncio.run(server.respond('{"op": ["x"], "id": "a1"}'))
+    finally:
+        server.close()
+    assert isinstance(result, TaskResult)
+    assert (result.request_id, result.ok, frames) == ("a1", False, [])
+    assert "unknown request op" in (result.error or "")
+
+
+def test_detect_line_over_64_kib_is_answered_over_a_unix_socket(tmp_path):
+    watermark = generate_watermark(
+        generate_power_law_tokens(0.7, n_tokens=60, sample_size=8_000, rng=5),
+        budget_percent=2.0,
+        modulus_cap=31,
+        rng=7,
+    )
+    counts = watermark.watermarked_histogram.as_dict()
+    counts.update({f"pad-{index:05d}": 1 for index in range(6_000 - len(counts))})
+    request = DetectRequest(request_id="big", counts=counts, secret=watermark.secret.to_dict())
+    assert len(counts) == 6_000
+    assert len(encode_line(request)) > 64 * 1024
+    socket_path = tmp_path / "svc.sock"
+
+    async def run():
+        async with DetectionService(ServiceConfig(max_delay=0.0)) as service:
+            ready = asyncio.Event()
+            server_task = asyncio.ensure_future(serve_unix(service, socket_path, ready=ready))
+            await ready.wait()
+
+            def talk():
+                with ServiceClient.connect_unix(socket_path) as client:
+                    return client.request([request])[0]
+
+            try:
+                return await asyncio.get_running_loop().run_in_executor(None, talk)
+            finally:
+                server_task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await server_task
+
+    response = asyncio.run(run())
+    direct = WatermarkDetector(watermark.secret).detect(TokenHistogram.from_counts(counts))
+    assert response.ok, response.error
+    assert (response.accepted, response.accepted_pairs) == (
+        direct.accepted,
+        direct.accepted_pairs,
+    )
