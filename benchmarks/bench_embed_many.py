@@ -7,10 +7,11 @@ Not a paper figure: this benchmark guards the batch embedding engine
   and one token vocabulary (corpus snapshots, per-buyer copies) through
   :func:`repro.core.batch.embed_many` must produce results *bit-identical*
   to the sequential ``WatermarkGenerator.generate`` loop while paying the
-  SHA-256 pair-modulus derivations once for the whole batch (shared
-  :class:`~repro.core.hashing.PairModulusCache` + vectorized
-  :class:`~repro.core.eligibility.PairScanPlan` scans instead of a
-  quadratic Python loop per dataset). The speedup gate is ≥3x.
+  SHA-256 pair-modulus derivations once for the whole batch: one
+  :class:`~repro.core.eligibility.PairScanPlan`, derived in bulk by
+  :meth:`~repro.core.hashing.PairModulusCache.upper_triangle` and reused
+  by every dataset's vectorized scan, where the sequential loop derives
+  the plan afresh per dataset. The speedup gate is ≥3x.
 
   The workload uses the ``greedy`` selection strategy: pair selection is
   per-dataset work no batch can amortise, and the gate must measure the

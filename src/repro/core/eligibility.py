@@ -258,17 +258,10 @@ class PairScanPlan:
         candidate_tokens: Sequence[str],
         modulus_cache: PairModulusCache,
     ) -> "PairScanPlan":
-        """Derive (or look up) every candidate pair's modulus once."""
-        count = len(candidate_tokens)
-        first_index, second_index = np.triu_indices(count, k=1)
-        modulus_of = modulus_cache.modulus
-        moduli = np.fromiter(
-            (
-                modulus_of(candidate_tokens[int(i)], candidate_tokens[int(j)])
-                for i, j in zip(first_index, second_index)
-            ),
-            dtype=np.int64,
-            count=len(first_index),
+        """Derive every candidate pair's modulus once, in one bulk pass."""
+        first_index, second_index = np.triu_indices(len(candidate_tokens), k=1)
+        moduli = np.array(
+            modulus_cache.upper_triangle(candidate_tokens), dtype=np.int64
         )
         valid = moduli >= 2
         return cls(
@@ -362,9 +355,10 @@ def generate_eligible_pairs(
         embedding reuses one context across many candidate secrets.
     modulus_cache:
         A :class:`~repro.core.hashing.PairModulusCache` for ``(secret,
-        modulus_cap)``; pair moduli already derived (by an earlier
-        dataset of the same batch, say) are then looked up instead of
-        re-hashed. Must match the secret and cap exactly.
+        modulus_cap)``. With a plan store, a new vocabulary's moduli are
+        derived in one bulk pass (its inner digests shared); the loop
+        looks each pair up in, and adds it to, the cache's pair memo.
+        Must match the secret and cap exactly.
     plan_store:
         Candidate-vocabulary -> :class:`PairScanPlan` map for this
         ``(secret, modulus_cap)`` (requires ``modulus_cache``). When the

@@ -146,13 +146,15 @@ class WatermarkResult:
 class _BatchScratch:
     """Shared derivation state of one batch embedding run.
 
-    Holds the :class:`~repro.core.hashing.PairModulusCache` per distinct
-    ``(R, z)`` (shared when many datasets are watermarked under one owner
-    secret) and the :class:`~repro.core.eligibility.EligibilityContext`
-    per distinct histogram object (shared when many candidate secrets are
-    tried against one dataset). Both caches are value-transparent — they
-    only skip recomputation — so batched outputs stay bit-identical to
-    the sequential path.
+    Holds the :class:`~repro.core.hashing.PairModulusCache` and the
+    per-vocabulary :class:`~repro.core.eligibility.PairScanPlan` store
+    per distinct ``(R, z)`` (shared when many datasets are watermarked
+    under one owner secret) and the
+    :class:`~repro.core.eligibility.EligibilityContext` per distinct
+    histogram object (shared when many candidate secrets are tried
+    against one dataset). All are value-transparent — they only skip
+    recomputation — so batched outputs stay bit-identical to the
+    sequential path.
     """
 
     #: Most-recent (R, z) derivation sets kept alive. Shared-secret
@@ -288,11 +290,14 @@ class WatermarkGenerator:
         because the same code runs per dataset in the same order. What
         the batch amortises is *derivation*, never decisions:
 
-        * pair moduli (two SHA-256 hashes each) are cached per
-          ``(R, z)`` across the whole batch, so datasets embedded under
-          one owner secret re-derive nothing for vocabulary they share;
+        * each candidate vocabulary's pair moduli (two SHA-256 hashes
+          each) become a scan plan cached per ``(R, z)`` across the
+          whole batch, so datasets embedded under one owner secret
+          re-derive nothing when their candidate vocabulary repeats; a
+          new vocabulary is derived in one bulk pass;
         * the inner digests ``H(R || tk_j)`` are shared even within one
-          dataset (halving the hash count of a cold scan);
+          dataset (halving the hash count of a cold scan) and across
+          the batch;
         * the histogram-side eligibility precomputation is cached per
           histogram object, so trying many candidate secrets against one
           dataset pays it once.

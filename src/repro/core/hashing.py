@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Callable
+from typing import Callable, List, Sequence
 
 #: Security parameter (output bits of the hash) used throughout the paper.
 DEFAULT_SECURITY_BITS = 256
@@ -91,12 +91,20 @@ class PairModulusCache:
     """Memoised ``s_ij`` derivation for one ``(R, z)`` pair.
 
     The nested construction ``H(tk_i || H(R || tk_j))`` repeats the inner
-    hash for every pair sharing the same second member, and repeats both
-    hashes entirely when the same pair is scanned again — which is exactly
-    what happens when many datasets are watermarked under one owner secret
-    (per-buyer copies, corpus snapshots, shards). The cache memoises the
-    inner digests per second token and the final modulus per ordered pair,
-    so a batch embedding run pays each SHA-256 derivation once.
+    hash for every pair sharing the same second member. The cache
+    memoises the inner digests per second token, and it has two ways to
+    derive outer values:
+
+    * :meth:`upper_triangle` derives every pair of a candidate vocabulary
+      in one tight loop (one hash per pair over pre-encoded row prefixes
+      and memoised inner digests). This is the vectorized eligibility
+      scan's path; it neither reads nor fills the per-pair memo, because
+      a vocabulary's moduli live on in its
+      :class:`~repro.core.eligibility.PairScanPlan`.
+    * :meth:`modulus` derives one pair and memoises the final modulus per
+      ordered pair, for callers that look pairs up one at a time and
+      repeat them (the eligibility loop past the vectorized scan's size
+      cap, stored-secret pairs in detection and leak attribution).
 
     Values are bit-identical to :func:`pair_modulus` by construction — the
     cache only skips *recomputation*, never changes the arithmetic — which
@@ -106,9 +114,9 @@ class PairModulusCache:
 
     Memory stays bounded even when one owner secret is applied to an
     endless stream of *different* vocabularies: past ``max_entries``
-    memoised pairs the cache resets (epoch-style — cheaper and simpler
-    than per-entry LRU, and a workload that overflows it has little
-    cross-dataset overlap to lose anyway).
+    memoised pairs or inner digests the cache resets (epoch-style —
+    cheaper and simpler than per-entry LRU, and a workload that overflows
+    it has little cross-dataset overlap to lose anyway).
 
     Parameters
     ----------
@@ -119,7 +127,8 @@ class PairModulusCache:
     hash_function:
         Alternative hash, mainly for testing; defaults to SHA-256.
     max_entries:
-        Pair memo count that triggers a reset (``None`` disables).
+        Pair-memo or inner-digest count that triggers a reset (``None``
+        disables).
     """
 
     #: Default pair-memo bound (~100 MB of dict at worst).
@@ -168,20 +177,55 @@ class PairModulusCache:
             self.hits += 1
             return value
         self.misses += 1
-        inner = self._inner.get(token_j)
-        if inner is None:
-            inner = self._hash(
-                _encode(self.secret) + _FIELD_SEPARATOR + _encode(token_j)
-            )
-            self._inner[token_j] = inner
+        inner = self._inner_digest(token_j)
         outer = self._hash(_encode(token_i) + _FIELD_SEPARATOR + inner)
         value = digest_to_int(outer) % self.z
         if self.max_entries is not None and len(self._moduli) >= self.max_entries:
-            self._moduli.clear()
-            self._inner.clear()
-            self.resets += 1
+            self._reset()
         self._moduli[key] = value
         return value
+
+    def upper_triangle(self, tokens: Sequence[str]) -> List[int]:
+        """Moduli of every pair ``(tokens[i], tokens[j])`` with ``i < j``.
+
+        Values come in ``np.triu_indices(len(tokens), k=1)`` order (row
+        by row) and equal ``pair_modulus(tokens[i], tokens[j], R, z)``.
+        Each row prefix ``tk_i || 0x00`` is encoded once and each column's
+        inner digest ``H(R || 0x00 || tk_j)`` comes from the inner-digest
+        memo, so a pair costs one hash in one loop. The per-pair memo is
+        neither read nor filled (see the class docstring).
+        """
+        if (
+            self.max_entries is not None
+            and len(self._inner) + len(tokens) > self.max_entries
+        ):
+            self._reset()
+        digests = [self._inner_digest(token) for token in tokens]
+        hash_function = self._hash
+        z = self.z
+        from_bytes = int.from_bytes
+        moduli: List[int] = []
+        for row, token in enumerate(tokens):
+            prefix = _encode(token) + _FIELD_SEPARATOR
+            moduli += [
+                from_bytes(hash_function(prefix + digest), "big") % z
+                for digest in digests[row + 1 :]
+            ]
+        return moduli
+
+    def _inner_digest(self, token: str) -> bytes:
+        """The inner digest ``H(R || 0x00 || token)``, memoised per token."""
+        digest = self._inner.get(token)
+        if digest is None:
+            digest = self._hash(_encode(self.secret) + _FIELD_SEPARATOR + _encode(token))
+            self._inner[token] = digest
+        return digest
+
+    def _reset(self) -> None:
+        """Start a new memo epoch (drop every memoised value)."""
+        self._moduli.clear()
+        self._inner.clear()
+        self.resets += 1
 
     def matches(self, secret: int, z: int) -> bool:
         """Whether this cache was built for exactly ``(secret, z)``."""

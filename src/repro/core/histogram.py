@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -191,10 +192,10 @@ class TokenHistogram:
         ----------
         tokens : Iterable[TokenValue]
             Token occurrences in any order; values are canonicalised via
-            :func:`repro.core.tokens.canonical_token`. For chunked or
-            lazy data sources, prefer
-            :class:`repro.core.streaming.StreamingHistogramBuilder`,
-            whose result is bit-identical.
+            :func:`repro.core.tokens.canonical_token`. An iterator is
+            consumed in bounded batches. For data that arrives in
+            chunks, :class:`repro.core.streaming.StreamingHistogramBuilder`
+            counts with the same routine and its result is bit-identical.
 
         Returns
         -------
@@ -206,10 +207,12 @@ class TokenHistogram:
         HistogramError
             If the sequence is empty.
         """
-        counts: Dict[str, int] = {}
-        for value in tokens:
-            token = canonical_token(value)
-            counts[token] = counts.get(token, 0) + 1
+        # Imported here: the streaming module builds on this one.
+        from repro.core.streaming import DEFAULT_CHUNK_SIZE, count_batch, iter_batches
+
+        counts: Counter = Counter()
+        for batch in iter_batches(tokens, DEFAULT_CHUNK_SIZE):
+            counts.update(count_batch(batch))
         if not counts:
             raise HistogramError("cannot build a histogram from an empty dataset")
         return cls(counts)

@@ -21,6 +21,7 @@ from repro.core.config import GenerationConfig
 from repro.core.generator import WatermarkGenerator, WatermarkResult
 from repro.core.histogram import TokenHistogram
 from repro.core.tokens import compose_token
+from repro.core.transform import histogram_deltas
 from repro.datasets.tabular import TabularDataset
 from repro.exceptions import GenerationError
 from repro.utils.rng import RngLike, ensure_rng
@@ -141,14 +142,7 @@ class TabularWatermarker:
         generator = WatermarkGenerator(self.config, rng=self._rng_source)
         core = generator.generate(TokenHistogram.from_tokens(tokens))
 
-        deltas: Dict[str, int] = {}
-        for token in set(core.original_histogram.as_dict()) | set(
-            core.watermarked_histogram.as_dict()
-        ):
-            delta = core.watermarked_histogram.frequency(token) - core.original_histogram.frequency(token)
-            if delta != 0:
-                deltas[token] = delta
-
+        deltas = histogram_deltas(core.original_histogram, core.watermarked_histogram)
         edited = self._apply_row_deltas(dataset, tokens, deltas, rng)
         return TabularWatermarkResult(
             core=core,

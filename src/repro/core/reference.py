@@ -2,8 +2,9 @@
 
 The vectorized engine (:mod:`repro.core.arrays`, the array-backed
 histogram, :class:`repro.core.similarity.SimilarityTracker`, the batched
-detector) replaced the original pure-Python hot paths of this
-reproduction. The originals are preserved here, byte-for-byte in
+detector) and the C-speed token passes (the batched histogram count,
+the sliced dataset edit) replaced the original pure-Python hot paths of
+this reproduction. The originals are preserved here, byte-for-byte in
 behaviour, for two purposes:
 
 * **golden parity tests** — ``tests/test_engine_parity.py`` asserts the
@@ -18,7 +19,7 @@ Nothing in the production pipeline imports this module; it must never be
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.config import DetectionConfig
 from repro.core.detector import DetectionResult, PairEvidence
@@ -29,8 +30,76 @@ from repro.core.knapsack import BudgetedSelection
 from repro.core.modification import PairAdjustment, plan_adjustment
 from repro.core.secrets import WatermarkSecret
 from repro.core.similarity import similarity_percent
-from repro.core.tokens import TokenValue
-from repro.exceptions import DetectionError, MatchingError
+from repro.core.tokens import TokenValue, canonical_token
+from repro.exceptions import (
+    DetectionError,
+    GenerationError,
+    HistogramError,
+    MatchingError,
+)
+from repro.utils.rng import RngLike, ensure_rng
+
+
+def histogram_from_tokens_reference(tokens: Iterable[TokenValue]) -> TokenHistogram:
+    """The seed ``Preprocess`` count: one canonicalisation per occurrence.
+
+    This is the per-occurrence ``canonical_token`` + ``dict.get`` loop
+    that the batched ``Counter`` routine behind
+    :meth:`repro.core.histogram.TokenHistogram.from_tokens` and
+    :class:`repro.core.streaming.StreamingHistogramBuilder` replaced.
+    """
+    counts: Dict[str, int] = {}
+    for value in tokens:
+        token = canonical_token(value)
+        counts[token] = counts.get(token, 0) + 1
+    if not counts:
+        raise HistogramError("cannot build a histogram from an empty dataset")
+    return TokenHistogram(counts)
+
+
+def apply_deltas_reference(
+    tokens: Sequence[TokenValue],
+    deltas: Mapping[str, int],
+    *,
+    rng: RngLike = None,
+) -> List[str]:
+    """The seed ``Create`` edit: three per-element passes over the tokens.
+
+    A canonical copy of the sequence, a per-position removal scan and a
+    per-position keep filter — the passes that
+    :func:`repro.core.transform.apply_deltas_to_tokens` replaced with C
+    speed ones, drawing the same random numbers in the same order.
+    """
+    generator = ensure_rng(rng)
+    canonical = [canonical_token(token) for token in tokens]
+
+    # Plan removals: choose random occurrence indices per token.
+    removal_indices: set = set()
+    positions_by_token: Dict[str, List[int]] = {}
+    removals = {token: -delta for token, delta in deltas.items() if delta < 0}
+    if removals:
+        for index, token in enumerate(canonical):
+            if token in removals:
+                positions_by_token.setdefault(token, []).append(index)
+        for token, count in removals.items():
+            positions = positions_by_token.get(token, [])
+            if len(positions) < count:
+                raise GenerationError(
+                    f"cannot remove {count} appearances of {token!r}: only "
+                    f"{len(positions)} present"
+                )
+            chosen = generator.choice(len(positions), size=count, replace=False)
+            removal_indices.update(positions[i] for i in chosen)
+
+    result = [token for index, token in enumerate(canonical) if index not in removal_indices]
+
+    # Plan insertions: new appearances land at random positions.
+    additions = {token: delta for token, delta in deltas.items() if delta > 0}
+    for token, count in additions.items():
+        for _ in range(count):
+            position = int(generator.integers(0, len(result) + 1))
+            result.insert(position, token)
+    return result
 
 
 def select_within_budget_reference(
@@ -179,4 +248,9 @@ def detect_reference(
     )
 
 
-__all__ = ["select_within_budget_reference", "detect_reference"]
+__all__ = [
+    "histogram_from_tokens_reference",
+    "apply_deltas_reference",
+    "select_within_budget_reference",
+    "detect_reference",
+]

@@ -84,6 +84,40 @@ def iter_batches(values: Iterable[TokenValue], size: int) -> Iterator[list]:
         yield batch
 
 
+def count_batch(batch: list) -> Counter:
+    """Occurrence counts of one batch, keyed by canonical token.
+
+    ``Counter(batch)`` counts at C speed; when every distinct key is
+    exactly ``str`` (token files and loaders yield nothing else),
+    canonicalisation is the identity and that count is the answer. A
+    batch that is unhashable or holds any other key type is recounted
+    as ``Counter(map(canonical_token, batch))``. It must be recounted,
+    not merged key by key: ``Counter([1, True])`` is ``{1: 2}``, but the
+    canonical forms are ``"1"`` and ``"True"``.
+
+    This is the one counting routine behind both
+    ``TokenHistogram.from_tokens`` and
+    :meth:`StreamingHistogramBuilder.add_tokens`.
+
+    Parameters
+    ----------
+    batch : list
+        Token occurrences (one batch from :func:`iter_batches`).
+
+    Returns
+    -------
+    Counter
+        Canonical token -> occurrences within the batch.
+    """
+    try:
+        counts = Counter(batch)
+    except TypeError:
+        return Counter(map(canonical_token, batch))
+    if all(type(key) is str for key in counts):
+        return counts
+    return Counter(map(canonical_token, batch))
+
+
 class StreamingHistogramBuilder:
     """Incremental builder of a :class:`~repro.core.histogram.TokenHistogram`.
 
@@ -155,15 +189,8 @@ class StreamingHistogramBuilder:
             Token occurrences, in any order. Non-string values are
             canonicalised exactly like ``TokenHistogram.from_tokens``.
         """
-        update = self._counts.update
         for batch in iter_batches(tokens, self.chunk_size):
-            # Token files and loaders yield plain strings, for which
-            # canonicalisation is the identity — feeding the batch straight
-            # into Counter.update keeps the whole count at C speed.
-            if all(type(token) is str for token in batch):
-                update(batch)
-            else:
-                update(map(canonical_token, batch))
+            self._counts.update(count_batch(batch))
             self._total += len(batch)
             self._chunks += 1
 
@@ -350,6 +377,7 @@ def histogram_from_stream(
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "iter_batches",
+    "count_batch",
     "StreamingHistogramBuilder",
     "histogram_from_chunks",
     "histogram_from_stream",

@@ -17,6 +17,7 @@ transformation lives in :mod:`repro.core.multidimensional`.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from repro.core.histogram import TokenHistogram
@@ -32,6 +33,15 @@ def apply_deltas_to_tokens(
     rng: RngLike = None,
 ) -> List[str]:
     """Apply token-count ``deltas`` to a raw token sequence.
+
+    The edit touches a few dozen appearances of a sequence that may hold
+    millions, so every pass over the whole sequence stays at C speed: a
+    list or tuple of strings is used as is (``canonical_token`` returns
+    strings unchanged), the removal tokens' positions are collected in
+    one comprehension, and the kept appearances are copied as slices
+    between the removed positions. The random draws are those of
+    :func:`repro.core.reference.apply_deltas_reference`, in the same
+    order, so the output is identical to it.
 
     Parameters
     ----------
@@ -50,27 +60,38 @@ def apply_deltas_to_tokens(
     original histogram with ``deltas`` applied.
     """
     generator = ensure_rng(rng)
-    canonical = [canonical_token(token) for token in tokens]
+    canonical: Sequence[str]
+    if isinstance(tokens, (list, tuple)) and all(
+        map(isinstance, tokens, repeat(str))
+    ):
+        canonical = tokens
+    else:
+        canonical = [canonical_token(token) for token in tokens]
 
     # Plan removals: choose random occurrence indices per token.
-    removal_indices: set = set()
-    positions_by_token: Dict[str, List[int]] = {}
+    removal_indices: List[int] = []
     removals = {token: -delta for token, delta in deltas.items() if delta < 0}
     if removals:
-        for index, token in enumerate(canonical):
-            if token in removals:
-                positions_by_token.setdefault(token, []).append(index)
+        positions_by_token: Dict[str, List[int]] = {token: [] for token in removals}
+        hits = [index for index, token in enumerate(canonical) if token in removals]
+        for index in hits:
+            positions_by_token[canonical[index]].append(index)
         for token, count in removals.items():
-            positions = positions_by_token.get(token, [])
+            positions = positions_by_token[token]
             if len(positions) < count:
                 raise GenerationError(
                     f"cannot remove {count} appearances of {token!r}: only "
                     f"{len(positions)} present"
                 )
             chosen = generator.choice(len(positions), size=count, replace=False)
-            removal_indices.update(positions[i] for i in chosen)
+            removal_indices.extend(positions[i] for i in chosen)
 
-    result = [token for index, token in enumerate(canonical) if index not in removal_indices]
+    result: List[str] = []
+    start = 0
+    for index in sorted(removal_indices):
+        result += canonical[start:index]
+        start = index + 1
+    result += canonical[start:]
 
     # Plan insertions: new appearances land at random positions.
     additions = {token: delta for token, delta in deltas.items() if delta > 0}
@@ -97,13 +118,21 @@ def histogram_deltas(
     Dict[str, int]
         Token -> non-zero signed delta, ready for
         :func:`apply_deltas_to_tokens` or :func:`apply_deltas_streaming`.
+        Keys follow the original's rank order, then the tokens found
+        only in ``watermarked`` in its rank order. The edits draw their
+        random numbers in this order, so it must not depend on the
+        process's string-hash seed (as a set walk would).
     """
+    before = original.as_dict()
+    after = watermarked.as_dict()
     deltas: Dict[str, int] = {}
-    all_tokens = set(original.as_dict()) | set(watermarked.as_dict())
-    for token in all_tokens:
-        delta = watermarked.frequency(token) - original.frequency(token)
+    for token, count in before.items():
+        delta = after.get(token, 0) - count
         if delta != 0:
             deltas[token] = delta
+    for token, count in after.items():
+        if token not in before:
+            deltas[token] = count
     return deltas
 
 

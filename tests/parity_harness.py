@@ -2,8 +2,9 @@
 
 The **reference dict implementations** (:mod:`repro.core.reference` and
 the per-pair arithmetic in :func:`repro.core.modification.plan_adjustment`)
-are the executable specification; the vectorized NumPy engine must agree
-with them bit for bit — verdicts, evidence vectors, embedding deltas.
+are the executable specification; the vectorized NumPy engine and the
+C-speed token passes must agree with them bit for bit — verdicts,
+evidence vectors, embedding deltas, token counts and edited datasets.
 
 The ``assert_*`` helpers below run one (dataset, secret, config) case
 through both layers and raise on any divergence. They are used by
@@ -34,9 +35,15 @@ from repro.core.histogram import TokenHistogram
 from repro.core.knapsack import select_within_budget
 from repro.core.matching import vertex_disjoint
 from repro.core.modification import plan_adjustment
-from repro.core.reference import detect_reference
+from repro.core.reference import (
+    apply_deltas_reference,
+    detect_reference,
+    histogram_from_tokens_reference,
+)
 from repro.core.secrets import WatermarkSecret
-from repro.exceptions import HistogramError
+from repro.core.streaming import StreamingHistogramBuilder
+from repro.core.transform import apply_deltas_to_tokens
+from repro.exceptions import GenerationError, HistogramError
 from repro.exec.scheduler import LocalScheduler
 
 #: Default secret / modulus cap shared with the engine-parity suite.
@@ -273,18 +280,69 @@ def assert_eligibility_parity(
         require_modification=require_modification,
     )
     plan_store: dict = {}
+    cache = PairModulusCache(secret_value, modulus_cap)
     vectorized = generate_eligible_pairs(
         histogram,
         secret_value,
         modulus_cap,
         require_modification=require_modification,
-        modulus_cache=PairModulusCache(secret_value, modulus_cap),
+        modulus_cache=cache,
         plan_store=plan_store,
     )
     if len(histogram) >= 2:
         assert plan_store, "vectorized eligibility path was not taken"
+    # The plan derives its moduli in one bulk pass, outside the pair memo.
+    assert len(cache) == 0, "vectorized plan build filled the pair memo"
     assert vectorized == reference, "vectorized eligibility scan diverged"
     return reference
+
+
+def assert_count_parity(values: Sequence) -> TokenHistogram:
+    """The batched token count vs the reference per-occurrence loop.
+
+    ``TokenHistogram.from_tokens`` must equal
+    :func:`repro.core.reference.histogram_from_tokens_reference` for list,
+    tuple and iterator inputs, and so must a streaming builder whose
+    batch size splits the input (every batch boundary is a place where
+    the fast ``Counter`` path and the recount can meet). Returns the
+    reference histogram.
+    """
+    values = list(values)
+    reference = histogram_from_tokens_reference(values)
+    for shaped in (values, tuple(values), iter(values)):
+        counted = TokenHistogram.from_tokens(shaped)
+        assert counted == reference, f"from_tokens({type(shaped).__name__}) diverged"
+    builder = StreamingHistogramBuilder(chunk_size=max(1, len(values) // 3))
+    builder.add_tokens(iter(values))
+    assert builder.build() == reference, "batched streaming count diverged"
+    return reference
+
+
+def _edit_outcome(edit, tokens, deltas, seed):
+    """An edit's output list, or the message of the error it raised."""
+    try:
+        return edit(tokens, deltas, rng=seed)
+    except GenerationError as error:
+        return str(error)
+
+
+def assert_edit_parity(tokens: Sequence, deltas, seed: int):
+    """The sliced dataset edit vs the reference three-pass edit.
+
+    ``apply_deltas_to_tokens(t, d, rng=seed)`` must return exactly what
+    :func:`repro.core.reference.apply_deltas_reference` returns for the
+    same deltas mapping and seed (same values of the same types, or the
+    same error), for list and tuple inputs. Returns the reference
+    outcome.
+    """
+    expected = _edit_outcome(apply_deltas_reference, list(tokens), deltas, seed)
+    for shaped in (list(tokens), tuple(tokens)):
+        edited = _edit_outcome(apply_deltas_to_tokens, shaped, deltas, seed)
+        where = f"apply_deltas_to_tokens({type(shaped).__name__}, seed={seed}) diverged"
+        assert edited == expected, where
+        if isinstance(expected, list):
+            assert list(map(type, edited)) == list(map(type, expected)), where
+    return expected
 
 
 def reference_false_positive_rate(

@@ -268,6 +268,43 @@ class TestPairModulusCache:
         assert cache.misses == 3
         assert len(cache) == 3
 
+    def test_upper_triangle_matches_direct_derivation(self):
+        tokens = ["a", "b", "c", "d\u00e9", ""]
+        cache = PairModulusCache(12345, 131)
+        first, second = np.triu_indices(len(tokens), k=1)
+        expected = [
+            pair_modulus(tokens[i], tokens[j], 12345, 131)
+            for i, j in zip(first.tolist(), second.tolist())
+        ]
+        assert cache.upper_triangle(tokens) == expected
+        assert cache.upper_triangle(["solo"]) == []
+        # The bulk pass neither reads nor fills the pair memo.
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        assert cache.modulus("b", "c") == pair_modulus("b", "c", 12345, 131)
+
+    def test_upper_triangle_uses_the_cache_hash_function(self):
+        import hashlib
+
+        def md5_hash(data: bytes) -> bytes:
+            return hashlib.md5(data).digest()
+
+        cache = PairModulusCache(9, 97, hash_function=md5_hash)
+        assert cache.upper_triangle(["x", "y", "z"]) == [
+            pair_modulus(left, right, 9, 97, hash_function=md5_hash)
+            for left, right in [("x", "y"), ("x", "z"), ("y", "z")]
+        ]
+
+    def test_upper_triangle_resets_past_max_entries_inner_digests(self):
+        cache = PairModulusCache(7, 131, max_entries=10)
+        for start in range(0, 40, 8):
+            tokens = [f"t{i}" for i in range(start, start + 8)]
+            assert cache.upper_triangle(tokens) == [
+                pair_modulus(tokens[i], tokens[j], 7, 131)
+                for i in range(8)
+                for j in range(i + 1, 8)
+            ]
+        assert cache.resets >= 1
+
     def test_matches_and_validation(self):
         cache = PairModulusCache(1, 31)
         assert cache.matches(1, 31)
@@ -391,14 +428,15 @@ class TestLeanPickle:
 
 
 class TestScratchBounds:
-    def test_sharded_churn_respects_caps_and_stays_identical(self, monkeypatch):
-        """Eviction under maximal churn: every scratch bound holds, results
-        stay bit-identical to the sequential loop.
+    def _run_churn_batch(self, monkeypatch):
+        """Embed a maximal-churn batch; return what the checks inspect.
 
         The production bounds (4-secret LRU, 8-context cap, 4M-pair plan
-        budget, 1M-pair modulus epoch reset) are scaled down so a small
+        budget, 1M-entry modulus epoch reset) are scaled down so a small
         batch drives every eviction path: a fresh secret and a fresh
         vocabulary per dataset retires each derivation set immediately.
+        Asserts the batch is bit-identical to the sequential loop and
+        returns ``(trim observations, created modulus caches, datasets)``.
         """
         from repro.core import eligibility as eligibility_module
         from repro.core import generator as generator_module
@@ -451,11 +489,29 @@ class TestScratchBounds:
         ]
         for left, right in zip(report, sequential):
             assert_results_identical(left, right)
+        return observed, created, datasets
 
+    def test_sharded_churn_respects_caps_and_stays_identical(self, monkeypatch):
+        """Eviction under maximal churn: every scratch bound holds, results
+        stay bit-identical to the sequential loop."""
+        observed, _, datasets = self._run_churn_batch(monkeypatch)
         assert len(observed) == len(datasets)  # trim ran after every dataset
         assert max(moduli for moduli, _, _ in observed) <= 2
         assert max(plans for _, plans, _ in observed) <= 2
         assert max(contexts for _, _, contexts in observed) <= 3
+
+    def test_sharded_churn_loop_path_resets_modulus_memo(self, monkeypatch):
+        """The same batch on the eligibility loop (forced for every
+        dataset): the pair memo's epoch reset fires, and results stay
+        bit-identical to the sequential loop.
+
+        The vectorized scan derives moduli in bulk without touching the
+        pair memo, so only the loop path can drive that reset.
+        """
+        from repro.core import eligibility as eligibility_module
+
+        monkeypatch.setattr(eligibility_module, "VECTOR_SCAN_MAX_PAIRS", 0)
+        _, created, _ = self._run_churn_batch(monkeypatch)
         # 30 candidate tokens -> 435 pairs per dataset, far past the
         # 64-entry cap: the epoch reset must have fired, transparently.
         assert any(cache.resets > 0 for cache in created)

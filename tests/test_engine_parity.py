@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,12 +25,17 @@ from repro.core.eligibility import generate_eligible_pairs
 from repro.core.histogram import TokenBoundaries, TokenHistogram
 from repro.core.knapsack import select_within_budget
 from repro.core.matching import vertex_disjoint
-from repro.core.reference import detect_reference, select_within_budget_reference
+from repro.core.reference import (
+    detect_reference,
+    histogram_from_tokens_reference,
+    select_within_budget_reference,
+)
 from repro.core.similarity import (
     SimilarityTracker,
     available_metrics,
     histogram_similarity,
 )
+from repro.core.streaming import DEFAULT_CHUNK_SIZE
 from repro.exceptions import HistogramError
 
 import parity_harness as harness
@@ -272,6 +278,95 @@ class TestBatchDetectionParity:
         secret = WatermarkSecret.build([candidates[0].pair], SECRET, 7)
         report = detect_many([tokens, histogram], secret)
         assert report.results[0].accepted_pairs == report.results[1].accepted_pairs
+
+
+#: Raw token values of every kind ``canonical_token`` accepts, including
+#: pairs that collide only after canonicalisation (``1`` / ``True`` /
+#: ``1.0`` / ``"1"``, ``b"a"`` / ``"a"``, lists / tuples).
+_scalar_values = st.one_of(
+    st.sampled_from(["a", "b", "1", "True", "2", ""]),
+    st.integers(min_value=-1, max_value=2),
+    st.sampled_from([1.0, 2.0, 0.5, -0.0]),
+    st.booleans(),
+    st.binary(max_size=2),
+    st.sampled_from(["a", "1", "b"]).map(np.str_),
+)
+_token_values = st.one_of(
+    _scalar_values,
+    st.tuples(_scalar_values, _scalar_values),
+    st.lists(_scalar_values, max_size=2),
+)
+_str_tokens = st.lists(st.sampled_from("abcdef"), min_size=1, max_size=80)
+
+
+@st.composite
+def _edit_cases(draw, tokens_strategy):
+    """``(tokens, deltas, seed)``: removals up to every occurrence of a
+    token, additions to existing and to new tokens, in a drawn order."""
+    tokens = draw(tokens_strategy)
+    counts = histogram_from_tokens_reference(tokens).as_dict()
+    deltas = {}
+    for token in draw(st.permutations(sorted(counts))):
+        delta = draw(st.integers(min_value=-counts[token], max_value=3))
+        if delta:
+            deltas[token] = delta
+    for index in range(draw(st.integers(min_value=0, max_value=2))):
+        deltas[f"new{index}"] = draw(st.integers(min_value=1, max_value=3))
+    return tokens, deltas, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+class TestTokenCountParity:
+    @_settings
+    @given(values=st.lists(_token_values, min_size=1, max_size=60))
+    def test_from_tokens_matches_reference(self, values):
+        harness.assert_count_parity(values)
+
+    @_settings
+    @given(values=_str_tokens)
+    def test_all_str_tokens_match_reference(self, values):
+        harness.assert_count_parity(values)
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1, True], {"1": 1, "True": 1}),
+            ([1, 1.0, "1"], {"1": 3}),
+            ([b"a", "a"], {"a": 2}),
+            ([["a", "b"], ("a", "b")], {"a\x1fb": 2}),
+        ],
+    )
+    def test_values_that_collide_only_before_canonicalisation(self, values, expected):
+        assert harness.assert_count_parity(values).as_dict() == expected
+
+    def test_recount_at_the_default_batch_boundary(self):
+        # The first batch ends with an int, the second mixes types.
+        values = ["a"] * (DEFAULT_CHUNK_SIZE - 1) + [1, True, "1", b"a", 1.0]
+        counted = harness.assert_count_parity(values)
+        assert counted.as_dict() == {"a": DEFAULT_CHUNK_SIZE, "1": 3, "True": 1}
+
+
+class TestTokenEditParity:
+    @_settings
+    @given(case=_edit_cases(_str_tokens))
+    def test_all_str_edit_matches_reference(self, case):
+        harness.assert_edit_parity(*case)
+
+    @_settings
+    @given(case=_edit_cases(st.lists(_token_values, min_size=1, max_size=60)))
+    def test_mixed_type_edit_matches_reference(self, case):
+        harness.assert_edit_parity(*case)
+
+    def test_new_token_and_full_removal_over_many_seeds(self):
+        tokens = ["a"] * 40 + ["b"] * 25 + ["c"] * 7 + ["d"] * 3
+        np.random.default_rng(5).shuffle(tokens)
+        deltas = {"c": -7, "a": -4, "z": 3, "b": 2}
+        for seed in range(40):
+            edited = harness.assert_edit_parity(tokens, deltas, seed)
+            assert "c" not in edited and edited.count("z") == 3
+
+    def test_over_removal_fails_like_reference(self):
+        message = harness.assert_edit_parity(["a", "b", "a"], {"b": -1, "a": -3}, 1)
+        assert "cannot remove 3 appearances of 'a'" in message
 
 
 class TestTokenBoundariesRegression:

@@ -63,3 +63,79 @@ class TestTransformDataset:
         first = transform_dataset(skewed_tokens, original, target, rng=77)
         second = transform_dataset(skewed_tokens, original, target, rng=77)
         assert first == second
+
+
+#: Runs in a fresh interpreter and prints digests of every seeded edit:
+#: one-shot generation, the streamed edit and the table rows.
+_SEEDED_EDITS_SCRIPT = r"""
+import hashlib
+import json
+
+from repro.core.generator import generate_watermark
+from repro.core.multidimensional import watermark_table
+from repro.core.transform import apply_deltas_streaming, histogram_deltas
+from repro.datasets.adult import AdultSpec, generate_adult_dataset
+from repro.datasets.synthetic import generate_power_law_tokens
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+tokens = generate_power_law_tokens(0.6, n_tokens=80, sample_size=20_000, rng=3)
+result = generate_watermark(tokens, rng=7)
+deltas = histogram_deltas(result.original_histogram, result.watermarked_histogram)
+streamed = apply_deltas_streaming(
+    iter(tokens), deltas, result.original_histogram, rng=7
+)
+table = watermark_table(
+    generate_adult_dataset(AdultSpec(n_rows=4000), rng=31),
+    ["age"],
+    modulus_cap=31,
+    rng=5,
+)
+print(json.dumps({
+    "removal_tokens": sum(1 for delta in deltas.values() if delta < 0),
+    "tokens": digest(result.watermarked_tokens),
+    "streamed": digest(streamed),
+    "rows": digest(
+        json.dumps(row, sort_keys=True, default=str)
+        for row in table.watermarked_dataset.rows
+    ),
+    "secret": result.secret.fingerprint(),
+}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_seeded_edits_match_across_hash_seeds(self):
+        """Seeded token files and table rows must not depend on the
+        interpreter's string-hash salt (``PYTHONHASHSEED``): the edits
+        draw their random numbers in the order of the delta mapping."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [source_root, env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", _SEEDED_EDITS_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            outputs.append(json.loads(completed.stdout.strip().splitlines()[-1]))
+        # Several removal tokens, so a hash-ordered walk would reorder draws.
+        assert outputs[0]["removal_tokens"] >= 2
+        assert outputs[0] == outputs[1]
