@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from scipy import stats
-
 from repro.core.batch import detect_many_secrets
 from repro.core.config import DetectionConfig
 from repro.core.hashing import generate_secret
@@ -66,6 +64,10 @@ def guess_success_probability(
     """
     if required_pairs > n_pairs:
         return 0.0
+    # Imported here: scipy costs more start-up time than the rest of
+    # the package, and only this function needs it.
+    from scipy import stats
+
     p = single_pair_acceptance_probability(modulus, threshold)
     return float(stats.binom.sf(required_pairs - 1, n_pairs, p))
 

@@ -193,21 +193,6 @@ class HistogramArrays:
         return values
 
 
-def frequency_matrix(
-    histograms: Sequence["HistogramArrays"], tokens: Sequence[str]
-) -> np.ndarray:
-    """Stack the counts of ``tokens`` across many histograms.
-
-    Returns an ``int64`` matrix of shape ``(len(histograms), len(tokens))``
-    with zeros for absent tokens — the input of the batched detector's
-    single vectorized verification pass.
-    """
-    matrix = np.zeros((len(histograms), len(tokens)), dtype=np.int64)
-    for row, arrays in enumerate(histograms):
-        matrix[row] = arrays.frequencies(tokens)
-    return matrix
-
-
 def counts_from_mapping(counts: Mapping[str, int]) -> Tuple[List[str], np.ndarray]:
     """Split a token->count mapping into parallel token/count sequences."""
     tokens = list(counts.keys())
@@ -220,6 +205,5 @@ __all__ = [
     "HistogramArrays",
     "boundary_slack",
     "sort_histogram",
-    "frequency_matrix",
     "counts_from_mapping",
 ]

@@ -46,16 +46,18 @@ from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import (
     DetectionResult,
     PairEvidence,
+    SuspectCounts,
     SuspectData,
     WatermarkDetector,
     build_pair_evidence,
     detector_fingerprint,
+    gather_counts,
+    suspect_counts,
     verify_pair_arrays,
 )
 from repro.core.embedding import BatchEmbeddingReport, EmbedData, generator_fingerprint
 from repro.core.generator import WatermarkGenerator
 from repro.core.hashing import PairModulusCache
-from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, GenerationError
 from repro.exec.blobs import dataplane_enabled, maybe_blob
@@ -307,9 +309,9 @@ def detect_many(
     Parameters
     ----------
     datasets : Sequence[SuspectData]
-        Suspected datasets — raw token sequences or pre-built
-        :class:`~repro.core.histogram.TokenHistogram` instances, mixed
-        freely.
+        Suspected datasets — raw token sequences, token->count mappings
+        or pre-built :class:`~repro.core.histogram.TokenHistogram`
+        instances, mixed freely.
     secret : WatermarkSecret, optional
         The owner's secret list ``L_sc``. May be omitted when a prebuilt
         ``detector`` is supplied.
@@ -438,7 +440,7 @@ def detect_many_secrets(
 
     This is the transpose of :func:`detect_many`: the stored pairs of
     *all* secrets are stacked into one flat array, the dataset's
-    frequencies are looked up once for the union of pair members, and a
+    frequencies are gathered for the stacked pair members, and a
     single vectorized modulo pass verifies everything — no
     per-secret :class:`~repro.core.detector.WatermarkDetector`
     construction. Verdicts are identical to building one detector per
@@ -452,7 +454,8 @@ def detect_many_secrets(
     Parameters
     ----------
     data : SuspectData
-        The suspected dataset — a raw token sequence or a pre-built
+        The suspected dataset — a raw token sequence, a token->count
+        mapping (read only at the pair tokens) or a pre-built
         :class:`~repro.core.histogram.TokenHistogram`.
     secrets : Sequence[WatermarkSecret]
         The candidate secret lists; every one must store at least one
@@ -487,14 +490,11 @@ def detect_many_secrets(
     if not secrets:
         return []
     detection = config or DetectionConfig()
-    histogram = (
-        data if isinstance(data, TokenHistogram) else TokenHistogram.from_tokens(data)
-    )
+    counts = suspect_counts(data)
     if policy is not None and _wants_sharding(policy) and len(secrets) > 1:
         return _detect_secrets_sharded(
-            histogram, secrets, detection, collect_evidence, policy
+            counts, secrets, detection, collect_evidence, policy
         )
-    arrays = histogram.arrays()
     first_tokens: List[str] = []
     second_tokens: List[str] = []
     offsets: List[int] = [0]
@@ -537,8 +537,8 @@ def detect_many_secrets(
     valid = moduli >= 2
     safe_moduli = np.where(valid, moduli, 1)
     accepted, present, remainder = verify_pair_arrays(
-        arrays.frequencies(first_tokens),
-        arrays.frequencies(second_tokens),
+        gather_counts(counts, first_tokens),
+        gather_counts(counts, second_tokens),
         safe_moduli=safe_moduli,
         valid=valid,
         thresholds=thresholds,
@@ -574,9 +574,9 @@ def detect_many_secrets(
 
 def _detect_secrets_chunk(_state: object, payload: tuple) -> List[DetectionResult]:
     """Scheduler task: the stacked many-secrets pass over one secret chunk."""
-    histogram, chunk, detection, collect_evidence = payload
+    counts, chunk, detection, collect_evidence = payload
     return detect_many_secrets(
-        histogram, chunk, detection, collect_evidence=collect_evidence
+        counts, chunk, detection, collect_evidence=collect_evidence
     )
 
 
@@ -584,7 +584,7 @@ register_task_function("secrets.chunk", _detect_secrets_chunk)
 
 
 def _detect_secrets_sharded(
-    histogram: TokenHistogram,
+    counts: SuspectCounts,
     secrets: Sequence[WatermarkSecret],
     detection: DetectionConfig,
     collect_evidence: bool,
@@ -596,19 +596,19 @@ def _detect_secrets_sharded(
         size = derive_chunk_size(
             len(secrets), scheduler.workers, chunk_size=policy.chunk_size
         )
-        # The histogram is identical across every chunk task, so when the
+        # The suspect is identical across every chunk task, so when the
         # data plane is live it ships once as a content-addressed blob
         # instead of being re-pickled into each payload.
-        histogram_value: object = histogram
-        histogram_refs: Tuple[str, ...] = ()
+        counts_value: object = counts
+        counts_refs: Tuple[str, ...] = ()
         if dataplane_enabled() and scheduler.ships_payloads:
-            histogram_value, histogram_refs = maybe_blob(histogram)
+            counts_value, counts_refs = maybe_blob(counts)
         specs = [
             TaskSpec(
                 fingerprint=f"secrets:{detection.fingerprint()}:{index}",
                 function="secrets.chunk",
-                payload=(histogram_value, chunk, detection, collect_evidence),
-                blob_refs=histogram_refs,
+                payload=(counts_value, chunk, detection, collect_evidence),
+                blob_refs=counts_refs,
             )
             for index, chunk in enumerate(split_chunks(list(secrets), size))
         ]

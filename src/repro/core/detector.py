@@ -4,8 +4,10 @@ Given a suspected dataset ``D'_w``, the owner's secret list ``L_sc`` and
 two thresholds (``t``: per-pair tolerance, ``k``: minimum accepted pairs),
 detection
 
-1. builds the histogram of the suspected dataset (frequencies only — no
-   boundaries are needed),
+1. reads the suspected dataset's counts of the stored pairs' tokens
+   (a token->count mapping is read only at those tokens and never
+   sorted; a token sequence is counted first — no boundaries are
+   needed),
 2. recomputes ``s_ij`` for every stored pair whose two tokens are present,
 3. accepts a pair when ``(f_i - f_j) mod s_ij <= t``,
 4. declares the dataset watermarked when at least ``k`` pairs verified.
@@ -27,20 +29,55 @@ the marketplace-scale sweeps and :func:`repro.core.batch.detect_many` use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.arrays import frequency_matrix
 from repro.core.config import DetectionConfig
 from repro.core.hashing import pair_modulus
-from repro.core.histogram import TokenHistogram
+from repro.core.histogram import TokenCounts, TokenHistogram, checked_counts
 from repro.core.secrets import WatermarkSecret
 from repro.core.tokens import TokenPair, TokenValue
 from repro.exceptions import DetectionError
 
-#: A suspected dataset: a raw token sequence or a pre-built histogram.
-SuspectData = Union[Sequence[TokenValue], TokenHistogram]
+#: A suspected dataset: a raw token sequence, a token->count mapping or
+#: a pre-built histogram. A ``Mapping`` is always read as token->count,
+#: never iterated as a sequence of its keys.
+SuspectData = Union[Sequence[TokenValue], Mapping[TokenValue, int], TokenHistogram]
+
+#: A suspect in the form detection reads it (see :func:`suspect_counts`).
+SuspectCounts = Union[TokenCounts, TokenHistogram]
+
+
+def suspect_counts(data: SuspectData) -> SuspectCounts:
+    """One suspected dataset in the form detection reads it.
+
+    A histogram passes through and a token sequence is counted into
+    one. A token->count mapping is only checked
+    (:func:`~repro.core.histogram.checked_counts`, which raises
+    :class:`~repro.exceptions.HistogramError` on a malformed one): it is
+    never sorted or ranked, since a verdict reads just the counts of the
+    secret's tokens.
+    """
+    if isinstance(data, TokenHistogram):
+        return data
+    if isinstance(data, Mapping):
+        return checked_counts(data)
+    return TokenHistogram.from_tokens(data)
+
+
+def gather_counts(counts: SuspectCounts, tokens: Sequence[str]) -> np.ndarray:
+    """``int64`` counts of ``tokens`` in one suspect, ``0`` where absent.
+
+    ``counts`` is a :func:`suspect_counts` form; a checked mapping is
+    read with one ``counts.get(token, 0)`` per token.
+    """
+    if isinstance(counts, TokenHistogram):
+        return counts.arrays().frequencies(tokens)
+    return np.fromiter(
+        map(counts.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens)
+    )
 
 
 def detector_fingerprint(
@@ -217,6 +254,18 @@ class WatermarkDetector:
         self._safe_moduli = np.where(self._valid, self._moduli, 1)
         self._first_tokens = [pair.first for pair in secret.pairs]
         self._second_tokens = [pair.second for pair in secret.pairs]
+        # The distinct pair tokens are the columns read from a suspect;
+        # the pair sides index into them.
+        positions: Dict[str, int] = {}
+        for token in self._first_tokens + self._second_tokens:
+            positions.setdefault(token, len(positions))
+        self._columns: List[str] = list(positions)
+        self._first_columns = np.fromiter(
+            map(positions.__getitem__, self._first_tokens), dtype=np.intp
+        )
+        self._second_columns = np.fromiter(
+            map(positions.__getitem__, self._second_tokens), dtype=np.intp
+        )
         self._required = self.config.required_pairs(len(secret.pairs))
         self._fingerprint: Optional[str] = None
 
@@ -255,6 +304,9 @@ class WatermarkDetector:
         clone._safe_moduli = self._safe_moduli
         clone._first_tokens = self._first_tokens
         clone._second_tokens = self._second_tokens
+        clone._columns = self._columns
+        clone._first_columns = self._first_columns
+        clone._second_columns = self._second_columns
         clone._required = clone.config.required_pairs(len(self.secret.pairs))
         clone._fingerprint = None
         return clone
@@ -329,8 +381,9 @@ class WatermarkDetector:
         Parameters
         ----------
         data : SuspectData
-            A raw token sequence or a pre-built
-            :class:`~repro.core.histogram.TokenHistogram`.
+            A raw token sequence, a token->count mapping (only the
+            secret's tokens are read from it, see :func:`suspect_counts`)
+            or a pre-built :class:`~repro.core.histogram.TokenHistogram`.
         collect_evidence : bool, optional
             When False, skips building the per-pair
             :class:`PairEvidence` objects (the verdict and counts are
@@ -341,13 +394,10 @@ class WatermarkDetector:
         DetectionResult
             The verdict with accepted/required/total pair counts.
         """
-        histogram = (
-            data if isinstance(data, TokenHistogram) else TokenHistogram.from_tokens(data)
+        row = gather_counts(suspect_counts(data), self._columns)
+        accepted, present, remainder = self._verify(
+            row[self._first_columns], row[self._second_columns]
         )
-        arrays = histogram.arrays()
-        first = arrays.frequencies(self._first_tokens)
-        second = arrays.frequencies(self._second_tokens)
-        accepted, present, remainder = self._verify(first, second)
         evidence: Tuple[PairEvidence, ...] = ()
         if collect_evidence:
             evidence = self._evidence(accepted, present, remainder)
@@ -369,8 +419,8 @@ class WatermarkDetector:
         Parameters
         ----------
         datasets : Sequence[SuspectData]
-            Suspected datasets (raw token sequences and/or pre-built
-            histograms, mixed freely).
+            Suspected datasets (raw token sequences, token->count
+            mappings and pre-built histograms, mixed freely).
         collect_evidence : bool, optional
             When True, per-pair :class:`PairEvidence` is materialised
             for every dataset.
@@ -383,29 +433,15 @@ class WatermarkDetector:
         """
         if not datasets:
             return []
-        histograms = [
-            data if isinstance(data, TokenHistogram) else TokenHistogram.from_tokens(data)
-            for data in datasets
-        ]
-        tokens: List[str] = []
-        positions: Dict[str, int] = {}
-        for token in self._first_tokens + self._second_tokens:
-            if token not in positions:
-                positions[token] = len(tokens)
-                tokens.append(token)
-        matrix = frequency_matrix([histogram.arrays() for histogram in histograms], tokens)
-        first_columns = np.fromiter(
-            (positions[token] for token in self._first_tokens), dtype=np.intp
-        )
-        second_columns = np.fromiter(
-            (positions[token] for token in self._second_tokens), dtype=np.intp
-        )
+        matrix = np.empty((len(datasets), len(self._columns)), dtype=np.int64)
+        for row, data in enumerate(datasets):
+            matrix[row] = gather_counts(suspect_counts(data), self._columns)
         accepted, present, remainder = self._verify(
-            matrix[:, first_columns], matrix[:, second_columns]
+            matrix[:, self._first_columns], matrix[:, self._second_columns]
         )
         accepted_counts = accepted.sum(axis=1)
         results: List[DetectionResult] = []
-        for row in range(len(histograms)):
+        for row in range(len(datasets)):
             evidence: Tuple[PairEvidence, ...] = ()
             if collect_evidence:
                 evidence = self._evidence(accepted[row], present[row], remainder[row])
@@ -435,10 +471,13 @@ def detect_watermark(
 __all__ = [
     "PairEvidence",
     "DetectionResult",
+    "SuspectCounts",
     "SuspectData",
     "WatermarkDetector",
     "build_pair_evidence",
     "detect_watermark",
     "detector_fingerprint",
+    "gather_counts",
+    "suspect_counts",
     "verify_pair_arrays",
 ]

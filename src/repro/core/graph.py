@@ -15,13 +15,16 @@ embed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.eligibility import EligiblePair
 from repro.core.tokens import TokenPair
 from repro.exceptions import MatchingError
+
+# networkx is imported inside the functions that build and match the
+# graph: processes that never run MWM (the service, workers) skip it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def choose_weight_offset(pairs: Sequence[EligiblePair]) -> int:
@@ -51,6 +54,8 @@ def build_pair_graph(
     :class:`EligiblePair` object, so downstream stages can recover the
     modulus without recomputing hashes).
     """
+    import networkx as nx
+
     offset = choose_weight_offset(pairs) if weight_offset is None else weight_offset
     graph = nx.Graph()
     for item in pairs:
@@ -78,6 +83,8 @@ def maximum_weight_matching(graph: nx.Graph) -> List[EligiblePair]:
     """
     if graph.number_of_edges() == 0:
         return []
+    import networkx as nx
+
     matching = nx.max_weight_matching(graph, maxcardinality=True, weight="weight")
     matched: List[EligiblePair] = []
     for endpoint_a, endpoint_b in matching:

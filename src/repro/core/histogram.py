@@ -44,6 +44,82 @@ from repro.core.tokens import TokenValue, canonical_token
 from repro.exceptions import HistogramError
 
 
+#: Largest count a histogram holds: counts live in ``int64`` arrays.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
+_STR_ONLY = frozenset({str})
+_INT_ONLY = frozenset({int})
+
+
+class TokenCounts(dict):
+    """A token->count mapping that passed :func:`checked_counts`.
+
+    Keys are canonical token strings and every count is a positive
+    integer within ``int64``. :func:`checked_counts` returns an instance
+    unchanged, so a mapping checked once (at wire decode) is not checked
+    again by the detector it is handed to. Treat it as read-only.
+    """
+
+    __slots__ = ()
+
+
+def checked_counts(counts: Mapping[TokenValue, int]) -> TokenCounts:
+    """Check a token->count mapping the way every histogram input is checked.
+
+    Keys are canonicalised with :func:`~repro.core.tokens.canonical_token`
+    and the counts of keys that canonicalise to one token are summed.
+    Counts must be integers (an integral float counts as one) and
+    non-negative; zero counts are dropped, and at least one occurrence
+    must remain. Counts outside ``int64`` (also after summing) are
+    rejected whichever token carries them.
+
+    A plain mapping of ``str`` keys to positive ``int`` counts (what the
+    wire decodes) is checked by a few C-speed passes; anything else walks
+    the entries one by one.
+
+    Raises
+    ------
+    HistogramError
+        On the first entry that breaks a rule, naming its token, or when
+        no occurrence remains.
+    """
+    if type(counts) is TokenCounts:
+        return counts
+    if _STR_ONLY.issuperset(map(type, counts)) and _INT_ONLY.issuperset(
+        map(type, counts.values())
+    ):
+        try:
+            values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        except OverflowError:
+            values = None
+        if values is not None and values.size and values.min() > 0:
+            return TokenCounts(counts)
+    cleaned = TokenCounts()
+    for token, count in counts.items():
+        if not isinstance(count, int) or isinstance(count, bool):
+            if isinstance(count, float) and count.is_integer():
+                count = int(count)
+            else:
+                raise HistogramError(
+                    f"frequency of token {token!r} must be an integer, got {count!r}"
+                )
+        if count < 0:
+            raise HistogramError(
+                f"frequency of token {token!r} must be non-negative, got {count}"
+            )
+        if count > 0:
+            key = canonical_token(token)
+            count += cleaned.get(key, 0)
+            if count > _MAX_COUNT:
+                raise HistogramError(
+                    f"frequency of token {token!r} exceeds the int64 range, got {count}"
+                )
+            cleaned[key] = count
+    if not cleaned:
+        raise HistogramError("cannot build a histogram with no token occurrences")
+    return cleaned
+
+
 def apply_deltas(
     counts: np.ndarray, positions: np.ndarray, deltas: np.ndarray
 ) -> np.ndarray:
@@ -105,25 +181,8 @@ class TokenHistogram:
 
     __slots__ = ("_order", "_array", "_rank", "_arrays", "_dict", "_total")
 
-    def __init__(self, counts: Mapping[str, int]) -> None:
-        cleaned: Dict[str, int] = {}
-        for token, count in counts.items():
-            if not isinstance(count, (int,)) or isinstance(count, bool):
-                if isinstance(count, float) and count.is_integer():
-                    count = int(count)
-                else:
-                    raise HistogramError(
-                        f"frequency of token {token!r} must be an integer, got {count!r}"
-                    )
-            if count < 0:
-                raise HistogramError(
-                    f"frequency of token {token!r} must be non-negative, got {count}"
-                )
-            if count > 0:
-                cleaned[canonical_token(token)] = cleaned.get(canonical_token(token), 0) + count
-        if not cleaned:
-            raise HistogramError("cannot build a histogram with no token occurrences")
-        self._init_sorted(*sort_histogram(*counts_from_mapping(cleaned)))
+    def __init__(self, counts: Mapping[TokenValue, int]) -> None:
+        self._init_sorted(*sort_histogram(*counts_from_mapping(checked_counts(counts))))
 
     def _init_sorted(self, order: List[str], array: np.ndarray) -> None:
         """Shared constructor tail: install a pre-sorted token/count pair."""
@@ -224,15 +283,16 @@ class TokenHistogram:
         Parameters
         ----------
         counts : Mapping[TokenValue, int]
-            Token -> non-negative appearance count; keys are
-            canonicalised and zero counts dropped.
+            Token -> non-negative appearance count, checked by
+            :func:`checked_counts`: keys are canonicalised (aliases
+            summed) and zero counts dropped.
 
         Returns
         -------
         TokenHistogram
             The descending-frequency histogram.
         """
-        return cls({canonical_token(token): count for token, count in counts.items()})
+        return cls(counts)
 
     # ------------------------------------------------------------------ #
     # Read access
@@ -412,4 +472,10 @@ def pairwise_rank_gaps(histogram: TokenHistogram) -> List[int]:
     return np.subtract(counts[:-1], counts[1:]).tolist()
 
 
-__all__ = ["TokenBoundaries", "TokenHistogram", "pairwise_rank_gaps"]
+__all__ = [
+    "TokenBoundaries",
+    "TokenCounts",
+    "TokenHistogram",
+    "checked_counts",
+    "pairwise_rank_gaps",
+]

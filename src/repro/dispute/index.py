@@ -23,7 +23,17 @@ One vectorized pass over the *distinct* buckets (sharing the detector's
 paths cannot diverge) decides every posting at once; a bucket-hit
 scatter-add then yields each secret's exact accepted-pair count, and the
 candidate set is the rows whose count reaches their
-:meth:`~repro.core.config.DetectionConfig.required_pairs` quota.
+:meth:`~repro.core.config.DetectionConfig.required_pairs` quota. The
+leaked copy is read only at the index's tokens, so a token->count
+mapping is screened without building a histogram.
+
+**Layout.** The index lives in one screening form, growable arrays
+that registration extends in place: per bucket its two token ids (into
+the index vocabulary) and its modulus, per posting its ``(bucket,
+row)``, and per row its stored-pair count. :meth:`CandidateIndex.add`
+costs time proportional to the new secret's pairs (arrays double when
+full); :meth:`CandidateIndex.remove` frees the row and leaves its
+postings for one vectorized rebuild before the next screen.
 
 **Soundness / exactness.** Acceptance of a stored pair in the full
 stacked pass is exactly the bucket-acceptance condition of its
@@ -45,14 +55,19 @@ confirmed (and no detector is ever constructed for a clean copy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import DetectionConfig
-from repro.core.detector import verify_pair_arrays
+from repro.core.detector import (
+    SuspectData,
+    gather_counts,
+    suspect_counts,
+    verify_pair_arrays,
+)
 from repro.core.hashing import PairModulusCache
-from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, DisputeError
 
@@ -62,6 +77,9 @@ DEFAULT_GROUP_TEST_THRESHOLD = 64
 
 #: One inverted-index bucket: ``(first token, second token, modulus)``.
 BucketKey = Tuple[str, str, int]
+
+#: Stored-pair count of a row no secret occupies.
+_FREE = -1
 
 
 @dataclass(frozen=True)
@@ -103,46 +121,31 @@ class IndexStats:
     group_test_threshold: int
 
 
-class _CompactArrays:
-    """Flat array form of the inverted index (rebuilt lazily on change)."""
+def _room(array: np.ndarray, size: int, fill: int = 0) -> np.ndarray:
+    """``array`` if it holds ``size`` items, else a copy with double the room.
 
-    __slots__ = (
-        "vocab_tokens",
-        "first_ids",
-        "second_ids",
-        "moduli",
-        "offsets",
-        "member_rows",
-        "max_row",
-    )
+    New slots hold ``fill``. Doubling keeps appends amortised O(1).
+    """
+    if size <= len(array):
+        return array
+    grown = np.full(max(size, 2 * len(array)), fill, dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
 
-    def __init__(
-        self,
-        vocab_tokens: List[str],
-        first_ids: np.ndarray,
-        second_ids: np.ndarray,
-        moduli: np.ndarray,
-        offsets: np.ndarray,
-        member_rows: np.ndarray,
-        max_row: int,
-    ) -> None:
-        self.vocab_tokens = vocab_tokens
-        self.first_ids = first_ids
-        self.second_ids = second_ids
-        self.moduli = moduli
-        self.offsets = offsets
-        self.member_rows = member_rows
-        self.max_row = max_row
+
+def _empty() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
 
 class CandidateIndex:
     """Inverted index from token-pair modulus buckets to secret rows.
 
-    Rows are caller-chosen non-negative integers (the registry uses a
-    monotonic issue counter, so row ids survive revocations without
-    renumbering). Mutation (:meth:`add` / :meth:`remove`) updates the
-    posting lists incrementally and marks the flat screening arrays
-    dirty; the next :meth:`screen` recompacts them once.
+    Rows are caller-chosen non-negative integers used as array
+    positions (the registry uses a monotonic issue counter, so row ids
+    survive revocations without renumbering). :meth:`add` extends the
+    screening arrays in place; :meth:`remove` marks the index stale,
+    and the next :meth:`screen` (or :meth:`stats`, or an :meth:`add`
+    reusing the row) rebuilds it once.
     """
 
     def __init__(
@@ -153,109 +156,145 @@ class CandidateIndex:
                 f"group_test_threshold must be >= 0, got {group_test_threshold}"
             )
         self.group_test_threshold = group_test_threshold
-        self._postings: Dict[BucketKey, List[int]] = {}
-        self._row_keys: Dict[int, List[BucketKey]] = {}
-        self._pair_counts: Dict[int, int] = {}
-        self._compact: Optional[_CompactArrays] = None
+        # Bucket key -> bucket id; insertion order is id order.
+        self._bucket_ids: Dict[BucketKey, int] = {}
+        # Per bucket (the first len(_bucket_ids) slots are live).
+        self._first_ids = _empty()
+        self._second_ids = _empty()
+        self._moduli = _empty()
+        # The index vocabulary: token ids are positions in _tokens.
+        self._tokens: List[str] = []
+        self._token_ids: Dict[str, int] = {}
+        # Per posting (the first _postings slots are live).
+        self._posting_buckets = _empty()
+        self._posting_rows = _empty()
+        self._postings = 0
+        # Per row: stored-pair count, _FREE when unoccupied.
+        self._row_pairs = _empty()
+        self._active = 0
+        # Rows removed since the last rebuild; their postings remain.
+        self._removed: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._pair_counts)
+        return self._active
+
+    def _occupied(self, row: int) -> bool:
+        return 0 <= row < len(self._row_pairs) and self._row_pairs[row] != _FREE
+
+    def _token_id(self, token: str) -> int:
+        identifier = self._token_ids.get(token)
+        if identifier is None:
+            identifier = self._token_ids[token] = len(self._tokens)
+            self._tokens.append(token)
+        return identifier
 
     def add(self, row: int, secret: WatermarkSecret) -> None:
         """Post every ``(pair, modulus)`` bucket of ``secret`` under ``row``.
 
         The per-pair moduli are derived once here (memoised SHA-256 via
         :class:`~repro.core.hashing.PairModulusCache`) — registration pays
-        the hashing so that screening never does.
+        the hashing so that screening never does. New buckets and the
+        secret's postings are appended to the screening arrays in place:
+        the cost is proportional to the secret's pairs, not the vault.
         """
         if row < 0:
             raise DisputeError(f"index rows must be non-negative, got {row}")
-        if row in self._pair_counts:
+        if self._occupied(row):
             raise DisputeError(f"index row {row} is already occupied")
+        if row in self._removed:
+            # The row's old postings must go before new ones share its id.
+            self._rebuild()
         cache = PairModulusCache(secret.secret, secret.modulus_cap)
-        keys: List[BucketKey] = []
+        first_bucket = len(self._bucket_ids)
+        new_keys: List[BucketKey] = []
+        buckets: List[int] = []
         for pair in secret.pairs:
             key = (pair.first, pair.second, cache.modulus(pair.first, pair.second))
-            self._postings.setdefault(key, []).append(row)
-            keys.append(key)
-        self._row_keys[row] = keys
-        self._pair_counts[row] = len(keys)
-        self._compact = None
+            bucket = self._bucket_ids.get(key)
+            if bucket is None:
+                bucket = self._bucket_ids[key] = len(self._bucket_ids)
+                new_keys.append(key)
+            buckets.append(bucket)
+        if new_keys:
+            bucket_end = len(self._bucket_ids)
+            self._first_ids = _room(self._first_ids, bucket_end)
+            self._second_ids = _room(self._second_ids, bucket_end)
+            self._moduli = _room(self._moduli, bucket_end)
+            new = slice(first_bucket, bucket_end)
+            self._first_ids[new] = [self._token_id(key[0]) for key in new_keys]
+            self._second_ids[new] = [self._token_id(key[1]) for key in new_keys]
+            self._moduli[new] = [key[2] for key in new_keys]
+        start, end = self._postings, self._postings + len(buckets)
+        self._posting_buckets = _room(self._posting_buckets, end)
+        self._posting_rows = _room(self._posting_rows, end)
+        self._posting_buckets[start:end] = buckets
+        self._posting_rows[start:end] = row
+        self._postings = end
+        self._row_pairs = _room(self._row_pairs, row + 1, _FREE)
+        self._row_pairs[row] = len(buckets)
+        self._active += 1
 
     def remove(self, row: int) -> None:
-        """Withdraw every posting of ``row`` (a revocation)."""
-        keys = self._row_keys.pop(row, None)
-        if keys is None:
+        """Withdraw every posting of ``row`` (a revocation).
+
+        The row stops counting at once; its postings, and any bucket or
+        token only they used, leave the arrays in the next rebuild.
+        """
+        if not self._occupied(row):
             raise DisputeError(f"index row {row} is not occupied")
-        del self._pair_counts[row]
-        for key in keys:
-            members = self._postings[key]
-            members.remove(row)
-            if not members:
-                del self._postings[key]
-        self._compact = None
+        self._row_pairs[row] = _FREE
+        self._active -= 1
+        self._removed.add(row)
+
+    def _rebuild(self) -> None:
+        """Drop removed rows' postings, then unused buckets and tokens."""
+        removed = np.fromiter(self._removed, dtype=np.int64, count=len(self._removed))
+        self._removed = set()
+        keep = ~np.isin(self._posting_rows[: self._postings], removed)
+        posting_buckets = self._posting_buckets[: self._postings][keep]
+        self._posting_rows = self._posting_rows[: self._postings][keep]
+        self._postings = len(self._posting_rows)
+        buckets = len(self._bucket_ids)
+        live = np.bincount(posting_buckets, minlength=buckets) > 0
+        self._posting_buckets = (np.cumsum(live) - 1)[posting_buckets]
+        self._bucket_ids = {
+            key: bucket
+            for bucket, key in enumerate(compress(self._bucket_ids, live.tolist()))
+        }
+        first_ids = self._first_ids[:buckets][live]
+        second_ids = self._second_ids[:buckets][live]
+        self._moduli = self._moduli[:buckets][live]
+        used = np.zeros(len(self._tokens), dtype=bool)
+        used[first_ids] = True
+        used[second_ids] = True
+        renumber = np.cumsum(used) - 1
+        self._first_ids = renumber[first_ids]
+        self._second_ids = renumber[second_ids]
+        self._tokens = list(compress(self._tokens, used.tolist()))
+        self._token_ids = {token: index for index, token in enumerate(self._tokens)}
 
     # ------------------------------------------------------------------ #
     # Screening
     # ------------------------------------------------------------------ #
 
-    def _compacted(self) -> _CompactArrays:
-        """The flat screening arrays, rebuilding them if stale."""
-        if self._compact is not None:
-            return self._compact
-        vocab: Dict[str, int] = {}
-
-        def token_id(token: str) -> int:
-            identifier = vocab.get(token)
-            if identifier is None:
-                identifier = len(vocab)
-                vocab[token] = identifier
-            return identifier
-
-        buckets = len(self._postings)
-        first_ids = np.empty(buckets, dtype=np.int64)
-        second_ids = np.empty(buckets, dtype=np.int64)
-        moduli = np.empty(buckets, dtype=np.int64)
-        offsets = np.empty(buckets + 1, dtype=np.int64)
-        offsets[0] = 0
-        members: List[int] = []
-        for position, (key, rows) in enumerate(self._postings.items()):
-            first, second, modulus = key
-            first_ids[position] = token_id(first)
-            second_ids[position] = token_id(second)
-            moduli[position] = modulus
-            members.extend(rows)
-            offsets[position + 1] = len(members)
-        member_rows = np.asarray(members, dtype=np.int64)
-        max_row = max(self._pair_counts, default=0)
-        self._compact = _CompactArrays(
-            vocab_tokens=list(vocab),
-            first_ids=first_ids,
-            second_ids=second_ids,
-            moduli=moduli,
-            offsets=offsets,
-            member_rows=member_rows,
-            max_row=max_row,
-        )
-        return self._compact
-
     def screen(
-        self, histogram: TokenHistogram, detection: DetectionConfig
+        self, data: SuspectData, detection: DetectionConfig
     ) -> CandidateScreen:
         """One vectorized bucket pass: which rows *could* the full pass accept.
 
-        Frequencies are looked up once per distinct token of the index
-        vocabulary, the acceptance rule runs once per distinct bucket
-        (via the shared :func:`~repro.core.detector.verify_pair_arrays`),
-        and a scatter-add turns accepted buckets into per-row hit counts
-        — no per-secret Python loop anywhere.
+        The leaked copy (any :data:`~repro.core.detector.SuspectData`;
+        a token->count mapping is read only at the index vocabulary) is
+        gathered once per distinct token of the index, the acceptance
+        rule runs once per distinct bucket (via the shared
+        :func:`~repro.core.detector.verify_pair_arrays`), and a
+        ``np.bincount`` over the postings of accepted buckets turns them
+        into per-row hit counts — no per-secret Python loop anywhere.
         """
-        active = len(self._pair_counts)
-        if active == 0:
+        if self._active == 0:
             return CandidateScreen(
                 rows=(),
                 mode="empty",
@@ -263,14 +302,18 @@ class CandidateIndex:
                 buckets_accepted=0,
                 active_secrets=0,
             )
-        if any(count == 0 for count in self._pair_counts.values()):
+        rows = np.flatnonzero(self._row_pairs != _FREE)
+        pair_counts = self._row_pairs[rows]
+        if not pair_counts.all():
             # Same contract as the full stacked pass it prunes for.
             raise DetectionError("a secret list contains no watermarked pairs")
-        compact = self._compacted()
-        vocab_frequencies = histogram.arrays().frequencies(compact.vocab_tokens)
-        first = vocab_frequencies[compact.first_ids]
-        second = vocab_frequencies[compact.second_ids]
-        moduli = compact.moduli
+        if self._removed:
+            self._rebuild()
+        buckets = len(self._bucket_ids)
+        frequencies = gather_counts(suspect_counts(data), self._tokens)
+        first = frequencies[self._first_ids[:buckets]]
+        second = frequencies[self._second_ids[:buckets]]
+        moduli = self._moduli[:buckets]
         valid = moduli >= 2
         safe_moduli = np.where(valid, moduli, 1)
         # threshold_for depends only on the modulus: resolve per distinct
@@ -289,30 +332,23 @@ class CandidateIndex:
             symmetric_tolerance=detection.symmetric_tolerance,
         )
         buckets_accepted = int(accepted.sum())
-        if active <= self.group_test_threshold:
+        if self._active <= self.group_test_threshold:
             # Pooled group test: a negative pool proves every secret's
             # accepted-pair count is 0 < required, so nothing survives;
             # a positive pool sends the whole (tiny) vault to exact
             # confirmation.
-            rows = tuple(sorted(self._pair_counts)) if buckets_accepted else ()
             return CandidateScreen(
-                rows=rows,
+                rows=tuple(rows.tolist()) if buckets_accepted else (),
                 mode="group-test",
-                buckets_screened=len(moduli),
+                buckets_screened=buckets,
                 buckets_accepted=buckets_accepted,
-                active_secrets=active,
+                active_secrets=self._active,
             )
-        posting_counts = np.diff(compact.offsets)
-        hit_members = compact.member_rows[np.repeat(accepted, posting_counts)]
-        hits = np.bincount(hit_members, minlength=compact.max_row + 1)
-        active_rows = np.fromiter(
-            sorted(self._pair_counts), dtype=np.int64, count=active
-        )
-        pair_counts = np.fromiter(
-            (self._pair_counts[int(row)] for row in active_rows),
-            dtype=np.int64,
-            count=active,
-        )
+        postings = self._postings
+        hit_rows = self._posting_rows[:postings][
+            accepted[self._posting_buckets[:postings]]
+        ]
+        hits = np.bincount(hit_rows, minlength=len(self._row_pairs))
         # required_pairs depends only on the stored-pair count: resolve
         # per distinct count and broadcast.
         distinct_counts, count_inverse = np.unique(pair_counts, return_inverse=True)
@@ -320,21 +356,22 @@ class CandidateIndex:
             [detection.required_pairs(int(count)) for count in distinct_counts],
             dtype=np.int64,
         )[count_inverse]
-        chosen = active_rows[hits[active_rows] >= required]
         return CandidateScreen(
-            rows=tuple(int(row) for row in chosen),
+            rows=tuple(rows[hits[rows] >= required].tolist()),
             mode="index",
-            buckets_screened=len(moduli),
+            buckets_screened=buckets,
             buckets_accepted=buckets_accepted,
-            active_secrets=active,
+            active_secrets=self._active,
         )
 
     def stats(self) -> IndexStats:
         """Structural counters (bucket and posting totals)."""
+        if self._removed:
+            self._rebuild()
         return IndexStats(
-            active_secrets=len(self._pair_counts),
-            buckets=len(self._postings),
-            postings=sum(self._pair_counts.values()),
+            active_secrets=self._active,
+            buckets=len(self._bucket_ids),
+            postings=self._postings,
             group_test_threshold=self.group_test_threshold,
         )
 

@@ -40,9 +40,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.batch import detect_many_secrets
 from repro.core.cache import CacheStats, DetectorCache
 from repro.core.config import DetectionConfig
-from repro.core.histogram import TokenHistogram
+from repro.core.detector import SuspectData, suspect_counts
 from repro.core.secrets import WatermarkSecret
-from repro.core.tokens import TokenValue
 from repro.dispute.index import (
     DEFAULT_GROUP_TEST_THRESHOLD,
     CandidateIndex,
@@ -285,11 +284,15 @@ class WatermarkRegistry:
 
     def attribute_leak(
         self,
-        data: Union[Sequence[TokenValue], TokenHistogram],
+        data: SuspectData,
         *,
         detection: Optional[DetectionConfig] = None,
     ) -> List[Tuple[str, float]]:
         """Identify which buyer's watermark a leaked copy carries.
+
+        ``data`` is a token sequence, a token->count mapping (checked
+        once, then read only at the index's and the candidates' tokens)
+        or a :class:`~repro.core.histogram.TokenHistogram`.
 
         Runs in two stages. A :class:`~repro.dispute.index.CandidateIndex`
         screen first prunes the vault to a candidate set — one vectorized
@@ -308,13 +311,11 @@ class WatermarkRegistry:
         the screen pruned.
         """
         detection_config = detection or DetectionConfig(pair_threshold=1)
-        histogram = (
-            data if isinstance(data, TokenHistogram) else TokenHistogram.from_tokens(data)
-        )
-        screen = self._index.screen(histogram, detection_config)
+        counts = suspect_counts(data)
+        screen = self._index.screen(counts, detection_config)
         buyer_ids = [self._row_buyers[row] for row in screen.rows]
         results = detect_many_secrets(
-            histogram,
+            counts,
             [self._vault[buyer_id] for buyer_id in buyer_ids],
             detection_config,
             detector_cache=self._detectors,

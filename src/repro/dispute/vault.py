@@ -41,13 +41,12 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.cache import CacheStats
 from repro.core.config import DetectionConfig
-from repro.core.histogram import TokenHistogram
+from repro.core.detector import SuspectData
 from repro.core.secrets import WatermarkSecret
-from repro.core.tokens import TokenValue
 from repro.dispute.index import DEFAULT_GROUP_TEST_THRESHOLD, IndexStats
 from repro.dispute.registry import (
     ACTION_KEY,
@@ -291,7 +290,7 @@ class SecretVault:
 
     def attribute_leak(
         self,
-        data: Union[Sequence[TokenValue], TokenHistogram],
+        data: SuspectData,
         *,
         detection: Optional[DetectionConfig] = None,
     ) -> List[Tuple[str, float]]:

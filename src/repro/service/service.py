@@ -642,20 +642,36 @@ class DetectionService:
             detectors[key] = pending.detector
         for key, group in groups.items():
             self.stats.batches += 1
-            suspects = [pending.suspect for pending in group]
-            try:
-                results = await loop.run_in_executor(
-                    None, self._detect_group, detectors[key], suspects
-                )
-            except Exception as error:  # propagate to every caller of the group
-                self.stats.failures += len(group)
+            await self._execute_group(detectors[key], group, loop)
+
+    async def _execute_group(
+        self,
+        detector: WatermarkDetector,
+        group: List[_Pending],
+        loop: asyncio.AbstractEventLoop,
+    ) -> None:
+        """Answer one detector group with one pass.
+
+        When the pass raises, each request of a larger group is run
+        alone, so a malformed suspect fails only its own request.
+        """
+        suspects = [pending.suspect for pending in group]
+        try:
+            results = await loop.run_in_executor(
+                None, self._detect_group, detector, suspects
+            )
+        except Exception as error:
+            if len(group) > 1:
                 for pending in group:
-                    if not pending.future.done():
-                        pending.future.set_exception(error)
-                continue
-            for pending, result in zip(group, results):
-                if not pending.future.done():
-                    pending.future.set_result((result, len(group)))
+                    await self._execute_group(detector, [pending], loop)
+                return
+            self.stats.failures += 1
+            if not group[0].future.done():
+                group[0].future.set_exception(error)
+            return
+        for pending, result in zip(group, results):
+            if not pending.future.done():
+                pending.future.set_result((result, len(group)))
 
     def _detect_group(
         self, detector: WatermarkDetector, suspects: Sequence[SuspectData]

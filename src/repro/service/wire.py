@@ -77,7 +77,7 @@ from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, Tu
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import DetectionResult, SuspectData
 from repro.core.generator import WatermarkResult
-from repro.core.histogram import TokenHistogram
+from repro.core.histogram import TokenHistogram, checked_counts
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import ConfigurationError, HistogramError, ServiceError
 
@@ -472,11 +472,15 @@ def _check_dataset(message: Any, config_keys: frozenset) -> None:
             raise ServiceError(f"{label} has unknown config keys: {sorted(unknown)}")
 
 
-def _dataset(message: Any) -> Union[List[str], TokenHistogram]:
-    """The request's dataset: ``counts`` as a histogram, else the tokens."""
+def _dataset(message: Any, read_counts: Callable[[Dict[str, int]], Any]) -> Any:
+    """The request's dataset: ``read_counts(counts)``, else the tokens.
+
+    A malformed ``counts`` object fails here, at decode, as a
+    ``malformed counts`` :class:`~repro.exceptions.ServiceError`.
+    """
     if message.counts is not None:
         try:
-            return TokenHistogram.from_counts(message.counts)
+            return read_counts(message.counts)
         except (HistogramError, TypeError, ValueError) as exc:
             raise ServiceError(
                 f"{_label(type(message), message.request_id)} has malformed counts: {exc}"
@@ -488,8 +492,14 @@ class _Screening:
     """Mixin for requests screening a dataset under detection thresholds."""
 
     def suspect(self) -> SuspectData:
-        """The suspected dataset as detector input."""
-        return _dataset(self)
+        """The suspected dataset as detector input.
+
+        ``counts`` come back checked
+        (:func:`~repro.core.histogram.checked_counts`) but not sorted
+        into a histogram: detection reads them only at the secret's
+        tokens.
+        """
+        return _dataset(self, checked_counts)
 
     def detection_config(self) -> Optional[DetectionConfig]:
         """The per-request threshold overrides, decoded — None when absent."""
@@ -515,8 +525,9 @@ class DetectRequest(_Screening, _Message):
         The suspected dataset as a raw token sequence. Mutually
         exclusive with ``counts``.
     counts:
-        The suspected dataset as a token→frequency histogram (compact
-        form; detection only ever consumes the histogram).
+        The suspected dataset as a token→frequency mapping (compact
+        form). It is checked at decode and read only at the secret's
+        tokens; counts must fit ``int64``.
     secret:
         Inline secret payload (:meth:`WatermarkSecret.to_dict` shape).
         Mutually exclusive with ``secret_fingerprint``.
@@ -658,7 +669,7 @@ class EmbedRequest(_Message):
 
     def data(self) -> Union[List[str], TokenHistogram]:
         """The dataset as generator input."""
-        return _dataset(self)
+        return _dataset(self, TokenHistogram.from_counts)
 
     def generation_config(self) -> GenerationConfig:
         """The generation parameters, decoded (defaults when absent)."""

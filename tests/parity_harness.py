@@ -43,6 +43,7 @@ from repro.core.reference import (
 from repro.core.secrets import WatermarkSecret
 from repro.core.streaming import StreamingHistogramBuilder
 from repro.core.transform import apply_deltas_to_tokens
+from repro.dispute import WatermarkRegistry
 from repro.exceptions import GenerationError, HistogramError
 from repro.exec.scheduler import LocalScheduler
 
@@ -198,6 +199,81 @@ def assert_many_secrets_parity(
             where = f"detect_many_secrets[{index}] ({path}) diverged"
             _assert_results_match(results[index], reference, where=where)
             assert results[index].evidence == reference.evidence, where
+    return references
+
+
+def _raises_histogram_error(call) -> bool:
+    try:
+        call()
+    except HistogramError:
+        return True
+    return False
+
+
+def assert_counts_parity(
+    counts,
+    secrets: Sequence[WatermarkSecret],
+    config: Optional[DetectionConfig] = None,
+) -> Optional[List[DetectionResult]]:
+    """A token->count mapping vs its histogram, through every reader.
+
+    The detector (:meth:`~WatermarkDetector.detect` with evidence, and
+    :meth:`~WatermarkDetector.detect_many` on one batch mixing the
+    mapping with its histogram and its token list),
+    :func:`detect_many_secrets` (uncached and cached) and
+    :meth:`WatermarkRegistry.attribute_leak` (index and group-test
+    screens) read the mapping itself. Each must answer what
+    :func:`detect_reference` answers for
+    ``TokenHistogram.from_counts(counts)``. When ``from_counts`` rejects
+    the mapping, every reader must raise ``HistogramError`` too.
+    Returns the reference results, or ``None`` for a rejected mapping.
+    """
+    detection = config or DetectionConfig()
+    registries = [WatermarkRegistry(group_test_threshold=0), WatermarkRegistry()]
+    for registry in registries:
+        for index, secret in enumerate(secrets):
+            registry.register(f"buyer-{index}", secret)
+    detectors = [WatermarkDetector(secret, detection) for secret in secrets]
+    try:
+        histogram = TokenHistogram.from_counts(counts)
+    except HistogramError:
+        calls = [lambda: detectors[0].detect(counts), lambda: detectors[0].detect_many([counts])]
+        calls += [
+            lambda cache=cache: detect_many_secrets(counts, secrets, detection, detector_cache=cache)
+            for cache in (None, DetectorCache(capacity=None))
+        ]
+        calls += [
+            lambda registry=registry: registry.attribute_leak(counts, detection=detection)
+            for registry in registries
+        ]
+        for position, call in enumerate(calls):
+            assert _raises_histogram_error(call), f"reader {position} accepted rejected counts"
+        return None
+    references = [detect_reference(histogram, secret, detection) for secret in secrets]
+    tokens = [token for token, count in histogram.as_dict().items() for _ in range(count)]
+    for detector, reference in zip(detectors, references):
+        single = detector.detect(counts)
+        _assert_results_match(single, reference, where="detect(counts) diverged")
+        assert single.evidence == reference.evidence, "detect(counts) evidence diverged"
+        mixed = detector.detect_many([counts, histogram, tokens], collect_evidence=True)
+        for position, result in enumerate(mixed):
+            where = f"mixed detect_many[{position}] diverged"
+            _assert_results_match(result, reference, where=where)
+            assert result.evidence == reference.evidence, where
+    for cache in (None, DetectorCache(capacity=None)):
+        stacked = detect_many_secrets(
+            counts, secrets, detection, collect_evidence=True, detector_cache=cache
+        )
+        for index, reference in enumerate(references):
+            where = f"detect_many_secrets(counts)[{index}] diverged"
+            _assert_results_match(stacked[index], reference, where=where)
+            assert stacked[index].evidence == reference.evidence, where
+    expected = {
+        f"buyer-{index}" for index, reference in enumerate(references) if reference.accepted
+    }
+    for registry in registries:
+        matches = registry.attribute_leak(counts, detection=detection)
+        assert {buyer for buyer, _fraction in matches} == expected, "attribute_leak diverged"
     return references
 
 

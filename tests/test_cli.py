@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.core.secrets import WatermarkSecret
 from repro.datasets.loaders import load_token_file, save_token_file
@@ -19,6 +23,18 @@ def token_file(tmp_path) -> Path:
     tokens = generate_power_law_tokens(0.7, n_tokens=50, sample_size=6_000, rng=3)
     save_token_file(tokens, path)
     return path
+
+
+def test_cli_import_loads_neither_scipy_nor_networkx():
+    """``import repro.cli`` (every ``serve`` / ``worker`` start) leaves
+    scipy and networkx to the functions that need them."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, repro.cli; print(sorted({'scipy', 'networkx'} & set(sys.modules)))"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.strip() == "[]", completed.stdout + completed.stderr
 
 
 class TestParser:

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.batch import detect_many_secrets
 from repro.core.config import DetectionConfig
+from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.dispute import WatermarkRegistry
+from repro.dispute.index import CandidateIndex
 from repro.exceptions import DisputeError
 
 #: Exact-alignment acceptance, half the pairs required — the marketplace
@@ -188,3 +192,92 @@ def test_index_stats_track_registrations_and_revocations(watermarked_bundle):
     shrunk = registry.index_stats()
     assert shrunk.active_secrets == 2
     assert shrunk.postings == baseline.postings + 8
+
+
+# --------------------------------------------------------------------------- #
+# In-place index maintenance
+# --------------------------------------------------------------------------- #
+
+#: A leaked copy over part of the sequence vocabulary (t6 and t7 are
+#: missing from it).
+_LEAK = {"t0": 40, "t1": 33, "t2": 19, "t3": 12, "t4": 7, "t5": 3}
+_VOCAB = [f"t{index}" for index in range(8)]
+_ROWS = range(6)
+
+#: Few tokens, secret values and caps, so secrets share buckets.
+_sequence_secret = st.builds(
+    WatermarkSecret.build,
+    st.lists(
+        st.tuples(st.sampled_from(_VOCAB), st.sampled_from(_VOCAB)).filter(
+            lambda members: members[0] != members[1]
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([2, 3, 5]),
+)
+
+
+def _assert_index_matches(live, rows, detection):
+    """``live`` screens like an index built fresh from ``rows``, and
+    its candidates are exactly what the stacked pass accepts."""
+    fresh = CandidateIndex(group_test_threshold=live.group_test_threshold)
+    for row in sorted(rows):
+        fresh.add(row, rows[row])
+    screen = live.screen(_LEAK, detection)
+    assert screen == fresh.screen(_LEAK, detection)
+    assert screen == live.screen(TokenHistogram.from_counts(_LEAK), detection)
+    assert live.stats() == fresh.stats()
+    assert len(live) == len(rows)
+    ordered = sorted(rows)
+    results = detect_many_secrets(_LEAK, [rows[row] for row in ordered], detection)
+    accepted = {row for row, result in zip(ordered, results) if result.accepted}
+    if screen.mode == "index":
+        assert set(screen.rows) == accepted
+    else:
+        assert accepted <= set(screen.rows)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_in_place_index_matches_fresh_build_and_stacked_pass(data):
+    """Any add/remove/screen sequence (rows reused after removal
+    included) leaves the in-place index equal to a fresh build."""
+    live = CandidateIndex(group_test_threshold=data.draw(st.sampled_from([0, 3])))
+    detection = DetectionConfig(
+        pair_threshold=data.draw(st.integers(min_value=0, max_value=1)),
+        min_accepted_fraction=data.draw(st.sampled_from([0.25, 0.5, 1.0])),
+    )
+    rows = {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=25))):
+        free = [row for row in _ROWS if row not in rows]
+        steps = ["screen"] + (["add"] if free else []) + (["remove"] if rows else [])
+        step = data.draw(st.sampled_from(steps))
+        if step == "add":
+            row = data.draw(st.sampled_from(free))
+            rows[row] = data.draw(_sequence_secret)
+            live.add(row, rows[row])
+        elif step == "remove":
+            row = data.draw(st.sampled_from(sorted(rows)))
+            del rows[row]
+            live.remove(row)
+        else:
+            _assert_index_matches(live, rows, detection)
+    _assert_index_matches(live, rows, detection)
+
+
+def test_index_rejects_bad_rows(watermarked_bundle):
+    result, _ = watermarked_bundle
+    index = CandidateIndex()
+    with pytest.raises(DisputeError):
+        index.add(-1, result.secret)
+    index.add(3, result.secret)
+    with pytest.raises(DisputeError):
+        index.add(3, result.secret)
+    for row in (-1, 0, 4, 99):
+        with pytest.raises(DisputeError):
+            index.remove(row)
+    index.remove(3)
+    with pytest.raises(DisputeError):
+        index.remove(3)

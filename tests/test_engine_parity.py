@@ -30,6 +30,7 @@ from repro.core.reference import (
     histogram_from_tokens_reference,
     select_within_budget_reference,
 )
+from repro.core.secrets import WatermarkSecret
 from repro.core.similarity import (
     SimilarityTracker,
     available_metrics,
@@ -278,6 +279,90 @@ class TestBatchDetectionParity:
         secret = WatermarkSecret.build([candidates[0].pair], SECRET, 7)
         report = detect_many([tokens, histogram], secret)
         assert report.results[0].accepted_pairs == report.results[1].accepted_pairs
+
+
+#: Token universe of the counts-path cases: digit strings, so that int,
+#: integral-float, bytes and one-tuple keys all alias them.
+_COUNT_TOKENS = [str(index) for index in range(10)]
+
+
+def _alias(token: str, form: str):
+    """``token`` as a key of kind ``form`` that canonicalises back to it."""
+    number = int(token)
+    return {
+        "str": token,
+        "int": number,
+        "float": float(number),
+        "bytes": token.encode(),
+        "tuple": (token,),
+    }[form]
+
+
+@st.composite
+def _counts_cases(draw):
+    """A counts mapping with aliased, zero and missing tokens, secrets
+    over the same universe, and a detection config."""
+    counts = {}
+    present = draw(st.lists(st.sampled_from(_COUNT_TOKENS), unique=True, max_size=8))
+    for token in present:
+        total = draw(st.integers(min_value=0, max_value=40))
+        forms = draw(
+            st.lists(
+                st.sampled_from(["str", "int", "float", "bytes", "tuple"]),
+                min_size=1,
+                max_size=2,
+                unique=True,
+            )
+        )
+        # Two aliases split the count between them; they must add up.
+        share = draw(st.integers(min_value=0, max_value=total))
+        for form, count in zip(forms, (share, total - share) if len(forms) == 2 else (total,)):
+            counts[_alias(token, form)] = count
+    pair = st.tuples(st.sampled_from(_COUNT_TOKENS), st.sampled_from(_COUNT_TOKENS)).filter(
+        lambda members: members[0] != members[1]
+    )
+    secrets = [
+        WatermarkSecret.build(
+            draw(st.lists(pair, min_size=1, max_size=5)),
+            draw(st.integers(min_value=1, max_value=2**40)),
+            draw(st.sampled_from([3, 5, 7])),
+        )
+        for _ in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    config = DetectionConfig(
+        pair_threshold=draw(st.integers(min_value=0, max_value=2)),
+        min_accepted_fraction=draw(st.sampled_from([0.3, 0.5, 1.0])),
+        symmetric_tolerance=draw(st.booleans()),
+    )
+    return counts, secrets, config
+
+
+class TestCountsPathParity:
+    """A token->count mapping is read only at the secret's tokens; every
+    reader must still answer what the reference answers for its
+    histogram."""
+
+    @_settings
+    @given(case=_counts_cases())
+    def test_counts_readers_match_reference(self, case):
+        counts, secrets, config = case
+        harness.assert_counts_parity(counts, secrets, config)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"0": 3, "1": -1},
+            {"0": 3, 1: True},
+            {"0": 3, "1": 2.5},
+            {"0": 0, 1: 0.0},
+            {},
+            {"0": 3, "9": 2**63},
+        ],
+        ids=["negative", "bool", "non-integral-float", "all-zero", "empty", "beyond-int64"],
+    )
+    def test_malformed_counts_raise_on_every_path(self, counts):
+        secret = WatermarkSecret.build([("0", "1"), ("2", "3")], SECRET, 7)
+        assert harness.assert_counts_parity(counts, [secret]) is None
 
 
 #: Raw token values of every kind ``canonical_token`` accepts, including

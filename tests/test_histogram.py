@@ -6,7 +6,12 @@ import math
 
 import pytest
 
-from repro.core.histogram import TokenHistogram, pairwise_rank_gaps
+from repro.core.histogram import (
+    TokenCounts,
+    TokenHistogram,
+    checked_counts,
+    pairwise_rank_gaps,
+)
 from repro.exceptions import HistogramError
 
 
@@ -49,6 +54,34 @@ class TestConstruction:
     def test_non_string_tokens_canonicalised(self):
         histogram = TokenHistogram.from_tokens([1, 1, 2])
         assert histogram.frequency("1") == 2
+
+    def test_alias_keys_sum_on_every_constructor(self):
+        """Keys that canonicalise to one token add up, however the
+        histogram is built."""
+        assert TokenHistogram.from_counts({1: 3, "1": 2}).as_dict() == {"1": 5}
+        assert TokenHistogram({1: 3, "1": 2}).as_dict() == {"1": 5}
+        assert TokenHistogram.from_tokens([1, 1, 1, "1", "1"]).as_dict() == {"1": 5}
+        assert checked_counts({1.0: 2, b"1": 1, "1": 4}) == {"1": 7}
+
+    @pytest.mark.parametrize("count", [2**63, 2**64 + 5, float(2**63)])
+    @pytest.mark.parametrize("key", ["big", 7])
+    def test_count_outside_int64_rejected(self, count, key):
+        counts = {"small": 3, key: count}
+        with pytest.raises(HistogramError, match="int64"):
+            TokenHistogram.from_counts(counts)
+        with pytest.raises(HistogramError, match="int64"):
+            checked_counts(counts)
+
+    def test_int64_bound_applies_after_aliases_sum(self):
+        assert checked_counts({"a": 2**63 - 1}) == {"a": 2**63 - 1}
+        with pytest.raises(HistogramError, match="int64"):
+            checked_counts({"1": 2**62, 1: 2**62})
+
+    def test_checked_counts_is_idempotent(self):
+        checked = checked_counts({"a": 2, "b": 0, 3: 1})
+        assert isinstance(checked, TokenCounts)
+        assert checked == {"a": 2, "3": 1}
+        assert checked_counts(checked) is checked
 
 
 class TestOrderingAndAccess:

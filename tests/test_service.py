@@ -262,6 +262,35 @@ class TestCoalescing:
         # One window, two per-detector groups -> two vectorized passes.
         assert stats.batches >= 2
 
+    def test_bad_detect_fails_alone_in_its_window(self, watermark):
+        """An empty token list coalesced with three good detects fails
+        only itself; the three good ones still get their verdicts."""
+        counts = watermark.watermarked_histogram.as_dict()
+
+        async def run():
+            async with DetectionService(ServiceConfig(max_delay=0.05)) as service:
+                fingerprint = service.register_secret(watermark.secret)
+                requests = [
+                    DetectRequest(request_id="good0", counts=counts, secret_fingerprint=fingerprint),
+                    DetectRequest(request_id="bad", tokens=(), secret_fingerprint=fingerprint),
+                    DetectRequest(request_id="good1", counts=counts, secret_fingerprint=fingerprint),
+                    DetectRequest(request_id="good2", counts=counts, secret_fingerprint=fingerprint),
+                ]
+                responses = await asyncio.gather(*(service.submit(r) for r in requests))
+                return responses, service.stats
+
+        responses, stats = asyncio.run(run())
+        by_id = {response.request_id: response for response in responses}
+        assert not by_id["bad"].ok
+        assert by_id["bad"].error == "cannot build a histogram from an empty dataset"
+        direct = WatermarkDetector(watermark.secret).detect(counts)
+        for request_id in ("good0", "good1", "good2"):
+            assert by_id[request_id].ok, by_id[request_id].error
+            assert by_id[request_id].accepted_pairs == direct.accepted_pairs
+            assert by_id[request_id].accepted == direct.accepted
+        assert stats.requests == 4
+        assert stats.batches == 1  # the four shared one window
+
     def test_submit_not_running_raises(self, watermark):
         async def run():
             service = DetectionService()

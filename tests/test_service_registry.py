@@ -236,3 +236,28 @@ def test_persistent_vault_survives_a_service_restart(tmp_path, watermarked_bundl
         verdict = service.submit(AttributeRequest(request_id="att-1", counts=leaked))
         assert verdict.ok, verdict.error
         assert [buyer for buyer, _ in verdict.matches] == ["buyer-persisted"]
+
+
+@pytest.mark.parametrize("carrier", ["secret-token", "other-token"])
+def test_counts_outside_int64_fail_as_malformed_counts(watermarked_bundle, carrier):
+    """A count of 2**63 fails detect and attribute as ``malformed
+    counts`` on the wire, whether a secret token or another carries it."""
+    result, _ = watermarked_bundle
+    counts = result.watermarked_histogram.as_dict()
+    token = result.secret.pairs[0].first if carrier == "secret-token" else "not-in-any-secret"
+    counts[token] = 2**63
+    with SyncDetectionService() as service:
+        registered = service.submit(
+            RegisterRequest(request_id="reg", buyer_id="buyer-a", secret=result.secret.to_dict())
+        )
+        assert registered.ok, registered.error
+        requests = [
+            DetectRequest(request_id="det", counts=counts, secret=result.secret.to_dict()),
+            AttributeRequest(request_id="att", counts=counts),
+        ]
+        for request in requests:
+            response = service.submit(decode_request(encode_line(request)))
+            assert response.ok is False
+            assert "malformed counts" in (response.error or ""), response.error
+            assert "int64" in (response.error or ""), response.error
+            assert "internal error" not in (response.error or "")
