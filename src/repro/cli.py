@@ -1047,7 +1047,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(args.handler(args))
     except BrokenPipeError:  # stdout piped into a closed pager/head
         return 0
-    except ReproError as error:
+    except (ReproError, OSError) as error:
+        # A missing or unreadable file is a usage error, not the exit-1
+        # "not detected" verdict.
         print(f"error: {error}", file=sys.stderr)  # noqa: T201
         return 2
 

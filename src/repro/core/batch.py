@@ -25,10 +25,13 @@ into contiguous chunks, builds one fingerprinted
 :class:`~repro.exec.scheduler.TaskSpec` per chunk and runs them through
 :func:`~repro.exec.scheduler.create_scheduler`: every worker builds its
 detector (``detect.state``) or generator (``embed.state``) once per
-``init_key``, large chunks travel as content-addressed blobs, and results
-are gathered **in input order** with verdicts identical to the
-in-process path. A local pool that cannot spawn falls back in-process,
-logging the reason and raising a ``RuntimeWarning``.
+``init_key`` and results are gathered **in input order** with verdicts
+identical to the in-process path. A detection chunk of histograms and
+count mappings is read at the secret's pair tokens on the driver and
+travels inline as one small count matrix (``detect.counts``); chunks
+holding token sequences, and embedding chunks, travel as
+content-addressed blobs when large. A local pool that cannot spawn falls
+back in-process, logging the reason and raising a ``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,14 +53,17 @@ from repro.core.detector import (
     SuspectData,
     WatermarkDetector,
     build_pair_evidence,
+    count_matrix,
     detector_fingerprint,
     gather_counts,
+    pair_columns,
     suspect_counts,
     verify_pair_arrays,
 )
 from repro.core.embedding import BatchEmbeddingReport, EmbedData, generator_fingerprint
 from repro.core.generator import WatermarkGenerator
 from repro.core.hashing import PairModulusCache
+from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, GenerationError
 from repro.exec.blobs import dataplane_enabled, maybe_blob
@@ -171,6 +177,22 @@ def _detect_chunk(
     return detector.detect_many(chunk, collect_evidence=collect_evidence)
 
 
+def _detect_counts(
+    detector: WatermarkDetector,
+    payload: Tuple[np.ndarray, bool],
+) -> List[DetectionResult]:
+    """``detect.counts`` task: verdicts for a chunk the driver already read.
+
+    The payload matrix holds one row per suspect at the detector's
+    columns (:func:`~repro.core.detector.pair_columns`);
+    :meth:`~repro.core.detector.WatermarkDetector.detect_matrix` rejects
+    any other shape, a non-``int64`` dtype or a negative count with a
+    :class:`~repro.exceptions.DetectionError`.
+    """
+    matrix, collect_evidence = payload
+    return detector.detect_matrix(matrix, collect_evidence=collect_evidence)
+
+
 def _detect_file_chunk(
     detector: WatermarkDetector, payload: Tuple[List, bool]
 ) -> List[DetectionResult]:
@@ -188,6 +210,7 @@ def _detect_file_chunk(
 
 register_initializer("detect.state", _build_detector)
 register_task_function("detect.chunk", _detect_chunk)
+register_task_function("detect.counts", _detect_counts)
 register_task_function("detect.files", _detect_file_chunk)
 
 
@@ -257,11 +280,23 @@ def dispatch_detection(
     paths (``"detect.files"``). They are split into contiguous chunks —
     about four per worker, capped, unless ``chunk_size`` is given — and
     every chunk becomes one task whose worker-side detector is built once
-    per ``init_key`` from the serializable ``(secret, config)``. When the
-    scheduler ships payloads to other processes and the data plane is on,
-    the secret (identical in every task) and each large chunk travel as
-    blob refs. A scheduler that runs inline walks the same chunks
-    in-process, so at most one chunk's histograms are resident at a time.
+    per ``init_key`` from the serializable ``(secret, config)``.
+
+    A chunk of histograms and token->count mappings only is read here,
+    at the secret's distinct pair tokens
+    (:func:`~repro.core.detector.pair_columns`, no hashing and no
+    detector), into one ``int64`` matrix with a row per suspect, and
+    becomes a ``detect.counts`` task carrying that matrix inline: no
+    blob is stored and nothing outlives the task. A malformed mapping
+    therefore raises :class:`~repro.exceptions.HistogramError` here,
+    before any task is sent. A chunk holding a token sequence stays a
+    ``detect.chunk`` task, since counting it is the work worth spreading.
+
+    When the scheduler ships payloads to other processes and the data
+    plane is on, the secret (identical in every task) and each large
+    ``detect.chunk`` / ``detect.files`` chunk travel as blob refs. A
+    scheduler that runs inline walks the same chunks in-process, so at
+    most one chunk of loaded files is resident at a time.
     """
     if len(secret.pairs) == 0:
         raise DetectionError("the secret list contains no watermarked pairs")
@@ -278,13 +313,22 @@ def dispatch_detection(
     )
     use_blobs = dataplane_enabled() and scheduler.ships_payloads
     secret_value, secret_refs = maybe_blob(secret) if use_blobs else (secret, ())
+    columns = pair_columns(secret) if function == "detect.chunk" else None
     specs: List[TaskSpec] = []
     for index, chunk in enumerate(split_chunks(items, size)):
-        chunk_value, chunk_refs = maybe_blob(chunk) if use_blobs else (chunk, ())
+        task = function
+        if columns is not None and all(
+            isinstance(item, (TokenHistogram, Mapping)) for item in chunk
+        ):
+            task, chunk_value, chunk_refs = "detect.counts", count_matrix(chunk, columns), ()
+        elif use_blobs:
+            chunk_value, chunk_refs = maybe_blob(chunk)
+        else:
+            chunk_value, chunk_refs = chunk, ()
         specs.append(
             TaskSpec(
-                fingerprint=f"{init_key}:{function}:{index}",
-                function=function,
+                fingerprint=f"{init_key}:{task}:{index}",
+                function=task,
                 payload=(chunk_value, collect_evidence),
                 initializer="detect.state",
                 init_key=init_key,

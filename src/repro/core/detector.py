@@ -19,11 +19,13 @@ Detection is linear in the number of stored pairs, which is the paper's
 The detector caches the recomputed moduli and resolved thresholds at
 construction (they depend only on the secret and the configuration), so
 scanning many suspected datasets with one detector pays the SHA-256 cost
-once; each :meth:`WatermarkDetector.detect` call is then a single
-vectorized ``(f_i - f_j) mod s_ij <= t`` pass over NumPy arrays.
-:meth:`WatermarkDetector.detect_many` extends the same pass to a whole
-batch of suspected datasets at once (one matrix operation), which is what
-the marketplace-scale sweeps and :func:`repro.core.batch.detect_many` use.
+once. A suspect is read at the secret's distinct pair tokens
+(:func:`pair_columns`) into one row of an ``int64`` count matrix, and
+:meth:`WatermarkDetector.detect_matrix` verifies a whole matrix in one
+vectorized ``(f_i - f_j) mod s_ij <= t`` pass: :meth:`~WatermarkDetector.detect`
+(one row), :meth:`~WatermarkDetector.detect_many` (one row per suspect)
+and the sharded sweeps of :func:`repro.core.batch.detect_many`, whose
+driver gathers the matrix itself, all end in that one step.
 """
 
 from __future__ import annotations
@@ -77,6 +79,36 @@ def gather_counts(counts: SuspectCounts, tokens: Sequence[str]) -> np.ndarray:
         return counts.arrays().frequencies(tokens)
     return np.fromiter(
         map(counts.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens)
+    )
+
+
+def count_matrix(datasets: Sequence[SuspectData], columns: Sequence[str]) -> np.ndarray:
+    """The ``int64`` counts of ``columns`` in each suspect, one row each.
+
+    Row ``i`` is :func:`gather_counts` of :func:`suspect_counts` of
+    ``datasets[i]``, so a malformed mapping raises
+    :class:`~repro.exceptions.HistogramError` here.
+    """
+    matrix = np.empty((len(datasets), len(columns)), dtype=np.int64)
+    for row, data in enumerate(datasets):
+        matrix[row] = gather_counts(suspect_counts(data), columns)
+    return matrix
+
+
+def pair_columns(secret: WatermarkSecret) -> List[str]:
+    """The distinct tokens of ``secret``'s stored pairs, in column order.
+
+    These are the only counts a verdict reads from a suspect: every
+    first member in stored-pair order, then every second member, each
+    token once, at its first appearance. Deriving them hashes nothing,
+    so a driver can read suspects at a detector's columns without
+    building the detector (:func:`repro.core.batch.dispatch_detection`).
+    """
+    return list(
+        dict.fromkeys(
+            [pair.first for pair in secret.pairs]
+            + [pair.second for pair in secret.pairs]
+        )
     )
 
 
@@ -256,10 +288,8 @@ class WatermarkDetector:
         self._second_tokens = [pair.second for pair in secret.pairs]
         # The distinct pair tokens are the columns read from a suspect;
         # the pair sides index into them.
-        positions: Dict[str, int] = {}
-        for token in self._first_tokens + self._second_tokens:
-            positions.setdefault(token, len(positions))
-        self._columns: List[str] = list(positions)
+        self._columns = pair_columns(secret)
+        positions = {token: index for index, token in enumerate(self._columns)}
         self._first_columns = np.fromiter(
             map(positions.__getitem__, self._first_tokens), dtype=np.intp
         )
@@ -324,52 +354,6 @@ class WatermarkDetector:
         return self._first_tokens, self._second_tokens, self._moduli, self._thresholds
 
     # ------------------------------------------------------------------ #
-    # Vectorized verification core
-    # ------------------------------------------------------------------ #
-
-    def _verify(
-        self, first: np.ndarray, second: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One vectorized ``(f_i - f_j) mod s_ij <= t`` pass.
-
-        ``first``/``second`` hold the pair-member frequencies (0 marks a
-        missing token) for one dataset (1-D) or a batch (2-D, one row per
-        dataset). Returns ``(accepted, present, remainder)`` arrays of
-        the same shape.
-        """
-        return verify_pair_arrays(
-            first,
-            second,
-            safe_moduli=self._safe_moduli,
-            valid=self._valid,
-            thresholds=self._thresholds,
-            symmetric_tolerance=self.config.symmetric_tolerance,
-        )
-
-    def _result(self, accepted_pairs: int, evidence: Tuple[PairEvidence, ...]) -> DetectionResult:
-        return DetectionResult(
-            accepted=accepted_pairs >= self._required,
-            accepted_pairs=accepted_pairs,
-            required_pairs=self._required,
-            total_pairs=len(self.secret.pairs),
-            evidence=evidence,
-        )
-
-    def _evidence(
-        self, accepted: np.ndarray, present: np.ndarray, remainder: np.ndarray
-    ) -> Tuple[PairEvidence, ...]:
-        """Materialise per-pair evidence objects from the vector pass."""
-        return build_pair_evidence(
-            self.secret.pairs,
-            accepted,
-            present,
-            remainder,
-            self._moduli,
-            self._thresholds,
-            self._valid,
-        )
-
-    # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
 
@@ -395,13 +379,7 @@ class WatermarkDetector:
             The verdict with accepted/required/total pair counts.
         """
         row = gather_counts(suspect_counts(data), self._columns)
-        accepted, present, remainder = self._verify(
-            row[self._first_columns], row[self._second_columns]
-        )
-        evidence: Tuple[PairEvidence, ...] = ()
-        if collect_evidence:
-            evidence = self._evidence(accepted, present, remainder)
-        return self._result(int(accepted.sum()), evidence)
+        return self.detect_matrix(row[np.newaxis], collect_evidence=collect_evidence)[0]
 
     def detect_many(
         self,
@@ -411,10 +389,11 @@ class WatermarkDetector:
     ) -> List[DetectionResult]:
         """Batch detection: verify every stored pair on every dataset.
 
-        The pair frequencies of all datasets are stacked into one matrix
-        and verified with a single vectorized modulo pass — the per-pair
-        Python loop of the seed implementation disappears entirely, and
-        the moduli hashes are shared across the whole batch.
+        Each dataset is read at this detector's columns (the distinct
+        pair tokens, see :func:`pair_columns`) into one row of a count
+        matrix, which :meth:`detect_matrix` verifies in a single
+        vectorized modulo pass — no per-pair Python loop, and the moduli
+        hashes are shared across the whole batch.
 
         Parameters
         ----------
@@ -431,21 +410,91 @@ class WatermarkDetector:
             One result per dataset, in input order. To shard this call
             across processes, see :func:`repro.core.batch.detect_many`.
         """
-        if not datasets:
-            return []
-        matrix = np.empty((len(datasets), len(self._columns)), dtype=np.int64)
-        for row, data in enumerate(datasets):
-            matrix[row] = gather_counts(suspect_counts(data), self._columns)
-        accepted, present, remainder = self._verify(
-            matrix[:, self._first_columns], matrix[:, self._second_columns]
+        return self.detect_matrix(
+            count_matrix(datasets, self._columns), collect_evidence=collect_evidence
+        )
+
+    def detect_matrix(
+        self, matrix: np.ndarray, *, collect_evidence: bool = False
+    ) -> List[DetectionResult]:
+        """Verdicts for suspects already read at this detector's columns.
+
+        This is the one verdict step: :meth:`detect` and
+        :meth:`detect_many` gather their suspects and call it, and so
+        does a ``detect.counts`` task, whose matrix the dispatching
+        driver gathered (:func:`repro.core.batch.dispatch_detection`).
+
+        Parameters
+        ----------
+        matrix : numpy.ndarray
+            One row per suspect and one column per token of
+            :func:`pair_columns`, holding that token's count in the
+            suspect (``0`` when absent; an all-zero row is a suspect
+            holding none of the secret's tokens).
+        collect_evidence : bool, optional
+            When True, per-pair :class:`PairEvidence` is materialised
+            for every row.
+
+        Returns
+        -------
+        List[DetectionResult]
+            One result per row, in row order.
+
+        Raises
+        ------
+        DetectionError
+            Unless ``matrix`` is a 2-D ``int64`` array with one column
+            per pair token and no negative entry.
+        """
+        if not (
+            isinstance(matrix, np.ndarray)
+            and matrix.ndim == 2
+            and matrix.dtype == np.int64
+            and matrix.shape[1] == len(self._columns)
+        ):
+            got = (
+                f"{matrix.dtype} of shape {matrix.shape}"
+                if isinstance(matrix, np.ndarray)
+                else type(matrix).__name__
+            )
+            raise DetectionError(
+                "a count matrix must be a 2-D int64 array with "
+                f"{len(self._columns)} columns, got {got}"
+            )
+        if matrix.size and matrix.min() < 0:
+            raise DetectionError("a count matrix must not hold a negative count")
+        accepted, present, remainder = verify_pair_arrays(
+            matrix[:, self._first_columns],
+            matrix[:, self._second_columns],
+            safe_moduli=self._safe_moduli,
+            valid=self._valid,
+            thresholds=self._thresholds,
+            symmetric_tolerance=self.config.symmetric_tolerance,
         )
         accepted_counts = accepted.sum(axis=1)
         results: List[DetectionResult] = []
-        for row in range(len(datasets)):
+        for row in range(matrix.shape[0]):
             evidence: Tuple[PairEvidence, ...] = ()
             if collect_evidence:
-                evidence = self._evidence(accepted[row], present[row], remainder[row])
-            results.append(self._result(int(accepted_counts[row]), evidence))
+                evidence = build_pair_evidence(
+                    self.secret.pairs,
+                    accepted[row],
+                    present[row],
+                    remainder[row],
+                    self._moduli,
+                    self._thresholds,
+                    self._valid,
+                )
+            accepted_pairs = int(accepted_counts[row])
+            results.append(
+                DetectionResult(
+                    accepted=accepted_pairs >= self._required,
+                    accepted_pairs=accepted_pairs,
+                    required_pairs=self._required,
+                    total_pairs=len(self.secret.pairs),
+                    evidence=evidence,
+                )
+            )
         return results
 
 
@@ -475,9 +524,11 @@ __all__ = [
     "SuspectData",
     "WatermarkDetector",
     "build_pair_evidence",
+    "count_matrix",
     "detect_watermark",
     "detector_fingerprint",
     "gather_counts",
+    "pair_columns",
     "suspect_counts",
     "verify_pair_arrays",
 ]

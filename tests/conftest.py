@@ -14,6 +14,7 @@ from repro.core.config import GenerationConfig
 from repro.core.generator import WatermarkGenerator
 from repro.core.histogram import TokenHistogram
 from repro.datasets.synthetic import generate_power_law_histogram, generate_power_law_tokens
+from repro.exec.blobs import BlobStore, set_default_blob_store
 from repro.obs import logging as _obs_logging
 
 
@@ -27,6 +28,17 @@ def _isolate_obs_logging():
     """
     yield
     _obs_logging.reset()
+
+
+@pytest.fixture()
+def fresh_store():
+    """An isolated process-wide default blob store, restored afterwards."""
+    store = BlobStore()
+    previous = set_default_blob_store(store)
+    try:
+        yield store
+    finally:
+        set_default_blob_store(previous)
 
 
 @pytest.fixture()

@@ -20,7 +20,7 @@ reachable as ``import parity_harness`` from any test module.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.core.streaming import StreamingHistogramBuilder
 from repro.core.transform import apply_deltas_to_tokens
 from repro.dispute import WatermarkRegistry
 from repro.exceptions import GenerationError, HistogramError
+from repro.exec.chunking import split_chunks
 from repro.exec.scheduler import LocalScheduler
 
 #: Default secret / modulus cap shared with the engine-parity suite.
@@ -132,44 +133,79 @@ def assert_detection_parity(
     return reference
 
 
+class _RecordingScheduler(LocalScheduler):
+    """An in-process scheduler that remembers the task functions it ran."""
+
+    functions: Tuple[str, ...] = ()
+
+    def run(self, tasks, **kwargs):
+        self.functions = tuple(task.function for task in tasks)
+        return super().run(tasks, **kwargs)
+
+
+def _counted(suspect) -> bool:
+    """Whether dispatch reads ``suspect`` on the driver (no token list)."""
+    return isinstance(suspect, (TokenHistogram, Mapping))
+
+
 def assert_batch_parity(
     suspects: Sequence,
     secret: WatermarkSecret,
     config: Optional[DetectionConfig] = None,
     *,
     chunk_size: Optional[int] = None,
+    collect_evidence: bool = False,
 ) -> List[DetectionResult]:
     """Reference vs the engine for a whole batch, in input order.
 
-    Covers the matrix ``detect_many`` pass and, when ``chunk_size`` is
-    given, the chunked scheduler dispatch of
-    :func:`repro.core.batch.dispatch_detection` running in-process — the
-    same chunk boundaries the sharded workers see, without spawning
-    processes.
+    Suspects may mix token sequences, histograms and token->count
+    mappings; the reference reads a mapping as
+    ``TokenHistogram.from_counts(mapping)``. Covers the matrix
+    ``detect_many`` pass and, when ``chunk_size`` is given, the chunked
+    scheduler dispatch of :func:`repro.core.batch.dispatch_detection`
+    running in-process — the same chunk boundaries and the same task
+    functions the sharded workers see (``detect.counts`` for a chunk
+    without token sequences, ``detect.chunk`` otherwise), without
+    spawning processes. With ``collect_evidence`` every per-pair
+    evidence tuple must match the reference's too.
     """
-    references = [detect_reference(suspect, secret, config) for suspect in suspects]
-    detector = WatermarkDetector(secret, config)
-    report = detect_many(suspects, detector=detector)
-    assert len(report) == len(references)
-    for index, reference in enumerate(references):
-        _assert_results_match(
-            report[index], reference, where=f"detect_many[{index}] diverged"
+    references = [
+        detect_reference(
+            TokenHistogram.from_counts(suspect) if isinstance(suspect, Mapping) else suspect,
+            secret,
+            config,
         )
+        for suspect in suspects
+    ]
+
+    def check(results, where: str) -> None:
+        assert len(results) == len(references), where
+        for index, reference in enumerate(references):
+            _assert_results_match(results[index], reference, where=f"{where}[{index}] diverged")
+            expected = reference.evidence if collect_evidence else ()
+            assert results[index].evidence == expected, f"{where}[{index}] evidence diverged"
+
+    detector = WatermarkDetector(secret, config)
+    check(
+        detect_many(suspects, detector=detector, collect_evidence=collect_evidence),
+        "detect_many",
+    )
     if chunk_size is not None:
         inline_state = {detector.fingerprint: detector}
-        with LocalScheduler(1, inline_state=inline_state) as scheduler:
+        with _RecordingScheduler(1, inline_state=inline_state) as scheduler:
             chunked = dispatch_detection(
-                scheduler, secret, config, suspects, chunk_size=chunk_size
+                scheduler,
+                secret,
+                config,
+                suspects,
+                chunk_size=chunk_size,
+                collect_evidence=collect_evidence,
             )
-        for index, reference in enumerate(references):
-            _assert_results_match(
-                chunked[index],
-                reference,
-                where=(
-                    f"chunked detect_many[{index}] (chunk_size={chunk_size}) "
-                    "diverged"
-                ),
-            )
+        check(chunked, f"chunked detect_many (chunk_size={chunk_size})")
+        assert scheduler.functions == tuple(
+            "detect.counts" if all(map(_counted, chunk)) else "detect.chunk"
+            for chunk in split_chunks(suspects, chunk_size)
+        ), "a chunk took the wrong task"
     return references
 
 

@@ -221,6 +221,20 @@ class TestBatchDetect:
         empty.mkdir()
         assert main(["detect", str(empty), str(secret)]) == 2
 
+    @pytest.mark.parametrize("missing", ["suspect", "secret"])
+    def test_missing_input_file_is_a_usage_error(self, token_file, tmp_path, capsys, missing):
+        """Exit 2 with one ``error:`` line; exit 1 means "not detected"."""
+        watermarked = tmp_path / "watermarked.txt"
+        secret = tmp_path / "secret.json"
+        main(["generate", str(token_file), str(watermarked), str(secret), "--modulus", "31", "--seed", "7"])
+        capsys.readouterr()
+        absent = tmp_path / "missing.txt"
+        paths = [absent, secret] if missing == "suspect" else [watermarked, absent]
+        assert main(["detect", *map(str, paths)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(absent) in err
+        assert "Traceback" not in err
+
 
 class TestAttackAndSynth:
     def test_sampling_attack_command(self, token_file, tmp_path, capsys):

@@ -43,7 +43,6 @@ from repro.exec.blobs import (
     maybe_blob,
     resolve_refs,
     rewrite_refs,
-    set_default_blob_store,
 )
 from repro.exec.remote import RemoteScheduler
 from repro.exec.scheduler import LocalScheduler, SchedulerStats, TaskSpec
@@ -51,17 +50,6 @@ from repro.exec.scheduler import LocalScheduler, SchedulerStats, TaskSpec
 
 def _payload_bytes(count: int = 2 * MIN_BLOB_BYTES) -> bytes:
     return bytes(range(256)) * (count // 256 + 1)
-
-
-@pytest.fixture()
-def fresh_store():
-    """An isolated process-wide default store, restored afterwards."""
-    store = BlobStore()
-    previous = set_default_blob_store(store)
-    try:
-        yield store
-    finally:
-        set_default_blob_store(previous)
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import detect_many
+from repro.core.batch import detect_many, dispatch_detection
 from repro.core.config import DetectionConfig
 from repro.core.detector import WatermarkDetector
 from repro.core.eligibility import generate_eligible_pairs
@@ -38,6 +38,7 @@ from repro.core.similarity import (
 )
 from repro.core.streaming import DEFAULT_CHUNK_SIZE
 from repro.exceptions import HistogramError
+from repro.exec.scheduler import LocalScheduler
 
 import parity_harness as harness
 
@@ -298,14 +299,16 @@ def _alias(token: str, form: str):
     }[form]
 
 
-@st.composite
-def _counts_cases(draw):
-    """A counts mapping with aliased, zero and missing tokens, secrets
-    over the same universe, and a detection config."""
+def _draw_counts(draw, *, occupied: bool = False):
+    """A counts mapping over :data:`_COUNT_TOKENS` with keys of every
+    aliasing kind, split aliases and zero counts; ``occupied`` keeps at
+    least one occurrence, so the mapping is a valid suspect."""
     counts = {}
-    present = draw(st.lists(st.sampled_from(_COUNT_TOKENS), unique=True, max_size=8))
-    for token in present:
-        total = draw(st.integers(min_value=0, max_value=40))
+    present = draw(
+        st.lists(st.sampled_from(_COUNT_TOKENS), unique=True, min_size=int(occupied), max_size=8)
+    )
+    for position, token in enumerate(present):
+        total = draw(st.integers(min_value=int(occupied and position == 0), max_value=40))
         forms = draw(
             st.lists(
                 st.sampled_from(["str", "int", "float", "bytes", "tuple"]),
@@ -318,17 +321,27 @@ def _counts_cases(draw):
         share = draw(st.integers(min_value=0, max_value=total))
         for form, count in zip(forms, (share, total - share) if len(forms) == 2 else (total,)):
             counts[_alias(token, form)] = count
+    return counts
+
+
+def _draw_secret(draw) -> WatermarkSecret:
+    """A secret of one to five pairs over :data:`_COUNT_TOKENS`."""
     pair = st.tuples(st.sampled_from(_COUNT_TOKENS), st.sampled_from(_COUNT_TOKENS)).filter(
         lambda members: members[0] != members[1]
     )
-    secrets = [
-        WatermarkSecret.build(
-            draw(st.lists(pair, min_size=1, max_size=5)),
-            draw(st.integers(min_value=1, max_value=2**40)),
-            draw(st.sampled_from([3, 5, 7])),
-        )
-        for _ in range(draw(st.integers(min_value=1, max_value=3)))
-    ]
+    return WatermarkSecret.build(
+        draw(st.lists(pair, min_size=1, max_size=5)),
+        draw(st.integers(min_value=1, max_value=2**40)),
+        draw(st.sampled_from([3, 5, 7])),
+    )
+
+
+@st.composite
+def _counts_cases(draw):
+    """A counts mapping with aliased, zero and missing tokens, secrets
+    over the same universe, and a detection config."""
+    counts = _draw_counts(draw)
+    secrets = [_draw_secret(draw) for _ in range(draw(st.integers(min_value=1, max_value=3)))]
     config = DetectionConfig(
         pair_threshold=draw(st.integers(min_value=0, max_value=2)),
         min_accepted_fraction=draw(st.sampled_from([0.3, 0.5, 1.0])),
@@ -363,6 +376,76 @@ class TestCountsPathParity:
     def test_malformed_counts_raise_on_every_path(self, counts):
         secret = WatermarkSecret.build([("0", "1"), ("2", "3")], SECRET, 7)
         assert harness.assert_counts_parity(counts, [secret]) is None
+
+
+@st.composite
+def _mixed_batches(draw):
+    """One secret, a config and a batch of suspects in every form.
+
+    Each suspect is a histogram, a token->count mapping (keys of every
+    aliasing kind, split aliases, zero counts), a mapping holding none
+    of the secret's tokens, or a raw token list."""
+    secret = _draw_secret(draw)
+    config = DetectionConfig(
+        pair_threshold=draw(st.integers(min_value=0, max_value=2)),
+        symmetric_tolerance=draw(st.booleans()),
+    )
+    suspects = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["histogram", "mapping", "foreign", "tokens"]))
+        if kind == "foreign":
+            suspects.append({f"foreign-{index}": draw(st.integers(1, 10)) for index in range(3)})
+            continue
+        counts = _draw_counts(draw, occupied=True)
+        histogram = TokenHistogram.from_counts(counts)
+        if kind == "histogram":
+            suspects.append(histogram)
+        elif kind == "mapping":
+            suspects.append(counts)
+        else:
+            suspects.append(
+                [token for token, count in histogram.as_dict().items() for _ in range(count)]
+            )
+    return suspects, secret, config
+
+
+class _NoTasks(LocalScheduler):
+    """A scheduler that fails the test if any task reaches it."""
+
+    def run(self, tasks, **kwargs):
+        raise AssertionError(f"{len(tasks)} task(s) were sent")
+
+
+class TestProjectedDispatchParity:
+    """Chunked dispatch reads histogram and mapping chunks at the
+    secret's columns on the driver (``detect.counts``) and ships token
+    lists whole (``detect.chunk``); both must answer what the reference
+    answers, evidence included, at every chunk size."""
+
+    @_settings
+    @given(case=_mixed_batches())
+    def test_mixed_batch_matches_reference_at_every_chunk_size(self, case):
+        suspects, secret, config = case
+        for collect_evidence in (False, True):
+            for chunk_size in range(1, len(suspects) + 1):
+                harness.assert_batch_parity(
+                    suspects,
+                    secret,
+                    config,
+                    chunk_size=chunk_size,
+                    collect_evidence=collect_evidence,
+                )
+
+    @pytest.mark.parametrize(
+        "counts",
+        [{"0": 3, "1": -1}, {"0": 3, 1: True}, {"0": 0, 1: 0.0}],
+        ids=["negative", "bool", "all-zero"],
+    )
+    def test_malformed_mapping_fails_on_the_driver(self, counts):
+        secret = WatermarkSecret.build([("0", "1"), ("2", "3")], SECRET, 7)
+        good = TokenHistogram.from_counts({"0": 4, "1": 2})
+        with pytest.raises(HistogramError):
+            dispatch_detection(_NoTasks(1), secret, None, [good, counts], chunk_size=1)
 
 
 #: Raw token values of every kind ``canonical_token`` accepts, including

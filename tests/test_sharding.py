@@ -4,19 +4,27 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 import scheduler_tasks
 from repro.core.batch import detect_files, detect_many, dispatch_detection
-from repro.core.config import DetectionConfig
-from repro.core.detector import WatermarkDetector
-from repro.core.generator import generate_watermark
+from repro.core.config import DetectionConfig, GenerationConfig
+from repro.core.detector import WatermarkDetector, detector_fingerprint, pair_columns
+from repro.core.generator import WatermarkGenerator, generate_watermark
 from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.exceptions import ConfigurationError, DetectionError
+from repro.exec.blobs import MIN_BLOB_BYTES, blob_digest, dumps_oob
 from repro.exec.policy import ExecutionPolicy
-from repro.exec.scheduler import LocalScheduler, default_worker_count
+from repro.exec.remote import RemoteScheduler
+from repro.exec.scheduler import LocalScheduler, TaskSpec, default_worker_count, run_task
+
+#: Wire bytes a task may cost beyond its count matrix: the task line,
+#: the pickle framing of the payload and the initializer arguments
+#: (the secret's blob ref and the detection config).
+TASK_ALLOWANCE = 2048
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +47,38 @@ def suspects(watermark):
         watermark.watermarked_histogram,
         decoy,
     ]
+
+
+@pytest.fixture(scope="module")
+def wide_watermark():
+    """A 150-pair secret, large enough to travel as a blob."""
+    histogram = TokenHistogram.from_counts(
+        {f"tok-{i}": 1_000_000 // (i + 1) + 7 * i for i in range(300)}
+    )
+    config = GenerationConfig(modulus_cap=131, budget_percent=2.0)
+    return WatermarkGenerator(config, rng=7).generate(histogram)
+
+
+@pytest.fixture(scope="module")
+def worker_addresses(tmp_path_factory):
+    """Two real ``freqywm worker`` processes shared by the remote tests."""
+    directory = tmp_path_factory.mktemp("workers")
+    sock_a = directory / "worker-a.sock"
+    sock_b = directory / "worker-b.sock"
+    with scheduler_tasks.spawn_worker(sock_a), scheduler_tasks.spawn_worker(sock_b):
+        yield (f"unix:{sock_a}", f"unix:{sock_b}")
+
+
+def _counts_task(secret, matrix):
+    """A ``detect.counts`` task over ``matrix`` for ``secret``'s detector."""
+    return TaskSpec(
+        fingerprint="counts-task",
+        function="detect.counts",
+        payload=(matrix, False),
+        initializer="detect.state",
+        init_key=detector_fingerprint(secret),
+        init_args=(secret, None),
+    )
 
 
 def _signatures(report):
@@ -237,20 +277,107 @@ class TestSpawnFailureFallback:
 
 class TestRemoteDriver:
     def test_remote_sweep_builds_no_driver_detector(
-        self, watermark, suspects, tmp_path, count_detector_builds
+        self, watermark, suspects, worker_addresses, count_detector_builds
     ):
         """Only the workers build detectors for a remote sweep."""
         expected = _signatures(detect_many(suspects, watermark.secret))
-        sock_a = tmp_path / "worker-a.sock"
-        sock_b = tmp_path / "worker-b.sock"
-        with scheduler_tasks.spawn_worker(sock_a), scheduler_tasks.spawn_worker(sock_b):
-            policy = ExecutionPolicy(
-                scheduler="remote", addresses=(f"unix:{sock_a}", f"unix:{sock_b}")
-            )
-            count_detector_builds.clear()
-            report = detect_many(suspects, watermark.secret, policy=policy)
+        policy = ExecutionPolicy(scheduler="remote", addresses=worker_addresses)
+        count_detector_builds.clear()
+        report = detect_many(suspects, watermark.secret, policy=policy)
         assert count_detector_builds == []
         assert _signatures(report) == expected
+
+    def test_remote_verdicts_and_evidence_match_in_process(
+        self, watermark, suspects, worker_addresses
+    ):
+        """Counted chunks (histograms, mappings) and token-list chunks
+        answer exactly what the in-process pass answers."""
+        batch = suspects + [
+            watermark.watermarked_histogram.as_dict(),
+            {f"decoy-{i}": i + 1 for i in range(9)},  # none of the secret's tokens
+        ]
+        config = DetectionConfig(pair_threshold=1)
+        expected = detect_many(batch, watermark.secret, config, collect_evidence=True)
+        policy = ExecutionPolicy(
+            scheduler="remote", addresses=worker_addresses, chunk_size=2
+        )
+        report = detect_many(
+            batch, watermark.secret, config, collect_evidence=True, policy=policy
+        )
+        assert report.results == expected.results
+
+    def test_counted_chunks_travel_inline(
+        self, wide_watermark, worker_addresses, fresh_store
+    ):
+        """Only the secret is a blob; each chunk ships as its count matrix."""
+        secret = wide_watermark.secret
+        secret_data = dumps_oob(secret)
+        assert secret_data.size >= MIN_BLOB_BYTES  # the secret itself is a blob
+        watermarked = wide_watermark.watermarked_histogram
+        original = wide_watermark.original_histogram
+        batch = [
+            watermarked,
+            original.as_dict(),
+            watermarked.as_dict(),
+            original,
+            {f"decoy-{i}": i + 1 for i in range(300)},
+            watermarked.scaled(1.5),
+            original.scaled(0.5),
+            watermarked.scaled(0.9).as_dict(),
+        ] * 2
+        expected = detect_many(batch, secret, collect_evidence=True)
+        with RemoteScheduler(worker_addresses) as scheduler:
+            report = dispatch_detection(
+                scheduler, secret, None, batch, collect_evidence=True, chunk_size=4
+            )
+            stats = scheduler.stats
+        assert report.results == expected.results
+        assert 0 < report.accepted_count < len(batch)
+        assert stats.tasks == 4
+        assert stats.blobs_sent <= len(worker_addresses)
+        # The driver's store holds the secret and no chunk.
+        assert fresh_store.stats()["blobs"] == 1
+        assert blob_digest(secret_data) in fresh_store
+        columns = len(pair_columns(secret))
+        assert stats.bytes_sent < (
+            len(batch) * columns * 8
+            + stats.tasks * TASK_ALLOWANCE
+            + stats.blobs_sent * secret_data.size
+        )
+
+    def test_malformed_matrix_error_comes_back_typed(self, watermark, worker_addresses):
+        columns = len(pair_columns(watermark.secret))
+        spec = _counts_task(watermark.secret, np.zeros((2, columns), dtype=np.float64))
+        with RemoteScheduler(worker_addresses[:1]) as scheduler:
+            with pytest.raises(DetectionError, match="int64"):
+                scheduler.run([spec])
+
+
+class TestCountsTask:
+    """``detect.counts`` accepts only a 2-D int64 matrix at the
+    detector's columns with no negative entry."""
+
+    def test_zero_rows_are_legal(self, watermark):
+        columns = len(pair_columns(watermark.secret))
+        matrix = np.zeros((2, columns), dtype=np.int64)
+        results = run_task(_counts_task(watermark.secret, matrix))
+        assert [result.accepted_pairs for result in results] == [0, 0]
+        assert not any(result.accepted for result in results)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda columns: np.ones((2, columns + 1), dtype=np.int64), "count matrix"),
+            (lambda columns: np.ones((2, columns), dtype=np.float64), "count matrix"),
+            (lambda columns: np.ones(columns, dtype=np.int64), "count matrix"),
+            (lambda columns: -np.eye(2, columns, dtype=np.int64), "negative"),
+        ],
+        ids=["wrong-column-count", "float", "one-dimensional", "negative-entry"],
+    )
+    def test_malformed_matrix_is_rejected(self, watermark, build, message):
+        matrix = build(len(pair_columns(watermark.secret)))
+        with pytest.raises(DetectionError, match=message):
+            run_task(_counts_task(watermark.secret, matrix))
 
 
 class TestSerialisation:
