@@ -11,20 +11,23 @@ value above the largest frequency difference among eligible pairs). Under
 this weighting a *maximum*-weight matching simultaneously favours many
 edges and small remainders, i.e. many watermarked pairs that are cheap to
 embed.
+
+:func:`build_pair_graph` returns a :class:`PairGraph`: tokens numbered
+by first appearance in the pair order, one edge per pair (a repeated
+pair raises :class:`MatchingError`). :func:`maximum_weight_matching`
+solves it with the in-repo blossom solver of :mod:`repro.core.blossom`,
+which returns the pairs NetworkX's ``max_weight_matching`` returns for
+the same graph and checks its optimality certificate on every call.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.blossom import Edge, max_weight_matching
 from repro.core.eligibility import EligiblePair
 from repro.core.tokens import TokenPair
 from repro.exceptions import MatchingError
-
-# networkx is imported inside the functions that build and match the
-# graph: processes that never run MWM (the service, workers) skip it.
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 def choose_weight_offset(pairs: Sequence[EligiblePair]) -> int:
@@ -41,55 +44,79 @@ def choose_weight_offset(pairs: Sequence[EligiblePair]) -> int:
     return max_difference + max_modulus + 1
 
 
+class PairGraph:
+    """The weighted eligible-pair graph.
+
+    Vertices are tokens, numbered by first appearance in the pair order
+    (each pair's ``first`` before its ``second``). Edge ``k`` is
+    ``pairs[k]``, stored as ``edges[k] = (first id, second id, T - cost)``.
+    """
+
+    __slots__ = ("tokens", "pairs", "edges", "_vertex_ids", "_edge_ids")
+
+    def __init__(self, pairs: Sequence[EligiblePair], offset: int) -> None:
+        vertex_ids: Dict[str, int] = {}
+        edge_ids: Dict[Tuple[int, int], int] = {}
+        edges: List[Edge] = []
+        for item in pairs:
+            if item.cost >= offset:
+                raise MatchingError(
+                    "weight offset T must exceed every pair cost; "
+                    f"got T={offset} <= cost={item.cost}"
+                )
+            first = vertex_ids.setdefault(item.pair.first, len(vertex_ids))
+            second = vertex_ids.setdefault(item.pair.second, len(vertex_ids))
+            key = (first, second) if first < second else (second, first)
+            if key in edge_ids:
+                raise MatchingError(
+                    f"pair {item.pair.as_tuple()} repeats an edge of the pair graph"
+                )
+            edge_ids[key] = len(edges)
+            edges.append((first, second, offset - item.cost))
+        self.tokens: Tuple[str, ...] = tuple(vertex_ids)
+        self.pairs: Tuple[EligiblePair, ...] = tuple(pairs)
+        self.edges: Tuple[Edge, ...] = tuple(edges)
+        self._vertex_ids = vertex_ids
+        self._edge_ids = edge_ids
+
+    def number_of_edges(self) -> int:
+        """Number of eligible pairs (edges)."""
+        return len(self.edges)
+
+    def edge(self, first: str, second: str) -> int:
+        """Id of the edge joining two tokens, in either order (KeyError if none)."""
+        u, v = self._vertex_ids[first], self._vertex_ids[second]
+        return self._edge_ids[(u, v) if u < v else (v, u)]
+
+
 def build_pair_graph(
     pairs: Sequence[EligiblePair],
     *,
     weight_offset: Optional[int] = None,
-) -> nx.Graph:
+) -> PairGraph:
     """Build the weighted eligible-pair graph.
 
-    Each edge stores three attributes: ``weight`` (``T - cost``, what MWM
-    maximises), ``cost`` (the number of appearance changes needed to
-    watermark the pair) and ``eligible`` (the originating
-    :class:`EligiblePair` object, so downstream stages can recover the
-    modulus without recomputing hashes).
+    Each edge carries its :class:`EligiblePair` (so downstream stages can
+    recover the modulus without recomputing hashes) and the weight
+    ``T - cost`` that MWM maximises. A pair whose tokens another pair
+    already joins (in either order) raises :class:`MatchingError`.
     """
-    import networkx as nx
-
     offset = choose_weight_offset(pairs) if weight_offset is None else weight_offset
-    graph = nx.Graph()
-    for item in pairs:
-        if item.cost >= offset:
-            raise MatchingError(
-                "weight offset T must exceed every pair cost; "
-                f"got T={offset} <= cost={item.cost}"
-            )
-        graph.add_edge(
-            item.pair.first,
-            item.pair.second,
-            weight=offset - item.cost,
-            cost=item.cost,
-            eligible=item,
-        )
-    return graph
+    return PairGraph(pairs, offset)
 
 
-def maximum_weight_matching(graph: nx.Graph) -> List[EligiblePair]:
+def maximum_weight_matching(graph: PairGraph) -> List[EligiblePair]:
     """Run Maximum Weight Matching and return the matched eligible pairs.
 
-    ``maxcardinality=True`` mirrors the paper's objective of selecting as
+    Maximum cardinality mirrors the paper's objective of selecting as
     many pairs as possible: among maximum-cardinality matchings, the one
-    with the largest total weight (smallest total cost) is returned.
+    with the largest total weight (smallest total cost) is returned. The
+    solver (:mod:`repro.core.blossom`) checks its optimality certificate
+    on every call.
     """
-    if graph.number_of_edges() == 0:
-        return []
-    import networkx as nx
-
-    matching = nx.max_weight_matching(graph, maxcardinality=True, weight="weight")
-    matched: List[EligiblePair] = []
-    for endpoint_a, endpoint_b in matching:
-        data = graph.get_edge_data(endpoint_a, endpoint_b)
-        matched.append(data["eligible"])
+    matched = [
+        graph.pairs[k] for k in max_weight_matching(len(graph.tokens), graph.edges)
+    ]
     matched.sort(key=lambda item: (item.cost, item.pair))
     return matched
 
@@ -115,6 +142,7 @@ def pairs_by_token(pairs: Sequence[EligiblePair]) -> Dict[str, TokenPair]:
 
 
 __all__ = [
+    "PairGraph",
     "choose_weight_offset",
     "build_pair_graph",
     "maximum_weight_matching",

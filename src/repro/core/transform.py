@@ -10,6 +10,15 @@ token sequence (the ``Create`` step of Algorithm I):
   that inserting at predictable positions (for example always at the end)
   would weaken FreqyWM against a guess attack.
 
+The one-shot edit reads the sequence once, at C speed, into integer
+token codes (through the original histogram's token index in
+:func:`transform_dataset`), finds every removal position with one
+``np.isin``, resolves the insertions to their final slots and writes the
+output once as slices between the edited positions. It draws the random
+numbers of :func:`repro.core.reference.apply_deltas_reference` in the
+same order, so its output is identical. :func:`apply_deltas_streaming`
+does the same job on a lazy stream in bounded memory.
+
 For multi-dimensional datasets (where a token is a combination of
 attribute values but rows carry further attributes) the equivalent row
 transformation lives in :mod:`repro.core.multidimensional`.
@@ -18,7 +27,9 @@ transformation lives in :mod:`repro.core.multidimensional`.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.histogram import TokenHistogram
 from repro.core.tokens import TokenValue, canonical_token
@@ -35,11 +46,10 @@ def apply_deltas_to_tokens(
     """Apply token-count ``deltas`` to a raw token sequence.
 
     The edit touches a few dozen appearances of a sequence that may hold
-    millions, so every pass over the whole sequence stays at C speed: a
-    list or tuple of strings is used as is (``canonical_token`` returns
-    strings unchanged), the removal tokens' positions are collected in
-    one comprehension, and the kept appearances are copied as slices
-    between the removed positions. The random draws are those of
+    millions, so the whole sequence is read once at C speed (each token
+    to an integer code through a token index built by one
+    ``dict.fromkeys`` pass) and written once as slices between the
+    edited positions. The random draws are those of
     :func:`repro.core.reference.apply_deltas_reference`, in the same
     order, so the output is identical to it.
 
@@ -59,47 +69,119 @@ def apply_deltas_to_tokens(
     A new list of canonical token strings whose histogram equals the
     original histogram with ``deltas`` applied.
     """
+    return _edit(tokens, deltas, None, rng)
+
+
+def _edit(
+    tokens: Sequence[TokenValue],
+    deltas: Mapping[str, int],
+    index: Optional[Mapping[str, int]],
+    rng: RngLike,
+) -> List[str]:
+    """The ``Create`` edit; ``index`` maps string tokens to distinct codes
+    (None: build one from ``tokens``)."""
     generator = ensure_rng(rng)
-    canonical: Sequence[str]
-    if isinstance(tokens, (list, tuple)) and all(
-        map(isinstance, tokens, repeat(str))
-    ):
-        canonical = tokens
-    else:
-        canonical = [canonical_token(token) for token in tokens]
+    canonical, codes, index = _coded(tokens, index)
 
     # Plan removals: choose random occurrence indices per token.
-    removal_indices: List[int] = []
+    removed: List[int] = []
     removals = {token: -delta for token, delta in deltas.items() if delta < 0}
     if removals:
-        positions_by_token: Dict[str, List[int]] = {token: [] for token in removals}
-        hits = [index for index, token in enumerate(canonical) if token in removals]
-        for index in hits:
-            positions_by_token[canonical[index]].append(index)
+        hits = np.flatnonzero(
+            np.isin(codes, [index[token] for token in removals if token in index])
+        )
+        hit_codes = codes[hits]
         for token, count in removals.items():
-            positions = positions_by_token[token]
+            positions = hits[hit_codes == index[token]] if token in index else hits[:0]
             if len(positions) < count:
                 raise GenerationError(
                     f"cannot remove {count} appearances of {token!r}: only "
                     f"{len(positions)} present"
                 )
             chosen = generator.choice(len(positions), size=count, replace=False)
-            removal_indices.extend(positions[i] for i in chosen)
+            removed.extend(positions[chosen].tolist())
+    removed.sort()
+
+    # Plan insertions: new appearances land at random positions of the
+    # growing output. ``slots`` follows each one's position as later ones
+    # land before it.
+    added: List[str] = []
+    additions = {token: delta for token, delta in deltas.items() if delta > 0}
+    slots = np.empty(sum(additions.values()), np.int64)
+    length = len(canonical) - len(removed)
+    for token, count in additions.items():
+        for _ in range(count):
+            position = int(generator.integers(0, length + 1))
+            done = slots[: len(added)]
+            done += done >= position
+            slots[len(added)] = position
+            added.append(token)
+            length += 1
+
+    # Resolve each new appearance, in output order, to the input position
+    # it precedes: its count of kept tokens before it, plus the removed
+    # positions among them.
+    order = np.argsort(slots)
+    inserted = [added[new] for new in order.tolist()]
+    kept_before = slots[order] - np.arange(len(added))
+    removed_kept_before = np.asarray(removed, np.int64) - np.arange(len(removed))
+    anchors = kept_before + np.searchsorted(removed_kept_before, kept_before, side="right")
+    cuts: List[Tuple[int, int]] = sorted(
+        [(position, -1) for position in removed]
+        + list(zip(anchors.tolist(), range(len(inserted))))
+    )
 
     result: List[str] = []
     start = 0
-    for index in sorted(removal_indices):
-        result += canonical[start:index]
-        start = index + 1
+    for position, new in cuts:
+        result += canonical[start:position]
+        if new < 0:
+            start = position + 1
+        else:
+            result.append(inserted[new])
+            start = position
     result += canonical[start:]
-
-    # Plan insertions: new appearances land at random positions.
-    additions = {token: delta for token, delta in deltas.items() if delta > 0}
-    for token, count in additions.items():
-        for _ in range(count):
-            position = int(generator.integers(0, len(result) + 1))
-            result.insert(position, token)
     return result
+
+
+def _coded(
+    tokens: Sequence[TokenValue], index: Optional[Mapping[str, int]]
+) -> Tuple[Sequence[str], np.ndarray, Mapping[str, int]]:
+    """``(canonical tokens, int32 codes, index)`` for the edit.
+
+    A list or tuple whose tokens are all keys of ``index`` is used as is
+    (``canonical_token`` returns strings unchanged). Anything else -- a
+    token that is not a string, or not in the index -- is canonicalised
+    first and coded through an index of its own.
+    """
+    if isinstance(tokens, (list, tuple)):
+        if index is None:
+            index = _string_index(tokens)
+        codes = _codes(tokens, index)
+        if codes is not None:
+            return tokens, codes, index
+    canonical = [canonical_token(token) for token in tokens]
+    index = _string_index(canonical)
+    return canonical, _codes(canonical, index), index
+
+
+def _string_index(tokens: Sequence[TokenValue]) -> Dict[str, int]:
+    """Code per distinct token by first appearance; empty unless all are strings."""
+    try:
+        distinct = dict.fromkeys(tokens)
+    except TypeError:  # an unhashable token
+        return {}
+    if not all(map(isinstance, distinct, repeat(str))):
+        return {}
+    return dict(zip(distinct, range(len(distinct))))
+
+
+def _codes(tokens: Sequence[TokenValue], index: Mapping[str, int]) -> Optional[np.ndarray]:
+    """The code of every token, or None if one is not a key of ``index``."""
+    try:
+        return np.fromiter(map(index.__getitem__, tokens), np.int32, count=len(tokens))
+    except (KeyError, TypeError):
+        return None
 
 
 def histogram_deltas(
@@ -150,8 +232,8 @@ def transform_dataset(
     multi-watermarking and attack modules, which produce a target
     histogram first and then need a consistent dataset.
     """
-    return apply_deltas_to_tokens(
-        tokens, histogram_deltas(original, watermarked), rng=rng
+    return _edit(
+        tokens, histogram_deltas(original, watermarked), original.arrays().index, rng
     )
 
 

@@ -42,7 +42,7 @@ from repro.core.reference import (
 )
 from repro.core.secrets import WatermarkSecret
 from repro.core.streaming import StreamingHistogramBuilder
-from repro.core.transform import apply_deltas_to_tokens
+from repro.core.transform import apply_deltas_to_tokens, histogram_deltas, transform_dataset
 from repro.dispute import WatermarkRegistry
 from repro.exceptions import GenerationError, HistogramError
 from repro.exec.chunking import split_chunks
@@ -447,10 +447,34 @@ def assert_edit_parity(tokens: Sequence, deltas, seed: int):
     same error), for list and tuple inputs. Returns the reference
     outcome.
     """
+    return _assert_same_edit("apply_deltas_to_tokens", apply_deltas_to_tokens, tokens, deltas, seed)
+
+
+def assert_transform_parity(
+    tokens: Sequence, original: TokenHistogram, target: TokenHistogram, seed: int
+):
+    """``transform_dataset`` (coded through ``original``'s token index) vs
+    the reference edit of the two histograms' deltas.
+
+    ``transform_dataset(t, original, target, rng=seed)`` must return
+    exactly what ``apply_deltas_reference(t, histogram_deltas(original,
+    target), rng=seed)`` returns, for list and tuple inputs, also when
+    ``original`` is not the histogram of ``t``. Returns the reference
+    outcome.
+    """
+
+    def edit(shaped, _deltas, rng):
+        return transform_dataset(shaped, original, target, rng=rng)
+
+    deltas = histogram_deltas(original, target)
+    return _assert_same_edit("transform_dataset", edit, tokens, deltas, seed)
+
+
+def _assert_same_edit(name: str, edit, tokens: Sequence, deltas, seed: int):
     expected = _edit_outcome(apply_deltas_reference, list(tokens), deltas, seed)
     for shaped in (list(tokens), tuple(tokens)):
-        edited = _edit_outcome(apply_deltas_to_tokens, shaped, deltas, seed)
-        where = f"apply_deltas_to_tokens({type(shaped).__name__}, seed={seed}) diverged"
+        edited = _edit_outcome(edit, shaped, deltas, seed)
+        where = f"{name}({type(shaped).__name__}, seed={seed}) diverged"
         assert edited == expected, where
         if isinstance(expected, list):
             assert list(map(type, edited)) == list(map(type, expected)), where

@@ -317,10 +317,14 @@ def _draw_counts(draw, *, occupied: bool = False):
                 unique=True,
             )
         )
-        # Two aliases split the count between them; they must add up.
+        # Two aliases split the count between them; they must add up. The
+        # int and float aliases are one dict key (1 == 1.0), so their
+        # shares add up on that key instead of the second replacing the
+        # first.
         share = draw(st.integers(min_value=0, max_value=total))
         for form, count in zip(forms, (share, total - share) if len(forms) == 2 else (total,)):
-            counts[_alias(token, form)] = count
+            key = _alias(token, form)
+            counts[key] = counts.get(key, 0) + count
     return counts
 
 
@@ -483,6 +487,18 @@ def _edit_cases(draw, tokens_strategy):
     return tokens, deltas, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
+def _assert_transform_case(tokens, deltas, seed):
+    """``transform_dataset`` from the tokens' histogram to the histogram
+    the deltas reach (kept non-empty), against the reference edit."""
+    original = histogram_from_tokens_reference(tokens)
+    counts = original.as_dict()
+    for token, delta in deltas.items():
+        counts[token] = counts.get(token, 0) + delta
+    if not any(counts.values()):
+        counts["new"] = 1
+    harness.assert_transform_parity(tokens, original, TokenHistogram.from_counts(counts), seed)
+
+
 class TestTokenCountParity:
     @_settings
     @given(values=st.lists(_token_values, min_size=1, max_size=60))
@@ -535,6 +551,49 @@ class TestTokenEditParity:
     def test_over_removal_fails_like_reference(self):
         message = harness.assert_edit_parity(["a", "b", "a"], {"b": -1, "a": -3}, 1)
         assert "cannot remove 3 appearances of 'a'" in message
+
+    @_settings
+    @given(case=_edit_cases(_str_tokens))
+    def test_all_str_transform_matches_reference(self, case):
+        _assert_transform_case(*case)
+
+    @_settings
+    @given(case=_edit_cases(st.lists(_token_values, min_size=1, max_size=60)))
+    def test_mixed_type_transform_matches_reference(self, case):
+        _assert_transform_case(*case)
+
+    def test_transform_of_tuple_tokens(self):
+        tokens = [("a", "b"), ("a", "c"), ("a", "b"), ["a", "b"], ("d",)] * 4
+        original = TokenHistogram.from_tokens(tokens)
+        target = TokenHistogram.from_counts({"a\x1fb": 10, "a\x1fc": 2, "z": 3})
+        for seed in range(10):
+            edited = harness.assert_transform_parity(tokens, original, target, seed)
+            assert TokenHistogram.from_tokens(edited) == target
+
+    def test_transform_of_tokens_outside_the_histogram(self):
+        # ``original`` need not be the histogram of ``tokens``: "q" is
+        # missing from its token index, so the edit codes its own.
+        tokens = ["a", "b", "q", "a", "c", "q", "a"]
+        original = TokenHistogram.from_counts({"a": 3, "b": 1, "c": 1})
+        target = TokenHistogram.from_counts({"a": 1, "b": 3, "c": 1})
+        for seed in range(10):
+            edited = harness.assert_transform_parity(tokens, original, target, seed)
+            assert edited.count("q") == 2 and edited.count("b") == 3
+
+    def test_transform_insertions_at_both_ends_and_one_slot(self):
+        # Every "a" goes and one "b" stays, so the seven new appearances
+        # share the slots before and after it: all at slot 0, all at the
+        # end, or split between the two.
+        tokens = ["a", "b", "a", "a"]
+        original = TokenHistogram.from_tokens(tokens)
+        target = TokenHistogram.from_counts({"b": 1, "z": 4, "y": 3})
+        placements = set()
+        for seed in range(40):
+            edited = harness.assert_transform_parity(tokens, original, target, seed)
+            assert "a" not in edited and len(edited) == 8
+            kept_at = edited.index("b")
+            placements.add("end" if kept_at == 0 else "start" if kept_at == 7 else "both")
+        assert placements == {"start", "end", "both"}
 
 
 class TestTokenBoundariesRegression:
