@@ -13,10 +13,14 @@ The paper derives two results we reproduce here:
 * **Markov bound** — ``P(S_n >= k) <= mu / k`` with ``mu = sum_m p_m``; as
   ``t -> 0`` (so ``mu -> 0``) or ``k -> infinity`` the bound, and hence
   the false-positive probability, goes to zero.
-* **Exact survival function** — computed through the Discrete Fourier
-  Transform of the Poisson-Binomial characteristic function (the paper
-  evaluates it for ``n = 50`` with ``p_m ~ Uniform[0, 1]``), showing the
-  survival probability reaching 0 as ``k`` approaches ``n``.
+* **Exact survival function** — the paper evaluates it through the
+  Discrete Fourier Transform of the Poisson-Binomial characteristic
+  function (for ``n = 50`` with ``p_m ~ Uniform[0, 1]``), showing the
+  survival probability reaching 0 as ``k`` approaches ``n``. Here the
+  same distribution comes from the k-out-of-n recursion (Barlow &
+  Heidtmann, 1984), which sums only non-negative terms: tails far below
+  machine epsilon keep their relative accuracy, where the DFT's
+  absolute rounding error (~1e-16) would swamp them.
 """
 
 from __future__ import annotations
@@ -45,57 +49,44 @@ def pair_false_positive_probability(modulus: int, threshold: int) -> float:
 
 
 def poisson_binomial_pmf(probabilities: Sequence[float]) -> np.ndarray:
-    """Exact PMF of a Poisson-Binomial distribution via the DFT method.
+    """Exact PMF of a Poisson-Binomial distribution by the k-out-of-n recursion.
 
     Given success probabilities ``p_1..p_n``, returns an array of length
-    ``n + 1`` whose ``j``-th entry is ``P(S_n = j)``. The characteristic
-    function is evaluated at the ``n + 1`` roots of unity and inverted with
-    an inverse FFT — the same construction the paper cites.
+    ``n + 1`` whose ``j``-th entry is ``P(S_n = j)``. Each pair adds one
+    step, ``pmf[j] = pmf[j] (1 - p) + pmf[j - 1] p``, so every entry is a
+    sum of non-negative terms and keeps its relative accuracy however
+    small it is. ``O(n^2)`` work: about a millisecond at ``n = 200``.
     """
     p = np.asarray(probabilities, dtype=float)
-    if p.size == 0:
-        return np.array([1.0])
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):
         raise ConfigurationError("success probabilities must lie in [0, 1]")
-    n = p.size
-    size = n + 1
-    omega = 2j * np.pi / size
-    # Characteristic function at each Fourier frequency l.
-    l_values = np.arange(size)
-    # phi[l] = prod_m (1 - p_m + p_m * exp(i * omega * l))
-    exponentials = np.exp(omega * l_values)  # shape (size,)
-    phi = np.prod(1.0 - p[:, None] + p[:, None] * exponentials[None, :], axis=0)
-    # Invert the characteristic function:
-    #   P(S = k) = (1 / size) * sum_l phi[l] * exp(-i * omega * l * k),
-    # which is a forward DFT of phi divided by the transform length.
-    pmf = (np.fft.fft(phi) / size).real
-    pmf = np.clip(pmf, 0.0, 1.0)
-    total = pmf.sum()
-    if total > 0:
-        pmf = pmf / total
+    pmf = np.zeros(p.size + 1)
+    pmf[0] = 1.0
+    for count, probability in enumerate(p.tolist(), start=1):
+        pmf[1:count + 1] = pmf[1:count + 1] * (1.0 - probability) + pmf[:count] * probability
+        pmf[0] *= 1.0 - probability
     return pmf
 
 
-def poisson_binomial_survival(probabilities: Sequence[float], k: int) -> float:
-    """Exact ``P(S_n >= k)`` for a Poisson-Binomial with the given ``p_m``.
+def survival_curve(probabilities: Sequence[float]) -> np.ndarray:
+    """``P(S_n >= k)`` for every ``k`` in ``0..n`` (the paper's n=50 plot).
 
-    The tail sum is clamped into ``[0, 1]``: accumulated rounding in the
-    convolution can push it a few ulp past 1, and callers treat the
-    value as a probability.
+    Each entry sums the PMF from ``k`` to ``n``, smallest terms first, so
+    the curve never increases; ``P(S_n >= 0)`` is exactly 1, and
+    rounding never lifts an entry past 1.
     """
     pmf = poisson_binomial_pmf(probabilities)
-    if k <= 0:
-        return 1.0
-    if k >= pmf.size:
+    curve = np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
+    curve[0] = 1.0
+    return curve
+
+
+def poisson_binomial_survival(probabilities: Sequence[float], k: int) -> float:
+    """Exact ``P(S_n >= k)`` for a Poisson-Binomial with the given ``p_m``."""
+    curve = survival_curve(probabilities)
+    if k >= curve.size:
         return 0.0
-    return min(1.0, max(0.0, float(pmf[k:].sum())))
-
-
-def survival_curve(probabilities: Sequence[float]) -> np.ndarray:
-    """``P(S_n >= k)`` for every ``k`` in ``0..n`` (the paper's n=50 plot)."""
-    pmf = poisson_binomial_pmf(probabilities)
-    # Survival at k is the sum of pmf from k to n.
-    return np.concatenate((np.cumsum(pmf[::-1])[::-1], [0.0]))[: pmf.size]
+    return float(curve[max(k, 0)])
 
 
 def markov_bound(probabilities: Sequence[float], k: int) -> float:
@@ -144,11 +135,14 @@ class FalsePositiveProfile:
         return markov_bound(self.pair_probabilities, k)
 
     def minimal_k_for(self, target: float) -> int:
-        """Smallest ``k`` whose exact false-positive probability is <= target."""
-        for k in range(len(self.pair_probabilities) + 1):
-            if self.exact_probability(k) <= target:
-                return k
-        return len(self.pair_probabilities) + 1
+        """Smallest ``k`` whose exact false-positive probability is <= target.
+
+        ``n + 1`` (no threshold reaches the target) when even ``k = n``
+        is too likely. The survival curve is built once.
+        """
+        curve = survival_curve(self.pair_probabilities)
+        reached = np.flatnonzero(curve <= target)
+        return int(reached[0]) if reached.size else curve.size
 
 
 def profile_from_moduli(

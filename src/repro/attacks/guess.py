@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.analysis.false_positive import poisson_binomial_survival
 from repro.core.batch import detect_many_secrets
 from repro.core.config import DetectionConfig
 from repro.core.hashing import generate_secret
@@ -64,12 +65,8 @@ def guess_success_probability(
     """
     if required_pairs > n_pairs:
         return 0.0
-    # Imported here: scipy costs more start-up time than the rest of
-    # the package, and only this function needs it.
-    from scipy import stats
-
     p = single_pair_acceptance_probability(modulus, threshold)
-    return float(stats.binom.sf(required_pairs - 1, n_pairs, p))
+    return poisson_binomial_survival([p] * n_pairs, required_pairs)
 
 
 def expected_guesses_to_succeed(

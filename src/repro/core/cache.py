@@ -10,10 +10,8 @@ per watermark, not once per request. :class:`DetectorCache` provides
 exactly that: a bounded (or unbounded), thread-safe LRU map from
 :func:`~repro.core.detector.detector_fingerprint` keys to live detectors.
 
-This module originally lived in :mod:`repro.service`; it moved into
-``repro.core`` when the attack, dispute and multi-watermark layers were
-refactored onto shared cached detectors (``repro.service.cache`` still
-re-exports it for compatibility).
+The detection service, the attack, dispute and multi-watermark layers
+all share this one cache type; :mod:`repro.service` re-exports it.
 
 The fingerprint is a keyed commitment (it reveals nothing about the pairs
 to a party without ``R``) so cache keys are safe to log and to send over

@@ -144,7 +144,7 @@ class DetectionConfig:
 
         Two configurations resolve every pair threshold and the required
         pair count identically iff their fingerprints are equal, so
-        :class:`repro.service.cache.DetectorCache` can key constructed
+        :class:`repro.core.cache.DetectorCache` can key constructed
         detectors on ``(secret fingerprint, config fingerprint)``.
         """
         return (

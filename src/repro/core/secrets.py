@@ -18,12 +18,39 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.core.hashing import keyed_fingerprint, pair_modulus
 from repro.core.tokens import TokenPair, as_token_pair
 from repro.exceptions import ConfigurationError
+
+#: What ``pairs`` and each pair in it may be: a JSON list, or a tuple
+#: from an in-process caller.
+_PAIR_TYPES = frozenset({list, tuple})
+
+
+def _decode_pairs(raw_pairs: object) -> Tuple[TokenPair, ...]:
+    """A secret payload's ``pairs`` as token pairs, or a typed error.
+
+    The type checks are C-level passes: a vault decodes thousands of
+    secrets when it opens.
+    """
+    if (
+        type(raw_pairs) in _PAIR_TYPES
+        and set(map(type, raw_pairs)) <= _PAIR_TYPES
+        and set(map(len, raw_pairs)) <= {2}
+        and set(map(type, chain.from_iterable(raw_pairs))) <= {str}
+    ):
+        try:
+            return tuple(starmap(TokenPair, raw_pairs))
+        except ValueError:  # TokenPair rejects a repeated token
+            pass
+    raise ConfigurationError(
+        "malformed watermark secret payload: 'pairs' must be a list of "
+        "[first, second] lists of two distinct token strings"
+    )
 
 
 @dataclass(frozen=True)
@@ -127,16 +154,35 @@ class WatermarkSecret:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "WatermarkSecret":
-        """Rebuild a secret list from :meth:`to_dict` output."""
+        """Rebuild a secret list from :meth:`to_dict` output.
+
+        A malformed payload raises :class:`ConfigurationError`, never a
+        raw ``TypeError`` or ``ValueError``. ``pairs`` must be a list of
+        ``[first, second]`` lists of two distinct token strings and
+        ``metadata``, when present, an object; their errors name the
+        field.
+        """
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                "malformed watermark secret payload: not an object"
+            )
         try:
             raw_pairs = payload["pairs"]
             secret = int(str(payload["secret"]))
             modulus_cap = int(payload["modulus_cap"])  # type: ignore[arg-type]
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigurationError(f"malformed watermark secret payload: {exc}") from exc
-        pairs = tuple(as_token_pair((first, second)) for first, second in raw_pairs)
-        metadata = dict(payload.get("metadata", {}))  # type: ignore[arg-type]
-        return cls(pairs=pairs, secret=secret, modulus_cap=modulus_cap, metadata=metadata)
+        metadata = payload.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ConfigurationError(
+                "malformed watermark secret payload: 'metadata' must be an object"
+            )
+        return cls(
+            pairs=_decode_pairs(raw_pairs),
+            secret=secret,
+            modulus_cap=modulus_cap,
+            metadata=dict(metadata),
+        )
 
     def to_json(self, *, indent: int = 2) -> str:
         """Serialise to a JSON string."""
@@ -145,7 +191,13 @@ class WatermarkSecret:
     @classmethod
     def from_json(cls, text: str) -> "WatermarkSecret":
         """Deserialise from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"malformed watermark secret: not JSON ({exc})"
+            ) from exc
+        return cls.from_dict(payload)
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the secret list to ``path`` as JSON."""

@@ -54,7 +54,7 @@ confirmed (and no detector is ever constructed for a clean copy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from typing import Dict, List, Set, Tuple
 
@@ -119,6 +119,10 @@ class IndexStats:
     buckets: int
     postings: int
     group_test_threshold: int
+
+    def as_dict(self) -> Dict[str, int]:
+        """Every counter as a plain dict (the service's ``vault`` group)."""
+        return asdict(self)
 
 
 def _room(array: np.ndarray, size: int, fill: int = 0) -> np.ndarray:

@@ -92,9 +92,9 @@ class BlobError(SchedulerError):
 class BlobNotFoundError(BlobError):
     """A blob digest was requested that this store no longer holds.
 
-    Raised when a ``get`` misses both the in-process LRU and the
-    optional on-disk spill directory, and — over the wire — when a
-    worker's ``blob-request`` names a digest the client side evicted.
+    Raised when a ``get`` misses the in-process LRU (the digest was
+    evicted, or never put), and — over the wire — when a worker's
+    ``blob-request`` names a digest the client side evicted.
     Carries the ``digest`` so callers can re-ship or fall back inline.
     """
 

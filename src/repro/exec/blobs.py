@@ -21,11 +21,9 @@ then move the bytes in whatever way is cheapest:
   :mod:`repro.exec.remote` / :mod:`repro.exec.worker`), cached in a
   bounded per-worker store.
 
-The store is an in-process LRU bounded by byte capacity; evicted
-entries optionally spill to disk with the run cache's atomic-write
-pattern (temp file + ``os.replace``) and are reloaded transparently on
-the next ``get``. ``pin``/``unpin`` exempt digests that must survive a
-sweep. Everything is gated by the ``FREQYWM_DATAPLANE`` environment
+The store is an in-process LRU bounded by byte capacity; an evicted
+digest is gone (a remote worker that asks for it gets its task resent
+inline). Everything is gated by the ``FREQYWM_DATAPLANE`` environment
 variable: ``inline`` (or ``off``) disables blob-ification entirely, so
 every scheduler ships values inside the task payloads themselves (still
 as frames on the remote wire, just without blob refs) — byte-identical
@@ -41,7 +39,6 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import BlobError, BlobNotFoundError
@@ -167,16 +164,13 @@ class _Entry:
 
 
 class BlobStore:
-    """Content-addressed blob cache: byte-capacity LRU with optional spill.
+    """Content-addressed blob cache: a byte-capacity LRU.
 
     Thread-safe. ``put`` computes (or verifies) the SHA-256 digest of
     the serialised form; ``get`` returns the bytes, ``get_object`` the
     deserialised value — preferring the cached original object so the
-    in-process resolution path costs nothing. When ``spill_dir`` is
-    given, LRU evictions write the blob to ``<digest>.blob`` with the
-    run cache's atomic pattern (temp file + ``os.replace``) and a later
-    ``get`` reloads it transparently; without it, an evicted digest
-    raises :class:`~repro.exceptions.BlobNotFoundError`.
+    in-process resolution path costs nothing. An evicted digest raises
+    :class:`~repro.exceptions.BlobNotFoundError`, like one never put.
 
     Parameters
     ----------
@@ -184,30 +178,19 @@ class BlobStore:
         In-memory byte budget (default 256 MiB). A single blob larger
         than the budget is still admitted (it would otherwise be
         unusable); everything else is evicted around it.
-    spill_dir : path-like, optional
-        Directory for evicted blobs; created on first use.
     """
 
-    def __init__(
-        self,
-        *,
-        capacity: int = DEFAULT_CAPACITY,
-        spill_dir: Optional[Union[str, Path]] = None,
-    ) -> None:
+    def __init__(self, *, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise BlobError(f"blob store capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._lock = threading.RLock()
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._pins: Dict[str, int] = {}
         self._bytes = 0
         self.puts = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.spills = 0
-        self.spill_loads = 0
 
     # -- write side ---------------------------------------------------- #
 
@@ -231,31 +214,13 @@ class BlobStore:
             self.puts += 1
             self._entries[digest] = _Entry(data=data, size=data.size, value=value)
             self._bytes += data.size
-            self._shrink(keep=digest)
+            self._shrink()
         return digest
 
     def put_object(self, value: Any) -> BlobRef:
         """Serialise and insert ``value``; returns its :class:`BlobRef`."""
         data = dumps_oob(value)
         return BlobRef(self.put(data, value=value))
-
-    def pin(self, digest: str) -> None:
-        """Exempt ``digest`` from eviction until :meth:`unpin` (counted)."""
-        with self._lock:
-            if digest not in self._entries and not self._spill_path(digest).exists():
-                raise BlobNotFoundError(
-                    f"cannot pin unknown blob {digest[:12]}…", digest=digest
-                )
-            self._pins[digest] = self._pins.get(digest, 0) + 1
-
-    def unpin(self, digest: str) -> None:
-        """Drop one pin on ``digest`` (no-op for unpinned digests)."""
-        with self._lock:
-            count = self._pins.get(digest, 0) - 1
-            if count > 0:
-                self._pins[digest] = count
-            else:
-                self._pins.pop(digest, None)
 
     # -- read side ----------------------------------------------------- #
 
@@ -270,7 +235,7 @@ class BlobStore:
             return entry.size if entry is not None else 0
 
     def get(self, digest: str) -> BlobData:
-        """The serialised blob for ``digest`` (memory first, then spill)."""
+        """The serialised blob for ``digest``."""
         if not spans_active():
             return self._get(digest)
         with trace_span("blob.get", attributes={"digest": digest[:12]}):
@@ -285,20 +250,10 @@ class BlobStore:
                 self.hits += 1
                 return entry.data
             self.misses += 1
-        data = self._load_spilled(digest)
-        if data is None:
-            raise BlobNotFoundError(
-                f"blob {digest[:12]}… is not in this store "
-                "(evicted without a spill directory, or never put)",
-                digest=digest,
-            )
-        with self._lock:
-            self.spill_loads += 1
-            if digest not in self._entries:
-                self._entries[digest] = _Entry(data=data, size=data.size)
-                self._bytes += data.size
-                self._shrink(keep=digest)
-        return data
+        raise BlobNotFoundError(
+            f"blob {digest[:12]}… is not in this store (evicted, or never put)",
+            digest=digest,
+        )
 
     def get_object(self, digest: str) -> Any:
         """The live value for ``digest`` — the original object when cached."""
@@ -317,7 +272,7 @@ class BlobStore:
         return value
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot (puts/hits/misses/evictions/spills and bytes)."""
+        """Counter snapshot (puts/hits/misses/evictions and bytes)."""
         with self._lock:
             return {
                 "blobs": len(self._entries),
@@ -326,89 +281,25 @@ class BlobStore:
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "spills": self.spills,
-                "spill_loads": self.spill_loads,
             }
 
     def clear(self) -> None:
-        """Drop every in-memory entry and pin (spill files are kept)."""
+        """Drop every entry."""
         with self._lock:
             self._entries.clear()
-            self._pins.clear()
             self._bytes = 0
 
     # -- internals ----------------------------------------------------- #
 
-    def _shrink(self, *, keep: str) -> None:
-        """Evict LRU unpinned entries (except ``keep``) down to capacity."""
-        while self._bytes > self.capacity:
-            victim = next(
-                (
-                    digest
-                    for digest in self._entries
-                    if digest != keep and digest not in self._pins
-                ),
-                None,
-            )
-            if victim is None:
-                return  # everything left is pinned or the fresh entry
-            entry = self._entries.pop(victim)
+    def _shrink(self) -> None:
+        """Evict least recently used entries down to capacity.
+
+        The newest entry always stays, even when it alone is over budget.
+        """
+        while self._bytes > self.capacity and len(self._entries) > 1:
+            _, entry = self._entries.popitem(last=False)
             self._bytes -= entry.size
             self.evictions += 1
-            if self.spill_dir is not None:
-                self._spill(victim, entry.data)
-
-    def _spill_path(self, digest: str) -> Path:
-        if self.spill_dir is None:
-            return Path(os.devnull)
-        return self.spill_dir / f"{digest}.blob"
-
-    def _spill(self, digest: str, data: BlobData) -> None:
-        """Write an evicted blob to disk atomically (temp + ``os.replace``)."""
-        assert self.spill_dir is not None
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
-        path = self._spill_path(digest)
-        if path.exists():
-            return
-        temp = path.with_name(path.name + ".tmp")
-        with open(temp, "wb") as handle:
-            handle.write(struct.pack("<Q", len(data.meta)))
-            handle.write(data.meta)
-            handle.write(struct.pack("<Q", len(data.buffers)))
-            for buffer in data.buffers:
-                handle.write(struct.pack("<Q", len(buffer)))
-                handle.write(buffer)
-        os.replace(temp, path)
-        self.spills += 1
-
-    def _load_spilled(self, digest: str) -> Optional[BlobData]:
-        """Read a spilled blob back, verifying its digest."""
-        if self.spill_dir is None:
-            return None
-        path = self._spill_path(digest)
-        if not path.exists():
-            return None
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        try:
-            offset = 8
-            (meta_len,) = struct.unpack_from("<Q", raw, 0)
-            meta = raw[offset:offset + meta_len]
-            offset += meta_len
-            (count,) = struct.unpack_from("<Q", raw, offset)
-            offset += 8
-            buffers = []
-            for _ in range(count):
-                (length,) = struct.unpack_from("<Q", raw, offset)
-                offset += 8
-                buffers.append(raw[offset:offset + length])
-                offset += length
-        except struct.error as error:
-            raise BlobError(f"spilled blob {path} is truncated: {error}") from error
-        data = BlobData(meta=bytes(meta), buffers=tuple(buffers))
-        if blob_digest(data) != digest:
-            raise BlobError(f"spilled blob {path} fails its digest check")
-        return data
 
 
 # --------------------------------------------------------------------- #
@@ -420,21 +311,11 @@ _DEFAULT_LOCK = threading.Lock()
 
 
 def default_blob_store() -> BlobStore:
-    """The process-wide store payload builders and schedulers share.
-
-    The store is registered (weakly) as the metrics registry's
-    ``blobs`` view on creation, so telemetry snapshots carry its
-    put/hit/eviction/spill counters alongside the scheduler's.
-    """
+    """The process-wide store payload builders and schedulers share."""
     global _DEFAULT_STORE
     with _DEFAULT_LOCK:
         if _DEFAULT_STORE is None:
-            from repro.obs.metrics import registry as metrics_registry
-
             _DEFAULT_STORE = BlobStore()
-            metrics_registry().register_view(
-                "blobs", _DEFAULT_STORE, lambda store: store.stats()
-            )
         return _DEFAULT_STORE
 
 

@@ -259,6 +259,7 @@ class RemoteScheduler(Scheduler):
             raise SchedulerError(f"max_retries must be >= 0, got {max_retries}")
         if heartbeat_timeout <= 0 or heartbeat_interval <= 0:
             raise SchedulerError("heartbeat interval/timeout must be positive")
+        super().__init__()
         self.addresses = tuple(addresses)
         for address in self.addresses:
             parse_address(address)  # fail fast on malformed addresses

@@ -47,10 +47,8 @@ from repro.exec.blobs import (
     rewrite_refs,
 )
 from repro.obs.logging import get_logger
-from repro.obs.metrics import registry as metrics_registry
 from repro.obs.profile import maybe_profile
 from repro.obs.trace import (
-    current_context,
     profile_active,
     span as trace_span,
     spans_active,
@@ -347,7 +345,7 @@ class SchedulerStats:
         )
 
     def as_dict(self) -> Dict[str, int]:
-        """Every counter as a plain dict (metrics views, telemetry.json)."""
+        """Every counter as a plain dict (the ``scheduler`` stats group)."""
         return {
             "tasks": self.tasks,
             "bytes_sent": self.bytes_sent,
@@ -372,19 +370,9 @@ class Scheduler:
     #: Effective worker count (schedulers may lower it on fallback).
     workers: int = 1
 
-    @property
-    def stats(self) -> SchedulerStats:
-        """Cumulative :class:`SchedulerStats` for this scheduler (lazy).
-
-        The stats object is also registered (weakly) as the metrics
-        registry's ``scheduler`` view, so ``freqywm stats`` and
-        ``telemetry.json`` see the same counters the smoke tools print.
-        """
-        existing = self.__dict__.get("_stats")
-        if existing is None:
-            existing = self.__dict__["_stats"] = SchedulerStats()
-            metrics_registry().register_view("scheduler", existing)
-        return existing
+    def __init__(self) -> None:
+        #: Cumulative data-plane accounting across this scheduler's runs.
+        self.stats = SchedulerStats()
 
     @property
     def ships_payloads(self) -> bool:
@@ -576,6 +564,7 @@ class LocalScheduler(Scheduler):
             raise SchedulerError(f"workers must be >= 1, got {workers}")
         if max_retries < 0:
             raise SchedulerError(f"max_retries must be >= 0, got {max_retries}")
+        super().__init__()
         self.workers = workers if workers is not None else default_worker_count()
         self.start_method = start_method
         self.size_to_batch = size_to_batch

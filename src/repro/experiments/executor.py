@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.exec.blobs import dataplane_enabled, maybe_blob
+from repro.exec.blobs import dataplane_enabled, default_blob_store, maybe_blob
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.scheduler import TaskSpec, create_scheduler, register_task_function
 from repro.experiments.cache import RunCache
@@ -36,7 +36,6 @@ from repro.experiments.plan import Task, build_plan, validate_plan
 from repro.experiments.spec import ExperimentSpec
 from repro.experiments.tasks import execute_task
 from repro.obs.logging import get_logger, log_record
-from repro.obs.metrics import registry as metrics_registry
 from repro.obs.trace import (
     configure_telemetry,
     enabled_features,
@@ -49,7 +48,7 @@ from repro.obs.report import SPANS_RELPATH
 
 logger = get_logger(__name__)
 
-#: Per-run metrics/trace summary written next to the manifest.
+#: Per-run stats-groups/trace summary written next to the manifest.
 TELEMETRY_RELPATH = "telemetry.json"
 
 
@@ -211,7 +210,14 @@ class ExperimentRunner:
             "run": outcome.summary(),
         }
         if metrics_active():
-            payload["metrics"] = metrics_registry().snapshot()
+            # Stats groups of what this run used: its own scheduler and
+            # the process-wide blob store its payloads went through.
+            payload["metrics"] = {
+                "views": {
+                    "scheduler": self._scheduler.stats.as_dict(),
+                    "blobs": default_blob_store().stats(),
+                }
+            }
         if spans_active():
             payload["spans"] = {
                 "path": SPANS_RELPATH,

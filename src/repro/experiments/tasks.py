@@ -295,9 +295,10 @@ def run_fpr_task(
     """False-positive behaviour of one embedded secret's actual moduli.
 
     Cross-checks three estimates per threshold, exactly as Section III-B4
-    lays them out: the exact Poisson-Binomial survival function (DFT), the
-    Markov bound, and a Monte-Carlo simulation of detection on random
-    unwatermarked remainders.
+    lays them out: the exact Poisson-Binomial survival function (the
+    k-out-of-n recursion, exact in relative terms even for tails far
+    below 1e-16), the Markov bound, and a Monte-Carlo simulation of
+    detection on random unwatermarked remainders.
     """
     embed = _dep_of_kind(task, deps, "embed:")
     secret_index = int(task.params["secret_index"])  # type: ignore[arg-type]

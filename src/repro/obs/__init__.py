@@ -1,4 +1,4 @@
-"""Unified telemetry plane: trace spans, metrics, profiling, logging.
+"""Unified telemetry plane: trace spans, stats groups, profiling, logging.
 
 Four dependency-free pillars shared by every layer of the
 reproduction:
@@ -6,28 +6,21 @@ reproduction:
 * :mod:`repro.obs.trace` — a context-var tracer producing hierarchical
   spans that stitch across processes (local pool children and remote
   workers ship their spans back to the dispatching parent);
-* :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges and histograms with weak-reference *views* over the legacy
-  stats objects, exported as JSON snapshots or Prometheus text;
+* :mod:`repro.obs.metrics` — renders stats groups (each owner's
+  counters, built by the reader that holds the owner) as Prometheus
+  text;
 * :mod:`repro.obs.profile` — the opt-in slow-task cProfile hook that
   attaches top frames to a task's span;
 * :mod:`repro.obs.logging` — one ``configure()`` for every repro
   logger, driven by ``FREQYWM_LOG``.
 
 Everything is off by default and priced accordingly: with telemetry
-disabled the tracer hands back a shared no-op span and the metric
-registry is never consulted on hot paths. Enable features with
+disabled the tracer hands back a shared no-op span, and stats groups
+are only built when someone asks for them. Enable features with
 ``FREQYWM_TELEMETRY=spans,metrics,profile`` (or ``all``), an
 ``ExecutionPolicy(telemetry=...)``, or ``--telemetry`` on the CLI.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    registry,
-)
 from repro.obs.trace import (
     TELEMETRY_ENV,
     TELEMETRY_FEATURES,
@@ -44,10 +37,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "TELEMETRY_ENV",
     "TELEMETRY_FEATURES",
     "Tracer",
@@ -57,7 +46,6 @@ __all__ = [
     "metrics_active",
     "parse_telemetry",
     "profile_active",
-    "registry",
     "span",
     "spans_active",
     "tracer",

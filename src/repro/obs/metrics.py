@@ -1,401 +1,41 @@
-"""Named counters, gauges and histograms with two exposition formats.
+"""Prometheus text for the stats groups the program's owners report.
 
-The :class:`MetricsRegistry` unifies what used to be five unrelated
-ad-hoc stats objects (``SchedulerStats``, ``ServiceStats``,
-``CacheStats``, ``AttributionStats``/``IndexStats``) behind one
-queryable surface. The legacy objects stay exactly as they were — their
-owners keep mutating plain attributes on the hot path, tests keep
-asserting on their fields — and the registry *pulls* them at snapshot
-time through registered **views** (weak references, so registering a
-stats object never extends its owner's lifetime). New instrumentation
-uses the direct primitives:
-
-* :class:`Counter` — monotonically increasing total;
-* :class:`Gauge`   — last-set value;
-* :class:`Histogram` — fixed cumulative buckets plus sum/count, the
-  shape Prometheus expects (quantiles are derived offline).
-
-Snapshots come in two forms: :meth:`MetricsRegistry.snapshot` (a plain
-JSON-ready dict, written into ``telemetry.json`` and served by the
-``stats`` wire verb) and :meth:`MetricsRegistry.render_prometheus`
-(the text exposition format, ``freqywm stats --format prometheus``).
-All primitives are thread-safe; the sharded schedulers touch them from
-client threads.
+A stats group is one owner's counters as a flat ``{field: value}``
+mapping: a service's ``ServiceStats.as_dict()``, its detector cache's
+``CacheStats.as_dict()``, a scheduler's ``SchedulerStats.as_dict()``, a
+blob store's ``stats()``. Each reader builds its groups from the objects
+it already holds (the detection service for the ``stats`` verb, the
+experiment executor for ``telemetry.json``), so two owners in one
+process never mix their numbers. This module only renders such groups
+in the Prometheus text exposition format (0.0.4).
 """
 
 from __future__ import annotations
 
-import re
-import threading
-import weakref
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.exceptions import ConfigurationError
-
-#: Default latency buckets (seconds): sub-millisecond service hits up
-#: through multi-minute experiment levels.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0,
-)
-
-_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_.]*$")
+from typing import List, Mapping
 
 
-def _check_name(name: str) -> str:
-    """Validate a metric name (dotted segments of ``[a-zA-Z0-9_]``)."""
-    if not _NAME.match(name):
-        raise ConfigurationError(
-            f"metric name {name!r} must match [a-zA-Z_][a-zA-Z0-9_.]*"
-        )
-    return name
+def render_prometheus(groups: Mapping[str, Mapping[str, object]]) -> str:
+    """The groups as gauges named ``freqywm_<group>_<field>``.
 
-
-def _prom_name(name: str) -> str:
-    """The Prometheus-exposition form of a dotted metric name."""
-    return "freqywm_" + name.replace(".", "_")
-
-
-class Counter:
-    """A monotonically increasing total (thread-safe)."""
-
-    def __init__(self, name: str, help_text: str = "") -> None:
-        self.name = _check_name(name)
-        self.help = help_text
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0) to the total."""
-        if amount < 0:
-            raise ConfigurationError(
-                f"counter {self.name!r} cannot decrease (inc {amount})"
-            )
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        """The current total."""
-        return self._value
-
-
-class Gauge:
-    """A value that goes up and down; reads return the last set value."""
-
-    def __init__(self, name: str, help_text: str = "") -> None:
-        self.name = _check_name(name)
-        self.help = help_text
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        """Set the gauge to ``value``."""
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        """Adjust the gauge by ``amount`` (either sign)."""
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        """The current value."""
-        return self._value
-
-
-class Histogram:
-    """Fixed cumulative buckets plus sum and count (thread-safe).
-
-    ``buckets`` are upper bounds in ascending order; every observation
-    lands in each bucket whose bound is >= the value (the Prometheus
-    cumulative convention) with an implicit ``+Inf`` bucket equal to
-    ``count``. Percentile estimates interpolate within the first bucket
-    whose cumulative count reaches the requested rank — coarse by
-    design, bounded memory forever.
+    Groups and fields come out in sorted order. Fields that are not
+    numbers (a ``None`` capacity, a flag, a mode string) are skipped:
+    exposition values must be numbers. Integral floats print without a
+    trailing ``.0``.
     """
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ConfigurationError(
-                f"histogram {name!r} buckets must be ascending and non-empty"
-            )
-        self.name = _check_name(name)
-        self.help = help_text
-        self.bounds: Tuple[float, ...] = tuple(float(bound) for bound in buckets)
-        self._counts = [0] * len(self.bounds)
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        with self._lock:
-            self._sum += value
-            self._count += 1
-            for position, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self._counts[position] += 1
-
-    @property
-    def count(self) -> int:
-        """Total observations."""
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        """Sum of all observed values."""
-        return self._sum
-
-    def cumulative(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs, ``+Inf`` excluded."""
-        with self._lock:
-            return list(zip(self.bounds, self._counts))
-
-    def quantile(self, fraction: float) -> float:
-        """A bucket-resolution estimate of the given quantile (0..1)."""
-        if not 0 <= fraction <= 1:
-            raise ConfigurationError(f"quantile must be in [0, 1], got {fraction}")
-        with self._lock:
-            if not self._count:
-                return 0.0
-            rank = fraction * self._count
-            for bound, cumulative in zip(self.bounds, self._counts):
-                if cumulative >= rank:
-                    return bound
-            return self.bounds[-1]
-
-
-#: A view pulls ``{field: value}`` out of a live legacy stats object.
-ViewExtractor = Callable[[object], Mapping[str, object]]
-
-
-def _default_extract(target: object) -> Mapping[str, object]:
-    """Extract fields via ``as_dict()`` when present, else ``__dict__``."""
-    as_dict = getattr(target, "as_dict", None)
-    if callable(as_dict):
-        return as_dict()
-    return {
-        key: value
-        for key, value in vars(target).items()
-        if not key.startswith("_")
-    }
-
-
-class MetricsRegistry:
-    """Process-wide home of every metric and legacy-stats view."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._views: Dict[str, List[Tuple[weakref.ref, ViewExtractor]]] = {}
-
-    # -------------------------------------------------------------- #
-    # Primitives (get-or-create; a name never changes kind)
-    # -------------------------------------------------------------- #
-
-    def _get_or_create(self, table: Dict, name: str, factory) -> object:
-        with self._lock:
-            existing = table.get(name)
-            if existing is not None:
-                return existing
-            for other in (self._counters, self._gauges, self._histograms):
-                if other is not table and name in other:
-                    raise ConfigurationError(
-                        f"metric {name!r} is already registered as a "
-                        f"different kind"
-                    )
-            metric = factory()
-            table[name] = metric
-            return metric
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        """Get-or-create the named :class:`Counter`."""
-        return self._get_or_create(
-            self._counters, name, lambda: Counter(name, help_text)
-        )  # type: ignore[return-value]
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        """Get-or-create the named :class:`Gauge`."""
-        return self._get_or_create(
-            self._gauges, name, lambda: Gauge(name, help_text)
-        )  # type: ignore[return-value]
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        """Get-or-create the named :class:`Histogram`."""
-        return self._get_or_create(
-            self._histograms, name, lambda: Histogram(name, help_text, buckets)
-        )  # type: ignore[return-value]
-
-    # -------------------------------------------------------------- #
-    # Legacy-stats views
-    # -------------------------------------------------------------- #
-
-    def register_view(
-        self,
-        group: str,
-        target: object,
-        extractor: Optional[ViewExtractor] = None,
-    ) -> None:
-        """Expose a live stats object under the ``group`` view.
-
-        Only a weak reference is kept: a scheduler or service being
-        garbage-collected silently leaves the group (dead references are
-        pruned at snapshot time). Several objects may share one group —
-        two schedulers in one process — in which case numeric fields are
-        summed and non-numeric fields are dropped; a group with exactly
-        one live object reports its fields verbatim.
-        """
-        _check_name(group)
-        entry = (weakref.ref(target), extractor or _default_extract)
-        with self._lock:
-            self._views.setdefault(group, []).append(entry)
-
-    def _view_values(self) -> Dict[str, Dict[str, object]]:
-        """Materialised views, dead references pruned, per-group merge."""
-        with self._lock:
-            groups = {name: list(entries) for name, entries in self._views.items()}
-        merged: Dict[str, Dict[str, object]] = {}
-        for name, entries in groups.items():
-            extracted: List[Mapping[str, object]] = []
-            live: List[Tuple[weakref.ref, ViewExtractor]] = []
-            for reference, extractor in entries:
-                target = reference()
-                if target is None:
-                    continue
-                live.append((reference, extractor))
-                extracted.append(extractor(target))
-            with self._lock:
-                if name in self._views:
-                    self._views[name] = live
-            if not extracted:
+    lines: List[str] = []
+    for group, fields in sorted(groups.items()):
+        for field, value in sorted(fields.items()):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
-            if len(extracted) == 1:
-                merged[name] = dict(extracted[0])
-                continue
-            summed: Dict[str, object] = {}
-            for fields in extracted:
-                for key, value in fields.items():
-                    if isinstance(value, bool) or not isinstance(
-                        value, (int, float)
-                    ):
-                        continue
-                    summed[key] = summed.get(key, 0) + value  # type: ignore[operator]
-            merged[name] = summed
-        return merged
-
-    # -------------------------------------------------------------- #
-    # Exposition
-    # -------------------------------------------------------------- #
-
-    def snapshot(self) -> Dict[str, object]:
-        """Everything the registry knows, as one JSON-ready dict."""
-        with self._lock:
-            counters = {name: metric.value for name, metric in self._counters.items()}
-            gauges = {name: metric.value for name, metric in self._gauges.items()}
-            histograms = {
-                name: {
-                    "count": metric.count,
-                    "sum": round(metric.sum, 9),
-                    "buckets": [
-                        [bound, count] for bound, count in metric.cumulative()
-                    ],
-                    "p50": metric.quantile(0.5),
-                    "p95": metric.quantile(0.95),
-                }
-                for name, metric in self._histograms.items()
-            }
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "views": self._view_values(),
-        }
-
-    def render_prometheus(self) -> str:
-        """The registry in the Prometheus text exposition format (0.0.4).
-
-        View fields become gauges named ``freqywm_<group>_<field>``;
-        non-numeric view fields (an attribution's ``mode`` string) are
-        skipped — exposition values must be numbers.
-        """
-        lines: List[str] = []
-        with self._lock:
-            counters = list(self._counters.items())
-            gauges = list(self._gauges.items())
-            histograms = list(self._histograms.items())
-        for name, counter in sorted(counters):
-            prom = _prom_name(name) + "_total"
-            if counter.help:
-                lines.append(f"# HELP {prom} {counter.help}")
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {_format_value(counter.value)}")
-        for name, gauge in sorted(gauges):
-            prom = _prom_name(name)
-            if gauge.help:
-                lines.append(f"# HELP {prom} {gauge.help}")
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {_format_value(gauge.value)}")
-        for name, histogram in sorted(histograms):
-            prom = _prom_name(name)
-            if histogram.help:
-                lines.append(f"# HELP {prom} {histogram.help}")
-            lines.append(f"# TYPE {prom} histogram")
-            for bound, count in histogram.cumulative():
-                lines.append(f'{prom}_bucket{{le="{_format_value(bound)}"}} {count}')
-            lines.append(f'{prom}_bucket{{le="+Inf"}} {histogram.count}')
-            lines.append(f"{prom}_sum {_format_value(histogram.sum)}")
-            lines.append(f"{prom}_count {histogram.count}")
-        for group, fields in sorted(self._view_values().items()):
-            for field, value in sorted(fields.items()):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                prom = _prom_name(f"{group}.{field}")
-                lines.append(f"# TYPE {prom} gauge")
-                lines.append(f"{prom} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
-
-    def reset(self) -> None:
-        """Forget every metric and view (tests only)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._views.clear()
+            if isinstance(value, float):
+                text = str(int(value)) if value.is_integer() else repr(value)
+            else:
+                text = str(value)
+            name = f"freqywm_{group}_{field}"
+            lines.append(f"# TYPE {name} gauge")
+            lines.append(f"{name} {text}")
+    return "\n".join(lines) + "\n"
 
 
-def _format_value(value: float) -> str:
-    """Render a number without a trailing ``.0`` for integral values."""
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-_REGISTRY = MetricsRegistry()
-
-
-def registry() -> MetricsRegistry:
-    """The process-wide metrics registry singleton."""
-    return _REGISTRY
-
-
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "registry",
-]
+__all__ = ["render_prometheus"]

@@ -121,7 +121,7 @@ def spans_active() -> bool:
 
 
 def metrics_active() -> bool:
-    """Whether the metrics registry is enabled in this process."""
+    """Whether run artifacts carry stats groups (``telemetry.json``)."""
     return "metrics" in enabled_features()
 
 

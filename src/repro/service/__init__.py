@@ -9,8 +9,8 @@ coalesced batches out through a sharded worker pool.
 
 Layers, bottom up:
 
-* :mod:`repro.service.cache` — :class:`DetectorCache`, the fingerprint-
-  keyed LRU of constructed detectors;
+* :class:`DetectorCache` (from :mod:`repro.core.cache`, re-exported
+  here) — the fingerprint-keyed LRU of constructed detectors;
 * :mod:`repro.service.service` — :class:`DetectionService` (asyncio
   queue + batcher) and :class:`SyncDetectionService` (blocking facade);
 * :mod:`repro.service.wire` — the typed, versioned JSON-lines format

@@ -5,7 +5,7 @@ every stored pair) per verdict and verifies one dataset per vectorized
 pass. A resident service amortises both:
 
 * **Detector cache** — constructed detectors live in a
-  :class:`~repro.service.cache.DetectorCache` keyed by the secret/config
+  :class:`~repro.core.cache.DetectorCache` keyed by the secret/config
   fingerprint, so repeated verdicts against the same watermark skip
   moduli precomputation entirely.
 * **Request coalescing** — single-dataset requests land on an asyncio
@@ -47,9 +47,10 @@ from repro.core.detector import DetectionResult, SuspectData, WatermarkDetector
 from repro.core.generator import WatermarkGenerator
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import ReproError, ServiceError
+from repro.exec.blobs import default_blob_store
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.scheduler import Scheduler
-from repro.obs.metrics import registry as metrics_registry
+from repro.obs.metrics import render_prometheus
 from repro.obs.trace import span as trace_span
 from repro.service.wire import (
     AttributeRequest,
@@ -153,27 +154,6 @@ class ServiceStats:
         }
 
 
-def _cache_view(cache: DetectorCache) -> Dict[str, object]:
-    """Metrics-view extractor: a detector cache's counter snapshot."""
-    return cache.stats().as_dict()
-
-
-def _vault_view(registry: object) -> Dict[str, object]:
-    """Metrics-view extractor: a vault registry's index statistics."""
-    index_stats = getattr(registry, "index_stats", None)
-    if not callable(index_stats):
-        return {}
-    stats = index_stats()
-    as_dict = getattr(stats, "as_dict", None)
-    if callable(as_dict):
-        return as_dict()
-    return {
-        key: value
-        for key, value in vars(stats).items()
-        if not key.startswith("_")
-    }
-
-
 @dataclass
 class _Pending:
     """One queued request: its dataset, resolved detector, and future."""
@@ -210,15 +190,6 @@ class DetectionService:
         self.config = config or ServiceConfig()
         self.cache = DetectorCache(self.config.cache_capacity)
         self.stats = ServiceStats()
-        # Surface the live counters through the telemetry plane: the
-        # metrics registry keeps only weak references, so a discarded
-        # service silently leaves the snapshot.
-        metrics_registry().register_view("service", self.stats)
-        metrics_registry().register_view(
-            "detector_cache", self.cache, _cache_view
-        )
-        if registry is not None:
-            metrics_registry().register_view("vault", registry, _vault_view)
         # The multi-tenant vault behind the register/revoke/attribute
         # verbs: anything speaking the WatermarkRegistry API (the
         # persistent SecretVault under `serve --vault`, an in-memory
@@ -369,13 +340,28 @@ class DetectionService:
             return await self._submit_detect(request)
 
     def _submit_stats(self, request: StatsRequest) -> StatsResponse:
-        """Answer a ``stats`` request with the registry's two expositions."""
+        """Answer a ``stats`` request with this service's stats groups.
+
+        Each group is the ``as_dict()`` of an object this service holds:
+        its own counters, its detector cache, its vault once one exists,
+        and its shard scheduler plus the blob store that scheduler ships
+        through once sharding has started. Another service in the same
+        process never shows up here.
+        """
         try:
-            registry = metrics_registry()
+            groups: Dict[str, Dict[str, object]] = {
+                "service": self.stats.as_dict(),
+                "detector_cache": self.cache.stats().as_dict(),
+            }
+            if self._vault_registry is not None:
+                groups["vault"] = self._vault_registry.index_stats().as_dict()
+            if self._scheduler is not None:
+                groups["scheduler"] = self._scheduler.stats.as_dict()
+                groups["blobs"] = default_blob_store().stats()
             return StatsResponse(
                 request_id=request.request_id,
-                metrics=registry.snapshot(),
-                prometheus=registry.render_prometheus(),
+                metrics={"views": groups},
+                prometheus=render_prometheus(groups),
             )
         except Exception as error:  # noqa: BLE001 - wire contract: a failure
             # response, never an unanswered id.
@@ -465,9 +451,6 @@ class DetectionService:
             from repro.dispute.registry import WatermarkRegistry
 
             self._vault_registry = WatermarkRegistry()
-            metrics_registry().register_view(
-                "vault", self._vault_registry, _vault_view
-            )
         return self._vault_registry
 
     async def _submit_vault(

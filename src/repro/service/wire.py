@@ -24,7 +24,7 @@ optional ``op`` field:
 * **attribute** (``op: "attribute"``) — *whose watermark does this
   leaked copy carry?* The service runs the index-backed registry lookup
   and answers with the matching buyers, strongest first.
-* **stats** (``op: "stats"``) — a snapshot of the metrics registry.
+* **stats** (``op: "stats"``) — the answering service's stats groups.
 * **task** (``op: "task"``) / **result** (``op: "result"``) — the
   distributed-scheduler leg: a :class:`~repro.exec.remote.RemoteScheduler`
   ships one fingerprinted :class:`~repro.exec.scheduler.TaskSpec` per
@@ -1028,8 +1028,8 @@ class BlobResponse(_Message):
 class StatsRequest(_Message):
     """A telemetry snapshot request (``op: "stats"``).
 
-    Asks the service for its metrics registry — counters, gauges,
-    histograms, and the legacy-stats views — in both exposition forms.
+    Asks the service for its stats groups (each object it holds,
+    reported by that object's ``as_dict()``) in both exposition forms.
     Carries no arguments beyond the correlation id; the verb is an
     *additive* v4 extension (older peers answer with an unknown-op
     error envelope, which clients surface as a typed failure).
@@ -1040,12 +1040,14 @@ class StatsRequest(_Message):
 
 @dataclass(frozen=True)
 class StatsResponse(_Reply):
-    """The telemetry snapshot answering a :class:`StatsRequest`.
+    """The answering service's stats groups for a :class:`StatsRequest`.
 
-    ``metrics`` is the registry's JSON snapshot
-    (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`);
-    ``prometheus`` is the same registry rendered in the Prometheus text
-    exposition format, ready to serve to a scraper.
+    ``metrics`` is ``{"views": {group: {field: value}}}``: one group per
+    object the service holds (``service``, ``detector_cache``, then
+    ``vault``, ``scheduler`` and ``blobs`` once those exist), each that
+    object's ``as_dict()``. ``prometheus`` is the same groups rendered
+    by :func:`repro.obs.metrics.render_prometheus`, ready to serve to a
+    scraper.
     """
 
     OP = "stats"

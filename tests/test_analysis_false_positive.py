@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from repro.analysis.false_positive import (
     empirical_false_positive_rate,
@@ -20,6 +22,16 @@ from repro.analysis.false_positive import (
     uniform_probability_profile,
 )
 from repro.exceptions import ConfigurationError
+
+
+def _binomial_pmf(n: int, p: Fraction):
+    """Exact rational ``P(X = j)`` for ``X ~ Binomial(n, p)``, ``j = 0..n``."""
+    return [comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+
+
+def _binomial_tail(n: int, k: int, p: Fraction) -> float:
+    """Exact ``P(X >= k)``, summed in rationals and rounded once."""
+    return float(sum(_binomial_pmf(n, p)[max(k, 0):]))
 
 
 class TestPairProbability:
@@ -37,10 +49,10 @@ class TestPairProbability:
 
 class TestPoissonBinomial:
     def test_matches_binomial_for_identical_probabilities(self):
-        n, p = 30, 0.2
-        pmf = poisson_binomial_pmf([p] * n)
-        reference = stats.binom.pmf(np.arange(n + 1), n, p)
-        assert np.allclose(pmf, reference, atol=1e-9)
+        n, p = 30, Fraction(1, 5)
+        pmf = poisson_binomial_pmf([float(p)] * n)
+        reference = [float(value) for value in _binomial_pmf(n, p)]
+        assert pmf.tolist() == pytest.approx(reference, rel=1e-12, abs=0)
 
     def test_pmf_sums_to_one(self, rng):
         probabilities = rng.uniform(0, 1, size=40)
@@ -49,9 +61,30 @@ class TestPoissonBinomial:
         assert np.all(pmf >= 0)
 
     def test_survival_against_binomial(self):
-        n, p, k = 50, 0.3, 20
-        survival = poisson_binomial_survival([p] * n, k)
-        assert survival == pytest.approx(float(stats.binom.sf(k - 1, n, p)), abs=1e-9)
+        """Every tail of Binomial(n, 1/z), down to 1e-300, to relative 1e-11."""
+        for n, z in [(50, 10), (50, 31), (100, 131), (200, 2), (200, 131), (400, 1024)]:
+            p = Fraction(1, z)
+            curve = survival_curve([float(p)] * n)
+            checked = 0
+            for k in range(n + 1):
+                exact = _binomial_tail(n, k, p)
+                if exact < 1e-300:
+                    break
+                assert curve[k] == pytest.approx(exact, rel=1e-11, abs=0), (n, z, k)
+                checked += 1
+            assert checked > n // 4
+            for k in (0, 1, n // 2, n, n + 1):
+                expected = curve[k] if k <= n else 0.0
+                assert poisson_binomial_survival([float(p)] * n, k) == expected
+
+    @pytest.mark.parametrize(
+        ("n", "k", "z", "exact"),
+        [(50, 25, 31, 2.99e-24), (100, 50, 131, 9.49e-78)],
+    )
+    def test_tiny_tails_keep_their_relative_accuracy(self, n, k, z, exact):
+        survival = poisson_binomial_survival([1 / z] * n, k)
+        assert survival == pytest.approx(_binomial_tail(n, k, Fraction(1, z)), rel=1e-11)
+        assert survival == pytest.approx(exact, rel=2e-3)
 
     def test_survival_edge_cases(self):
         assert poisson_binomial_survival([0.5] * 10, 0) == 1.0
@@ -109,6 +142,17 @@ class TestProfiles:
         assert profile.exact_probability(k) <= 1e-6
         assert profile.exact_probability(max(0, k - 1)) > 1e-6
 
+    def test_minimal_k_for_a_tiny_target(self):
+        profile = profile_from_moduli([31] * 50, threshold=0)
+        assert profile.minimal_k_for(1e-18) == 22
+        assert _binomial_tail(50, 22, Fraction(1, 31)) <= 1e-18
+        assert _binomial_tail(50, 21, Fraction(1, 31)) > 1e-18
+
+    def test_minimal_k_for_edge_targets(self):
+        profile = profile_from_moduli([4] * 10, threshold=0)
+        assert profile.minimal_k_for(1.0) == 0
+        assert profile.minimal_k_for(-1.0) == 11  # never reached: n + 1
+
     def test_markov_dominates_exact_in_profile(self):
         profile = uniform_probability_profile(30, rng=3)
         for k in (5, 15, 25):
@@ -128,7 +172,7 @@ _moduli_strategy = st.lists(
 
 
 class TestExactSurvivalCrossChecks:
-    """The DFT survival function against its two independent estimates.
+    """The exact survival function against its two independent estimates.
 
     Property-based over ``n`` (implied by the moduli list length), the
     per-pair threshold ``t`` and the modulus mix — the three knobs the

@@ -235,6 +235,21 @@ class TestBatchDetect:
         assert err.startswith("error: ") and str(absent) in err
         assert "Traceback" not in err
 
+    def test_malformed_secret_is_a_usage_error(self, token_file, tmp_path, capsys):
+        """A secret whose pairs hold a null exits 2 with one ``error:`` line."""
+        watermarked = tmp_path / "watermarked.txt"
+        secret = tmp_path / "secret.json"
+        main(["generate", str(token_file), str(watermarked), str(secret), "--modulus", "31", "--seed", "7"])
+        capsys.readouterr()
+        payload = json.loads(secret.read_text(encoding="utf-8"))
+        payload["pairs"] = [None]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["detect", str(watermarked), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'pairs'" in err
+        assert "Traceback" not in err
+
 
 class TestAttackAndSynth:
     def test_sampling_attack_command(self, token_file, tmp_path, capsys):

@@ -2,9 +2,9 @@
 
 Four layers, matching ``docs/scheduler.md``:
 
-* **BlobStore** — content-addressed put/get, LRU eviction honouring
-  pins, disk spill, and the typed :class:`~repro.exceptions.
-  BlobNotFoundError` miss.
+* **BlobStore** — content-addressed put/get, least-recently-used
+  eviction, and the typed :class:`~repro.exceptions.BlobNotFoundError`
+  miss, for a digest never put and for an evicted one.
 * **Payload indirection** — :func:`~repro.exec.blobs.maybe_blob` only
   rewrites values above the size floor; :func:`~repro.exec.blobs.
   resolve_refs` restores the *identical* object in-process (zero extra
@@ -34,7 +34,6 @@ from repro.exec.blobs import (
     MIN_BLOB_BYTES,
     BlobRef,
     BlobStore,
-    blob_digest,
     collect_refs,
     dataplane_enabled,
     default_blob_store,
@@ -77,25 +76,18 @@ class TestBlobStore:
         assert excinfo.value.digest == missing
         assert store.size_of(missing) == 0
 
-    def test_lru_eviction_skips_pinned_blobs(self):
+    def test_lru_eviction_keeps_the_most_recently_read_blob(self):
         store = BlobStore(capacity=40_000)
-        keep = store.put(dumps_oob(_payload_bytes(16_000)))
-        store.pin(keep)
-        evicted = store.put(dumps_oob(_payload_bytes(16_000) + b"x"))
-        store.put(dumps_oob(_payload_bytes(16_000) + b"yy"))  # over budget
-        assert keep in store  # pinned survives even as LRU
-        assert evicted not in store
-        store.unpin(keep)
-
-    def test_spill_dir_serves_evicted_blobs(self, tmp_path):
-        store = BlobStore(capacity=20_000, spill_dir=tmp_path)
-        data = dumps_oob(_payload_bytes(16_000))
-        digest = store.put(data)
-        store.put(dumps_oob(_payload_bytes(16_000) + b"z"))  # evicts the first
-        assert digest not in store  # gone from memory...
-        reloaded = store.get(digest)  # ...but served from disk
-        assert blob_digest(reloaded) == digest
-        assert store.stats()["spill_loads"] == 1
+        read = store.put(dumps_oob(_payload_bytes(16_000)))
+        oldest = store.put(dumps_oob(_payload_bytes(16_000) + b"x"))
+        store.get(read)  # the first put is now the most recently used
+        newest = store.put(dumps_oob(_payload_bytes(16_000) + b"yy"))  # over budget
+        assert read in store and newest in store
+        assert oldest not in store
+        assert store.stats()["evictions"] == 1
+        with pytest.raises(BlobNotFoundError) as excinfo:
+            store.get(oldest)
+        assert excinfo.value.digest == oldest
 
 
 # --------------------------------------------------------------------------- #

@@ -1,18 +1,17 @@
-"""The unified telemetry plane: spans, metrics, logging, profiling.
+"""The unified telemetry plane: spans, stats groups, logging, profiling.
 
 Covers the ``repro.obs`` package end to end — feature gating, span
 recording and cross-process stitching (local pool and real ``freqywm
-worker`` subprocesses), the metrics registry's field-for-field parity
-with the legacy stats objects, both exposition formats, the ``stats``
-wire verb, structured logging, the slow-task profiler, the trace
-report renderer, and the two CI gate tools
+worker`` subprocesses), the per-owner stats groups and their
+field-for-field parity with the owners' ``as_dict()``, the Prometheus
+rendering, the ``stats`` wire verb, structured logging, the slow-task
+profiler, the trace report renderer, and the two CI gate tools
 (``tools/check_telemetry.py`` and the tail-aware benchmark helpers).
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
 import io
 import json
 import logging as pylogging
@@ -26,13 +25,9 @@ import scheduler_tasks
 from repro.exceptions import ConfigurationError, ReproError, ServiceError
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.remote import RemoteScheduler
-from repro.exec.scheduler import (
-    LocalScheduler,
-    SchedulerStats,
-    TaskSpec,
-    run_task,
-)
-from repro.experiments import load_spec, run_experiment
+from repro.exec.blobs import default_blob_store
+from repro.exec.scheduler import LocalScheduler, TaskSpec, run_task
+from repro.experiments import ExperimentRunner, load_spec
 from repro.experiments.executor import TELEMETRY_RELPATH
 from repro.obs import logging as obs_logging
 from repro.obs import trace as obs_trace
@@ -42,10 +37,7 @@ from repro.obs.logging import (
     log_record,
     parse_log_env,
 )
-from repro.obs.metrics import (
-    MetricsRegistry,
-    registry as metrics_registry,
-)
+from repro.obs.metrics import render_prometheus
 from repro.obs.profile import (
     PROFILE_THRESHOLD_ENV,
     maybe_profile,
@@ -70,7 +62,7 @@ from repro.obs.trace import (
     spans_active,
     tracer,
 )
-from repro.service.service import DetectionService, ServiceStats
+from repro.service.service import DetectionService, ServiceConfig
 from repro.service.wire import (
     StatsRequest,
     StatsResponse,
@@ -243,170 +235,160 @@ class TestSpans:
 
 
 # --------------------------------------------------------------------------- #
-# Metrics primitives
+# Stats groups: each owner reports its own counters
 # --------------------------------------------------------------------------- #
 
 
-class TestMetricsPrimitives:
-    def test_counter_accumulates_and_rejects_decrements(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("test.hits")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ConfigurationError, match="cannot decrease"):
-            counter.inc(-1)
-
-    def test_gauge_set_and_add(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("test.depth")
-        gauge.set(4)
-        gauge.add(-1.5)
-        assert gauge.value == 2.5
-
-    def test_histogram_buckets_are_cumulative_with_quantiles(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("test.latency", buckets=(0.1, 1.0, 10.0))
-        for value in (0.05, 0.5, 0.5, 5.0):
-            histogram.observe(value)
-        assert histogram.count == 4
-        assert histogram.sum == pytest.approx(6.05)
-        assert histogram.cumulative() == [(0.1, 1), (1.0, 3), (10.0, 4)]
-        assert histogram.quantile(0.5) == 1.0
-        assert histogram.quantile(1.0) == 10.0
-        with pytest.raises(ConfigurationError):
-            histogram.quantile(1.5)
-
-    def test_empty_histogram_quantile_is_zero(self):
-        histogram = MetricsRegistry().histogram("test.empty")
-        assert histogram.quantile(0.95) == 0.0
-
-    def test_histogram_buckets_must_ascend(self):
-        with pytest.raises(ConfigurationError, match="ascending"):
-            MetricsRegistry().histogram("test.bad", buckets=(1.0, 0.5))
-
-    def test_metric_names_are_validated(self):
-        with pytest.raises(ConfigurationError, match="must match"):
-            MetricsRegistry().counter("bad name!")
-
-    def test_a_name_never_changes_kind(self):
-        registry = MetricsRegistry()
-        registry.counter("test.thing")
-        with pytest.raises(ConfigurationError, match="different kind"):
-            registry.gauge("test.thing")
-
-    def test_get_or_create_returns_the_same_object(self):
-        registry = MetricsRegistry()
-        assert registry.counter("test.once") is registry.counter("test.once")
-
-
-# --------------------------------------------------------------------------- #
-# Legacy-stats views (the absorb-without-rewriting contract)
-# --------------------------------------------------------------------------- #
-
-
-class _FakeStats:
-    """A stand-in legacy stats object with an ``as_dict`` exposition."""
-
-    def __init__(self, tasks, mode="linear", active=True):
-        self.tasks = tasks
-        self.mode = mode
-        self.active = active
-
-    def as_dict(self):
-        return {"tasks": self.tasks, "mode": self.mode, "active": self.active}
+def _stats_answer(service):
+    """The ``stats`` verb's answer from a running service (one coroutine)."""
+    return service.submit(StatsRequest(request_id="stats"))
 
 
 class TestMetricsViews:
-    def test_single_live_object_reports_fields_verbatim(self):
-        registry = MetricsRegistry()
-        stats = _FakeStats(tasks=7)
-        registry.register_view("fake", stats)
-        views = registry.snapshot()["views"]
-        assert views["fake"] == {"tasks": 7, "mode": "linear", "active": True}
+    def test_single_live_object_reports_fields_verbatim(self, watermarked_bundle):
+        result, _original = watermarked_bundle
 
-    def test_multiple_objects_sum_numbers_and_drop_the_rest(self):
-        registry = MetricsRegistry()
-        first, second = _FakeStats(tasks=3), _FakeStats(tasks=4, mode="indexed")
-        registry.register_view("fake", first)
-        registry.register_view("fake", second)
-        # Numeric fields summed; strings and bools have no meaningful sum.
-        assert registry.snapshot()["views"]["fake"] == {"tasks": 7}
+        async def run():
+            async with DetectionService() as service:
+                await service.detect(result.watermarked_histogram, result.secret)
+                service.vault.register("buyer", result.secret)
+                return service, await _stats_answer(service)
 
-    def test_dead_references_are_pruned_at_snapshot_time(self):
-        registry = MetricsRegistry()
-        stats = _FakeStats(tasks=1)
-        registry.register_view("fleeting", stats)
-        del stats
-        gc.collect()
-        assert "fleeting" not in registry.snapshot()["views"]
+        service, response = asyncio.run(run())
+        assert response.ok, response.error
+        assert response.metrics == {
+            "views": {
+                "service": service.stats.as_dict(),
+                "detector_cache": service.cache.stats().as_dict(),
+                "vault": service.vault.index_stats().as_dict(),
+            }
+        }
+        assert response.prometheus == render_prometheus(response.metrics["views"])
+
+    def test_each_service_reports_only_its_own_counters(self, watermarked_bundle):
+        """Two services in one process: A's answer holds A's numbers only."""
+        result, _original = watermarked_bundle
+        data, secret = result.watermarked_histogram, result.secret
+
+        async def run():
+            config_a = ServiceConfig(max_batch=5, max_delay=0.5, cache_capacity=8)
+            config_b = ServiceConfig(max_batch=1, cache_capacity=8)
+            async with DetectionService(config_a) as first, DetectionService(
+                config_b
+            ) as second:
+                await asyncio.gather(*(first.detect(data, secret) for _ in range(10)))
+                for _ in range(3):
+                    await second.detect(data, secret)
+                assert (first.stats.requests, first.stats.batches) == (10, 2)
+                assert (second.stats.requests, second.stats.batches) == (3, 3)
+                return await _stats_answer(first), await _stats_answer(second)
+
+        answer_a, answer_b = asyncio.run(run())
+        views_a, views_b = answer_a.metrics["views"], answer_b.metrics["views"]
+        assert views_a["service"]["requests"] == 10
+        assert views_a["service"]["mean_batch_size"] == 5.0
+        assert views_a["detector_cache"]["capacity"] == 8
+        assert views_b["service"]["requests"] == 3
+        assert views_b["service"]["mean_batch_size"] == 1.0
+        assert "freqywm_service_requests 10\n" in answer_a.prometheus
+        assert "freqywm_detector_cache_capacity 8\n" in answer_a.prometheus
 
     def test_scheduler_stats_parity_field_for_field(self):
-        registry = MetricsRegistry()
-        stats = SchedulerStats(
-            tasks=12, bytes_sent=4096, bytes_deduped=1024,
-            blobs_sent=3, blobs_deduped=1, shm_segments=2,
-        )
-        registry.register_view("scheduler", stats)
-        assert registry.snapshot()["views"]["scheduler"] == stats.as_dict()
+        with LocalScheduler(workers=1) as scheduler:
+            scheduler.run(_echo_specs(["x", "y"]))
+        assert scheduler.stats.tasks == 2
+        assert scheduler.stats.as_dict() == {
+            "tasks": 2,
+            "bytes_sent": 0,
+            "bytes_deduped": 0,
+            "blobs_sent": 0,
+            "blobs_deduped": 0,
+            "shm_segments": 0,
+        }
+        # A plain attribute: one object per scheduler, never shared.
+        with LocalScheduler(workers=1) as other:
+            assert other.stats is not scheduler.stats
+            assert other.stats.tasks == 0
 
     def test_service_stats_parity_field_for_field(self):
-        registry = MetricsRegistry()
-        stats = ServiceStats()
-        stats.requests = 30
-        stats.batches = 7
-        stats.coalesced_requests = 23
-        stats.largest_batch = 9
-        registry.register_view("service", stats)
-        snapshot = registry.snapshot()["views"]["service"]
+        async def run():
+            async with DetectionService() as service:
+                service.stats.requests = 30
+                service.stats.batches = 7
+                service.stats.coalesced_requests = 23
+                service.stats.largest_batch = 9
+                return service.stats, await _stats_answer(service)
+
+        stats, response = asyncio.run(run())
+        snapshot = response.metrics["views"]["service"]
         assert snapshot == stats.as_dict()
         # The computed field rides along with the raw counters.
-        assert snapshot["mean_batch_size"] == stats.as_dict()["mean_batch_size"]
+        assert snapshot["mean_batch_size"] == 30 / 7
 
-    def test_live_scheduler_registers_the_singleton_view(self):
-        with LocalScheduler(workers=1) as scheduler:
-            scheduler.run(_echo_specs(["x"]))
-            views = metrics_registry().snapshot()["views"]
-            assert "scheduler" in views
-            assert views["scheduler"].get("tasks", 0) >= 1
+    def test_service_adds_scheduler_and_blobs_once_it_shards(self, watermarked_bundle):
+        result, _original = watermarked_bundle
+        config = ServiceConfig(shard_workers=2, shard_min_batch=2, max_delay=0.05)
+
+        async def run():
+            async with DetectionService(config) as service:
+                before = await _stats_answer(service)
+                await asyncio.gather(
+                    *(
+                        service.detect(result.watermarked_histogram, result.secret)
+                        for _ in range(3)
+                    )
+                )
+                after = await _stats_answer(service)
+                return before, after, service._scheduler.stats.as_dict()
+
+        before, after, scheduler_stats = asyncio.run(run())
+        assert set(before.metrics["views"]) == {"service", "detector_cache"}
+        views = after.metrics["views"]
+        assert set(views) == {"service", "detector_cache", "scheduler", "blobs"}
+        assert views["service"]["sharded_batches"] >= 1
+        assert views["scheduler"] == scheduler_stats
+        assert views["scheduler"]["tasks"] >= 1
+        assert set(views["blobs"]) == set(default_blob_store().stats())
 
 
 # --------------------------------------------------------------------------- #
 # Prometheus exposition
 # --------------------------------------------------------------------------- #
 
+#: Groups exercising every rendering rule: ints, an integral and a
+#: fractional float, and the skipped kinds (None, bool, str).
+_GROUPS = {
+    "service": {"requests": 10, "batches": 2, "mean_batch_size": 5.0, "failures": 0},
+    "detector_cache": {"hits": 9, "misses": 1, "capacity": None, "hit_rate": 0.9},
+    "vault": {"mode": "index", "active": True, "buckets": 3},
+}
+
 
 class TestPrometheusExposition:
-    def _registry(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("wire.lines", "lines moved")
-        counter.inc(3)
-        registry.gauge("pool.workers").set(2)
-        histogram = registry.histogram("task.seconds", buckets=(0.1, 1.0))
-        histogram.observe(0.05)
-        histogram.observe(5.0)
-        registry.register_view("fake", self._stats)
-        return registry
-
-    def setup_method(self):
-        # Held on the instance so the weak view survives until render.
-        self._stats = _FakeStats(tasks=2)
-
     def test_rendering_is_valid_exposition_format(self):
-        text = self._registry().render_prometheus()
+        text = render_prometheus(_GROUPS)
         assert check_telemetry.check_prometheus(text) == []
 
-    def test_rendering_covers_every_metric_kind(self):
-        text = self._registry().render_prometheus()
-        assert "# TYPE freqywm_wire_lines_total counter" in text
-        assert "freqywm_wire_lines_total 3" in text
-        assert "freqywm_pool_workers 2" in text
-        assert 'freqywm_task_seconds_bucket{le="+Inf"} 2' in text
-        assert "freqywm_task_seconds_count 2" in text
-        # View fields become gauges; non-numeric fields are skipped.
-        assert "freqywm_fake_tasks 2" in text
-        assert "freqywm_fake_mode" not in text
-        assert text.endswith("\n")
+    def test_rendering_turns_numeric_fields_into_gauges(self):
+        # Sorted by group, then field; non-numeric fields are skipped.
+        assert render_prometheus(_GROUPS) == (
+            "# TYPE freqywm_detector_cache_hit_rate gauge\n"
+            "freqywm_detector_cache_hit_rate 0.9\n"
+            "# TYPE freqywm_detector_cache_hits gauge\n"
+            "freqywm_detector_cache_hits 9\n"
+            "# TYPE freqywm_detector_cache_misses gauge\n"
+            "freqywm_detector_cache_misses 1\n"
+            "# TYPE freqywm_service_batches gauge\n"
+            "freqywm_service_batches 2\n"
+            "# TYPE freqywm_service_failures gauge\n"
+            "freqywm_service_failures 0\n"
+            "# TYPE freqywm_service_mean_batch_size gauge\n"
+            "freqywm_service_mean_batch_size 5\n"
+            "# TYPE freqywm_service_requests gauge\n"
+            "freqywm_service_requests 10\n"
+            "# TYPE freqywm_vault_buckets gauge\n"
+            "freqywm_vault_buckets 3\n"
+        )
 
     def test_checker_rejects_malformed_expositions(self):
         undeclared = "freqywm_orphan_metric 1\n"
@@ -485,8 +467,8 @@ class TestWireTelemetry:
 
         response = asyncio.run(run())
         assert response.ok
-        assert set(response.metrics) >= {"counters", "gauges", "histograms", "views"}
-        assert "service" in response.metrics["views"]
+        assert set(response.metrics) == {"views"}
+        assert set(response.metrics["views"]) == {"service", "detector_cache"}
         assert check_telemetry.check_prometheus(response.prometheus) == []
 
 
@@ -797,27 +779,29 @@ class TestRunTelemetryArtifacts:
         run_dir = tmp_path_factory.mktemp("telemetry-run") / "run"
         spec = load_spec("experiments/specs/smoke.json")
         policy = ExecutionPolicy(workers=2, telemetry="spans,metrics")
+        runner = ExperimentRunner(spec, run_dir, policy=policy)
         try:
-            result = run_experiment(spec, run_dir, policy=policy)
+            result = runner.run()
         finally:
+            runner.close()
             configure_telemetry(None)
             tracer().reset()
-        return run_dir, result
+        return run_dir, result, runner._scheduler.stats
 
     def test_run_writes_both_telemetry_artifacts(self, traced_run):
-        run_dir, result = traced_run
+        run_dir, result, _stats = traced_run
         assert result.executed_total > 0
         assert (run_dir / TELEMETRY_RELPATH).exists()
         assert (run_dir / SPANS_RELPATH).exists()
         assert "shm_segments" in result.summary()
 
     def test_artifacts_pass_the_ci_checker(self, traced_run):
-        run_dir, _result = traced_run
+        run_dir, _result, _stats = traced_run
         assert check_telemetry.check_telemetry_json(run_dir) == []
         assert check_telemetry.check_spans(run_dir) == []
 
     def test_span_stream_is_one_tree_rooted_at_experiment_run(self, traced_run):
-        run_dir, _result = traced_run
+        run_dir, _result, _stats = traced_run
         spans = load_spans(str(run_dir))
         traces = build_tree(spans)
         assert len(traces) == 1
@@ -829,19 +813,23 @@ class TestRunTelemetryArtifacts:
         assert "task:experiment.task" in names
 
     def test_telemetry_json_carries_features_metrics_and_run(self, traced_run):
-        run_dir, result = traced_run
+        run_dir, result, scheduler_stats = traced_run
         payload = json.loads(
             (run_dir / TELEMETRY_RELPATH).read_text(encoding="utf-8")
         )
         assert payload["features"] == ["metrics", "spans"]
         assert payload["run"]["executed_total"] == result.executed_total
-        assert "scheduler" in payload["metrics"]["views"]
+        views = payload["metrics"]["views"]
+        assert set(payload["metrics"]) == {"views"}
+        assert views["scheduler"] == scheduler_stats.as_dict()
+        assert views["scheduler"]["tasks"] == result.executed_total
+        assert set(views["blobs"]) == set(default_blob_store().stats())
         assert payload["spans"]["path"] == SPANS_RELPATH
 
     def test_trace_report_cli_renders_the_phase_breakdown(self, traced_run, capsys):
         from repro.cli import main as cli_main
 
-        run_dir, _result = traced_run
+        run_dir, _result, _stats = traced_run
         assert cli_main(["trace", "report", str(run_dir)]) == 0
         output = capsys.readouterr().out
         assert "experiment.run" in output
@@ -861,6 +849,19 @@ class TestRunTelemetryArtifacts:
         failures = check_telemetry.check_spans(tmp_path)
         assert any("orphan" in failure for failure in failures)
         assert any("experiment.run" in failure for failure in failures)
+        summary = {"executed_total": 3, "bytes_sent": 100, "bytes_deduped": 0,
+                   "shm_segments": 1}
+        payload = {"features": ["metrics"], "run": summary, "metrics": {}}
+        (tmp_path / "telemetry.json").write_text(json.dumps(payload), encoding="utf-8")
+        failures = check_telemetry.check_telemetry_json(tmp_path)
+        assert any("views" in failure for failure in failures)
+        payload["metrics"] = {"views": {"scheduler": dict(summary, bytes_sent=64)}}
+        (tmp_path / "telemetry.json").write_text(json.dumps(payload), encoding="utf-8")
+        failures = check_telemetry.check_telemetry_json(tmp_path)
+        assert failures == [
+            f"{tmp_path / 'telemetry.json'}: views.scheduler.bytes_sent is 64 "
+            "but the run summary says 100"
+        ]
 
 
 # --------------------------------------------------------------------------- #

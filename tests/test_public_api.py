@@ -56,7 +56,6 @@ PUBLIC_MODULES = [
     "repro.dispute.judge",
     "repro.dispute.registry",
     "repro.service",
-    "repro.service.cache",
     "repro.service.client",
     "repro.service.server",
     "repro.service.service",

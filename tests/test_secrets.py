@@ -6,7 +6,38 @@ import pytest
 
 from repro.core.secrets import WatermarkSecret, max_modulus_cap
 from repro.core.tokens import TokenPair
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
+
+
+_ABSENT = object()
+
+#: One-field mutations of a valid payload; each must raise a ReproError.
+_MUTATIONS = [
+    *(
+        ("pairs", value)
+        for value in (
+            _ABSENT, None, True, 7, 2.5, "ab", {"a": "b"}, [None], ["ab"], [7],
+            [{"a": "b"}], [[]], [["a"]], [["a", "b", "c"]], [["a", "a"]],
+            [[1, 2]], [["a", None]], [[None, "b"]], [["a", ["b"]]],
+            [["a", {"b": 1}]], [["a", True]], [["a", "b"], None],
+            [["a", "b"], ["c"]],
+        )
+    ),
+    *(
+        ("metadata", value)
+        for value in (None, True, 7, 2.5, "owner", [], [["k", "v"]], ["k"])
+    ),
+    *(
+        ("secret", value)
+        for value in (_ABSENT, None, True, 2.5, "x", "-5", -5, [], {}, [1])
+    ),
+    *(
+        ("modulus_cap", value)
+        for value in (
+            _ABSENT, None, True, 1, 0, -3, "x", [], {}, [31], float("inf"), float("nan"),
+        )
+    ),
+]
 
 
 @pytest.fixture()
@@ -88,6 +119,32 @@ class TestSerialisation:
     def test_malformed_payload_rejected(self):
         with pytest.raises(ConfigurationError):
             WatermarkSecret.from_dict({"pairs": [["a", "b"]]})
+
+    @pytest.mark.parametrize(("field", "value"), _MUTATIONS)
+    def test_one_field_mutation_raises_a_typed_error(self, secret, field, value):
+        """Each mutation of one field of a valid payload fails typed."""
+        payload = secret.to_dict()
+        if value is _ABSENT:
+            del payload[field]
+        else:
+            payload[field] = value
+        with pytest.raises(ReproError) as excinfo:
+            WatermarkSecret.from_dict(payload)
+        if field in ("pairs", "metadata") and value is not _ABSENT:
+            assert repr(field) in str(excinfo.value)
+
+    @pytest.mark.parametrize("payload", [None, [], "secret", 7, [["a", "b"]]])
+    def test_non_object_payload_raises_a_typed_error(self, payload):
+        with pytest.raises(ConfigurationError, match="not an object"):
+            WatermarkSecret.from_dict(payload)
+
+    def test_non_json_text_raises_a_typed_error(self):
+        with pytest.raises(ConfigurationError, match="not JSON"):
+            WatermarkSecret.from_json("{pairs: nope")
+
+    def test_tuple_pairs_from_python_callers_decode(self, secret):
+        payload = dict(secret.to_dict(), pairs=tuple(tuple(pair) for pair in secret.to_dict()["pairs"]))
+        assert WatermarkSecret.from_dict(payload) == secret
 
 
 class TestModulusCapBound:

@@ -261,3 +261,23 @@ def test_counts_outside_int64_fail_as_malformed_counts(watermarked_bundle, carri
             assert "malformed counts" in (response.error or ""), response.error
             assert "int64" in (response.error or ""), response.error
             assert "internal error" not in (response.error or "")
+
+
+@pytest.mark.parametrize(("field", "value"), [("pairs", [None]), ("metadata", [])])
+def test_malformed_inline_secret_is_not_an_internal_error(watermarked_bundle, field, value):
+    """A detect or register whose secret has a bad field fails as a
+    malformed secret, never as ``internal error``."""
+    result, _ = watermarked_bundle
+    secret = dict(result.secret.to_dict(), **{field: value})
+    counts = result.watermarked_histogram.as_dict()
+    with SyncDetectionService() as service:
+        requests = [
+            DetectRequest(request_id="det", counts=counts, secret=secret),
+            RegisterRequest(request_id="reg", buyer_id="buyer-a", secret=secret),
+        ]
+        for request in requests:
+            response = service.submit(decode_request(encode_line(request)))
+            assert response.ok is False
+            assert not (response.error or "").startswith("internal error"), response.error
+            assert "malformed secret" in (response.error or ""), response.error
+            assert repr(field) in (response.error or ""), response.error

@@ -7,8 +7,11 @@ run directory (plus a captured ``freqywm stats`` exposition). The
 checker fails (exit 1) unless:
 
 * ``telemetry.json`` exists, parses, names only known features, and
-  carries the run summary (plus a well-formed metrics snapshot when the
-  ``metrics`` feature was on);
+  carries the run summary; with the ``metrics`` feature on it also
+  carries ``metrics.views``, an object of stats groups (each an
+  object), and a ``scheduler`` group among them must report the same
+  ``bytes_sent`` / ``bytes_deduped`` / ``shm_segments`` as the run
+  summary: both read the run's one scheduler;
 * ``telemetry/spans.jsonl`` parses line by line, every span carries the
   documented schema (``docs/observability.md``), the stream stitches
   into **one** trace with **zero** orphans, and the tree is rooted at
@@ -43,6 +46,9 @@ from repro.obs.trace import TELEMETRY_FEATURES  # noqa: E402
 #: Keys every span record must carry (see docs/observability.md).
 SPAN_KEYS = ("trace", "span", "parent", "name", "start", "duration", "status", "pid")
 
+#: Scheduler counters both the run summary and ``views.scheduler`` carry.
+RUN_SCHEDULER_KEYS = ("bytes_sent", "bytes_deduped", "shm_segments")
+
 #: One exposition sample: name, optional labels, value.
 SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -74,16 +80,28 @@ def check_telemetry_json(run_dir: Path) -> List[str]:
     if not isinstance(run, dict) or "executed_total" not in run:
         failures.append(f"{path}: missing run summary")
     if "metrics" in features:
-        metrics = payload.get("metrics")
-        if not isinstance(metrics, dict):
-            failures.append(f"{path}: metrics feature on but no snapshot")
-        else:
-            for section in ("counters", "gauges", "histograms", "views"):
-                if not isinstance(metrics.get(section), dict):
-                    failures.append(f"{path}: snapshot missing {section!r}")
+        failures += _check_views(path, payload.get("metrics"), run)
     if "spans" in features and not isinstance(payload.get("spans"), dict):
         failures.append(f"{path}: spans feature on but no spans summary")
     return failures
+
+
+def _check_views(path: Path, metrics: object, run: object) -> List[str]:
+    """Failures for ``metrics``: stats groups agreeing with the run summary."""
+    views = metrics.get("views") if isinstance(metrics, dict) else None
+    if not isinstance(views, dict) or not all(
+        isinstance(group, dict) for group in views.values()
+    ):
+        return [f"{path}: metrics feature on but no 'views' object of groups"]
+    scheduler = views.get("scheduler")
+    if not isinstance(scheduler, dict) or not isinstance(run, dict):
+        return []
+    return [
+        f"{path}: views.scheduler.{key} is {scheduler.get(key)!r} but the "
+        f"run summary says {run.get(key)!r}"
+        for key in RUN_SCHEDULER_KEYS
+        if scheduler.get(key) != run.get(key)
+    ]
 
 
 def check_spans(run_dir: Path) -> List[str]:
