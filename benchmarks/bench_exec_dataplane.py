@@ -6,10 +6,10 @@ remote payloads) against functional and performance regression.
 
 * **Remote dedup**: a 200-task shared-secret screen — every task carries
   the same suspect histogram — dispatched to a spawned ``freqywm
-  worker`` must move **>=5x fewer bytes** over the socket with the blob
-  plane on than with it off (``FREQYWM_DATAPLANE=inline``: framed
-  payloads without blob refs, so every task's frames carry the whole
-  histogram), while returning verdicts identical to the inline run. The
+  worker`` must move **>=5x fewer bytes** over the socket with the
+  histogram referenced by digest than with it inline (framed payloads
+  without blob refs, so every task's frames carry the whole histogram),
+  while returning verdicts identical to the inline run. The
   shared histogram ships once as a content-addressed blob; each task
   line then carries only its digest.
 * **Local shm dispatch**: fanning a large shared NumPy array out to a
@@ -37,7 +37,7 @@ from repro.core.config import DetectionConfig
 from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.core.tokens import TokenPair
-from repro.exec.blobs import DATAPLANE_ENV, maybe_blob
+from repro.exec.blobs import maybe_blob
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.remote import RemoteScheduler
 from repro.exec.scheduler import (
@@ -54,23 +54,6 @@ DEDUP_FLOOR = 5.0
 
 def _smoke() -> bool:
     return os.environ.get("REPRO_BENCH_SCALE", "").lower() == "smoke"
-
-
-@contextlib.contextmanager
-def _dataplane(mode: str):
-    """Force the data plane on (``blob``) or off (``inline``) for a block."""
-    previous = os.environ.get(DATAPLANE_ENV)
-    if mode == "blob":
-        os.environ.pop(DATAPLANE_ENV, None)
-    else:
-        os.environ[DATAPLANE_ENV] = "inline"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(DATAPLANE_ENV, None)
-        else:
-            os.environ[DATAPLANE_ENV] = previous
 
 
 @contextlib.contextmanager
@@ -134,7 +117,7 @@ def test_remote_payload_dedup():
     with tempfile.TemporaryDirectory(prefix="bench-dataplane-") as tmp:
         for mode in ("inline", "blob"):
             socket_path = Path(tmp) / f"worker-{mode}.sock"
-            with _dataplane(mode), _spawn_worker(socket_path):
+            with _spawn_worker(socket_path):
                 scheduler = RemoteScheduler([f"unix:{socket_path}"])
                 try:
                     specs = _screen_specs(
@@ -206,23 +189,22 @@ def test_local_shm_dispatch():
     failures = []
     timings = {}
     for mode in ("inline", "blob"):
-        with _dataplane(mode):
-            scheduler = create_scheduler(
-                ExecutionPolicy(workers=2),
-                on_spawn_failure=lambda error: failures.append(error),
-            )
-            try:
-                if scheduler.workers < 2 or failures:
-                    pytest.skip("cannot spawn a local worker pool here")
-                # Warm the pool outside the timed window.
-                scheduler.run(_shm_specs(array[:8], 1, blobs=False))
-                specs = _shm_specs(array, count, blobs=(mode == "blob"))
-                start = time.perf_counter()
-                results = scheduler.run(specs)
-                timings[mode] = time.perf_counter() - start
-                assert results == expected, f"{mode} dispatch corrupted results"
-            finally:
-                scheduler.close()
+        scheduler = create_scheduler(
+            ExecutionPolicy(workers=2),
+            on_spawn_failure=lambda error: failures.append(error),
+        )
+        try:
+            if scheduler.workers < 2 or failures:
+                pytest.skip("cannot spawn a local worker pool here")
+            # Warm the pool outside the timed window.
+            scheduler.run(_shm_specs(array[:8], 1, blobs=False))
+            specs = _shm_specs(array, count, blobs=(mode == "blob"))
+            start = time.perf_counter()
+            results = scheduler.run(specs)
+            timings[mode] = time.perf_counter() - start
+            assert results == expected, f"{mode} dispatch corrupted results"
+        finally:
+            scheduler.close()
 
     speedup = timings["inline"] / max(timings["blob"], 1e-9)
     experiment_banner(

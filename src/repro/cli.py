@@ -483,7 +483,6 @@ def _cmd_registry_show(args: argparse.Namespace) -> int:
             "chain_valid": vault.verify_chain(),
             "index_buckets": index.buckets,
             "index_postings": index.postings,
-            "group_test_threshold": index.group_test_threshold,
         },
         args.json,
     )

@@ -66,7 +66,7 @@ from repro.core.hashing import PairModulusCache
 from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, GenerationError
-from repro.exec.blobs import dataplane_enabled, maybe_blob
+from repro.exec.blobs import maybe_blob
 from repro.exec.chunking import (
     DETECTION_CHUNKS_PER_WORKER,
     DETECTION_MAX_CHUNK,
@@ -311,7 +311,7 @@ def dispatch_detection(
         chunks_per_worker=DETECTION_CHUNKS_PER_WORKER,
         max_chunk=DETECTION_MAX_CHUNK,
     )
-    use_blobs = dataplane_enabled() and scheduler.ships_payloads
+    use_blobs = scheduler.ships_payloads
     secret_value, secret_refs = maybe_blob(secret) if use_blobs else (secret, ())
     columns = pair_columns(secret) if function == "detect.chunk" else None
     specs: List[TaskSpec] = []
@@ -641,11 +641,11 @@ def _detect_secrets_sharded(
             len(secrets), scheduler.workers, chunk_size=policy.chunk_size
         )
         # The suspect is identical across every chunk task, so when the
-        # data plane is live it ships once as a content-addressed blob
-        # instead of being re-pickled into each payload.
+        # scheduler ships payloads it goes once as a content-addressed
+        # blob instead of being re-pickled into each payload.
         counts_value: object = counts
         counts_refs: Tuple[str, ...] = ()
-        if dataplane_enabled() and scheduler.ships_payloads:
+        if scheduler.ships_payloads:
             counts_value, counts_refs = maybe_blob(counts)
         specs = [
             TaskSpec(
@@ -777,7 +777,7 @@ def embed_many(
             size = derive_chunk_size(
                 len(items), scheduler.workers, chunk_size=policy.chunk_size
             )
-            use_blobs = dataplane_enabled() and scheduler.ships_payloads
+            use_blobs = scheduler.ships_payloads
             for start, stop in chunk_spans(len(items), size):
                 chunk: object = items[start:stop]
                 chunk_refs: Tuple[str, ...] = ()

@@ -4,8 +4,8 @@ The paper's *similarity constraint* requires the watermarked histogram to
 stay within a budget ``b`` of the original: ``sim(D_o, D_w) >= (100 - b)%``.
 Cosine similarity is what the paper's experiments use, but Section III
 notes that "any similarity metric can be deployed without any loss of
-security"; this module therefore exposes a small registry of metrics that
-the generator, the baselines and the distortion analysis all share.
+security"; this module therefore offers four named metrics that the
+generator, the baselines and the distortion analysis all share.
 
 All metrics operate on *aligned* frequency vectors: callers pass two
 mappings from token to count and the metric aligns them over the union of
@@ -83,21 +83,6 @@ def jaccard_similarity(left: np.ndarray, right: np.ndarray) -> float:
     return float(np.sum(np.minimum(left, right)) / total_max)
 
 
-def kl_divergence(left: np.ndarray, right: np.ndarray) -> float:
-    """Kullback-Leibler divergence ``KL(P_left || P_right)`` in nats.
-
-    Counts are normalised into probability distributions; a small epsilon
-    smooths zero bins on the right-hand side so the divergence stays
-    finite for histograms with disjoint support.
-    """
-    epsilon = 1e-12
-    p = left / max(float(np.sum(left)), epsilon)
-    q = right / max(float(np.sum(right)), epsilon)
-    q = np.clip(q, epsilon, None)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-
-
 _METRICS: Dict[str, MetricFunction] = {
     "cosine": cosine_similarity,
     "l1": l1_similarity,
@@ -107,7 +92,7 @@ _METRICS: Dict[str, MetricFunction] = {
 
 
 def available_metrics() -> Tuple[str, ...]:
-    """Names of the registered similarity metrics."""
+    """Names of the similarity metrics."""
     return tuple(sorted(_METRICS))
 
 
@@ -119,15 +104,6 @@ def get_metric(name: str) -> MetricFunction:
         raise KeyError(
             f"unknown similarity metric {name!r}; available: {available_metrics()}"
         ) from None
-
-
-def register_metric(name: str, function: MetricFunction) -> None:
-    """Register a custom similarity metric under ``name``.
-
-    The function must map two aligned count vectors to a similarity in
-    ``[0, 1]`` where 1 means identical.
-    """
-    _METRICS[name.lower()] = function
 
 
 def histogram_similarity(
@@ -161,19 +137,6 @@ def distortion_percent(
     return 100.0 - similarity_percent(original, other, metric=metric)
 
 
-#: Built-in metric implementations the tracker can update incrementally
-#: with exact integer aggregates. A metric name qualifies only while the
-#: registry still maps it to the built-in function — a custom metric
-#: registered under a built-in name (``register_metric("cosine", ...)``)
-#: must fall back to the full recompute of the *registered* function.
-_INCREMENTAL_IMPLEMENTATIONS: Dict[str, MetricFunction] = {
-    "cosine": cosine_similarity,
-    "l1": l1_similarity,
-    "l2": l2_similarity,
-    "jaccard": jaccard_similarity,
-}
-
-
 class SimilarityTracker:
     """Incrementally-updated similarity against a fixed original histogram.
 
@@ -203,17 +166,13 @@ class SimilarityTracker:
         The original histogram as a token->count mapping, or any object
         with an ``as_dict()`` method (e.g. ``TokenHistogram``).
     metric:
-        Similarity metric name. The four built-ins update incrementally;
-        custom registered metrics are supported through a full-recompute
-        fallback so behaviour stays correct, just not O(1).
+        Similarity metric name (one of :func:`available_metrics`).
     """
 
     __slots__ = (
         "metric",
         "_original",
         "_current",
-        "_metric_function",
-        "_exact",
         "_norm2_original",
         "_norm2_current",
         "_dot",
@@ -229,10 +188,7 @@ class SimilarityTracker:
         if hasattr(original, "as_dict"):
             original = original.as_dict()
         self.metric = metric.lower()
-        self._metric_function = get_metric(self.metric)
-        self._exact = (
-            _INCREMENTAL_IMPLEMENTATIONS.get(self.metric) is self._metric_function
-        )
+        get_metric(self.metric)  # an unknown name raises KeyError here
         self._original: Dict[str, int] = {
             token: int(count) for token, count in original.items()
         }
@@ -274,10 +230,6 @@ class SimilarityTracker:
 
     def similarity(self) -> float:
         """Similarity of the current state versus the original, in ``[0, 1]``."""
-        if not self._exact:
-            return self._metric_function(
-                *align_frequencies(self._original, self._current)
-            )
         return self._evaluate(
             self._norm2_current,
             self._dot,
@@ -308,20 +260,13 @@ class SimilarityTracker:
         -------
         float
             The similarity the tracker would report after ``apply(deltas)``,
-            in ``[0, 1]``. O(1) per touched token for built-in metrics.
+            in ``[0, 1]``. O(1) per touched token.
 
         Raises
         ------
         HistogramError
             If any delta would drive a token count negative.
         """
-        if not self._exact:
-            trial = dict(self._current)
-            for token, delta in deltas.items():
-                value = trial.get(token, 0) + delta
-                self._require_non_negative(token, value, delta)
-                trial[token] = value
-            return self._metric_function(*align_frequencies(self._original, trial))
         return self._evaluate(*self._shifted(deltas))
 
     def peek_percent(self, deltas: Mapping[str, int]) -> float:
@@ -350,21 +295,15 @@ class SimilarityTracker:
             If any delta would drive a token count negative (state is
             left untouched).
         """
-        if self._exact:
-            (
-                self._norm2_current,
-                self._dot,
-                self._sum_current,
-                self._abs_diff,
-                self._sq_diff,
-                self._min_sum,
-                self._max_sum,
-            ) = self._shifted(deltas)
-        else:
-            for token, delta in deltas.items():
-                self._require_non_negative(
-                    token, self._current.get(token, 0) + delta, delta
-                )
+        (
+            self._norm2_current,
+            self._dot,
+            self._sum_current,
+            self._abs_diff,
+            self._sq_diff,
+            self._min_sum,
+            self._max_sum,
+        ) = self._shifted(deltas)
         for token, delta in deltas.items():
             self._current[token] = self._current.get(token, 0) + delta
         return self.similarity()
@@ -498,10 +437,8 @@ __all__ = [
     "l1_similarity",
     "l2_similarity",
     "jaccard_similarity",
-    "kl_divergence",
     "available_metrics",
     "get_metric",
-    "register_metric",
     "histogram_similarity",
     "SimilarityTracker",
     "similarity_percent",

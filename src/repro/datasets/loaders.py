@@ -146,11 +146,21 @@ def load_histogram_streaming(
 
 
 def load_histogram_json(path: PathLike) -> TokenHistogram:
-    """Read a token->count JSON mapping into a :class:`TokenHistogram`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a token->count JSON mapping into a :class:`TokenHistogram`.
+
+    Text that is not a JSON object raises :class:`DatasetError`. The
+    counts are checked, never coerced, by
+    :meth:`TokenHistogram.from_counts`: a fractional, string, boolean,
+    null or non-finite count raises
+    :class:`~repro.exceptions.HistogramError`.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DatasetError(f"histogram file {path!s} is not JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise DatasetError(f"histogram file {path!s} must contain a JSON object")
-    return TokenHistogram.from_counts({str(key): int(value) for key, value in payload.items()})
+    return TokenHistogram.from_counts(payload)
 
 
 def save_histogram_json(histogram: TokenHistogram, path: PathLike) -> None:

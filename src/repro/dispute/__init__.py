@@ -7,9 +7,11 @@ Layers, bottom up:
   makes leak attribution sublinear in vault size;
 * :mod:`repro.dispute.registry` — :class:`WatermarkRegistry`, the
   hash-chained in-memory ledger with index-backed attribution and
-  append-only revocation;
-* :mod:`repro.dispute.vault` — :class:`SecretVault`, the crash-safe
-  on-disk registry (content-addressed secret files + JSON-lines ledger);
+  append-only revocation, and :class:`RegistryEntry`, its one record
+  codec;
+* :mod:`repro.dispute.vault` — :class:`SecretVault`, the registry plus
+  a directory: content-addressed secret files and a ``ledger.jsonl``
+  holding exactly the public ledger records, appended crash-safely;
 * :mod:`repro.dispute.judge` — the ownership-dispute arbitration
   protocol.
 

@@ -42,14 +42,6 @@ the secret's accepted-pair count in the full pass. Candidates therefore
 contain every secret the full pass would accept (zero verdict changes),
 and the exact :func:`~repro.core.batch.detect_many_secrets` confirmation
 the registry runs on the candidate set only re-derives the rankings.
-
-**Group-testing fallback.** Tiny vaults gain nothing from bucket
-bookkeeping per secret: below :attr:`CandidateIndex.group_test_threshold`
-active secrets the screen degrades into one pooled group test — the
-union of all postings forms a single pool, and only when *some* bucket
-accepts (the pool tests positive) is the whole vault confirmed exactly;
-a negative pool proves no secret can reach its quota, so nothing is
-confirmed (and no detector is ever constructed for a clean copy).
 """
 
 from __future__ import annotations
@@ -71,10 +63,6 @@ from repro.core.hashing import PairModulusCache
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, DisputeError
 
-#: Active-secret count below which the screen runs as one pooled group
-#: test instead of per-secret hit counting (see the module docstring).
-DEFAULT_GROUP_TEST_THRESHOLD = 64
-
 #: One inverted-index bucket: ``(first token, second token, modulus)``.
 BucketKey = Tuple[str, str, int]
 
@@ -93,8 +81,7 @@ class CandidateScreen:
         (:func:`repro.core.batch.detect_many_secrets`) must still
         confirm them; non-candidates are *guaranteed* rejected.
     mode:
-        How the screen ran — ``"empty"`` (no active secrets),
-        ``"group-test"`` (pooled fallback for tiny vaults) or
+        How the screen ran — ``"empty"`` (no active secrets) or
         ``"index"`` (per-secret bucket hit counting).
     buckets_screened:
         Distinct ``(pair, modulus)`` buckets the vectorized pass covered.
@@ -118,7 +105,6 @@ class IndexStats:
     active_secrets: int
     buckets: int
     postings: int
-    group_test_threshold: int
 
     def as_dict(self) -> Dict[str, int]:
         """Every counter as a plain dict (the service's ``vault`` group)."""
@@ -152,14 +138,7 @@ class CandidateIndex:
     reusing the row) rebuilds it once.
     """
 
-    def __init__(
-        self, *, group_test_threshold: int = DEFAULT_GROUP_TEST_THRESHOLD
-    ) -> None:
-        if group_test_threshold < 0:
-            raise DisputeError(
-                f"group_test_threshold must be >= 0, got {group_test_threshold}"
-            )
-        self.group_test_threshold = group_test_threshold
+    def __init__(self) -> None:
         # Bucket key -> bucket id; insertion order is id order.
         self._bucket_ids: Dict[BucketKey, int] = {}
         # Per bucket (the first len(_bucket_ids) slots are live).
@@ -335,19 +314,6 @@ class CandidateIndex:
             thresholds=thresholds,
             symmetric_tolerance=detection.symmetric_tolerance,
         )
-        buckets_accepted = int(accepted.sum())
-        if self._active <= self.group_test_threshold:
-            # Pooled group test: a negative pool proves every secret's
-            # accepted-pair count is 0 < required, so nothing survives;
-            # a positive pool sends the whole (tiny) vault to exact
-            # confirmation.
-            return CandidateScreen(
-                rows=tuple(rows.tolist()) if buckets_accepted else (),
-                mode="group-test",
-                buckets_screened=buckets,
-                buckets_accepted=buckets_accepted,
-                active_secrets=self._active,
-            )
         postings = self._postings
         hit_rows = self._posting_rows[:postings][
             accepted[self._posting_buckets[:postings]]
@@ -364,7 +330,7 @@ class CandidateIndex:
             rows=tuple(rows[hits[rows] >= required].tolist()),
             mode="index",
             buckets_screened=buckets,
-            buckets_accepted=buckets_accepted,
+            buckets_accepted=int(accepted.sum()),
             active_secrets=self._active,
         )
 
@@ -376,12 +342,10 @@ class CandidateIndex:
             active_secrets=self._active,
             buckets=len(self._bucket_ids),
             postings=self._postings,
-            group_test_threshold=self.group_test_threshold,
         )
 
 
 __all__ = [
-    "DEFAULT_GROUP_TEST_THRESHOLD",
     "CandidateIndex",
     "CandidateScreen",
     "IndexStats",

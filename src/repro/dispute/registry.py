@@ -21,12 +21,16 @@ candidate index drop the secret immediately.
 
 Attribution is sublinear in vault size: a
 :class:`~repro.dispute.index.CandidateIndex` screen first prunes the
-vault to a candidate set (with a pooled group-testing fallback for tiny
-vaults), and only the candidates go through the exact stacked
-:func:`~repro.core.batch.detect_many_secrets` confirmation. Verdicts are
-identical to screening the whole vault (parity-tested); the
-million-secret scaling story lives in ``docs/registry.md``. The
-persistent on-disk variant is :class:`repro.dispute.vault.SecretVault`.
+vault to a candidate set, and only the candidates go through the exact
+stacked :func:`~repro.core.batch.detect_many_secrets` confirmation.
+Verdicts are identical to screening the whole vault (parity-tested);
+the million-secret scaling story lives in ``docs/registry.md``.
+
+:class:`RegistryEntry` ``to_dict`` / ``from_dict`` is the one ledger
+record codec: the public ledger export, the on-disk vault's
+``ledger.jsonl`` (:class:`repro.dispute.vault.SecretVault`, a subclass
+that makes each entry durable before it takes effect) and
+:meth:`WatermarkRegistry.verify_exported_ledger` all read and write it.
 """
 
 from __future__ import annotations
@@ -35,19 +39,14 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.batch import detect_many_secrets
 from repro.core.cache import CacheStats, DetectorCache
 from repro.core.config import DetectionConfig
 from repro.core.detector import SuspectData, suspect_counts
 from repro.core.secrets import WatermarkSecret
-from repro.dispute.index import (
-    DEFAULT_GROUP_TEST_THRESHOLD,
-    CandidateIndex,
-    CandidateScreen,
-    IndexStats,
-)
+from repro.dispute.index import CandidateIndex, CandidateScreen, IndexStats
 from repro.exceptions import DisputeError
 
 _GENESIS = "0" * 64
@@ -56,6 +55,23 @@ _GENESIS = "0" * 64
 #: entries omit it, so pre-revocation ledgers verify unchanged.
 ACTION_KEY = "action"
 ACTION_REVOKE = "revoke"
+
+
+def _check_metadata(metadata: Dict[str, object]) -> None:
+    """Reject caller metadata that claims the ledger's reserved key."""
+    if ACTION_KEY in metadata:
+        raise DisputeError(f"metadata key {ACTION_KEY!r} is reserved for the ledger")
+
+
+#: Each ledger record field, in record order, with its JSON kind.
+_RECORD_KINDS = {
+    "index": (int, "an integer"),
+    "buyer_id": (str, "a string"),
+    "fingerprint": (str, "a string"),
+    "metadata": (dict, "an object"),
+    "previous_hash": (str, "a string"),
+    "entry_hash": (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,51 @@ class RegistryEntry:
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
+    def to_dict(self) -> Dict[str, object]:
+        """The public ledger record of this entry (JSON-serialisable)."""
+        return {name: getattr(self, name) for name in _RECORD_KINDS}
+
+    @classmethod
+    def from_dict(cls, record: object) -> "RegistryEntry":
+        """Decode one ledger record, checking each field's JSON kind.
+
+        A record that is not an object, or a missing, unknown or wrongly
+        typed field (a boolean is not an ``index``), raises
+        :class:`~repro.exceptions.DisputeError` naming the field. The
+        chain is not checked here.
+        """
+        if type(record) is not dict:
+            raise DisputeError(f"ledger record must be an object, got {type(record).__name__}")
+        unknown = sorted(map(str, record.keys() - _RECORD_KINDS.keys()))
+        if unknown:
+            raise DisputeError(f"ledger record has unknown field(s) {unknown}")
+        for name, (kind, expects) in _RECORD_KINDS.items():
+            if name not in record:
+                raise DisputeError(f"ledger record is missing field {name!r}")
+            if not isinstance(record[name], kind) or isinstance(record[name], bool):
+                raise DisputeError(
+                    f"ledger record field {name!r} must be {expects}, "
+                    f"got {type(record[name]).__name__}"
+                )
+        if not all(isinstance(key, str) for key in record["metadata"]):
+            raise DisputeError("ledger record field 'metadata' must have string keys")
+        return cls(**record)
+
+
+def _chain_valid(entries: Iterable[RegistryEntry]) -> bool:
+    """Whether ``entries`` form an unbroken hash chain from genesis."""
+    previous_hash = _GENESIS
+    for index, entry in enumerate(entries):
+        expected = RegistryEntry.compute_hash(
+            index, entry.buyer_id, entry.fingerprint, entry.metadata, previous_hash
+        )
+        if entry.index != index or entry.previous_hash != previous_hash:
+            return False
+        if entry.entry_hash != expected:
+            return False
+        previous_hash = entry.entry_hash
+    return True
+
 
 @dataclass(frozen=True)
 class AttributionStats:
@@ -103,8 +164,8 @@ class AttributionStats:
     Attributes
     ----------
     mode:
-        The index screen mode — ``"empty"``, ``"group-test"`` or
-        ``"index"`` (see :class:`~repro.dispute.index.CandidateScreen`).
+        The index screen mode — ``"empty"`` or ``"index"`` (see
+        :class:`~repro.dispute.index.CandidateScreen`).
     candidates:
         Secrets that survived the screen and went to exact confirmation.
     active_secrets:
@@ -144,23 +205,19 @@ class WatermarkRegistry:
     index proves *when* a watermark was issued and to whom, without
     revealing anything that helps an attacker find or remove it.
 
-    Parameters
-    ----------
-    group_test_threshold:
-        Active-secret count below which attribution screens via the
-        pooled group test instead of per-secret bucket hit counting
-        (:mod:`repro.dispute.index`).
+    Every new entry passes through one persistence step,
+    :meth:`_persist`, before it takes effect in memory. Here that step
+    does nothing; :class:`~repro.dispute.vault.SecretVault` makes it a
+    durable ledger append.
     """
 
-    def __init__(
-        self, *, group_test_threshold: int = DEFAULT_GROUP_TEST_THRESHOLD
-    ) -> None:
+    def __init__(self) -> None:
         self._entries: List[RegistryEntry] = []
         self._vault: Dict[str, WatermarkSecret] = {}
         self._rows: Dict[str, int] = {}
         self._row_buyers: Dict[int, str] = {}
         self._next_row = 0
-        self._index = CandidateIndex(group_test_threshold=group_test_threshold)
+        self._index = CandidateIndex()
         # Unbounded like the vault itself: leak attribution re-runs
         # detection with every candidate secret, and each detector must
         # be constructed once per (secret, thresholds), not once per
@@ -185,10 +242,19 @@ class WatermarkRegistry:
         """Buyers currently holding a registered (unrevoked) watermark."""
         return tuple(self._vault)
 
+    def _persist(self, entry: RegistryEntry) -> None:
+        """Make ``entry`` durable before it takes effect (in memory: nothing)."""
+
+    def _check_registrable(self, buyer_id: str, metadata: Dict[str, object]) -> None:
+        """Reject a duplicate buyer or the reserved metadata key."""
+        if buyer_id in self._vault:
+            raise DisputeError(f"buyer {buyer_id!r} already has a registered watermark")
+        _check_metadata(metadata)
+
     def _append_entry(
         self, buyer_id: str, fingerprint: str, metadata: Dict[str, object]
     ) -> RegistryEntry:
-        """Chain one entry onto the ledger."""
+        """Chain one entry onto the ledger (persisted first)."""
         previous_hash = self._entries[-1].entry_hash if self._entries else _GENESIS
         index = len(self._entries)
         entry_hash = RegistryEntry.compute_hash(
@@ -202,6 +268,7 @@ class WatermarkRegistry:
             previous_hash=previous_hash,
             entry_hash=entry_hash,
         )
+        self._persist(entry)
         self._entries.append(entry)
         return entry
 
@@ -209,6 +276,7 @@ class WatermarkRegistry:
         self,
         buyer_id: str,
         secret: WatermarkSecret,
+        /,
         **metadata: object,
     ) -> RegistryEntry:
         """Register the watermark issued to ``buyer_id``.
@@ -218,12 +286,7 @@ class WatermarkRegistry:
         enters the chained public entry. A buyer whose watermark was
         revoked may register a fresh one.
         """
-        if buyer_id in self._vault:
-            raise DisputeError(f"buyer {buyer_id!r} already has a registered watermark")
-        if ACTION_KEY in metadata:
-            raise DisputeError(
-                f"metadata key {ACTION_KEY!r} is reserved for the ledger"
-            )
+        self._check_registrable(buyer_id, metadata)
         entry = self._append_entry(buyer_id, secret.fingerprint(), dict(metadata))
         row = self._next_row
         self._next_row += 1
@@ -233,7 +296,7 @@ class WatermarkRegistry:
         self._row_buyers[row] = buyer_id
         return entry
 
-    def revoke(self, buyer_id: str, **metadata: object) -> RegistryEntry:
+    def revoke(self, buyer_id: str, /, **metadata: object) -> RegistryEntry:
         """Revoke ``buyer_id``'s watermark, appending a chained entry.
 
         The ledger stays append-only (the registration entry is never
@@ -241,13 +304,8 @@ class WatermarkRegistry:
         index immediately, so attribution can never return a revoked
         buyer again.
         """
-        secret = self._vault.get(buyer_id)
-        if secret is None:
-            raise DisputeError(f"no watermark registered for buyer {buyer_id!r}")
-        if ACTION_KEY in metadata:
-            raise DisputeError(
-                f"metadata key {ACTION_KEY!r} is reserved for the ledger"
-            )
+        secret = self.secret_for(buyer_id)
+        _check_metadata(metadata)
         entry_metadata = dict(metadata)
         entry_metadata[ACTION_KEY] = ACTION_REVOKE
         entry = self._append_entry(buyer_id, secret.fingerprint(), entry_metadata)
@@ -270,17 +328,7 @@ class WatermarkRegistry:
 
     def verify_chain(self) -> bool:
         """Check the hash chain: any tampered entry breaks verification."""
-        previous_hash = _GENESIS
-        for index, entry in enumerate(self._entries):
-            expected = RegistryEntry.compute_hash(
-                index, entry.buyer_id, entry.fingerprint, entry.metadata, previous_hash
-            )
-            if entry.index != index or entry.previous_hash != previous_hash:
-                return False
-            if entry.entry_hash != expected:
-                return False
-            previous_hash = entry.entry_hash
-        return True
+        return _chain_valid(self._entries)
 
     def attribute_leak(
         self,
@@ -297,8 +345,7 @@ class WatermarkRegistry:
         Runs in two stages. A :class:`~repro.dispute.index.CandidateIndex`
         screen first prunes the vault to a candidate set — one vectorized
         pass over the distinct token-pair modulus buckets, sublinear in
-        vault size (with a pooled group-testing fallback for tiny
-        vaults). The candidates then go through the exact stacked
+        vault size. The candidates then go through the exact stacked
         :func:`repro.core.batch.detect_many_secrets` confirmation, whose
         per-candidate moduli come from the registry's detector cache so
         screening the next leaked copy constructs nothing
@@ -343,17 +390,7 @@ class WatermarkRegistry:
 
     def export_public_ledger(self) -> List[Dict[str, object]]:
         """Serialisable public view (fingerprints only, no secrets)."""
-        return [
-            {
-                "index": entry.index,
-                "buyer_id": entry.buyer_id,
-                "fingerprint": entry.fingerprint,
-                "metadata": entry.metadata,
-                "previous_hash": entry.previous_hash,
-                "entry_hash": entry.entry_hash,
-            }
-            for entry in self._entries
-        ]
+        return [entry.to_dict() for entry in self._entries]
 
     def save_public_ledger(self, path: Union[str, Path]) -> None:
         """Write the public ledger to ``path`` as JSON."""
@@ -363,22 +400,18 @@ class WatermarkRegistry:
 
     @staticmethod
     def verify_exported_ledger(entries: Sequence[Dict[str, object]]) -> bool:
-        """Verify the hash chain of an exported public ledger."""
-        previous_hash = _GENESIS
-        for index, raw in enumerate(entries):
-            expected = RegistryEntry.compute_hash(
-                int(raw["index"]),
-                str(raw["buyer_id"]),
-                str(raw["fingerprint"]),
-                dict(raw["metadata"]),
-                previous_hash,
-            )
-            if int(raw["index"]) != index or raw["previous_hash"] != previous_hash:
-                return False
-            if raw["entry_hash"] != expected:
-                return False
-            previous_hash = str(raw["entry_hash"])
-        return True
+        """Verify the hash chain of an exported public ledger.
+
+        ``False`` for a broken chain, and for any record
+        :meth:`RegistryEntry.from_dict` rejects instead of raising.
+        """
+        if not isinstance(entries, (list, tuple)):
+            return False
+        try:
+            decoded = [RegistryEntry.from_dict(record) for record in entries]
+        except DisputeError:
+            return False
+        return _chain_valid(decoded)
 
 
 __all__ = ["AttributionStats", "RegistryEntry", "WatermarkRegistry"]

@@ -29,7 +29,6 @@ functions and the experiment executor stand on:
 from repro.exec.blobs import (
     BlobRef,
     BlobStore,
-    dataplane_enabled,
     default_blob_store,
     maybe_blob,
     resolve_refs,
@@ -67,7 +66,6 @@ __all__ = [
     "TaskSpec",
     "chunk_spans",
     "create_scheduler",
-    "dataplane_enabled",
     "default_blob_store",
     "default_worker_count",
     "derive_chunk_size",

@@ -23,17 +23,14 @@ then move the bytes in whatever way is cheapest:
 
 The store is an in-process LRU bounded by byte capacity; an evicted
 digest is gone (a remote worker that asks for it gets its task resent
-inline). Everything is gated by the ``FREQYWM_DATAPLANE`` environment
-variable: ``inline`` (or ``off``) disables blob-ification entirely, so
-every scheduler ships values inside the task payloads themselves (still
-as frames on the remote wire, just without blob refs) — byte-identical
-results either way (``tests/test_dataplane.py``).
+inline). A value is blobbed only for a scheduler that ships payloads
+to other processes; the in-process path keeps values inline, with
+byte-identical results either way (``tests/test_dataplane.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import struct
 import threading
@@ -50,24 +47,6 @@ DEFAULT_CAPACITY = 256 * 1024 * 1024
 #: Values whose serialised form is smaller than this stay inline: a
 #: blob ref saves nothing on a payload that fits in one wire line.
 MIN_BLOB_BYTES = 4096
-
-#: Environment variable gating the data plane. ``inline`` / ``off`` /
-#: ``0`` force the historical inline-payload path everywhere.
-DATAPLANE_ENV = "FREQYWM_DATAPLANE"
-
-
-def dataplane_enabled() -> bool:
-    """Whether blob-ification is on (checked per call, so tests/CI can flip it).
-
-    ``FREQYWM_DATAPLANE=inline`` (also ``off``/``0``/``false``) disables
-    the data plane: payload builders keep values inside the payload
-    instead of referencing them by digest, so no blob or shared-memory
-    segment is ever created. Any other value — including unset —
-    enables it.
-    """
-    value = os.environ.get(DATAPLANE_ENV, "auto").strip().lower()
-    return value not in {"inline", "off", "0", "false"}
-
 
 # --------------------------------------------------------------------- #
 # Serialised form + digests
@@ -556,7 +535,6 @@ def export_shm_blob(digest: str, data: BlobData) -> Tuple[ShmBlobHandle, Any]:
 
 
 __all__ = [
-    "DATAPLANE_ENV",
     "DEFAULT_CAPACITY",
     "MIN_BLOB_BYTES",
     "BlobData",
@@ -565,7 +543,6 @@ __all__ = [
     "ShmBlobHandle",
     "blob_digest",
     "collect_refs",
-    "dataplane_enabled",
     "default_blob_store",
     "dumps_oob",
     "export_shm_blob",

@@ -22,15 +22,15 @@ back. The distribution model is deliberately plain:
   worker answered first.
 
 Task data always travels as length-prefixed binary frames after the
-JSON header (pickle protocol 5), with shared values
-referenced by digest — the worker ``blob-request``\\ s each digest it
-has not cached, once, so a sweep ships a shared secret per *worker*,
-not per *task*. Under ``FREQYWM_DATAPLANE=inline`` (and when a task is
-resent after a blob miss) the refs are materialised first, so the
-frames carry the full values and no blob is fetched. Either way the
-wire carries exactly what a ``multiprocessing`` pool would pickle
-anyway, so the trust model is unchanged — run workers only on hosts you
-would run a pool on. ``docs/scheduler.md`` spells this out.
+JSON header (pickle protocol 5), with shared values referenced by
+digest — the worker ``blob-request``\\ s each digest it has not
+cached, once, so a sweep ships a shared secret per *worker*, not per
+*task*. When a task is resent after a blob miss, its refs are
+materialised first, so the frames carry the full values and no blob is
+fetched. Either way the wire carries exactly what a ``multiprocessing``
+pool would pickle anyway, so the trust model is unchanged — run workers
+only on hosts you would run a pool on. ``docs/scheduler.md`` spells
+this out.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.exceptions import (
 )
 from repro.exec.blobs import (
     BlobData,
-    dataplane_enabled,
     default_blob_store,
     dumps_oob,
     loads_oob,
@@ -474,7 +473,7 @@ class RemoteScheduler(Scheduler):
     ) -> None:
         """Ship one task line plus its payload and init-args frames."""
         spec = self._specs[index]
-        if not dataplane_enabled() or index in self._inline_only:
+        if index in self._inline_only:
             spec = self._inline_spec(spec)
         payload_frames = dumps_oob(spec.payload).frames()
         init_frames = dumps_oob(spec.init_args).frames() if spec.init_args else []

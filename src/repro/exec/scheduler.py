@@ -40,7 +40,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchedulerError, WorkerCrashError
 from repro.exec.blobs import (
-    dataplane_enabled,
     default_blob_store,
     export_shm_blob,
     resolve_refs,
@@ -599,15 +598,14 @@ class LocalScheduler(Scheduler):
             else multiprocessing.get_context()
         )
         try:
-            if dataplane_enabled():
-                # Start the resource tracker *before* forking so workers
-                # inherit it: an attach in a worker then re-registers a
-                # segment with the shared tracker (a set, so a no-op)
-                # instead of spawning a private tracker that would
-                # miscount the parent's unlink as a leak at shutdown.
-                from multiprocessing import resource_tracker
+            # Start the resource tracker *before* forking so workers
+            # inherit it: an attach in a worker then re-registers a
+            # segment with the shared tracker (a set, so a no-op)
+            # instead of spawning a private tracker that would
+            # miscount the parent's unlink as a leak at shutdown.
+            from multiprocessing import resource_tracker
 
-                resource_tracker.ensure_running()
+            resource_tracker.ensure_running()
             return context.Pool(processes=processes)
         except (OSError, ValueError, RuntimeError, PermissionError) as error:
             if self.on_spawn_failure is not None:
@@ -764,23 +762,22 @@ class LocalScheduler(Scheduler):
         """Swap blob refs for shm handles (or inline values on fallback)."""
         if not any(spec.blob_refs for spec in specs):
             return None, specs
-        if dataplane_enabled():
-            exporter = _ShmExporter(default_blob_store(), self.stats)
-            prepared: List[TaskSpec] = []
-            try:
-                for index, spec in enumerate(specs):
-                    prepared.append(
-                        exporter.prepare(index, spec) if spec.blob_refs else spec
-                    )
-                return exporter, prepared
-            except OSError as error:
-                logger.warning(
-                    "shared-memory export unavailable (%s: %s); "
-                    "shipping payloads inline",
-                    type(error).__name__,
-                    error,
+        exporter = _ShmExporter(default_blob_store(), self.stats)
+        prepared: List[TaskSpec] = []
+        try:
+            for index, spec in enumerate(specs):
+                prepared.append(
+                    exporter.prepare(index, spec) if spec.blob_refs else spec
                 )
-                exporter.close()
+            return exporter, prepared
+        except OSError as error:
+            logger.warning(
+                "shared-memory export unavailable (%s: %s); "
+                "shipping payloads inline",
+                type(error).__name__,
+                error,
+            )
+            exporter.close()
         return None, [self._resolve_spec(spec) for spec in specs]
 
     @staticmethod

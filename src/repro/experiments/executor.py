@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.exec.blobs import dataplane_enabled, default_blob_store, maybe_blob
+from repro.exec.blobs import default_blob_store, maybe_blob
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.scheduler import TaskSpec, create_scheduler, register_task_function
 from repro.experiments.cache import RunCache
@@ -240,7 +240,7 @@ class ExperimentRunner:
         # Results may be delivered from scheduler client threads (remote
         # scheduler); the cache and counters are guarded accordingly.
         lock = threading.Lock()
-        use_blobs = dataplane_enabled() and self._scheduler.ships_payloads
+        use_blobs = self._scheduler.ships_payloads
         # Dependency artifacts are shared by every downstream task in a
         # level, so each is blobbed at most once per run; the memo holds
         # (replacement, refs) keyed by the dep's task id.

@@ -9,16 +9,23 @@ are content-addressed end to end (see :mod:`repro.experiments.cache`).
 
 The schema is deliberately small — it only names things the rest of the
 library already knows how to do — and strictly validated at construction
-time, so a typo in a spec file fails before any task runs.
+time, so a typo in a spec file fails before any task runs. Decoding
+checks each field's JSON kind first: a wrong kind raises
+:class:`~repro.exceptions.ConfigurationError` naming the field. A
+boolean is not a number, a string is never parsed as one, and an
+integral float (``2.0``) is accepted where an integer belongs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Tuple, Union
 
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.exceptions import ConfigurationError
@@ -86,13 +93,13 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "DatasetSpec":
-        _check_keys("dataset", payload, {"name", "kind", "alpha", "tokens", "samples"})
+        read = _reader("dataset", payload, cls)
         return cls(
-            name=str(_required_key("dataset", payload, "name")),
-            kind=str(payload.get("kind", "power-law")),
-            alpha=float(payload.get("alpha", 0.5)),
-            tokens=int(payload.get("tokens", 120)),
-            samples=int(payload.get("samples", 60_000)),
+            name=read("name", _string),
+            kind=read("kind", _string, "power-law"),
+            alpha=read("alpha", _number, 0.5),
+            tokens=read("tokens", _integer, 120),
+            samples=read("samples", _integer, 60_000),
         )
 
 
@@ -137,14 +144,11 @@ class AttackSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "AttackSpec":
-        _check_keys("attack", payload, {"kind", "strengths", "repetitions"})
-        raw = payload.get("strengths", [1.0])
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigurationError("attack strengths must be a list of numbers")
+        read = _reader("attack", payload, cls)
         return cls(
-            kind=str(_required_key("attack", payload, "kind")),
-            strengths=tuple(float(value) for value in raw),
-            repetitions=int(payload.get("repetitions", 1)),
+            kind=read("kind", _string),
+            strengths=read("strengths", _list_of(_number), (1.0,)),
+            repetitions=read("repetitions", _integer, 1),
         )
 
 
@@ -155,9 +159,11 @@ def _slug(value: str) -> str:
     return "".join(char for char in value.lower() if char in _SLUG_ALLOWED)
 
 
-def _check_keys(
-    section: str, payload: Mapping[str, object], allowed: set
-) -> None:
+def _check_keys(section: str, payload: object, allowed: set) -> None:
+    if not isinstance(payload, Mapping):
+        raise ConfigurationError(
+            f"{section} spec must be a table, got {reprlib.repr(payload)}"
+        )
     unknown = set(payload) - allowed
     if unknown:
         raise ConfigurationError(
@@ -165,27 +171,101 @@ def _check_keys(
         )
 
 
-def _required_key(section: str, payload: Mapping[str, object], key: str) -> object:
+#: A field decoder: ``(label, raw JSON value) -> decoded value``.
+_Decoder = Callable[[str, Any], Any]
+
+_REQUIRED = object()
+
+
+def _reader(section: str, payload: object, spec_type: type) -> Callable[..., Any]:
+    """``read(key, decode, default)`` over one spec table.
+
+    The table's keys must be fields of ``spec_type``. A key without a
+    default is required; a present value goes through ``decode``.
+    """
+    _check_keys(section, payload, {item.name for item in dataclasses.fields(spec_type)})
+    return partial(_field, section, payload)
+
+
+def _field(
+    section: str,
+    payload: Mapping[str, object],
+    key: str,
+    decode: _Decoder,
+    default: object = _REQUIRED,
+) -> Any:
+    if key in payload:
+        return decode(f"{section} spec field {key!r}", payload[key])
+    if default is _REQUIRED:
+        raise ConfigurationError(f"{section} spec is missing required field {key!r}")
+    return default
+
+
+def _wrong_kind(label: str, expects: str, value: object) -> ConfigurationError:
+    return ConfigurationError(f"{label} must be {expects}, got {reprlib.repr(value)}")
+
+
+def _string(label: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise _wrong_kind(label, "a string", value)
+    return value
+
+
+def _number(label: str, value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _wrong_kind(label, "a number", value)
     try:
-        return payload[key]
-    except KeyError:
-        raise ConfigurationError(
-            f"{section} spec is missing required field {key!r}"
-        ) from None
+        return float(value)
+    except OverflowError:
+        raise _wrong_kind(label, "a number in float range", value) from None
 
 
-def _exact_int(field_name: str, value: object) -> int:
-    """Coerce a spec number to int, rejecting fractional values.
+def _integer(label: str, value: object) -> int:
+    """An integer, rejecting fractional values.
 
     ``int(1.5)`` would silently truncate a typo to a different sweep
     point; integral floats (``2.0``, as JSON/TOML sometimes render
     integers) are accepted.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{field_name} must be an integer, got {value!r}")
-    if float(value) != int(value):
-        raise ConfigurationError(f"{field_name} must be an integer, got {value!r}")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise _wrong_kind(label, "an integer", value)
     return int(value)
+
+
+def _optional_integer(label: str, value: object) -> object:
+    return None if value is None else _integer(label, value)
+
+
+def _table(label: str, value: object) -> Mapping[str, object]:
+    if not isinstance(value, Mapping):
+        raise _wrong_kind(label, "a table", value)
+    return value
+
+
+def _list_of(decode: _Decoder) -> _Decoder:
+    """A decoder for a list whose items each go through ``decode``."""
+
+    def decode_list(label: str, value: object) -> Tuple[Any, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise _wrong_kind(label, "a list", value)
+        return tuple(
+            decode(f"{label} item {index}", item) for index, item in enumerate(value)
+        )
+
+    return decode_list
+
+
+#: Decoders of the ``generation`` table's fields.
+_GENERATION_FIELDS: Dict[str, _Decoder] = {
+    "budget_percent": _number,
+    "modulus_cap": _integer,
+    "strategy": _string,
+    "max_pairs": _optional_integer,
+}
 
 
 @dataclass(frozen=True)
@@ -303,21 +383,13 @@ class ExperimentSpec:
     def generation_config(self) -> GenerationConfig:
         """The resolved :class:`GenerationConfig` shared by every embed."""
         payload = dict(self.generation)
-        _check_keys(
-            "generation",
-            payload,
-            {"budget_percent", "modulus_cap", "strategy", "max_pairs"},
-        )
-        kwargs: Dict[str, object] = {}
-        if "budget_percent" in payload:
-            kwargs["budget_percent"] = float(payload["budget_percent"])
-        if "modulus_cap" in payload:
-            kwargs["modulus_cap"] = int(payload["modulus_cap"])
-        if "strategy" in payload:
-            kwargs["strategy"] = str(payload["strategy"])
-        if "max_pairs" in payload and payload["max_pairs"] is not None:
-            kwargs["max_pairs"] = int(payload["max_pairs"])
-        return GenerationConfig(**kwargs)  # type: ignore[arg-type]
+        _check_keys("generation", payload, set(_GENERATION_FIELDS))
+        kwargs = {
+            key: decode(f"generation spec field {key!r}", payload[key])
+            for key, decode in _GENERATION_FIELDS.items()
+            if key in payload
+        }
+        return GenerationConfig(**kwargs)
 
     def detection_config(self, threshold: int) -> DetectionConfig:
         """The resolved :class:`DetectionConfig` for one sweep threshold."""
@@ -350,67 +422,53 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "ExperimentSpec":
-        _check_keys(
-            "experiment",
-            payload,
-            {
-                "name",
-                "description",
-                "seed",
-                "datasets",
-                "generation",
-                "secrets_per_dataset",
-                "attacks",
-                "thresholds",
-                "min_accepted_fraction",
-                "analyses",
-                "baselines",
-                "fpr_trials",
-                "attribution_vault_sizes",
-            },
-        )
-        datasets_raw = payload.get("datasets", [])
-        attacks_raw = payload.get("attacks", [])
-        if not isinstance(datasets_raw, (list, tuple)):
-            raise ConfigurationError("datasets must be a list of dataset tables")
-        if not isinstance(attacks_raw, (list, tuple)):
-            raise ConfigurationError("attacks must be a list of attack tables")
+        """Decode a spec table, checking each field's JSON kind."""
+        read = _reader("experiment", payload, cls)
         return cls(
-            name=str(payload.get("name", "")),
-            description=str(payload.get("description", "")),
-            seed=int(payload.get("seed", 0)),
-            datasets=tuple(DatasetSpec.from_dict(entry) for entry in datasets_raw),
-            generation=dict(payload.get("generation", {})),  # type: ignore[arg-type]
-            secrets_per_dataset=int(payload.get("secrets_per_dataset", 1)),
-            attacks=tuple(AttackSpec.from_dict(entry) for entry in attacks_raw),
-            thresholds=tuple(
-                _exact_int("thresholds", value)
-                for value in payload.get("thresholds", (0, 1, 2, 4))  # type: ignore[union-attr]
+            name=read("name", _string, ""),
+            description=read("description", _string, ""),
+            seed=read("seed", _integer, 0),
+            datasets=read(
+                "datasets", _list_of(lambda _label, item: DatasetSpec.from_dict(item)), ()
             ),
-            min_accepted_fraction=float(payload.get("min_accepted_fraction", 0.5)),
-            analyses=tuple(str(value) for value in payload.get("analyses", ("robustness",))),  # type: ignore[union-attr]
-            baselines=tuple(str(value) for value in payload.get("baselines", BASELINE_METHODS)),  # type: ignore[union-attr]
-            fpr_trials=int(payload.get("fpr_trials", 2000)),
-            attribution_vault_sizes=tuple(
-                _exact_int("attribution_vault_sizes", value)
-                for value in payload.get("attribution_vault_sizes", (16, 64, 256))  # type: ignore[union-attr]
+            generation=dict(read("generation", _table, {})),
+            secrets_per_dataset=read("secrets_per_dataset", _integer, 1),
+            attacks=read(
+                "attacks", _list_of(lambda _label, item: AttackSpec.from_dict(item)), ()
+            ),
+            thresholds=read("thresholds", _list_of(_integer), (0, 1, 2, 4)),
+            min_accepted_fraction=read("min_accepted_fraction", _number, 0.5),
+            analyses=read("analyses", _list_of(_string), ("robustness",)),
+            baselines=read("baselines", _list_of(_string), BASELINE_METHODS),
+            fpr_trials=read("fpr_trials", _integer, 2000),
+            attribution_vault_sizes=read(
+                "attribution_vault_sizes", _list_of(_integer), (16, 64, 256)
             ),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(text))
+        """Decode a JSON spec; text that is not JSON raises ConfigurationError."""
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise ConfigurationError(f"spec is not valid JSON ({exc})") from None
+        return cls.from_dict(payload)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ExperimentSpec":
         """Load a spec file; the suffix picks the parser (JSON or TOML)."""
-        path = Path(path)
-        if path.suffix.lower() == ".toml":
-            import tomllib
+        import tomllib
 
-            payload = tomllib.loads(path.read_text(encoding="utf-8"))
-            return cls.from_dict(payload)
-        return cls.from_json(path.read_text(encoding="utf-8"))
+        path = Path(path)
+        toml = path.suffix.lower() == ".toml"
+        try:
+            text = path.read_text(encoding="utf-8")
+            payload = tomllib.loads(text) if toml else json.loads(text)
+        except ValueError as exc:  # also UnicodeDecodeError
+            kind = "TOML" if toml else "JSON"
+            raise ConfigurationError(f"spec {path} is not valid {kind} ({exc})") from None
+        return cls.from_dict(payload)
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(

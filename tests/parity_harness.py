@@ -257,18 +257,16 @@ def assert_counts_parity(
     :meth:`~WatermarkDetector.detect_many` on one batch mixing the
     mapping with its histogram and its token list),
     :func:`detect_many_secrets` (uncached and cached) and
-    :meth:`WatermarkRegistry.attribute_leak` (index and group-test
-    screens) read the mapping itself. Each must answer what
+    :meth:`WatermarkRegistry.attribute_leak` read the mapping itself. Each must answer what
     :func:`detect_reference` answers for
     ``TokenHistogram.from_counts(counts)``. When ``from_counts`` rejects
     the mapping, every reader must raise ``HistogramError`` too.
     Returns the reference results, or ``None`` for a rejected mapping.
     """
     detection = config or DetectionConfig()
-    registries = [WatermarkRegistry(group_test_threshold=0), WatermarkRegistry()]
-    for registry in registries:
-        for index, secret in enumerate(secrets):
-            registry.register(f"buyer-{index}", secret)
+    registry = WatermarkRegistry()
+    for index, secret in enumerate(secrets):
+        registry.register(f"buyer-{index}", secret)
     detectors = [WatermarkDetector(secret, detection) for secret in secrets]
     try:
         histogram = TokenHistogram.from_counts(counts)
@@ -278,10 +276,7 @@ def assert_counts_parity(
             lambda cache=cache: detect_many_secrets(counts, secrets, detection, detector_cache=cache)
             for cache in (None, DetectorCache(capacity=None))
         ]
-        calls += [
-            lambda registry=registry: registry.attribute_leak(counts, detection=detection)
-            for registry in registries
-        ]
+        calls.append(lambda: registry.attribute_leak(counts, detection=detection))
         for position, call in enumerate(calls):
             assert _raises_histogram_error(call), f"reader {position} accepted rejected counts"
         return None
@@ -307,9 +302,8 @@ def assert_counts_parity(
     expected = {
         f"buyer-{index}" for index, reference in enumerate(references) if reference.accepted
     }
-    for registry in registries:
-        matches = registry.attribute_leak(counts, detection=detection)
-        assert {buyer for buyer, _fraction in matches} == expected, "attribute_leak diverged"
+    matches = registry.attribute_leak(counts, detection=detection)
+    assert {buyer for buyer, _fraction in matches} == expected, "attribute_leak diverged"
     return references
 
 

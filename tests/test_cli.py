@@ -15,6 +15,7 @@ from repro.cli import build_parser, main
 from repro.core.secrets import WatermarkSecret
 from repro.datasets.loaders import load_token_file, save_token_file
 from repro.datasets.synthetic import generate_power_law_tokens
+from repro.dispute import WatermarkRegistry
 
 
 @pytest.fixture()
@@ -249,6 +250,86 @@ class TestBatchDetect:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'pairs'" in err
         assert "Traceback" not in err
+
+
+class TestRegistryCommands:
+    """``freqywm registry`` register / attribute / revoke / show on a temporary vault."""
+
+    @pytest.fixture()
+    def issued(self, token_file, tmp_path, capsys):
+        watermarked = tmp_path / "watermarked.txt"
+        secret = tmp_path / "secret.json"
+        main(["generate", str(token_file), str(watermarked), str(secret), "--modulus", "31", "--seed", "7"])
+        capsys.readouterr()
+        return tmp_path / "vault", watermarked, secret
+
+    @staticmethod
+    def _json(capsys):
+        return json.loads(capsys.readouterr().out)
+
+    def test_register_attribute_revoke_show(self, issued, capsys):
+        vault, watermarked, secret = issued
+        assert main(["--json", "registry", "register", str(vault), "buyer-a", str(secret)]) == 0
+        assert self._json(capsys)["active_buyers"] == 1
+        assert main(["registry", "register", str(vault), "buyer-a", str(secret)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+        assert main(["--json", "registry", "attribute", str(vault), str(watermarked)]) == 0
+        report = self._json(capsys)
+        assert [match["buyer_id"] for match in report["matches"]] == ["buyer-a"]
+        assert report["mode"] == "index"
+
+        assert main(["registry", "revoke", str(vault), "buyer-a", "--meta", "reason=leak"]) == 0
+        assert main(["registry", "revoke", str(vault), "nobody"]) == 2
+        capsys.readouterr()
+        assert main(["registry", "attribute", str(vault), str(watermarked)]) == 1
+
+        capsys.readouterr()
+        assert main(["--json", "registry", "show", str(vault)]) == 0
+        shown = self._json(capsys)
+        assert shown["ledger_entries"] == 2
+        assert shown["active_buyers"] == 0
+        assert shown["chain_valid"] is True
+        lines = (vault / "ledger.jsonl").read_text(encoding="utf-8").splitlines()
+        assert WatermarkRegistry.verify_exported_ledger([json.loads(line) for line in lines])
+
+    def test_edited_ledger_fails_every_subcommand(self, issued, capsys):
+        vault, watermarked, secret = issued
+        main(["registry", "register", str(vault), "buyer-a", str(secret)])
+        main(["registry", "register", str(vault), "buyer-b", str(secret)])
+        ledger = vault / "ledger.jsonl"
+        lines = ledger.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[0])
+        record["buyer_id"] = "mallory"
+        lines[0] = json.dumps(record)
+        ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        for argv in (
+            ["register", str(vault), "buyer-c", str(secret)],
+            ["revoke", str(vault), "buyer-a"],
+            ["attribute", str(vault), str(watermarked)],
+            ["show", str(vault)],
+        ):
+            assert main(["registry", *argv]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+
+
+def test_experiment_spec_of_wrong_kind_is_a_usage_error(tmp_path, capsys):
+    """A spec whose dataset ``tokens`` is a list exits 2 with one ``error:`` line."""
+    spec = json.loads(
+        (Path(__file__).resolve().parent.parent / "experiments" / "specs" / "smoke.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    spec["datasets"][0]["tokens"] = [1]
+    path = tmp_path / "bad-spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["experiment", "run", str(path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'tokens'" in err
+    assert "Traceback" not in err
 
 
 class TestAttackAndSynth:

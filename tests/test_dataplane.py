@@ -35,8 +35,6 @@ from repro.exec.blobs import (
     BlobRef,
     BlobStore,
     collect_refs,
-    dataplane_enabled,
-    default_blob_store,
     dumps_oob,
     loads_oob,
     maybe_blob,
@@ -117,15 +115,6 @@ class TestMaybeBlob:
         assert rewritten[1][1]["inner"] is marker and rewritten[2] is marker
         resolved = resolve_refs(nested)
         assert resolved[1][1]["inner"] is resolve_refs(ref)
-
-    def test_dataplane_env_switch(self, monkeypatch):
-        monkeypatch.delenv("FREQYWM_DATAPLANE", raising=False)
-        assert dataplane_enabled()
-        for off in ("inline", "off", "0", "false"):
-            monkeypatch.setenv("FREQYWM_DATAPLANE", off)
-            assert not dataplane_enabled()
-        monkeypatch.setenv("FREQYWM_DATAPLANE", "blob")
-        assert dataplane_enabled()
 
 
 class TestHistogramPickleProtocol5:
@@ -225,11 +214,10 @@ class TestLocalShm:
                 scheduler.run([fatal, benign])
         _assert_unlinked(names)
 
-    def test_inline_mode_matches_blob_mode(self, fresh_store, monkeypatch):
+    def test_inline_mode_matches_blob_mode(self, fresh_store):
         values = [_payload_bytes() + bytes([i]) for i in range(4)]
         with LocalScheduler(workers=2) as scheduler:
             blobbed = scheduler.run(_blobbed_specs(fresh_store, values))
-        monkeypatch.setenv("FREQYWM_DATAPLANE", "inline")
         plain = [
             TaskSpec(
                 fingerprint=f"plain-{i}", function="schedtest.echo", payload=v

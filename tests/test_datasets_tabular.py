@@ -15,7 +15,7 @@ from repro.datasets.loaders import (
     tokens_from_table,
 )
 from repro.datasets.tabular import TabularDataset
-from repro.exceptions import DatasetError
+from repro.exceptions import DatasetError, ReproError
 
 
 @pytest.fixture()
@@ -120,6 +120,29 @@ class TestLoaders:
         path.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(DatasetError):
             load_histogram_json(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": 1.9, "b": 3}',
+            '{"a": "12"}',
+            '{"a": true}',
+            '{"a": null}',
+            '{"a": [1]}',
+            "not json",
+            '{"a": 1e400}',
+        ],
+    )
+    def test_histogram_json_counts_are_checked_not_coerced(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ReproError):
+            load_histogram_json(path)
+
+    def test_histogram_json_integral_float_counts_load(self, tmp_path):
+        path = tmp_path / "histogram.json"
+        path.write_text('{"x": 3.0, "y": 1}', encoding="utf-8")
+        assert load_histogram_json(path).as_dict() == {"x": 3, "y": 1}
 
     def test_table_csv_helpers(self, table, tmp_path):
         path = tmp_path / "table.csv"

@@ -1,9 +1,7 @@
-"""Candidate-index attribution: scale parity, revocation, forced index mode.
+"""Candidate-index attribution: scale parity, revocation, in-place upkeep.
 
-``test_dispute.py`` pins the registry's ledger semantics on vaults small
-enough that the pooled group test screens them. These tests exercise the
-*index*-mode screening path the marketplace workflow depends on
-(``docs/registry.md``): verdict parity with the full linear
+These tests exercise the index screen the marketplace workflow depends
+on (``docs/registry.md``): verdict parity with the full linear
 :func:`~repro.core.batch.detect_many_secrets` scan over a
 multi-thousand-buyer vault, real candidate pruning, revocation
 semantics, and the empty / single-secret edges.
@@ -52,9 +50,9 @@ def _decoy_secrets(vocabulary, count, modulus_cap, *, pairs=8, seed=7):
     ]
 
 
-def _populated_registry(result, *, decoys, **registry_kwargs):
+def _populated_registry(result, *, decoys):
     """A registry holding the real watermark plus ``decoys`` synthetic buyers."""
-    registry = WatermarkRegistry(**registry_kwargs)
+    registry = WatermarkRegistry()
     registry.register("buyer-real", result.secret)
     secrets = _decoy_secrets(
         result.watermarked_histogram.as_dict(), decoys, result.secret.modulus_cap
@@ -107,7 +105,7 @@ def test_empty_vault_attribution(skewed_histogram):
 
 
 def test_single_secret_attribution(watermarked_bundle):
-    """A one-buyer vault convicts that buyer via the group-test screen."""
+    """A one-buyer vault convicts that buyer via the index screen."""
     result, _ = watermarked_bundle
     registry = WatermarkRegistry()
     registry.register("only-buyer", result.secret)
@@ -117,7 +115,7 @@ def test_single_secret_attribution(watermarked_bundle):
     assert [buyer for buyer, _ in matches] == ["only-buyer"]
     stats = registry.last_attribution
     assert stats is not None
-    assert stats.mode == "group-test"
+    assert stats.mode == "index"
     assert stats.active_secrets == 1
 
 
@@ -143,31 +141,6 @@ def test_revoke_then_attribute_never_returns_revoked(watermarked_bundle):
     again = registry.attribute_leak(result.watermarked_histogram, detection=DETECTION)
     assert "buyer-real" in {buyer for buyer, _ in again}
     assert registry.verify_chain()
-
-
-def test_group_test_threshold_zero_forces_index_mode(watermarked_bundle):
-    """``group_test_threshold=0`` screens even tiny vaults per-secret.
-
-    Verdicts must match the default (group-test) registry exactly — the
-    two screen modes are different speed/shape trade-offs over one
-    acceptance rule, never different semantics.
-    """
-    result, _ = watermarked_bundle
-    forced = _populated_registry(result, decoys=3, group_test_threshold=0)
-    default = _populated_registry(result, decoys=3)
-
-    forced_matches = forced.attribute_leak(
-        result.watermarked_histogram, detection=DETECTION
-    )
-    default_matches = default.attribute_leak(
-        result.watermarked_histogram, detection=DETECTION
-    )
-
-    assert forced.last_attribution is not None
-    assert forced.last_attribution.mode == "index"
-    assert default.last_attribution is not None
-    assert default.last_attribution.mode == "group-test"
-    assert forced_matches == default_matches
 
 
 def test_index_stats_track_registrations_and_revocations(watermarked_bundle):
@@ -222,7 +195,7 @@ _sequence_secret = st.builds(
 def _assert_index_matches(live, rows, detection):
     """``live`` screens like an index built fresh from ``rows``, and
     its candidates are exactly what the stacked pass accepts."""
-    fresh = CandidateIndex(group_test_threshold=live.group_test_threshold)
+    fresh = CandidateIndex()
     for row in sorted(rows):
         fresh.add(row, rows[row])
     screen = live.screen(_LEAK, detection)
@@ -233,10 +206,7 @@ def _assert_index_matches(live, rows, detection):
     ordered = sorted(rows)
     results = detect_many_secrets(_LEAK, [rows[row] for row in ordered], detection)
     accepted = {row for row, result in zip(ordered, results) if result.accepted}
-    if screen.mode == "index":
-        assert set(screen.rows) == accepted
-    else:
-        assert accepted <= set(screen.rows)
+    assert set(screen.rows) == accepted
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -244,7 +214,7 @@ def _assert_index_matches(live, rows, detection):
 def test_in_place_index_matches_fresh_build_and_stacked_pass(data):
     """Any add/remove/screen sequence (rows reused after removal
     included) leaves the in-place index equal to a fresh build."""
-    live = CandidateIndex(group_test_threshold=data.draw(st.sampled_from([0, 3])))
+    live = CandidateIndex()
     detection = DetectionConfig(
         pair_threshold=data.draw(st.integers(min_value=0, max_value=1)),
         min_accepted_fraction=data.draw(st.sampled_from([0.25, 0.5, 1.0])),

@@ -149,24 +149,6 @@ class TestSimilarityTrackerParity:
         tracker.apply({"a": -2})
         assert tracker.similarity() == 1.0
 
-    def test_custom_metric_registered_under_builtin_name_is_honoured(self):
-        from repro.core.similarity import cosine_similarity, register_metric
-
-        register_metric("cosine", lambda left, right: 0.25)
-        try:
-            tracker = SimilarityTracker({"a": 10, "b": 4}, metric="cosine")
-            tracker.apply({"a": 1})
-            # The override, not the built-in incremental formula, decides.
-            assert tracker.similarity() == 0.25
-            assert tracker.peek({"b": 1}) == 0.25
-        finally:
-            register_metric("cosine", cosine_similarity)
-        tracker = SimilarityTracker({"a": 10, "b": 4}, metric="cosine")
-        tracker.apply({"a": 1})
-        assert tracker.similarity() == pytest.approx(
-            histogram_similarity({"a": 10, "b": 4}, {"a": 11, "b": 4})
-        )
-
 
 class TestSelectionParity:
     @_settings

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.spec import (
     AttackSpec,
     DatasetSpec,
@@ -153,6 +153,86 @@ class TestValidation:
             ExperimentSpec.from_dict(_minimal_payload(datasets="d0"))
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_dict(_minimal_payload(attacks="sampling"))
+
+
+#: Every bundled spec's fingerprint, as computed before the typed decoder.
+_BUNDLED_FINGERPRINTS = {
+    "attribution_scaling.json": "81172332522a800c509ad0ca321d1b09f7cf991176a23d320171509b77d7ef7c",
+    "baseline_comparison.json": "bbdfc21355d502b49e8f7d2758a4a55ed836408da862912bbf1a0128dcf2546b",
+    "fpr_curve.json": "d6f32af97b4d251ec15e5a93af9e5fa7a25a29d8528304cacf10d54990a5c4a2",
+    "robustness_sweep.json": "7d11c7fd838f9f15a654b81376b8579b2b5f6f9322a18cd2968b981cdcf232bf",
+    "smoke.json": "ecd64b69f6eae513e3f439d5a448793bb3bf5bceadd2c734b3c441a271433b77",
+    "smoke.toml": "ecd64b69f6eae513e3f439d5a448793bb3bf5bceadd2c734b3c441a271433b77",
+}
+
+#: Replacement values of the one-field mutation sweep.
+_MUTANTS = [None, [], {}, "x", 1.5, True, -1, [None], {"a": 1}, [[1]], "", 2**70]
+
+
+def _field_paths(node, prefix=()):
+    """Every key / index path inside ``node``, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+def _replaced(payload, path, value):
+    copy = json.loads(json.dumps(payload))
+    target = copy
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return copy
+
+
+class TestTypedDecoding:
+    def test_bundled_specs_decode_as_before(self):
+        """Every bundled spec decodes to an equal spec with its old fingerprint."""
+        assert sorted(path.name for path in SPEC_DIR.iterdir()) == sorted(_BUNDLED_FINGERPRINTS)
+        for name, fingerprint in _BUNDLED_FINGERPRINTS.items():
+            spec = load_spec(SPEC_DIR / name)
+            assert spec.fingerprint() == fingerprint, name
+            assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in SPEC_DIR.glob("*.json")))
+    def test_one_field_mutations_decode_or_raise_typed(self, name):
+        """Any one field, at any depth, replaced by any mutant value either
+        decodes or raises a ReproError — never a raw TypeError / ValueError."""
+        payload = json.loads((SPEC_DIR / name).read_text(encoding="utf-8"))
+        escapes = []
+        for path in _field_paths(payload):
+            for value in _MUTANTS:
+                try:
+                    ExperimentSpec.from_dict(_replaced(payload, path, value))
+                except ReproError:
+                    pass
+                except Exception as error:  # noqa: BLE001 - collected, then reported
+                    escapes.append(f"{path} = {value!r}: {type(error).__name__}: {error}")
+        assert escapes == []
+
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"seed": "7"}, "'seed'"),
+            ({"datasets": [{"name": "d0", "alpha": True, "tokens": 20, "samples": 2000}]}, "'alpha'"),
+            ({"datasets": [{"name": "d0", "tokens": [1], "samples": 2000}]}, "'tokens'"),
+            ({"generation": {"modulus_cap": "11"}}, "'modulus_cap'"),
+            ({"attacks": [{"kind": "sampling", "strengths": ["0.5"]}]}, "'strengths' item 0"),
+            ({"secrets_per_dataset": 1.5}, "'secrets_per_dataset'"),
+        ],
+    )
+    def test_wrong_kinds_name_the_field(self, overrides, field):
+        with pytest.raises(ConfigurationError, match=field):
+            ExperimentSpec.from_dict(_minimal_payload(**overrides))
+
+    def test_unparsable_files_raise_configuration_errors(self, tmp_path):
+        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        (tmp_path / "bad.toml").write_text("name = [", encoding="utf-8")
+        for name in ("bad.json", "bad.toml"):
+            with pytest.raises(ConfigurationError, match="not valid"):
+                load_spec(tmp_path / name)
 
 
 class TestResolvedConfigs:

@@ -189,7 +189,7 @@ def test_sync_service_vault_verbs(watermarked_bundle):
         verdict = service.submit(AttributeRequest(request_id="att-1", counts=leaked))
         assert verdict.ok, verdict.error
         assert "buyer-a" in {buyer for buyer, _ in verdict.matches}
-        assert verdict.mode == "group-test"
+        assert verdict.mode == "index"
         assert verdict.active_secrets == 1
 
         revoked = service.submit(RevokeRequest(request_id="rev-1", buyer_id="buyer-a"))

@@ -13,13 +13,11 @@ from repro.core.similarity import (
     get_metric,
     histogram_similarity,
     jaccard_similarity,
-    kl_divergence,
     l1_similarity,
     l2_similarity,
     rank_changes,
     ranking,
     ranking_preserved,
-    register_metric,
     similarity_percent,
 )
 
@@ -60,14 +58,6 @@ class TestMetricValues:
         value = jaccard_similarity(np.array([2.0, 2.0]), np.array([1.0, 3.0]))
         assert value == pytest.approx((1 + 2) / (2 + 3))
 
-    def test_kl_divergence_zero_for_identical(self):
-        assert kl_divergence(np.array([2.0, 3.0]), np.array([2.0, 3.0])) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_kl_divergence_positive(self):
-        assert kl_divergence(np.array([9.0, 1.0]), np.array([5.0, 5.0])) > 0.0
-
 
 class TestRegistry:
     def test_get_metric_case_insensitive(self):
@@ -76,10 +66,6 @@ class TestRegistry:
     def test_unknown_metric(self):
         with pytest.raises(KeyError):
             get_metric("no-such-metric")
-
-    def test_register_custom_metric(self):
-        register_metric("always-half", lambda left, right: 0.5)
-        assert histogram_similarity({"a": 1}, {"a": 2}, metric="always-half") == 0.5
 
 
 class TestPercentHelpers:

@@ -12,13 +12,14 @@ directly and pin down what a reopened vault recovers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.core.config import DetectionConfig
 from repro.core.secrets import WatermarkSecret
-from repro.dispute import SecretVault
+from repro.dispute import RegistryEntry, SecretVault, WatermarkRegistry
 from repro.exceptions import DisputeError
 
 DETECTION = DetectionConfig(pair_threshold=0, min_accepted_fraction=0.5)
@@ -185,3 +186,106 @@ def test_revoke_then_attribute_survives_reopen(tmp_path, vault_bundle):
     reopened.register("buyer-real", result.secret, tier="reissued")
     again = reopened.attribute_leak(result.watermarked_histogram, detection=DETECTION)
     assert "buyer-real" in {buyer for buyer, _ in again}
+
+
+def _ledger_records(directory):
+    path = directory / "ledger.jsonl"
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write_rechained(directory, records, start):
+    """Write ``records``, re-hashing from ``start`` so the chain stays valid."""
+    for position in range(start, len(records)):
+        record = records[position]
+        if position > 0:
+            record["previous_hash"] = records[position - 1]["entry_hash"]
+        record["entry_hash"] = RegistryEntry.compute_hash(
+            record["index"],
+            record["buyer_id"],
+            record["fingerprint"],
+            record["metadata"],
+            record["previous_hash"],
+        )
+    lines = [json.dumps(record, separators=(",", ":"), sort_keys=True) for record in records]
+    (directory / "ledger.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_ledger_file_is_the_public_ledger(tmp_path, vault_bundle):
+    """Every line of ``ledger.jsonl`` is one public ledger record, verbatim."""
+    vault, _result = vault_bundle
+    assert isinstance(vault, WatermarkRegistry)
+    vault.revoke("decoy-1", reason="expired")
+    records = _ledger_records(tmp_path)
+    assert records == vault.export_public_ledger()
+    assert WatermarkRegistry.verify_exported_ledger(records)
+    assert [record["metadata"].get("action") for record in records] == [
+        None,
+        None,
+        None,
+        "revoke",
+    ]
+
+
+def test_metadata_named_like_arguments_survives_reopen(tmp_path, vault_bundle):
+    """Metadata keys ``buyer_id`` / ``secret`` replay as metadata."""
+    vault, result = vault_bundle
+    spare = _decoy_secret(result.watermarked_histogram, result.secret.modulus_cap, seed=5)
+    vault.register("buyer-new", spare, buyer_id="alias", secret="x")
+    reopened = SecretVault(tmp_path)
+    assert reopened.export_public_ledger() == vault.export_public_ledger()
+
+
+def test_previous_record_format_is_refused(tmp_path, vault_bundle):
+    """A ledger of ``seq``/``action`` records (the earlier format, with a
+    valid chain of its own) is refused, never replayed."""
+    _vault, _result = vault_bundle
+    previous_hash = "0" * 64
+    lines = []
+    for seq, record in enumerate(_ledger_records(tmp_path)):
+        old = {
+            "seq": seq,
+            "action": "register",
+            "buyer_id": record["buyer_id"],
+            "fingerprint": record["fingerprint"],
+            "metadata": record["metadata"],
+            "previous_hash": previous_hash,
+        }
+        payload = json.dumps(old, sort_keys=True).encode("utf-8")
+        old["entry_hash"] = previous_hash = hashlib.sha256(payload).hexdigest()
+        lines.append(json.dumps(old, separators=(",", ":"), sort_keys=True))
+    (tmp_path / "ledger.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    with pytest.raises(DisputeError, match="record 0: ledger record has unknown field"):
+        SecretVault(tmp_path)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("index", True),
+        ("index", "0"),
+        ("index", 0.0),
+        ("index", None),
+        ("buyer_id", 7),
+        ("buyer_id", ["buyer-real"]),
+        ("fingerprint", 7),
+        ("fingerprint", None),
+        ("metadata", [1]),
+        ("metadata", [["k", "v"]]),
+        ("metadata", "tier"),
+        ("previous_hash", 7),
+        ("entry_hash", None),
+        ("seq", 0),
+    ],
+)
+def test_wrongly_typed_record_is_refused(tmp_path, vault_bundle, field, value):
+    """A record field of the wrong JSON kind (or an unknown field), with
+    the chain re-hashed to stay valid, fails the reload naming the field."""
+    _vault, _result = vault_bundle
+    records = _ledger_records(tmp_path)
+    records[0][field] = value
+    # A replaced entry_hash is the hash itself: re-chain its successors only.
+    _write_rechained(tmp_path, records, 1 if field == "entry_hash" else 0)
+
+    with pytest.raises(DisputeError, match=f"'{field}'"):
+        SecretVault(tmp_path)

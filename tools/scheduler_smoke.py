@@ -29,7 +29,6 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.exec.blobs import dataplane_enabled
 from repro.exec.policy import ExecutionPolicy
 from repro.experiments import load_spec, run_experiment, write_report
 
@@ -97,11 +96,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="scheduler-smoke-") as tmp:
         tmp_path = Path(tmp)
-        mode = "blob" if dataplane_enabled() else "inline"
-        print(
-            "running the smoke spec on all three scheduler backends "
-            f"(data plane: {mode}):"
-        )
+        print("running the smoke spec on all three scheduler backends:")
         serial, serial_json, serial_md = run_backend(
             spec, tmp_path / "serial", ExecutionPolicy(workers=1), "in-process"
         )
