@@ -9,7 +9,7 @@ Not a paper figure: this benchmark guards the batch embedding engine
   to the sequential ``WatermarkGenerator.generate`` loop while paying the
   SHA-256 pair-modulus derivations once for the whole batch: one
   :class:`~repro.core.eligibility.PairScanPlan`, derived in bulk by
-  :meth:`~repro.core.hashing.PairModulusCache.upper_triangle` and reused
+  :func:`~repro.core.hashing.upper_triangle_rows` and reused
   by every dataset's vectorized scan, where the sequential loop derives
   the plan afresh per dataset. The speedup gate is ≥3x.
 

@@ -24,7 +24,6 @@ from repro.core.eligibility import (
     generate_eligible_pairs,
 )
 from repro.core.generator import WatermarkGenerator, WatermarkResult, generate_watermark
-from repro.core.hashing import PairModulusCache
 from repro.core.histogram import TokenHistogram
 from repro.core.matching import SelectionResult, select_pairs
 from repro.core.multiwatermark import MultiWatermarker, ProvenanceChain
@@ -65,7 +64,6 @@ __all__ = [
     "EligiblePair",
     "EligibilityContext",
     "generate_eligible_pairs",
-    "PairModulusCache",
     "WatermarkGenerator",
     "WatermarkResult",
     "generate_watermark",

@@ -44,7 +44,6 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from repro.core.cache import DetectorCache
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import (
     DetectionResult,
@@ -62,7 +61,6 @@ from repro.core.detector import (
 )
 from repro.core.embedding import BatchEmbeddingReport, EmbedData, generator_fingerprint
 from repro.core.generator import WatermarkGenerator
-from repro.core.hashing import PairModulusCache
 from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, GenerationError
@@ -477,7 +475,6 @@ def detect_many_secrets(
     config: Optional[DetectionConfig] = None,
     *,
     collect_evidence: bool = False,
-    detector_cache: Optional[DetectorCache] = None,
     policy: Optional[ExecutionPolicy] = None,
 ) -> List[DetectionResult]:
     """Run ``WM_Detect`` for many secrets against one dataset at once.
@@ -487,8 +484,11 @@ def detect_many_secrets(
     frequencies are gathered for the stacked pair members, and a
     single vectorized modulo pass verifies everything — no
     per-secret :class:`~repro.core.detector.WatermarkDetector`
-    construction. Verdicts are identical to building one detector per
-    secret and calling :meth:`~repro.core.detector.WatermarkDetector.detect`.
+    construction. Each secret's moduli come from its memo
+    (:meth:`~repro.core.secrets.WatermarkSecret.moduli`), so a secret
+    screened again, such as a registry's vault entry, derives nothing.
+    Verdicts are identical to building one detector per secret and
+    calling :meth:`~repro.core.detector.WatermarkDetector.detect`.
 
     The callers this serves all evaluate candidate-secret fleets against
     one histogram: the Monte-Carlo guess attack (hundreds of forged
@@ -510,21 +510,11 @@ def detect_many_secrets(
     collect_evidence : bool, optional
         When True, per-pair :class:`~repro.core.detector.PairEvidence`
         is materialised for every secret.
-    detector_cache : DetectorCache, optional
-        When given, each secret's moduli/threshold arrays are taken from
-        the cached :class:`WatermarkDetector` (constructed once per
-        ``(secret, config)``, reused across calls) instead of re-deriving
-        the SHA-256 moduli on every invocation. This is how recurring
-        many-secrets screens — leak attribution over a registry's vault,
-        provenance-chain reports — make repeated calls construction-free;
-        verdicts are identical either way.
     policy : ExecutionPolicy, optional
         When the policy asks for parallelism (``workers > 1`` or a
         remote scheduler), the *secrets* are partitioned into chunks and
         screened by scheduler workers, each running this same stacked
         pass over its chunk; results are identical and in input order.
-        ``detector_cache`` is an in-process optimisation and is not
-        consulted by the sharded path.
 
     Returns
     -------
@@ -542,40 +532,16 @@ def detect_many_secrets(
     first_tokens: List[str] = []
     second_tokens: List[str] = []
     offsets: List[int] = [0]
-    if detector_cache is not None:
-        moduli_arrays: List[np.ndarray] = []
-        threshold_arrays: List[np.ndarray] = []
-        for secret in secrets:
-            if len(secret.pairs) == 0:
-                raise DetectionError("a secret list contains no watermarked pairs")
-            detector = detector_cache.get(secret, detection)
-            firsts, seconds, secret_moduli, secret_thresholds = (
-                detector.pair_components()
-            )
-            first_tokens.extend(firsts)
-            second_tokens.extend(seconds)
-            moduli_arrays.append(secret_moduli)
-            threshold_arrays.append(secret_thresholds)
-            offsets.append(len(first_tokens))
-        moduli = np.concatenate(moduli_arrays)
-        thresholds = np.concatenate(threshold_arrays)
-    else:
-        moduli_list: List[int] = []
-        for secret in secrets:
-            if len(secret.pairs) == 0:
-                raise DetectionError("a secret list contains no watermarked pairs")
-            cache = PairModulusCache(secret.secret, secret.modulus_cap)
-            for pair in secret.pairs:
-                first_tokens.append(pair.first)
-                second_tokens.append(pair.second)
-                moduli_list.append(cache.modulus(pair.first, pair.second))
-            offsets.append(len(first_tokens))
-        moduli = np.asarray(moduli_list, dtype=np.int64)
-        thresholds = np.fromiter(
-            (detection.threshold_for(int(modulus)) for modulus in moduli_list),
-            dtype=np.int64,
-            count=len(moduli_list),
-        )
+    moduli_arrays: List[np.ndarray] = []
+    for secret in secrets:
+        if len(secret.pairs) == 0:
+            raise DetectionError("a secret list contains no watermarked pairs")
+        first_tokens += [pair.first for pair in secret.pairs]
+        second_tokens += [pair.second for pair in secret.pairs]
+        moduli_arrays.append(secret.moduli())
+        offsets.append(len(first_tokens))
+    moduli = np.concatenate(moduli_arrays)
+    thresholds = detection.thresholds_for(moduli)
     # Same guard as the detector: a modulus of 0 or 1 carries no
     # information, so such pairs are unverifiable by construction.
     valid = moduli >= 2
@@ -737,9 +703,9 @@ def embed_many(
         How to parallelise the batch. ``policy.workers > 1`` or a remote
         scheduler partitions the datasets across scheduler workers, one
         chunk per worker unless ``policy.chunk_size`` says otherwise —
-        each chunk shares one modulus cache, so bigger chunks amortise
-        more. Results and ordering are identical to the in-process path.
-        The default runs in-process.
+        each chunk shares one set of scan plans, so bigger chunks
+        amortise more. Results and ordering are identical to the
+        in-process path. The default runs in-process.
 
     Returns
     -------

@@ -1,13 +1,15 @@
 """LRU cache of constructed detectors, keyed by secret/config fingerprint.
 
-Constructing a :class:`~repro.core.detector.WatermarkDetector` derives two
-SHA-256 hashes per stored pair (the moduli) plus the resolved thresholds —
-work that depends only on the secret and the detection configuration. Any
-caller that answers many verdicts against a recurring set of watermarks —
-the resident service, the dispute judge and registry, provenance chains,
-the attack-robustness sweeps — should therefore pay that construction once
-per watermark, not once per request. :class:`DetectorCache` provides
-exactly that: a bounded (or unbounded), thread-safe LRU map from
+Constructing a :class:`~repro.core.detector.WatermarkDetector` resolves
+its per-pair thresholds and its column layout (the suspect tokens it
+reads) — work that depends only on the secret and the detection
+configuration. The SHA-256 moduli are not part of it: the secret derives
+them once and memoises them
+(:meth:`~repro.core.secrets.WatermarkSecret.moduli`), so rebuilding an
+evicted detector hashes nothing. Any caller that answers many verdicts
+against a recurring set of watermarks — the resident service, the
+dispute judge, provenance chains, the attack-robustness sweeps — keeps
+its detectors here: a bounded (or unbounded), thread-safe LRU map from
 :func:`~repro.core.detector.detector_fingerprint` keys to live detectors.
 
 The detection service, the attack, dispute and multi-watermark layers
@@ -72,7 +74,7 @@ class DetectorCache:
         used entry is evicted when a new watermark would exceed it.
         ``None`` disables eviction entirely — the right setting for
         owner-side working sets whose size is already bounded elsewhere
-        (a registry's buyer vault, a provenance chain's stages).
+        (a provenance chain's stages, a judge's claimants).
 
     Notes
     -----
@@ -129,9 +131,8 @@ class DetectorCache:
     ) -> Tuple[WatermarkDetector, bool]:
         """Return ``(detector, cache_hit)`` for a secret/config pair.
 
-        On a miss the detector is constructed (paying the moduli
-        precomputation) and inserted, evicting the least recently used
-        entry when the cache is full.
+        On a miss the detector is constructed and inserted, evicting
+        the least recently used entry when the cache is full.
         """
         key = detector_fingerprint(secret, config)
         with self._lock:
@@ -141,8 +142,8 @@ class DetectorCache:
                 self._hits += 1
                 return detector, True
             self._misses += 1
-        # Construct outside the lock: moduli derivation is the expensive
-        # part and must not serialise unrelated lookups.
+        # Construct outside the lock: a first construction derives the
+        # secret's moduli and must not serialise unrelated lookups.
         detector = WatermarkDetector(secret, config)
         with self._lock:
             resident = self._entries.get(key)

@@ -19,11 +19,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import require, require_in_range, require_positive
 
 #: Default modulus cap used throughout the paper's real-data validation.
 DEFAULT_MODULUS_CAP = 131
+#: Largest modulus cap ``z``: every modulus ``s_ij < z`` and the
+#: eligibility slack ``(s_ij + 1) // 2`` then fit a signed 64-bit
+#: integer, the type every moduli array holds.
+MAX_MODULUS_CAP = 2**63 - 1
 #: Default distortion budget (percent) used throughout the evaluation.
 DEFAULT_BUDGET_PERCENT = 2.0
 #: Default security parameter (bits of entropy in ``R``).
@@ -80,8 +86,10 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         require_in_range("budget_percent (b)", self.budget_percent, 0.0, 100.0)
         require(
-            isinstance(self.modulus_cap, int) and self.modulus_cap >= 2,
-            f"modulus_cap (z) must be an integer >= 2, got {self.modulus_cap!r}",
+            isinstance(self.modulus_cap, int)
+            and 2 <= self.modulus_cap <= MAX_MODULUS_CAP,
+            f"modulus_cap (z) must be an integer in [2, 2**63 - 1], "
+            f"got {self.modulus_cap!r}",
         )
         require_positive("secret_bits", self.secret_bits)
         if self.max_candidates is not None:
@@ -159,6 +167,19 @@ class DetectionConfig:
             return int(math.floor(self.pair_threshold_fraction * modulus))
         return self.pair_threshold
 
+    def thresholds_for(self, moduli: np.ndarray) -> np.ndarray:
+        """:meth:`threshold_for` of every modulus in ``moduli``, as ``int64``.
+
+        The threshold depends only on the modulus, so it is resolved
+        once per distinct modulus and broadcast; without a threshold
+        fraction every pair gets the same ``t``.
+        """
+        if self.pair_threshold_fraction is None:
+            return np.full(len(moduli), self.pair_threshold, dtype=np.int64)
+        distinct, inverse = np.unique(moduli, return_inverse=True)
+        resolved = [self.threshold_for(modulus) for modulus in distinct.tolist()]
+        return np.array(resolved, dtype=np.int64)[inverse]
+
     def required_pairs(self, stored_pairs: int) -> int:
         """Resolve the minimum number of accepted pairs ``k``."""
         if stored_pairs <= 0:
@@ -170,6 +191,7 @@ class DetectionConfig:
 
 __all__ = [
     "DEFAULT_MODULUS_CAP",
+    "MAX_MODULUS_CAP",
     "DEFAULT_BUDGET_PERCENT",
     "DEFAULT_SECRET_BITS",
     "GenerationConfig",

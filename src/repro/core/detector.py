@@ -16,10 +16,12 @@ Detection is linear in the number of stored pairs, which is the paper's
 "verification in linear time" claim; it never needs the original dataset
 (the scheme is blind).
 
-The detector caches the recomputed moduli and resolved thresholds at
-construction (they depend only on the secret and the configuration), so
-scanning many suspected datasets with one detector pays the SHA-256 cost
-once. A suspect is read at the secret's distinct pair tokens
+The detector reads the secret's memoised moduli
+(:meth:`~repro.core.secrets.WatermarkSecret.moduli`) and resolves the
+thresholds at construction (they depend only on the secret and the
+configuration), so scanning many suspected datasets, or rebuilding a
+detector for the same secret, pays the SHA-256 cost once per secret.
+A suspect is read at the secret's distinct pair tokens
 (:func:`pair_columns`) into one row of an ``int64`` count matrix, and
 :meth:`WatermarkDetector.detect_matrix` verifies a whole matrix in one
 vectorized ``(f_i - f_j) mod s_ij <= t`` pass: :meth:`~WatermarkDetector.detect`
@@ -37,7 +39,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.config import DetectionConfig
-from repro.core.hashing import pair_modulus
 from repro.core.histogram import TokenCounts, TokenHistogram, checked_counts
 from repro.core.secrets import WatermarkSecret
 from repro.core.tokens import TokenPair, TokenValue
@@ -263,38 +264,27 @@ class WatermarkDetector:
             raise DetectionError("the secret list contains no watermarked pairs")
         self.secret = secret
         self.config = config or DetectionConfig()
-        # The moduli depend only on the secret, the thresholds only on the
-        # moduli and the configuration: compute both once per detector so
-        # repeated detect calls skip all SHA-256 work.
-        self._moduli = np.fromiter(
-            (
-                pair_modulus(pair.first, pair.second, secret.secret, secret.modulus_cap)
-                for pair in secret.pairs
-            ),
-            dtype=np.int64,
-            count=len(secret.pairs),
-        )
-        self._thresholds = np.fromiter(
-            (self.config.threshold_for(int(modulus)) for modulus in self._moduli),
-            dtype=np.int64,
-            count=len(secret.pairs),
-        )
+        # The moduli come from the secret's memo (derived once per
+        # secret), the thresholds from the moduli and the configuration,
+        # so repeated detect calls skip all SHA-256 work.
+        self._moduli = secret.moduli()
+        self._thresholds = self.config.thresholds_for(self._moduli)
         # A modulus of 0 or 1 carries no information (the generation
         # algorithm never selects such pairs); treat the pair as
         # unverifiable so forged secrets cannot exploit it.
         self._valid = self._moduli >= 2
         self._safe_moduli = np.where(self._valid, self._moduli, 1)
-        self._first_tokens = [pair.first for pair in secret.pairs]
-        self._second_tokens = [pair.second for pair in secret.pairs]
         # The distinct pair tokens are the columns read from a suspect;
         # the pair sides index into them.
         self._columns = pair_columns(secret)
         positions = {token: index for index, token in enumerate(self._columns)}
         self._first_columns = np.fromiter(
-            map(positions.__getitem__, self._first_tokens), dtype=np.intp
+            map(positions.__getitem__, [pair.first for pair in secret.pairs]),
+            dtype=np.intp,
         )
         self._second_columns = np.fromiter(
-            map(positions.__getitem__, self._second_tokens), dtype=np.intp
+            map(positions.__getitem__, [pair.second for pair in secret.pairs]),
+            dtype=np.intp,
         )
         self._required = self.config.required_pairs(len(secret.pairs))
         self._fingerprint: Optional[str] = None
@@ -309,49 +299,6 @@ class WatermarkDetector:
         if self._fingerprint is None:
             self._fingerprint = detector_fingerprint(self.secret, self.config)
         return self._fingerprint
-
-    def reconfigured(self, config: Optional[DetectionConfig] = None) -> "WatermarkDetector":
-        """A detector for the same secret under different thresholds.
-
-        The per-pair moduli depend only on the secret, so the clone
-        reuses this detector's precomputed modulus arrays and re-resolves
-        just the thresholds and the required pair count — no SHA-256
-        re-derivation. Threshold sweeps (one detector per ``t``) pay the
-        moduli once instead of once per sweep point; verdicts are
-        identical to constructing ``WatermarkDetector(secret, config)``
-        from scratch.
-        """
-        clone = object.__new__(WatermarkDetector)
-        clone.secret = self.secret
-        clone.config = config or DetectionConfig()
-        clone._moduli = self._moduli
-        clone._thresholds = np.fromiter(
-            (clone.config.threshold_for(int(modulus)) for modulus in self._moduli),
-            dtype=np.int64,
-            count=len(self.secret.pairs),
-        )
-        clone._valid = self._valid
-        clone._safe_moduli = self._safe_moduli
-        clone._first_tokens = self._first_tokens
-        clone._second_tokens = self._second_tokens
-        clone._columns = self._columns
-        clone._first_columns = self._first_columns
-        clone._second_columns = self._second_columns
-        clone._required = clone.config.required_pairs(len(self.secret.pairs))
-        clone._fingerprint = None
-        return clone
-
-    def pair_components(self) -> Tuple[List[str], List[str], np.ndarray, np.ndarray]:
-        """The precomputed per-pair verification inputs of this detector.
-
-        Returns ``(first_tokens, second_tokens, moduli, thresholds)`` in
-        stored-pair order. Stacked many-secrets passes
-        (:func:`repro.core.batch.detect_many_secrets`) concatenate these
-        across cached detectors instead of re-deriving the SHA-256 moduli
-        per call. The arrays are the detector's own working state — treat
-        them as read-only.
-        """
-        return self._first_tokens, self._second_tokens, self._moduli, self._thresholds
 
     # ------------------------------------------------------------------ #
     # Public API

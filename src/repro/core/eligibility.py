@@ -26,7 +26,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.hashing import PairModulusCache, pair_modulus
+from repro.core.config import MAX_MODULUS_CAP
+from repro.core.hashing import upper_triangle_rows
 from repro.core.histogram import TokenHistogram
 from repro.core.tokens import TokenPair
 from repro.exceptions import EligibilityError
@@ -254,15 +255,14 @@ class PairScanPlan:
 
     @classmethod
     def build(
-        cls,
-        candidate_tokens: Sequence[str],
-        modulus_cache: PairModulusCache,
+        cls, candidate_tokens: Sequence[str], secret: int, modulus_cap: int
     ) -> "PairScanPlan":
         """Derive every candidate pair's modulus once, in one bulk pass."""
         first_index, second_index = np.triu_indices(len(candidate_tokens), k=1)
-        moduli = np.array(
-            modulus_cache.upper_triangle(candidate_tokens), dtype=np.int64
-        )
+        values: List[int] = []
+        for row in upper_triangle_rows(candidate_tokens, secret, modulus_cap):
+            values += row
+        moduli = np.array(values, dtype=np.int64)
         valid = moduli >= 2
         return cls(
             candidate_tokens=tuple(candidate_tokens),
@@ -323,7 +323,6 @@ def generate_eligible_pairs(
     excluded_tokens: Optional[Sequence[str]] = None,
     require_modification: bool = False,
     context: Optional[EligibilityContext] = None,
-    modulus_cache: Optional[PairModulusCache] = None,
     plan_store: Optional[Dict[Tuple[str, ...], PairScanPlan]] = None,
 ) -> List[EligiblePair]:
     """Compute the eligible pair list ``L_e`` for a histogram.
@@ -335,7 +334,8 @@ def generate_eligible_pairs(
     secret:
         The high-entropy secret ``R``.
     modulus_cap:
-        The modulus cap ``z`` (must be >= 2).
+        The modulus cap ``z``, in ``[2,``
+        :data:`~repro.core.config.MAX_MODULUS_CAP` ``]``.
     max_candidates:
         Optional cap on the number of tokens considered (see module doc).
     excluded_tokens:
@@ -353,17 +353,14 @@ def generate_eligible_pairs(
         A prebuilt :class:`EligibilityContext` for this histogram and
         these knobs, skipping the histogram-side precomputation. Batch
         embedding reuses one context across many candidate secrets.
-    modulus_cache:
-        A :class:`~repro.core.hashing.PairModulusCache` for ``(secret,
-        modulus_cap)``. With a plan store, a new vocabulary's moduli are
-        derived in one bulk pass (its inner digests shared); the loop
-        looks each pair up in, and adds it to, the cache's pair memo.
-        Must match the secret and cap exactly.
     plan_store:
         Candidate-vocabulary -> :class:`PairScanPlan` map for this
-        ``(secret, modulus_cap)`` (requires ``modulus_cache``). When the
-        candidate token list repeats across a batch, the scan runs
-        vectorized over the cached plan instead of looping; results are
+        ``(secret, modulus_cap)``. Up to :data:`VECTOR_SCAN_MAX_PAIRS`
+        candidate pairs, the scan runs vectorized over the vocabulary's
+        plan, built on first use and reused when the candidate token
+        list repeats across a batch. Without a store, or past that
+        size, the scan loops over the same rows of moduli
+        (:func:`~repro.core.hashing.upper_triangle_rows`); results are
         identical.
 
     Returns
@@ -371,14 +368,12 @@ def generate_eligible_pairs(
     list of :class:`EligiblePair`, ordered by (remainder cost, pair) so the
     output is deterministic for a given histogram and secret.
     """
-    if modulus_cap < 2:
-        raise EligibilityError(f"modulus cap z must be >= 2, got {modulus_cap}")
+    if not 2 <= modulus_cap <= MAX_MODULUS_CAP:
+        raise EligibilityError(
+            f"modulus cap z must be in [2, 2**63 - 1], got {modulus_cap}"
+        )
     if len(histogram) < 2:
         return []
-    if modulus_cache is not None and not modulus_cache.matches(secret, modulus_cap):
-        raise EligibilityError(
-            "modulus cache was built for a different secret or modulus cap"
-        )
     if context is None:
         context = EligibilityContext.build(
             histogram,
@@ -390,15 +385,11 @@ def generate_eligible_pairs(
     counts_list = context.counts
     slack_list = context.slack
     pair_count = len(candidate_indices) * (len(candidate_indices) - 1) // 2
-    if (
-        plan_store is not None
-        and modulus_cache is not None
-        and pair_count <= VECTOR_SCAN_MAX_PAIRS
-    ):
+    if plan_store is not None and pair_count <= VECTOR_SCAN_MAX_PAIRS:
         candidate_tokens = tuple(tokens[i] for i in candidate_indices)
         plan = plan_store.get(candidate_tokens)
         if plan is None:
-            plan = PairScanPlan.build(candidate_tokens, modulus_cache)
+            plan = PairScanPlan.build(candidate_tokens, secret, modulus_cap)
             plan_store[candidate_tokens] = plan
             # Bound the store by retained pairs. Hits below re-insert
             # their key, so dict order is least-recently-used-first and
@@ -423,19 +414,16 @@ def generate_eligible_pairs(
             count=len(candidate_indices),
         )
         return plan.scan(counts, slack, require_modification=require_modification)
-    modulus_of = (
-        modulus_cache.modulus
-        if modulus_cache is not None
-        else lambda a, b: pair_modulus(a, b, secret, modulus_cap)
+    rows = upper_triangle_rows(
+        [tokens[i] for i in candidate_indices], secret, modulus_cap
     )
     eligible: List[EligiblePair] = []
-    for position, i in enumerate(candidate_indices):
+    for position, (i, row) in enumerate(zip(candidate_indices, rows)):
         token_i = tokens[i]
         slack_i = slack_list[i]
         frequency_i = counts_list[i]
-        for j in candidate_indices[position + 1 :]:
+        for j, modulus in zip(candidate_indices[position + 1 :], row):
             token_j = tokens[j]
-            modulus = modulus_of(token_i, token_j)
             if not _boundary_allows(modulus, slack_i, slack_list[j]):
                 continue
             difference = frequency_i - counts_list[j]

@@ -31,7 +31,7 @@ from repro.core.eligibility import (
     PairScanPlan,
     generate_eligible_pairs,
 )
-from repro.core.hashing import PairModulusCache, generate_secret
+from repro.core.hashing import generate_secret
 from repro.core.histogram import TokenHistogram
 from repro.core.matching import SelectionResult, select_pairs
 from repro.core.modification import (
@@ -146,22 +146,21 @@ class WatermarkResult:
 class _BatchScratch:
     """Shared derivation state of one batch embedding run.
 
-    Holds the :class:`~repro.core.hashing.PairModulusCache` and the
-    per-vocabulary :class:`~repro.core.eligibility.PairScanPlan` store
-    per distinct ``(R, z)`` (shared when many datasets are watermarked
-    under one owner secret) and the
-    :class:`~repro.core.eligibility.EligibilityContext` per distinct
-    histogram object (shared when many candidate secrets are tried
-    against one dataset). All are value-transparent — they only skip
-    recomputation — so batched outputs stay bit-identical to the
+    Holds the per-vocabulary
+    :class:`~repro.core.eligibility.PairScanPlan` store per distinct
+    ``(R, z)`` (shared when many datasets are watermarked under one owner
+    secret) and the :class:`~repro.core.eligibility.EligibilityContext`
+    per distinct histogram object (shared when many candidate secrets are
+    tried against one dataset). Both are value-transparent — they only
+    skip recomputation — so batched outputs stay bit-identical to the
     sequential path.
     """
 
-    #: Most-recent (R, z) derivation sets kept alive. Shared-secret
-    #: batches only ever populate one; batches that sample a fresh
-    #: secret per dataset (the secure default) would otherwise grow the
-    #: scratch by O(candidate pairs) per dataset — each retired secret's
-    #: moduli and scan plans can never hit again, so they are dropped.
+    #: Most-recent (R, z) plan stores kept alive. Shared-secret batches
+    #: only ever populate one; batches that sample a fresh secret per
+    #: dataset (the secure default) would otherwise grow the scratch by
+    #: O(candidate pairs) per dataset — each retired secret's scan plans
+    #: can never hit again, so they are dropped.
     MAX_SECRETS = 4
     #: Most-recent histogram eligibility contexts kept alive. Only a
     #: repeated histogram *object* (the candidate-secrets mode) can ever
@@ -169,10 +168,9 @@ class _BatchScratch:
     #: it has already embedded.
     MAX_CONTEXTS = 8
 
-    __slots__ = ("moduli", "contexts", "plans")
+    __slots__ = ("contexts", "plans")
 
     def __init__(self) -> None:
-        self.moduli: "OrderedDict[Tuple[int, int], PairModulusCache]" = OrderedDict()
         # Keyed by id(histogram); the histogram itself is kept in the
         # value so the id cannot be recycled while the entry lives.
         self.contexts: "OrderedDict[int, Tuple[TokenHistogram, EligibilityContext]]" = (
@@ -183,16 +181,6 @@ class _BatchScratch:
         self.plans: "OrderedDict[Tuple[int, int], Dict[Tuple[str, ...], PairScanPlan]]" = (
             OrderedDict()
         )
-
-    def modulus_cache(self, secret_value: int, modulus_cap: int) -> PairModulusCache:
-        key = (secret_value, modulus_cap)
-        cache = self.moduli.get(key)
-        if cache is None:
-            cache = PairModulusCache(secret_value, modulus_cap)
-            self.moduli[key] = cache
-        else:
-            self.moduli.move_to_end(key)
-        return cache
 
     def plan_store(
         self, secret_value: int, modulus_cap: int
@@ -215,8 +203,6 @@ class _BatchScratch:
         the contexts of histograms that will never repeat are evicted
         first.
         """
-        while len(self.moduli) > self.MAX_SECRETS:
-            self.moduli.popitem(last=False)
         while len(self.plans) > self.MAX_SECRETS:
             self.plans.popitem(last=False)
         while len(self.contexts) > self.MAX_CONTEXTS:
@@ -290,14 +276,12 @@ class WatermarkGenerator:
         because the same code runs per dataset in the same order. What
         the batch amortises is *derivation*, never decisions:
 
-        * each candidate vocabulary's pair moduli (two SHA-256 hashes
-          each) become a scan plan cached per ``(R, z)`` across the
-          whole batch, so datasets embedded under one owner secret
-          re-derive nothing when their candidate vocabulary repeats; a
-          new vocabulary is derived in one bulk pass;
-        * the inner digests ``H(R || tk_j)`` are shared even within one
-          dataset (halving the hash count of a cold scan) and across
-          the batch;
+        * each candidate vocabulary's pair moduli become a scan plan
+          cached per ``(R, z)`` across the whole batch, so datasets
+          embedded under one owner secret re-derive nothing when their
+          candidate vocabulary repeats; a new vocabulary is derived in
+          one bulk pass that hashes each token's inner digest
+          ``H(R || tk_j)`` once (one hash per pair instead of two);
         * the histogram-side eligibility precomputation is cached per
           histogram object, so trying many candidate secrets against one
           dataset pays it once.
@@ -373,9 +357,6 @@ class WatermarkGenerator:
                 excluded_tokens=self.config.excluded_tokens,
                 require_modification=self.config.require_modification,
                 context=scratch.context_for(histogram, self.config),
-                modulus_cache=scratch.modulus_cache(
-                    secret_value, self.config.modulus_cap
-                ),
                 plan_store=scratch.plan_store(secret_value, self.config.modulus_cap),
             )
 

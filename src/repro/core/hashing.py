@@ -11,16 +11,24 @@ nesting makes ``s_ij`` order-sensitive — swapping the pair members yields
 an unrelated value — which matters because the pair is stored with its
 higher-frequency member first.
 
-This module exposes that construction plus small helpers for serialising
-secrets. Everything is pure and deterministic so watermark detection can
-recompute exactly the same moduli years later from the stored secret list.
+This module exposes that construction in two forms. :func:`pair_modulus`
+derives one pair and is the executable spec. :func:`moduli_of_pairs` (a
+secret's stored pairs) and :func:`upper_triangle_rows` (every pair of a
+candidate vocabulary) derive many at once, hashing each token's inner
+digest ``H(R || tk_j)`` once. Everything is pure and deterministic so
+watermark detection can recompute exactly the same moduli years later
+from the stored secret list.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Callable, List, Sequence
+from typing import Callable, Iterable, Iterator, List, Sequence
+
+import numpy as np
+
+from repro.core.tokens import TokenPair
 
 #: Security parameter (output bits of the hash) used throughout the paper.
 DEFAULT_SECURITY_BITS = 256
@@ -87,149 +95,56 @@ def pair_modulus(
     return digest_to_int(outer) % z
 
 
-class PairModulusCache:
-    """Memoised ``s_ij`` derivation for one ``(R, z)`` pair.
+def _inner_digests(secret: int, tokens: Iterable[str]) -> List[bytes]:
+    """The inner digest ``H(R || 0x00 || tk)`` of each token string, in order."""
+    prefix = _encode(secret) + _FIELD_SEPARATOR
+    sha256 = hashlib.sha256
+    return [sha256(prefix + token.encode()).digest() for token in tokens]
 
-    The nested construction ``H(tk_i || H(R || tk_j))`` repeats the inner
-    hash for every pair sharing the same second member. The cache
-    memoises the inner digests per second token, and it has two ways to
-    derive outer values:
 
-    * :meth:`upper_triangle` derives every pair of a candidate vocabulary
-      in one tight loop (one hash per pair over pre-encoded row prefixes
-      and memoised inner digests). This is the vectorized eligibility
-      scan's path; it neither reads nor fills the per-pair memo, because
-      a vocabulary's moduli live on in its
-      :class:`~repro.core.eligibility.PairScanPlan`.
-    * :meth:`modulus` derives one pair and memoises the final modulus per
-      ordered pair, for callers that look pairs up one at a time and
-      repeat them (the eligibility loop past the vectorized scan's size
-      cap, stored-secret pairs in detection and leak attribution).
+def moduli_of_pairs(pairs: Sequence[TokenPair], secret: int, z: int) -> np.ndarray:
+    """``pair_modulus(p.first, p.second, R, z)`` of each pair, as ``int64``.
 
-    Values are bit-identical to :func:`pair_modulus` by construction — the
-    cache only skips *recomputation*, never changes the arithmetic — which
-    is what lets :meth:`repro.core.generator.WatermarkGenerator.generate_many`
-    share one cache across a whole batch while staying exactly equal to
-    the sequential path.
-
-    Memory stays bounded even when one owner secret is applied to an
-    endless stream of *different* vocabularies: past ``max_entries``
-    memoised pairs or inner digests the cache resets (epoch-style —
-    cheaper and simpler than per-entry LRU, and a workload that overflows
-    it has little cross-dataset overlap to lose anyway).
-
-    Parameters
-    ----------
-    secret:
-        The high-entropy watermarking secret ``R``.
-    z:
-        The modulus cap (must be >= 2, as for :func:`pair_modulus`).
-    hash_function:
-        Alternative hash, mainly for testing; defaults to SHA-256.
-    max_entries:
-        Pair-memo or inner-digest count that triggers a reset (``None``
-        disables).
+    Each second member's inner digest is hashed once, then each pair
+    costs one outer hash, so a secret's moduli take one tight pass.
+    :meth:`repro.core.secrets.WatermarkSecret.moduli` is the one caller:
+    every other reader takes the array from the secret's memo. ``z``
+    must lie in ``[2,`` :data:`~repro.core.config.MAX_MODULUS_CAP` ``]``
+    so every value fits ``int64``; the secret checks that when it is
+    built.
     """
-
-    #: Default pair-memo bound (~100 MB of dict at worst).
-    DEFAULT_MAX_ENTRIES = 1_000_000
-
-    __slots__ = (
-        "secret",
-        "z",
-        "max_entries",
-        "_hash",
-        "_inner",
-        "_moduli",
-        "hits",
-        "misses",
-        "resets",
+    digests = _inner_digests(secret, [pair.second for pair in pairs])
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    separator = _FIELD_SEPARATOR
+    return np.array(
+        [
+            from_bytes(sha256(pair.first.encode() + separator + digest).digest(), "big") % z
+            for pair, digest in zip(pairs, digests)
+        ],
+        dtype=np.int64,
     )
 
-    def __init__(
-        self,
-        secret: int,
-        z: int,
-        *,
-        hash_function: HashFunction = sha256_hash,
-        max_entries: "int | None" = DEFAULT_MAX_ENTRIES,
-    ) -> None:
-        if z < 2:
-            raise ValueError(f"modulus cap z must be at least 2, got {z}")
-        self.secret = secret
-        self.z = z
-        self.max_entries = max_entries
-        self._hash = hash_function
-        self._inner: dict = {}
-        self._moduli: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.resets = 0
 
-    def __len__(self) -> int:
-        return len(self._moduli)
+def upper_triangle_rows(tokens: Sequence[str], secret: int, z: int) -> Iterator[List[int]]:
+    """Moduli of every pair ``(tokens[i], tokens[j])`` with ``i < j``, by row.
 
-    def modulus(self, token_i: str, token_j: str) -> int:
-        """``pair_modulus(token_i, token_j, R, z)``, memoised."""
-        key = (token_i, token_j)
-        value = self._moduli.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        self.misses += 1
-        inner = self._inner_digest(token_j)
-        outer = self._hash(_encode(token_i) + _FIELD_SEPARATOR + inner)
-        value = digest_to_int(outer) % self.z
-        if self.max_entries is not None and len(self._moduli) >= self.max_entries:
-            self._reset()
-        self._moduli[key] = value
-        return value
-
-    def upper_triangle(self, tokens: Sequence[str]) -> List[int]:
-        """Moduli of every pair ``(tokens[i], tokens[j])`` with ``i < j``.
-
-        Values come in ``np.triu_indices(len(tokens), k=1)`` order (row
-        by row) and equal ``pair_modulus(tokens[i], tokens[j], R, z)``.
-        Each row prefix ``tk_i || 0x00`` is encoded once and each column's
-        inner digest ``H(R || 0x00 || tk_j)`` comes from the inner-digest
-        memo, so a pair costs one hash in one loop. The per-pair memo is
-        neither read nor filled (see the class docstring).
-        """
-        if (
-            self.max_entries is not None
-            and len(self._inner) + len(tokens) > self.max_entries
-        ):
-            self._reset()
-        digests = [self._inner_digest(token) for token in tokens]
-        hash_function = self._hash
-        z = self.z
-        from_bytes = int.from_bytes
-        moduli: List[int] = []
-        for row, token in enumerate(tokens):
-            prefix = _encode(token) + _FIELD_SEPARATOR
-            moduli += [
-                from_bytes(hash_function(prefix + digest), "big") % z
-                for digest in digests[row + 1 :]
-            ]
-        return moduli
-
-    def _inner_digest(self, token: str) -> bytes:
-        """The inner digest ``H(R || 0x00 || token)``, memoised per token."""
-        digest = self._inner.get(token)
-        if digest is None:
-            digest = self._hash(_encode(self.secret) + _FIELD_SEPARATOR + _encode(token))
-            self._inner[token] = digest
-        return digest
-
-    def _reset(self) -> None:
-        """Start a new memo epoch (drop every memoised value)."""
-        self._moduli.clear()
-        self._inner.clear()
-        self.resets += 1
-
-    def matches(self, secret: int, z: int) -> bool:
-        """Whether this cache was built for exactly ``(secret, z)``."""
-        return self.secret == secret and self.z == z
+    Row ``i`` holds ``pair_modulus(tokens[i], tokens[j], R, z)`` for
+    ``j = i + 1, ..., n - 1``, so the rows laid end to end come in
+    ``np.triu_indices(n, k=1)`` order. Each token's inner digest is
+    hashed once and each row prefix ``tk_i || 0x00`` encoded once, so a
+    pair costs one hash, and only one row is held at a time. The
+    eligibility scan is the one caller.
+    """
+    digests = _inner_digests(secret, tokens)
+    sha256 = hashlib.sha256
+    from_bytes = int.from_bytes
+    for row, token in enumerate(tokens):
+        prefix = token.encode() + _FIELD_SEPARATOR
+        yield [
+            from_bytes(sha256(prefix + digest).digest(), "big") % z
+            for digest in digests[row + 1 :]
+        ]
 
 
 def keyed_fingerprint(secret: int, *fields: "str | bytes | int") -> str:
@@ -268,7 +183,8 @@ __all__ = [
     "sha256_hash",
     "digest_to_int",
     "pair_modulus",
-    "PairModulusCache",
+    "moduli_of_pairs",
+    "upper_triangle_rows",
     "keyed_fingerprint",
     "generate_secret",
 ]

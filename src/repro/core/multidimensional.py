@@ -58,6 +58,11 @@ class CopyRowSynthesizer:
         token_values: Tuple[str, ...],
         rng,
     ) -> Row:
+        """A copy of a random existing row whose token columns equal ``token_values``.
+
+        Raises :class:`~repro.exceptions.GenerationError` when no row
+        carries that token value.
+        """
         matches = dataset.rows_matching(dict(zip(token_columns, token_values)))
         if not matches:
             raise GenerationError(

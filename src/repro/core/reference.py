@@ -68,10 +68,14 @@ def apply_deltas_reference(
     A canonical copy of the sequence, a per-position removal scan and a
     per-position keep filter — the passes that
     :func:`repro.core.transform.apply_deltas_to_tokens` replaced with C
-    speed ones, drawing the same random numbers in the same order.
+    speed ones, drawing the same random numbers in the same order. A
+    string occurrence is kept as given (a ``numpy.str_`` stays one);
+    every other value becomes its canonical token string.
     """
     generator = ensure_rng(rng)
-    canonical = [canonical_token(token) for token in tokens]
+    canonical = [
+        token if isinstance(token, str) else canonical_token(token) for token in tokens
+    ]
 
     # Plan removals: choose random occurrence indices per token.
     removal_indices: set = set()

@@ -22,7 +22,10 @@ from itertools import chain, starmap
 from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from repro.core.hashing import keyed_fingerprint, pair_modulus
+import numpy as np
+
+from repro.core.config import MAX_MODULUS_CAP
+from repro.core.hashing import keyed_fingerprint, moduli_of_pairs
 from repro.core.tokens import TokenPair, as_token_pair
 from repro.exceptions import ConfigurationError
 
@@ -78,9 +81,13 @@ class WatermarkSecret:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.modulus_cap < 2:
+        if not (
+            isinstance(self.modulus_cap, int)
+            and 2 <= self.modulus_cap <= MAX_MODULUS_CAP
+        ):
             raise ConfigurationError(
-                f"modulus cap z must be at least 2, got {self.modulus_cap}"
+                f"modulus cap z must be an integer in [2, 2**63 - 1], "
+                f"got {self.modulus_cap!r}"
             )
         if self.secret < 0:
             raise ConfigurationError("secret R must be a non-negative integer")
@@ -92,12 +99,24 @@ class WatermarkSecret:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def pair_moduli(self) -> Dict[TokenPair, int]:
-        """Recompute ``s_ij`` for every stored pair."""
-        return {
-            pair: pair_modulus(pair.first, pair.second, self.secret, self.modulus_cap)
-            for pair in self.pairs
-        }
+    def moduli(self) -> np.ndarray:
+        """``s_ij`` of every stored pair, in pair order, as read-only ``int64``.
+
+        The moduli are a pure function of the secret, so they are
+        derived once (:func:`~repro.core.hashing.moduli_of_pairs`) and
+        memoised per instance: every detector, index posting and
+        many-secrets pass built from this secret reads the same array.
+        The memo is never pickled or written to disk; a stored modulus
+        could be stale or tampered, and would then hide a buyer from
+        attribution without any error.
+        """
+        cached = self.__dict__.get("_moduli")
+        if cached is not None:
+            return cached
+        value = moduli_of_pairs(self.pairs, self.secret, self.modulus_cap)
+        value.flags.writeable = False
+        object.__setattr__(self, "_moduli", value)
+        return value
 
     def fingerprint(self) -> str:
         """Keyed commitment to this watermark (pairs + parameters).
@@ -124,12 +143,12 @@ class WatermarkSecret:
     # ------------------------------------------------------------------ #
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle only the secret material, dropping the fingerprint memo.
+        """Pickle only the secret material, dropping the memos.
 
-        The memoised HMAC fingerprint is pure derived state; shipping it
-        across the sharded-embedding process boundary would bloat every
-        :class:`~repro.core.generator.WatermarkResult` payload for a
-        value the receiver can recompute lazily.
+        The memoised HMAC fingerprint and moduli are pure derived state;
+        shipping them across the sharded-embedding process boundary
+        would bloat every :class:`~repro.core.generator.WatermarkResult`
+        payload for values the receiver can recompute lazily.
         """
         return {
             "pairs": self.pairs,
@@ -160,7 +179,9 @@ class WatermarkSecret:
         raw ``TypeError`` or ``ValueError``. ``pairs`` must be a list of
         ``[first, second]`` lists of two distinct token strings and
         ``metadata``, when present, an object; their errors name the
-        field.
+        field. ``modulus_cap`` must be a JSON integer (an integral float
+        such as ``131.0`` is one): ``int()`` would read ``131.9`` or
+        ``"131"`` as 131, and a different ``z`` derives different moduli.
         """
         if not isinstance(payload, dict):
             raise ConfigurationError(
@@ -169,9 +190,16 @@ class WatermarkSecret:
         try:
             raw_pairs = payload["pairs"]
             secret = int(str(payload["secret"]))
-            modulus_cap = int(payload["modulus_cap"])  # type: ignore[arg-type]
+            modulus_cap = payload["modulus_cap"]
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigurationError(f"malformed watermark secret payload: {exc}") from exc
+        if type(modulus_cap) is float and modulus_cap.is_integer():
+            modulus_cap = int(modulus_cap)
+        if type(modulus_cap) is not int:
+            raise ConfigurationError(
+                "malformed watermark secret payload: 'modulus_cap' must be "
+                f"an integer, got {type(modulus_cap).__name__}"
+            )
         metadata = payload.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ConfigurationError(

@@ -27,18 +27,22 @@ MULTI_ATTRIBUTE_SEPARATOR = "\x1f"
 def canonical_token(value: TokenValue) -> str:
     """Return the canonical string form of a token value.
 
-    Strings are returned unchanged; bytes are decoded as UTF-8 with
-    replacement; tuples/lists (multi-dimensional tokens) are joined with a
-    non-printable separator so that ``("a", "bc")`` and ``("ab", "c")``
-    remain distinct; every other value uses its ``repr``-free ``str`` form.
+    Strings are returned unchanged, and a ``str`` subclass (such as
+    ``numpy.str_``) as the exact ``str`` of its value; bytes are decoded
+    as UTF-8 with replacement; tuples/lists (multi-dimensional tokens)
+    are joined with a non-printable separator so that ``("a", "bc")``
+    and ``("ab", "c")`` remain distinct; every other value uses its
+    ``repr``-free ``str`` form.
 
     The mapping must be injective for the tokens present in one dataset:
     two distinct raw values that stringify identically (for example the
     integer ``1`` and the string ``"1"``) would collapse into a single
     histogram bucket, which is the standard behaviour for CSV-sourced data.
     """
-    if isinstance(value, str):
+    if type(value) is str:
         return value
+    if isinstance(value, str):
+        return str(value)
     if isinstance(value, bytes):
         return value.decode("utf-8", errors="replace")
     if isinstance(value, (tuple, list)):

@@ -66,7 +66,8 @@ def apply_deltas_to_tokens(
 
     Returns
     -------
-    A new list of canonical token strings whose histogram equals the
+    A new list of token strings (kept string occurrences as given, other
+    values as their canonical strings) whose histogram equals the
     original histogram with ``deltas`` applied.
     """
     return _edit(tokens, deltas, None, rng)
@@ -149,10 +150,11 @@ def _coded(
 ) -> Tuple[Sequence[str], np.ndarray, Mapping[str, int]]:
     """``(canonical tokens, int32 codes, index)`` for the edit.
 
-    A list or tuple whose tokens are all keys of ``index`` is used as is
-    (``canonical_token`` returns strings unchanged). Anything else -- a
-    token that is not a string, or not in the index -- is canonicalised
-    first and coded through an index of its own.
+    The edit keeps every string occurrence as given (a ``numpy.str_``
+    stays one), so a list or tuple whose tokens are all keys of
+    ``index`` is used as is. Anything else -- a token that is not a
+    string, or not in the index -- is canonicalised first (strings still
+    as given) and coded through an index of its own.
     """
     if isinstance(tokens, (list, tuple)):
         if index is None:
@@ -160,7 +162,9 @@ def _coded(
         codes = _codes(tokens, index)
         if codes is not None:
             return tokens, codes, index
-    canonical = [canonical_token(token) for token in tokens]
+    canonical = [
+        token if isinstance(token, str) else canonical_token(token) for token in tokens
+    ]
     index = _string_index(canonical)
     return canonical, _codes(canonical, index), index
 

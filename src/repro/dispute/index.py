@@ -59,7 +59,6 @@ from repro.core.detector import (
     suspect_counts,
     verify_pair_arrays,
 )
-from repro.core.hashing import PairModulusCache
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, DisputeError
 
@@ -178,11 +177,13 @@ class CandidateIndex:
     def add(self, row: int, secret: WatermarkSecret) -> None:
         """Post every ``(pair, modulus)`` bucket of ``secret`` under ``row``.
 
-        The per-pair moduli are derived once here (memoised SHA-256 via
-        :class:`~repro.core.hashing.PairModulusCache`) — registration pays
-        the hashing so that screening never does. New buckets and the
-        secret's postings are appended to the screening arrays in place:
-        the cost is proportional to the secret's pairs, not the vault.
+        The per-pair moduli are the secret's memo
+        (:meth:`~repro.core.secrets.WatermarkSecret.moduli`): adding a
+        secret derives them, so screening never hashes, and a later
+        detector or confirmation pass for the same secret object reuses
+        them. New buckets and the secret's postings are appended to the
+        screening arrays in place: the cost is proportional to the
+        secret's pairs, not the vault.
         """
         if row < 0:
             raise DisputeError(f"index rows must be non-negative, got {row}")
@@ -191,12 +192,11 @@ class CandidateIndex:
         if row in self._removed:
             # The row's old postings must go before new ones share its id.
             self._rebuild()
-        cache = PairModulusCache(secret.secret, secret.modulus_cap)
         first_bucket = len(self._bucket_ids)
         new_keys: List[BucketKey] = []
         buckets: List[int] = []
-        for pair in secret.pairs:
-            key = (pair.first, pair.second, cache.modulus(pair.first, pair.second))
+        for pair, modulus in zip(secret.pairs, secret.moduli().tolist()):
+            key = (pair.first, pair.second, modulus)
             bucket = self._bucket_ids.get(key)
             if bucket is None:
                 bucket = self._bucket_ids[key] = len(self._bucket_ids)
@@ -299,19 +299,12 @@ class CandidateIndex:
         moduli = self._moduli[:buckets]
         valid = moduli >= 2
         safe_moduli = np.where(valid, moduli, 1)
-        # threshold_for depends only on the modulus: resolve per distinct
-        # modulus value and broadcast, keeping the single shared rule.
-        distinct_moduli, inverse = np.unique(moduli, return_inverse=True)
-        thresholds = np.asarray(
-            [detection.threshold_for(int(modulus)) for modulus in distinct_moduli],
-            dtype=np.int64,
-        )[inverse]
         accepted, _present, _remainder = verify_pair_arrays(
             first,
             second,
             safe_moduli=safe_moduli,
             valid=valid,
-            thresholds=thresholds,
+            thresholds=detection.thresholds_for(moduli),
             symmetric_tolerance=detection.symmetric_tolerance,
         )
         postings = self._postings

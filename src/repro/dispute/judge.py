@@ -98,7 +98,7 @@ class Judge:
         self.registry = registry
         # Unbounded by default: a judge's working set is the claimants of
         # the disputes it arbitrates, and re-arbitrating (with amended
-        # claims, say) must not re-derive any claimant's moduli.
+        # claims, say) must not rebuild any claimant's detector.
         self.detector_cache = (
             detector_cache if detector_cache is not None else DetectorCache(capacity=None)
         )

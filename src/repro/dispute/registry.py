@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.batch import detect_many_secrets
-from repro.core.cache import CacheStats, DetectorCache
 from repro.core.config import DetectionConfig
 from repro.core.detector import SuspectData, suspect_counts
 from repro.core.secrets import WatermarkSecret
@@ -218,11 +217,6 @@ class WatermarkRegistry:
         self._row_buyers: Dict[int, str] = {}
         self._next_row = 0
         self._index = CandidateIndex()
-        # Unbounded like the vault itself: leak attribution re-runs
-        # detection with every candidate secret, and each detector must
-        # be constructed once per (secret, thresholds), not once per
-        # leaked copy screened.
-        self._detectors = DetectorCache(capacity=None)
         self.last_attribution: Optional[AttributionStats] = None
 
     # ------------------------------------------------------------------ #
@@ -346,10 +340,9 @@ class WatermarkRegistry:
         screen first prunes the vault to a candidate set — one vectorized
         pass over the distinct token-pair modulus buckets, sublinear in
         vault size. The candidates then go through the exact stacked
-        :func:`repro.core.batch.detect_many_secrets` confirmation, whose
-        per-candidate moduli come from the registry's detector cache so
-        screening the next leaked copy constructs nothing
-        (:meth:`detector_cache_stats` exposes the counters).
+        :func:`repro.core.batch.detect_many_secrets` confirmation. The
+        vault holds each registered secret object, so the confirmation
+        reads the moduli its index posting derived and hashes nothing.
 
         Returns the buyers whose watermark verifies, sorted by decreasing
         accepted-pair fraction (the strongest match first). Verdicts are
@@ -362,10 +355,7 @@ class WatermarkRegistry:
         screen = self._index.screen(counts, detection_config)
         buyer_ids = [self._row_buyers[row] for row in screen.rows]
         results = detect_many_secrets(
-            counts,
-            [self._vault[buyer_id] for buyer_id in buyer_ids],
-            detection_config,
-            detector_cache=self._detectors,
+            counts, [self._vault[buyer_id] for buyer_id in buyer_ids], detection_config
         )
         matches: List[Tuple[str, float]] = [
             (buyer_id, result.accepted_fraction)
@@ -375,10 +365,6 @@ class WatermarkRegistry:
         matches.sort(key=lambda item: (-item[1], item[0]))
         self.last_attribution = AttributionStats.from_screen(screen, len(matches))
         return matches
-
-    def detector_cache_stats(self) -> CacheStats:
-        """Construction/hit counters of the registry's detector cache."""
-        return self._detectors.stats()
 
     def index_stats(self) -> IndexStats:
         """Structural counters of the candidate-pruning index."""

@@ -4,8 +4,8 @@ Detection and embedding batches split ``n`` items into contiguous
 chunks sized so each worker receives a target number of chunks,
 optionally capped so no single dispatch holds too many items. Detection wants several small chunks per worker (suspect
 files vary wildly in size, so slack load-balances) while embedding wants
-one big chunk per worker (each chunk shares one modulus cache, so bigger
-amortises more) — the *heuristic* is one function with two parameter
+one big chunk per worker (each chunk shares one set of scan plans, so
+bigger amortises more) — the *heuristic* is one function with two parameter
 settings, not two functions.
 
 ``tests/test_exec_chunking.py`` pins the boundary behaviour: fewer items

@@ -38,7 +38,6 @@ from repro.core.batch import detect_many
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import WatermarkDetector
 from repro.core.generator import WatermarkGenerator
-from repro.core.hashing import PairModulusCache
 from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.datasets.synthetic import generate_power_law_histogram, uniform_histogram
@@ -202,7 +201,6 @@ def run_detect_task(
     thresholds = [int(value) for value in task.params["thresholds"]]  # type: ignore[union-attr]
     min_fraction = float(task.params["min_accepted_fraction"])  # type: ignore[arg-type]
     rows: List[Dict[str, object]] = []
-    base_detector: "WatermarkDetector | None" = None
     for threshold in thresholds:
         config = DetectionConfig(
             pair_threshold=threshold, min_accepted_fraction=min_fraction
@@ -221,14 +219,9 @@ def run_detect_task(
                 }
             )
             continue
-        # The moduli are derived once for the whole sweep; every further
-        # threshold reuses them through `reconfigured`.
-        if base_detector is None:
-            base_detector = WatermarkDetector(secret, config)
-            detector = base_detector
-        else:
-            detector = base_detector.reconfigured(config)
-        report = detect_many(suspects, detector=detector)
+        # The secret memoises its moduli, so only the first threshold's
+        # detector derives them.
+        report = detect_many(suspects, detector=WatermarkDetector(secret, config))
         fractions = [result.accepted_fraction for result in report]
         votes = [result.accepted for result in report]
         rows.append(
@@ -307,8 +300,7 @@ def run_fpr_task(
     thresholds = [int(value) for value in task.params["thresholds"]]  # type: ignore[union-attr]
     min_fraction = float(task.params["min_accepted_fraction"])  # type: ignore[arg-type]
     trials = int(task.params["trials"])  # type: ignore[arg-type]
-    moduli = _secret_moduli(secret)
-    usable = [modulus for modulus in moduli if modulus >= 2]
+    usable = [modulus for modulus in secret.moduli().tolist() if modulus >= 2]
     rows: List[Dict[str, object]] = []
     for threshold in thresholds:
         if not usable:
@@ -344,11 +336,6 @@ def run_fpr_task(
         "secret_index": secret_index,
         "rows": rows,
     }
-
-
-def _secret_moduli(secret: WatermarkSecret) -> List[int]:
-    cache = PairModulusCache(secret.secret, secret.modulus_cap)
-    return [cache.modulus(pair.first, pair.second) for pair in secret.pairs]
 
 
 def run_distortion_task(

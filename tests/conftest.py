@@ -31,6 +31,27 @@ def _isolate_obs_logging():
 
 
 @pytest.fixture()
+def moduli_derivations(monkeypatch):
+    """Count calls to the one moduli derivation (a list, one entry each).
+
+    Each entry is the number of pairs derived. Every reader takes a
+    secret's moduli from :meth:`WatermarkSecret.moduli`, the one caller
+    of :func:`repro.core.hashing.moduli_of_pairs`.
+    """
+    import repro.core.secrets as secrets_module
+
+    calls = []
+    derive = secrets_module.moduli_of_pairs
+
+    def counting(pairs, secret, z):
+        calls.append(len(pairs))
+        return derive(pairs, secret, z)
+
+    monkeypatch.setattr(secrets_module, "moduli_of_pairs", counting)
+    return calls
+
+
+@pytest.fixture()
 def fresh_store():
     """An isolated process-wide default blob store, restored afterwards."""
     store = BlobStore()

@@ -25,12 +25,10 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batch import detect_many, detect_many_secrets, dispatch_detection
-from repro.core.cache import DetectorCache
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import DetectionResult, WatermarkDetector
 from repro.core.eligibility import generate_eligible_pairs
 from repro.core.generator import WatermarkGenerator, WatermarkResult
-from repro.core.hashing import PairModulusCache
 from repro.core.histogram import TokenHistogram
 from repro.core.knapsack import select_within_budget
 from repro.core.matching import vertex_disjoint
@@ -217,24 +215,15 @@ def assert_many_secrets_parity(
     """Reference vs the stacked many-secrets pass.
 
     Each secret's reference verdict comes from the dict loop; the engine
-    must reproduce it through both the uncached
-    :func:`detect_many_secrets` path and the detector-cache path.
+    must reproduce it through :func:`detect_many_secrets`.
     """
     references = [detect_reference(data, secret, config) for secret in secrets]
-    for cache in (None, DetectorCache(capacity=None)):
-        results = detect_many_secrets(
-            data,
-            secrets,
-            config,
-            collect_evidence=True,
-            detector_cache=cache,
-        )
-        assert len(results) == len(references)
-        path = "cached" if cache is not None else "uncached"
-        for index, reference in enumerate(references):
-            where = f"detect_many_secrets[{index}] ({path}) diverged"
-            _assert_results_match(results[index], reference, where=where)
-            assert results[index].evidence == reference.evidence, where
+    results = detect_many_secrets(data, secrets, config, collect_evidence=True)
+    assert len(results) == len(references)
+    for index, reference in enumerate(references):
+        where = f"detect_many_secrets[{index}] diverged"
+        _assert_results_match(results[index], reference, where=where)
+        assert results[index].evidence == reference.evidence, where
     return references
 
 
@@ -256,7 +245,7 @@ def assert_counts_parity(
     The detector (:meth:`~WatermarkDetector.detect` with evidence, and
     :meth:`~WatermarkDetector.detect_many` on one batch mixing the
     mapping with its histogram and its token list),
-    :func:`detect_many_secrets` (uncached and cached) and
+    :func:`detect_many_secrets` and
     :meth:`WatermarkRegistry.attribute_leak` read the mapping itself. Each must answer what
     :func:`detect_reference` answers for
     ``TokenHistogram.from_counts(counts)``. When ``from_counts`` rejects
@@ -271,12 +260,12 @@ def assert_counts_parity(
     try:
         histogram = TokenHistogram.from_counts(counts)
     except HistogramError:
-        calls = [lambda: detectors[0].detect(counts), lambda: detectors[0].detect_many([counts])]
-        calls += [
-            lambda cache=cache: detect_many_secrets(counts, secrets, detection, detector_cache=cache)
-            for cache in (None, DetectorCache(capacity=None))
+        calls = [
+            lambda: detectors[0].detect(counts),
+            lambda: detectors[0].detect_many([counts]),
+            lambda: detect_many_secrets(counts, secrets, detection),
+            lambda: registry.attribute_leak(counts, detection=detection),
         ]
-        calls.append(lambda: registry.attribute_leak(counts, detection=detection))
         for position, call in enumerate(calls):
             assert _raises_histogram_error(call), f"reader {position} accepted rejected counts"
         return None
@@ -291,14 +280,11 @@ def assert_counts_parity(
             where = f"mixed detect_many[{position}] diverged"
             _assert_results_match(result, reference, where=where)
             assert result.evidence == reference.evidence, where
-    for cache in (None, DetectorCache(capacity=None)):
-        stacked = detect_many_secrets(
-            counts, secrets, detection, collect_evidence=True, detector_cache=cache
-        )
-        for index, reference in enumerate(references):
-            where = f"detect_many_secrets(counts)[{index}] diverged"
-            _assert_results_match(stacked[index], reference, where=where)
-            assert stacked[index].evidence == reference.evidence, where
+    stacked = detect_many_secrets(counts, secrets, detection, collect_evidence=True)
+    for index, reference in enumerate(references):
+        where = f"detect_many_secrets(counts)[{index}] diverged"
+        _assert_results_match(stacked[index], reference, where=where)
+        assert stacked[index].evidence == reference.evidence, where
     expected = {
         f"buyer-{index}" for index, reference in enumerate(references) if reference.accepted
     }
@@ -386,19 +372,15 @@ def assert_eligibility_parity(
         require_modification=require_modification,
     )
     plan_store: dict = {}
-    cache = PairModulusCache(secret_value, modulus_cap)
     vectorized = generate_eligible_pairs(
         histogram,
         secret_value,
         modulus_cap,
         require_modification=require_modification,
-        modulus_cache=cache,
         plan_store=plan_store,
     )
     if len(histogram) >= 2:
         assert plan_store, "vectorized eligibility path was not taken"
-    # The plan derives its moduli in one bulk pass, outside the pair memo.
-    assert len(cache) == 0, "vectorized plan build filled the pair memo"
     assert vectorized == reference, "vectorized eligibility scan diverged"
     return reference
 

@@ -44,20 +44,18 @@ _configs = st.builds(
 
 def _watermarked_case(counts):
     """Build (original, watermarked, secret) or None for vacuous draws."""
-    from repro.core.hashing import PairModulusCache
     from repro.core.modification import plan_adjustment
 
     built = harness.build_watermarked_case(counts)
     if built is None:
         return None
     histogram, secret = built
-    moduli = PairModulusCache(secret.secret, secret.modulus_cap)
     deltas: dict = {}
-    for pair in secret.pairs:
+    for pair, modulus in zip(secret.pairs, secret.moduli().tolist()):
         adjustment = plan_adjustment(
             histogram.frequency(pair.first),
             histogram.frequency(pair.second),
-            moduli.modulus(pair.first, pair.second),
+            modulus,
             pair,
         )
         for token, delta in adjustment.as_deltas().items():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.batch import detect_many_secrets
-from repro.core.cache import DetectorCache
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import WatermarkDetector
 from repro.core.generator import WatermarkGenerator
@@ -94,12 +93,19 @@ class TestDetectManySecrets:
         empty = WatermarkSecret(pairs=(), secret=1, modulus_cap=131)
         with pytest.raises(DetectionError):
             detect_many_secrets(histogram, [empty])
-        with pytest.raises(DetectionError):
-            detect_many_secrets(histogram, [empty], detector_cache=DetectorCache())
+
+
+def _fresh(secrets):
+    """Copies of ``secrets`` whose moduli are not derived yet."""
+    return [WatermarkSecret.from_dict(secret.to_dict()) for secret in secrets]
 
 
 class TestDetectManySecretsCached:
-    """The cached-detector path: identical verdicts, zero re-derivation."""
+    """The memoised-moduli path: identical verdicts, zero re-derivation.
+
+    A first pass over fresh secrets derives each one's moduli (uncached);
+    a repeated pass reads the secrets' memos (cached).
+    """
 
     @pytest.mark.parametrize(
         "config",
@@ -114,30 +120,24 @@ class TestDetectManySecretsCached:
     def test_cached_path_matches_uncached(self, histogram, secrets, config):
         import parity_harness
 
-        # Harness: cached AND uncached stacked passes against the
+        # Harness: the uncached then the cached stacked pass against the
         # per-secret reference loop.
-        parity_harness.assert_many_secrets_parity(histogram, secrets, config)
+        fresh = _fresh(secrets)
+        for _ in range(2):
+            parity_harness.assert_many_secrets_parity(histogram, fresh, config)
 
     def test_cached_evidence_matches_uncached(self, histogram, secrets):
-        cache = DetectorCache(capacity=None)
         config = DetectionConfig(pair_threshold=1)
-        uncached = detect_many_secrets(
-            histogram, secrets, config, collect_evidence=True
-        )
-        cached = detect_many_secrets(
-            histogram, secrets, config, collect_evidence=True, detector_cache=cache
-        )
+        fresh = _fresh(secrets)
+        uncached = detect_many_secrets(histogram, fresh, config, collect_evidence=True)
+        cached = detect_many_secrets(histogram, fresh, config, collect_evidence=True)
         for left, right in zip(cached, uncached):
             assert left.evidence == right.evidence
 
-    def test_repeat_calls_construct_nothing(self, histogram, secrets):
-        cache = DetectorCache(capacity=None)
+    def test_repeat_calls_construct_nothing(self, histogram, secrets, moduli_derivations):
         config = DetectionConfig(pair_threshold=1)
-        detect_many_secrets(histogram, secrets, config, detector_cache=cache)
-        stats = cache.stats()
-        assert stats.misses == len(secrets)
-        assert stats.hits == 0
-        detect_many_secrets(histogram, secrets, config, detector_cache=cache)
-        stats = cache.stats()
-        assert stats.misses == len(secrets)  # unchanged: pure cache hits
-        assert stats.hits == len(secrets)
+        fresh = _fresh(secrets)
+        detect_many_secrets(histogram, fresh, config)
+        assert moduli_derivations == [len(secret) for secret in fresh]
+        detect_many_secrets(histogram, fresh, config)
+        assert len(moduli_derivations) == len(fresh)  # unchanged: memo hits

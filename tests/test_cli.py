@@ -251,6 +251,24 @@ class TestBatchDetect:
         assert err.startswith("error: ") and "'pairs'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cap", [2**63, 2**70])
+    def test_modulus_cap_outside_int64_is_a_usage_error(
+        self, token_file, tmp_path, capsys, cap
+    ):
+        """A secret whose ``z`` overflows int64 exits 2 with one ``error:`` line."""
+        watermarked = tmp_path / "watermarked.txt"
+        secret = tmp_path / "secret.json"
+        main(["generate", str(token_file), str(watermarked), str(secret), "--modulus", "31", "--seed", "7"])
+        capsys.readouterr()
+        payload = json.loads(secret.read_text(encoding="utf-8"))
+        payload["modulus_cap"] = cap
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["detect", str(watermarked), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestRegistryCommands:
     """``freqywm registry`` register / attribute / revoke / show on a temporary vault."""

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import (
     DEFAULT_BUDGET_PERCENT,
     DEFAULT_MODULUS_CAP,
+    MAX_MODULUS_CAP,
     DetectionConfig,
     GenerationConfig,
 )
@@ -30,6 +32,12 @@ class TestGenerationConfig:
     def test_rejects_small_modulus_cap(self):
         with pytest.raises(ConfigurationError):
             GenerationConfig(modulus_cap=1)
+
+    def test_modulus_cap_must_fit_int64(self):
+        assert GenerationConfig(modulus_cap=MAX_MODULUS_CAP).modulus_cap == 2**63 - 1
+        for cap in (2**63, 2**70):
+            with pytest.raises(ConfigurationError):
+                GenerationConfig(modulus_cap=cap)
 
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ConfigurationError):
@@ -78,6 +86,22 @@ class TestDetectionConfig:
         config = DetectionConfig(pair_threshold_fraction=0.5)
         assert config.threshold_for(100) == 50
         assert config.threshold_for(9) == 4
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            DetectionConfig(),
+            DetectionConfig(pair_threshold=3),
+            DetectionConfig(pair_threshold_fraction=0.3),
+            DetectionConfig(pair_threshold_fraction=1.0),
+        ],
+    )
+    def test_thresholds_for_matches_threshold_for(self, config):
+        moduli = np.array([0, 1, 2, 9, 100, 9, 2**62 + 3, 131], dtype=np.int64)
+        thresholds = config.thresholds_for(moduli)
+        assert thresholds.dtype == np.int64
+        assert thresholds.tolist() == [config.threshold_for(m) for m in moduli.tolist()]
+        assert config.thresholds_for(moduli[:0]).tolist() == []
 
     def test_required_pairs_fraction(self):
         config = DetectionConfig(min_accepted_fraction=0.5)

@@ -118,48 +118,6 @@ class TestThresholds:
             assert evidence.threshold == evidence.modulus // 2
 
 
-class TestReconfigured:
-    """Threshold-sweep clones reuse moduli but match fresh construction."""
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            None,
-            DetectionConfig(pair_threshold=2),
-            DetectionConfig(pair_threshold=4, min_accepted_fraction=0.3),
-            DetectionConfig(pair_threshold_fraction=0.1),
-            DetectionConfig(pair_threshold=1, symmetric_tolerance=True),
-        ],
-    )
-    def test_matches_fresh_construction(self, watermarked_bundle, config):
-        result, _ = watermarked_bundle
-        base = WatermarkDetector(result.secret, DetectionConfig(pair_threshold=0))
-        clone = base.reconfigured(config)
-        fresh = WatermarkDetector(result.secret, config)
-        for suspect in (result.watermarked_histogram, result.original_histogram):
-            assert clone.detect(suspect, collect_evidence=True) == fresh.detect(
-                suspect, collect_evidence=True
-            )
-        assert clone.fingerprint == fresh.fingerprint
-        assert clone.config == fresh.config
-
-    def test_shares_moduli_without_rederivation(self, watermarked_bundle):
-        result, _ = watermarked_bundle
-        base = WatermarkDetector(result.secret)
-        clone = base.reconfigured(DetectionConfig(pair_threshold=3))
-        _firsts, _seconds, base_moduli, _ = base.pair_components()
-        _firsts, _seconds, clone_moduli, _ = clone.pair_components()
-        assert clone_moduli is base_moduli  # shared array, not recomputed
-
-    def test_base_detector_is_untouched(self, watermarked_bundle):
-        result, _ = watermarked_bundle
-        base = WatermarkDetector(result.secret, DetectionConfig(pair_threshold=0))
-        before = base.detect(result.watermarked_histogram)
-        base.reconfigured(DetectionConfig(pair_threshold=7))
-        assert base.detect(result.watermarked_histogram) == before
-        assert base.config.pair_threshold == 0
-
-
 class TestErrors:
     def test_pairs_with_degenerate_modulus_never_verify(self, watermarked_bundle):
         # A forged secret can contain pairs whose derived modulus is 0 or 1

@@ -27,11 +27,11 @@ from repro.core.eligibility import (
 )
 from repro.core.embedding import BatchEmbeddingReport
 from repro.core.generator import WatermarkGenerator
-from repro.core.hashing import PairModulusCache, pair_modulus
+from repro.core.hashing import pair_modulus, upper_triangle_rows
 from repro.core.histogram import TokenHistogram
 from repro.datasets.loaders import load_token_file, save_token_file
 from repro.datasets.synthetic import generate_power_law_tokens
-from repro.exceptions import ConfigurationError, EligibilityError, GenerationError
+from repro.exceptions import ConfigurationError, GenerationError
 from repro.exec.policy import ExecutionPolicy
 
 
@@ -259,66 +259,18 @@ class TestEmbedManyProperty:
             assert_results_identical(left, right)
 
 
-class TestPairModulusCache:
-    def test_values_match_direct_derivation(self):
-        cache = PairModulusCache(12345, 131)
-        for left, right in [("a", "b"), ("b", "a"), ("a", "c"), ("a", "b")]:
-            assert cache.modulus(left, right) == pair_modulus(left, right, 12345, 131)
-        assert cache.hits == 1  # the repeated ("a", "b")
-        assert cache.misses == 3
-        assert len(cache) == 3
-
+class TestUpperTriangleRows:
     def test_upper_triangle_matches_direct_derivation(self):
         tokens = ["a", "b", "c", "d\u00e9", ""]
-        cache = PairModulusCache(12345, 131)
         first, second = np.triu_indices(len(tokens), k=1)
         expected = [
             pair_modulus(tokens[i], tokens[j], 12345, 131)
             for i, j in zip(first.tolist(), second.tolist())
         ]
-        assert cache.upper_triangle(tokens) == expected
-        assert cache.upper_triangle(["solo"]) == []
-        # The bulk pass neither reads nor fills the pair memo.
-        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
-        assert cache.modulus("b", "c") == pair_modulus("b", "c", 12345, 131)
-
-    def test_upper_triangle_uses_the_cache_hash_function(self):
-        import hashlib
-
-        def md5_hash(data: bytes) -> bytes:
-            return hashlib.md5(data).digest()
-
-        cache = PairModulusCache(9, 97, hash_function=md5_hash)
-        assert cache.upper_triangle(["x", "y", "z"]) == [
-            pair_modulus(left, right, 9, 97, hash_function=md5_hash)
-            for left, right in [("x", "y"), ("x", "z"), ("y", "z")]
-        ]
-
-    def test_upper_triangle_resets_past_max_entries_inner_digests(self):
-        cache = PairModulusCache(7, 131, max_entries=10)
-        for start in range(0, 40, 8):
-            tokens = [f"t{i}" for i in range(start, start + 8)]
-            assert cache.upper_triangle(tokens) == [
-                pair_modulus(tokens[i], tokens[j], 7, 131)
-                for i in range(8)
-                for j in range(i + 1, 8)
-            ]
-        assert cache.resets >= 1
-
-    def test_matches_and_validation(self):
-        cache = PairModulusCache(1, 31)
-        assert cache.matches(1, 31)
-        assert not cache.matches(2, 31)
-        assert not cache.matches(1, 32)
-        with pytest.raises(ValueError):
-            PairModulusCache(1, 1)
-
-    def test_eligibility_rejects_mismatched_cache(self):
-        histogram = _histogram(1)
-        with pytest.raises(EligibilityError):
-            generate_eligible_pairs(
-                histogram, 5, 131, modulus_cache=PairModulusCache(6, 131)
-            )
+        rows = list(upper_triangle_rows(tokens, 12345, 131))
+        assert [len(row) for row in rows] == [4, 3, 2, 1, 0]
+        assert [value for row in rows for value in row] == expected
+        assert list(upper_triangle_rows(["solo"], 12345, 131)) == [[]]
 
 
 class TestEligibilityReuse:
@@ -339,19 +291,11 @@ class TestEligibilityReuse:
         )
         assert loop  # non-vacuous case
         # Second scan through a warm plan store: same values again.
-        cache = PairModulusCache(0xFEED, 131)
         store = {}
-        first = generate_eligible_pairs(
-            histogram, 0xFEED, 131, modulus_cache=cache, plan_store=store
-        )
+        first = generate_eligible_pairs(histogram, 0xFEED, 131, plan_store=store)
         assert first == loop
         assert store  # the plan was built and cached
-        assert (
-            generate_eligible_pairs(
-                histogram, 0xFEED, 131, modulus_cache=cache, plan_store=store
-            )
-            == loop
-        )
+        assert generate_eligible_pairs(histogram, 0xFEED, 131, plan_store=store) == loop
 
     def test_pair_budget_overflow_falls_back_to_loop(self, monkeypatch):
         """Past ``VECTOR_SCAN_MAX_PAIRS`` the scan must fall back to the
@@ -364,31 +308,22 @@ class TestEligibilityReuse:
         from repro.core import eligibility as eligibility_module
 
         histogram = _histogram(6, tokens=60, size=12_000)
-        cache = PairModulusCache(0xFEED, 131)
         store = {}
-        vectorized = generate_eligible_pairs(
-            histogram, 0xFEED, 131, modulus_cache=cache, plan_store=store
-        )
+        vectorized = generate_eligible_pairs(histogram, 0xFEED, 131, plan_store=store)
         assert store  # the vectorized plan path ran
         monkeypatch.setattr(eligibility_module, "VECTOR_SCAN_MAX_PAIRS", 0)
         overflow_store = {}
         fallback = generate_eligible_pairs(
-            histogram, 0xFEED, 131, modulus_cache=cache, plan_store=overflow_store
+            histogram, 0xFEED, 131, plan_store=overflow_store
         )
         assert not overflow_store  # budget overflow forced the loop path
         assert fallback == vectorized
 
     def test_require_modification_respected_by_plan(self):
         histogram = _histogram(5)
-        cache = PairModulusCache(7, 31)
         store = {}
         vectorized = generate_eligible_pairs(
-            histogram,
-            7,
-            31,
-            require_modification=True,
-            modulus_cache=cache,
-            plan_store=store,
+            histogram, 7, 31, require_modification=True, plan_store=store
         )
         assert all(pair.remainder != 0 for pair in vectorized)
         assert vectorized == generate_eligible_pairs(
@@ -432,40 +367,25 @@ class TestScratchBounds:
         """Embed a maximal-churn batch; return what the checks inspect.
 
         The production bounds (4-secret LRU, 8-context cap, 4M-pair plan
-        budget, 1M-entry modulus epoch reset) are scaled down so a small
-        batch drives every eviction path: a fresh secret and a fresh
-        vocabulary per dataset retires each derivation set immediately.
-        Asserts the batch is bit-identical to the sequential loop and
-        returns ``(trim observations, created modulus caches, datasets)``.
+        budget) are scaled down so a small batch drives every eviction
+        path: a fresh secret and a fresh vocabulary per dataset retires
+        each derivation set immediately. Asserts the batch is
+        bit-identical to the sequential loop and returns
+        ``(trim observations, datasets)``.
         """
         from repro.core import eligibility as eligibility_module
-        from repro.core import generator as generator_module
         from repro.core.generator import _BatchScratch
 
         monkeypatch.setattr(_BatchScratch, "MAX_SECRETS", 2)
         monkeypatch.setattr(_BatchScratch, "MAX_CONTEXTS", 3)
         monkeypatch.setattr(eligibility_module, "PLAN_STORE_PAIR_BUDGET", 2_000)
 
-        created = []
-
-        class SmallCache(PairModulusCache):
-            """Modulus cache whose epoch reset fires within one dataset."""
-
-            def __init__(self, secret, z, **kwargs):
-                kwargs["max_entries"] = 64
-                super().__init__(secret, z, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(generator_module, "PairModulusCache", SmallCache)
-
         observed = []
         original_trim = _BatchScratch.trim
 
         def spying_trim(self):
             original_trim(self)
-            observed.append(
-                (len(self.moduli), len(self.plans), len(self.contexts))
-            )
+            observed.append((len(self.plans), len(self.contexts)))
 
         monkeypatch.setattr(_BatchScratch, "trim", spying_trim)
 
@@ -489,32 +409,15 @@ class TestScratchBounds:
         ]
         for left, right in zip(report, sequential):
             assert_results_identical(left, right)
-        return observed, created, datasets
+        return observed, datasets
 
     def test_sharded_churn_respects_caps_and_stays_identical(self, monkeypatch):
         """Eviction under maximal churn: every scratch bound holds, results
         stay bit-identical to the sequential loop."""
-        observed, _, datasets = self._run_churn_batch(monkeypatch)
+        observed, datasets = self._run_churn_batch(monkeypatch)
         assert len(observed) == len(datasets)  # trim ran after every dataset
-        assert max(moduli for moduli, _, _ in observed) <= 2
-        assert max(plans for _, plans, _ in observed) <= 2
-        assert max(contexts for _, _, contexts in observed) <= 3
-
-    def test_sharded_churn_loop_path_resets_modulus_memo(self, monkeypatch):
-        """The same batch on the eligibility loop (forced for every
-        dataset): the pair memo's epoch reset fires, and results stay
-        bit-identical to the sequential loop.
-
-        The vectorized scan derives moduli in bulk without touching the
-        pair memo, so only the loop path can drive that reset.
-        """
-        from repro.core import eligibility as eligibility_module
-
-        monkeypatch.setattr(eligibility_module, "VECTOR_SCAN_MAX_PAIRS", 0)
-        _, created, _ = self._run_churn_batch(monkeypatch)
-        # 30 candidate tokens -> 435 pairs per dataset, far past the
-        # 64-entry cap: the epoch reset must have fired, transparently.
-        assert any(cache.resets > 0 for cache in created)
+        assert max(plans for plans, _ in observed) <= 2
+        assert max(contexts for _, contexts in observed) <= 3
 
     def test_fresh_secret_batches_do_not_accumulate_derivations(self):
         from repro.core.generator import _BatchScratch
@@ -527,7 +430,6 @@ class TestScratchBounds:
             scratch.trim()
         # One fresh secret per dataset: retired derivation sets must be
         # dropped, not retained for the whole batch.
-        assert len(scratch.moduli) <= _BatchScratch.MAX_SECRETS
         assert len(scratch.plans) <= _BatchScratch.MAX_SECRETS
 
     def test_shared_secret_survives_trimming(self):
@@ -549,8 +451,8 @@ class TestScratchBounds:
         shared = 0xABCD
         datasets = [_histogram(seed) for seed in range(12)]
         # Shared secret interleaved with fresh per-dataset secrets: the
-        # shared entry must stay resident (true LRU), so its modulus
-        # cache keeps accumulating hits instead of being rebuilt.
+        # shared entry must stay resident (true LRU), so its plan store
+        # keeps serving hits instead of being rebuilt.
         values = [
             shared if index % 2 == 0 else 90_000 + index
             for index in range(len(datasets))
@@ -561,8 +463,8 @@ class TestScratchBounds:
         for data, value in zip(datasets, values):
             generator._generate_one(data, value, scratch)
             scratch.trim()
-            shared_caches.add(id(scratch.moduli[(shared, 131)]))
-        assert len(shared_caches) == 1, "shared-secret cache was evicted mid-batch"
+            shared_caches.add(id(scratch.plans[(shared, 131)]))
+        assert len(shared_caches) == 1, "shared-secret plans were evicted mid-batch"
         assert len(scratch.contexts) <= _BatchScratch.MAX_CONTEXTS
 
     def test_plan_store_bounded_by_pair_budget(self, monkeypatch):
@@ -571,12 +473,11 @@ class TestScratchBounds:
         # Tiny budget so a handful of small vocabularies overflows it.
         monkeypatch.setattr(eligibility, "PLAN_STORE_PAIR_BUDGET", 2_000)
         store = {}
-        cache = PairModulusCache(0xB0B, 131)
         for seed in range(8):
             histogram = _histogram(seed, tokens=30, size=5_000)
             direct = generate_eligible_pairs(histogram, 0xB0B, 131)
             via_store = generate_eligible_pairs(
-                histogram, 0xB0B, 131, modulus_cache=cache, plan_store=store
+                histogram, 0xB0B, 131, plan_store=store
             )
             assert via_store == direct  # eviction never changes values
         from repro.core.eligibility import PairScanPlan  # noqa: F401
@@ -584,14 +485,3 @@ class TestScratchBounds:
         retained = sum(len(plan.moduli) for plan in store.values())
         assert len(store) >= 1
         assert retained <= 2_000 or len(store) == 1
-
-    def test_modulus_cache_resets_past_max_entries(self):
-        cache = PairModulusCache(7, 131, max_entries=10)
-        values = {}
-        for i in range(30):
-            values[i] = cache.modulus(f"a{i}", f"b{i}")
-        assert len(cache) <= 10
-        assert cache.resets >= 1
-        # Values after a reset still match the direct derivation.
-        for i in range(30):
-            assert values[i] == pair_modulus(f"a{i}", f"b{i}", 7, 131)

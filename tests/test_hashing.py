@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hashing import (
     DEFAULT_SECURITY_BITS,
     digest_to_int,
     generate_secret,
     keyed_fingerprint,
+    moduli_of_pairs,
     pair_modulus,
     sha256_hash,
+    upper_triangle_rows,
 )
+from repro.core.secrets import WatermarkSecret
+from repro.core.tokens import TokenPair
 
 
 class TestSha256:
@@ -88,3 +95,57 @@ class TestFingerprint:
         fingerprint = keyed_fingerprint(9, "x")
         assert len(fingerprint) == 64
         int(fingerprint, 16)  # must parse as hex
+
+
+_tokens = st.lists(st.text(max_size=6), min_size=2, max_size=8, unique=True)
+
+
+class TestBulkDerivation:
+    """The one bulk derivation is bit-identical to :func:`pair_modulus`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tokens=_tokens,
+        secret=st.integers(min_value=0, max_value=2**256 - 1),
+        z=st.integers(min_value=2, max_value=2**63 - 1),
+        data=st.data(),
+    )
+    def test_moduli_match_the_spec(self, tokens, secret, z, data):
+        chosen = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=len(tokens) - 1),
+                    st.integers(min_value=0, max_value=len(tokens) - 1),
+                ).filter(lambda pair: pair[0] != pair[1]),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        watermark = WatermarkSecret.build(
+            [(tokens[i], tokens[j]) for i, j in chosen], secret, z
+        )
+        moduli = watermark.moduli()
+        assert moduli.dtype == np.int64
+        assert moduli.tolist() == [
+            pair_modulus(pair.first, pair.second, secret, z) for pair in watermark.pairs
+        ]
+        first, second = np.triu_indices(len(tokens), k=1)
+        rows = upper_triangle_rows(tokens, secret, z)
+        assert [value for row in rows for value in row] == [
+            pair_modulus(tokens[i], tokens[j], secret, z)
+            for i, j in zip(first.tolist(), second.tolist())
+        ]
+
+    def test_empty_and_non_ascii_tokens(self):
+        tokens = ["", "é", "日本", "a\x00b"]
+        moduli = moduli_of_pairs(
+            [TokenPair(left, right) for left in tokens for right in tokens if left != right],
+            2**255 + 1,
+            2**63 - 1,
+        )
+        assert moduli.tolist() == [
+            pair_modulus(left, right, 2**255 + 1, 2**63 - 1)
+            for left in tokens
+            for right in tokens
+            if left != right
+        ]

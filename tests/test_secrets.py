@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.core.config import DetectionConfig, GenerationConfig
+from repro.core.detector import WatermarkDetector
+from repro.core.generator import WatermarkGenerator
+from repro.core.hashing import pair_modulus
 from repro.core.secrets import WatermarkSecret, max_modulus_cap
 from repro.core.tokens import TokenPair
+from repro.dispute.registry import WatermarkRegistry
 from repro.exceptions import ConfigurationError, ReproError
 
 
@@ -35,6 +43,10 @@ _MUTATIONS = [
         ("modulus_cap", value)
         for value in (
             _ABSENT, None, True, 1, 0, -3, "x", [], {}, [31], float("inf"), float("nan"),
+            # int() would read these as another z, deriving other moduli.
+            2.5, 131.9, "131",
+            # Outside int64: every modulus array would overflow.
+            2**63, 2**70,
         )
     ),
 ]
@@ -59,6 +71,11 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             WatermarkSecret.build([("a", "b")], secret=1, modulus_cap=1)
 
+    @pytest.mark.parametrize("cap", [2**63, 2**70, 31.0, "31"])
+    def test_rejects_modulus_cap_outside_int64_or_not_an_integer(self, cap):
+        with pytest.raises(ConfigurationError):
+            WatermarkSecret.build([("a", "b")], secret=1, modulus_cap=cap)
+
     def test_rejects_negative_secret(self):
         with pytest.raises(ConfigurationError):
             WatermarkSecret.build([("a", "b")], secret=-1, modulus_cap=10)
@@ -75,11 +92,82 @@ class TestConstruction:
 
 class TestModuli:
     def test_pair_moduli_in_range(self, secret):
-        for modulus in secret.pair_moduli().values():
-            assert 0 <= modulus < 131
+        moduli = secret.moduli()
+        assert moduli.dtype == np.int64 and len(moduli) == len(secret.pairs)
+        assert ((0 <= moduli) & (moduli < 131)).all()
 
     def test_pair_moduli_deterministic(self, secret):
-        assert secret.pair_moduli() == secret.pair_moduli()
+        rebuilt = WatermarkSecret.from_dict(secret.to_dict())
+        assert secret.moduli().tolist() == rebuilt.moduli().tolist()
+
+    def test_moduli_are_memoised_and_read_only(self, secret):
+        moduli = secret.moduli()
+        assert secret.moduli() is moduli
+        with pytest.raises(ValueError):
+            moduli[0] = 7
+        assert moduli.tolist() == [
+            pair_modulus(pair.first, pair.second, secret.secret, 131)
+            for pair in secret.pairs
+        ]
+
+    def test_memo_is_never_serialised(self, secret):
+        pickled, text = pickle.dumps(secret), secret.to_json()
+        secret.fingerprint()
+        secret.moduli()
+        assert pickle.dumps(secret) == pickled
+        assert secret.to_json() == text
+        assert "_moduli" not in pickle.loads(pickled).__dict__
+
+    def test_largest_modulus_cap_detects_and_indexes(self, secret):
+        """``z = 2**63 - 1``: moduli, detection and the index all fit int64."""
+        largest = WatermarkSecret.build(
+            [pair.as_tuple() for pair in secret.pairs], secret.secret, 2**63 - 1
+        )
+        moduli = largest.moduli()
+        assert moduli.tolist() == [
+            pair_modulus(pair.first, pair.second, largest.secret, 2**63 - 1)
+            for pair in largest.pairs
+        ]
+        # Counts whose differences equal each modulus verify; the
+        # largest count is at most 2**63 - 1.
+        counts = {}
+        for pair, modulus in zip(largest.pairs, moduli.tolist()):
+            counts[pair.second] = 1
+            counts[pair.first] = 1 + modulus
+        detection = DetectionConfig(min_accepted_fraction=1.0)
+        result = WatermarkDetector(largest, detection).detect(counts, collect_evidence=True)
+        assert result.accepted and result.accepted_pairs == len(largest)
+        assert [item.modulus for item in result.evidence] == moduli.tolist()
+        registry = WatermarkRegistry()
+        registry.register("buyer", largest)
+        assert registry.attribute_leak(counts, detection=detection) == [("buyer", 1.0)]
+
+
+class TestNumpyStrTokens:
+    """A secret generated from ``numpy.str_`` tokens holds exact ``str``."""
+
+    def test_generated_secret_survives_the_dict_round_trip(self):
+        vocabulary = [f"site-{index}.com" for index in range(40)]
+        rng = np.random.default_rng(3)
+        drawn = list(rng.choice(vocabulary, size=6_000, p=_power_law(40)))
+        assert type(drawn[0]) is np.str_
+        config = GenerationConfig(budget_percent=5.0, modulus_cap=31)
+        from_numpy = WatermarkGenerator(config, rng=9).generate(drawn, secret_value=77)
+        from_str = WatermarkGenerator(config, rng=9).generate(
+            [str(token) for token in drawn], secret_value=77
+        )
+        secret = from_numpy.secret
+        assert len(secret) > 0
+        assert {type(token) for pair in secret.pairs for token in pair.as_tuple()} == {str}
+        assert WatermarkSecret.from_dict(secret.to_dict()) == secret
+        assert secret.pairs == from_str.secret.pairs
+        assert secret.fingerprint() == from_str.secret.fingerprint()
+        assert secret.moduli().tolist() == from_str.secret.moduli().tolist()
+
+
+def _power_law(size: int) -> np.ndarray:
+    weights = np.arange(1, size + 1, dtype=float) ** -0.8
+    return weights / weights.sum()
 
 
 class TestFingerprint:
@@ -141,6 +229,12 @@ class TestSerialisation:
     def test_non_json_text_raises_a_typed_error(self):
         with pytest.raises(ConfigurationError, match="not JSON"):
             WatermarkSecret.from_json("{pairs: nope")
+
+    def test_integral_float_modulus_cap_decodes(self, secret):
+        payload = dict(secret.to_dict(), modulus_cap=131.0)
+        decoded = WatermarkSecret.from_dict(payload)
+        assert decoded == secret
+        assert type(decoded.modulus_cap) is int
 
     def test_tuple_pairs_from_python_callers_decode(self, secret):
         payload = dict(secret.to_dict(), pairs=tuple(tuple(pair) for pair in secret.to_dict()["pairs"]))

@@ -12,6 +12,7 @@ from repro.core.detector import WatermarkDetector, detector_fingerprint
 from repro.core.batch import detect_many
 from repro.core.generator import generate_watermark
 from repro.core.histogram import TokenHistogram
+from repro.core.secrets import WatermarkSecret
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.exceptions import DetectionError, ServiceError
 from repro.service import (
@@ -354,6 +355,30 @@ class TestCoalescing:
                     await service.detect(["a"], secret_fingerprint="nope")
 
         asyncio.run(run())
+
+    def test_evicted_detectors_rebuild_without_deriving(
+        self, watermark, other_watermark, moduli_derivations
+    ):
+        """A one-detector cache evicts on every alternation; the rebuilt
+        detectors read the registered secrets' memoised moduli."""
+        cases = [
+            (
+                WatermarkSecret.from_dict(item.secret.to_dict()),
+                item.watermarked_histogram,
+            )
+            for item in (watermark, other_watermark)
+        ]
+        with SyncDetectionService(ServiceConfig(cache_capacity=1)) as service:
+            fingerprints = [service.register_secret(secret) for secret, _ in cases]
+            assert moduli_derivations == [len(secret) for secret, _ in cases]
+            for _ in range(3):
+                for fingerprint, (secret, histogram) in zip(fingerprints, cases):
+                    verdict = service.detect(histogram, secret_fingerprint=fingerprint)
+                    assert _verdict(verdict) == _verdict(
+                        WatermarkDetector(secret).detect(histogram)
+                    )
+            assert service.cache_stats().evictions >= 6
+        assert len(moduli_derivations) == len(cases)
 
 
 class TestRegistryAndWire:

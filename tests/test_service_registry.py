@@ -281,3 +281,31 @@ def test_malformed_inline_secret_is_not_an_internal_error(watermarked_bundle, fi
             assert not (response.error or "").startswith("internal error"), response.error
             assert "malformed secret" in (response.error or ""), response.error
             assert repr(field) in (response.error or ""), response.error
+
+
+@pytest.mark.parametrize("cap", [2**63, 2**70])
+def test_register_with_modulus_cap_outside_int64_leaves_the_vault_intact(
+    tmp_path, watermarked_bundle, cap
+):
+    """A secret whose ``z`` overflows int64 fails ``register`` typed,
+    writes nothing, and the vault reopens with its earlier entries."""
+    result, _ = watermarked_bundle
+    oversized = dict(result.secret.to_dict(), modulus_cap=cap)
+    with SyncDetectionService(registry=SecretVault(tmp_path)) as service:
+        first = service.submit(
+            RegisterRequest(request_id="reg-1", buyer_id="buyer-a", secret=result.secret.to_dict())
+        )
+        assert first.ok, first.error
+        rejected = service.submit(
+            decode_request(
+                encode_line(
+                    RegisterRequest(request_id="reg-2", buyer_id="buyer-b", secret=oversized)
+                )
+            )
+        )
+        assert isinstance(rejected, RegisterResponse) and rejected.ok is False
+        assert "malformed secret" in (rejected.error or ""), rejected.error
+        assert "internal error" not in (rejected.error or "")
+    reopened = SecretVault(tmp_path)
+    assert reopened.active_buyers == ("buyer-a",)
+    assert len(reopened.entries) == 1 and reopened.verify_chain()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.tokens import (
@@ -17,7 +18,12 @@ from repro.core.tokens import (
 
 class TestCanonicalToken:
     def test_string_passthrough(self):
-        assert canonical_token("youtube.com") == "youtube.com"
+        token = "youtube.com"
+        assert canonical_token(token) is token
+
+    def test_str_subclass_becomes_exact_str(self):
+        canonical = canonical_token(np.str_("youtube.com"))
+        assert type(canonical) is str and canonical == "youtube.com"
 
     def test_bytes_decoded(self):
         assert canonical_token(b"abc") == "abc"

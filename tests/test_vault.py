@@ -289,3 +289,20 @@ def test_wrongly_typed_record_is_refused(tmp_path, vault_bundle, field, value):
 
     with pytest.raises(DisputeError, match=f"'{field}'"):
         SecretVault(tmp_path)
+
+
+def test_reopen_derives_each_stored_secret_once(tmp_path, vault_bundle, moduli_derivations):
+    """Opening a vault derives each active secret's moduli once, for its
+    index postings; attribution afterwards derives nothing."""
+    vault, result = vault_bundle
+    vault.revoke("decoy-1")
+    expected = vault.attribute_leak(result.watermarked_histogram, detection=DETECTION)
+    moduli_derivations.clear()
+    reopened = SecretVault(tmp_path)
+    stored = [reopened.secret_for(buyer) for buyer in reopened.active_buyers]
+    # Replay registers all three secrets (the revoked one is posted, then
+    # withdrawn), each derived once.
+    assert moduli_derivations == [len(vault.secret_for("buyer-real"))] + [8, 8]
+    assert len(stored) == 2
+    assert reopened.attribute_leak(result.watermarked_histogram, detection=DETECTION) == expected
+    assert len(moduli_derivations) == 3
