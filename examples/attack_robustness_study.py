@@ -23,7 +23,8 @@ from repro.attacks.evaluation import RobustnessEvaluator
 from repro.attacks.guess import GuessAttack
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.datasets.synthetic import generate_power_law_histogram
-from repro.experiments.report import render_evaluator_records
+from repro.obs.report import render_report
+from repro.obs.trace import configure_telemetry, tracer
 
 
 def main() -> None:
@@ -34,6 +35,9 @@ def main() -> None:
     evaluator = RobustnessEvaluator(config, rng=42)
 
     print("watermarking the reference dataset and running the attack suite...")
+    # Record the evaluation's spans: one per attack family, with the
+    # generation stages, detector builds and detect passes beneath them.
+    configure_telemetry("spans")
     report = evaluator.evaluate(
         histogram,
         sampling_fractions=(0.05, 0.2, 0.5),
@@ -42,6 +46,8 @@ def main() -> None:
         reordering_percents=(10, 50, 90),
         repetitions=2,
     )
+    spans = tracer().drain()
+    configure_telemetry(None)
     watermark = report.watermark
     print(f"\nreference watermark: {watermark.pair_count} pairs, "
           f"similarity {watermark.similarity_percent:.4f}%")
@@ -81,10 +87,8 @@ def main() -> None:
         print(f"  pirate's *modified* pairs verified on the owner's version: "
               f"{outcome.attacker_modified_pair_survival_on_owner:.0%}")
 
-    print("\n--- evaluation profile (per-attack timing + detector cache) ---")
-    print(render_evaluator_records(report.records()))
-    if report.detector_cache is not None:
-        print(f"  detector cache overall: {report.detector_cache.as_dict()}")
+    print("\n--- evaluation profile (the evaluation's spans) ---")
+    print(render_report(spans, limit=0))
 
     print("\n--- guess attack (forged secrets) ---")
     guess = GuessAttack(guessed_pairs=20, modulus_cap=131, rng=9)

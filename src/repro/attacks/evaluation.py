@@ -9,7 +9,6 @@ benchmarks, examples and tests stay short and consistent.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -21,24 +20,21 @@ from repro.attacks.destroy import (
 )
 from repro.attacks.rewatermark import RewatermarkAttack, RewatermarkOutcome
 from repro.attacks.sampling import SamplingDetectionPoint, evaluate_sampling_attack
-from repro.core.cache import CacheStats, DetectorCache
+from repro.core.cache import DetectorCache
 from repro.core.config import GenerationConfig
 from repro.core.generator import WatermarkGenerator, WatermarkResult
 from repro.core.histogram import TokenHistogram
+from repro.obs.trace import span as trace_span
 from repro.utils.rng import RngLike, derive_rng
-from repro.utils.timing import Stopwatch
 
 
 @dataclass
 class RobustnessReport:
     """Aggregated output of a full robustness evaluation run.
 
-    Beyond the attack outcomes themselves the report keeps the run's
-    execution profile: wall-clock seconds per attack family
-    (``attack_seconds``), the per-family detector-cache hit/miss deltas
-    (``attack_cache_deltas``) and the final cache counters
-    (``detector_cache``). The experiment report layer renders these via
-    :func:`repro.experiments.report.render_evaluator_records`.
+    Where the evaluation spent its time is in its spans: one
+    ``robustness.<family>`` span per attack family (see
+    :meth:`RobustnessEvaluator.evaluate`).
     """
 
     watermark: WatermarkResult
@@ -46,41 +42,16 @@ class RobustnessReport:
     destroy_threshold_sweeps: Dict[str, list] = field(default_factory=dict)
     reordering_success: Dict[float, float] = field(default_factory=dict)
     rewatermark: Optional[RewatermarkOutcome] = None
-    attack_seconds: Dict[str, float] = field(default_factory=dict)
-    attack_cache_deltas: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    detector_cache: Optional[CacheStats] = None
-
-    def records(self) -> List[Dict[str, object]]:
-        """One flat row per attack family (timing + cache behaviour).
-
-        Consumed by the experiment report layer; row order follows the
-        evaluation order of :meth:`RobustnessEvaluator.evaluate`.
-        """
-        rows: List[Dict[str, object]] = []
-        for family, seconds in self.attack_seconds.items():
-            delta = self.attack_cache_deltas.get(family, {})
-            hits = int(delta.get("hits", 0))
-            misses = int(delta.get("misses", 0))
-            rows.append(
-                {
-                    "attack_family": family,
-                    "seconds": seconds,
-                    "cache_hits": hits,
-                    "cache_misses": misses,
-                    "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-                }
-            )
-        return rows
 
 
 class RobustnessEvaluator:
     """Run the paper's attack suite against one watermarked dataset.
 
-    One :class:`~repro.core.cache.DetectorCache` is shared across every
-    attack family, so the owner's detector (per threshold setting) is
-    constructed once for the whole evaluation instead of once per sweep
-    point — verdicts are unchanged, only the redundant SHA-256 moduli
-    derivations disappear.
+    One private :class:`~repro.core.cache.DetectorCache` is shared
+    across every attack family, so the owner's detector (per threshold
+    setting) is constructed once for the whole evaluation instead of
+    once per sweep point — verdicts are unchanged, only the redundant
+    detector builds disappear.
     """
 
     def __init__(
@@ -88,15 +59,12 @@ class RobustnessEvaluator:
         generation: Optional[GenerationConfig] = None,
         *,
         rng: RngLike = None,
-        detector_cache: Optional[DetectorCache] = None,
     ) -> None:
         self.generation = generation or GenerationConfig()
         self._rng_source = rng
         # Unbounded: the working set is one secret times a handful of
         # threshold settings, already bounded by the sweep parameters.
-        self.detector_cache = (
-            detector_cache if detector_cache is not None else DetectorCache(capacity=None)
-        )
+        self._detectors = DetectorCache(capacity=None)
 
     def _rng(self, label: str):
         if self._rng_source is None:
@@ -121,19 +89,19 @@ class RobustnessEvaluator:
     ) -> RobustnessReport:
         """Watermark ``histogram`` and run every attack family against it.
 
-        Each attack family's wall-clock time and detector-cache hit/miss
-        delta land in the report's ``attack_seconds`` /
-        ``attack_cache_deltas`` records rather than being discarded, so
-        report layers can show where evaluation time goes and that
-        detectors are constructed once per threshold setting.
+        Each family runs in one ``robustness.<family>`` span, in this
+        order: ``sampling``, ``destroy-no-attack``,
+        ``destroy-random-within-bounds``,
+        ``destroy-percentage-within-bounds``, ``destroy-reordering`` and
+        ``rewatermark``. The detector builds of a family show as its
+        ``core.detector_build`` child spans.
         """
         result = self.watermark(histogram)
         report = RobustnessReport(watermark=result)
         watermarked = result.watermarked_histogram
         secret = result.secret
-        stopwatch = Stopwatch()
 
-        with self._measured(report, stopwatch, "sampling"):
+        with trace_span("robustness.sampling"):
             report.sampling = evaluate_sampling_attack(
                 watermarked,
                 secret,
@@ -141,27 +109,27 @@ class RobustnessEvaluator:
                 thresholds=sampling_thresholds,
                 repetitions=repetitions,
                 rng=self._rng("sampling"),
-                detector_cache=self.detector_cache,
+                detector_cache=self._detectors,
             )
 
-        with self._measured(report, stopwatch, "destroy-no-attack"):
+        with trace_span("robustness.destroy-no-attack"):
             report.destroy_threshold_sweeps["no-attack"] = sweep_thresholds(
                 watermarked,
                 secret,
                 destroy_thresholds,
                 attack=None,
-                detector_cache=self.detector_cache,
+                detector_cache=self._detectors,
             )
-        with self._measured(report, stopwatch, "destroy-random-within-bounds"):
+        with trace_span("robustness.destroy-random-within-bounds"):
             report.destroy_threshold_sweeps["random-within-bounds"] = sweep_thresholds(
                 watermarked,
                 secret,
                 destroy_thresholds,
                 attack=BoundaryNoiseAttack(rng=self._rng("destroy-random")),
                 repetitions=repetitions,
-                detector_cache=self.detector_cache,
+                detector_cache=self._detectors,
             )
-        with self._measured(report, stopwatch, "destroy-percentage-within-bounds"):
+        with trace_span("robustness.destroy-percentage-within-bounds"):
             report.destroy_threshold_sweeps["percentage-within-bounds"] = (
                 sweep_thresholds(
                     watermarked,
@@ -169,45 +137,29 @@ class RobustnessEvaluator:
                     destroy_thresholds,
                     attack=PercentageNoiseAttack(1.0, rng=self._rng("destroy-percent")),
                     repetitions=repetitions,
-                    detector_cache=self.detector_cache,
+                    detector_cache=self._detectors,
                 )
             )
 
-        with self._measured(report, stopwatch, "destroy-reordering"):
+        with trace_span("robustness.destroy-reordering"):
             report.reordering_success = reordering_success_rates(
                 watermarked,
                 secret,
                 percents=reordering_percents,
                 repetitions=repetitions,
                 rng=self._rng("destroy-reorder"),
-                detector_cache=self.detector_cache,
+                detector_cache=self._detectors,
             )
 
         if include_rewatermark:
-            with self._measured(report, stopwatch, "rewatermark"):
+            with trace_span("robustness.rewatermark"):
                 attack = RewatermarkAttack(
                     self.generation,
                     rng=self._rng("rewatermark"),
-                    detector_cache=self.detector_cache,
+                    detector_cache=self._detectors,
                 )
                 report.rewatermark = attack.run(watermarked, secret)
-        report.attack_seconds = stopwatch.as_dict()
-        report.detector_cache = self.detector_cache.stats()
         return report
-
-    @contextmanager
-    def _measured(
-        self, report: RobustnessReport, stopwatch: Stopwatch, family: str
-    ):
-        """Time one attack family and record its cache hit/miss delta."""
-        before = self.detector_cache.stats()
-        with stopwatch.measure(family):
-            yield
-        after = self.detector_cache.stats()
-        report.attack_cache_deltas[family] = {
-            "hits": after.hits - before.hits,
-            "misses": after.misses - before.misses,
-        }
 
 
 __all__ = ["RobustnessReport", "RobustnessEvaluator"]

@@ -36,6 +36,21 @@ DEFAULT_BUDGET_PERCENT = 2.0
 DEFAULT_SECRET_BITS = 256
 
 
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an ``int`` (a ``bool`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_fraction(name: str, value: object) -> None:
+    """Require a real number (not a ``bool``) in ``[0, 1]``."""
+    require(
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0.0 <= value <= 1.0,
+        f"{name} must be a real number in [0.0, 1.0], got {value!r}",
+    )
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     """Parameters of ``WM_Generate``.
@@ -132,20 +147,26 @@ class DetectionConfig:
     symmetric_tolerance: bool = False
 
     def __post_init__(self) -> None:
+        # Thresholds live in int64 arrays next to the moduli, so t shares
+        # the moduli's bound.
         require(
-            self.pair_threshold >= 0,
-            f"pair_threshold (t) must be >= 0, got {self.pair_threshold}",
+            _is_int(self.pair_threshold) and 0 <= self.pair_threshold <= MAX_MODULUS_CAP,
+            "pair_threshold (t) must be an integer in [0, 2**63 - 1], "
+            f"got {self.pair_threshold!r}",
         )
         if self.pair_threshold_fraction is not None:
-            require_in_range(
-                "pair_threshold_fraction", self.pair_threshold_fraction, 0.0, 1.0
-            )
+            _require_fraction("pair_threshold_fraction", self.pair_threshold_fraction)
         if self.min_accepted_pairs is not None:
             require(
-                self.min_accepted_pairs >= 1,
-                f"min_accepted_pairs (k) must be >= 1, got {self.min_accepted_pairs}",
+                _is_int(self.min_accepted_pairs) and self.min_accepted_pairs >= 1,
+                "min_accepted_pairs (k) must be an integer >= 1, "
+                f"got {self.min_accepted_pairs!r}",
             )
-        require_in_range("min_accepted_fraction", self.min_accepted_fraction, 0.0, 1.0)
+        _require_fraction("min_accepted_fraction", self.min_accepted_fraction)
+        require(
+            isinstance(self.symmetric_tolerance, bool),
+            f"symmetric_tolerance must be a bool, got {self.symmetric_tolerance!r}",
+        )
 
     def fingerprint(self) -> str:
         """Stable key of the threshold knobs, for detector caching.
@@ -162,9 +183,13 @@ class DetectionConfig:
         )
 
     def threshold_for(self, modulus: int) -> int:
-        """Resolve the per-pair threshold ``t`` for a pair with ``modulus``."""
+        """Resolve the per-pair threshold ``t`` for a pair with ``modulus``.
+
+        A fraction's threshold is clamped to the modulus, which float
+        rounding could otherwise exceed for moduli near ``2**63``.
+        """
         if self.pair_threshold_fraction is not None:
-            return int(math.floor(self.pair_threshold_fraction * modulus))
+            return min(int(math.floor(self.pair_threshold_fraction * modulus)), modulus)
         return self.pair_threshold
 
     def thresholds_for(self, moduli: np.ndarray) -> np.ndarray:

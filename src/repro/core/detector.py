@@ -43,6 +43,7 @@ from repro.core.histogram import TokenCounts, TokenHistogram, checked_counts
 from repro.core.secrets import WatermarkSecret
 from repro.core.tokens import TokenPair, TokenValue
 from repro.exceptions import DetectionError
+from repro.obs.trace import span as trace_span
 
 #: A suspected dataset: a raw token sequence, a token->count mapping or
 #: a pre-built histogram. A ``Mapping`` is always read as token->count,
@@ -262,32 +263,33 @@ class WatermarkDetector:
     ) -> None:
         if len(secret.pairs) == 0:
             raise DetectionError("the secret list contains no watermarked pairs")
-        self.secret = secret
-        self.config = config or DetectionConfig()
-        # The moduli come from the secret's memo (derived once per
-        # secret), the thresholds from the moduli and the configuration,
-        # so repeated detect calls skip all SHA-256 work.
-        self._moduli = secret.moduli()
-        self._thresholds = self.config.thresholds_for(self._moduli)
-        # A modulus of 0 or 1 carries no information (the generation
-        # algorithm never selects such pairs); treat the pair as
-        # unverifiable so forged secrets cannot exploit it.
-        self._valid = self._moduli >= 2
-        self._safe_moduli = np.where(self._valid, self._moduli, 1)
-        # The distinct pair tokens are the columns read from a suspect;
-        # the pair sides index into them.
-        self._columns = pair_columns(secret)
-        positions = {token: index for index, token in enumerate(self._columns)}
-        self._first_columns = np.fromiter(
-            map(positions.__getitem__, [pair.first for pair in secret.pairs]),
-            dtype=np.intp,
-        )
-        self._second_columns = np.fromiter(
-            map(positions.__getitem__, [pair.second for pair in secret.pairs]),
-            dtype=np.intp,
-        )
-        self._required = self.config.required_pairs(len(secret.pairs))
-        self._fingerprint: Optional[str] = None
+        with trace_span("core.detector_build"):
+            self.secret = secret
+            self.config = config or DetectionConfig()
+            # The moduli come from the secret's memo (derived once per
+            # secret), the thresholds from the moduli and the configuration,
+            # so repeated detect calls skip all SHA-256 work.
+            self._moduli = secret.moduli()
+            self._thresholds = self.config.thresholds_for(self._moduli)
+            # A modulus of 0 or 1 carries no information (the generation
+            # algorithm never selects such pairs); treat the pair as
+            # unverifiable so forged secrets cannot exploit it.
+            self._valid = self._moduli >= 2
+            self._safe_moduli = np.where(self._valid, self._moduli, 1)
+            # The distinct pair tokens are the columns read from a suspect;
+            # the pair sides index into them.
+            self._columns = pair_columns(secret)
+            positions = {token: index for index, token in enumerate(self._columns)}
+            self._first_columns = np.fromiter(
+                map(positions.__getitem__, [pair.first for pair in secret.pairs]),
+                dtype=np.intp,
+            )
+            self._second_columns = np.fromiter(
+                map(positions.__getitem__, [pair.second for pair in secret.pairs]),
+                dtype=np.intp,
+            )
+            self._required = self.config.required_pairs(len(secret.pairs))
+            self._fingerprint: Optional[str] = None
 
     @property
     def fingerprint(self) -> str:
@@ -410,38 +412,41 @@ class WatermarkDetector:
             )
         if matrix.size and matrix.min() < 0:
             raise DetectionError("a count matrix must not hold a negative count")
-        accepted, present, remainder = verify_pair_arrays(
-            matrix[:, self._first_columns],
-            matrix[:, self._second_columns],
-            safe_moduli=self._safe_moduli,
-            valid=self._valid,
-            thresholds=self._thresholds,
-            symmetric_tolerance=self.config.symmetric_tolerance,
-        )
-        accepted_counts = accepted.sum(axis=1)
-        results: List[DetectionResult] = []
-        for row in range(matrix.shape[0]):
-            evidence: Tuple[PairEvidence, ...] = ()
-            if collect_evidence:
-                evidence = build_pair_evidence(
-                    self.secret.pairs,
-                    accepted[row],
-                    present[row],
-                    remainder[row],
-                    self._moduli,
-                    self._thresholds,
-                    self._valid,
-                )
-            accepted_pairs = int(accepted_counts[row])
-            results.append(
-                DetectionResult(
-                    accepted=accepted_pairs >= self._required,
-                    accepted_pairs=accepted_pairs,
-                    required_pairs=self._required,
-                    total_pairs=len(self.secret.pairs),
-                    evidence=evidence,
-                )
+        with trace_span("core.detect_pass") as stage:
+            if stage.recording:
+                stage.set_attribute("batch", matrix.shape[0])
+            accepted, present, remainder = verify_pair_arrays(
+                matrix[:, self._first_columns],
+                matrix[:, self._second_columns],
+                safe_moduli=self._safe_moduli,
+                valid=self._valid,
+                thresholds=self._thresholds,
+                symmetric_tolerance=self.config.symmetric_tolerance,
             )
+            accepted_counts = accepted.sum(axis=1)
+            results: List[DetectionResult] = []
+            for row in range(matrix.shape[0]):
+                evidence: Tuple[PairEvidence, ...] = ()
+                if collect_evidence:
+                    evidence = build_pair_evidence(
+                        self.secret.pairs,
+                        accepted[row],
+                        present[row],
+                        remainder[row],
+                        self._moduli,
+                        self._thresholds,
+                        self._valid,
+                    )
+                accepted_pairs = int(accepted_counts[row])
+                results.append(
+                    DetectionResult(
+                        accepted=accepted_pairs >= self._required,
+                        accepted_pairs=accepted_pairs,
+                        required_pairs=self._required,
+                        total_pairs=len(self.secret.pairs),
+                        evidence=evidence,
+                    )
+                )
         return results
 
 

@@ -15,13 +15,17 @@ The generator wires together every stage of the FreqyWM pipeline:
 
 The result bundles the watermarked dataset (histogram and, when a raw
 token sequence was supplied, the edited sequence), the secret list
-``L_sc`` and per-stage diagnostics used by the evaluation harness.
+``L_sc`` and per-stage diagnostics used by the evaluation harness. A run
+is timed by its own spans (``docs/observability.md``): one
+``core.generate`` span over ``core.histogram``, ``core.eligibility``,
+``core.mwm``, ``core.knapsack``, ``core.modification`` and
+``core.transform``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import GenerationConfig
@@ -45,8 +49,8 @@ from repro.core.similarity import ranking_preserved, similarity_percent
 from repro.core.tokens import TokenValue
 from repro.core.transform import transform_dataset
 from repro.exceptions import GenerationError
+from repro.obs.trace import span as trace_span
 from repro.utils.rng import RngLike, derive_rng, ensure_rng
-from repro.utils.timing import Stopwatch
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,6 @@ class WatermarkResult:
     eligible_pairs:
         The eligible list ``L_e`` (useful for analysis; not secret-critical
         but derived from the secret, so treat with the same care).
-    timings:
-        Wall-clock seconds per pipeline stage.
     """
 
     original_histogram: TokenHistogram
@@ -81,7 +83,6 @@ class WatermarkResult:
     selection: SelectionResult
     adjustments: Tuple[PairAdjustment, ...]
     eligible_pairs: Tuple[EligiblePair, ...]
-    timings: Dict[str, float] = field(default_factory=dict)
 
     @property
     def pair_count(self) -> int:
@@ -116,7 +117,6 @@ class WatermarkResult:
             "similarity_percent": self.similarity_percent,
             "distortion_percent": self.distortion_percent,
             "total_changes": self.total_changes,
-            "generation_seconds": sum(self.timings.values()),
         }
 
     # ------------------------------------------------------------------ #
@@ -328,39 +328,47 @@ class WatermarkGenerator:
         secret_value: Optional[int],
         scratch: _BatchScratch,
     ) -> WatermarkResult:
-        """One ``WM_Generate`` run, drawing shared derivations from ``scratch``."""
-        stopwatch = Stopwatch()
-        tokens: Optional[Sequence[TokenValue]]
-        with stopwatch.measure("histogram"):
+        """One ``WM_Generate`` run, drawing shared derivations from ``scratch``.
+
+        Histogram-only input has no ``core.histogram`` and no
+        ``core.transform`` stage span.
+        """
+        with trace_span("core.generate"):
+            tokens: Optional[Sequence[TokenValue]] = None
             if isinstance(data, TokenHistogram):
-                histogram, tokens = data, None
+                histogram = data
             else:
-                histogram = TokenHistogram.from_tokens(data)
+                with trace_span("core.histogram"):
+                    histogram = TokenHistogram.from_tokens(data)
                 tokens = data
 
-        if len(histogram) < 2:
-            raise GenerationError(
-                "watermarking needs at least two distinct tokens; the dataset "
-                "has a single token value"
-            )
+            if len(histogram) < 2:
+                raise GenerationError(
+                    "watermarking needs at least two distinct tokens; the dataset "
+                    "has a single token value"
+                )
 
-        rng = ensure_rng(self._rng_source)
-        if secret_value is None:
-            secret_value = generate_secret(self.config.secret_bits, rng=self._rng_source)
+            rng = ensure_rng(self._rng_source)
+            if secret_value is None:
+                secret_value = generate_secret(self.config.secret_bits, rng=self._rng_source)
 
-        with stopwatch.measure("eligibility"):
-            eligible = generate_eligible_pairs(
-                histogram,
-                secret_value,
-                self.config.modulus_cap,
-                max_candidates=self.config.max_candidates,
-                excluded_tokens=self.config.excluded_tokens,
-                require_modification=self.config.require_modification,
-                context=scratch.context_for(histogram, self.config),
-                plan_store=scratch.plan_store(secret_value, self.config.modulus_cap),
-            )
+            with trace_span("core.eligibility") as stage:
+                context = scratch.context_for(histogram, self.config)
+                eligible = generate_eligible_pairs(
+                    histogram,
+                    secret_value,
+                    self.config.modulus_cap,
+                    max_candidates=self.config.max_candidates,
+                    excluded_tokens=self.config.excluded_tokens,
+                    require_modification=self.config.require_modification,
+                    context=context,
+                    plan_store=scratch.plan_store(secret_value, self.config.modulus_cap),
+                )
+                if stage.recording:
+                    candidates = len(context.candidate_indices)
+                    stage.set_attribute("scanned", candidates * (candidates - 1) // 2)
+                    stage.set_attribute("eligible", len(eligible))
 
-        with stopwatch.measure("selection"):
             selection = select_pairs(
                 histogram,
                 eligible,
@@ -371,47 +379,46 @@ class WatermarkGenerator:
                 max_pairs=self.config.max_pairs,
             )
 
-        with stopwatch.measure("modification"):
-            adjustments = selection.adjustments
-            watermarked_histogram = apply_adjustments(histogram, adjustments)
-            if not verify_alignment(histogram, adjustments):
-                raise GenerationError("internal error: adjusted pairs are not aligned")
-            if not ranking_preserved(
-                histogram.as_dict(), watermarked_histogram.as_dict()
-            ):
-                raise GenerationError("internal error: ranking constraint violated")
+            with trace_span("core.modification"):
+                adjustments = selection.adjustments
+                watermarked_histogram = apply_adjustments(histogram, adjustments)
+                if not verify_alignment(histogram, adjustments):
+                    raise GenerationError("internal error: adjusted pairs are not aligned")
+                if not ranking_preserved(
+                    histogram.as_dict(), watermarked_histogram.as_dict()
+                ):
+                    raise GenerationError("internal error: ranking constraint violated")
 
-        watermarked_tokens: Optional[List[str]] = None
-        if tokens is not None:
-            with stopwatch.measure("transformation"):
-                watermarked_tokens = transform_dataset(
-                    tokens,
-                    histogram,
-                    watermarked_histogram,
-                    rng=derive_rng(self._rng_source, "transform") if self._rng_source is not None else rng,
-                )
+            watermarked_tokens: Optional[List[str]] = None
+            if tokens is not None:
+                with trace_span("core.transform"):
+                    watermarked_tokens = transform_dataset(
+                        tokens,
+                        histogram,
+                        watermarked_histogram,
+                        rng=derive_rng(self._rng_source, "transform") if self._rng_source is not None else rng,
+                    )
 
-        secret = WatermarkSecret.build(
-            [item.pair for item in selection.selected],
-            secret_value,
-            self.config.modulus_cap,
-            strategy=selection.strategy,
-            budget_percent=self.config.budget_percent,
-            metric=self.config.metric,
-            original_size=histogram.total_count(),
-            distinct_tokens=len(histogram),
-        )
+            secret = WatermarkSecret.build(
+                [item.pair for item in selection.selected],
+                secret_value,
+                self.config.modulus_cap,
+                strategy=selection.strategy,
+                budget_percent=self.config.budget_percent,
+                metric=self.config.metric,
+                original_size=histogram.total_count(),
+                distinct_tokens=len(histogram),
+            )
 
-        return WatermarkResult(
-            original_histogram=histogram,
-            watermarked_histogram=watermarked_histogram,
-            watermarked_tokens=watermarked_tokens,
-            secret=secret,
-            selection=selection,
-            adjustments=adjustments,
-            eligible_pairs=tuple(eligible),
-            timings=stopwatch.as_dict(),
-        )
+            return WatermarkResult(
+                original_histogram=histogram,
+                watermarked_histogram=watermarked_histogram,
+                watermarked_tokens=watermarked_tokens,
+                secret=secret,
+                selection=selection,
+                adjustments=adjustments,
+                eligible_pairs=tuple(eligible),
+            )
 
 
 def generate_watermark(

@@ -26,6 +26,7 @@ from repro.core.histogram import TokenHistogram
 from repro.core.modification import PairAdjustment, plan_adjustment
 from repro.core.similarity import SimilarityTracker
 from repro.exceptions import MatchingError
+from repro.obs.trace import span as trace_span
 
 
 @dataclass(frozen=True)
@@ -100,42 +101,46 @@ def select_within_budget(
     """
     if budget < 0 or budget > 100:
         raise MatchingError(f"budget b must be within [0, 100], got {budget}")
-    minimum_similarity = 100.0 - budget
-    ordered = (
-        sorted(candidates, key=lambda item: (item.cost, item.pair))
-        if order_by_cost
-        else list(candidates)
-    )
-
-    selected: List[EligiblePair] = []
-    adjustments: List[PairAdjustment] = []
-    rejected: List[EligiblePair] = []
-    tracker = SimilarityTracker(histogram, metric=metric)
-    current_similarity = 100.0
-
-    for item in ordered:
-        if max_pairs is not None and len(selected) >= max_pairs:
-            rejected.append(item)
-            continue
-        adjustment = plan_adjustment(
-            tracker.current_count(item.pair.first),
-            tracker.current_count(item.pair.second),
-            item.modulus,
-            item.pair,
+    with trace_span("core.knapsack") as stage:
+        minimum_similarity = 100.0 - budget
+        ordered = (
+            sorted(candidates, key=lambda item: (item.cost, item.pair))
+            if order_by_cost
+            else list(candidates)
         )
-        if adjustment.cost == 0:
-            # Already aligned: watermarking this pair is free.
-            selected.append(item)
-            adjustments.append(adjustment)
-            continue
-        tentative_similarity = tracker.peek_percent(adjustment.as_deltas())
-        if tentative_similarity + 1e-12 >= minimum_similarity:
-            selected.append(item)
-            adjustments.append(adjustment)
-            tracker.apply(adjustment.as_deltas())
-            current_similarity = tentative_similarity
-        else:
-            rejected.append(item)
+
+        selected: List[EligiblePair] = []
+        adjustments: List[PairAdjustment] = []
+        rejected: List[EligiblePair] = []
+        tracker = SimilarityTracker(histogram, metric=metric)
+        current_similarity = 100.0
+
+        for item in ordered:
+            if max_pairs is not None and len(selected) >= max_pairs:
+                rejected.append(item)
+                continue
+            adjustment = plan_adjustment(
+                tracker.current_count(item.pair.first),
+                tracker.current_count(item.pair.second),
+                item.modulus,
+                item.pair,
+            )
+            if adjustment.cost == 0:
+                # Already aligned: watermarking this pair is free.
+                selected.append(item)
+                adjustments.append(adjustment)
+                continue
+            tentative_similarity = tracker.peek_percent(adjustment.as_deltas())
+            if tentative_similarity + 1e-12 >= minimum_similarity:
+                selected.append(item)
+                adjustments.append(adjustment)
+                tracker.apply(adjustment.as_deltas())
+                current_similarity = tentative_similarity
+            else:
+                rejected.append(item)
+        if stage.recording:
+            stage.set_attribute("candidates", len(ordered))
+            stage.set_attribute("kept", len(selected))
 
     return BudgetedSelection(
         selected=tuple(selected),

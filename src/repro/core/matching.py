@@ -27,6 +27,7 @@ from repro.core.histogram import TokenHistogram
 from repro.core.knapsack import select_within_budget
 from repro.core.modification import PairAdjustment
 from repro.exceptions import MatchingError
+from repro.obs.trace import span as trace_span
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -102,7 +103,11 @@ def optimal_matching(
             similarity_percent=100.0,
         )
     graph = build_pair_graph(eligible)
-    matched = maximum_weight_matching(graph)
+    with trace_span("core.mwm") as stage:
+        matched = maximum_weight_matching(graph)
+        if stage.recording:
+            stage.set_attribute("edges", graph.number_of_edges())
+            stage.set_attribute("matched", len(matched))
     if not matching_is_valid(matched):
         raise MatchingError("maximum weight matching produced overlapping pairs")
     selection = select_within_budget(

@@ -18,7 +18,7 @@ module supports the legitimate uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.batch import detect_many_secrets
@@ -146,23 +146,12 @@ class MultiWatermarker:
             )
             round_config = self.config
             if self.protect_previous_rounds:
-                from dataclasses import replace
-
                 round_config = replace(
                     self.config, excluded_tokens=tuple(protected_tokens)
                 )
             generator = WatermarkGenerator(round_config, rng=round_rng)
             result = generator.generate(current)
-            result = WatermarkResult(
-                original_histogram=result.original_histogram,
-                watermarked_histogram=result.watermarked_histogram,
-                watermarked_tokens=result.watermarked_tokens,
-                secret=result.secret.with_metadata(round=index),
-                selection=result.selection,
-                adjustments=result.adjustments,
-                eligible_pairs=result.eligible_pairs,
-                timings=result.timings,
-            )
+            result = replace(result, secret=result.secret.with_metadata(round=index))
             cumulative = similarity_percent(histogram.as_dict(), result.watermarked_histogram.as_dict())
             outcome.rounds.append(
                 WatermarkRound(

@@ -47,6 +47,7 @@ from repro.core.detector import SuspectData, suspect_counts
 from repro.core.secrets import WatermarkSecret
 from repro.dispute.index import CandidateIndex, CandidateScreen, IndexStats
 from repro.exceptions import DisputeError
+from repro.obs.trace import span as trace_span
 
 _GENESIS = "0" * 64
 
@@ -352,11 +353,16 @@ class WatermarkRegistry:
         """
         detection_config = detection or DetectionConfig(pair_threshold=1)
         counts = suspect_counts(data)
-        screen = self._index.screen(counts, detection_config)
+        with trace_span("dispute.screen") as stage:
+            screen = self._index.screen(counts, detection_config)
+            if stage.recording:
+                stage.set_attribute("candidates", len(screen.rows))
+                stage.set_attribute("active", screen.active_secrets)
         buyer_ids = [self._row_buyers[row] for row in screen.rows]
-        results = detect_many_secrets(
-            counts, [self._vault[buyer_id] for buyer_id in buyer_ids], detection_config
-        )
+        with trace_span("dispute.confirm"):
+            results = detect_many_secrets(
+                counts, [self._vault[buyer_id] for buyer_id in buyer_ids], detection_config
+            )
         matches: List[Tuple[str, float]] = [
             (buyer_id, result.accepted_fraction)
             for buyer_id, result in zip(buyer_ids, results)

@@ -55,6 +55,7 @@ from repro.dispute.registry import (
     WatermarkRegistry,
 )
 from repro.exceptions import DisputeError
+from repro.obs.trace import span as trace_span
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -73,14 +74,15 @@ class SecretVault(WatermarkRegistry):
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
-        super().__init__()
-        self.directory = Path(directory)
-        self.secrets_dir = self.directory / "secrets"
-        self.ledger_path = self.directory / "ledger.jsonl"
-        self.secrets_dir.mkdir(parents=True, exist_ok=True)
-        self._replaying = True
-        self._load()
-        self._replaying = False
+        with trace_span("dispute.vault_open"):
+            super().__init__()
+            self.directory = Path(directory)
+            self.secrets_dir = self.directory / "secrets"
+            self.ledger_path = self.directory / "ledger.jsonl"
+            self.secrets_dir.mkdir(parents=True, exist_ok=True)
+            self._replaying = True
+            self._load()
+            self._replaying = False
 
     # ------------------------------------------------------------------ #
     # Loading
@@ -177,11 +179,12 @@ class SecretVault(WatermarkRegistry):
         without its secret or an index posting without its ledger record.
         A rejected registration writes nothing.
         """
-        self._check_registrable(buyer_id, metadata)
-        secret_path = self._secret_path(secret.fingerprint())
-        if not secret_path.exists():
-            _atomic_write(secret_path, secret.to_json())
-        return super().register(buyer_id, secret, **metadata)
+        with trace_span("dispute.register"):
+            self._check_registrable(buyer_id, metadata)
+            secret_path = self._secret_path(secret.fingerprint())
+            if not secret_path.exists():
+                _atomic_write(secret_path, secret.to_json())
+            return super().register(buyer_id, secret, **metadata)
 
 
 __all__ = ["SecretVault"]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import BlobError, BlobNotFoundError
-from repro.obs.trace import span as trace_span, spans_active
+from repro.obs.trace import span as trace_span
 
 #: Default in-memory byte capacity of a :class:`BlobStore` (256 MiB).
 DEFAULT_CAPACITY = 256 * 1024 * 1024
@@ -175,26 +175,22 @@ class BlobStore:
 
     def put(self, data: BlobData, *, value: Any = _NO_VALUE) -> str:
         """Insert serialised ``data``; returns its digest (idempotent)."""
-        if not spans_active():
-            return self._put(data, value)
-        with trace_span("blob.put", attributes={"bytes": data.size}):
-            return self._put(data, value)
-
-    def _put(self, data: BlobData, value: Any) -> str:
-        """The :meth:`put` body (span-wrapped by the public method)."""
-        digest = blob_digest(data)
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None:
-                self._entries.move_to_end(digest)
-                if entry.value is _NO_VALUE and value is not _NO_VALUE:
-                    entry.value = value
-                return digest
-            self.puts += 1
-            self._entries[digest] = _Entry(data=data, size=data.size, value=value)
-            self._bytes += data.size
-            self._shrink()
-        return digest
+        with trace_span("blob.put") as blob_span:
+            if blob_span.recording:
+                blob_span.set_attribute("bytes", data.size)
+            digest = blob_digest(data)
+            with self._lock:
+                entry = self._entries.get(digest)
+                if entry is not None:
+                    self._entries.move_to_end(digest)
+                    if entry.value is _NO_VALUE and value is not _NO_VALUE:
+                        entry.value = value
+                    return digest
+                self.puts += 1
+                self._entries[digest] = _Entry(data=data, size=data.size, value=value)
+                self._bytes += data.size
+                self._shrink()
+            return digest
 
     def put_object(self, value: Any) -> BlobRef:
         """Serialise and insert ``value``; returns its :class:`BlobRef`."""
@@ -215,24 +211,20 @@ class BlobStore:
 
     def get(self, digest: str) -> BlobData:
         """The serialised blob for ``digest``."""
-        if not spans_active():
-            return self._get(digest)
-        with trace_span("blob.get", attributes={"digest": digest[:12]}):
-            return self._get(digest)
-
-    def _get(self, digest: str) -> BlobData:
-        """The :meth:`get` body (span-wrapped by the public method)."""
-        with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None:
-                self._entries.move_to_end(digest)
-                self.hits += 1
-                return entry.data
-            self.misses += 1
-        raise BlobNotFoundError(
-            f"blob {digest[:12]}… is not in this store (evicted, or never put)",
-            digest=digest,
-        )
+        with trace_span("blob.get") as blob_span:
+            if blob_span.recording:
+                blob_span.set_attribute("digest", digest[:12])
+            with self._lock:
+                entry = self._entries.get(digest)
+                if entry is not None:
+                    self._entries.move_to_end(digest)
+                    self.hits += 1
+                    return entry.data
+                self.misses += 1
+            raise BlobNotFoundError(
+                f"blob {digest[:12]}… is not in this store (evicted, or never put)",
+                digest=digest,
+            )
 
     def get_object(self, digest: str) -> Any:
         """The live value for ``digest`` — the original object when cached."""

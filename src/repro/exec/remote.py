@@ -35,6 +35,7 @@ this out.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import socket
 import threading
@@ -370,9 +371,13 @@ class RemoteScheduler(Scheduler):
             self._failure = None
             self._on_result = on_result
             self._inline_only = set()
+        # Each client thread runs in a copy of this context, so the spans
+        # it opens (line encoding, blob shipping) nest under scheduler.run.
         threads = [
             threading.Thread(
-                target=self._serve, args=(address,), daemon=True,
+                target=contextvars.copy_context().run,
+                args=(self._serve, address),
+                daemon=True,
                 name=f"repro-remote-{address}",
             )
             for address in live

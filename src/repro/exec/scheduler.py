@@ -47,12 +47,7 @@ from repro.exec.blobs import (
 )
 from repro.obs.logging import get_logger
 from repro.obs.profile import maybe_profile
-from repro.obs.trace import (
-    profile_active,
-    span as trace_span,
-    spans_active,
-    tracer,
-)
+from repro.obs.trace import profile_active, records, span as trace_span, tracer
 
 logger = get_logger(__name__)
 
@@ -213,31 +208,37 @@ def set_state_cache_size(size: int) -> None:
         _WORKER_STATE.popitem(last=False)
 
 
-def _ensure_worker_state(spec: TaskSpec, blob_fetch=None) -> Any:
+def _ensure_worker_state(spec: TaskSpec, blob_fetch=None, states=None) -> Any:
     """Build-or-fetch the initializer product for ``spec`` (LRU).
 
-    ``init_args`` blob refs are materialised only on a cache miss: tasks
-    sharing an ``init_key`` pay the blob fetch once per worker, which is
-    exactly the dedup the data plane exists for.
+    ``states`` maps ``init_key`` to product: this process's worker state
+    by default, or a :class:`LocalScheduler`'s ``inline_state``. Either
+    keeps the most recently used products, as many as
+    :func:`set_state_cache_size` allows. ``init_args`` blob refs are
+    materialised only on a cache miss: tasks sharing an ``init_key`` pay
+    the blob fetch once per worker, which is exactly the dedup the data
+    plane exists for.
     """
     assert spec.initializer is not None
-    state = _WORKER_STATE.get(spec.init_key)
-    if state is None and spec.init_key not in _WORKER_STATE:
+    if states is None:
+        states = _WORKER_STATE
+    state = states.get(spec.init_key)
+    if state is None and spec.init_key not in states:
         init_args = resolve_refs(spec.init_args, blob_fetch)
         state = resolve_initializer(spec.initializer)(*init_args)
-        _WORKER_STATE[spec.init_key] = state
-        while len(_WORKER_STATE) > _WORKER_STATE_CAP:
-            _WORKER_STATE.popitem(last=False)
+        states[spec.init_key] = state
+        while len(states) > _WORKER_STATE_CAP:
+            states.popitem(last=False)
     else:
-        _WORKER_STATE.move_to_end(spec.init_key)
+        states.move_to_end(spec.init_key)
     return state
 
 
-def _execute_task(spec: TaskSpec, blob_fetch=None) -> Any:
+def _execute_task(spec: TaskSpec, blob_fetch=None, states=None) -> Any:
     """The bare task body: resolve function/state/blobs, then call."""
     function = resolve_task_function(spec.function)
     state = (
-        _ensure_worker_state(spec, blob_fetch)
+        _ensure_worker_state(spec, blob_fetch, states)
         if spec.initializer is not None
         else None
     )
@@ -245,33 +246,35 @@ def _execute_task(spec: TaskSpec, blob_fetch=None) -> Any:
     return function(state, payload)
 
 
-def run_task(spec: TaskSpec, *, blob_fetch=None) -> Any:
-    """Execute one task in this process (the worker-side entry point).
+def run_task(spec: TaskSpec, *, blob_fetch=None, states=None) -> Any:
+    """Execute one task in this process (the one task body).
 
     Resolves the function and (cached) initializer state, materialises
     any blob references in the payload — ``blob_fetch(digest)`` supplies
     values, defaulting to the process-wide blob store; shared-memory
     handles load themselves — then calls ``function(state, payload)``.
-    Used verbatim by pool workers, the remote worker server, and the
-    in-process fast path. Ref-free specs take no extra copies: payloads
-    pass through untouched.
+    Pool workers, the remote worker server and
+    :class:`LocalScheduler`'s inline path all run tasks here; the inline
+    path passes its ``inline_state`` as ``states`` (see
+    :func:`_ensure_worker_state`). Ref-free specs take no extra copies:
+    payloads pass through untouched.
 
-    When the spec carries a propagated trace context (or span recording
-    is enabled locally), the execution is wrapped in a
-    ``task:<function>`` span; with the ``profile`` feature on, a slow
-    task additionally gets its top cProfile frames attached to that
-    span. With telemetry fully off the body runs with zero overhead
-    beyond one tuple check.
+    When the spec carries a propagated trace context, span recording is
+    enabled locally, or a recording span encloses the call, the
+    execution is wrapped in a ``task:<function>`` span; with the
+    ``profile`` feature on, a slow task additionally gets its top
+    cProfile frames attached to that span. Otherwise the body runs with
+    no overhead beyond that one check.
     """
-    if spec.trace is None and not spans_active():
-        return _execute_task(spec, blob_fetch)
+    if not records(spec.trace):
+        return _execute_task(spec, blob_fetch, states)
     with trace_span(
         f"task:{spec.function}",
         parent=spec.trace,
         attributes={"fingerprint": spec.fingerprint},
     ) as task_span:
         with maybe_profile(task_span, profile_active()):
-            return _execute_task(spec, blob_fetch)
+            return _execute_task(spec, blob_fetch, states)
 
 
 @dataclass
@@ -543,9 +546,8 @@ class LocalScheduler(Scheduler):
     inline_state : dict, optional
         Prebuilt initializer products keyed by ``init_key`` for the
         inline path — how a caller's existing detector is reused instead
-        of rebuilt. Products the inline path builds itself join it; like
-        a worker's state cache it keeps the :data:`DEFAULT_STATE_CACHE`
-        most recently used entries.
+        of rebuilt. The inline path caches the products it builds itself
+        there too, bounded like a worker's state cache.
     """
 
     def __init__(
@@ -683,25 +685,7 @@ class LocalScheduler(Scheduler):
         """
         results: List[Any] = []
         for index, spec in enumerate(specs):
-            function = resolve_task_function(spec.function)
-            state = None
-            if spec.initializer is not None:
-                state = self.inline_state.get(spec.init_key)
-                if state is None and spec.init_key not in self.inline_state:
-                    init_args = resolve_refs(spec.init_args)
-                    state = resolve_initializer(spec.initializer)(*init_args)
-                    self.inline_state[spec.init_key] = state
-                    while len(self.inline_state) > DEFAULT_STATE_CACHE:
-                        self.inline_state.popitem(last=False)
-                else:
-                    self.inline_state.move_to_end(spec.init_key)
-            with trace_span(
-                f"task:{spec.function}",
-                parent=spec.trace,
-                attributes={"fingerprint": spec.fingerprint},
-            ) as task_span:
-                with maybe_profile(task_span, profile_active()):
-                    value = function(state, resolve_refs(spec.payload))
+            value = run_task(spec, states=self.inline_state)
             if on_result is not None:
                 on_result(index, value)
             results.append(value)

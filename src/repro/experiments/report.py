@@ -8,10 +8,6 @@ baseline distortion comparison (Section IV-D / Figure 3). No wall-clock
 values enter the rendered output, so reports are bit-identical across
 reruns and worker counts; timings stay in ``run_log.json`` and the
 per-artifact ``seconds`` fields.
-
-It also renders :class:`repro.attacks.evaluation.RobustnessReport`
-records (per-attack timings + detector-cache stats) for the interactive
-evaluator harness, so the two robustness paths share one table style.
 """
 
 from __future__ import annotations
@@ -75,19 +71,16 @@ _WATERMARK_COLUMNS = (
 )
 
 
-def _format_cell(value: object, digits: int = 6) -> str:
+def _format_cell(value: object) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, float):
-        return f"{value:.{digits}g}"
+        return f"{value:.6g}"
     return str(value)
 
 
 def markdown_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str],
-    *,
-    digits: int = 6,
+    rows: Sequence[Mapping[str, object]], columns: Sequence[str]
 ) -> str:
     """Render rows as a GitHub-flavoured markdown table."""
     if not rows:
@@ -96,7 +89,7 @@ def markdown_table(
     rule = "| " + " | ".join("---" for _ in columns) + " |"
     body = [
         "| "
-        + " | ".join(_format_cell(row.get(column, ""), digits) for column in columns)
+        + " | ".join(_format_cell(row.get(column, "")) for column in columns)
         + " |"
         for row in rows
     ]
@@ -267,35 +260,9 @@ def write_report(
     return json_path, md_path
 
 
-# --------------------------------------------------------------------------- #
-# RobustnessEvaluator records (the interactive attack-suite harness)
-# --------------------------------------------------------------------------- #
-
-
-def render_evaluator_records(records: Sequence[Mapping[str, object]]) -> str:
-    """Markdown table for :meth:`RobustnessReport.records` rows.
-
-    The evaluator emits one row per attack family with its wall-clock
-    seconds and the shared detector-cache counters, so harness users see
-    where evaluation time goes and that detectors are constructed once.
-    """
-    return markdown_table(
-        records,
-        (
-            "attack_family",
-            "seconds",
-            "cache_hits",
-            "cache_misses",
-            "cache_hit_rate",
-        ),
-        digits=4,
-    )
-
-
 __all__ = [
     "build_report",
     "markdown_table",
-    "render_evaluator_records",
     "render_markdown",
     "write_report",
 ]

@@ -127,19 +127,16 @@ def run_embed_task(
     )
     copies = int(task.params["secrets"])  # type: ignore[arg-type]
     generator = WatermarkGenerator(config, rng=task_rng(seed, task.fingerprint))
-    results = generator.generate_many([histogram] * copies)
-    records: List[Dict[str, object]] = []
-    for result in results:
-        summary = result.summary()
-        summary.pop("generation_seconds", None)  # wall clock is not content
-        records.append(
+    return {
+        "results": [
             {
                 "watermarked_counts": result.watermarked_histogram.as_dict(),
                 "secret": result.secret.to_dict(),
-                "summary": summary,
+                "summary": result.summary(),
             }
-        )
-    return {"results": records}
+            for result in generator.generate_many([histogram] * copies)
+        ]
+    }
 
 
 _DESTROY_ATTACKS = {

@@ -13,10 +13,12 @@ that dispatched it.
 
 Three properties keep the tracer honest about its costs:
 
-* **off means off** — with the ``spans`` feature disabled,
-  :func:`span` returns one shared no-op context manager: no id
-  generation, no clock reads, no dict allocation. The hot batch paths
-  pay a single attribute check.
+* **off means off** — when no span would record (the ``spans``
+  feature is off, no parent context is passed and no recording span
+  encloses the call), :func:`span` returns one shared no-op context
+  manager: no id generation, no clock reads, no allocation. A span
+  opened inside a recording span records too, so a worker that records
+  a dispatched task also records the stages that task runs.
 * **bounded buffering** — finished spans land in a fixed-size ring
   buffer (:data:`SPAN_BUFFER_CAP`); overflow drops the *oldest* span
   and counts the loss instead of growing without bound. Worker
@@ -41,8 +43,7 @@ import os
 import threading
 import time
 import uuid
-from contextlib import contextmanager
-from typing import IO, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 
@@ -136,42 +137,97 @@ def _new_id(nbytes: int) -> str:
 
 
 class _NoopSpan:
-    """The shared do-nothing span handed out while tracing is disabled."""
+    """The shared do-nothing span handed out while no span would record.
+
+    It is its own context manager, so a ``with span(...)`` block that
+    records nothing allocates nothing.
+    """
 
     __slots__ = ()
 
+    #: Attributes set on this span are dropped; callers skip computing them.
+    recording = False
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *_exc_info: object) -> None:
+        return None
+
     def set_attribute(self, _name: str, _value: object) -> None:
-        """Ignore the attribute (tracing is off)."""
+        """Ignore the attribute (nothing records)."""
 
     @property
     def context(self) -> None:
-        """No context to propagate (tracing is off)."""
+        """No context to propagate (nothing records)."""
         return None
 
 
 _NOOP_SPAN = _NoopSpan()
 
+_CURRENT: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_obs_current_span", default=None
+)
+
 
 class ActiveSpan:
-    """One in-flight span: mutable attributes until the block exits."""
+    """One recording span: the context manager of its ``with`` block.
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name", "attrs", "_start", "_wall")
+    Attributes stay mutable until the block exits; the exit records the
+    finished span on its tracer.
+    """
+
+    __slots__ = (
+        "trace_id", "span_id", "parent_id", "name", "attrs",
+        "_tracer", "_token", "_start", "_wall",
+    )
+
+    #: Attributes set on this span are kept.
+    recording = True
 
     def __init__(
         self,
+        tracer: "Tracer",
         trace_id: str,
         span_id: str,
         parent_id: Optional[str],
         name: str,
         attrs: Dict[str, object],
     ) -> None:
+        self._tracer = tracer
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.attrs = attrs
-        self._start = time.perf_counter()
+
+    def __enter__(self) -> "ActiveSpan":
+        self._token = _CURRENT.set((self.trace_id, self.span_id))
         self._wall = time.time()
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, error_type: Optional[type], _error: object, _tb: object) -> None:
+        """Record the span; a raising block marks it ``status: "error"``."""
+        duration = time.perf_counter() - self._start
+        _CURRENT.reset(self._token)
+        status = "ok"
+        if error_type is not None:
+            status = "error"
+            self.attrs.setdefault("error_type", error_type.__name__)
+        record: Dict[str, object] = {
+            "trace": self.trace_id,
+            "span": self.span_id,
+            "parent": self.parent_id,
+            "name": self.name,
+            "start": round(self._wall, 6),
+            "duration": round(duration, 9),
+            "status": status,
+            "pid": os.getpid(),
+        }
+        if self.attrs:
+            record["attrs"] = self.attrs
+        self._tracer._record(record)
 
     def set_attribute(self, name: str, value: object) -> None:
         """Attach one structured attribute to the span."""
@@ -181,27 +237,6 @@ class ActiveSpan:
     def context(self) -> TraceContext:
         """This span's ``(trace_id, span_id)`` — inject it into children."""
         return (self.trace_id, self.span_id)
-
-    def finish(self, status: str) -> Dict[str, object]:
-        """The finished span as its JSON-serialisable dict form."""
-        record: Dict[str, object] = {
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "start": round(self._wall, 6),
-            "duration": round(time.perf_counter() - self._start, 9),
-            "status": status,
-            "pid": os.getpid(),
-        }
-        if self.attrs:
-            record["attrs"] = self.attrs
-        return record
-
-
-_CURRENT: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_obs_current_span", default=None
-)
 
 
 class Tracer:
@@ -233,51 +268,27 @@ class Tracer:
             self._sink_file = None
             self._pid = os.getpid()
 
-    @contextmanager
-    def span(
+    def start_span(
         self,
         name: str,
-        *,
-        parent: Optional[TraceContext] = None,
-        attributes: Optional[Dict[str, object]] = None,
-    ) -> Iterator[Union[ActiveSpan, _NoopSpan]]:
-        """Record one span around the enclosed block.
+        parent: Optional[TraceContext],
+        attributes: Optional[Dict[str, object]],
+    ) -> ActiveSpan:
+        """A recording span, parented by ``parent`` or the enclosing span.
 
-        With spans disabled *and* no explicit ``parent``, this is a
-        no-op (one shared inert object, nothing allocated). An explicit
-        ``parent`` — a :data:`TraceContext` shipped from another process
-        — forces recording even in a process that never enabled
-        telemetry itself: the dispatching parent asked for this trace,
-        so the worker records and ships the span back.
-
-        The block's exception (if any) marks the span ``status:
-        "error"`` with the exception type attached, then propagates.
+        Without either it starts a new trace. :func:`span` decides
+        whether to record; this only builds the span.
         """
-        if parent is None and not spans_active():
-            yield _NOOP_SPAN
-            return
         self._check_pid()
-        current = _CURRENT.get()
-        if parent is not None:
-            trace_id, parent_id = parent
-        elif current is not None:
-            trace_id, parent_id = current
-        else:
+        if parent is None:
+            parent = _CURRENT.get()
+        if parent is None:
             trace_id, parent_id = _new_id(16), None  # new root trace
-        active = ActiveSpan(
-            trace_id, _new_id(8), parent_id, name, dict(attributes or ())
+        else:
+            trace_id, parent_id = parent
+        return ActiveSpan(
+            self, trace_id, _new_id(8), parent_id, name, dict(attributes or ())
         )
-        token = _CURRENT.set(active.context)
-        status = "ok"
-        try:
-            yield active
-        except BaseException as error:
-            status = "error"
-            active.attrs.setdefault("error_type", type(error).__name__)
-            raise
-        finally:
-            _CURRENT.reset(token)
-            self._record(active.finish(status))
 
     def _record(self, record: Dict[str, object]) -> None:
         """Buffer one finished span (bounded) and append it to the sink.
@@ -374,14 +385,35 @@ def tracer() -> Tracer:
     return _TRACER
 
 
+def records(parent: Optional[TraceContext] = None) -> bool:
+    """Whether a span opened here records.
+
+    It does when the ``spans`` feature is on, when ``parent`` — a
+    :data:`TraceContext` shipped from another process — is given (the
+    dispatching parent asked for this trace, so a worker records even
+    without telemetry of its own), or when a recording span encloses
+    this one.
+    """
+    return parent is not None or _CURRENT.get() is not None or spans_active()
+
+
 def span(
     name: str,
     *,
     parent: Optional[TraceContext] = None,
     attributes: Optional[Dict[str, object]] = None,
-):
-    """Record a span on the process-wide tracer (see :meth:`Tracer.span`)."""
-    return _TRACER.span(name, parent=parent, attributes=attributes)
+) -> Union[ActiveSpan, _NoopSpan]:
+    """A span around the ``with`` block, on the process-wide tracer.
+
+    When no span would record (:func:`records`), this returns one shared
+    no-op object and allocates nothing; callers compute attributes only
+    ``if span.recording``. Otherwise the span is parented by ``parent``
+    or the enclosing span. A block that raises marks the span ``status:
+    "error"`` with the exception type attached, then propagates.
+    """
+    if not records(parent):
+        return _NOOP_SPAN
+    return _TRACER.start_span(name, parent, attributes)
 
 
 def current_context() -> Optional[TraceContext]:
@@ -402,6 +434,7 @@ __all__ = [
     "metrics_active",
     "parse_telemetry",
     "profile_active",
+    "records",
     "span",
     "spans_active",
     "tracer",

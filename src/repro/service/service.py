@@ -402,7 +402,9 @@ class DetectionService:
         Embedding is CPU-heavy (eligibility scan + selection) and has no
         cross-request state to coalesce when every request samples its
         own secret, so each request becomes one executor job — the event
-        loop (and the detection batcher) stays responsive throughout.
+        loop (and the detection batcher) stays responsive throughout. The
+        job runs in the request's context, so its ``core.generate`` span
+        nests under ``service.embed``.
         """
         if not self.running or self._closing:
             self.stats.failures += 1
@@ -410,9 +412,7 @@ class DetectionService:
                 request.request_id, "the detection service is not running"
             )
         try:
-            response = await asyncio.get_running_loop().run_in_executor(
-                None, self._embed_sync, request
-            )
+            response = await asyncio.to_thread(self._embed_sync, request)
         except ReproError as error:
             self.stats.failures += 1
             return EmbedResponse.failure(request.request_id, str(error))
@@ -461,7 +461,8 @@ class DetectionService:
         Vault mutations are chained ledger appends (and, for a
         persistent vault, file writes), so all three verbs serialise on
         one lock; attribution's vectorized screen runs in the executor
-        to keep the detection batcher responsive.
+        to keep the detection batcher responsive, in the request's
+        context so the ``dispute.*`` spans nest under the verb's span.
         """
         failure = type(request).__name__.replace("Request", "Response")
         failure_type = {
@@ -476,9 +477,7 @@ class DetectionService:
             )
         try:
             async with self._vault_lock:
-                return await asyncio.get_running_loop().run_in_executor(
-                    None, self._vault_sync, request
-                )
+                return await asyncio.to_thread(self._vault_sync, request)
         except ReproError as error:
             self.stats.failures += 1
             return failure_type.failure(request.request_id, str(error))

@@ -80,6 +80,7 @@ from repro.core.generator import WatermarkResult
 from repro.core.histogram import TokenHistogram, checked_counts
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import ConfigurationError, HistogramError, ServiceError
+from repro.obs.trace import span as trace_span
 
 #: Version of the wire protocol this module speaks. Version 1 is the
 #: pre-registry wire (detect/embed, no ``v`` field); version 2 added the
@@ -1175,9 +1176,10 @@ def encode_line(message: Any) -> str:
     to the message payload, so peers can apply the compatibility rule
     before interpreting any verb-specific field.
     """
-    payload = message.to_dict()
-    payload["v"] = PROTOCOL_VERSION
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    with trace_span("service.encode"):
+        payload = message.to_dict()
+        payload["v"] = PROTOCOL_VERSION
+        return json.dumps(payload, separators=(",", ":"), sort_keys=True)
 
 
 def decode_request(line: str) -> WireRequest:
@@ -1187,11 +1189,12 @@ def decode_request(line: str) -> WireRequest:
     ``v`` field is checked against :data:`PROTOCOL_VERSION` first.
     Every malformed line raises :class:`~repro.exceptions.ServiceError`.
     """
-    payload, operation = _parse(line, "request")
-    request_type = _REQUEST_TYPES.get(operation) if type(operation) is str else None
-    if request_type is None:
-        raise ServiceError(f"unknown request op {operation!r}")
-    return request_type.from_dict(payload)
+    with trace_span("service.decode"):
+        payload, operation = _parse(line, "request")
+        request_type = _REQUEST_TYPES.get(operation) if type(operation) is str else None
+        if request_type is None:
+            raise ServiceError(f"unknown request op {operation!r}")
+        return request_type.from_dict(payload)
 
 
 def decode_response(line: str) -> WireResponse:

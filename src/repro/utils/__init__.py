@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG handling, timing, validation."""
+"""Shared utilities: deterministic RNG handling and validation."""
 
 from repro.utils.rng import derive_rng, ensure_rng
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     require,
     require_in_range,
@@ -12,8 +11,6 @@ from repro.utils.validation import (
 __all__ = [
     "derive_rng",
     "ensure_rng",
-    "Stopwatch",
-    "timed",
     "require",
     "require_in_range",
     "require_non_empty",

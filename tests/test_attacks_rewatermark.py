@@ -7,6 +7,7 @@ import pytest
 from repro.attacks.evaluation import RobustnessEvaluator
 from repro.attacks.rewatermark import RewatermarkAttack
 from repro.core.config import DetectionConfig, GenerationConfig
+from repro.obs.trace import configure_telemetry, tracer
 
 
 @pytest.fixture(scope="module")
@@ -109,62 +110,53 @@ class TestRobustnessEvaluator:
         assert report.rewatermark.owner_on_attacker_data.accepted
 
     def test_report_emits_timings_and_cache_stats(self, skewed_histogram):
+        """Each family is timed by its span; the shared cache shows in them.
+
+        A ``core.detector_build`` span under a family is a detector that
+        family had to build, so the destroy families after ``sampling``
+        (which builds one detector per threshold) must show none.
+        """
         evaluator = RobustnessEvaluator(
             GenerationConfig(budget_percent=2.0, modulus_cap=61), rng=5
         )
-        report = evaluator.evaluate(
-            skewed_histogram,
-            sampling_fractions=(0.5,),
-            sampling_thresholds=(0, 4),
-            destroy_thresholds=(0, 4),
-            reordering_percents=(10,),
-            repetitions=1,
-        )
+        configure_telemetry("spans")
+        try:
+            evaluator.evaluate(
+                skewed_histogram,
+                sampling_fractions=(0.5,),
+                sampling_thresholds=(0, 4),
+                destroy_thresholds=(0, 4),
+                reordering_percents=(10,),
+                repetitions=1,
+            )
+            spans = tracer().drain()
+        finally:
+            configure_telemetry(None)
+            tracer().reset()
+        by_id = {span["span"]: span for span in spans}
+
+        def family_of(span):
+            while span is not None and not span["name"].startswith("robustness."):
+                span = by_id.get(span["parent"])
+            return None if span is None else span["name"]
+
         families = {
-            "sampling",
-            "destroy-no-attack",
-            "destroy-random-within-bounds",
-            "destroy-percentage-within-bounds",
-            "destroy-reordering",
-            "rewatermark",
+            span["name"] for span in spans if span["name"].startswith("robustness.")
         }
-        assert set(report.attack_seconds) == families
-        assert all(seconds >= 0.0 for seconds in report.attack_seconds.values())
-        assert set(report.attack_cache_deltas) == families
-        # The shared cache means later families run construction-free.
-        assert report.attack_cache_deltas["destroy-reordering"]["misses"] == 0
-        assert report.detector_cache is not None
-        assert report.detector_cache.hits > 0
-        records = report.records()
-        assert [row["attack_family"] for row in records] == [
-            "sampling",
-            "destroy-no-attack",
-            "destroy-random-within-bounds",
-            "destroy-percentage-within-bounds",
-            "destroy-reordering",
-            "rewatermark",
+        assert families == {
+            "robustness.sampling",
+            "robustness.destroy-no-attack",
+            "robustness.destroy-random-within-bounds",
+            "robustness.destroy-percentage-within-bounds",
+            "robustness.destroy-reordering",
+            "robustness.rewatermark",
+        }
+        builds = [
+            family_of(span) for span in spans if span["name"] == "core.detector_build"
         ]
-        total_misses = sum(row["cache_misses"] for row in records)
-        assert total_misses == report.detector_cache.misses
-
-    def test_records_render_as_markdown(self, skewed_histogram):
-        from repro.experiments.report import render_evaluator_records
-
-        evaluator = RobustnessEvaluator(
-            GenerationConfig(budget_percent=2.0, modulus_cap=61), rng=5
-        )
-        report = evaluator.evaluate(
-            skewed_histogram,
-            sampling_fractions=(0.5,),
-            sampling_thresholds=(0,),
-            destroy_thresholds=(0,),
-            reordering_percents=(10,),
-            repetitions=1,
-            include_rewatermark=False,
-        )
-        table = render_evaluator_records(report.records())
-        assert table.startswith("| attack_family |")
-        assert "destroy-reordering" in table
+        assert builds.count("robustness.sampling") == 2
+        for family in families - {"robustness.sampling", "robustness.rewatermark"}:
+            assert family not in builds
 
     def test_rewatermark_can_be_skipped(self, skewed_histogram):
         evaluator = RobustnessEvaluator(

@@ -77,6 +77,36 @@ class TestDetectionConfig:
         with pytest.raises(ConfigurationError):
             DetectionConfig(min_accepted_pairs=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"pair_threshold": 2**63},
+            {"pair_threshold": 2**70},
+            {"pair_threshold": 1.5},
+            {"pair_threshold": True},
+            {"min_accepted_pairs": 2.0},
+            {"min_accepted_pairs": True},
+            {"pair_threshold_fraction": "0.5"},
+            {"pair_threshold_fraction": True},
+            {"min_accepted_fraction": float("nan")},
+            {"min_accepted_fraction": None},
+            {"symmetric_tolerance": 1},
+        ],
+    )
+    def test_rejects_mistyped_fields(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            DetectionConfig(**kwargs)
+
+    def test_accepts_the_int64_threshold_bound(self):
+        assert DetectionConfig(pair_threshold=2**63 - 1).threshold_for(7) == 2**63 - 1
+
+    def test_fraction_threshold_is_clamped_to_its_modulus(self):
+        config = DetectionConfig(pair_threshold_fraction=1.0)
+        modulus = 2**63 - 1
+        assert config.threshold_for(modulus) == modulus
+        moduli = np.array([modulus, 131], dtype=np.int64)
+        assert config.thresholds_for(moduli).tolist() == [modulus, 131]
+
     def test_threshold_for_absolute(self):
         config = DetectionConfig(pair_threshold=4)
         assert config.threshold_for(100) == 4

@@ -194,6 +194,25 @@ class TestSpans:
         assert record["trace"] == "f" * 32
         assert record["parent"] == "a" * 16
 
+    def test_disabled_span_is_one_shared_object(self):
+        configure_telemetry(None)
+        assert span("a") is span("b", attributes={"ignored": 1})
+        assert span("a").recording is False
+
+    def test_spans_inside_a_recording_span_record_while_disabled(self):
+        # The worker-process contract, one level down: a task span forced
+        # by its shipped parent records the stage spans opened inside it.
+        configure_telemetry(None)
+        with span("task:remote", parent=("f" * 32, "a" * 16)):
+            with span("core.detect_pass") as inner:
+                assert inner.recording
+        inner_record, task_record = tracer().drain()
+        assert inner_record["parent"] == task_record["span"]
+        assert inner_record["trace"] == "f" * 32
+        with span("after") as after:
+            assert not after.recording
+        assert tracer().buffered == 0
+
     def test_ring_buffer_drops_oldest_and_counts_losses(self, monkeypatch):
         configure_telemetry("spans")
         monkeypatch.setattr(obs_trace, "SPAN_BUFFER_CAP", 3)
@@ -849,6 +868,29 @@ class TestRunTelemetryArtifacts:
         failures = check_telemetry.check_spans(tmp_path)
         assert any("orphan" in failure for failure in failures)
         assert any("experiment.run" in failure for failure in failures)
+        assert any("no core.generate span" in failure for failure in failures)
+        assert any("no core.detect_pass span" in failure for failure in failures)
+        # Stage spans present but one generate stage is missing, and the
+        # detect pass runs outside any task.
+        records = [
+            _span_record("g-mwm", "gen", "core.mwm"),
+            _span_record("g-elig", "gen", "core.eligibility"),
+            _span_record("gen", "task", "core.generate"),
+            _span_record("task", "root", "task:experiment.task"),
+            _span_record("pass", "root", "core.detect_pass"),
+            _span_record("root", None, "experiment.run"),
+        ]
+        stream.write_text(
+            "".join(json.dumps(record) + "\n" for record in records), encoding="utf-8"
+        )
+        failures = check_telemetry.check_spans(tmp_path)
+        assert failures == [
+            f"{stream}: a core.detect_pass span is not under a task span",
+            f"{stream}: core.generate holds stages ['core.mwm', 'core.eligibility'], "
+            "wanted ['core.histogram', 'core.eligibility', 'core.mwm', "
+            "'core.knapsack', 'core.modification', 'core.transform'] in order "
+            "(histogram and transform only for token input)",
+        ]
         summary = {"executed_total": 3, "bytes_sent": 100, "bytes_deduped": 0,
                    "shm_segments": 1}
         payload = {"features": ["metrics"], "run": summary, "metrics": {}}

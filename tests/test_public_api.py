@@ -69,7 +69,6 @@ PUBLIC_MODULES = [
     "repro.experiments.tasks",
     "repro.utils",
     "repro.utils.rng",
-    "repro.utils.timing",
     "repro.utils.validation",
     "repro.exceptions",
     "repro.cli",

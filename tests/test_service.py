@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import io
+import json
 
 import pytest
 
@@ -429,6 +430,25 @@ class TestRegistryAndWire:
             watermark.watermarked_histogram
         )
         assert response.required_pairs == direct.required_pairs
+
+    @pytest.mark.parametrize("threshold", [2**70, 1.5, True])
+    def test_malformed_config_is_a_typed_failure(self, watermark, threshold):
+        line = json.dumps(
+            {
+                "id": "cfg",
+                "counts": watermark.watermarked_histogram.as_dict(),
+                "secret": watermark.secret.to_dict(),
+                "config": {"pair_threshold": threshold},
+            }
+        )
+
+        async def run():
+            async with DetectionService() as service:
+                return await service.submit(decode_request(line))
+
+        response = asyncio.run(run())
+        assert not response.ok
+        assert "cfg' has a malformed config" in (response.error or "")
 
     def test_wire_failure_is_a_failure_response(self, watermark):
         async def run():

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rng import derive_rng, ensure_rng, random_bigint, sample_without_replacement
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     require,
     require_in_range,
@@ -55,23 +52,6 @@ class TestRng:
         assert len(set(sample.tolist())) == 10
         with pytest.raises(ValueError):
             sample_without_replacement(5, 3, 10)
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        stopwatch = Stopwatch()
-        with stopwatch.measure("stage"):
-            time.sleep(0.01)
-        with stopwatch.measure("stage"):
-            time.sleep(0.01)
-        assert stopwatch.elapsed("stage") >= 0.02
-        assert stopwatch.elapsed("missing") == 0.0
-        assert "stage" in stopwatch.as_dict()
-
-    def test_timed_returns_result_and_elapsed(self):
-        result, elapsed = timed(lambda x: x * 2, 21)
-        assert result == 42
-        assert elapsed >= 0.0
 
 
 class TestValidation:

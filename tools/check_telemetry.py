@@ -16,6 +16,10 @@ checker fails (exit 1) unless:
   documented schema (``docs/observability.md``), the stream stitches
   into **one** trace with **zero** orphans, and the tree is rooted at
   ``experiment.run`` with task spans beneath it;
+* the paper's stages are timed inside the tasks: the stream holds
+  ``core.generate`` spans (the embedding tasks) and ``core.detect_pass``
+  spans (the detection tasks), each under a ``task:`` span, and every
+  ``core.generate`` holds its stage spans in Algorithm I's order;
 * the Prometheus text (``--prometheus FILE``, optional) is valid
   exposition-format 0.0.4: every sample parses, every metric is
   ``# TYPE``-declared before its samples, all names carry the
@@ -45,6 +49,19 @@ from repro.obs.trace import TELEMETRY_FEATURES  # noqa: E402
 
 #: Keys every span record must carry (see docs/observability.md).
 SPAN_KEYS = ("trace", "span", "parent", "name", "start", "duration", "status", "pid")
+
+#: The stage spans of ``core.generate`` in order. Every run has the
+#: required ones; histogram input (what an experiment embeds) has no
+#: ``core.histogram`` or ``core.transform`` stage.
+GENERATE_STAGES = (
+    "core.histogram",
+    "core.eligibility",
+    "core.mwm",
+    "core.knapsack",
+    "core.modification",
+    "core.transform",
+)
+REQUIRED_STAGES = GENERATE_STAGES[1:-1]
 
 #: Scheduler counters both the run summary and ``views.scheduler`` carry.
 RUN_SCHEDULER_KEYS = ("bytes_sent", "bytes_deduped", "shm_segments")
@@ -137,6 +154,42 @@ def check_spans(run_dir: Path) -> List[str]:
         failures.append(f"{path}: no experiment.run root span")
     if not any(str(span["name"]).startswith("task:") for span in spans):
         failures.append(f"{path}: no task spans recorded")
+    return failures + _check_stage_spans(path, spans)
+
+
+def _check_stage_spans(path: Path, spans: List[dict]) -> List[str]:
+    """Failures for the paper-stage spans the run's tasks must record."""
+    by_id = {span.get("span"): span for span in spans}
+
+    def under_task(span: dict) -> bool:
+        parent = by_id.get(span.get("parent"))
+        while parent is not None:
+            if str(parent.get("name")).startswith("task:"):
+                return True
+            parent = by_id.get(parent.get("parent"))
+        return False
+
+    failures: List[str] = []
+    for name in ("core.generate", "core.detect_pass"):
+        found = [span for span in spans if span.get("name") == name]
+        if not found:
+            failures.append(f"{path}: no {name} span recorded")
+        elif not all(under_task(span) for span in found):
+            failures.append(f"{path}: a {name} span is not under a task span")
+    for generate in (span for span in spans if span.get("name") == "core.generate"):
+        # Spans are written as they finish, so sequential stages keep
+        # their order in the stream.
+        stages = [
+            str(span.get("name")) for span in spans
+            if span.get("parent") == generate.get("span")
+        ]
+        in_order = [name for name in GENERATE_STAGES if name in stages]
+        if stages != in_order or not set(REQUIRED_STAGES) <= set(stages):
+            failures.append(
+                f"{path}: core.generate holds stages {stages}, wanted "
+                f"{list(GENERATE_STAGES)} in order (histogram and transform "
+                "only for token input)"
+            )
     return failures
 
 
