@@ -21,8 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.similarity import available_metrics
 from repro.exceptions import ConfigurationError
-from repro.utils.validation import require, require_in_range, require_positive
+from repro.utils.validation import require, require_in_range
 
 #: Default modulus cap used throughout the paper's real-data validation.
 DEFAULT_MODULUS_CAP = 131
@@ -41,13 +42,32 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is an ``int`` or ``float`` (a ``bool`` is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_fraction(name: str, value: object) -> None:
     """Require a real number (not a ``bool``) in ``[0, 1]``."""
     require(
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and 0.0 <= value <= 1.0,
+        _is_real(value) and 0.0 <= value <= 1.0,  # type: ignore[operator]
         f"{name} must be a real number in [0.0, 1.0], got {value!r}",
+    )
+
+
+def _require_count(name: str, value: object) -> None:
+    """Require an ``int`` (not a ``bool``) of at least 1."""
+    require(
+        _is_int(value) and value >= 1,  # type: ignore[operator]
+        f"{name} must be an integer >= 1, got {value!r}",
+    )
+
+
+def _require_choice(name: str, value: object, choices: Sequence[str]) -> None:
+    """Require a string naming one of ``choices`` (case-insensitive)."""
+    require(
+        isinstance(value, str) and value.lower() in choices,
+        f"{name} must be one of {'/'.join(choices)}, got {value!r}",
     )
 
 
@@ -65,14 +85,16 @@ class GenerationConfig:
     strategy:
         Pair-selection strategy: ``"optimal"``, ``"greedy"`` or ``"random"``.
     metric:
-        Similarity metric used for the budget (default cosine).
+        Similarity metric used for the budget (default cosine; one of
+        :func:`~repro.core.similarity.available_metrics`).
     secret_bits:
         Entropy of the high-entropy secret ``R``.
     max_candidates:
         Optional cap on the tokens scanned for eligible pairs (keeps the
         quadratic candidate enumeration bounded for very wide histograms).
     excluded_tokens:
-        Tokens whose frequency must not be touched (paper footnote 3).
+        Tokens whose frequency must not be touched (paper footnote 3): a
+        list or tuple of strings, kept as a tuple.
     require_modification:
         Hardening extension beyond the paper: exclude pairs that are
         already aligned (zero remainder) in the original data, so every
@@ -99,22 +121,37 @@ class GenerationConfig:
     max_pairs: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # Each field's type is checked: configs arrive from the wire and
+        # from spec files, and a mistyped one must fail here, typed.
+        require(
+            _is_real(self.budget_percent),
+            f"budget_percent (b) must be a real number, got {self.budget_percent!r}",
+        )
         require_in_range("budget_percent (b)", self.budget_percent, 0.0, 100.0)
         require(
-            isinstance(self.modulus_cap, int)
-            and 2 <= self.modulus_cap <= MAX_MODULUS_CAP,
+            _is_int(self.modulus_cap) and 2 <= self.modulus_cap <= MAX_MODULUS_CAP,
             f"modulus_cap (z) must be an integer in [2, 2**63 - 1], "
             f"got {self.modulus_cap!r}",
         )
-        require_positive("secret_bits", self.secret_bits)
+        _require_count("secret_bits", self.secret_bits)
         if self.max_candidates is not None:
-            require_positive("max_candidates", self.max_candidates)
+            _require_count("max_candidates", self.max_candidates)
         if self.max_pairs is not None:
-            require_positive("max_pairs", self.max_pairs)
+            _require_count("max_pairs", self.max_pairs)
+        _require_choice("strategy", self.strategy, ("optimal", "greedy", "random"))
+        _require_choice("metric", self.metric, available_metrics())
         require(
-            self.strategy.lower() in {"optimal", "greedy", "random"},
-            f"strategy must be one of optimal/greedy/random, got {self.strategy!r}",
+            isinstance(self.excluded_tokens, (list, tuple))
+            and all(isinstance(token, str) for token in self.excluded_tokens),
+            "excluded_tokens must be a list or tuple of strings, "
+            f"got {self.excluded_tokens!r}",
         )
+        require(
+            isinstance(self.require_modification, bool),
+            f"require_modification must be a bool, got {self.require_modification!r}",
+        )
+        # A JSON list arrives as a list; the config stays hashable.
+        object.__setattr__(self, "excluded_tokens", tuple(self.excluded_tokens))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import math
 import pickle
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,46 +56,36 @@ class TokenCounts(dict):
 
     Keys are canonical token strings and every count is a positive
     integer within ``int64``. :func:`checked_counts` returns an instance
-    unchanged, so a mapping checked once (at wire decode) is not checked
-    again by the detector it is handed to. Treat it as read-only.
+    unchanged, so a mapping checked once (at wire decode, by
+    :func:`checked_arrays`) is not checked again by the detector it is
+    handed to. Treat it as read-only.
     """
 
     __slots__ = ()
 
 
-def checked_counts(counts: Mapping[TokenValue, int]) -> TokenCounts:
-    """Check a token->count mapping the way every histogram input is checked.
+def _positive_int64(counts: Iterable[int], size: int) -> bool:
+    """Whether ``size`` exact-``int`` counts all lie in ``[1, 2**63 - 1]``.
 
-    Keys are canonicalised with :func:`~repro.core.tokens.canonical_token`
-    and the counts of keys that canonicalise to one token are summed.
-    Counts must be integers (an integral float counts as one) and
-    non-negative; zero counts are dropped, and at least one occurrence
-    must remain. Counts outside ``int64`` (also after summing) are
-    rejected whichever token carries them.
-
-    A plain mapping of ``str`` keys to positive ``int`` counts (what the
-    wire decodes) is checked by a few C-speed passes; anything else walks
-    the entries one by one.
-
-    Raises
-    ------
-    HistogramError
-        On the first entry that breaks a rule, naming its token, or when
-        no occurrence remains.
+    One C-speed pass; ``False`` (not an error) sends the caller to the
+    per-entry walk, which names the offending token.
     """
-    if type(counts) is TokenCounts:
-        return counts
-    if _STR_ONLY.issuperset(map(type, counts)) and _INT_ONLY.issuperset(
-        map(type, counts.values())
-    ):
-        try:
-            values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        except OverflowError:
-            values = None
-        if values is not None and values.size and values.min() > 0:
-            return TokenCounts(counts)
+    try:
+        values = np.fromiter(counts, dtype=np.int64, count=size)
+    except OverflowError:
+        return False
+    return values.size > 0 and bool(values.min() > 0)
+
+
+def _summed(entries: Iterable[Tuple[TokenValue, object]]) -> TokenCounts:
+    """Check ``(token, count)`` entries one by one (the slow path).
+
+    Keys are canonicalised and the counts of keys that canonicalise to
+    one token are summed; an integral float counts as an integer; zero
+    counts are dropped, and at least one occurrence must remain.
+    """
     cleaned = TokenCounts()
-    for token, count in counts.items():
+    for token, count in entries:
         if not isinstance(count, int) or isinstance(count, bool):
             if isinstance(count, float) and count.is_integer():
                 count = int(count)
@@ -118,6 +108,66 @@ def checked_counts(counts: Mapping[TokenValue, int]) -> TokenCounts:
     if not cleaned:
         raise HistogramError("cannot build a histogram with no token occurrences")
     return cleaned
+
+
+def checked_counts(counts: Mapping[TokenValue, int]) -> TokenCounts:
+    """Check a token->count mapping the way every histogram input is checked.
+
+    Keys are canonicalised with :func:`~repro.core.tokens.canonical_token`
+    and the counts of keys that canonicalise to one token are summed.
+    Counts must be integers (an integral float counts as one) and
+    non-negative; zero counts are dropped, and at least one occurrence
+    must remain. Counts outside ``int64`` (also after summing) are
+    rejected whichever token carries them.
+
+    A :class:`TokenCounts` is returned unchanged. A plain mapping of
+    ``str`` keys to positive ``int`` counts is checked by a few C-speed
+    passes; anything else walks the entries one by one.
+
+    Raises
+    ------
+    HistogramError
+        On the first entry that breaks a rule, naming its token, or when
+        no occurrence remains.
+    """
+    if type(counts) is TokenCounts:
+        return counts
+    if (
+        _STR_ONLY.issuperset(map(type, counts))
+        and _INT_ONLY.issuperset(map(type, counts.values()))
+        and _positive_int64(counts.values(), len(counts))
+    ):
+        return TokenCounts(counts)
+    return _summed(counts.items())
+
+
+def checked_arrays(tokens: Sequence[object], counts: Sequence[object]) -> TokenCounts:
+    """Check the two-array form of a token->count mapping.
+
+    ``tokens[i]`` occurs ``counts[i]`` times: the form the service wire
+    carries. Stricter than :func:`checked_counts`, as befits outside
+    input: the arrays must have equal lengths, every token must be a
+    ``str`` and every count an ``int`` (no ``bool``, no float). C-speed
+    passes check the types and the ``[1, 2**63 - 1]`` range and build
+    the mapping; zeros, repeated tokens (their counts sum) and
+    out-of-range counts take the per-entry walk.
+
+    Raises
+    ------
+    HistogramError
+        When a rule is broken, or when no occurrence remains.
+    """
+    if len(tokens) != len(counts):
+        raise HistogramError(f"{len(tokens)} tokens but {len(counts)} counts")
+    if not _STR_ONLY.issuperset(map(type, tokens)):
+        raise HistogramError("every token must be a string")
+    if not _INT_ONLY.issuperset(map(type, counts)):
+        raise HistogramError("every count must be an integer")
+    if _positive_int64(counts, len(counts)):
+        checked = TokenCounts(zip(tokens, counts))
+        if len(checked) == len(tokens):
+            return checked
+    return _summed(zip(tokens, counts))
 
 
 def apply_deltas(
@@ -476,6 +526,7 @@ __all__ = [
     "TokenBoundaries",
     "TokenCounts",
     "TokenHistogram",
+    "checked_arrays",
     "checked_counts",
     "pairwise_rank_gaps",
 ]

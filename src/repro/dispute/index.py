@@ -24,8 +24,12 @@ paths cannot diverge) decides every posting at once; a bucket-hit
 scatter-add then yields each secret's exact accepted-pair count, and the
 candidate set is the rows whose count reaches their
 :meth:`~repro.core.config.DetectionConfig.required_pairs` quota. The
-leaked copy is read only at the index's tokens, so a token->count
-mapping is screened without building a histogram.
+leaked copy is read at its own tokens: each one is looked up in the
+index vocabulary once and its count scattered into a vocabulary-length
+frequency array, so a screen costs time proportional to the leaked
+copy (which decoding it already paid for), not to the vault's
+vocabulary, and a token->count mapping is screened without building a
+histogram.
 
 **Layout.** The index lives in one screening form, growable arrays
 that registration extends in place: per bucket its two token ids (into
@@ -47,18 +51,19 @@ the registry runs on the candidate set only re-derives the rankings.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.core.config import DetectionConfig
 from repro.core.detector import (
+    SuspectCounts,
     SuspectData,
-    gather_counts,
     suspect_counts,
     verify_pair_arrays,
 )
+from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, DisputeError
 
@@ -264,14 +269,34 @@ class CandidateIndex:
     # Screening
     # ------------------------------------------------------------------ #
 
+    def _frequencies(self, counts: SuspectCounts) -> np.ndarray:
+        """The leaked copy's count of each index token (``0`` where absent).
+
+        The copy is read at its own tokens: one vocabulary lookup per
+        token, and the counts of those the index knows are scattered to
+        their token ids. Its tokens are distinct, so every slot is
+        written at most once.
+        """
+        if isinstance(counts, TokenHistogram):
+            values = counts.counts_array()
+        else:
+            values = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        ids = np.fromiter(
+            map(self._token_ids.get, counts, repeat(-1)), dtype=np.int64, count=len(values)
+        )
+        known = ids >= 0
+        frequencies = np.zeros(len(self._tokens), dtype=np.int64)
+        frequencies[ids[known]] = values[known]
+        return frequencies
+
     def screen(
         self, data: SuspectData, detection: DetectionConfig
     ) -> CandidateScreen:
         """One vectorized bucket pass: which rows *could* the full pass accept.
 
         The leaked copy (any :data:`~repro.core.detector.SuspectData`;
-        a token->count mapping is read only at the index vocabulary) is
-        gathered once per distinct token of the index, the acceptance
+        a token->count mapping is checked, never sorted) is read at its
+        own tokens into one count per index token, the acceptance
         rule runs once per distinct bucket (via the shared
         :func:`~repro.core.detector.verify_pair_arrays`), and a
         ``np.bincount`` over the postings of accepted buckets turns them
@@ -293,7 +318,7 @@ class CandidateIndex:
         if self._removed:
             self._rebuild()
         buckets = len(self._bucket_ids)
-        frequencies = gather_counts(suspect_counts(data), self._tokens)
+        frequencies = self._frequencies(suspect_counts(data))
         first = frequencies[self._first_ids[:buckets]]
         second = frequencies[self._second_ids[:buckets]]
         moduli = self._moduli[:buckets]

@@ -14,7 +14,9 @@ to out-of-process clients, both speaking the
 Requests are answered as their coalesced batches complete, so responses
 can arrive out of order; clients must match on the echoed ``id``. A
 malformed line never kills the transport — it is answered with a
-failure response carrying the best-effort request id.
+failure response carrying the best-effort request id. Each line is
+answered inside one ``service.request`` span, the root of its decode,
+verb and response-encode spans.
 """
 
 from __future__ import annotations
@@ -25,24 +27,32 @@ from pathlib import Path
 from typing import IO, Optional, Union
 
 from repro.exceptions import ReproError
+from repro.obs.trace import span as trace_span
 from repro.service.service import DetectionService
 from repro.service.wire import (
     MAX_LINE_BYTES,
-    WireResponse,
     decode_request,
     encode_line,
     failure_for_line,
 )
 
 
-async def _respond(service: DetectionService, line: str) -> WireResponse:
-    """Decode and answer one request line (never raises for bad input)."""
-    try:
-        request = decode_request(line)
-    except ReproError as error:
-        service.stats.failures += 1
-        return failure_for_line(line, error)
-    return await service.submit(request)
+async def _answer(service: DetectionService, line: str) -> str:
+    """Decode, answer and encode one request line (never raises for bad input).
+
+    One ``service.request`` span covers the three steps, so a request's
+    ``service.decode``, ``service.<verb>`` and ``service.encode`` share
+    its trace.
+    """
+    with trace_span("service.request"):
+        try:
+            request = decode_request(line)
+        except ReproError as error:
+            service.stats.failures += 1
+            response = failure_for_line(line, error)
+        else:
+            response = await service.submit(request)
+        return encode_line(response)
 
 
 async def serve_stdio(
@@ -67,9 +77,9 @@ async def serve_stdio(
     tasks: set = set()
 
     async def handle(line: str) -> None:
-        response = await _respond(service, line)
+        answer = await _answer(service, line)
         async with write_lock:
-            writer.write(encode_line(response) + "\n")
+            writer.write(answer + "\n")
             writer.flush()
 
     served = 0
@@ -116,9 +126,9 @@ async def serve_unix(
         tasks: set = set()
 
         async def handle(line: str) -> None:
-            response = await _respond(service, line)
+            answer = await _answer(service, line)
             async with write_lock:
-                conn_writer.write((encode_line(response) + "\n").encode("utf-8"))
+                conn_writer.write((answer + "\n").encode("utf-8"))
                 await conn_writer.drain()
 
         try:

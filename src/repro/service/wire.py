@@ -57,12 +57,21 @@ declarations for all sixteen classes. Decoding checks every field's JSON
 type, so a malformed line of any verb fails with a
 :class:`~repro.exceptions.ServiceError` naming the offending field.
 
+A dataset's ``counts`` travel as two arrays, ``{"tokens": [...],
+"counts": [...]}``, and are checked once, when the line is decoded
+(:func:`~repro.core.histogram.checked_arrays`): the request then holds a
+:class:`~repro.core.histogram.TokenCounts` that no later layer checks
+again.
+
 Every line :func:`encode_line` produces also carries the protocol
 version as ``v`` (an absent ``v`` means version 1, the pre-registry
 wire). The compatibility rule: a peer accepts any line whose version is
-*at most* its own :data:`PROTOCOL_VERSION` — fields are only ever added,
-and decoders ignore unknown fields — and rejects higher versions with
-the error envelope rather than guessing at semantics it does not know.
+*at most* its own :data:`PROTOCOL_VERSION` — decoders ignore unknown
+fields — and rejects higher versions with the error envelope rather
+than guessing at semantics it does not know. Fields were only ever
+added, with one exception: version 5 replaced the token→count object
+form of ``counts`` with the two arrays, and a ``counts`` object of the
+old form is refused at any ``v``.
 The field-by-field schema per verb is documented in ``docs/service.md``.
 """
 
@@ -72,12 +81,23 @@ import dataclasses
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.config import DetectionConfig, GenerationConfig
 from repro.core.detector import DetectionResult, SuspectData
 from repro.core.generator import WatermarkResult
-from repro.core.histogram import TokenHistogram, checked_counts
+from repro.core.histogram import TokenCounts, TokenHistogram, checked_arrays, checked_counts
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import ConfigurationError, HistogramError, ServiceError
 from repro.obs.trace import span as trace_span
@@ -88,10 +108,12 @@ from repro.obs.trace import span as trace_span
 #: itself; version 3 added the scheduler's ``task``/``result`` verbs.
 #: Version 4 adds the data plane: length-prefixed binary frames after a
 #: line (the ``frames`` field lists their sizes), the ``blob`` /
-#: ``blob-request`` verbs, and ``blob_refs`` on task lines. Peers accept
-#: lines with ``v`` at most their own version (absent means 1) and
-#: reject higher ones — see the module docstring.
-PROTOCOL_VERSION = 4
+#: ``blob-request`` verbs, and ``blob_refs`` on task lines. Version 5
+#: sends ``counts`` as two arrays, ``{"tokens": [...], "counts": [...]}``,
+#: instead of a token→count object, which is no longer read. Peers
+#: accept lines with ``v`` at most their own version (absent means 1)
+#: and reject higher ones — see the module docstring.
+PROTOCOL_VERSION = 5
 
 #: ``function`` value marking a task request as a liveness probe.
 HEARTBEAT_FUNCTION = "__heartbeat__"
@@ -150,7 +172,9 @@ class _Kind(NamedTuple):
 
     ``decode`` maps a JSON value to the attribute value, raising
     ``TypeError`` / ``ValueError`` when the value has the wrong shape;
-    ``expects`` completes the resulting error ("must be ...");
+    ``expects`` completes the resulting error ("must be ..."). The
+    counts kind raises :class:`~repro.exceptions.HistogramError` instead,
+    naming what broke ("has malformed counts: ...");
     ``encode`` maps the attribute back to its JSON form.
     """
 
@@ -196,20 +220,31 @@ def _number(value: Any) -> float:
     return float(value)
 
 
-_INT_ONLY = frozenset({int})
 _STR_ONLY = frozenset({str})
+_COUNTS_KEYS = frozenset({"tokens", "counts"})
 
 
-def _counts(value: Any) -> Dict[str, int]:
-    """A token→count object, checked in one pass and kept as decoded.
+def _counts(value: Any) -> TokenCounts:
+    """A ``{"tokens": [...], "counts": [...]}`` object, checked once.
 
-    Strict: a float count would be silently truncated downstream and
-    the verdict computed on an altered histogram. JSON object keys are
-    always strings, so only the values need a look.
+    :func:`~repro.core.histogram.checked_arrays` runs the only check a
+    counts field gets; the :class:`~repro.core.histogram.TokenCounts` it
+    returns passes every later ``checked_counts`` unchanged. Strict: a
+    float count would be silently truncated downstream and the verdict
+    computed on an altered histogram. Raises
+    :class:`~repro.exceptions.HistogramError` naming what broke.
     """
-    if type(value) is not dict or not _INT_ONLY.issuperset(map(type, value.values())):
-        raise ValueError(value)
-    return value
+    if type(value) is not dict or value.keys() != _COUNTS_KEYS:
+        raise HistogramError('expected an object of exactly "tokens" and "counts"')
+    tokens, counts = value["tokens"], value["counts"]
+    if type(tokens) is not list or type(counts) is not list:
+        raise HistogramError('"tokens" and "counts" must be lists')
+    return checked_arrays(tokens, counts)
+
+
+def _count_arrays(counts: Mapping[str, int]) -> Dict[str, List[Any]]:
+    """Invert :func:`_counts`: the tokens and their counts, in insertion order."""
+    return {"tokens": list(counts), "counts": list(counts.values())}
 
 
 def _strings(value: Any) -> Tuple[str, ...]:
@@ -276,7 +311,7 @@ COUNT = _Kind("a non-negative integer", _natural)
 FLAG = _Kind("a boolean", _exactly(bool))
 NUMBER = _Kind("a number", _number)
 OBJECT = _Kind("an object", _object)
-COUNTS = _Kind("an object of integer counts", _counts)
+COUNTS = _Kind('a {"tokens": [...], "counts": [...]} object', _counts, _count_arrays)
 STRINGS = _Kind("a list of strings", _strings, list)
 DIGESTS = _Kind("a list of digests", _digests, list)
 FRAMES = _Kind("a list of frame byte counts", _frame_sizes, list)
@@ -423,7 +458,8 @@ class _Message:
 
         Unknown keys are ignored (the compatibility rule); a missing
         required field or a value of the wrong JSON type raises
-        :class:`~repro.exceptions.ServiceError` naming the field.
+        :class:`~repro.exceptions.ServiceError` naming the field, and
+        counts that fail their check raise it as ``malformed counts``.
         """
         if type(payload) is not dict:
             raise ServiceError(f"{cls.__name__} payload must be a JSON object")
@@ -444,6 +480,10 @@ class _Message:
                     raise ServiceError(
                         f"{_label(cls, payload.get('id'))} field {spec.key!r} must be "
                         f"{spec.kind.expects}"
+                    ) from None
+                except HistogramError as exc:
+                    raise ServiceError(
+                        f"{_label(cls, payload.get('id'))} has malformed {spec.key}: {exc}"
                     ) from None
         return cls(**values)
 
@@ -473,20 +513,19 @@ def _check_dataset(message: Any, config_keys: frozenset) -> None:
             raise ServiceError(f"{label} has unknown config keys: {sorted(unknown)}")
 
 
-def _dataset(message: Any, read_counts: Callable[[Dict[str, int]], Any]) -> Any:
-    """The request's dataset: ``read_counts(counts)``, else the tokens.
+def _checked(message: Any) -> TokenCounts:
+    """The request's ``counts``, through :func:`~repro.core.histogram.checked_counts`.
 
-    A malformed ``counts`` object fails here, at decode, as a
-    ``malformed counts`` :class:`~repro.exceptions.ServiceError`.
+    Counts decoded from a line were checked there and pass through; a
+    mapping given in Python is checked now, and a malformed one fails as
+    a ``malformed counts`` :class:`~repro.exceptions.ServiceError`.
     """
-    if message.counts is not None:
-        try:
-            return read_counts(message.counts)
-        except (HistogramError, TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"{_label(type(message), message.request_id)} has malformed counts: {exc}"
-            ) from exc
-    return list(message.tokens or ())
+    try:
+        return checked_counts(message.counts)
+    except HistogramError as exc:
+        raise ServiceError(
+            f"{_label(type(message), message.request_id)} has malformed counts: {exc}"
+        ) from exc
 
 
 class _Screening:
@@ -495,12 +534,13 @@ class _Screening:
     def suspect(self) -> SuspectData:
         """The suspected dataset as detector input.
 
-        ``counts`` come back checked
-        (:func:`~repro.core.histogram.checked_counts`) but not sorted
-        into a histogram: detection reads them only at the secret's
-        tokens.
+        ``counts`` come back checked but not sorted into a histogram:
+        detection reads them only at the secret's tokens, and
+        attribution only at the leaked copy's own tokens.
         """
-        return _dataset(self, checked_counts)
+        if self.counts is None:
+            return list(self.tokens or ())
+        return _checked(self)
 
     def detection_config(self) -> Optional[DetectionConfig]:
         """The per-request threshold overrides, decoded — None when absent."""
@@ -527,8 +567,10 @@ class DetectRequest(_Screening, _Message):
         exclusive with ``counts``.
     counts:
         The suspected dataset as a token→frequency mapping (compact
-        form). It is checked at decode and read only at the secret's
-        tokens; counts must fit ``int64``.
+        form), sent as two arrays in the mapping's order. A decoded
+        line's counts are checked once, at decode, and read only at the
+        secret's tokens; counts must be positive (zeros are dropped,
+        repeated tokens sum) and fit ``int64``.
     secret:
         Inline secret payload (:meth:`WatermarkSecret.to_dict` shape).
         Mutually exclusive with ``secret_fingerprint``.
@@ -541,7 +583,7 @@ class DetectRequest(_Screening, _Message):
     """
 
     tokens: Optional[Tuple[str, ...]] = _wire(STRINGS, _if_set, default=None)
-    counts: Optional[Dict[str, int]] = _wire(COUNTS, _if_set, default=None)
+    counts: Optional[Mapping[str, int]] = _wire(COUNTS, _if_set, default=None)
     secret: Optional[Dict[str, object]] = _wire(OBJECT, _if_set, default=None)
     secret_fingerprint: Optional[str] = _wire(TEXT, _if_set, default=None)
     config: Optional[Dict[str, object]] = _wire(OBJECT, _if_set, default=None)
@@ -630,8 +672,9 @@ class EmbedRequest(_Message):
         The dataset to watermark as a raw token sequence. Mutually
         exclusive with ``counts``; required when ``return_tokens``.
     counts:
-        The dataset as a token→frequency histogram (histogram-only
-        embedding: the caller applies the frequency changes itself).
+        The dataset as a token→frequency mapping, sent as two arrays
+        like a detect request's (histogram-only embedding: the caller
+        applies the frequency changes itself).
     config:
         Optional generation-parameter overrides
         (:class:`~repro.core.config.GenerationConfig` keyword arguments).
@@ -653,7 +696,7 @@ class EmbedRequest(_Message):
     OP = "embed"
 
     tokens: Optional[Tuple[str, ...]] = _wire(STRINGS, _if_set, default=None)
-    counts: Optional[Dict[str, int]] = _wire(COUNTS, _if_set, default=None)
+    counts: Optional[Mapping[str, int]] = _wire(COUNTS, _if_set, default=None)
     config: Optional[Dict[str, object]] = _wire(OBJECT, _if_set, default=None)
     seed: Optional[int] = _wire(INTEGER, _if_set, default=None)
     secret_value: Optional[int] = _wire(DECIMAL, _if_set, default=None)
@@ -670,19 +713,20 @@ class EmbedRequest(_Message):
 
     def data(self) -> Union[List[str], TokenHistogram]:
         """The dataset as generator input."""
-        return _dataset(self, TokenHistogram.from_counts)
+        if self.counts is None:
+            return list(self.tokens or ())
+        return TokenHistogram.from_counts(_checked(self))
 
     def generation_config(self) -> GenerationConfig:
-        """The generation parameters, decoded (defaults when absent)."""
+        """The generation parameters, decoded (defaults when absent).
+
+        :class:`~repro.core.config.GenerationConfig` checks each field's
+        type, so a mistyped one fails as ``malformed config``.
+        """
         if self.config is None:
             return GenerationConfig()
-        arguments = dict(self.config)
         try:
-            if "excluded_tokens" in arguments:
-                arguments["excluded_tokens"] = tuple(
-                    str(token) for token in arguments["excluded_tokens"]  # type: ignore[union-attr]
-                )
-            return GenerationConfig(**arguments)  # type: ignore[arg-type]
+            return GenerationConfig(**self.config)  # type: ignore[arg-type]
         except (ConfigurationError, TypeError) as exc:
             raise ServiceError(
                 f"embed request {self.request_id!r} has a malformed config: {exc}"
@@ -702,7 +746,7 @@ class EmbedResponse(_Reply):
     OP = "embed"
 
     ok: bool = _wire(FLAG)
-    counts: Dict[str, int] = _wire(COUNTS, _on_success, default_factory=dict)
+    counts: Mapping[str, int] = _wire(COUNTS, _on_success, default_factory=dict)
     tokens: Optional[Tuple[str, ...]] = _wire(
         STRINGS, _both(_on_success, _if_set), default=None
     )
@@ -845,7 +889,7 @@ class AttributeRequest(_Screening, _Message):
     OP = "attribute"
 
     tokens: Optional[Tuple[str, ...]] = _wire(STRINGS, _if_set, default=None)
-    counts: Optional[Dict[str, int]] = _wire(COUNTS, _if_set, default=None)
+    counts: Optional[Mapping[str, int]] = _wire(COUNTS, _if_set, default=None)
     config: Optional[Dict[str, object]] = _wire(OBJECT, _if_set, default=None)
 
     def __post_init__(self) -> None:

@@ -55,6 +55,44 @@ class TestGenerationConfig:
         config = GenerationConfig(excluded_tokens=("top-url",))
         assert "top-url" in config.excluded_tokens
 
+    def test_excluded_tokens_become_a_tuple(self):
+        config = GenerationConfig(excluded_tokens=["a", "b"])
+        assert config.excluded_tokens == ("a", "b")
+        assert hash(config) == hash(GenerationConfig(excluded_tokens=("a", "b")))
+
+    def test_names_are_case_insensitive(self):
+        config = GenerationConfig(strategy="Greedy", metric="L1")
+        assert (config.strategy, config.metric) == ("Greedy", "L1")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"strategy": 5},
+            {"strategy": None},
+            {"metric": 5},
+            {"metric": "hamming"},
+            {"require_modification": "yes"},
+            {"require_modification": 1},
+            {"budget_percent": True},
+            {"budget_percent": "2"},
+            {"budget_percent": None},
+            {"modulus_cap": 131.0},
+            {"secret_bits": 1.5},
+            {"secret_bits": True},
+            {"max_candidates": 2.5},
+            {"max_candidates": True},
+            {"max_pairs": True},
+            {"max_pairs": "3"},
+            {"excluded_tokens": "t001"},
+            {"excluded_tokens": [1, None]},
+            {"excluded_tokens": {"a"}},
+            {"excluded_tokens": None},
+        ],
+    )
+    def test_rejects_mistyped_fields(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            GenerationConfig(**kwargs)
+
 
 class TestDetectionConfig:
     def test_defaults(self):

@@ -9,6 +9,8 @@ semantics, and the empty / single-secret edges.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.batch import detect_many_secrets
 from repro.core.config import DetectionConfig
-from repro.core.histogram import TokenHistogram
+from repro.core.detector import gather_counts, suspect_counts, verify_pair_arrays
+from repro.core.histogram import TokenCounts, TokenHistogram, checked_counts
 from repro.core.secrets import WatermarkSecret
 from repro.dispute import WatermarkRegistry
 from repro.dispute.index import CandidateIndex
@@ -175,7 +178,18 @@ def test_index_stats_track_registrations_and_revocations(watermarked_bundle):
 #: missing from it).
 _LEAK = {"t0": 40, "t1": 33, "t2": 19, "t3": 12, "t4": 7, "t5": 3}
 _VOCAB = [f"t{index}" for index in range(8)]
+#: Tokens no secret stores: a leaked copy may hold them, and more
+#: distinct tokens than the whole index vocabulary.
+_OUTSIDE = [f"u{index}" for index in range(12)]
+_WIDE_LEAK = dict(_LEAK, t7=21, **{token: 5 + index for index, token in enumerate(_OUTSIDE)})
 _ROWS = range(6)
+
+_leaks = st.dictionaries(
+    st.sampled_from(_VOCAB + _OUTSIDE),
+    st.integers(min_value=1, max_value=50),
+    min_size=1,
+    max_size=20,
+)
 
 #: Few tokens, secret values and caps, so secrets share buckets.
 _sequence_secret = st.builds(
@@ -192,9 +206,41 @@ _sequence_secret = st.builds(
 )
 
 
-def _assert_index_matches(live, rows, detection):
+def _reference_screen(rows, data, detection):
+    """``(rows, buckets_accepted)`` of a screen that reads the leaked copy
+    the vocabulary's way: one ``gather_counts`` over every index token."""
+    buckets, postings = {}, []
+    for row in sorted(rows):
+        for pair, modulus in zip(rows[row].pairs, rows[row].moduli().tolist()):
+            bucket = buckets.setdefault((pair.first, pair.second, modulus), len(buckets))
+            postings.append((bucket, row))
+    vocabulary = list(dict.fromkeys(token for key in buckets for token in key[:2]))
+    counts = dict(zip(vocabulary, gather_counts(suspect_counts(data), vocabulary).tolist()))
+    first = np.array([counts[key[0]] for key in buckets], dtype=np.int64)
+    second = np.array([counts[key[1]] for key in buckets], dtype=np.int64)
+    moduli = np.array([key[2] for key in buckets], dtype=np.int64)
+    valid = moduli >= 2
+    accepted, _present, _remainder = verify_pair_arrays(
+        first,
+        second,
+        safe_moduli=np.where(valid, moduli, 1),
+        valid=valid,
+        thresholds=detection.thresholds_for(moduli),
+        symmetric_tolerance=detection.symmetric_tolerance,
+    )
+    hits = Counter(row for bucket, row in postings if accepted[bucket])
+    candidates = tuple(
+        row for row in sorted(rows) if hits[row] >= detection.required_pairs(len(rows[row].pairs))
+    )
+    return candidates, int(accepted.sum())
+
+
+def _assert_index_matches(live, rows, detection, leak=_LEAK):
     """``live`` screens like an index built fresh from ``rows``, and
-    its candidates are exactly what the stacked pass accepts."""
+    its candidates are exactly what the stacked pass accepts; on
+    ``leak`` and on a copy wider than the index vocabulary, as checked
+    counts and as a histogram alike, it screens like a vocabulary-side
+    gather."""
     fresh = CandidateIndex()
     for row in sorted(rows):
         fresh.add(row, rows[row])
@@ -207,13 +253,21 @@ def _assert_index_matches(live, rows, detection):
     results = detect_many_secrets(_LEAK, [rows[row] for row in ordered], detection)
     accepted = {row for row, result in zip(ordered, results) if result.accepted}
     assert set(screen.rows) == accepted
+    for counts in (leak, _WIDE_LEAK):
+        reference = _reference_screen(rows, counts, detection)
+        checked = checked_counts(counts)
+        assert type(checked) is TokenCounts
+        for data in (checked, TokenHistogram.from_counts(counts)):
+            outcome = live.screen(data, detection)
+            assert (outcome.rows, outcome.buckets_accepted) == reference
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_in_place_index_matches_fresh_build_and_stacked_pass(data):
     """Any add/remove/screen sequence (rows reused after removal
-    included) leaves the in-place index equal to a fresh build."""
+    included) leaves the in-place index equal to a fresh build, and
+    every screen equal to a vocabulary-side gather on any leaked copy."""
     live = CandidateIndex()
     detection = DetectionConfig(
         pair_threshold=data.draw(st.integers(min_value=0, max_value=1)),
@@ -233,7 +287,7 @@ def test_in_place_index_matches_fresh_build_and_stacked_pass(data):
             del rows[row]
             live.remove(row)
         else:
-            _assert_index_matches(live, rows, detection)
+            _assert_index_matches(live, rows, detection, data.draw(_leaks))
     _assert_index_matches(live, rows, detection)
 
 

@@ -184,13 +184,15 @@ class TestWireFormat:
         with pytest.raises(ServiceError):
             decode_request('{"tokens": ["a"]}')  # missing id
         # Float counts would be silently truncated by int(): rejected.
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="malformed counts"):
             decode_request(
-                '{"id": "x", "counts": {"tok": 5.9}, "secret_fingerprint": "f"}'
+                '{"id": "x", "counts": {"tokens": ["tok"], "counts": [5.9]}, '
+                '"secret_fingerprint": "f"}'
             )
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="malformed counts"):
             decode_request(
-                '{"id": "x", "counts": {"tok": true}, "secret_fingerprint": "f"}'
+                '{"id": "x", "counts": {"tokens": ["tok"], "counts": [true]}, '
+                '"secret_fingerprint": "f"}'
             )
 
 
@@ -433,10 +435,11 @@ class TestRegistryAndWire:
 
     @pytest.mark.parametrize("threshold", [2**70, 1.5, True])
     def test_malformed_config_is_a_typed_failure(self, watermark, threshold):
+        counts = watermark.watermarked_histogram.as_dict()
         line = json.dumps(
             {
                 "id": "cfg",
-                "counts": watermark.watermarked_histogram.as_dict(),
+                "counts": {"tokens": list(counts), "counts": list(counts.values())},
                 "secret": watermark.secret.to_dict(),
                 "config": {"pair_threshold": threshold},
             }
@@ -449,6 +452,40 @@ class TestRegistryAndWire:
         response = asyncio.run(run())
         assert not response.ok
         assert "cfg' has a malformed config" in (response.error or "")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"strategy": 5},
+            {"metric": 5},
+            {"metric": "hamming"},
+            {"secret_bits": 1.5},
+            {"max_candidates": 2.5},
+            {"require_modification": "yes"},
+            {"budget_percent": True},
+            {"budget_percent": "2"},
+            {"max_pairs": True},
+            {"excluded_tokens": "t001"},
+            {"excluded_tokens": [1, None]},
+        ],
+        ids=lambda config: "-".join(f"{key}={value!r}" for key, value in config.items()),
+    )
+    def test_malformed_embed_config_is_a_typed_failure(self, config):
+        tokens = [f"t{index:03d}" for index in range(40)]
+        counts = [900 - 20 * index for index in range(40)]
+        line = json.dumps(
+            {
+                "op": "embed",
+                "id": "cfg",
+                "counts": {"tokens": tokens, "counts": counts},
+                "seed": 3,
+                "config": config,
+            }
+        )
+        with SyncDetectionService() as service:
+            response = service.submit(decode_request(line))
+        assert not response.ok
+        assert "cfg' has a malformed config" in (response.error or ""), response.error
 
     def test_wire_failure_is_a_failure_response(self, watermark):
         async def run():

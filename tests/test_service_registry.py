@@ -18,9 +18,12 @@ Three layers, matching ``docs/service.md``:
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from repro.core import histogram
+from repro.core.histogram import TokenCounts
 from repro.dispute import SecretVault
 from repro.exceptions import ServiceError
 from repro.service import (
@@ -128,19 +131,26 @@ def test_malformed_registry_payloads_are_rejected():
 
 def test_encoded_lines_carry_the_protocol_version():
     line = encode_line(RevokeRequest(request_id="rev-1", buyer_id="b"))
-    assert json.loads(line)["v"] == PROTOCOL_VERSION == 4
+    assert json.loads(line)["v"] == PROTOCOL_VERSION == 5
 
 
 def test_older_and_absent_versions_are_accepted():
-    payload = {"id": "d-1", "counts": {"x": 1}, "secret_fingerprint": "f" * 64}
+    """Any ``v`` up to ours decodes, with ``counts`` in the two-array form
+    at every version (the object form is refused at any ``v``)."""
+    payload = {
+        "id": "d-1",
+        "counts": {"tokens": ["x"], "counts": [1]},
+        "secret_fingerprint": "f" * 64,
+    }
     decoded = decode_request(json.dumps(payload))  # absent v == version 1
     assert isinstance(decoded, DetectRequest)
+    assert decoded.counts == {"x": 1}
     assert decode_request(json.dumps(dict(payload, v=1))) == decoded
     assert decode_request(json.dumps(dict(payload, v=PROTOCOL_VERSION))) == decoded
 
 
 def test_newer_versions_are_rejected():
-    payload = {"id": "d-1", "counts": {"x": 1}, "secret_fingerprint": "f" * 64}
+    payload = {"id": "d-1", "tokens": ["x"], "secret_fingerprint": "f" * 64}
     with pytest.raises(ServiceError, match="only understands versions up to"):
         decode_request(json.dumps(dict(payload, v=PROTOCOL_VERSION + 1)))
     with pytest.raises(ServiceError, match="only understands versions up to"):
@@ -149,7 +159,7 @@ def test_newer_versions_are_rejected():
 
 @pytest.mark.parametrize("version", [0, -1, True, "2", 1.5])
 def test_malformed_versions_are_rejected(version):
-    payload = {"id": "d-1", "counts": {"x": 1}, "secret_fingerprint": "f" * 64}
+    payload = {"id": "d-1", "tokens": ["x"], "secret_fingerprint": "f" * 64}
     with pytest.raises(ServiceError, match="positive integer"):
         decode_request(json.dumps(dict(payload, v=version)))
 
@@ -241,7 +251,8 @@ def test_persistent_vault_survives_a_service_restart(tmp_path, watermarked_bundl
 @pytest.mark.parametrize("carrier", ["secret-token", "other-token"])
 def test_counts_outside_int64_fail_as_malformed_counts(watermarked_bundle, carrier):
     """A count of 2**63 fails detect and attribute as ``malformed
-    counts`` on the wire, whether a secret token or another carries it."""
+    counts``, whether a secret token or another carries it: at decode
+    for a wire line, at submit for a request built in Python."""
     result, _ = watermarked_bundle
     counts = result.watermarked_histogram.as_dict()
     token = result.secret.pairs[0].first if carrier == "secret-token" else "not-in-any-secret"
@@ -256,11 +267,70 @@ def test_counts_outside_int64_fail_as_malformed_counts(watermarked_bundle, carri
             AttributeRequest(request_id="att", counts=counts),
         ]
         for request in requests:
-            response = service.submit(decode_request(encode_line(request)))
+            with pytest.raises(ServiceError) as decoding:
+                decode_request(encode_line(request))
+            response = service.submit(request)
             assert response.ok is False
-            assert "malformed counts" in (response.error or ""), response.error
-            assert "int64" in (response.error or ""), response.error
-            assert "internal error" not in (response.error or "")
+            for error in (str(decoding.value), response.error or ""):
+                assert "malformed counts" in error, error
+                assert "int64" in error, error
+                assert "internal error" not in error
+
+
+@pytest.fixture()
+def count_checks(monkeypatch):
+    """Count the check routines that run on counts, wherever they are bound.
+
+    A call of ``checked_arrays`` is a check; a call of ``checked_counts``
+    is one unless it hands its argument back unchanged (an already
+    checked :class:`TokenCounts`).
+    """
+    checks = []
+    arrays, counts = histogram.checked_arrays, histogram.checked_counts
+
+    def counting_arrays(*args):
+        checks.append("checked_arrays")
+        return arrays(*args)
+
+    def counting_counts(value):
+        checked = counts(value)
+        if checked is not value:
+            checks.append("checked_counts")
+        return checked
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith("repro"):
+            continue
+        for attribute, wrapper in (
+            ("checked_arrays", counting_arrays),
+            ("checked_counts", counting_counts),
+        ):
+            if getattr(module, attribute, None) in (arrays, counts):
+                monkeypatch.setattr(module, attribute, wrapper)
+    return checks
+
+
+def test_a_decoded_request_has_its_counts_checked_once(watermarked_bundle, count_checks):
+    """Decode runs the one check of a detect's or an attribute's counts;
+    the verb, the detector and the vault screen read them unchecked."""
+    result, _ = watermarked_bundle
+    counts = result.watermarked_histogram.as_dict()
+    requests = [
+        DetectRequest(request_id="det", counts=counts, secret=result.secret.to_dict()),
+        AttributeRequest(request_id="att", counts=counts),
+    ]
+    with SyncDetectionService() as service:
+        registered = service.submit(
+            RegisterRequest(request_id="reg", buyer_id="buyer-a", secret=result.secret.to_dict())
+        )
+        assert registered.ok, registered.error
+        for request in requests:
+            count_checks.clear()
+            decoded = decode_request(encode_line(request))
+            assert type(decoded.counts) is TokenCounts
+            response = service.submit(decoded)
+            assert response.ok, response.error
+            assert count_checks == ["checked_arrays"], request.request_id
 
 
 @pytest.mark.parametrize(("field", "value"), [("pairs", [None]), ("metadata", [])])

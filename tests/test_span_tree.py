@@ -200,7 +200,16 @@ def test_the_wire_transport_spans_decode_verb_and_encode(recorded, watermark):
     assert '"accepted":true' in out.getvalue()
     spans = recorded()
     roots = sorted(record["name"] for record in spans if record["parent"] is None)
-    assert roots == ["core.detect_pass", "service.decode", "service.detect", "service.encode"]
+    # The coalesced pass answers a whole window, so it stays a root.
+    assert roots == ["core.detect_pass", "service.request"]
+    (request,) = [record for record in spans if record["name"] == "service.request"]
+    children = [record for record in spans if record["parent"] == request["span"]]
+    assert [child["name"] for child in children] == [
+        "service.decode",
+        "service.detect",
+        "service.encode",
+    ]
+    assert {child["trace"] for child in children} == {request["trace"]}
 
 
 def test_evaluation_records_one_span_per_attack_family_in_order(

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.detector import WatermarkDetector
 from repro.core.generator import generate_watermark
-from repro.core.histogram import TokenHistogram
+from repro.core.histogram import TokenCounts, TokenHistogram
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.exceptions import ServiceError
 from repro.exec.worker import TaskWorkerServer
@@ -82,8 +82,8 @@ def _decode(message, line):
 _SECRET = {"pairs": [["a", "b"]], "modulus_cap": 31, "secret_value": "12345"}
 _DIGEST = "d" * 64
 
-#: (message, the exact line encode_line produced for it before the codec
-#: was made declarative).
+#: (message, the exact line encode_line produces for it). ``counts``
+#: travel as two arrays in the mapping's order (protocol version 5).
 GOLDEN = [
     (
         DetectRequest(
@@ -92,13 +92,13 @@ GOLDEN = [
             secret_fingerprint="f" * 8,
             config={"pair_threshold": 1},
         ),
-        '{"config":{"pair_threshold":1},"counts":{"a":5,"b":2},"id":"d1",'
-        '"secret_fingerprint":"ffffffff","v":4}',
+        '{"config":{"pair_threshold":1},"counts":{"counts":[5,2],"tokens":["a","b"]},"id":"d1",'
+        '"secret_fingerprint":"ffffffff","v":5}',
     ),
     (
         DetectRequest(request_id="d2", tokens=("a", "b", "a"), secret=_SECRET),
         '{"id":"d2","secret":{"modulus_cap":31,"pairs":[["a","b"]],'
-        '"secret_value":"12345"},"tokens":["a","b","a"],"v":4}',
+        '"secret_value":"12345"},"tokens":["a","b","a"],"v":5}',
     ),
     (
         DetectResponse(
@@ -114,16 +114,16 @@ GOLDEN = [
         ),
         '{"accepted":true,"accepted_pairs":7,"batch_size":3,"cache_hit":true,'
         '"extra":{"note":"x"},"id":"d1","ok":true,"required_pairs":4,'
-        '"total_pairs":8,"v":4}',
+        '"total_pairs":8,"v":5}',
     ),
     (
         DetectResponse(request_id="d", ok=True),
         '{"accepted":null,"accepted_pairs":null,"batch_size":0,"cache_hit":false,'
-        '"id":"d","ok":true,"required_pairs":null,"total_pairs":null,"v":4}',
+        '"id":"d","ok":true,"required_pairs":null,"total_pairs":null,"v":5}',
     ),
     (
         DetectResponse.failure("d2", "no such secret"),
-        '{"error":"no such secret","id":"d2","ok":false,"v":4}',
+        '{"error":"no such secret","id":"d2","ok":false,"v":5}',
     ),
     (
         EmbedRequest(
@@ -136,11 +136,11 @@ GOLDEN = [
         ),
         '{"config":{"budget_percent":1.5,"excluded_tokens":["z"]},"id":"e1",'
         '"op":"embed","return_tokens":true,"secret_value":"1208925819614629174706177",'
-        '"seed":3,"tokens":["a","b","b"],"v":4}',
+        '"seed":3,"tokens":["a","b","b"],"v":5}',
     ),
     (
         EmbedRequest(request_id="e2", counts={"a": 9, "b": 4}),
-        '{"counts":{"a":9,"b":4},"id":"e2","op":"embed","v":4}',
+        '{"counts":{"counts":[9,4],"tokens":["a","b"]},"id":"e2","op":"embed","v":5}',
     ),
     (
         EmbedResponse(
@@ -153,54 +153,55 @@ GOLDEN = [
             similarity_percent=99.5,
             total_changes=2,
         ),
-        '{"counts":{"a":1,"b":2},"id":"e1","ok":true,"op":"embed","secret":'
+        '{"counts":{"counts":[1,2],"tokens":["a","b"]},"id":"e1","ok":true,"op":"embed","secret":'
         '{"modulus_cap":31,"pairs":[["a","b"]],"secret_value":"12345"},'
         '"selected_pairs":1,"similarity_percent":99.5,"tokens":["a","b","b"],'
-        '"total_changes":2,"v":4}',
+        '"total_changes":2,"v":5}',
     ),
     (
         EmbedResponse.failure("e2", "needs two distinct tokens"),
-        '{"error":"needs two distinct tokens","id":"e2","ok":false,"op":"embed","v":4}',
+        '{"error":"needs two distinct tokens","id":"e2","ok":false,"op":"embed","v":5}',
     ),
     (
         RegisterRequest(
             request_id="r1", buyer_id="acme", secret=_SECRET, metadata={"tier": "gold"}
         ),
         '{"buyer_id":"acme","id":"r1","metadata":{"tier":"gold"},"op":"register",'
-        '"secret":{"modulus_cap":31,"pairs":[["a","b"]],"secret_value":"12345"},"v":4}',
+        '"secret":{"modulus_cap":31,"pairs":[["a","b"]],"secret_value":"12345"},"v":5}',
     ),
     (
         RegisterResponse(
             request_id="r1", ok=True, buyer_id="acme", fingerprint="ab" * 4, vault_size=3
         ),
         '{"buyer_id":"acme","fingerprint":"abababab","id":"r1","ok":true,'
-        '"op":"register","v":4,"vault_size":3}',
+        '"op":"register","v":5,"vault_size":3}',
     ),
     (
         RegisterResponse.failure("r2", "buyer already registered"),
-        '{"error":"buyer already registered","id":"r2","ok":false,"op":"register","v":4}',
+        '{"error":"buyer already registered","id":"r2","ok":false,"op":"register","v":5}',
     ),
     (
         RevokeRequest(request_id="v1", buyer_id="acme", metadata={"reason": "leak"}),
-        '{"buyer_id":"acme","id":"v1","metadata":{"reason":"leak"},"op":"revoke","v":4}',
+        '{"buyer_id":"acme","id":"v1","metadata":{"reason":"leak"},"op":"revoke","v":5}',
     ),
     (
         RevokeResponse(
             request_id="v1", ok=True, buyer_id="acme", fingerprint="ab" * 4, vault_size=2
         ),
         '{"buyer_id":"acme","fingerprint":"abababab","id":"v1","ok":true,'
-        '"op":"revoke","v":4,"vault_size":2}',
+        '"op":"revoke","v":5,"vault_size":2}',
     ),
     (
         RevokeResponse.failure("v2", "unknown buyer"),
-        '{"error":"unknown buyer","id":"v2","ok":false,"op":"revoke","v":4}',
+        '{"error":"unknown buyer","id":"v2","ok":false,"op":"revoke","v":5}',
     ),
     (
         AttributeRequest(
             request_id="a1", counts={"a": 5, "b": 2}, config={"min_accepted_fraction": 1.0}
         ),
-        '{"config":{"min_accepted_fraction":1.0},"counts":{"a":5,"b":2},"id":"a1",'
-        '"op":"attribute","v":4}',
+        '{"config":{"min_accepted_fraction":1.0},"counts":{"counts":[5,2],"tokens":["a","b"]},'
+        '"id":"a1",'
+        '"op":"attribute","v":5}',
     ),
     (
         AttributeResponse(
@@ -214,15 +215,15 @@ GOLDEN = [
         '{"active_secrets":100,"candidates":2,"id":"a1","matches":'
         '[{"accepted_fraction":1.0,"buyer_id":"acme"},'
         '{"accepted_fraction":0.5,"buyer_id":"beta"}],"mode":"index","ok":true,'
-        '"op":"attribute","v":4}',
+        '"op":"attribute","v":5}',
     ),
     (
         AttributeResponse.failure("a2", "vault is empty"),
-        '{"error":"vault is empty","id":"a2","ok":false,"op":"attribute","v":4}',
+        '{"error":"vault is empty","id":"a2","ok":false,"op":"attribute","v":5}',
     ),
     (
         TaskRequest(request_id="hb-1", function=HEARTBEAT_FUNCTION),
-        '{"function":"__heartbeat__","id":"hb-1","op":"task","v":4}',
+        '{"function":"__heartbeat__","id":"hb-1","op":"task","v":5}',
     ),
     (
         TaskRequest(
@@ -240,7 +241,7 @@ GOLDEN = [
         '{"blob_refs":["' + _DIGEST + '"],"fingerprint":"fp-0","frames":[120,4096,33],'
         '"function":"schedtest.with_state","id":"task-0-1-2","init_frames":1,'
         '"init_key":"key-z","initializer":"schedtest.state","op":"task",'
-        '"payload_frames":2,"trace":["' + "a" * 32 + '","' + "b" * 16 + '"],"v":4}',
+        '"payload_frames":2,"trace":["' + "a" * 32 + '","' + "b" * 16 + '"],"v":5}',
     ),
     (
         TaskRequest(
@@ -251,11 +252,11 @@ GOLDEN = [
             payload_frames=1,
         ),
         '{"fingerprint":"fp-1","frames":[57],"function":"schedtest.echo",'
-        '"id":"task-1-1-3","init_frames":0,"op":"task","payload_frames":1,"v":4}',
+        '"id":"task-1-1-3","init_frames":0,"op":"task","payload_frames":1,"v":5}',
     ),
     (
         TaskResult(request_id="hb-1", ok=True),
-        '{"id":"hb-1","ok":true,"op":"result","v":4}',
+        '{"id":"hb-1","ok":true,"op":"result","v":5}',
     ),
     (
         TaskResult(
@@ -267,7 +268,7 @@ GOLDEN = [
         ),
         '{"fingerprint":"fp-0","frames":[64,8000],"id":"task-0-1-2","ok":true,'
         '"op":"result","spans":[{"name":"task:schedtest.echo","span":"s1",'
-        '"trace":"t1"}],"v":4}',
+        '"trace":"t1"}],"v":5}',
     ),
     (
         TaskResult(
@@ -280,16 +281,16 @@ GOLDEN = [
         ),
         '{"error":"remote kaput","error_type":"DetectionError","fingerprint":"fp-1",'
         '"id":"task-1-1-3","ok":false,"op":"result","spans":'
-        '[{"name":"task:schedtest.fail"}],"v":4}',
+        '[{"name":"task:schedtest.fail"}],"v":5}',
     ),
     (
         BlobRequest(request_id="task-0-1-2", digest=_DIGEST),
-        '{"digest":"' + _DIGEST + '","id":"task-0-1-2","op":"blob-request","v":4}',
+        '{"digest":"' + _DIGEST + '","id":"task-0-1-2","op":"blob-request","v":5}',
     ),
     (
         BlobResponse(request_id="task-0-1-2", digest=_DIGEST, frames=(300, 65536)),
         '{"digest":"' + _DIGEST + '","frames":[300,65536],"id":"task-0-1-2",'
-        '"ok":true,"op":"blob","v":4}',
+        '"ok":true,"op":"blob","v":5}',
     ),
     (
         BlobResponse(
@@ -300,11 +301,11 @@ GOLDEN = [
             error_type="BlobNotFoundError",
         ),
         '{"digest":"' + _DIGEST + '","error":"blob evicted",'
-        '"error_type":"BlobNotFoundError","id":"task-0-1-2","ok":false,"op":"blob","v":4}',
+        '"error_type":"BlobNotFoundError","id":"task-0-1-2","ok":false,"op":"blob","v":5}',
     ),
     (
         StatsRequest(request_id="s1"),
-        '{"id":"s1","op":"stats","v":4}',
+        '{"id":"s1","op":"stats","v":5}',
     ),
     (
         StatsResponse(
@@ -313,11 +314,11 @@ GOLDEN = [
             prometheus="# TYPE freqywm_x counter\nfreqywm_x 1\n",
         ),
         '{"id":"s1","metrics":{"counters":{"x":1}},"ok":true,"op":"stats",'
-        '"prometheus":"# TYPE freqywm_x counter\\nfreqywm_x 1\\n","v":4}',
+        '"prometheus":"# TYPE freqywm_x counter\\nfreqywm_x 1\\n","v":5}',
     ),
     (
         StatsResponse.failure("s2", "overloaded"),
-        '{"error":"overloaded","id":"s2","ok":false,"op":"stats","v":4}',
+        '{"error":"overloaded","id":"s2","ok":false,"op":"stats","v":5}',
     ),
 ]
 
@@ -357,7 +358,35 @@ _json = st.recursive(
     max_leaves=8,
 )
 _objects = st.dictionaries(_texts, _json, max_size=3)
-_counts = st.dictionaries(_texts, _ints, max_size=4)
+
+#: A ``counts`` field in its wire form: two arrays over few tokens, so
+#: tokens repeat, with zeros and counts near the int64 bound.
+_MAX_COUNT = 2**63 - 1
+_count_arrays = st.lists(
+    st.tuples(
+        st.text(alphabet="ab", max_size=2),
+        st.integers(0, 3) | st.integers(_MAX_COUNT - 2, _MAX_COUNT),
+    ),
+    max_size=6,
+).map(lambda entries: ([token for token, _ in entries], [count for _, count in entries]))
+
+
+def _summed(tokens, counts):
+    """Reference: repeats summed in first-appearance order, zeros dropped;
+    ``None`` when nothing remains or a sum leaves int64."""
+    summed = {}
+    for token, count in zip(tokens, counts):
+        if count:
+            summed[token] = summed.get(token, 0) + count
+    if not summed or max(summed.values()) > _MAX_COUNT:
+        return None
+    return summed
+
+
+#: A message's counts: what a valid wire form decodes to.
+_counts = _count_arrays.map(lambda arrays: _summed(*arrays)).filter(
+    lambda counts: counts is not None
+)
 _tokens = st.lists(_texts, max_size=4).map(tuple)
 _frames = st.lists(st.integers(0, MAX_FRAME_BYTES), min_size=1, max_size=3).map(tuple)
 _spans = st.lists(_objects, max_size=2).map(tuple)
@@ -538,7 +567,8 @@ _PLAUSIBLE = {
     "v": st.integers(0, 5),
     "ok": st.booleans(),
     "tokens": st.lists(_texts, max_size=3),
-    "counts": _counts,
+    "counts": _count_arrays.map(lambda arrays: {"tokens": arrays[0], "counts": arrays[1]})
+    | st.dictionaries(_texts, _ints, max_size=3),
     "secret": _objects,
     "secret_fingerprint": _texts,
     "config": st.dictionaries(st.sampled_from(_DETECT_KEYS + _GENERATE_KEYS), _json, max_size=2),
@@ -608,19 +638,86 @@ def test_decoders_answer_any_line_with_a_message_or_a_service_error(line):
 def test_bad_fields_are_named_in_the_error():
     with pytest.raises(ServiceError, match="'accepted_pairs' must be an integer"):
         decode_response('{"id": "a", "ok": true, "accepted_pairs": "x"}')
-    with pytest.raises(ServiceError, match="'counts' must be an object of integer counts"):
-        decode_request('{"id": "x", "counts": {"tok": 5.9}, "secret_fingerprint": "f"}')
+    with pytest.raises(ServiceError, match="'x' has malformed counts: every count must be"):
+        decode_request(
+            '{"id": "x", "counts": {"tokens": ["tok"], "counts": [5.9]}, '
+            '"secret_fingerprint": "f"}'
+        )
     with pytest.raises(ServiceError, match="unknown request op"):
         decode_request('{"op": ["x"], "id": "a1"}')
     with pytest.raises(ServiceError, match="'secret_value' must be a decimal string"):
-        decode_request('{"op": "embed", "id": "e", "counts": {}, "secret_value": 12}')
+        decode_request('{"op": "embed", "id": "e", "tokens": [], "secret_value": 12}')
 
 
 def test_detect_counts_are_kept_as_decoded():
-    line = '{"counts":{"a":3,"b":1},"id":"x","secret_fingerprint":"f","v":4}'
+    line = (
+        '{"counts":{"counts":[3,1],"tokens":["b","a"]},"id":"x",'
+        '"secret_fingerprint":"f","v":5}'
+    )
     request = decode_request(line)
-    assert request.counts == {"a": 3, "b": 1}
+    assert request.counts == {"b": 3, "a": 1}
+    assert isinstance(request.counts, TokenCounts)
     assert encode_line(request) == line
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=_count_arrays, op=st.sampled_from(["detect", "attribute", "embed"]))
+@example(arrays=(["a", "b", "a"], [2, 1, 3]), op="detect")
+@example(arrays=(["a", "a"], [2**62, 2**62]), op="attribute")
+@example(arrays=(["a", "b"], [0, 0]), op="embed")
+def test_two_array_counts_sum_repeats_drop_zeros_and_round_trip(arrays, op):
+    """Repeated tokens sum (the object form silently kept the last
+    duplicate key), zeros drop, and what decodes re-encodes to a line
+    that decodes to the same request; all-zero or out-of-int64 sums fail."""
+    tokens, counts = arrays
+    payload = {"op": op, "id": "c", "counts": {"tokens": tokens, "counts": counts}}
+    if op == "detect":
+        payload["secret_fingerprint"] = "f"
+    expected = _summed(tokens, counts)
+    if expected is None:
+        with pytest.raises(ServiceError, match="'c' has malformed counts"):
+            decode_request(json.dumps(payload))
+        return
+    request = decode_request(json.dumps(payload))
+    assert request.counts == expected
+    assert list(request.counts) == list(expected)  # first-appearance order
+    assert decode_request(encode_line(request)) == request
+
+
+_ONE_FAULT = {
+    "mismatched lengths": {"tokens": ["a", "b"], "counts": [1]},
+    "missing tokens": {"counts": [1]},
+    "missing counts": {"tokens": ["a"]},
+    "an extra key": {"tokens": ["a"], "counts": [1], "total": 1},
+    "tokens not a list": {"tokens": "a", "counts": [1]},
+    "counts not a list": {"tokens": ["a"], "counts": 1},
+    "not an object": [["a", 1]],
+    "a non-string token": {"tokens": [1], "counts": [1]},
+    "a float": {"tokens": ["a"], "counts": [1.5]},
+    "an integral float": {"tokens": ["a"], "counts": [1.0]},
+    "true": {"tokens": ["a"], "counts": [True]},
+    "a negative count": {"tokens": ["a", "b"], "counts": [3, -1]},
+    "a count above int64": {"tokens": ["a"], "counts": [2**63]},
+    "repeats summing above int64": {"tokens": ["a", "b", "a"], "counts": [2**62, 1, 2**62]},
+    "all-zero counts": {"tokens": ["a", "b"], "counts": [0, 0]},
+    "no entries": {"tokens": [], "counts": []},
+    "the object form": {"a": 5, "b": 2},
+}
+
+
+@pytest.mark.parametrize("version", [None, 1, 4, 5])
+@pytest.mark.parametrize("op", ["detect", "attribute", "embed"])
+@pytest.mark.parametrize("fault", sorted(_ONE_FAULT))
+def test_each_counts_fault_alone_is_malformed_counts(fault, op, version):
+    """Each fault fails on its own, at any ``v``: no reader is kept for
+    the object form."""
+    payload = {"op": op, "id": "c", "counts": _ONE_FAULT[fault]}
+    if op == "detect":
+        payload["secret_fingerprint"] = "f"
+    if version is not None:
+        payload["v"] = version
+    with pytest.raises(ServiceError, match="'c' has malformed counts"):
+        decode_request(json.dumps(payload))
 
 
 # --------------------------------------------------------------------------- #
