@@ -14,6 +14,7 @@ remains the public data structure; it exposes its backing
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,6 +158,9 @@ class HistogramArrays:
     def positions(self, tokens: Iterable[str]) -> np.ndarray:
         """Rank positions of ``tokens``.
 
+        One C-level pass of ``index.get`` over the tokens, which are
+        materialised first when given as an iterator.
+
         Parameters
         ----------
         tokens : Iterable[str]
@@ -168,8 +172,11 @@ class HistogramArrays:
             ``int64`` positions aligned with the input order; ``-1``
             marks tokens not present in the histogram.
         """
-        lookup = self.index.get
-        return np.array([lookup(token, -1) for token in tokens], dtype=np.int64)
+        if not isinstance(tokens, (list, tuple)):
+            tokens = list(tokens)
+        return np.fromiter(
+            map(self.index.get, tokens, repeat(-1)), np.int64, count=len(tokens)
+        )
 
     def frequencies(self, tokens: Iterable[str]) -> np.ndarray:
         """Appearance counts for ``tokens``.

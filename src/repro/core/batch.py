@@ -262,6 +262,11 @@ class BatchDetectionReport:
         }
 
 
+def _counted(item: Any) -> bool:
+    """Whether the driver reads ``item`` into a count row (no token list)."""
+    return isinstance(item, (TokenHistogram, Mapping))
+
+
 def dispatch_detection(
     scheduler: Scheduler,
     secret: WatermarkSecret,
@@ -275,10 +280,15 @@ def dispatch_detection(
     """Screen ``items`` through ``scheduler``, gathered in input order.
 
     ``items`` are datasets (``function="detect.chunk"``) or token-file
-    paths (``"detect.files"``). They are split into contiguous chunks —
-    about four per worker, capped, unless ``chunk_size`` is given — and
-    every chunk becomes one task whose worker-side detector is built once
-    per ``init_key`` from the serializable ``(secret, config)``.
+    paths (``"detect.files"``). They are split into contiguous chunks,
+    and every chunk becomes one task whose worker-side detector is built
+    once per ``init_key`` from the serializable ``(secret, config)``. An
+    explicit ``chunk_size`` is used verbatim. Otherwise a batch of
+    histograms and token->count mappings only is cut into one chunk per
+    worker, since every counted row costs a worker the same and more
+    chunks would only add round trips; any other batch into four chunks
+    per worker, so uneven token files rebalance. Either derived size is
+    capped at :data:`~repro.exec.chunking.DETECTION_MAX_CHUNK` items.
 
     A chunk of histograms and token->count mappings only is read here,
     at the secret's distinct pair tokens
@@ -302,22 +312,24 @@ def dispatch_detection(
     if not items:
         return BatchDetectionReport(results=())
     init_key = detector_fingerprint(secret, config)
+    columns = pair_columns(secret) if function == "detect.chunk" else None
     size = derive_chunk_size(
         len(items),
         scheduler.workers,
         chunk_size=chunk_size,
-        chunks_per_worker=DETECTION_CHUNKS_PER_WORKER,
+        chunks_per_worker=(
+            1
+            if columns is not None and all(map(_counted, items))
+            else DETECTION_CHUNKS_PER_WORKER
+        ),
         max_chunk=DETECTION_MAX_CHUNK,
     )
     use_blobs = scheduler.ships_payloads
     secret_value, secret_refs = maybe_blob(secret) if use_blobs else (secret, ())
-    columns = pair_columns(secret) if function == "detect.chunk" else None
     specs: List[TaskSpec] = []
     for index, chunk in enumerate(split_chunks(items, size)):
         task = function
-        if columns is not None and all(
-            isinstance(item, (TokenHistogram, Mapping)) for item in chunk
-        ):
+        if columns is not None and all(map(_counted, chunk)):
             task, chunk_value, chunk_refs = "detect.counts", count_matrix(chunk, columns), ()
         elif use_blobs:
             chunk_value, chunk_refs = maybe_blob(chunk)

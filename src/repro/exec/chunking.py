@@ -2,11 +2,15 @@
 
 Detection and embedding batches split ``n`` items into contiguous
 chunks sized so each worker receives a target number of chunks,
-optionally capped so no single dispatch holds too many items. Detection wants several small chunks per worker (suspect
-files vary wildly in size, so slack load-balances) while embedding wants
-one big chunk per worker (each chunk shares one set of scan plans, so
-bigger amortises more) — the *heuristic* is one function with two parameter
-settings, not two functions.
+optionally capped so no single dispatch holds too many items. Detection
+over token sequences or files wants several small chunks per worker
+(suspects vary wildly in size, so slack load-balances). Detection over
+histograms and count mappings, which the driver reads into one count
+row per suspect, wants one chunk per worker: every row costs a worker
+the same, so extra chunks would only add round trips. Embedding also
+wants one big chunk per worker (each chunk shares one set of scan
+plans, so bigger amortises more). The *heuristic* is one function with
+two parameter settings, not two functions.
 
 ``tests/test_exec_chunking.py`` pins the boundary behaviour: fewer items
 than workers, ``chunk_size=1``, and the cap interacting with tiny
@@ -19,12 +23,15 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import SchedulerError
 
-#: Detection's default chunks dispatched per worker: small enough to
-#: load-balance uneven datasets, large enough that each chunk amortises
-#: the worker round-trip over one vectorized matrix pass.
+#: Detection's default chunks per worker for a batch holding token
+#: sequences or files: small enough to load-balance uneven datasets,
+#: large enough that each chunk amortises the worker round-trip over one
+#: vectorized matrix pass. A batch of histograms and count mappings only
+#: uses one chunk per worker instead, since its rows cost the same.
 DETECTION_CHUNKS_PER_WORKER = 4
 #: Detection's cap on the derived chunk size: bounds how many suspects
-#: are resident per dispatch (and per in-process fallback step).
+#: are resident per dispatch (and per in-process fallback step), and the
+#: rows of each count matrix a ``detect.counts`` task carries.
 DETECTION_MAX_CHUNK = 64
 
 
@@ -48,7 +55,8 @@ def derive_chunk_size(
         Explicit caller-chosen size; returned verbatim when given.
     chunks_per_worker : int, optional
         Target chunks per worker when deriving (default 1: one chunk per
-        worker, embedding's setting; detection passes
+        worker, the setting of embedding and of counted detection;
+        detection over token sequences or files passes
         :data:`DETECTION_CHUNKS_PER_WORKER`).
     max_chunk : int, optional
         Upper bound applied to the *derived* size (never to an explicit

@@ -271,8 +271,6 @@ class RemoteScheduler(Scheduler):
         self._channels: Dict[str, _LineChannel] = {}
         self._dead: set = set()
         self._sequence = itertools.count()
-        #: Digests each worker already holds (shipped or announced).
-        self._shipped: Dict[str, set] = {}
         self._stats_lock = threading.Lock()
         # Per-run state, guarded by _cond's lock.
         self._cond = threading.Condition()
@@ -314,7 +312,6 @@ class RemoteScheduler(Scheduler):
         else:
             sock = socket.create_connection(target, timeout=self.connect_timeout)
         channel = _LineChannel(sock)
-        self._shipped[address] = set()
         self._channels[address] = channel
         return channel
 
@@ -474,9 +471,13 @@ class RemoteScheduler(Scheduler):
                 self._cond.notify_all()
 
     def _send_task(
-        self, channel: _LineChannel, address: str, index: int, request_id: str
-    ) -> None:
-        """Ship one task line plus its payload and init-args frames."""
+        self, channel: _LineChannel, index: int, request_id: str
+    ) -> Tuple[str, ...]:
+        """Ship one task line plus its payload and init-args frames.
+
+        Returns the blob digests the line references (none once the
+        task's refs are materialised after a blob miss).
+        """
         spec = self._specs[index]
         if index in self._inline_only:
             spec = self._inline_spec(spec)
@@ -496,16 +497,21 @@ class RemoteScheduler(Scheduler):
             trace=spec.trace,
         )
         sent = channel.send_payload(encode_line(request), frames)
-        store = default_blob_store()
-        shipped = self._shipped.setdefault(address, set())
         with self._stats_lock:
             self.stats.bytes_sent += sent
-            for digest in spec.blob_refs:
-                if digest in shipped:
-                    # The worker holds this blob already: shipping it by
-                    # value would have cost its full serialised size.
-                    self.stats.bytes_deduped += store.size_of(digest)
-                    self.stats.blobs_deduped += 1
+        return spec.blob_refs
+
+    def _count_deduped(self, digests: Sequence[str]) -> None:
+        """Count ``digests`` a worker served from its own blob cache.
+
+        Shipping each by value would have cost its full serialised size.
+        The worker's cache outlives this scheduler, so a blob shipped by
+        an earlier scheduler counts here too.
+        """
+        store = default_blob_store()
+        with self._stats_lock:
+            self.stats.blobs_deduped += len(digests)
+            self.stats.bytes_deduped += sum(store.size_of(d) for d in digests)
 
     @staticmethod
     def _inline_spec(spec: TaskSpec) -> TaskSpec:
@@ -520,7 +526,7 @@ class RemoteScheduler(Scheduler):
         )
 
     def _answer_blob_request(
-        self, channel: _LineChannel, address: str, request: BlobRequest
+        self, channel: _LineChannel, request: BlobRequest
     ) -> None:
         """Serve a worker's ``blob-request`` from the process-wide store."""
         try:
@@ -551,7 +557,6 @@ class RemoteScheduler(Scheduler):
             "blob.ship", attributes={"transport": "wire", "bytes": data.size}
         ):
             sent = channel.send_payload(line, frames)
-        self._shipped.setdefault(address, set()).add(request.digest)
         with self._stats_lock:
             self.stats.bytes_sent += sent
             self.stats.blobs_sent += 1
@@ -565,11 +570,14 @@ class RemoteScheduler(Scheduler):
         (answered inline from the blob store) and framed results. A
         framed result's frames are consumed *immediately* after its
         header — before the request-id match check — because skipping
-        them would desynchronise the byte stream.
+        them would desynchronise the byte stream. Every referenced
+        digest the worker did not request before a successful result
+        came from its own cache, and counts as deduped.
         """
         spec = self._specs[index]
         request_id = f"task-{index}-{attempt}-{next(self._sequence)}"
-        self._send_task(channel, address, index, request_id)
+        refs = self._send_task(channel, index, request_id)
+        requested: set = set()
         last_heard = time.monotonic()
         while True:
             line = channel.recv_line(timeout=self.heartbeat_interval)
@@ -593,7 +601,8 @@ class RemoteScheduler(Scheduler):
             last_heard = now
             response = decode_response(line)
             if isinstance(response, BlobRequest):
-                self._answer_blob_request(channel, address, response)
+                requested.add(response.digest)
+                self._answer_blob_request(channel, response)
                 continue
             if not isinstance(response, TaskResult):
                 continue  # not ours (future wire chatter): liveness only
@@ -610,6 +619,7 @@ class RemoteScheduler(Scheduler):
             if response.spans:
                 tracer().ingest(response.spans)
             if response.ok:
+                self._count_deduped([d for d in refs if d not in requested])
                 return loads_oob(BlobData.from_frames(frame_bytes))
             if response.error_type == "BlobNotFoundError":
                 raise _RetryInline(response.error or "worker missed a blob")

@@ -16,8 +16,8 @@ Four layers, matching ``docs/scheduler.md``:
   contract — on teardown after a worker death, with verdicts identical
   to the inline path.
 * **Remote wire** — a real ``freqywm worker`` fetches each missing blob
-  exactly once (dedup counters prove it), and a blob-request for an
-  evicted digest fails typed and bounded.
+  exactly once (dedup counters prove it, also across fresh schedulers),
+  and a blob-request for an evicted digest fails typed and bounded.
 """
 
 from __future__ import annotations
@@ -258,6 +258,34 @@ class TestRemoteDataPlane:
             stats = scheduler.stats
             assert stats.blobs_sent == 1  # fetched exactly once
             assert stats.blobs_deduped == 4  # reused by the other tasks
+            assert stats.bytes_deduped >= 4 * len(shared)
+
+    def test_dedup_counters_survive_a_fresh_scheduler(self, fresh_store, tmp_path):
+        """A worker's blob cache outlives the scheduler that filled it, so
+        a later scheduler's tasks count the blob as deduped."""
+        shared = _payload_bytes()
+        payload, refs = maybe_blob(shared, store=fresh_store)
+        specs = [
+            TaskSpec(
+                fingerprint=f"fresh-{i}",
+                function="schedtest.echo",
+                payload=payload,
+                blob_refs=refs,
+            )
+            for i in range(4)
+        ]
+        socket_path = tmp_path / "worker.sock"
+        runs = []
+        with scheduler_tasks.spawn_worker(socket_path):
+            for _ in range(3):
+                with RemoteScheduler([f"unix:{socket_path}"]) as scheduler:
+                    assert scheduler.run(specs) == [shared] * 4
+                runs.append(scheduler.stats)
+        first, *later = runs
+        assert (first.blobs_sent, first.blobs_deduped) == (1, 3)
+        for stats in later:
+            assert stats.blobs_sent == 0
+            assert stats.blobs_deduped == stats.tasks == 4
             assert stats.bytes_deduped >= 4 * len(shared)
 
     def test_evicted_digest_fails_typed_within_the_retry_bound(

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import detect_many, dispatch_detection
 from repro.core.config import DetectionConfig
-from repro.core.detector import WatermarkDetector
+from repro.core.detector import WatermarkDetector, count_matrix, gather_counts
 from repro.core.eligibility import generate_eligible_pairs
 from repro.core.histogram import TokenBoundaries, TokenHistogram
 from repro.core.knapsack import select_within_budget
@@ -262,6 +262,81 @@ class TestBatchDetectionParity:
         secret = WatermarkSecret.build([candidates[0].pair], SECRET, 7)
         report = detect_many([tokens, histogram], secret)
         assert report.results[0].accepted_pairs == report.results[1].accepted_pairs
+
+
+def _gather_cases():
+    """A histogram's counts, plus query tokens with repeats and strangers."""
+    return _counts.flatmap(
+        lambda counts: st.tuples(
+            st.just(counts),
+            st.lists(
+                st.sampled_from(sorted(counts) + ["absent", "", "zz-missing"]),
+                max_size=40,
+            ),
+        )
+    )
+
+
+#: The token inputs the lookups take: lists, tuples and iterators (the
+#: modification stage passes generators).
+_INPUT_FORMS = (list, tuple, iter, lambda query: (token for token in query))
+
+
+class TestGatherParity:
+    """``HistogramArrays.positions`` and ``frequencies`` (one C-level
+    ``index.get`` pass) and the count matrix built from them equal a
+    per-token ``dict.get`` reference."""
+
+    @_settings
+    @given(case=_gather_cases())
+    def test_positions_and_frequencies_match_dict_get(self, case):
+        counts, query = case
+        arrays = TokenHistogram.from_counts(counts).arrays()
+        ranks = {
+            token: rank
+            for rank, token in enumerate(sorted(counts, key=lambda t: (-counts[t], t)))
+        }
+        expected_positions = [ranks.get(token, -1) for token in query]
+        expected_counts = [counts.get(token, 0) for token in query]
+        for form in _INPUT_FORMS:
+            positions = arrays.positions(form(query))
+            frequencies = arrays.frequencies(form(query))
+            for values, expected in (
+                (positions, expected_positions),
+                (frequencies, expected_counts),
+            ):
+                assert values.dtype == np.int64
+                assert values.shape == (len(query),)
+                assert values.tolist() == expected
+
+    def test_empty_input_is_an_empty_int64_array(self):
+        arrays = TokenHistogram.from_counts({"a": 3, "b": 1}).arrays()
+        for form in _INPUT_FORMS:
+            for lookup in (arrays.positions, arrays.frequencies):
+                values = lookup(form([]))
+                assert values.dtype == np.int64
+                assert values.shape == (0,)
+
+    @_settings
+    @given(
+        batch=st.lists(st.tuples(_counts, st.booleans()), max_size=6),
+        columns=st.lists(
+            st.text(alphabet="abcdefghij", min_size=1, max_size=3), max_size=12
+        ),
+    )
+    def test_count_matrix_stacks_gather_counts_rows(self, batch, columns):
+        suspects = [
+            TokenHistogram.from_counts(counts) if as_histogram else dict(counts)
+            for counts, as_histogram in batch
+        ]
+        matrix = count_matrix(suspects, columns)
+        assert matrix.dtype == np.int64
+        assert matrix.shape == (len(suspects), len(columns))
+        for row, (counts, _) in zip(matrix, batch):
+            assert row.tolist() == [counts.get(token, 0) for token in columns]
+        expected = [gather_counts(suspect, columns) for suspect in suspects]
+        if expected:
+            assert np.array_equal(matrix, np.stack(expected))
 
 
 #: Token universe of the counts-path cases: digit strings, so that int,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from repro.exceptions import ConfigurationError, DetectionError
 from repro.exec.blobs import MIN_BLOB_BYTES, blob_digest, dumps_oob
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.remote import RemoteScheduler
-from repro.exec.scheduler import LocalScheduler, TaskSpec, default_worker_count, run_task
+from repro.exec.scheduler import (
+    LocalScheduler,
+    Scheduler,
+    TaskSpec,
+    default_worker_count,
+    run_task,
+)
 
 #: Wire bytes a task may cost beyond its count matrix: the task line,
 #: the pickle framing of the payload and the initializer arguments
@@ -67,6 +74,51 @@ def worker_addresses(tmp_path_factory):
     sock_b = directory / "worker-b.sock"
     with scheduler_tasks.spawn_worker(sock_a), scheduler_tasks.spawn_worker(sock_b):
         yield (f"unix:{sock_a}", f"unix:{sock_b}")
+
+
+@pytest.fixture(scope="module")
+def sweep(watermark):
+    """64 histograms: watermarked copies, originals, decoys and rescalings."""
+    watermarked = watermark.watermarked_histogram
+    original = watermark.original_histogram
+    decoy = TokenHistogram.from_tokens([f"decoy-{i % 9}" for i in range(4_000)])
+    return [
+        watermarked,
+        original,
+        decoy,
+        watermarked.scaled(2.0),
+        original.scaled(0.5),
+        watermarked.scaled(0.9),
+        decoy.scaled(3.0),
+        watermarked.scaled(1.5),
+    ] * 8
+
+
+class _TwoWorkers(Scheduler):
+    """Reports two workers, runs every task in this process, keeps the specs."""
+
+    workers = 2
+
+    def __init__(self):
+        super().__init__()
+        self.specs = []
+
+    def run(self, tasks, *, on_result=None):
+        self.specs.extend(tasks)
+        states = OrderedDict()
+        return [run_task(spec, states=states) for spec in tasks]
+
+    def chunks(self):
+        """``(function, rows)`` of each dispatched task, in order."""
+        return [
+            (
+                spec.function,
+                spec.payload[0].shape[0]
+                if spec.function == "detect.counts"
+                else len(spec.payload[0]),
+            )
+            for spec in self.specs
+        ]
 
 
 def _counts_task(secret, matrix):
@@ -351,6 +403,66 @@ class TestRemoteDriver:
         with RemoteScheduler(worker_addresses[:1]) as scheduler:
             with pytest.raises(DetectionError, match="int64"):
                 scheduler.run([spec])
+
+
+class TestDefaultChunkSizes:
+    """A batch the driver reads into count rows is one chunk per worker,
+    capped at 64 rows; any batch holding a token list is four per worker."""
+
+    def _dispatch(self, watermark, batch, **kwargs):
+        scheduler = _TwoWorkers()
+        report = dispatch_detection(
+            scheduler, watermark.secret, None, batch, collect_evidence=True, **kwargs
+        )
+        expected = detect_many(batch, watermark.secret, collect_evidence=True)
+        assert report.results == expected.results
+        return scheduler.chunks()
+
+    def test_histograms_are_one_counts_task_per_worker(self, watermark, sweep):
+        assert self._dispatch(watermark, sweep) == [("detect.counts", 32)] * 2
+
+    def test_mappings_are_capped_at_64_rows(self, watermark, sweep):
+        mappings = [histogram.as_dict() for histogram in sweep] * 3 + [
+            histogram.as_dict() for histogram in sweep[:8]
+        ]
+        assert len(mappings) == 200
+        assert self._dispatch(watermark, mappings) == [
+            ("detect.counts", 64),
+            ("detect.counts", 64),
+            ("detect.counts", 64),
+            ("detect.counts", 8),
+        ]
+
+    def test_one_token_list_makes_four_chunks_per_worker(self, watermark, sweep):
+        raw = generate_power_law_tokens(0.7, n_tokens=60, sample_size=2_000, rng=6)
+        batch = list(sweep)
+        batch[21] = list(raw)
+        chunks = self._dispatch(watermark, batch)
+        assert [rows for _, rows in chunks] == [8] * 8
+        assert [function for function, _ in chunks] == (
+            ["detect.counts"] * 2 + ["detect.chunk"] + ["detect.counts"] * 5
+        )
+
+    def test_an_explicit_chunk_size_is_used_verbatim(self, watermark, sweep):
+        assert self._dispatch(watermark, sweep, chunk_size=5) == (
+            [("detect.counts", 5)] * 12 + [("detect.counts", 4)]
+        )
+        assert self._dispatch(watermark, sweep, chunk_size=64) == [
+            ("detect.counts", 64)
+        ]
+
+    def test_a_remote_counted_sweep_is_one_task_per_worker(
+        self, watermark, sweep, worker_addresses
+    ):
+        config = DetectionConfig(pair_threshold=1)
+        expected = detect_many(sweep, watermark.secret, config, collect_evidence=True)
+        with RemoteScheduler(worker_addresses) as scheduler:
+            report = dispatch_detection(
+                scheduler, watermark.secret, config, sweep, collect_evidence=True
+            )
+        assert scheduler.stats.tasks == 2
+        assert report.results == expected.results
+        assert 0 < report.accepted_count < len(sweep)
 
 
 class TestCountsTask:
