@@ -44,11 +44,12 @@ is available with ``--json`` (field-by-field schemas in ``docs/cli.md``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.attacks.destroy import (
     BoundaryNoiseAttack,
@@ -74,6 +75,8 @@ from repro.exceptions import DatasetError, ReproError
 from repro.exec.policy import ExecutionPolicy
 from repro.obs.logging import configure as configure_logging
 from repro.obs.logging import get_logger, log_record, parse_log_env
+from repro.obs.report import SPANS_RELPATH
+from repro.obs.trace import spans_active, tracer
 from repro.utils.rng import derive_rng
 
 
@@ -112,6 +115,32 @@ def _print_report(report: Dict[str, object], as_json: bool) -> None:
         print(f"{key.ljust(width)} : {value}")  # noqa: T201
 
 
+def _writes_spans(command: Callable[[argparse.Namespace], int]):
+    """Run ``command`` with its spans streamed to ``./telemetry/spans.jsonl``.
+
+    Only while the ``spans`` telemetry feature is on: the file lands
+    under the working directory, in the layout ``freqywm trace report .``
+    reads, and the sink is detached when the command returns or raises.
+    With telemetry off nothing is written.
+    """
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        if not spans_active():
+            return command(args)
+        # Spans an earlier command of this process buffered were
+        # already handled; attaching the sink would write them again.
+        tracer().drain()
+        tracer().set_sink(SPANS_RELPATH)
+        try:
+            return command(args)
+        finally:
+            tracer().set_sink(None)
+
+    return run
+
+
+@_writes_spans
 def _cmd_generate(args: argparse.Namespace) -> int:
     config = GenerationConfig(
         budget_percent=args.budget,
@@ -228,6 +257,7 @@ def _token_files(directory: Path) -> list:
     return files
 
 
+@_writes_spans
 def _cmd_detect(args: argparse.Namespace) -> int:
     secret = WatermarkSecret.load(args.secret)
     config = _detection_config(args)

@@ -15,6 +15,12 @@ What differs from NetworkX:
 
 * vertex duals, blossom membership and mates are lists, and each edge
   has one "allowable" flag indexed by its id instead of two tuple keys;
+* at the start of each stage, a single vertex that is its own top-level
+  blossom gets its S label, label edge, best edge and queue slot inline
+  rather than through a call of ``assignLabel(v, 1, None)`` (whose entry
+  ``assert`` holds trivially there, as the labels were just cleared);
+  the state and the queue order are the same, and a single base inside
+  a blossom still goes through ``assignLabel``;
 * the optimality certificate (NetworkX's ``verifyOptimum``) is
   :func:`verify_optimum`, which raises :class:`MatchingError` instead of
   asserting, so it also runs under ``python -O``, and which builds each
@@ -558,9 +564,19 @@ def max_weight_matching(vertex_count: int, edges: Sequence[Edge]) -> List[int]:
         queue[:] = []
 
         # Label single blossoms/vertices with S and put them in the queue.
+        # A single vertex that is its own top-level blossom is labelled
+        # inline, exactly as assignLabel(v, 1, None) would label it.
         for v in gnodes:
-            if mate[v] < 0 and label.get(inblossom[v]) is None:
-                assignLabel(v, 1, None)
+            if mate[v] < 0:
+                b = inblossom[v]
+                if isinstance(b, Blossom):
+                    if label.get(b) is None:
+                        assignLabel(v, 1, None)
+                else:
+                    label[v] = 1
+                    labeledge[v] = None
+                    bestedge[v] = None
+                    queue.append(v)
 
         # Loop until we succeed in augmenting the matching.
         augmented = 0

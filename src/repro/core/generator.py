@@ -46,7 +46,7 @@ from repro.core.modification import (
 )
 from repro.core.secrets import WatermarkSecret
 from repro.core.similarity import ranking_preserved, similarity_percent
-from repro.core.tokens import TokenValue
+from repro.core.tokens import CodedTokens, TokenValue
 from repro.core.transform import transform_dataset
 from repro.exceptions import GenerationError
 from repro.obs.trace import span as trace_span
@@ -330,17 +330,20 @@ class WatermarkGenerator:
     ) -> WatermarkResult:
         """One ``WM_Generate`` run, drawing shared derivations from ``scratch``.
 
-        Histogram-only input has no ``core.histogram`` and no
-        ``core.transform`` stage span.
+        A token sequence is read once: wrapped in a
+        :class:`~repro.core.tokens.CodedTokens`, it is coded inside the
+        ``core.histogram`` stage (by ``TokenHistogram.from_tokens``), and
+        ``core.transform`` edits through the same codes. Histogram-only
+        input has neither stage span.
         """
         with trace_span("core.generate"):
-            tokens: Optional[Sequence[TokenValue]] = None
+            tokens: Optional[CodedTokens] = None
             if isinstance(data, TokenHistogram):
                 histogram = data
             else:
+                tokens = CodedTokens(data)
                 with trace_span("core.histogram"):
-                    histogram = TokenHistogram.from_tokens(data)
-                tokens = data
+                    histogram = TokenHistogram.from_tokens(tokens)
 
             if len(histogram) < 2:
                 raise GenerationError(

@@ -132,19 +132,24 @@ def upper_triangle_rows(tokens: Sequence[str], secret: int, z: int) -> Iterator[
     Row ``i`` holds ``pair_modulus(tokens[i], tokens[j], R, z)`` for
     ``j = i + 1, ..., n - 1``, so the rows laid end to end come in
     ``np.triu_indices(n, k=1)`` order. Each token's inner digest is
-    hashed once and each row prefix ``tk_i || 0x00`` encoded once, so a
-    pair costs one hash, and only one row is held at a time. The
-    eligibility scan is the one caller.
+    hashed once. Each row primes one SHA-256 state with its prefix
+    ``tk_i || 0x00``, and each pair hashes its inner digest into a
+    ``.copy()`` of that state, so a pair costs one hash update and no
+    concatenation. Only one row is held at a time. The eligibility scan
+    is the one caller.
     """
     digests = _inner_digests(secret, tokens)
     sha256 = hashlib.sha256
     from_bytes = int.from_bytes
     for row, token in enumerate(tokens):
-        prefix = token.encode() + _FIELD_SEPARATOR
-        yield [
-            from_bytes(sha256(prefix + digest).digest(), "big") % z
-            for digest in digests[row + 1 :]
-        ]
+        primed = sha256(token.encode() + _FIELD_SEPARATOR).copy
+        moduli = []
+        append = moduli.append
+        for digest in digests[row + 1 :]:
+            state = primed()
+            state.update(digest)
+            append(from_bytes(state.digest(), "big") % z)
+        yield moduli
 
 
 def keyed_fingerprint(secret: int, *fields: "str | bytes | int") -> str:

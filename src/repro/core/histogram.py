@@ -40,7 +40,7 @@ from repro.core.arrays import (
     counts_from_mapping,
     sort_histogram,
 )
-from repro.core.tokens import TokenValue, canonical_token
+from repro.core.tokens import CodedTokens, TokenValue, canonical_token
 from repro.exceptions import HistogramError
 
 
@@ -305,6 +305,9 @@ class TokenHistogram:
             consumed in bounded batches. For data that arrives in
             chunks, :class:`repro.core.streaming.StreamingHistogramBuilder`
             counts with the same routine and its result is bit-identical.
+            A :class:`~repro.core.tokens.CodedTokens` is read (on its
+            first use) and counted from its codes with ``np.bincount``,
+            with the same result.
 
         Returns
         -------
@@ -316,6 +319,13 @@ class TokenHistogram:
         HistogramError
             If the sequence is empty.
         """
+        if isinstance(tokens, CodedTokens):
+            _, codes, index = tokens.coded()
+            if not codes.size:
+                raise HistogramError("cannot build a histogram from an empty dataset")
+            # Every key is a string; a subclass such as ``numpy.str_``
+            # becomes its exact ``str``, as ``canonical_token`` makes it.
+            return cls._from_sorted(*sort_histogram(list(map(str, index)), np.bincount(codes)))
         # Imported here: the streaming module builds on this one.
         from repro.core.streaming import DEFAULT_CHUNK_SIZE, count_batch, iter_batches
 

@@ -96,7 +96,8 @@ def count_batch(batch: list) -> Counter:
     canonical forms are ``"1"`` and ``"True"``.
 
     This is the one counting routine behind both
-    ``TokenHistogram.from_tokens`` and
+    ``TokenHistogram.from_tokens`` (except for a
+    :class:`~repro.core.tokens.CodedTokens`, counted from its codes) and
     :meth:`StreamingHistogramBuilder.add_tokens`.
 
     Parameters

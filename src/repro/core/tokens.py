@@ -12,12 +12,19 @@ computed from the token's bytes), so this module provides:
 * :class:`TokenPair` — an ordered pair of tokens where the first element
   is always the higher-frequency token, as used by the eligibility,
   matching, modification and detection stages.
+* :class:`CodedTokens` — a token sequence read once into integer codes,
+  which both the histogram count and the dataset edit of one
+  ``WM_Generate`` run read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 TokenValue = Hashable
 #: Separator used when composing multi-attribute tokens into one string.
@@ -119,6 +126,68 @@ class TokenPair:
         return TokenPair(b, a)
 
 
+class CodedTokens(SequenceABC):
+    """A token sequence read once, on first use, into integer codes.
+
+    Two stages of ``WM_Generate`` read its dataset: ``Preprocess``
+    counts it and the ``Create`` edit finds the occurrences it removes.
+    The generator wraps a token-sequence input in this type so that both
+    read one coding of it:
+    :meth:`repro.core.histogram.TokenHistogram.from_tokens` counts the
+    codes with ``np.bincount`` (so the read happens inside that call),
+    and :func:`repro.core.transform.transform_dataset` edits through
+    them.
+
+    The read keeps every string occurrence as given (a ``numpy.str_``
+    stays one) and canonicalises every other value with
+    :func:`canonical_token`; a list or tuple of strings is read as is,
+    anything else is copied into a list first. The vocabulary is one
+    ``dict.fromkeys`` pass and the codes one C-level ``np.fromiter``
+    pass. Indexing, iteration and ``len`` see the read tokens.
+    """
+
+    __slots__ = ("_source", "_read")
+
+    def __init__(self, tokens: Iterable[TokenValue]) -> None:
+        self._source = tokens
+        self._read: Optional[Tuple[Sequence[str], np.ndarray, Dict[str, int]]] = None
+
+    def coded(self) -> Tuple[Sequence[str], np.ndarray, Dict[str, int]]:
+        """``(tokens, codes, index)``, read on the first call.
+
+        ``tokens`` are the read occurrences, ``codes`` their ``int32``
+        codes, and ``index`` maps each distinct token to its code, in
+        order of first appearance.
+        """
+        if self._read is None:
+            tokens = self._source
+            distinct = None
+            if isinstance(tokens, (list, tuple)):
+                try:
+                    distinct = dict.fromkeys(tokens)
+                except TypeError:  # an unhashable token
+                    pass
+            if distinct is None or not all(map(isinstance, distinct, repeat(str))):
+                tokens = [
+                    token if isinstance(token, str) else canonical_token(token)
+                    for token in tokens
+                ]
+                distinct = dict.fromkeys(tokens)
+            index = dict(zip(distinct, range(len(distinct))))
+            codes = np.fromiter(map(index.__getitem__, tokens), np.int32, count=len(tokens))
+            self._read = (tokens, codes, index)
+        return self._read
+
+    def __len__(self) -> int:
+        return len(self.coded()[0])
+
+    def __getitem__(self, item):
+        return self.coded()[0][item]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.coded()[0])
+
+
 def unique_tokens(values: Iterable[TokenValue]) -> Tuple[str, ...]:
     """Canonicalise ``values`` preserving first-seen order and uniqueness."""
     seen = {}
@@ -147,6 +216,7 @@ __all__ = [
     "compose_token",
     "decompose_token",
     "TokenPair",
+    "CodedTokens",
     "unique_tokens",
     "PairLike",
     "as_token_pair",

@@ -10,14 +10,17 @@ token sequence (the ``Create`` step of Algorithm I):
   that inserting at predictable positions (for example always at the end)
   would weaken FreqyWM against a guess attack.
 
-The one-shot edit reads the sequence once, at C speed, into integer
-token codes (through the original histogram's token index in
-:func:`transform_dataset`), finds every removal position with one
-``np.isin``, resolves the insertions to their final slots and writes the
-output once as slices between the edited positions. It draws the random
-numbers of :func:`repro.core.reference.apply_deltas_reference` in the
-same order, so its output is identical. :func:`apply_deltas_streaming`
-does the same job on a lazy stream in bounded memory.
+The one-shot edit works on integer token codes: a
+:class:`~repro.core.tokens.CodedTokens` read of the sequence, which the
+generator has already made for its histogram, or one made here at C
+speed. It finds every occurrence of the removed tokens through one table
+over the codes, which numbers those tokens 1, 2, ..., groups them by
+token with one stable sort of the numbers, resolves the insertions to
+their final slots and writes the output once as slices between the
+edited positions. It draws the random numbers of
+:func:`repro.core.reference.apply_deltas_reference` in the same order,
+so its output is identical. :func:`apply_deltas_streaming` does the
+same job on a lazy stream in bounded memory.
 
 For multi-dimensional datasets (where a token is a combination of
 attribute values but rows carry further attributes) the equivalent row
@@ -26,13 +29,12 @@ transformation lives in :mod:`repro.core.multidimensional`.
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.histogram import TokenHistogram
-from repro.core.tokens import TokenValue, canonical_token
+from repro.core.tokens import CodedTokens, TokenValue, canonical_token
 from repro.exceptions import GenerationError
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -48,8 +50,9 @@ def apply_deltas_to_tokens(
     The edit touches a few dozen appearances of a sequence that may hold
     millions, so the whole sequence is read once at C speed (each token
     to an integer code through a token index built by one
-    ``dict.fromkeys`` pass) and written once as slices between the
-    edited positions. The random draws are those of
+    ``dict.fromkeys`` pass, see :class:`~repro.core.tokens.CodedTokens`;
+    a ``CodedTokens`` is used as it was read) and written once as slices
+    between the edited positions. The random draws are those of
     :func:`repro.core.reference.apply_deltas_reference`, in the same
     order, so the output is identical to it.
 
@@ -70,30 +73,39 @@ def apply_deltas_to_tokens(
     values as their canonical strings) whose histogram equals the
     original histogram with ``deltas`` applied.
     """
-    return _edit(tokens, deltas, None, rng)
+    return _edit(tokens, deltas, rng)
 
 
 def _edit(
-    tokens: Sequence[TokenValue],
-    deltas: Mapping[str, int],
-    index: Optional[Mapping[str, int]],
-    rng: RngLike,
+    tokens: Sequence[TokenValue], deltas: Mapping[str, int], rng: RngLike
 ) -> List[str]:
-    """The ``Create`` edit; ``index`` maps string tokens to distinct codes
-    (None: build one from ``tokens``)."""
+    """The ``Create`` edit of ``tokens`` (read once unless already coded)."""
     generator = ensure_rng(rng)
-    canonical, codes, index = _coded(tokens, index)
+    if not isinstance(tokens, CodedTokens):
+        tokens = CodedTokens(tokens)
+    canonical, codes, index = tokens.coded()
 
-    # Plan removals: choose random occurrence indices per token.
+    # Plan removals: choose random occurrence indices per token, among
+    # its occurrences in input order. The removed tokens present are
+    # numbered 1, 2, ... in a table over the codes (0 for every other
+    # token). One gather through it finds every occurrence to choose
+    # from, and one stable sort of those occurrences' numbers (small
+    # integers, which NumPy radix-sorts) groups them by token.
     removed: List[int] = []
     removals = {token: -delta for token, delta in deltas.items() if delta < 0}
     if removals:
-        hits = np.flatnonzero(
-            np.isin(codes, [index[token] for token in removals if token in index])
-        )
-        hit_codes = codes[hits]
+        present = [token for token in removals if token in index]
+        numbers = dict(zip(present, range(1, len(present) + 1)))
+        table = np.zeros(len(index), np.min_scalar_type(len(present)))
+        table[[index[token] for token in present]] = np.arange(1, len(present) + 1)
+        numbered = np.take(table, codes)
+        hits = np.flatnonzero(numbered != 0)
+        hit_numbers = np.take(numbered, hits)
+        grouped = hits[np.argsort(hit_numbers, kind="stable")]
+        ends = np.cumsum(np.bincount(hit_numbers, minlength=len(numbers) + 1)).tolist()
         for token, count in removals.items():
-            positions = hits[hit_codes == index[token]] if token in index else hits[:0]
+            number = numbers.get(token, 0)
+            positions = grouped[ends[number - 1] : ends[number]] if number else grouped[:0]
             if len(positions) < count:
                 raise GenerationError(
                     f"cannot remove {count} appearances of {token!r}: only "
@@ -145,49 +157,6 @@ def _edit(
     return result
 
 
-def _coded(
-    tokens: Sequence[TokenValue], index: Optional[Mapping[str, int]]
-) -> Tuple[Sequence[str], np.ndarray, Mapping[str, int]]:
-    """``(canonical tokens, int32 codes, index)`` for the edit.
-
-    The edit keeps every string occurrence as given (a ``numpy.str_``
-    stays one), so a list or tuple whose tokens are all keys of
-    ``index`` is used as is. Anything else -- a token that is not a
-    string, or not in the index -- is canonicalised first (strings still
-    as given) and coded through an index of its own.
-    """
-    if isinstance(tokens, (list, tuple)):
-        if index is None:
-            index = _string_index(tokens)
-        codes = _codes(tokens, index)
-        if codes is not None:
-            return tokens, codes, index
-    canonical = [
-        token if isinstance(token, str) else canonical_token(token) for token in tokens
-    ]
-    index = _string_index(canonical)
-    return canonical, _codes(canonical, index), index
-
-
-def _string_index(tokens: Sequence[TokenValue]) -> Dict[str, int]:
-    """Code per distinct token by first appearance; empty unless all are strings."""
-    try:
-        distinct = dict.fromkeys(tokens)
-    except TypeError:  # an unhashable token
-        return {}
-    if not all(map(isinstance, distinct, repeat(str))):
-        return {}
-    return dict(zip(distinct, range(len(distinct))))
-
-
-def _codes(tokens: Sequence[TokenValue], index: Mapping[str, int]) -> Optional[np.ndarray]:
-    """The code of every token, or None if one is not a key of ``index``."""
-    try:
-        return np.fromiter(map(index.__getitem__, tokens), np.int32, count=len(tokens))
-    except (KeyError, TypeError):
-        return None
-
-
 def histogram_deltas(
     original: TokenHistogram, watermarked: TokenHistogram
 ) -> Dict[str, int]:
@@ -232,13 +201,13 @@ def transform_dataset(
     """Edit ``tokens`` so its histogram matches ``watermarked``.
 
     The deltas are derived by diffing the two histograms
-    (:func:`histogram_deltas`), so this function also serves the
-    multi-watermarking and attack modules, which produce a target
-    histogram first and then need a consistent dataset.
+    (:func:`histogram_deltas`), then applied as
+    :func:`apply_deltas_to_tokens` applies them. The generator is the
+    caller: it passes the :class:`~repro.core.tokens.CodedTokens` its
+    histogram was counted from, so the edit reuses that read instead of
+    reading the sequence again.
     """
-    return _edit(
-        tokens, histogram_deltas(original, watermarked), original.arrays().index, rng
-    )
+    return _edit(tokens, histogram_deltas(original, watermarked), rng)
 
 
 def apply_deltas_streaming(

@@ -40,6 +40,7 @@ from repro.core.reference import (
 )
 from repro.core.secrets import WatermarkSecret
 from repro.core.streaming import StreamingHistogramBuilder
+from repro.core.tokens import CodedTokens
 from repro.core.transform import apply_deltas_to_tokens, histogram_deltas, transform_dataset
 from repro.dispute import WatermarkRegistry
 from repro.exceptions import GenerationError, HistogramError
@@ -389,17 +390,20 @@ def assert_count_parity(values: Sequence) -> TokenHistogram:
     """The batched token count vs the reference per-occurrence loop.
 
     ``TokenHistogram.from_tokens`` must equal
-    :func:`repro.core.reference.histogram_from_tokens_reference` for list,
-    tuple and iterator inputs, and so must a streaming builder whose
+    :func:`repro.core.reference.histogram_from_tokens_reference`, with
+    exact ``str`` tokens, for list, tuple, iterator and
+    :class:`~repro.core.tokens.CodedTokens` inputs (the last counted
+    from its codes), and so must a streaming builder whose
     batch size splits the input (every batch boundary is a place where
     the fast ``Counter`` path and the recount can meet). Returns the
     reference histogram.
     """
     values = list(values)
     reference = histogram_from_tokens_reference(values)
-    for shaped in (values, tuple(values), iter(values)):
+    for shaped in (values, tuple(values), iter(values), CodedTokens(values)):
         counted = TokenHistogram.from_tokens(shaped)
         assert counted == reference, f"from_tokens({type(shaped).__name__}) diverged"
+        assert all(type(token) is str for token in counted.tokens)
     builder = StreamingHistogramBuilder(chunk_size=max(1, len(values) // 3))
     builder.add_tokens(iter(values))
     assert builder.build() == reference, "batched streaming count diverged"
@@ -420,8 +424,9 @@ def assert_edit_parity(tokens: Sequence, deltas, seed: int):
     ``apply_deltas_to_tokens(t, d, rng=seed)`` must return exactly what
     :func:`repro.core.reference.apply_deltas_reference` returns for the
     same deltas mapping and seed (same values of the same types, or the
-    same error), for list and tuple inputs. Returns the reference
-    outcome.
+    same error), for list, tuple and
+    :class:`~repro.core.tokens.CodedTokens` inputs. Returns the
+    reference outcome.
     """
     return _assert_same_edit("apply_deltas_to_tokens", apply_deltas_to_tokens, tokens, deltas, seed)
 
@@ -429,12 +434,13 @@ def assert_edit_parity(tokens: Sequence, deltas, seed: int):
 def assert_transform_parity(
     tokens: Sequence, original: TokenHistogram, target: TokenHistogram, seed: int
 ):
-    """``transform_dataset`` (coded through ``original``'s token index) vs
-    the reference edit of the two histograms' deltas.
+    """``transform_dataset`` vs the reference edit of the two histograms'
+    deltas.
 
     ``transform_dataset(t, original, target, rng=seed)`` must return
     exactly what ``apply_deltas_reference(t, histogram_deltas(original,
-    target), rng=seed)`` returns, for list and tuple inputs, also when
+    target), rng=seed)`` returns, for list, tuple and
+    :class:`~repro.core.tokens.CodedTokens` inputs, also when
     ``original`` is not the histogram of ``t``. Returns the reference
     outcome.
     """
@@ -448,7 +454,7 @@ def assert_transform_parity(
 
 def _assert_same_edit(name: str, edit, tokens: Sequence, deltas, seed: int):
     expected = _edit_outcome(apply_deltas_reference, list(tokens), deltas, seed)
-    for shaped in (list(tokens), tuple(tokens)):
+    for shaped in (list(tokens), tuple(tokens), CodedTokens(list(tokens))):
         edited = _edit_outcome(edit, shaped, deltas, seed)
         where = f"{name}({type(shaped).__name__}, seed={seed}) diverged"
         assert edited == expected, where

@@ -16,6 +16,9 @@ from repro.core.secrets import WatermarkSecret
 from repro.datasets.loaders import load_token_file, save_token_file
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.dispute import WatermarkRegistry
+from repro.obs.report import load_spans
+from repro.obs.trace import configure_telemetry, tracer
+from repro.obs.trace import span as trace_span
 
 
 @pytest.fixture()
@@ -104,6 +107,59 @@ class TestGenerateDetect:
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["selected_pairs"] >= 1
+
+
+class TestCommandSpans:
+    """With spans on, ``generate`` and ``detect`` stream their spans to
+    ``./telemetry/spans.jsonl``, which ``freqywm trace report .`` reads."""
+
+    @pytest.fixture()
+    def telemetry(self):
+        """Set this process's telemetry features; restored to off after."""
+        tracer().reset()
+        yield configure_telemetry
+        configure_telemetry(None)
+        tracer().reset()
+
+    def _generate_and_detect(self, token_file) -> None:
+        args = [str(token_file), "wm.txt", "secret.json", "--modulus", "31", "--seed", "7"]
+        assert main(["generate", *args]) == 0
+        assert main(["detect", "wm.txt", "secret.json"]) == 0
+
+    def test_generate_and_detect_write_their_spans(
+        self, token_file, tmp_path, monkeypatch, capsys, telemetry
+    ):
+        monkeypatch.chdir(tmp_path)
+        telemetry("spans")
+        self._generate_and_detect(token_file)
+        spans = load_spans(str(tmp_path))
+        (generate,) = [span for span in spans if span["name"] == "core.generate"]
+        assert generate["parent"] is None
+        assert [span["name"] for span in spans if span["parent"] == generate["span"]] == [
+            "core.histogram",
+            "core.eligibility",
+            "core.mwm",
+            "core.knapsack",
+            "core.modification",
+            "core.transform",
+        ]
+        assert {"core.detector_build", "core.detect_pass"} <= {span["name"] for span in spans}
+        # The sink is detached once the command returns.
+        with trace_span("after.the.command"):
+            pass
+        assert len(load_spans(str(tmp_path))) == len(spans)
+        capsys.readouterr()
+        assert main(["trace", "report", "."]) == 0
+        assert "core.generate" in capsys.readouterr().out
+
+    def test_nothing_is_written_with_telemetry_off(
+        self, token_file, tmp_path, monkeypatch, telemetry
+    ):
+        monkeypatch.chdir(tmp_path)
+        telemetry(None)
+        self._generate_and_detect(token_file)
+        assert (tmp_path / "wm.txt").exists()
+        assert not (tmp_path / "telemetry").exists()
 
 
 class TestStreamingGenerate:

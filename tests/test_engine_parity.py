@@ -26,6 +26,7 @@ from repro.core.histogram import TokenBoundaries, TokenHistogram
 from repro.core.knapsack import select_within_budget
 from repro.core.matching import vertex_disjoint
 from repro.core.reference import (
+    apply_deltas_reference,
     detect_reference,
     histogram_from_tokens_reference,
     select_within_budget_reference,
@@ -37,6 +38,8 @@ from repro.core.similarity import (
     histogram_similarity,
 )
 from repro.core.streaming import DEFAULT_CHUNK_SIZE
+from repro.core.tokens import CodedTokens
+from repro.core.transform import histogram_deltas, transform_dataset
 from repro.exceptions import HistogramError
 from repro.exec.scheduler import LocalScheduler
 
@@ -574,6 +577,10 @@ class TestTokenCountParity:
             ([1, 1.0, "1"], {"1": 3}),
             ([b"a", "a"], {"a": 2}),
             ([["a", "b"], ("a", "b")], {"a\x1fb": 2}),
+            (
+                ["1", 1, np.str_("1"), 1.0, True, np.str_("a"), "a", b"a", ("a",), ["a"]],
+                {"1": 4, "True": 1, "a": 5},
+            ),
         ],
     )
     def test_values_that_collide_only_before_canonicalisation(self, values, expected):
@@ -629,7 +636,7 @@ class TestTokenEditParity:
 
     def test_transform_of_tokens_outside_the_histogram(self):
         # ``original`` need not be the histogram of ``tokens``: "q" is
-        # missing from its token index, so the edit codes its own.
+        # not in it, and its occurrences are kept.
         tokens = ["a", "b", "q", "a", "c", "q", "a"]
         original = TokenHistogram.from_counts({"a": 3, "b": 1, "c": 1})
         target = TokenHistogram.from_counts({"a": 1, "b": 3, "c": 1})
@@ -651,6 +658,63 @@ class TestTokenEditParity:
             kept_at = edited.index("b")
             placements.add("end" if kept_at == 0 else "start" if kept_at == 7 else "both")
         assert placements == {"start", "end", "both"}
+
+
+class TestCodedReadParity:
+    """The generator's one coded read (:class:`CodedTokens`) counts and
+    edits exactly as the plain-list paths and the reference do. The
+    harness's count and edit checks run a ``CodedTokens`` shape too;
+    these cover what they do not: the empty input, an edit through a
+    read the count already made, and removals of absent tokens."""
+
+    def test_empty_input_raises_the_same_error(self):
+        messages = set()
+        for count in (
+            lambda: TokenHistogram.from_tokens(CodedTokens([])),
+            lambda: TokenHistogram.from_tokens([]),
+            lambda: histogram_from_tokens_reference([]),
+        ):
+            with pytest.raises(HistogramError) as raised:
+                count()
+            messages.add(str(raised.value))
+        assert messages == {"cannot build a histogram from an empty dataset"}
+
+    @_settings
+    @given(case=_edit_cases(st.lists(_token_values, min_size=1, max_size=60)))
+    def test_read_by_the_count_then_edited_matches_reference(self, case):
+        # The generator's order: the histogram reads the sequence, and
+        # the edit reuses that read.
+        tokens, deltas, seed = case
+        coded = CodedTokens(list(tokens))
+        original = TokenHistogram.from_tokens(coded)
+        counts = original.as_dict()
+        for token, delta in deltas.items():
+            counts[token] = counts.get(token, 0) + delta
+        if not any(counts.values()):
+            counts["new"] = 1
+        target = TokenHistogram.from_counts(counts)
+        expected = apply_deltas_reference(
+            list(tokens), histogram_deltas(original, target), rng=seed
+        )
+        edited = transform_dataset(coded, original, target, rng=seed)
+        assert edited == expected
+        assert list(map(type, edited)) == list(map(type, expected))
+        assert edited == transform_dataset(list(tokens), original, target, rng=seed)
+
+    def test_every_occurrence_and_an_absent_token(self):
+        tokens = [np.str_("a"), "b", "a", 1, "c", "a", "1", b"c"] * 3
+        whole = {"a": -9, "1": -2, "z": 2}
+        for seed in range(20):
+            edited = harness.assert_edit_parity(tokens, whole, seed)
+            assert "a" not in edited and edited.count("1") == 4
+            # Two of the three numpy.str_ "a" may go; the rest stay
+            # numpy.str_ (the harness also compares every type).
+            kept = harness.assert_edit_parity(tokens, {"a": -2}, seed)
+            assert any(type(token) is np.str_ for token in kept)
+        message = harness.assert_edit_parity(tokens, {"b": -1, "q": -1}, 3)
+        assert message == "cannot remove 1 appearances of 'q': only 0 present"
+        message = harness.assert_edit_parity(tokens, {"a": -10}, 3)
+        assert message == "cannot remove 10 appearances of 'a': only 9 present"
 
 
 class TestTokenBoundariesRegression:

@@ -137,7 +137,12 @@ class TestBulkDerivation:
         ]
 
     def test_empty_and_non_ascii_tokens(self):
-        tokens = ["", "é", "日本", "a\x00b"]
+        # 74 UTF-8 bytes of multi-byte characters: first in the reversed
+        # order, its row's primed prefix ``tk_i || 0x00`` spans a SHA-256
+        # block.
+        long_token = "日本語のトークン" * 3 + "é"
+        assert len(long_token.encode()) >= 64
+        tokens = ["", "é", "日本", "a\x00b", long_token]
         moduli = moduli_of_pairs(
             [TokenPair(left, right) for left in tokens for right in tokens if left != right],
             2**255 + 1,
@@ -149,3 +154,9 @@ class TestBulkDerivation:
             for right in tokens
             if left != right
         ]
+        for order in (tokens, tokens[::-1]):
+            rows = upper_triangle_rows(order, 2**255 + 1, 2**63 - 1)
+            assert list(rows) == [
+                [pair_modulus(order[i], right, 2**255 + 1, 2**63 - 1) for right in order[i + 1 :]]
+                for i in range(len(order))
+            ]

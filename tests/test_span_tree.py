@@ -21,7 +21,10 @@ from repro.attacks.evaluation import RobustnessEvaluator
 from repro.core.batch import detect_many
 from repro.core.config import GenerationConfig
 from repro.core.eligibility import EligibilityContext
+import repro.core.generator as generator_module
 from repro.core.generator import WatermarkGenerator
+from repro.core.histogram import TokenHistogram
+from repro.core.tokens import CodedTokens
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.dispute.vault import SecretVault
 from repro.exec.policy import ExecutionPolicy
@@ -96,6 +99,49 @@ def test_generate_holds_the_six_stage_spans_in_order(recorded, tokens):
     assert attrs["core.mwm"] == {"edges": eligible, "matched": matched}
     assert attrs["core.knapsack"] == {"candidates": matched, "kept": result.pair_count}
     assert all(span["pid"] == os.getpid() for span in spans)
+
+
+def test_token_generate_reads_its_dataset_once_inside_the_histogram_call(
+    monkeypatch, tokens
+):
+    # The benchmark times the histogram and transform stages by wrapping
+    # ``TokenHistogram.from_tokens`` and the generator module's
+    # ``transform_dataset`` from outside. Each must be called once per
+    # token-input generate, and the dataset's one coded read must happen
+    # inside the first, or a stage's time moves and its metric reads 0.
+    calls = []
+    count_tokens = TokenHistogram.from_tokens.__func__
+    edit = generator_module.transform_dataset
+    read = CodedTokens.coded
+
+    def spy_count(cls, data):
+        calls.append(("from_tokens", None))
+        histogram = count_tokens(cls, data)
+        calls.append(("from_tokens returned", None))
+        return histogram
+
+    def spy_edit(*args, **kwargs):
+        calls.append(("transform_dataset", None))
+        return edit(*args, **kwargs)
+
+    def spy_read(self):
+        coded = read(self)
+        calls.append(("coded", id(coded)))
+        return coded
+
+    monkeypatch.setattr(TokenHistogram, "from_tokens", classmethod(spy_count))
+    monkeypatch.setattr(generator_module, "transform_dataset", spy_edit)
+    monkeypatch.setattr(CodedTokens, "coded", spy_read)
+    result = WatermarkGenerator(GenerationConfig(modulus_cap=31), rng=7).generate(tokens)
+
+    names = [name for name, _ in calls]
+    assert names.count("from_tokens") == 1
+    assert names.count("transform_dataset") == 1
+    start, end = names.index("from_tokens"), names.index("from_tokens returned")
+    assert start < names.index("coded") < end < names.index("transform_dataset")
+    # Every later use finds the same read.
+    assert len({identity for name, identity in calls if name == "coded"}) == 1
+    assert result.watermarked_tokens is not None
 
 
 def test_service_verbs_hold_their_layer_spans(recorded, watermark, tmp_path):

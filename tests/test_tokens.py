@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.tokens import (
     MULTI_ATTRIBUTE_SEPARATOR,
+    CodedTokens,
     TokenPair,
     as_token_pair,
     canonical_token,
@@ -100,3 +101,22 @@ class TestHelpers:
     def test_as_token_pair_passthrough(self):
         pair = TokenPair("x", "y")
         assert as_token_pair(pair) is pair
+
+
+class TestCodedTokens:
+    def test_a_list_of_strings_is_read_as_is(self):
+        tokens = ["b", np.str_("a"), "b", "c"]
+        read, codes, index = CodedTokens(tokens).coded()
+        assert read is tokens
+        assert codes.dtype == np.int32 and codes.tolist() == [0, 1, 0, 2]
+        assert list(index) == ["b", "a", "c"]
+
+    def test_other_values_are_canonicalised_and_strings_kept(self):
+        coded = CodedTokens(iter([1, np.str_("1"), ("a", "b"), b"x"]))
+        read, codes, index = coded.coded()
+        assert read == ["1", "1", "a\x1fb", "x"]
+        assert type(read[1]) is np.str_
+        assert codes.tolist() == [0, 0, 1, 2]
+        # The sequence view is the read tokens, read once.
+        assert len(coded) == 4 and coded[2] == "a\x1fb" and list(coded) == read
+        assert coded.coded() is coded.coded()
