@@ -1,4 +1,4 @@
-"""Detection service throughput — cached + coalesced vs one-shot.
+"""Detection service throughput — cached detector vs one-shot.
 
 Not a paper figure: this benchmark guards the service layer (PR 3)
 against functional and performance regression.
@@ -10,14 +10,15 @@ way a stateless deployment would — one
 detector construction (SHA-256 moduli for every stored pair) and one
 single-dataset vectorized pass each time. The service answers the same
 200 requests through :class:`~repro.service.SyncDetectionService`:
-detector built once (LRU cache), requests coalesced into shared
-``detect_many`` passes.
+detector built once (LRU cache), each request answered by one
+``detect_many`` pass over its suspect.
 
 Asserted, in both smoke and full scale:
 
 * verdict parity — the service answers are identical to the one-shot
   answers, request by request;
-* coalescing — the 200 requests ride in far fewer vectorized passes;
+* the cache — all 200 requests are answered by the one detector built
+  when the secret was registered;
 * **throughput ≥ 3x** over sequential one-shot detection.
 
 Run directly (``python benchmarks/bench_service.py [--smoke]``) or via
@@ -36,7 +37,7 @@ from repro.core.knapsack import select_within_budget
 from repro.core.matching import vertex_disjoint
 from repro.core.secrets import WatermarkSecret
 from repro.datasets.synthetic import generate_power_law_tokens
-from repro.service import ServiceConfig, SyncDetectionService
+from repro.service import SyncDetectionService
 from repro.utils.rng import ensure_rng
 
 from bench_utils import experiment_banner
@@ -84,7 +85,7 @@ def _workload(request_count: int, suspect_size: int):
 
 
 def test_service_throughput_200_cached_secret_requests():
-    """ISSUE 3 acceptance: coalesced throughput >= 3x sequential one-shot."""
+    """Service throughput with a cached detector >= 3x sequential one-shot."""
     suspect_size = 1_500 if _smoke() else 10_000
     secret, suspects = _workload(REQUESTS, suspect_size)
 
@@ -98,26 +99,22 @@ def test_service_throughput_200_cached_secret_requests():
 
     sequential_seconds, baseline = _time(sequential_one_shot)
 
-    service_config = ServiceConfig(max_batch=64, max_delay=0.005)
-    with SyncDetectionService(service_config) as service:
+    with SyncDetectionService() as service:
         service.register_secret(secret)  # warm: the cache holds the detector
-        service_seconds, coalesced = _time(
-            service.detect_all, suspects, secret
-        )
+        service_seconds, answered = _time(service.detect_all, suspects, secret)
         stats = service.stats
         cache_stats = service.cache_stats()
 
     # Verdict parity, request by request (bit-identical counters).
     assert [
         (r.accepted, r.accepted_pairs, r.required_pairs, r.total_pairs)
-        for r in coalesced
+        for r in answered
     ] == [
         (r.accepted, r.accepted_pairs, r.required_pairs, r.total_pairs)
         for r in baseline
     ]
-    # The 200 requests actually coalesced and hit the cached detector.
+    # Every request reached the service and hit the cached detector.
     assert stats.requests == REQUESTS
-    assert stats.batches <= REQUESTS // 4
     assert cache_stats.misses == 1
 
     speedup = sequential_seconds / max(service_seconds, 1e-9)
@@ -128,13 +125,12 @@ def test_service_throughput_200_cached_secret_requests():
     )
     print(  # noqa: T201
         f"  sequential one-shot: {sequential_seconds * 1000:.1f} ms   "
-        f"service (cached+coalesced): {service_seconds * 1000:.1f} ms   "
+        f"service (cached detector): {service_seconds * 1000:.1f} ms   "
         f"speedup: {speedup:.1f}x"
     )
     print(  # noqa: T201
-        f"  batches: {stats.batches} (mean size {stats.mean_batch_size:.1f}, "
-        f"largest {stats.largest_batch}), cache hit rate "
-        f"{cache_stats.hit_rate:.2%}"
+        f"  requests: {stats.requests}, detector builds: {cache_stats.misses}, "
+        f"cache hit rate {cache_stats.hit_rate:.2%}"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"service throughput regressed: {speedup:.2f}x < {MIN_SPEEDUP}x "

@@ -134,7 +134,7 @@ def experiment_banner(identifier: str, description: str) -> None:
 #: reproduction plus the engine-scaling guard (whose speedup assertions
 #: surface performance regressions per PR), the streaming/sharding
 #: guard (chunked-ingestion parity + sharded screening timings), the
-#: detection-service guard (cached+coalesced throughput vs one-shot),
+#: detection-service guard (cached-detector throughput vs one-shot),
 #: the batch-embedding guard (embed_many parity + >=3x amortisation
 #: over the sequential generator loop), the experiment-orchestration
 #: guard (bundled smoke spec: cache-hit rerun + deterministic reports),

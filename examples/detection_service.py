@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Resident detection service: cached detectors + request coalescing.
+"""Resident detection service: cached detectors, one verdict per request.
 
 A marketplace operator runs ownership verdicts as a resident service.
 Requests arrive one dataset at a time — takedown checks, buyer audits,
@@ -10,13 +10,13 @@ amortises what a stateless deployment pays per request:
    copies) are registered up front; their detectors are constructed once
    and every later verdict is an LRU cache hit (no SHA-256 moduli
    derivation on the request path).
-2. **Request coalescing** — 300 concurrent single-dataset requests,
-   interleaved across both secrets, are drained from the service queue
-   in small time windows and answered with a handful of vectorized
-   ``detect_many`` passes instead of 300 single-dataset ones.
-3. **Parity** — every coalesced verdict is checked against a direct
+2. **Concurrent callers** — 300 single-dataset requests, interleaved
+   across both secrets and fired from two threads, are each answered in
+   their own request by one vectorized ``detect_many`` pass over that
+   request's suspect.
+3. **Parity** — every service verdict is checked against a direct
    ``WatermarkDetector.detect`` call: identical counters, identical
-   verdicts; the service only changes *when* the math runs.
+   verdicts.
 4. **Wire format** — the same requests expressed as JSON-lines
    (``repro.service.wire``), the format ``freqywm serve`` / ``freqywm
    client`` speak over stdio or a Unix socket.
@@ -77,7 +77,7 @@ def main() -> int:
     requests = build_request_mix(buyer_a, buyer_b)
 
     # -- resident service: register both watermarks, fire the burst ---- #
-    config = ServiceConfig(max_batch=64, max_delay=0.005, cache_capacity=8)
+    config = ServiceConfig(cache_capacity=8)
     with SyncDetectionService(config) as service:
         fingerprints = [service.register_secret(secret) for secret in secrets]
         started = time.perf_counter()
@@ -85,8 +85,7 @@ def main() -> int:
         for index, (secret_index, data) in enumerate(requests):
             per_secret.setdefault(secret_index, []).append((index, data))
         # Both secrets' bursts are fired from concurrent threads, so the
-        # service's coalescing windows genuinely interleave requests
-        # across the two detectors (each window is grouped per detector).
+        # service answers requests for the two detectors interleaved.
         verdicts = [None] * len(requests)
         with ThreadPoolExecutor(max_workers=len(per_secret)) as executor:
             futures = {
@@ -130,8 +129,8 @@ def main() -> int:
     print(f"accepted verdicts   : {accepted}")
     print(
         f"service             : {service_seconds * 1000:7.1f} ms "
-        f"({stats['batches']} vectorized passes, largest window "
-        f"{stats['largest_batch']}, cache hit rate {cache['hit_rate']:.1%})"
+        f"({stats['requests']} requests, {cache['misses']} detector "
+        f"constructions, cache hit rate {cache['hit_rate']:.1%})"
     )
     print(
         f"one-shot baseline   : {one_shot_seconds * 1000:7.1f} ms "

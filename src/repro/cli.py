@@ -16,9 +16,9 @@ most useful utilities:
 * ``freqywm synth``    — generate a synthetic power-law token file for
   experimentation.
 * ``freqywm serve``    — run the resident detection service (cached
-  detectors + request coalescing) speaking JSON-lines on stdio or a Unix
-  socket; ``--vault DIR`` additionally serves the ``register`` /
-  ``revoke`` / ``attribute`` verbs against a persistent secret vault.
+  detectors) speaking JSON-lines on stdio or a Unix socket; ``--vault
+  DIR`` additionally serves the ``register`` / ``revoke`` /
+  ``attribute`` verbs against a persistent secret vault.
 * ``freqywm client``   — screen suspect files through a running
   ``serve`` instance (``--socket``), or through a private spawned one.
 * ``freqywm registry`` — operate a persistent multi-tenant secret vault
@@ -320,17 +320,13 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0 if result.accepted else 1
 
 
+@_writes_spans
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.service import DetectionService, ServiceConfig, serve_stdio, serve_unix
 
-    service_config = ServiceConfig(
-        max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0,
-        cache_capacity=args.cache_capacity,
-        shard_workers=args.workers if args.workers > 1 else None,
-    )
+    service_config = ServiceConfig(cache_capacity=args.cache_capacity)
     detection_config = _detection_config(args)
     vault = None
     if args.vault is not None:
@@ -364,7 +360,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 #: Suspect files per pipelined client burst: one burst's histograms are
 #: resident at a time (mirroring the sharded path's chunked dispatch)
-#: while still giving the server a window worth coalescing.
+#: while the server still answers many requests per round trip.
 _CLIENT_BURST = 64
 
 
@@ -420,8 +416,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             verdict = "accepted" if response.accepted else "rejected"
             print(  # noqa: T201
                 f"{path} : {verdict} "
-                f"({response.accepted_pairs}/{response.total_pairs} pairs, "
-                f"batch={response.batch_size})"
+                f"({response.accepted_pairs}/{response.total_pairs} pairs)"
             )
     return 0 if all_accepted else 1
 
@@ -825,29 +820,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--max-batch",
-        type=_positive_int,
-        default=64,
-        help="most requests coalesced into one vectorized pass (default 64)",
-    )
-    serve.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=2.0,
-        help="coalescing window in milliseconds (default 2)",
-    )
-    serve.add_argument(
         "--cache-capacity",
         type=_positive_int,
         default=8,
         help="detectors kept resident in the LRU cache (default 8)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="shard coalesced batches across N worker processes when large",
     )
     add_detection_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)

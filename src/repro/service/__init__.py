@@ -1,18 +1,17 @@
-"""Resident detection service: cached detectors, coalescing, transports.
+"""Resident detection service: cached detectors and transports.
 
 The third scale-out leg after the vectorized engine (``repro.core``
 arrays/batch) and the streaming + sharding layer: a long-lived service
 that amortises detector construction across requests (LRU cache keyed by
-secret/config fingerprint), coalesces concurrent single-dataset requests
-into shared vectorized ``detect_many`` passes, and optionally fans large
-coalesced batches out through a sharded worker pool.
+secret/config fingerprint) and answers each detect in its own request,
+one ``detect_many`` pass over the one suspect.
 
 Layers, bottom up:
 
 * :class:`DetectorCache` (from :mod:`repro.core.cache`, re-exported
   here) — the fingerprint-keyed LRU of constructed detectors;
 * :mod:`repro.service.service` — :class:`DetectionService` (asyncio
-  queue + batcher) and :class:`SyncDetectionService` (blocking facade);
+  core) and :class:`SyncDetectionService` (blocking facade);
 * :mod:`repro.service.wire` — the typed, versioned JSON-lines format
   (``detect`` / ``embed`` / ``register`` / ``revoke`` / ``attribute``);
 * :mod:`repro.service.server` / :mod:`repro.service.client` — stdio and

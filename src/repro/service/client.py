@@ -9,11 +9,11 @@ Speaks the :mod:`repro.service.wire` format against either transport:
   daemon (this is what ``freqywm client`` does by default).
 
 The client pipelines: all requests are written before responses are
-collected, so the server coalesces them into shared vectorized passes. A
-background reader thread drains responses while requests are still being
-written, which keeps large pipelined bursts deadlock-free on bounded
-OS pipe buffers. Responses may arrive in any order; :meth:`request`
-re-orders them by the echoed request id.
+collected, so a burst costs one round trip rather than one per request.
+A background reader thread drains responses while requests are still
+being written, which keeps large pipelined bursts deadlock-free on
+bounded OS pipe buffers. Responses may arrive in any order;
+:meth:`request` re-orders them by the echoed request id.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class ServiceClient:
         """Spawn a private ``freqywm serve`` subprocess speaking stdio.
 
         ``serve_arguments`` are appended to the ``serve`` subcommand
-        (e.g. ``["--secret", "owner.json", "--max-batch", "128"]``).
+        (e.g. ``["--secret", "owner.json", "--cache-capacity", "16"]``).
         """
         command = [sys.executable, "-m", "repro.cli", "serve", *serve_arguments]
         environment = dict(os.environ, PYTHONPATH=_repro_pythonpath())
@@ -135,10 +135,9 @@ class ServiceClient:
         """Send a pipelined burst and return responses in request order.
 
         Detect and embed requests mix freely within one burst. All
-        request lines are written up front (so the server coalesces the
-        burst's detections) while a reader thread drains responses
-        concurrently; the call returns once every request has been
-        answered.
+        request lines are written up front while a reader thread drains
+        responses concurrently; the call returns once every request has
+        been answered.
         """
         if not requests:
             return []

@@ -8,15 +8,18 @@ to out-of-process clients, both speaking the
   stdout; this is what ``freqywm serve`` runs by default and what
   ``freqywm client`` spawns as a subprocess when no socket is given.
 * **Unix socket** (:func:`serve_unix`) — ``freqywm serve --socket PATH``;
-  many clients may connect concurrently and their requests coalesce
-  *across connections* into shared vectorized passes.
+  many clients may connect concurrently, all served by the one service
+  and its detector cache.
 
-Requests are answered as their coalesced batches complete, so responses
-can arrive out of order; clients must match on the echoed ``id``. A
-malformed line never kills the transport — it is answered with a
-failure response carrying the best-effort request id. Each line is
-answered inside one ``service.request`` span, the root of its decode,
-verb and response-encode spans.
+Each line is answered in its own task as soon as its verb completes, so
+responses can arrive out of order; clients must match on the echoed
+``id``. A malformed line never kills the transport — it is answered with
+a failure response carrying the best-effort request id. A line over
+:data:`~repro.service.wire.MAX_LINE_BYTES` on a socket is answered with
+one failure response (id ``"?"``) after the requests read before it, and
+then that connection is closed, since the rest of that line may still be
+unread. Each line is answered inside one ``service.request`` span, the
+root of its decode, verb and response-encode spans.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.obs.trace import span as trace_span
 from repro.service.service import DetectionService
 from repro.service.wire import (
     MAX_LINE_BYTES,
+    DetectResponse,
     decode_request,
     encode_line,
     failure_for_line,
@@ -62,9 +66,9 @@ async def serve_stdio(
 ) -> int:
     """Serve JSON-lines requests from a text stream until EOF.
 
-    Each line is answered as a task, so pipelined requests coalesce;
-    responses are written (one JSON line each) as they complete. Returns
-    the number of lines served.
+    Each line is answered as a task, so a slow request (an embed, say)
+    never holds up the lines behind it; responses are written (one JSON
+    line each) as they complete. Returns the number of lines served.
     """
     import sys
 
@@ -85,7 +89,7 @@ async def serve_stdio(
     served = 0
     while True:
         # stdin is a blocking file object; readline in the default
-        # executor keeps the loop (and thus the coalescing batcher) live.
+        # executor keeps the loop live for the requests in flight.
         line = await loop.run_in_executor(None, reader.readline)
         if not line:
             break
@@ -110,10 +114,9 @@ async def serve_unix(
     """Serve JSON-lines requests on a Unix domain socket until cancelled.
 
     Every connection is handled concurrently and each connection's lines
-    are answered as tasks, so requests coalesce across all connected
-    clients. ``ready`` (when given) is set once the socket is listening —
-    tests and the spawning client use it to avoid connect races. The
-    socket file is removed on shutdown.
+    are answered as tasks. ``ready`` (when given) is set once the socket
+    is listening — tests and the spawning client use it to avoid connect
+    races. The socket file is removed on shutdown.
     """
     path = Path(socket_path)
 
@@ -125,15 +128,27 @@ async def serve_unix(
         # O(total served), on persistent connections.
         tasks: set = set()
 
-        async def handle(line: str) -> None:
-            answer = await _answer(service, line)
+        async def write(answer: str) -> None:
             async with write_lock:
                 conn_writer.write((answer + "\n").encode("utf-8"))
                 await conn_writer.drain()
 
+        async def handle(line: str) -> None:
+            await write(await _answer(service, line))
+
         try:
             while True:
-                raw = await conn_reader.readline()
+                try:
+                    raw = await conn_reader.readline()
+                except ValueError:
+                    # Over the limit: the rest of the line may still be
+                    # unread, so the stream cannot go on past it.
+                    service.stats.failures += 1
+                    failure = DetectResponse.failure(
+                        "?", f"request line exceeds {MAX_LINE_BYTES} bytes"
+                    )
+                    await write(encode_line(failure))
+                    break
                 if not raw:
                     break
                 line = raw.decode("utf-8").strip()

@@ -1,30 +1,23 @@
-"""Resident detection service: cached detectors + request coalescing.
+"""Resident detection service: cached detectors, one verdict per request.
 
 One-shot detection pays the detector construction (SHA-256 moduli for
-every stored pair) per verdict and verifies one dataset per vectorized
-pass. A resident service amortises both:
+every stored pair) per verdict. A resident service keeps constructed
+detectors in a :class:`~repro.core.cache.DetectorCache` keyed by the
+secret/config fingerprint, so repeated verdicts against the same
+watermark skip moduli precomputation entirely.
 
-* **Detector cache** — constructed detectors live in a
-  :class:`~repro.core.cache.DetectorCache` keyed by the secret/config
-  fingerprint, so repeated verdicts against the same watermark skip
-  moduli precomputation entirely.
-* **Request coalescing** — single-dataset requests land on an asyncio
-  queue; a batcher drains it in small time/size windows
-  (:attr:`ServiceConfig.max_delay` / :attr:`ServiceConfig.max_batch`),
-  groups the window by detector, and answers each group with **one**
-  vectorized :meth:`~repro.core.detector.WatermarkDetector.detect_many`
-  pass. Concurrent callers therefore share matrix passes without
-  coordinating with each other.
-* **Shard fan-out** — when a coalesced group is large
-  (:attr:`ServiceConfig.shard_min_batch`) and the service was configured
-  with ``shard_workers``, the group is fanned out through
-  :func:`repro.core.batch.dispatch_detection` on one scheduler the
-  service keeps for its whole lifetime (workers cache the detectors of
-  the most recent secrets).
-
-Verdicts are identical to direct :meth:`WatermarkDetector.detect` — the
-coalescing only changes *when* the vectorized pass runs, never its
-inputs — and ``tests/test_service_properties.py`` asserts this for
+Each detect is answered in the request's own task, with the detector
+from that cache, by one
+:meth:`~repro.core.detector.WatermarkDetector.detect_many` pass over its
+one suspect. A verdict reads only the counts of the secret's pair
+tokens, so a suspect that is already checked counts
+(:class:`~repro.core.histogram.TokenCounts`, what every wire ``counts``
+detect holds) or a :class:`~repro.core.histogram.TokenHistogram` is
+read inline; any other suspect (a token sequence to count, a mapping
+still to check) is read in a worker thread, so a large list never
+stalls the event loop. Verdicts are identical to direct
+:meth:`WatermarkDetector.detect` (without the per-pair evidence
+objects), and ``tests/test_service_properties.py`` asserts this for
 arbitrary request interleavings across distinct secrets.
 
 :class:`DetectionService` is the asyncio core; :class:`SyncDetectionService`
@@ -37,19 +30,16 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batch import batch_scheduler, dispatch_detection
 from repro.core.cache import DEFAULT_CACHE_CAPACITY, CacheStats, DetectorCache
 from repro.core.config import DetectionConfig
-from repro.core.detector import DetectionResult, SuspectData, WatermarkDetector
+from repro.core.detector import DetectionResult, SuspectData
 from repro.core.generator import WatermarkGenerator
+from repro.core.histogram import TokenCounts, TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import ReproError, ServiceError
-from repro.exec.blobs import default_blob_store
-from repro.exec.policy import ExecutionPolicy
-from repro.exec.scheduler import Scheduler
 from repro.obs.metrics import render_prometheus
 from repro.obs.trace import span as trace_span
 from repro.service.wire import (
@@ -77,95 +67,42 @@ class ServiceConfig:
 
     Attributes
     ----------
-    max_batch:
-        Most requests coalesced into one ``detect_many`` window.
-    max_delay:
-        Seconds the batcher waits for more requests after the first one
-        of a window arrives. ``0`` coalesces only what is already queued
-        (pure opportunistic batching, minimum latency).
     cache_capacity:
         Detectors kept resident in the LRU cache.
-    shard_workers:
-        When set (> 1), coalesced groups of at least ``shard_min_batch``
-        datasets are fanned out across that many worker processes.
-    shard_min_batch:
-        Minimum group size worth the multiprocessing dispatch overhead.
     """
 
-    max_batch: int = 64
-    max_delay: float = 0.002
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    shard_workers: Optional[int] = None
-    shard_min_batch: int = 32
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay < 0:
-            raise ServiceError(f"max_delay must be >= 0, got {self.max_delay}")
         if self.cache_capacity < 1:
             raise ServiceError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ServiceError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
-        if self.shard_min_batch < 2:
-            raise ServiceError(
-                f"shard_min_batch must be >= 2, got {self.shard_min_batch}"
             )
 
 
 @dataclass
 class ServiceStats:
-    """Mutable execution counters of one service instance."""
+    """Mutable execution counters of one service instance.
+
+    ``requests`` counts the detects that reached a detector (a verdict
+    or a failed pass); ``failures`` counts every failed request of any
+    verb once, whichever entry it came through.
+    """
 
     requests: int = 0
-    batches: int = 0
-    coalesced_requests: int = 0
-    largest_batch: int = 0
-    sharded_batches: int = 0
     failures: int = 0
     embeds: int = 0
     registrations: int = 0
     revocations: int = 0
     attributions: int = 0
 
-    @property
-    def mean_batch_size(self) -> float:
-        """Average coalesced window size (0 when nothing ran yet)."""
-        return self.requests / self.batches if self.batches else 0.0
-
     def as_dict(self) -> Dict[str, object]:
         """Flat dictionary for reports and ``--json`` output."""
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "coalesced_requests": self.coalesced_requests,
-            "largest_batch": self.largest_batch,
-            "mean_batch_size": self.mean_batch_size,
-            "sharded_batches": self.sharded_batches,
-            "failures": self.failures,
-            "embeds": self.embeds,
-            "registrations": self.registrations,
-            "revocations": self.revocations,
-            "attributions": self.attributions,
-        }
-
-
-@dataclass
-class _Pending:
-    """One queued request: its dataset, resolved detector, and future."""
-
-    suspect: SuspectData
-    detector: WatermarkDetector
-    cache_hit: bool
-    future: "asyncio.Future[Tuple[DetectionResult, int]]" = field(repr=False)
+        return asdict(self)
 
 
 class DetectionService:
-    """Asyncio detection service with cached detectors and coalescing.
+    """Asyncio detection service with cached detectors.
 
     Examples
     --------
@@ -176,9 +113,8 @@ class DetectionService:
     ...         )
     ...     return [verdict.accepted for verdict in verdicts]
 
-    All ``detect`` coroutines awaited concurrently share coalesced
-    ``detect_many`` passes; see :class:`SyncDetectionService` for the
-    blocking facade.
+    Each ``detect`` is answered in its caller's task with the cached
+    detector; see :class:`SyncDetectionService` for the blocking facade.
     """
 
     def __init__(
@@ -197,55 +133,22 @@ class DetectionService:
         self._vault_registry = registry
         self._vault_lock = asyncio.Lock()
         self._registry: Dict[str, Tuple[WatermarkSecret, Optional[DetectionConfig]]] = {}
-        self._queue: "Optional[asyncio.Queue[Optional[_Pending]]]" = None
-        self._batcher: Optional[asyncio.Task] = None
-        self._closing = False
-        # One scheduler serves every sharded group (created on the first,
-        # closed in stop()); batcher windows and groups run one at a time,
-        # so sharing it is safe.
-        self._scheduler: Optional[Scheduler] = None
+        #: Whether requests are answered: set by :meth:`start`, cleared
+        #: by :meth:`stop`. Outside that span every verb fails with the
+        #: typed "not running" error.
+        self.running = False
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
 
-    @property
-    def running(self) -> bool:
-        """Whether the batcher task is accepting requests."""
-        return self._batcher is not None and not self._batcher.done()
-
     async def start(self) -> None:
-        """Spawn the batcher task (idempotent)."""
-        if self.running:
-            return
-        self._closing = False
-        self._queue = asyncio.Queue()
-        self._batcher = asyncio.get_running_loop().create_task(
-            self._run_batcher(), name="repro-detection-batcher"
-        )
+        """Start answering requests (idempotent)."""
+        self.running = True
 
     async def stop(self) -> None:
-        """Drain the queue, stop the batcher, release the shard scheduler."""
-        if self._batcher is None:
-            return
-        assert self._queue is not None
-        # New submissions raise immediately from here on; anything that
-        # still slips past the sentinel is failed below rather than left
-        # with a forever-pending future.
-        self._closing = True
-        await self._queue.put(None)  # sentinel: drain then exit
-        await self._batcher
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if item is not None and not item.future.done():
-                item.future.set_exception(
-                    ServiceError("the detection service is shutting down")
-                )
-        self._batcher = None
-        self._queue = None
-        if self._scheduler is not None:
-            self._scheduler.close()
-            self._scheduler = None
+        """Stop answering new requests; requests already answering finish."""
+        self.running = False
 
     async def __aenter__(self) -> "DetectionService":
         await self.start()
@@ -299,17 +202,21 @@ class DetectionService:
         *,
         secret_fingerprint: Optional[str] = None,
     ) -> DetectionResult:
-        """Queue one detection request and await its verdict.
+        """Answer one detection request with its verdict.
 
         The verdict is identical to
         ``WatermarkDetector(secret, config).detect(data)`` (without the
-        per-pair evidence objects); concurrent callers are coalesced
-        into shared vectorized passes. Exactly one of ``secret`` /
-        ``secret_fingerprint`` must be given.
+        per-pair evidence objects). Exactly one of ``secret`` /
+        ``secret_fingerprint`` must be given. A failure is counted once
+        in :attr:`stats` and raised.
         """
-        result, _batch_size = await self._enqueue(
-            data, secret, config, secret_fingerprint
-        )
+        try:
+            result, _cache_hit = await self._verdict(
+                data, secret, config, secret_fingerprint
+            )
+        except Exception:
+            self.stats.failures += 1
+            raise
         return result
 
     async def submit(self, request: WireRequest) -> WireResponse:
@@ -343,10 +250,8 @@ class DetectionService:
         """Answer a ``stats`` request with this service's stats groups.
 
         Each group is the ``as_dict()`` of an object this service holds:
-        its own counters, its detector cache, its vault once one exists,
-        and its shard scheduler plus the blob store that scheduler ships
-        through once sharding has started. Another service in the same
-        process never shows up here.
+        its own counters, its detector cache and its vault once one
+        exists. Another service in the same process never shows up here.
         """
         try:
             groups: Dict[str, Dict[str, object]] = {
@@ -355,9 +260,6 @@ class DetectionService:
             }
             if self._vault_registry is not None:
                 groups["vault"] = self._vault_registry.index_stats().as_dict()
-            if self._scheduler is not None:
-                groups["scheduler"] = self._scheduler.stats.as_dict()
-                groups["blobs"] = default_blob_store().stats()
             return StatsResponse(
                 request_id=request.request_id,
                 metrics={"views": groups},
@@ -372,11 +274,14 @@ class DetectionService:
             )
 
     async def _submit_detect(self, request: WireRequest) -> WireResponse:
-        """Answer one detect request (the default wire verb)."""
+        """Answer one detect request (the default wire verb).
+
+        ``batch_size`` stays on the wire for protocol-5 peers and is
+        always ``1``: each detect is its own pass.
+        """
         try:
-            pending_input = request.suspect()
-            (result, batch_size), cache_hit = await self._enqueue_with_hit(
-                pending_input,
+            result, cache_hit = await self._verdict(
+                request.suspect(),
                 request.inline_secret(),
                 request.detection_config(),
                 request.secret_fingerprint,
@@ -385,28 +290,55 @@ class DetectionService:
             self.stats.failures += 1
             return DetectResponse.failure(request.request_id, str(error))
         except Exception as error:  # noqa: BLE001 - wire contract: a failure
-            # response, never an unanswered id or a dead transport (e.g. a
-            # broken worker pool surfacing through the sharded path).
+            # response, never an unanswered id or a dead transport.
             self.stats.failures += 1
             return DetectResponse.failure(
                 request.request_id,
                 f"internal error: {type(error).__name__}: {error}",
             )
         return DetectResponse.from_result(
-            request.request_id, result, batch_size=batch_size, cache_hit=cache_hit
+            request.request_id, result, batch_size=1, cache_hit=cache_hit
         )
+
+    async def _verdict(
+        self,
+        data: SuspectData,
+        secret: Optional[WatermarkSecret],
+        config: Optional[DetectionConfig],
+        secret_fingerprint: Optional[str],
+    ) -> Tuple[DetectionResult, bool]:
+        """``(verdict, cache_hit)`` of one detect; counts no failure.
+
+        Checked counts and histograms are read at the detector's columns
+        inline; anything else is read in a worker thread (in this
+        request's context, so its spans nest under ``service.detect``).
+        """
+        if not self.running:
+            raise ServiceError("the detection service is not running")
+        if (secret is None) == (secret_fingerprint is None):
+            raise ServiceError(
+                "exactly one of secret / secret_fingerprint must be given"
+            )
+        if secret is None:
+            secret, registered_config = self.registered_secret(secret_fingerprint)
+            config = config if config is not None else registered_config
+        detector, cache_hit = self.cache.lookup(secret, config)
+        self.stats.requests += 1
+        if isinstance(data, (TokenCounts, TokenHistogram)):
+            (result,) = detector.detect_many([data])
+        else:
+            (result,) = await asyncio.to_thread(detector.detect_many, [data])
+        return result, cache_hit
 
     async def _submit_embed(self, request: EmbedRequest) -> EmbedResponse:
         """Answer one embed request; generation runs in the executor.
 
-        Embedding is CPU-heavy (eligibility scan + selection) and has no
-        cross-request state to coalesce when every request samples its
-        own secret, so each request becomes one executor job — the event
-        loop (and the detection batcher) stays responsive throughout. The
-        job runs in the request's context, so its ``core.generate`` span
-        nests under ``service.embed``.
+        Embedding is CPU-heavy (eligibility scan + selection), so each
+        request becomes one executor job and the event loop stays
+        responsive throughout. The job runs in the request's context, so
+        its ``core.generate`` span nests under ``service.embed``.
         """
-        if not self.running or self._closing:
+        if not self.running:
             self.stats.failures += 1
             return EmbedResponse.failure(
                 request.request_id, "the detection service is not running"
@@ -461,8 +393,8 @@ class DetectionService:
         Vault mutations are chained ledger appends (and, for a
         persistent vault, file writes), so all three verbs serialise on
         one lock; attribution's vectorized screen runs in the executor
-        to keep the detection batcher responsive, in the request's
-        context so the ``dispute.*`` spans nest under the verb's span.
+        to keep the event loop responsive, in the request's context so
+        the ``dispute.*`` spans nest under the verb's span.
         """
         failure = type(request).__name__.replace("Request", "Response")
         failure_type = {
@@ -470,7 +402,7 @@ class DetectionService:
             "RevokeResponse": RevokeResponse,
             "AttributeResponse": AttributeResponse,
         }[failure]
-        if not self.running or self._closing:
+        if not self.running:
             self.stats.failures += 1
             return failure_type.failure(
                 request.request_id, "the detection service is not running"
@@ -530,152 +462,6 @@ class DetectionService:
             active_secrets=screen.active_secrets if screen is not None else None,
         )
 
-    async def _enqueue(
-        self,
-        data: SuspectData,
-        secret: Optional[WatermarkSecret],
-        config: Optional[DetectionConfig],
-        secret_fingerprint: Optional[str],
-    ) -> Tuple[DetectionResult, int]:
-        outcome, _hit = await self._enqueue_with_hit(
-            data, secret, config, secret_fingerprint
-        )
-        return outcome
-
-    async def _enqueue_with_hit(
-        self,
-        data: SuspectData,
-        secret: Optional[WatermarkSecret],
-        config: Optional[DetectionConfig],
-        secret_fingerprint: Optional[str],
-    ) -> Tuple[Tuple[DetectionResult, int], bool]:
-        if not self.running or self._closing or self._queue is None:
-            raise ServiceError("the detection service is not running")
-        if (secret is None) == (secret_fingerprint is None):
-            raise ServiceError(
-                "exactly one of secret / secret_fingerprint must be given"
-            )
-        if secret is None:
-            assert secret_fingerprint is not None
-            secret, registered_config = self.registered_secret(secret_fingerprint)
-            config = config if config is not None else registered_config
-        detector, cache_hit = self.cache.lookup(secret, config)
-        future: "asyncio.Future[Tuple[DetectionResult, int]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        await self._queue.put(
-            _Pending(suspect=data, detector=detector, cache_hit=cache_hit, future=future)
-        )
-        return await future, cache_hit
-
-    # ------------------------------------------------------------------ #
-    # Batcher
-    # ------------------------------------------------------------------ #
-
-    async def _run_batcher(self) -> None:
-        assert self._queue is not None
-        queue = self._queue
-        loop = asyncio.get_running_loop()
-        while True:
-            first = await queue.get()
-            if first is None:
-                return
-            window = [first]
-            stopping = False
-            deadline = loop.time() + self.config.max_delay
-            while len(window) < self.config.max_batch and not stopping:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    # Window expired: opportunistically drain whatever is
-                    # already queued (this is the whole behaviour when
-                    # max_delay is 0) without waiting further.
-                    while len(window) < self.config.max_batch and not queue.empty():
-                        item = queue.get_nowait()
-                        if item is None:
-                            stopping = True
-                            break
-                        window.append(item)
-                    break
-                try:
-                    item = await asyncio.wait_for(queue.get(), timeout=timeout)
-                except asyncio.TimeoutError:
-                    break
-                if item is None:
-                    stopping = True
-                    break
-                window.append(item)
-            await self._execute_window(window, loop)
-            if stopping:
-                return
-
-    async def _execute_window(
-        self, window: List[_Pending], loop: asyncio.AbstractEventLoop
-    ) -> None:
-        """Group one coalesced window by detector and run each group."""
-        self.stats.requests += len(window)
-        if len(window) > 1:
-            self.stats.coalesced_requests += len(window)
-        self.stats.largest_batch = max(self.stats.largest_batch, len(window))
-        groups: Dict[str, List[_Pending]] = {}
-        detectors: Dict[str, WatermarkDetector] = {}
-        for pending in window:
-            key = pending.detector.fingerprint
-            groups.setdefault(key, []).append(pending)
-            detectors[key] = pending.detector
-        for key, group in groups.items():
-            self.stats.batches += 1
-            await self._execute_group(detectors[key], group, loop)
-
-    async def _execute_group(
-        self,
-        detector: WatermarkDetector,
-        group: List[_Pending],
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
-        """Answer one detector group with one pass.
-
-        When the pass raises, each request of a larger group is run
-        alone, so a malformed suspect fails only its own request.
-        """
-        suspects = [pending.suspect for pending in group]
-        try:
-            results = await loop.run_in_executor(
-                None, self._detect_group, detector, suspects
-            )
-        except Exception as error:
-            if len(group) > 1:
-                for pending in group:
-                    await self._execute_group(detector, [pending], loop)
-                return
-            self.stats.failures += 1
-            if not group[0].future.done():
-                group[0].future.set_exception(error)
-            return
-        for pending, result in zip(group, results):
-            if not pending.future.done():
-                pending.future.set_result((result, len(group)))
-
-    def _detect_group(
-        self, detector: WatermarkDetector, suspects: Sequence[SuspectData]
-    ) -> List[DetectionResult]:
-        """One vectorized pass (optionally sharded) over a detector group."""
-        workers = self.config.shard_workers
-        if (
-            workers is not None
-            and workers > 1
-            and len(suspects) >= self.config.shard_min_batch
-        ):
-            if self._scheduler is None:
-                self._scheduler = batch_scheduler(
-                    ExecutionPolicy(workers=workers), "detection"
-                )
-            self.stats.sharded_batches += 1
-            report = dispatch_detection(
-                self._scheduler, detector.secret, detector.config, suspects
-            )
-            return list(report.results)
-        return detector.detect_many(suspects)
-
     def cache_stats(self) -> CacheStats:
         """Snapshot of the detector cache counters."""
         return self.cache.stats()
@@ -685,9 +471,8 @@ class SyncDetectionService:
     """Blocking facade over :class:`DetectionService`.
 
     Owns a daemon thread running a private event loop, so synchronous
-    library code (and threads) can share one resident service. Requests
-    issued from multiple threads — or fired with :meth:`detect_all` —
-    coalesce exactly like concurrent asyncio callers.
+    library code (and threads) can share one resident service and its
+    detector cache.
 
     Examples
     --------
@@ -768,7 +553,7 @@ class SyncDetectionService:
         *,
         secret_fingerprint: Optional[str] = None,
     ) -> DetectionResult:
-        """Blocking single verdict (coalesces with concurrent callers)."""
+        """Blocking single verdict."""
         return self._call(
             self._service.detect(
                 data, secret, config, secret_fingerprint=secret_fingerprint
@@ -785,9 +570,8 @@ class SyncDetectionService:
     ) -> List[DetectionResult]:
         """Fire many single-dataset requests at once and await them all.
 
-        Every request goes through the normal coalescing queue — this is
-        the synchronous way to hand the service a concurrent burst — and
-        verdicts come back in input order.
+        Each request is answered as :meth:`detect` answers it; verdicts
+        come back in input order.
         """
 
         async def _gather() -> List[DetectionResult]:

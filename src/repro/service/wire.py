@@ -46,9 +46,9 @@ shared secret once per worker rather than once per task.
 
 On the transport, each request and each response is **one JSON object per
 line** (JSON-lines). Responses carry the request's ``id`` so they may be
-delivered out of order; detect responses' ``batch_size`` and
-``cache_hit`` expose what the coalescing layer actually did, which the
-benchmarks and the property tests use to assert the batching happened.
+delivered out of order; detect responses' ``cache_hit`` tells whether
+the detector came from the service's cache, and their ``batch_size`` is
+always ``1`` (it stays on the wire for protocol-5 peers).
 
 Every message class declares each field once with :func:`_wire` — its
 JSON kind, when it is written, and its wire key — and one codec
@@ -616,9 +616,11 @@ class DetectResponse(_Reply):
     ``ok`` distinguishes verdicts from failures: a failure carries only
     ``error``; a verdict mirrors the
     :class:`~repro.core.detector.DetectionResult` counters and annotates
-    how the request was executed — ``batch_size`` is the size of the
-    coalesced ``detect_many`` batch it rode in, ``cache_hit`` whether the
-    detector came from the LRU cache.
+    how the request was executed — ``cache_hit`` tells whether the
+    detector came from the LRU cache. ``batch_size`` is the number of
+    suspects in the ``detect_many`` pass that answered the request: the
+    service answers each detect alone, so it is always ``1``, and the
+    field stays so that no protocol-5 peer loses it.
     """
 
     ok: bool = _wire(FLAG)
@@ -1089,8 +1091,7 @@ class StatsResponse(_Reply):
 
     ``metrics`` is ``{"views": {group: {field: value}}}``: one group per
     object the service holds (``service``, ``detector_cache``, then
-    ``vault``, ``scheduler`` and ``blobs`` once those exist), each that
-    object's ``as_dict()``. ``prometheus`` is the same groups rendered
+    ``vault`` once one exists), each that object's ``as_dict()``. ``prometheus`` is the same groups rendered
     by :func:`repro.obs.metrics.render_prometheus`, ready to serve to a
     scraper.
     """

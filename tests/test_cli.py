@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.datasets.loaders import load_token_file, save_token_file
 from repro.datasets.synthetic import generate_power_law_tokens
@@ -19,6 +21,7 @@ from repro.dispute import WatermarkRegistry
 from repro.obs.report import load_spans
 from repro.obs.trace import configure_telemetry, tracer
 from repro.obs.trace import span as trace_span
+from repro.service import DetectRequest, decode_response, encode_line
 
 
 @pytest.fixture()
@@ -110,8 +113,9 @@ class TestGenerateDetect:
 
 
 class TestCommandSpans:
-    """With spans on, ``generate`` and ``detect`` stream their spans to
-    ``./telemetry/spans.jsonl``, which ``freqywm trace report .`` reads."""
+    """With spans on, ``generate``, ``detect`` and ``serve`` stream their
+    spans to ``./telemetry/spans.jsonl``, which ``freqywm trace report .``
+    reads."""
 
     @pytest.fixture()
     def telemetry(self):
@@ -152,14 +156,49 @@ class TestCommandSpans:
         assert main(["trace", "report", "."]) == 0
         assert "core.generate" in capsys.readouterr().out
 
+    def _serve_one_detect(self, monkeypatch, capsys):
+        """``serve`` one stdio detect line of ``wm.txt``; its answer."""
+        line = encode_line(
+            DetectRequest(
+                request_id="served",
+                counts=TokenHistogram.from_tokens(load_token_file("wm.txt")).as_dict(),
+                secret=WatermarkSecret.load("secret.json").to_dict(),
+            )
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+        capsys.readouterr()
+        assert main(["serve"]) == 0
+        return decode_response(capsys.readouterr().out.strip())
+
     def test_nothing_is_written_with_telemetry_off(
-        self, token_file, tmp_path, monkeypatch, telemetry
+        self, token_file, tmp_path, monkeypatch, capsys, telemetry
     ):
         monkeypatch.chdir(tmp_path)
         telemetry(None)
         self._generate_and_detect(token_file)
+        answer = self._serve_one_detect(monkeypatch, capsys)
+        assert answer.ok and answer.accepted
         assert (tmp_path / "wm.txt").exists()
         assert not (tmp_path / "telemetry").exists()
+
+    def test_serve_writes_its_spans(
+        self, token_file, tmp_path, monkeypatch, capsys, telemetry
+    ):
+        monkeypatch.chdir(tmp_path)
+        self._generate_and_detect(token_file)
+        telemetry("spans")
+        answer = self._serve_one_detect(monkeypatch, capsys)
+        assert answer.ok and answer.accepted
+        spans = load_spans(str(tmp_path))
+        (request,) = [span for span in spans if span["parent"] is None]
+        assert request["name"] == "service.request"
+
+        def children(parent):
+            return [span["name"] for span in spans if span["parent"] == parent["span"]]
+
+        assert children(request) == ["service.decode", "service.detect", "service.encode"]
+        (detect,) = [span for span in spans if span["name"] == "service.detect"]
+        assert children(detect) == ["core.detector_build", "core.detect_pass"]
 
 
 class TestStreamingGenerate:

@@ -290,25 +290,21 @@ class TestMetricsViews:
         data, secret = result.watermarked_histogram, result.secret
 
         async def run():
-            config_a = ServiceConfig(max_batch=5, max_delay=0.5, cache_capacity=8)
-            config_b = ServiceConfig(max_batch=1, cache_capacity=8)
-            async with DetectionService(config_a) as first, DetectionService(
-                config_b
+            config = ServiceConfig(cache_capacity=8)
+            async with DetectionService(config) as first, DetectionService(
+                config
             ) as second:
                 await asyncio.gather(*(first.detect(data, secret) for _ in range(10)))
                 for _ in range(3):
                     await second.detect(data, secret)
-                assert (first.stats.requests, first.stats.batches) == (10, 2)
-                assert (second.stats.requests, second.stats.batches) == (3, 3)
+                assert (first.stats.requests, second.stats.requests) == (10, 3)
                 return await _stats_answer(first), await _stats_answer(second)
 
         answer_a, answer_b = asyncio.run(run())
         views_a, views_b = answer_a.metrics["views"], answer_b.metrics["views"]
         assert views_a["service"]["requests"] == 10
-        assert views_a["service"]["mean_batch_size"] == 5.0
         assert views_a["detector_cache"]["capacity"] == 8
         assert views_b["service"]["requests"] == 3
-        assert views_b["service"]["mean_batch_size"] == 1.0
         assert "freqywm_service_requests 10\n" in answer_a.prometheus
         assert "freqywm_detector_cache_capacity 8\n" in answer_a.prometheus
 
@@ -333,41 +329,24 @@ class TestMetricsViews:
         async def run():
             async with DetectionService() as service:
                 service.stats.requests = 30
-                service.stats.batches = 7
-                service.stats.coalesced_requests = 23
-                service.stats.largest_batch = 9
+                service.stats.failures = 2
+                service.stats.embeds = 3
+                service.stats.registrations = 5
+                service.stats.revocations = 1
+                service.stats.attributions = 7
                 return service.stats, await _stats_answer(service)
 
         stats, response = asyncio.run(run())
         snapshot = response.metrics["views"]["service"]
         assert snapshot == stats.as_dict()
-        # The computed field rides along with the raw counters.
-        assert snapshot["mean_batch_size"] == 30 / 7
-
-    def test_service_adds_scheduler_and_blobs_once_it_shards(self, watermarked_bundle):
-        result, _original = watermarked_bundle
-        config = ServiceConfig(shard_workers=2, shard_min_batch=2, max_delay=0.05)
-
-        async def run():
-            async with DetectionService(config) as service:
-                before = await _stats_answer(service)
-                await asyncio.gather(
-                    *(
-                        service.detect(result.watermarked_histogram, result.secret)
-                        for _ in range(3)
-                    )
-                )
-                after = await _stats_answer(service)
-                return before, after, service._scheduler.stats.as_dict()
-
-        before, after, scheduler_stats = asyncio.run(run())
-        assert set(before.metrics["views"]) == {"service", "detector_cache"}
-        views = after.metrics["views"]
-        assert set(views) == {"service", "detector_cache", "scheduler", "blobs"}
-        assert views["service"]["sharded_batches"] >= 1
-        assert views["scheduler"] == scheduler_stats
-        assert views["scheduler"]["tasks"] >= 1
-        assert set(views["blobs"]) == set(default_blob_store().stats())
+        assert snapshot == {
+            "requests": 30,
+            "failures": 2,
+            "embeds": 3,
+            "registrations": 5,
+            "revocations": 1,
+            "attributions": 7,
+        }
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
-"""Detection service layer: cache, wire format, coalescing, transports."""
+"""Detection service layer: cache, wire format, detect requests, transports."""
 
 from __future__ import annotations
 
 import asyncio
 import io
 import json
+import threading
 
 import pytest
 
@@ -12,15 +13,18 @@ from repro.core.config import DetectionConfig
 from repro.core.detector import WatermarkDetector, detector_fingerprint
 from repro.core.batch import detect_many
 from repro.core.generator import generate_watermark
-from repro.core.histogram import TokenHistogram
+from repro.core.histogram import TokenHistogram, checked_counts
 from repro.core.secrets import WatermarkSecret
 from repro.datasets.synthetic import generate_power_law_tokens
-from repro.exceptions import DetectionError, ServiceError
+from repro.exceptions import DetectionError, ReproError, ServiceError
 from repro.service import (
+    AttributeRequest,
     DetectionService,
     DetectorCache,
     DetectRequest,
     DetectResponse,
+    EmbedRequest,
+    RegisterRequest,
     ServiceConfig,
     SyncDetectionService,
     decode_request,
@@ -200,11 +204,7 @@ class TestServiceConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_batch": 0},
-            {"max_delay": -0.1},
             {"cache_capacity": 0},
-            {"shard_workers": 0},
-            {"shard_min_batch": 1},
         ],
     )
     def test_rejects_invalid_knobs(self, kwargs):
@@ -215,7 +215,7 @@ class TestServiceConfigValidation:
 class TestCoalescing:
     def test_concurrent_requests_share_batches(self, watermark, decoy):
         async def run():
-            async with DetectionService(ServiceConfig(max_delay=0.01)) as service:
+            async with DetectionService() as service:
                 suspects = [watermark.watermarked_histogram, decoy] * 15
                 results = await asyncio.gather(
                     *(service.detect(data, watermark.secret) for data in suspects)
@@ -229,27 +229,11 @@ class TestCoalescing:
         ):
             assert _verdict(result) == _verdict(detector.detect(data))
         assert stats.requests == 30
-        assert stats.batches < 30  # coalescing actually happened
-        assert stats.largest_batch > 1
         assert cache_stats.misses == 1  # one detector construction total
-
-    def test_max_batch_bounds_window(self, watermark):
-        async def run():
-            config = ServiceConfig(max_batch=4, max_delay=0.05)
-            async with DetectionService(config) as service:
-                await asyncio.gather(
-                    *(
-                        service.detect(watermark.watermarked_histogram, watermark.secret)
-                        for _ in range(10)
-                    )
-                )
-                return service.stats.largest_batch
-
-        assert asyncio.run(run()) <= 4
 
     def test_groups_by_secret_within_window(self, watermark, other_watermark):
         async def run():
-            async with DetectionService(ServiceConfig(max_delay=0.02)) as service:
+            async with DetectionService() as service:
                 first = service.detect(
                     watermark.watermarked_histogram, watermark.secret
                 )
@@ -263,16 +247,15 @@ class TestCoalescing:
         assert results[0].accepted and results[1].accepted
         assert results[0].total_pairs == len(watermark.secret.pairs)
         assert results[1].total_pairs == len(other_watermark.secret.pairs)
-        # One window, two per-detector groups -> two vectorized passes.
-        assert stats.batches >= 2
+        assert stats.requests == 2
 
     def test_bad_detect_fails_alone_in_its_window(self, watermark):
-        """An empty token list coalesced with three good detects fails
-        only itself; the three good ones still get their verdicts."""
+        """An empty token list sent with three good detects fails only
+        itself; the three good ones still get their verdicts."""
         counts = watermark.watermarked_histogram.as_dict()
 
         async def run():
-            async with DetectionService(ServiceConfig(max_delay=0.05)) as service:
+            async with DetectionService() as service:
                 fingerprint = service.register_secret(watermark.secret)
                 requests = [
                     DetectRequest(request_id="good0", counts=counts, secret_fingerprint=fingerprint),
@@ -293,7 +276,68 @@ class TestCoalescing:
             assert by_id[request_id].accepted_pairs == direct.accepted_pairs
             assert by_id[request_id].accepted == direct.accepted
         assert stats.requests == 4
-        assert stats.batches == 1  # the four shared one window
+
+    @pytest.mark.parametrize(
+        "kind, inline",
+        [("counts", True), ("histogram", True), ("mapping", False), ("tokens", False)],
+    )
+    def test_only_suspects_still_to_read_leave_the_loop(
+        self, watermark, monkeypatch, kind, inline
+    ):
+        """Checked counts and histograms are read in the request's task;
+        a token sequence or an unchecked mapping in a worker thread."""
+        histogram = watermark.watermarked_histogram
+        suspect = {
+            "counts": checked_counts(histogram.as_dict()),
+            "histogram": histogram,
+            "mapping": histogram.as_dict(),
+            "tokens": watermark.watermarked_tokens,
+        }[kind]
+        threads = []
+        detect_many = WatermarkDetector.detect_many
+
+        def recording(self, datasets, **kwargs):
+            threads.append(threading.current_thread())
+            return detect_many(self, datasets, **kwargs)
+
+        monkeypatch.setattr(WatermarkDetector, "detect_many", recording)
+
+        async def run():
+            async with DetectionService() as service:
+                return await service.detect(suspect, watermark.secret)
+
+        result = asyncio.run(run())
+        assert _verdict(result) == _verdict(WatermarkDetector(watermark.secret).detect(histogram))
+        assert len(threads) == 1
+        assert (threads[0] is threading.main_thread()) is inline
+
+    def test_each_failed_detect_counts_one_failure(self, watermark):
+        """A failed detect counts once in ``stats.failures``, whether it
+        arrived as a wire request or a library call, and whether it
+        failed in its pass or before it."""
+        secret = watermark.secret
+
+        async def run():
+            counted = []
+            async with DetectionService() as service:
+                for request in (
+                    DetectRequest(request_id="empty", tokens=(), secret=secret.to_dict()),
+                    DetectRequest(request_id="unknown", tokens=("a",), secret_fingerprint="nope"),
+                ):
+                    response = await service.submit(request)
+                    assert not response.ok
+                    counted.append(service.stats.failures)
+                with pytest.raises(ReproError, match="empty dataset"):
+                    await service.detect([], secret)
+                counted.append(service.stats.failures)
+                with pytest.raises(ServiceError, match="no secret registered"):
+                    await service.detect(["a"], secret_fingerprint="nope")
+                counted.append(service.stats.failures)
+                return counted, service.stats.requests
+
+        counted, requests = asyncio.run(run())
+        assert counted == [1, 2, 3, 4]
+        assert requests == 2  # the two empty datasets reached a detector
 
     def test_submit_not_running_raises(self, watermark):
         async def run():
@@ -302,6 +346,40 @@ class TestCoalescing:
                 await service.detect(["a"], watermark.secret)
 
         asyncio.run(run())
+
+    def test_unstarted_and_stopped_services_refuse_every_verb(self, watermark):
+        """Outside start()..stop() each verb gets the typed failure."""
+        counts = watermark.watermarked_histogram.as_dict()
+        secret = watermark.secret.to_dict()
+        requests = [
+            DetectRequest(request_id="d", counts=counts, secret=secret),
+            EmbedRequest(request_id="e", counts=counts, seed=1),
+            RegisterRequest(request_id="r", buyer_id="acme", secret=secret),
+            AttributeRequest(request_id="a", counts=counts),
+        ]
+
+        async def answers(service):
+            return [await service.submit(request) for request in requests]
+
+        async def run():
+            unstarted = DetectionService()
+            before = await answers(unstarted)
+            async with DetectionService() as stopped:
+                assert (await stopped.submit(requests[0])).ok
+            after = await answers(stopped)
+            return before, after, stopped.stats
+
+        before, after, stats = asyncio.run(run())
+        for response in before + after:
+            assert not response.ok
+            assert response.error == "the detection service is not running"
+        assert [type(response).__name__ for response in after] == [
+            "DetectResponse",
+            "EmbedResponse",
+            "RegisterResponse",
+            "AttributeResponse",
+        ]
+        assert (stats.requests, stats.failures) == (1, len(requests))
 
     def test_requires_exactly_one_secret_form(self, watermark):
         async def run():
@@ -314,42 +392,6 @@ class TestCoalescing:
                     )
 
         asyncio.run(run())
-
-    def test_sharded_groups_share_one_scheduler(self, watermark, other_watermark):
-        config = ServiceConfig(
-            cache_capacity=1,
-            shard_workers=2,
-            shard_min_batch=2,
-            max_delay=0.05,
-        )
-        cases = [
-            (watermark.watermarked_histogram, watermark.secret),
-            (other_watermark.watermarked_histogram, other_watermark.secret),
-        ]
-
-        async def run():
-            schedulers, verdicts = [], []
-            async with DetectionService(config) as service:
-                for histogram, secret in cases:
-                    results = await asyncio.gather(
-                        *(service.detect(histogram, secret) for _ in range(3))
-                    )
-                    schedulers.append(service._scheduler)
-                    verdicts.append(results)
-                sharded = service.stats.sharded_batches
-            return schedulers, verdicts, sharded, service._scheduler
-
-        schedulers, verdicts, sharded, after_stop = asyncio.run(run())
-        assert sharded >= 2
-        # Both secrets' groups ran on the one scheduler the service keeps
-        # (the detector cache holds one entry; the scheduler is unaffected).
-        assert schedulers[0] is not None and schedulers[0] is schedulers[1]
-        assert after_stop is None  # stop() closed and released it
-        for (histogram, secret), results in zip(cases, verdicts):
-            direct = WatermarkDetector(secret).detect(histogram)
-            for result in results:
-                assert result.accepted == direct.accepted
-                assert result.accepted_pairs == direct.accepted_pairs
 
     def test_unknown_fingerprint_is_service_error(self):
         async def run():
@@ -543,7 +585,6 @@ class TestSyncFacade:
         for data, result in zip([watermark.watermarked_histogram, decoy] * 5, burst):
             assert _verdict(result) == _verdict(detector.detect(data))
         assert stats.requests == 11
-        assert stats.largest_batch > 1  # the burst coalesced
 
     def test_start_and_close_are_idempotent(self, watermark):
         service = SyncDetectionService()
@@ -577,7 +618,7 @@ class TestStdioTransport:
         out_stream = io.StringIO()
 
         async def run():
-            async with DetectionService(ServiceConfig(max_delay=0.01)) as service:
+            async with DetectionService() as service:
                 return await serve_stdio(service, in_stream, out_stream)
 
         served = asyncio.run(run())
@@ -592,7 +633,8 @@ class TestStdioTransport:
         assert responses["req-0"].accepted and responses["req-2"].accepted
         assert not responses["req-1"].accepted
         assert not responses["?"].ok  # the malformed line's failure response
-        assert responses["req-0"].batch_size >= 2  # pipelined lines coalesced
+        # Each detect is its own pass; the field stays on the wire.
+        assert [responses[f"req-{index}"].batch_size for index in range(3)] == [1, 1, 1]
 
 
 class TestEmbedVerb:
@@ -703,7 +745,7 @@ class TestEmbedVerb:
         out_stream = io.StringIO()
 
         async def run():
-            async with DetectionService(ServiceConfig(max_delay=0.01)) as service:
+            async with DetectionService() as service:
                 return await serve_stdio(service, in_stream, out_stream)
 
         served = asyncio.run(run())

@@ -165,12 +165,12 @@ def test_service_verbs_hold_their_layer_spans(recorded, watermark, tmp_path):
 
     (detect_span,) = _named(spans, "service.detect")
     assert [child["name"] for child in _children(spans, detect_span)] == [
-        "core.detector_build"
+        "core.detector_build",
+        "core.detect_pass",
     ]
-    # The coalesced pass serves a whole window of requests, so it is a
-    # root of its own rather than a child of one request.
+    # The request's own pass, over its one suspect.
     (detect_pass,) = _named(spans, "core.detect_pass")
-    assert detect_pass["parent"] is None
+    assert detect_pass["parent"] == detect_span["span"]
     assert detect_pass["attrs"] == {"batch": 1}
 
     (register_span,) = _named(spans, "service.register")
@@ -245,9 +245,8 @@ def test_the_wire_transport_spans_decode_verb_and_encode(recorded, watermark):
     asyncio.run(serve())
     assert '"accepted":true' in out.getvalue()
     spans = recorded()
-    roots = sorted(record["name"] for record in spans if record["parent"] is None)
-    # The coalesced pass answers a whole window, so it stays a root.
-    assert roots == ["core.detect_pass", "service.request"]
+    roots = [record["name"] for record in spans if record["parent"] is None]
+    assert roots == ["service.request"]
     (request,) = [record for record in spans if record["name"] == "service.request"]
     children = [record for record in spans if record["parent"] == request["span"]]
     assert [child["name"] for child in children] == [
@@ -255,7 +254,13 @@ def test_the_wire_transport_spans_decode_verb_and_encode(recorded, watermark):
         "service.detect",
         "service.encode",
     ]
-    assert {child["trace"] for child in children} == {request["trace"]}
+    (detect,) = _named(spans, "service.detect")
+    assert [child["name"] for child in _children(spans, detect)] == [
+        "core.detector_build",
+        "core.detect_pass",
+    ]
+    assert _named(spans, "core.detect_pass")[0]["attrs"] == {"batch": 1}
+    assert {record["trace"] for record in spans} == {request["trace"]}
 
 
 def test_evaluation_records_one_span_per_attack_family_in_order(

@@ -11,8 +11,10 @@ Four layers:
   :func:`decode_response` return a message or raise
   :class:`~repro.exceptions.ServiceError`, nothing else.
 * **Transports** — lines the codec rejects (a non-string ``op``) are
-  still answered by ``serve`` and by a worker, and a detect line over
-  asyncio's 64 KiB default line limit is served over a Unix socket.
+  still answered by ``serve`` and by a worker, a detect line over
+  asyncio's 64 KiB default line limit is served over a Unix socket, and
+  a line over the transport's own limit is answered with a failure
+  before its connection closes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.core.histogram import TokenCounts, TokenHistogram
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.exceptions import ServiceError
 from repro.exec.worker import TaskWorkerServer
-from repro.service import DetectionService, ServiceClient, ServiceConfig, serve_stdio, serve_unix
+from repro.service import DetectionService, ServiceClient, serve_stdio, serve_unix
 from repro.service.wire import (
     HEARTBEAT_FUNCTION,
     MAX_FRAME_BYTES,
@@ -765,7 +767,7 @@ def test_detect_line_over_64_kib_is_answered_over_a_unix_socket(tmp_path):
     socket_path = tmp_path / "svc.sock"
 
     async def run():
-        async with DetectionService(ServiceConfig(max_delay=0.0)) as service:
+        async with DetectionService() as service:
             ready = asyncio.Event()
             server_task = asyncio.ensure_future(serve_unix(service, socket_path, ready=ready))
             await ready.wait()
@@ -788,3 +790,69 @@ def test_detect_line_over_64_kib_is_answered_over_a_unix_socket(tmp_path):
         direct.accepted,
         direct.accepted_pairs,
     )
+
+
+def test_a_line_over_the_limit_is_answered_and_closes_its_connection(
+    tmp_path, monkeypatch
+):
+    """The request read before an over-long line is answered, the long
+    line gets one failure naming the limit, then that connection closes
+    and the server goes on serving new ones."""
+    import socket
+
+    monkeypatch.setattr("repro.service.server.MAX_LINE_BYTES", 8 * 1024)
+    watermark = generate_watermark(
+        generate_power_law_tokens(0.7, n_tokens=60, sample_size=8_000, rng=5),
+        budget_percent=2.0,
+        modulus_cap=31,
+        rng=7,
+    )
+    request = DetectRequest(
+        request_id="good",
+        counts=watermark.watermarked_histogram.as_dict(),
+        secret=watermark.secret.to_dict(),
+    )
+    good = encode_line(request)
+    long = json.dumps({"id": "long", "tokens": ["x" * 100] * 200})
+    assert len(good) < 8 * 1024 < len(long)
+    socket_path = tmp_path / "svc.sock"
+
+    def pipelined():
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.connect(str(socket_path))
+            conn.sendall(f"{good}\n{long}\n".encode("utf-8"))
+            with conn.makefile("rb") as reader:
+                answers = [decode_response(reader.readline().decode("utf-8")) for _ in range(2)]
+                try:
+                    rest = reader.readline()
+                except ConnectionResetError:
+                    rest = b""
+        return answers, rest
+
+    def next_connection():
+        with ServiceClient.connect_unix(socket_path) as client:
+            return client.request([request])[0]
+
+    async def run():
+        async with DetectionService() as service:
+            ready = asyncio.Event()
+            server_task = asyncio.ensure_future(serve_unix(service, socket_path, ready=ready))
+            await ready.wait()
+            loop = asyncio.get_running_loop()
+            try:
+                first = await loop.run_in_executor(None, pipelined)
+                second = await loop.run_in_executor(None, next_connection)
+                return first, second, service.stats.failures
+            finally:
+                server_task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await server_task
+
+    (answers, rest), again, failures = asyncio.run(run())
+    by_id = {answer.request_id: answer for answer in answers}
+    assert by_id["good"].ok and by_id["good"].accepted
+    assert not by_id["?"].ok
+    assert by_id["?"].error == "request line exceeds 8192 bytes"
+    assert rest == b""  # the connection was closed after its answers
+    assert again.ok and again.accepted
+    assert failures == 1
