@@ -1,8 +1,9 @@
-"""Zero-copy data plane — bytes-on-wire dedup and shm dispatch guards.
+"""Zero-copy data plane — bytes-on-wire dedup and local blob dispatch guards.
 
 Not a paper figure: this benchmark guards the execution-layer data plane
-(content-addressed blobs, shared-memory local transport, deduplicated
-remote payloads) against functional and performance regression.
+(content-addressed blobs, the forked local workers' inherited blob
+cache, deduplicated remote payloads) against functional and performance
+regression.
 
 * **Remote dedup**: a 200-task shared-secret screen — every task carries
   the same suspect histogram — dispatched to a spawned ``freqywm
@@ -12,10 +13,11 @@ remote payloads) against functional and performance regression.
   while returning verdicts identical to the inline run. The
   shared histogram ships once as a content-addressed blob; each task
   line then carries only its digest.
-* **Local shm dispatch**: fanning a large shared NumPy array out to a
-  :class:`~repro.exec.scheduler.LocalScheduler` pool must be faster
-  through the shared-memory transport (one exported segment, zero-copy
-  worker attach) than through per-task pickling of the full array.
+* **Local blob dispatch**: fanning a large shared NumPy array out to a
+  :class:`~repro.exec.scheduler.LocalScheduler`'s two forked workers
+  must be faster by digest (the blob is put before the workers fork, so
+  each already holds it) than through per-task pickling of the full
+  array.
 
 Run directly (``python benchmarks/bench_exec_dataplane.py``) or via
 pytest; the CI smoke job includes the timings in ``BENCH_smoke.json``.
@@ -162,13 +164,13 @@ def _array_sum(_state, payload) -> int:
 register_task_function("dataplane.sum", _array_sum)
 
 
-def _shm_specs(array, count: int, *, blobs: bool):
+def _fanout_specs(array, count: int, *, blobs: bool):
     value, refs = (array, ())
     if blobs:
         value, refs = maybe_blob(array)
     return [
         TaskSpec(
-            fingerprint=f"shm:{len(array)}:{index}",
+            fingerprint=f"fanout:{len(array)}:{index}",
             function="dataplane.sum",
             payload=(value, index),
             blob_refs=refs,
@@ -178,7 +180,7 @@ def _shm_specs(array, count: int, *, blobs: bool):
 
 
 def test_local_shm_dispatch():
-    """Shared-array fan-out: shm transport beats per-task pickling."""
+    """Shared-array fan-out: dispatch by digest beats per-task pickling."""
     import pytest
 
     length = 1_000_000 if _smoke() else 2_000_000
@@ -195,10 +197,10 @@ def test_local_shm_dispatch():
         )
         try:
             if scheduler.workers < 2 or failures:
-                pytest.skip("cannot spawn a local worker pool here")
-            # Warm the pool outside the timed window.
-            scheduler.run(_shm_specs(array[:8], 1, blobs=False))
-            specs = _shm_specs(array, count, blobs=(mode == "blob"))
+                pytest.skip("cannot start local workers here")
+            # Warm the scheduler outside the timed window.
+            scheduler.run(_fanout_specs(array[:8], 1, blobs=False))
+            specs = _fanout_specs(array, count, blobs=(mode == "blob"))
             start = time.perf_counter()
             results = scheduler.run(specs)
             timings[mode] = time.perf_counter() - start
@@ -208,16 +210,16 @@ def test_local_shm_dispatch():
 
     speedup = timings["inline"] / max(timings["blob"], 1e-9)
     experiment_banner(
-        "Data plane: local shm dispatch",
+        "Data plane: local blob dispatch",
         f"{count} tasks sharing one {array.nbytes / 1e6:.0f} MB array",
     )
     print(  # noqa: T201
-        f"  inline: {timings['inline']:.2f} s   blob/shm: {timings['blob']:.2f} s   "
+        f"  inline: {timings['inline']:.2f} s   blob: {timings['blob']:.2f} s   "
         f"speedup: {speedup:.2f}x"
     )
     floor = 1.05 if _smoke() else 1.2
     assert speedup >= floor, (
-        f"shm dispatch only {speedup:.2f}x faster than inline (floor {floor}x)"
+        f"blob dispatch only {speedup:.2f}x faster than inline (floor {floor}x)"
     )
 
 

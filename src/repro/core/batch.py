@@ -30,8 +30,9 @@ identical to the in-process path. A detection chunk of histograms and
 count mappings is read at the secret's pair tokens on the driver and
 travels inline as one small count matrix (``detect.counts``); chunks
 holding token sequences, and embedding chunks, travel as
-content-addressed blobs when large. A local pool that cannot spawn falls
-back in-process, logging the reason and raising a ``RuntimeWarning``.
+content-addressed blobs when large. Local workers that cannot start
+fall back in-process, logging the reason and raising a
+``RuntimeWarning``.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def _wants_sharding(policy: ExecutionPolicy) -> bool:
 def _spawn_failure_hook(kind: str) -> Callable[[BaseException], None]:
     """Spawn-failure hook shared by the detection and embedding paths.
 
-    Restricted sandboxes (no /dev/shm, seccomp'd fork, ...) degrade to
-    in-process execution rather than failing the whole batch — but never
+    Restricted sandboxes (a seccomp'd fork, a process limit, ...) degrade
+    to in-process execution rather than failing the whole batch — but never
     silently: the reason lands both in the logging stream (for resident
     services) and as a RuntimeWarning (for interactive/CLI runs).
     """
@@ -760,8 +761,8 @@ def embed_many(
                 chunk: object = items[start:stop]
                 chunk_refs: Tuple[str, ...] = ()
                 if use_blobs:
-                    # Large chunks travel as content-addressed blobs so the
-                    # local shm transport can ship them zero-copy.
+                    # Large chunks travel as content-addressed blobs, which
+                    # forked local children already hold.
                     chunk, chunk_refs = maybe_blob(chunk)
                 chunk_values = values[start:stop] if values else None
                 payloads.append(((chunk, chunk_values), chunk_refs))

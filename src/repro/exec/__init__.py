@@ -5,22 +5,24 @@ functions and the experiment executor stand on:
 
 * :mod:`repro.exec.policy` — the frozen
   :class:`~repro.exec.policy.ExecutionPolicy`, the single way callers
-  configure parallelism (workers, chunking, start method, scheduler
-  name and worker addresses);
+  configure parallelism (workers, chunking, scheduler name and worker
+  addresses);
 * :mod:`repro.exec.scheduler` — the
   :class:`~repro.exec.scheduler.Scheduler` API,
   :class:`~repro.exec.scheduler.TaskSpec`, the task/initializer name
   registries, and the default in-machine
-  :class:`~repro.exec.scheduler.LocalScheduler`;
+  :class:`~repro.exec.scheduler.LocalScheduler`, which runs inline or
+  forks its workers;
 * :mod:`repro.exec.remote` — the
   :class:`~repro.exec.remote.RemoteScheduler` dispatching tasks over
-  the JSON-lines wire to ``freqywm worker`` processes;
-* :mod:`repro.exec.worker` — the worker-process server itself;
+  the JSON-lines wire to ``freqywm worker`` processes, and to a local
+  scheduler's forked children;
+* :mod:`repro.exec.worker` — the worker server itself, run by
+  ``freqywm worker`` and by each forked child;
 * :mod:`repro.exec.blobs` — the zero-copy data plane: the
   content-addressed :class:`~repro.exec.blobs.BlobStore`, the
   :class:`~repro.exec.blobs.BlobRef` payload indirection, and the
-  shared-memory / out-of-band pickling helpers both schedulers ship
-  large payloads through;
+  out-of-band pickling helpers large payloads travel through;
 * :mod:`repro.exec.chunking` — the shared chunk-size heuristic.
 
 ``docs/scheduler.md`` is the narrative documentation.

@@ -12,14 +12,12 @@ then move the bytes in whatever way is cheapest:
 * **in-process** — the :class:`BlobStore` caches the original Python
   object next to its bytes, so the inline execution path resolves a ref
   back to the very object that was put (no serialisation at all);
-* **local pool** — the scheduler copies each blob into one
-  ``multiprocessing.shared_memory`` segment (:func:`export_shm_blob`)
-  and replaces refs with :class:`ShmBlobHandle`\\ s; workers attach and
-  reconstruct NumPy buffers **zero-copy** over the mapped segment;
-* **remote** — the wire ships each blob to each worker at most once as
-  binary frames (``blob-request`` / ``blob`` verbs, see
+* **worker processes** — the wire ships each blob to each worker at
+  most once as binary frames (``blob-request`` / ``blob`` verbs, see
   :mod:`repro.exec.remote` / :mod:`repro.exec.worker`), cached in a
-  bounded per-worker store.
+  bounded per-worker store. A local scheduler's forked children use
+  their copy-on-write snapshot of the driver's default store as that
+  cache, so a blob put before the fork is never shipped at all.
 
 The store is an in-process LRU bounded by byte capacity; an evicted
 digest is gone (a remote worker that asks for it gets its task resent
@@ -31,6 +29,7 @@ byte-identical results either way (``tests/test_dataplane.py``).
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import struct
 import threading
@@ -60,8 +59,8 @@ class BlobData:
     ``meta`` is the protocol-5 pickle stream with every large buffer
     (NumPy arrays, bytes) extracted; ``buffers`` holds those raw buffer
     bodies in extraction order. Keeping the two apart is what makes
-    zero-copy possible: a transport can place the buffers in shared
-    memory (or ship them as binary frames) and reconstruct with
+    zero-copy possible: a transport can ship the buffers as binary
+    frames and reconstruct with
     ``pickle.loads(meta, buffers=...)`` without ever copying them
     through a text encoding.
     """
@@ -299,6 +298,17 @@ def set_default_blob_store(store: Optional[BlobStore]) -> Optional[BlobStore]:
         return previous
 
 
+def _after_fork() -> None:
+    """Fresh locks in a forked child: a parent thread may have held them."""
+    global _DEFAULT_LOCK
+    _DEFAULT_LOCK = threading.Lock()
+    if _DEFAULT_STORE is not None:
+        _DEFAULT_STORE._lock = threading.RLock()
+
+
+os.register_at_fork(after_in_child=_after_fork)
+
+
 def maybe_blob(
     value: Any,
     *,
@@ -375,19 +385,17 @@ def resolve_refs(
     *,
     depth: int = 6,
 ) -> Any:
-    """Materialise every :class:`BlobRef` / :class:`ShmBlobHandle` in ``obj``.
+    """Materialise every :class:`BlobRef` in ``obj``.
 
     ``fetch(digest)`` supplies ref values (default: the process-wide
-    store's ``get_object``); shared-memory handles load themselves.
-    Structures without refs come back unchanged — the same object.
+    store's ``get_object``). Structures without refs come back
+    unchanged — the same object.
     """
     lookup = fetch if fetch is not None else default_blob_store().get_object
 
     def replace(node: Any) -> Any:
         if isinstance(node, BlobRef):
             return lookup(node.digest)
-        if isinstance(node, ShmBlobHandle):
-            return node.load()
         return _UNCHANGED
 
     return _transform(obj, replace, depth)
@@ -406,138 +414,16 @@ def collect_refs(obj: Any, *, depth: int = 6) -> Tuple[str, ...]:
     return tuple(seen)
 
 
-# --------------------------------------------------------------------- #
-# Shared-memory transport (local pool)
-# --------------------------------------------------------------------- #
-
-
-def _attach_segment(name: str):
-    """Attach to a shared-memory segment without claiming ownership.
-
-    Python 3.13 grew ``track=False`` for attach-only opens. On older
-    versions a plain attach re-registers the name with the family's
-    shared ``resource_tracker`` — harmless, because the tracker's cache
-    is a set (pool children inherit the parent's tracker, so the
-    exporter's eventual ``unlink`` still balances the books), and safer
-    than the unregister dance, which double-unregisters against the
-    owner and makes the tracker warn.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python <= 3.12: no track parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-@dataclass(frozen=True)
-class ShmBlobHandle:
-    """A blob parked in a shared-memory segment, addressable by name.
-
-    The local scheduler substitutes these for :class:`BlobRef`\\ s before
-    pickling a spec to its pool: the pickled handle is a few dozen
-    bytes, and the worker-side :meth:`load` attaches the segment and
-    reconstructs the value with its NumPy buffers mapping the segment
-    directly — zero copies of the array bodies. Workers must treat
-    loaded values as immutable (the buffers are read-only views).
-    """
-
-    digest: str
-    name: str
-    meta_len: int
-    buffer_lens: Tuple[int, ...]
-
-    def load(self) -> Any:
-        """Attach (cached) and deserialise this blob zero-copy."""
-        return _load_shm_value(self)
-
-
-#: Worker-side caches: attached segments by name, loaded values by
-#: segment name (LRU-capped — values keep their segment mapped).
-_ATTACHED: Dict[str, Any] = {}
-_LOADED: "OrderedDict[str, Any]" = OrderedDict()
-_LOADED_CAP = 32
-_ATTACH_LOCK = threading.Lock()
-
-
-def _load_shm_value(handle: ShmBlobHandle) -> Any:
-    """Worker-side: segment -> value, cached per segment name."""
-    with _ATTACH_LOCK:
-        if handle.name in _LOADED:
-            _LOADED.move_to_end(handle.name)
-            return _LOADED[handle.name]
-        segment = _ATTACHED.get(handle.name)
-        if segment is None:
-            try:
-                segment = _attach_segment(handle.name)
-            except FileNotFoundError as error:
-                raise BlobNotFoundError(
-                    f"shared-memory segment {handle.name} for blob "
-                    f"{handle.digest[:12]}… is gone (released early?)",
-                    digest=handle.digest,
-                ) from error
-            _ATTACHED[handle.name] = segment
-        view = segment.buf
-        meta = bytes(view[: handle.meta_len])
-        buffers = []
-        offset = handle.meta_len
-        for length in handle.buffer_lens:
-            buffers.append(view[offset:offset + length])
-            offset += length
-        value = pickle.loads(meta, buffers=buffers)
-        _LOADED[handle.name] = value
-        while len(_LOADED) > _LOADED_CAP:
-            stale_name, _ = _LOADED.popitem(last=False)
-            stale = _ATTACHED.pop(stale_name, None)
-            if stale is not None:
-                try:
-                    stale.close()
-                except BufferError:  # a live value still maps it: keep it
-                    _ATTACHED[stale_name] = stale
-        return value
-
-
-def export_shm_blob(digest: str, data: BlobData) -> Tuple[ShmBlobHandle, Any]:
-    """Copy ``data`` into a fresh shared-memory segment.
-
-    Returns the worker-facing :class:`ShmBlobHandle` and the owning
-    ``SharedMemory`` object — the caller is responsible for ``close()``
-    and ``unlink()`` when the last referencing task completes (the local
-    scheduler refcounts this). Raises ``OSError`` where shared memory
-    is unavailable; callers fall back to inline payloads.
-    """
-    from multiprocessing import shared_memory
-
-    total = max(1, data.size)
-    segment = shared_memory.SharedMemory(create=True, size=total)
-    view = segment.buf
-    offset = 0
-    view[: len(data.meta)] = data.meta
-    offset += len(data.meta)
-    for buffer in data.buffers:
-        view[offset:offset + len(buffer)] = buffer
-        offset += len(buffer)
-    handle = ShmBlobHandle(
-        digest=digest,
-        name=segment.name,
-        meta_len=len(data.meta),
-        buffer_lens=tuple(len(buffer) for buffer in data.buffers),
-    )
-    return handle, segment
-
-
 __all__ = [
     "DEFAULT_CAPACITY",
     "MIN_BLOB_BYTES",
     "BlobData",
     "BlobRef",
     "BlobStore",
-    "ShmBlobHandle",
     "blob_digest",
     "collect_refs",
     "default_blob_store",
     "dumps_oob",
-    "export_shm_blob",
     "loads_oob",
     "maybe_blob",
     "resolve_refs",

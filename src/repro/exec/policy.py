@@ -1,11 +1,11 @@
 """One frozen configuration object for every parallel execution path.
 
 :class:`ExecutionPolicy` is the single way to say *how* a batch runs —
-how many workers, which chunking, which multiprocessing start method,
-and which scheduler (the default in-machine ``"local"`` pool, or
-``"remote"`` dispatch to ``freqywm worker`` processes at the given
-addresses). Every parallel entry point
-(:func:`repro.core.batch.detect_many`, :func:`~repro.core.batch.detect_files`,
+how many workers, which chunking, and which scheduler (the default
+in-machine ``"local"`` one, which forks its workers, or ``"remote"``
+dispatch to ``freqywm worker`` processes at the given addresses).
+Every parallel entry point (:func:`repro.core.batch.detect_many`,
+:func:`~repro.core.batch.detect_files`,
 :func:`~repro.core.batch.embed_many`, :func:`~repro.core.batch.embed_files`,
 :func:`~repro.core.batch.detect_many_secrets` and the experiment executor)
 takes ``policy=``.
@@ -34,14 +34,11 @@ class ExecutionPolicy:
     chunk_size:
         Items per dispatched chunk; ``None`` derives a size from the
         batch via :func:`repro.exec.chunking.derive_chunk_size`.
-    start_method:
-        ``multiprocessing`` start method for the local scheduler
-        (``"fork"``, ``"spawn"``, ``"forkserver"``; ``None`` = platform
-        default). Ignored by remote schedulers.
     scheduler:
-        Scheduler name — ``"local"`` (default, the in-machine
-        multiprocessing pool) or ``"remote"`` (dispatch over the
-        JSON-lines wire to ``freqywm worker`` processes).
+        Scheduler name — ``"local"`` (default: inline, or forked
+        ``freqywm worker`` children of this process) or ``"remote"``
+        (dispatch over the JSON-lines wire to ``freqywm worker``
+        processes).
     addresses:
         Remote worker addresses (``"unix:/path.sock"``, ``"host:port"``)
         for the ``"remote"`` scheduler; must be empty for ``"local"``.
@@ -55,7 +52,6 @@ class ExecutionPolicy:
 
     workers: Optional[int] = None
     chunk_size: Optional[int] = None
-    start_method: Optional[str] = None
     scheduler: str = "local"
     addresses: Tuple[str, ...] = field(default_factory=tuple)
     telemetry: Optional[str] = None

@@ -1,8 +1,8 @@
-"""Distributed scheduler leg: tasks over the JSON-lines wire.
+"""The worker client: tasks over the JSON-lines wire.
 
-:class:`RemoteScheduler` implements the same
-:class:`~repro.exec.scheduler.Scheduler` API as the in-machine pool,
-but dispatches each :class:`~repro.exec.scheduler.TaskSpec` as one
+:class:`RemoteScheduler` implements the
+:class:`~repro.exec.scheduler.Scheduler` API by dispatching each
+:class:`~repro.exec.scheduler.TaskSpec` as one
 ``task`` line (:mod:`repro.service.wire`) to a ``freqywm worker``
 process reachable by Unix socket or TCP, and reads one ``result`` line
 back. The distribution model is deliberately plain:
@@ -16,8 +16,9 @@ back. The distribution model is deliberately plain:
   timeout (or drops) marks that worker **dead**: its in-flight
   fingerprint is *not* lost but re-queued, and another worker picks it
   up, up to ``max_retries`` resubmissions before
-  :class:`~repro.exceptions.WorkerCrashError` surfaces — the same
-  bounded-retry contract as the local scheduler;
+  :class:`~repro.exceptions.WorkerCrashError` surfaces. A lost worker
+  that can be replaced (a local scheduler's forked child) is replaced
+  before its task is re-queued;
 * results are gathered **in submission order** regardless of which
   worker answered first.
 
@@ -27,22 +28,28 @@ digest — the worker ``blob-request``\\ s each digest it has not
 cached, once, so a sweep ships a shared secret per *worker*, not per
 *task*. When a task is resent after a blob miss, its refs are
 materialised first, so the frames carry the full values and no blob is
-fetched. Either way the wire carries exactly what a ``multiprocessing``
-pool would pickle anyway, so the trust model is unchanged — run workers
-only on hosts you would run a pool on. ``docs/scheduler.md`` spells
-this out.
+fetched. Either way the frames are pickles, as they are to a local
+scheduler's own forked workers, which this client also drives (see
+:class:`_ForkedWorkers`) — so run remote workers only on hosts you
+would run the driver on. ``docs/scheduler.md`` spells this out.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import contextvars
+import gc
 import itertools
+import os
+import signal
 import socket
 import threading
 import time
+import warnings
 from collections import deque
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import repro.exceptions as _exceptions
 from repro.exceptions import (
@@ -58,10 +65,13 @@ from repro.exec.blobs import (
     loads_oob,
     resolve_refs,
 )
-from repro.exec.scheduler import Scheduler, TaskSpec
+from repro.exec.scheduler import Scheduler, SchedulerStats, TaskSpec
+from repro.exec.worker import TaskWorkerServer
+from repro.obs.logging import get_logger
 from repro.obs.trace import span as trace_span, tracer
 from repro.service.wire import (
     HEARTBEAT_FUNCTION,
+    MAX_LINE_BYTES,
     BlobRequest,
     BlobResponse,
     TaskRequest,
@@ -69,6 +79,8 @@ from repro.service.wire import (
     decode_response,
     encode_line,
 )
+
+logger = get_logger(__name__)
 
 
 def parse_address(address: str) -> Tuple[str, Any]:
@@ -253,16 +265,13 @@ class RemoteScheduler(Scheduler):
         heartbeat_timeout: float = 10.0,
         connect_timeout: float = 10.0,
     ) -> None:
-        if not addresses:
-            raise SchedulerError("RemoteScheduler needs at least one worker address")
         if max_retries < 0:
             raise SchedulerError(f"max_retries must be >= 0, got {max_retries}")
         if heartbeat_timeout <= 0 or heartbeat_interval <= 0:
             raise SchedulerError("heartbeat interval/timeout must be positive")
         super().__init__()
         self.addresses = tuple(addresses)
-        for address in self.addresses:
-            parse_address(address)  # fail fast on malformed addresses
+        self._check_addresses()
         self.workers = len(self.addresses)
         self.max_retries = max_retries
         self.heartbeat_interval = heartbeat_interval
@@ -283,6 +292,9 @@ class RemoteScheduler(Scheduler):
         #: Task indices resent with their blob refs materialised after
         #: a blob miss (the client evicted a digest a worker asked for).
         self._inline_only: set = set()
+        #: Workers lost this run, ``(address, in-flight index, reason)``,
+        #: left for the thread that called :meth:`run` to settle.
+        self._lost: List[Tuple[str, Optional[int], str]] = []
 
     @property
     def ships_payloads(self) -> bool:
@@ -298,6 +310,13 @@ class RemoteScheduler(Scheduler):
         for channel in self._channels.values():
             channel.close()
         self._channels.clear()
+
+    def _check_addresses(self) -> None:
+        """Fail fast on a missing or malformed worker address."""
+        if not self.addresses:
+            raise SchedulerError("RemoteScheduler needs at least one worker address")
+        for address in self.addresses:
+            parse_address(address)
 
     def _connect(self, address: str) -> _LineChannel:
         """The (cached) channel to one worker, connecting on first use."""
@@ -353,7 +372,9 @@ class RemoteScheduler(Scheduler):
         specs: List[TaskSpec],
         on_result: Optional[Callable[[int, Any], None]],
     ) -> List[Any]:
-        """The fan-out body behind :meth:`run` (specs already stamped)."""
+        """The fan-out body behind :meth:`run` (specs already counted and stamped)."""
+        for address in [a for a in self.addresses if a in self._dead]:
+            self._respawn(address)  # a worker lost after its run had settled
         live = [address for address in self.addresses if address not in self._dead]
         if not live:
             raise SchedulerError(
@@ -368,28 +389,41 @@ class RemoteScheduler(Scheduler):
             self._failure = None
             self._on_result = on_result
             self._inline_only = set()
-        # Each client thread runs in a copy of this context, so the spans
-        # it opens (line encoding, blob shipping) nest under scheduler.run.
-        threads = [
-            threading.Thread(
-                target=contextvars.copy_context().run,
-                args=(self._serve, address),
-                daemon=True,
-                name=f"repro-remote-{address}",
-            )
-            for address in live
-        ]
-        for thread in threads:
-            thread.start()
-        with self._cond:
-            while not self._finished():
-                self._cond.wait(0.05)
-            failure = self._failure
+            self._lost = []
+        threads = [self._start_client(address) for address in live]
+        while True:
+            with self._cond:
+                while not self._lost and not self._finished():
+                    self._cond.wait(0.05)
+                lost, self._lost = self._lost, []
+                failure = self._failure
+            if not lost:
+                break
+            # Replace each lost worker (if it can be) before requeueing
+            # its task, on the thread that called run().
+            for address, index, reason in lost:
+                replacement = self._respawn(address)
+                if replacement is not None:
+                    threads.append(self._start_client(replacement))
+                self._settle(address, index, reason)
         for thread in threads:
             thread.join(timeout=self.heartbeat_timeout + 1.0)
         if failure is not None:
             raise failure
         return [self._results[index] for index in range(len(specs))]
+
+    def _start_client(self, address: str) -> threading.Thread:
+        """Start ``address``'s client thread, in a copy of this context so
+        the spans it opens (line encoding, blob shipping) nest under
+        ``scheduler.run``."""
+        thread = threading.Thread(
+            target=contextvars.copy_context().run,
+            args=(self._serve, address),
+            daemon=True,
+            name=f"repro-remote-{address}",
+        )
+        thread.start()
+        return thread
 
     def _finished(self) -> bool:
         """Run-complete predicate (callers hold the condition's lock)."""
@@ -626,9 +660,19 @@ class RemoteScheduler(Scheduler):
             raise _remote_error(response)
 
     def _lose_worker(self, address: str, index: Optional[int], reason: str) -> None:
-        """Mark a worker dead; re-queue (or fail) its in-flight task."""
+        """Mark a worker dead and hand its in-flight task to the run thread."""
         with self._cond:
             self._dead.add(address)
+            self._lost.append((address, index, reason))
+            self._cond.notify_all()
+
+    def _respawn(self, address: str) -> Optional[str]:
+        """A replacement for the lost worker ``address`` (remote ones: None)."""
+        return None
+
+    def _settle(self, address: str, index: Optional[int], reason: str) -> None:
+        """Re-queue (or fail) a lost worker's in-flight task."""
+        with self._cond:
             if index is not None:
                 spec = self._specs[index]
                 if self._attempts[index] > self.max_retries:
@@ -644,16 +688,129 @@ class RemoteScheduler(Scheduler):
                 else:
                     self._attempts[index] += 1
                     self._queue.append(index)
-            still_live = [
-                a for a in self.addresses if a not in self._dead
-            ]
-            if not still_live and not self._finished():
-                if self._failure is None:
-                    self._failure = SchedulerError(
-                        f"all remote workers died; last loss at {address}: "
-                        + reason
+                    logger.warning(
+                        "worker %s lost task %s (%s); resubmitting (attempt %d)",
+                        address, spec.fingerprint, reason, self._attempts[index],
                     )
+            all_dead = all(a in self._dead for a in self.addresses)
+            if all_dead and not self._finished() and self._failure is None:
+                self._failure = SchedulerError(
+                    f"all remote workers died; last loss at {address}: {reason}"
+                )
             self._cond.notify_all()
+
+
+# --------------------------------------------------------------------- #
+# Forked local children
+# --------------------------------------------------------------------- #
+
+
+class _ForkedWorkers(RemoteScheduler):
+    """The private seam between a LocalScheduler and its forked children.
+
+    Each child is a fork of the driver serving a ``TaskWorkerServer`` on
+    one end of a socketpair. The driver keeps the other end as the
+    channel of ``fork:<pid>``, and the client above does the rest
+    (the local scheduler calls ``_run_traced`` with specs it has already
+    counted and stamped). A lost child is reaped and replaced before its
+    task is requeued.
+    """
+
+    def __init__(self, workers: int, *, max_retries: int, stats: SchedulerStats) -> None:
+        super().__init__((), max_retries=max_retries)
+        self.stats = stats  # the local scheduler's counters
+        self._pids: Dict[str, int] = {}
+        try:
+            self.addresses = tuple(self._fork() for _ in range(workers))
+        except BaseException:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        """Close every channel, then kill and reap every child (idempotent)."""
+        for address in list(self._pids):
+            self._reap(address)
+        super().close()
+
+    def _check_addresses(self) -> None:
+        """Nothing to check: children join through :meth:`_fork`."""
+
+    def _connect(self, address: str) -> _LineChannel:
+        """A child's channel; a child is never reconnected."""
+        channel = self._channels.get(address)
+        if channel is None:
+            raise _WorkerDied(f"{address} has no channel left")
+        return channel
+
+    def _fork(self) -> str:
+        """Start one child and return its name."""
+        parent_end, child_end = socket.socketpair()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on every fork of a threaded process;
+                # the locks the child takes are re-created in it at fork.
+                warnings.filterwarnings(
+                    "ignore", r".*fork\(\) may lead to deadlocks", DeprecationWarning
+                )
+                pid = os.fork()
+        except BaseException:
+            parent_end.close()
+            child_end.close()
+            raise
+        if pid == 0:
+            _serve_forked(child_end)
+        child_end.close()
+        name = f"fork:{pid}"
+        self._pids[name] = pid
+        self._channels[name] = _LineChannel(parent_end)
+        return name
+
+    def _respawn(self, address: str) -> Optional[str]:
+        """Reap the lost child and fork its replacement (None if that fails)."""
+        self._reap(address)
+        try:
+            replacement = self._fork()
+        except (OSError, RuntimeError) as error:
+            logger.warning("cannot replace worker %s (%r)", address, error)
+            return None
+        self.addresses = tuple(replacement if a == address else a for a in self.addresses)
+        return replacement
+
+    def _reap(self, address: str) -> None:
+        """Close one child's channel, then kill it and wait for it."""
+        self._drop(address)
+        pid = self._pids.pop(address, None)
+        if pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _serve_forked(sock: socket.socket) -> NoReturn:
+    """A forked child's life: serve ``sock`` until EOF, then ``os._exit``.
+
+    Only its socket and stdio stay open (closing the driver's end is its
+    EOF), the inherited heap is frozen (no stale object closes a reused
+    descriptor), and it serves outside the span that forked it.
+    """
+    status = 1
+    try:
+        gc.freeze()
+        keep = sock.fileno()
+        os.closerange(3, keep)
+        os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+        server = TaskWorkerServer()
+        server.blobs = default_blob_store()
+
+        async def serve() -> None:
+            reader, writer = await asyncio.open_connection(sock=sock, limit=MAX_LINE_BYTES)
+            await server.handle_connection(reader, writer)
+
+        contextvars.Context().run(asyncio.run, serve())
+        status = 0
+    finally:
+        os._exit(status)
 
 
 __all__ = ["RemoteScheduler", "parse_address"]

@@ -30,7 +30,8 @@ Started by ``freqywm worker --socket PATH`` or ``--tcp HOST:PORT``
 (:mod:`repro.cli`); the worker announces ``listening on <address>`` on
 stderr once bound, which tests and the CI scheduler-smoke job use as
 the readiness signal, and prints a :meth:`TaskWorkerServer.summary_line`
-on shutdown.
+on shutdown. A :class:`~repro.exec.scheduler.LocalScheduler`'s forked
+children run the same server, each on one end of a socketpair.
 """
 
 from __future__ import annotations
@@ -212,10 +213,13 @@ class TaskWorkerServer:
 
     @staticmethod
     def _drain_spans(request: TaskRequest) -> Tuple[Dict[str, object], ...]:
-        """The spans to ship back for ``request`` (empty when untraced)."""
+        """The spans of ``request``'s own trace (empty when untraced).
+
+        Other traces (a worker with spans on records its own line codec)
+        stay in this process's buffer."""
         if request.trace is None:
             return ()
-        return tuple(tracer().drain())
+        return tuple(tracer().drain(request.trace[0]))
 
     async def respond(
         self,
@@ -320,7 +324,8 @@ class TaskWorkerServer:
                 raw = await conn_reader.readline()
                 if not raw:
                     break
-                line = raw.decode("utf-8").strip()
+                # A byte that is not UTF-8 reaches the codec, which fails it typed.
+                line = raw.decode("utf-8", "surrogateescape").strip()
                 if not line:
                     continue
                 header = _parse_header(line)

@@ -10,9 +10,9 @@ the rendered reports — are bit-identical regardless of worker count,
 scheduler or completion order.
 
 Execution is configured by an :class:`~repro.exec.policy.ExecutionPolicy`:
-the default (``workers`` unset or ``1``) never spawns anything, a local pool that fails
-to start (restricted sandboxes) falls back to in-process execution with a
-logged warning rather than failing the run, and
+the default (``workers`` unset or ``1``) never forks anything, local workers
+that cannot start (restricted sandboxes) fall back to in-process execution
+with a logged warning rather than failing the run, and
 ``ExecutionPolicy(scheduler="remote", addresses=...)`` fans the same plan
 out to ``freqywm worker`` processes.
 """
@@ -69,7 +69,6 @@ class RunResult:
     seconds: float = 0.0
     bytes_sent: int = 0
     bytes_deduped: int = 0
-    shm_segments: int = 0
 
     @property
     def executed_total(self) -> int:
@@ -92,7 +91,6 @@ class RunResult:
             "seconds": round(self.seconds, 3),
             "bytes_sent": self.bytes_sent,
             "bytes_deduped": self.bytes_deduped,
-            "shm_segments": self.shm_segments,
         }
 
 
@@ -133,17 +131,13 @@ class ExperimentRunner:
             configure_telemetry(exec_policy.telemetry)
         self.spec = spec
         self.policy = exec_policy
-        self.start_method = exec_policy.start_method
         self.plan = build_plan(spec)
         validate_plan(self.plan)
         self.cache = RunCache(run_dir)
-        # size_to_batch: each level gets a pool sized to its pending jobs
-        # and closed at the level barrier, exactly like the old per-level
-        # multiprocessing pools.
+        # One scheduler serves every level; a local one forks its workers
+        # at the first level with more than one pending task.
         self._scheduler = create_scheduler(
-            exec_policy,
-            size_to_batch=True,
-            on_spawn_failure=self._spawn_failure,
+            exec_policy, on_spawn_failure=self._spawn_failure
         )
         self.workers = self._scheduler.workers
 
@@ -309,7 +303,6 @@ class ExperimentRunner:
             seconds=time.perf_counter() - started,
             bytes_sent=stats.bytes_sent,
             bytes_deduped=stats.bytes_deduped,
-            shm_segments=stats.shm_segments,
         )
         self.cache.write_run_log(outcome.summary())
         return outcome

@@ -4,8 +4,8 @@ Four dependency-free pillars shared by every layer of the
 reproduction:
 
 * :mod:`repro.obs.trace` — a context-var tracer producing hierarchical
-  spans that stitch across processes (local pool children and remote
-  workers ship their spans back to the dispatching parent);
+  spans that stitch across processes (workers, local or remote, ship
+  each task's spans back to the dispatching parent);
 * :mod:`repro.obs.metrics` — renders stats groups (each owner's
   counters, built by the reader that holds the owner) as Prometheus
   text;

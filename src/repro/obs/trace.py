@@ -242,9 +242,9 @@ class ActiveSpan:
 class Tracer:
     """Process-local span recorder with a ring buffer and optional sink.
 
-    One instance per process (module singleton via :func:`tracer`);
-    fork-started pool workers detect the pid change and reset inherited
-    buffer/sink state so a child never re-emits its parent's spans.
+    One instance per process (module singleton via :func:`tracer`). A
+    forked child starts with a fresh lock, an empty buffer and no sink
+    (:meth:`_after_fork`), so it never re-emits its parent's spans.
     """
 
     def __init__(self) -> None:
@@ -252,21 +252,21 @@ class Tracer:
         self.dropped = 0
         self._sink_path: Optional[str] = None
         self._sink_file: Optional[IO[str]] = None
-        self._pid = os.getpid()
         self._lock = threading.Lock()
+
+    def _after_fork(self) -> None:
+        """A forked child's fresh start (a parent thread may hold the lock).
+
+        The parent's sink stays open but unused, as closing it would
+        flush its buffer into the parent's file a second time."""
+        self._lock = threading.Lock()
+        self._buffer = []
+        self.dropped = 0
+        self._sink_path = None
 
     # -------------------------------------------------------------- #
     # Recording
     # -------------------------------------------------------------- #
-
-    def _check_pid(self) -> None:
-        """Reset state inherited across a fork (child ≠ recording parent)."""
-        if self._pid != os.getpid():
-            self._buffer = []
-            self.dropped = 0
-            self._sink_path = None
-            self._sink_file = None
-            self._pid = os.getpid()
 
     def start_span(
         self,
@@ -279,7 +279,6 @@ class Tracer:
         Without either it starts a new trace. :func:`span` decides
         whether to record; this only builds the span.
         """
-        self._check_pid()
         if parent is None:
             parent = _CURRENT.get()
         if parent is None:
@@ -308,11 +307,18 @@ class Tracer:
     # Cross-process stitching
     # -------------------------------------------------------------- #
 
-    def drain(self) -> List[Dict[str, object]]:
-        """Remove and return every buffered span (worker → result line)."""
-        self._check_pid()
+    def drain(self, trace: Optional[str] = None) -> List[Dict[str, object]]:
+        """Remove and return the buffered spans, or only ``trace``'s.
+
+        A worker ships a task's own trace (result line) and keeps the
+        spans it recorded for itself.
+        """
         with self._lock:
-            drained, self._buffer = self._buffer, []
+            if trace is None:
+                drained, self._buffer = self._buffer, []
+            else:
+                drained = [r for r in self._buffer if r.get("trace") == trace]
+                self._buffer = [r for r in self._buffer if r.get("trace") != trace]
         return drained
 
     def ingest(self, spans: Iterable[Dict[str, object]]) -> None:
@@ -322,7 +328,6 @@ class Tracer:
         if they had finished locally — their ids already stitch them
         under the dispatching span.
         """
-        self._check_pid()
         for record in spans:
             if isinstance(record, dict):
                 self._record(record)
@@ -339,7 +344,6 @@ class Tracer:
         to the new sink immediately so a sink attached just after the
         root span opened still sees the whole trace.
         """
-        self._check_pid()
         with self._lock:
             if self._sink_file is not None:
                 self._sink_file.close()
@@ -374,10 +378,10 @@ class Tracer:
         self.set_sink(None)
         self._buffer = []
         self.dropped = 0
-        self._pid = os.getpid()
 
 
 _TRACER = Tracer()
+os.register_at_fork(after_in_child=_TRACER._after_fork)
 
 
 def tracer() -> Tracer:

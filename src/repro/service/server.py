@@ -151,7 +151,8 @@ async def serve_unix(
                     break
                 if not raw:
                     break
-                line = raw.decode("utf-8").strip()
+                # As on stdio, a byte that is not UTF-8 gets a typed failure.
+                line = raw.decode("utf-8", "surrogateescape").strip()
                 if not line:
                     continue
                 task = asyncio.ensure_future(handle(line))

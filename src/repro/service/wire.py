@@ -37,9 +37,10 @@ Task payloads and results never ride inside the JSON: a line whose
 ``frames`` field lists byte counts is followed by exactly those
 **length-prefixed binary frames** on the same stream — pickle-protocol-5
 metadata plus out-of-band buffers. Pickle on the wire assumes a
-*trusted* transport, exactly the stance of the ``multiprocessing`` pools
-these verbs generalise (see ``docs/scheduler.md``). ``task`` lines may
-carry ``blob_refs`` (SHA-256 digests of shared values); a worker missing
+*trusted* transport, as between a local scheduler and its forked
+workers, which speak these same verbs (see ``docs/scheduler.md``).
+``task`` lines may carry ``blob_refs`` (SHA-256 digests of shared
+values); a worker missing
 a digest asks for it once with a ``blob-request`` line and the client
 answers with a ``blob`` line + frames, so a 200-task sweep ships a
 shared secret once per worker rather than once per task.
@@ -934,8 +935,8 @@ class TaskRequest(_Message):
     (payload, initializer arguments) follow the line as binary frames
     (pickle protocol 5, see :mod:`repro.exec.blobs`). Pickle on the
     wire is a deliberate trusted-transport trade-off (documented in
-    ``docs/scheduler.md``): the remote leg generalises an in-machine
-    ``multiprocessing`` pool, which pickles the very same objects.
+    ``docs/scheduler.md``): a local scheduler's forked workers receive
+    the very same pickles over a socketpair.
 
     Attributes
     ----------

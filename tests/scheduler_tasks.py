@@ -71,12 +71,14 @@ register_initializer("schedtest.state", make_state)
 
 
 @contextmanager
-def spawn_worker(socket_path):
+def spawn_worker(socket_path, telemetry=None):
     """Run ``freqywm worker --socket socket_path`` until the block exits.
 
     Waits for the ``listening on ...`` readiness line on stderr before
     yielding, and terminates the process afterwards. The worker imports
     this module, so the ``schedtest.*`` registrations above are served.
+    ``telemetry`` (a ``FREQYWM_TELEMETRY`` value) turns the worker's own
+    telemetry on.
     """
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src_dir = os.path.join(os.path.dirname(tests_dir), "src")
@@ -84,6 +86,8 @@ def spawn_worker(socket_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [src_dir, tests_dir] + env.get("PYTHONPATH", "").split(os.pathsep)
     ).rstrip(os.pathsep)
+    if telemetry is not None:
+        env["FREQYWM_TELEMETRY"] = telemetry
     process = subprocess.Popen(
         [
             sys.executable,

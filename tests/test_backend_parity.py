@@ -267,26 +267,23 @@ class TestSpawnFailureFallback:
     """Sharded dispatch that cannot spawn must fall back in-process."""
 
     def test_detect_many_falls_back_in_process(self, monkeypatch):
-        import multiprocessing
+        import os
 
         from repro.core.batch import detect_many
         from repro.core.reference import detect_reference
         from repro.exec.policy import ExecutionPolicy
 
-        class FailingContext:
-            def Pool(self, *args, **kwargs):
-                raise OSError("no /dev/shm in this sandbox")
+        def failing_fork():
+            raise OSError("fork refused in this sandbox")
 
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda method=None: FailingContext()
-        )
+        monkeypatch.setattr(os, "fork", failing_fork)
         case = harness.build_watermarked_case(
             {"a": 4000, "b": 2600, "c": 1500, "d": 900, "e": 500, "f": 220}
         )
         assert case is not None
         histogram, secret = case
         suspects = [histogram, histogram.scaled(1.2), histogram.scaled(0.8)]
-        with pytest.warns(RuntimeWarning, match="no /dev/shm in this sandbox"):
+        with pytest.warns(RuntimeWarning, match="fork refused in this sandbox"):
             report = detect_many(
                 suspects, secret, policy=ExecutionPolicy(workers=4)
             )

@@ -1,4 +1,4 @@
-"""The zero-copy data plane: blob store, shm transport, v4 wire dedup.
+"""The zero-copy data plane: blob store, local children, v4 wire dedup.
 
 Four layers, matching ``docs/scheduler.md``:
 
@@ -11,10 +11,9 @@ Four layers, matching ``docs/scheduler.md``:
   copies on the inline fallback), and the protocol-5
   ``TokenHistogram.__reduce_ex__`` round-trips without copying its
   count array.
-* **Local shm lifecycle** — a pool run ships blobbed payloads through
-  shared memory, unlinks every segment on completion, and — the crash
-  contract — on teardown after a worker death, with verdicts identical
-  to the inline path.
+* **Local children** — a blob put before the children fork is already
+  in their blob cache and never shipped, one put later is fetched once
+  per child, and verdicts are identical to the inline path.
 * **Remote wire** — a real ``freqywm worker`` fetches each missing blob
   exactly once (dedup counters prove it, also across fresh schedulers),
   and a blob-request for an evicted digest fails typed and bounded.
@@ -142,7 +141,7 @@ class TestHistogramPickleProtocol5:
 
 
 # --------------------------------------------------------------------------- #
-# Local shm lifecycle
+# Local children
 # --------------------------------------------------------------------------- #
 
 
@@ -161,58 +160,28 @@ def _blobbed_specs(store, values, function="schedtest.echo"):
     return specs
 
 
-def _recording_exporter(monkeypatch):
-    """Patch the scheduler's shm export to record every segment name."""
-    import repro.exec.blobs as blobs
-    import repro.exec.scheduler as scheduler_module
-
-    names = []
-
-    def recording(digest, data):
-        handle, segment = blobs.export_shm_blob(digest, data)
-        names.append(segment.name)
-        return handle, segment
-
-    monkeypatch.setattr(scheduler_module, "export_shm_blob", recording)
-    return names
-
-
-def _assert_unlinked(names):
-    from multiprocessing import shared_memory
-
-    assert names, "expected the run to export shm segments"
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-class TestLocalShm:
-    def test_pool_run_ships_blobs_and_unlinks_segments(
-        self, fresh_store, monkeypatch
-    ):
-        names = _recording_exporter(monkeypatch)
-        values = [_payload_bytes() + bytes([i]) for i in range(6)]
+class TestLocalDataPlane:
+    def test_blobs_put_before_the_fork_are_never_shipped(self, fresh_store):
+        early = [_payload_bytes() + bytes([i]) for i in range(4)]
         with LocalScheduler(workers=2) as scheduler:
-            results = scheduler.run(_blobbed_specs(fresh_store, values))
-        assert results == values
-        _assert_unlinked(names)
-
-    def test_worker_crash_still_releases_segments(self, fresh_store, monkeypatch):
-        names = _recording_exporter(monkeypatch)
-        payload, refs = maybe_blob(_payload_bytes(), store=fresh_store)
-        fatal = TaskSpec(
-            fingerprint="fatal",
-            function="schedtest.die",
-            payload=payload,
-            blob_refs=refs,
-        )
-        # A second benign task keeps the batch on the pool path (a
-        # single task runs inline and would kill this process).
-        benign = _blobbed_specs(fresh_store, [_payload_bytes() + b"ok"])[0]
-        with LocalScheduler(workers=2, max_retries=1) as scheduler:
-            with pytest.raises(WorkerCrashError):
-                scheduler.run([fatal, benign])
-        _assert_unlinked(names)
+            assert scheduler.run(_blobbed_specs(fresh_store, early)) == early
+            stats = scheduler.stats
+            assert (stats.blobs_sent, stats.blobs_deduped) == (0, 4)
+            assert stats.bytes_deduped >= sum(len(value) for value in early)
+            # A blob put after the fork travels once, by blob-request.
+            late = _payload_bytes() + b"late"
+            payload, refs = maybe_blob(late, store=fresh_store)
+            specs = [
+                TaskSpec(
+                    fingerprint=f"late-{i}",
+                    function="schedtest.echo",
+                    payload=payload,
+                    blob_refs=refs,
+                )
+                for i in range(2)
+            ]
+            assert scheduler.run(specs) == [late, late]
+            assert 1 <= stats.blobs_sent <= 2  # at most once per child
 
     def test_inline_mode_matches_blob_mode(self, fresh_store):
         values = [_payload_bytes() + bytes([i]) for i in range(4)]

@@ -318,7 +318,6 @@ class TestMetricsViews:
             "bytes_deduped": 0,
             "blobs_sent": 0,
             "blobs_deduped": 0,
-            "shm_segments": 0,
         }
         # A plain attribute: one object per scheduler, never shared.
         with LocalScheduler(workers=1) as other:
@@ -499,7 +498,7 @@ class TestLocalPoolStitching:
                 payload=str(sentinel),
             )
         ] + _echo_specs(["a", "b"])
-        with LocalScheduler(workers=2, crash_grace=0.1) as scheduler:
+        with LocalScheduler(workers=2) as scheduler:
             assert scheduler.run(specs) == ["survived", "a", "b"]
         spans = tracer().drain()
         # The killed first attempt's span dies with its worker; the
@@ -547,6 +546,22 @@ class TestRemoteStitching:
         roots = [record for record in spans if record["parent"] is None]
         assert [record["name"] for record in roots] == ["scheduler.run"]
         assert roots[0]["pid"] == os.getpid()
+
+    def test_workers_with_spans_on_ship_only_the_tasks_trace(self, tmp_path):
+        """A worker's own line-codec spans stay in the worker."""
+        sock_a = tmp_path / "traced-a.sock"
+        sock_b = tmp_path / "traced-b.sock"
+        configure_telemetry("spans")
+        with scheduler_tasks.spawn_worker(sock_a, telemetry="spans"):
+            with scheduler_tasks.spawn_worker(sock_b, telemetry="spans"):
+                addresses = (f"unix:{sock_a}", f"unix:{sock_b}")
+                with RemoteScheduler(addresses) as scheduler:
+                    assert scheduler.run(_echo_specs(list(range(4)))) == [0, 1, 2, 3]
+        spans = tracer().drain()
+        assert len({record["trace"] for record in spans}) == 1
+        assert orphan_spans(spans) == []
+        names = [record["name"] for record in spans]
+        assert names.count("task:schedtest.echo") == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -791,7 +806,7 @@ class TestRunTelemetryArtifacts:
         assert result.executed_total > 0
         assert (run_dir / TELEMETRY_RELPATH).exists()
         assert (run_dir / SPANS_RELPATH).exists()
-        assert "shm_segments" in result.summary()
+        assert {"bytes_sent", "bytes_deduped"} <= set(result.summary())
 
     def test_artifacts_pass_the_ci_checker(self, traced_run):
         run_dir, _result, _stats = traced_run
@@ -870,8 +885,7 @@ class TestRunTelemetryArtifacts:
             "'core.knapsack', 'core.modification', 'core.transform'] in order "
             "(histogram and transform only for token input)",
         ]
-        summary = {"executed_total": 3, "bytes_sent": 100, "bytes_deduped": 0,
-                   "shm_segments": 1}
+        summary = {"executed_total": 3, "bytes_sent": 100, "bytes_deduped": 0}
         payload = {"features": ["metrics"], "run": summary, "metrics": {}}
         (tmp_path / "telemetry.json").write_text(json.dumps(payload), encoding="utf-8")
         failures = check_telemetry.check_telemetry_json(tmp_path)

@@ -4,10 +4,11 @@ Three layers, matching ``docs/scheduler.md``:
 
 * **LocalScheduler** — in-process fast path, submission-order results
   under induced out-of-order completion, worker-local state reuse,
-  spawn-failure fallback, and the crash contract (a worker killed
-  mid-task is retried exactly once, then surfaces as
+  spawn-failure fallback, the crash contract (a worker killed mid-task
+  is replaced, its task retried exactly once, then surfaces as
   :class:`~repro.exceptions.WorkerCrashError` with the task's
-  fingerprint).
+  fingerprint; no other task is charged), and the lifecycle of the
+  forked children (none is left after ``close()`` or EOF).
 * **Addresses** — worker address parsing.
 * **RemoteScheduler** — real ``freqywm worker`` subprocesses over Unix
   sockets: ordered gather across two workers, typed remote errors, a
@@ -20,9 +21,11 @@ can ``--import`` the same registrations.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
+import signal
 import socket
 import threading
+import time
 
 import pytest
 
@@ -60,12 +63,12 @@ class TestLocalInline:
             )
         assert results == [10, 20, 30]
         assert streamed == [(0, 10), (1, 20), (2, 30)]
-        assert scheduler._pool is None  # nothing was ever spawned
+        assert scheduler._children is None  # nothing was ever forked
 
     def test_single_task_never_spawns_a_pool(self):
         with LocalScheduler(workers=4) as scheduler:
             assert scheduler.run(_echo_specs(["only"])) == ["only"]
-            assert scheduler._pool is None
+            assert scheduler._children is None
 
     def test_empty_batch(self):
         with LocalScheduler(workers=2) as scheduler:
@@ -125,7 +128,7 @@ class TestLocalPool:
                 payload=str(sentinel),
             )
         ] + _echo_specs(["a", "b", "c"])
-        with LocalScheduler(workers=2, crash_grace=0.1) as scheduler:
+        with LocalScheduler(workers=2) as scheduler:
             results = scheduler.run(specs)
         assert results == ["survived", "a", "b", "c"]
         assert sentinel.exists()
@@ -134,7 +137,7 @@ class TestLocalPool:
         specs = _echo_specs(["x"]) + [
             TaskSpec(fingerprint="always-dies", function="schedtest.die")
         ]
-        with LocalScheduler(workers=2, crash_grace=0.1) as scheduler:
+        with LocalScheduler(workers=2) as scheduler:
             with pytest.raises(WorkerCrashError) as excinfo:
                 scheduler.run(specs)
         assert excinfo.value.fingerprint == "always-dies"
@@ -149,19 +152,98 @@ class TestLocalPool:
                 scheduler.run(specs)
 
     def test_spawn_failure_falls_back_inline_via_hook(self, monkeypatch):
-        class FailingContext:
-            def Pool(self, processes=None):
-                raise OSError("no forking here")
+        def failing_fork():
+            raise OSError("no forking here")
 
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda method=None: FailingContext()
-        )
+        monkeypatch.setattr(os, "fork", failing_fork)
         failures = []
         with LocalScheduler(workers=4, on_spawn_failure=failures.append) as s:
             assert s.run(_echo_specs([1, 2, 3])) == [1, 2, 3]
             assert s.workers == 1
         assert len(failures) == 1
         assert "no forking here" in str(failures[0])
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestLocalChildren:
+    """Crash attribution and the lifecycle of the forked children."""
+
+    def test_two_crashes_are_replaced_and_the_sleeper_is_not_blamed(
+        self, tmp_path
+    ):
+        specs = [
+            TaskSpec(
+                fingerprint=f"die-once-{index}",
+                function="schedtest.die_once",
+                payload=str(tmp_path / f"crashed-{index}"),
+            )
+            for index in range(2)
+        ] + [
+            TaskSpec(
+                fingerprint="sleeper",
+                function="schedtest.sleepy",
+                payload=(0.3, "slept"),
+            )
+        ]
+        with LocalScheduler(workers=2) as scheduler:
+            assert scheduler.run(specs) == ["survived", "survived", "slept"]
+            # Both dead children were replaced: the pool is whole again.
+            assert scheduler.run(_echo_specs(["a", "b"])) == ["a", "b"]
+            assert len(scheduler._children._pids) == 2
+
+    def test_a_child_killed_between_runs_is_replaced(self):
+        with LocalScheduler(workers=2) as scheduler:
+            assert scheduler.run(_echo_specs([1, 2])) == [1, 2]
+            victim = next(iter(scheduler._children._pids.values()))
+            os.kill(victim, signal.SIGKILL)
+            assert scheduler.run(_echo_specs([3, 4, 5])) == [3, 4, 5]
+            assert victim not in scheduler._children._pids.values()
+            assert len(scheduler._children._pids) == 2
+
+    def test_no_child_is_left_after_close(self):
+        with LocalScheduler(workers=2) as scheduler:
+            assert scheduler.run(_echo_specs([1, 2, 3])) == [1, 2, 3]
+            assert len(scheduler._children._pids) == 2
+        assert scheduler._children is None
+        assert _no_child_left()
+
+    def test_no_child_is_left_after_a_worker_crash_error(self):
+        specs = _echo_specs(["x"]) + [
+            TaskSpec(fingerprint="always-dies", function="schedtest.die")
+        ]
+        with LocalScheduler(workers=2) as scheduler:
+            with pytest.raises(WorkerCrashError):
+                scheduler.run(specs)
+        assert _no_child_left()
+
+    def test_children_exit_when_the_driver_ends_close(self):
+        scheduler = LocalScheduler(workers=2)
+        assert scheduler.run(_echo_specs([1, 2])) == [1, 2]
+        children = scheduler._children
+        pids = dict(children._pids)
+        for channel in children._channels.values():
+            channel.close()
+        deadline = time.monotonic() + 10.0
+        exited = {}
+        while len(exited) < len(pids) and time.monotonic() < deadline:
+            for name, pid in pids.items():
+                if name not in exited:
+                    done, status = os.waitpid(pid, os.WNOHANG)
+                    if done:
+                        exited[name] = status
+            time.sleep(0.01)
+        assert exited == {name: 0 for name in pids}  # clean exits at EOF
+        children._pids.clear()  # reaped here, so close() has none to kill
+        scheduler.close()
+        assert _no_child_left()
 
 
 class TestRegistry:

@@ -142,16 +142,13 @@ def _signatures(report):
 
 @pytest.fixture()
 def no_pools(monkeypatch):
-    """Fail the test if anything tries to start a multiprocessing pool."""
-    import multiprocessing
+    """Fail the test if anything tries to fork a worker child."""
+    import os
 
-    class ForbiddenContext:
-        def Pool(self, *args, **kwargs):
-            raise AssertionError("a worker pool was spawned")
+    def forbidden_fork():
+        raise AssertionError("a worker child was forked")
 
-    monkeypatch.setattr(
-        multiprocessing, "get_context", lambda method=None: ForbiddenContext()
-    )
+    monkeypatch.setattr(os, "fork", forbidden_fork)
 
 
 @pytest.fixture()
@@ -289,22 +286,19 @@ class TestSpawnFailureFallback:
     ):
         """The fallback must surface *why* it fell back."""
         import logging
-        import multiprocessing
+        import os
 
-        class FailingContext:
-            def Pool(self, *args, **kwargs):
-                raise OSError("no /dev/shm in this sandbox")
+        def failing_fork():
+            raise OSError("fork refused in this sandbox")
 
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda method=None: FailingContext()
-        )
+        monkeypatch.setattr(os, "fork", failing_fork)
         with caplog.at_level(logging.WARNING, logger="repro.core.batch"):
-            with pytest.warns(RuntimeWarning, match="no /dev/shm in this sandbox"):
+            with pytest.warns(RuntimeWarning, match="fork refused in this sandbox"):
                 report = detect_many(
                     suspects, watermark.secret, policy=ExecutionPolicy(workers=2)
                 )
         # The logging stream carries the exception type and message.
-        assert "no /dev/shm in this sandbox" in caplog.text
+        assert "fork refused in this sandbox" in caplog.text
         assert "OSError" in caplog.text
         assert "falling back to in-process detection" in caplog.text
         # The batch still completes, in-process, with identical verdicts.

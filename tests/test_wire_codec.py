@@ -12,9 +12,10 @@ Four layers:
   :class:`~repro.exceptions.ServiceError`, nothing else.
 * **Transports** — lines the codec rejects (a non-string ``op``) are
   still answered by ``serve`` and by a worker, a detect line over
-  asyncio's 64 KiB default line limit is served over a Unix socket, and
-  a line over the transport's own limit is answered with a failure
-  before its connection closes.
+  asyncio's 64 KiB default line limit is served over a Unix socket, a
+  line over the transport's own limit is answered with a failure
+  before its connection closes, and a line holding a byte that is not
+  UTF-8 is answered with a failure on a connection that stays open.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.generator import generate_watermark
 from repro.core.histogram import TokenCounts, TokenHistogram
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.exceptions import ServiceError
-from repro.exec.worker import TaskWorkerServer
+from repro.exec.worker import TaskWorkerServer, serve_worker_unix
 from repro.service import DetectionService, ServiceClient, serve_stdio, serve_unix
 from repro.service.wire import (
     HEARTBEAT_FUNCTION,
@@ -856,3 +857,80 @@ def test_a_line_over_the_limit_is_answered_and_closes_its_connection(
     assert rest == b""  # the connection was closed after its answers
     assert again.ok and again.accepted
     assert failures == 1
+
+
+#: Not JSON, and not UTF-8 either: the ``\xff`` byte sits mid-object.
+NON_UTF8_LINE = b'{"id":"bad","op":"stats"\xff}'
+
+
+def _pipelined_answers(socket_path, lines, count):
+    """Send ``lines`` in one write; read ``count`` answer lines, then one more
+    request's answer on the same connection (``None`` once it closed)."""
+    import socket
+
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.connect(str(socket_path))
+        conn.sendall(b"".join(line + b"\n" for line in lines))
+        with conn.makefile("rb") as reader:
+            answers = [decode_response(reader.readline().decode("utf-8")) for _ in range(count)]
+            conn.sendall(lines[0] + b"\n")
+            try:
+                again = reader.readline()
+            except ConnectionResetError:
+                again = b""
+    return answers, decode_response(again.decode("utf-8")) if again else None
+
+
+def _serve_and_talk(start_server, talk):
+    """Run ``talk`` in a thread against the server ``start_server(ready)`` starts."""
+
+    async def run():
+        ready = asyncio.Event()
+        server_task = asyncio.ensure_future(start_server(ready))
+        await ready.wait()
+        try:
+            return await asyncio.get_running_loop().run_in_executor(None, talk)
+        finally:
+            server_task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await server_task
+
+    return asyncio.run(run())
+
+
+def test_serve_answers_a_non_utf8_line_and_keeps_the_connection(tmp_path):
+    socket_path = tmp_path / "svc.sock"
+    good = [encode_line(StatsRequest(request_id=f"s{index}")).encode() for index in (1, 2)]
+
+    async def start(ready):
+        async with DetectionService() as service:
+            await serve_unix(service, socket_path, ready=ready)
+
+    answers, again = _serve_and_talk(
+        start,
+        lambda: _pipelined_answers(socket_path, [good[0], NON_UTF8_LINE, good[1]], 3),
+    )
+    by_id = {answer.request_id: answer for answer in answers}
+    assert by_id["s1"].ok and by_id["s2"].ok
+    assert not by_id["?"].ok and "not valid JSON" in by_id["?"].error
+    assert again is not None and again.ok  # the connection stayed open
+
+
+def test_worker_answers_a_non_utf8_line_and_keeps_the_connection(tmp_path):
+    socket_path = tmp_path / "worker.sock"
+    beats = [
+        encode_line(TaskRequest(request_id=f"hb{index}", function=HEARTBEAT_FUNCTION)).encode()
+        for index in (1, 2)
+    ]
+
+    def start(ready):
+        return serve_worker_unix(socket_path, ready=ready)
+
+    answers, again = _serve_and_talk(
+        start,
+        lambda: _pipelined_answers(socket_path, [beats[0], NON_UTF8_LINE, beats[1]], 3),
+    )
+    by_id = {answer.request_id: answer for answer in answers}
+    assert by_id["hb1"].ok and by_id["hb2"].ok
+    assert not by_id["?"].ok and "not valid JSON" in by_id["?"].error
+    assert again is not None and again.ok  # the connection stayed open

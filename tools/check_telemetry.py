@@ -10,8 +10,8 @@ checker fails (exit 1) unless:
   carries the run summary; with the ``metrics`` feature on it also
   carries ``metrics.views``, an object of stats groups (each an
   object), and a ``scheduler`` group among them must report the same
-  ``bytes_sent`` / ``bytes_deduped`` / ``shm_segments`` as the run
-  summary: both read the run's one scheduler;
+  ``bytes_sent`` / ``bytes_deduped`` as the run summary: both read the
+  run's one scheduler;
 * ``telemetry/spans.jsonl`` parses line by line, every span carries the
   documented schema (``docs/observability.md``), the stream stitches
   into **one** trace with **zero** orphans, and the tree is rooted at
@@ -64,7 +64,7 @@ GENERATE_STAGES = (
 REQUIRED_STAGES = GENERATE_STAGES[1:-1]
 
 #: Scheduler counters both the run summary and ``views.scheduler`` carry.
-RUN_SCHEDULER_KEYS = ("bytes_sent", "bytes_deduped", "shm_segments")
+RUN_SCHEDULER_KEYS = ("bytes_sent", "bytes_deduped")
 
 #: One exposition sample: name, optional labels, value.
 SAMPLE_RE = re.compile(

@@ -4,13 +4,14 @@
 Runs the bundled smoke experiment spec three ways —
 
 1. in-process (``ExecutionPolicy(workers=1)``),
-2. on a :class:`LocalScheduler` worker pool (``workers=2``),
+2. on a :class:`LocalScheduler` with two forked workers (``workers=2``),
 3. on a :class:`RemoteScheduler` against two spawned ``freqywm worker``
    processes —
 
 renders ``report.json`` / ``report.md`` for each, and exits non-zero
-unless all three pairs are byte-identical and a cached rerun of the warm
-run directory executes zero tasks. CI's ``scheduler-smoke`` job calls
+unless all three pairs are byte-identical, no forked worker of the
+local run is left behind once it returns, and a cached rerun of the
+warm run directory executes zero tasks. CI's ``scheduler-smoke`` job calls
 this; it is equally useful locally after touching anything under
 ``src/repro/exec``.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -67,7 +69,7 @@ def run_backend(spec, run_dir: Path, policy: ExecutionPolicy, label: str):
         f"  {label}: {result.executed_total} executed, "
         f"{result.cached_total} cached, {result.seconds:.2f}s "
         f"({result.workers} worker(s), {result.bytes_sent} bytes sent, "
-        f"{result.bytes_deduped} deduped, {result.shm_segments} shm segment(s))"
+        f"{result.bytes_deduped} deduped)"
     )
     telemetry_path = Path(run_dir) / "telemetry.json"
     if telemetry_path.exists():
@@ -81,6 +83,17 @@ def run_backend(spec, run_dir: Path, policy: ExecutionPolicy, label: str):
             f"dropped={spans.get('dropped', 0)} ({telemetry_path})"
         )
     return result, json_path.read_bytes(), md_path.read_bytes()
+
+
+def leftover_child() -> str:
+    """A description of a child process still around, or ``""`` if none is."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return ""
+    if pid == 0:
+        return "a child process is still running"
+    return f"child {pid} was left unreaped (status {status})"
 
 
 def main(argv=None) -> int:
@@ -101,8 +114,9 @@ def main(argv=None) -> int:
             spec, tmp_path / "serial", ExecutionPolicy(workers=1), "in-process"
         )
         local, local_json, local_md = run_backend(
-            spec, tmp_path / "local", ExecutionPolicy(workers=2), "local pool"
+            spec, tmp_path / "local", ExecutionPolicy(workers=2), "local x2"
         )
+        leftover = leftover_child()
 
         sock_a = tmp_path / "worker-a.sock"
         sock_b = tmp_path / "worker-b.sock"
@@ -118,6 +132,8 @@ def main(argv=None) -> int:
         failures = []
         if serial.executed_total == 0:
             failures.append("the in-process run executed nothing")
+        if leftover:
+            failures.append(f"after the local run, {leftover}")
         if remote.workers != 2:
             failures.append(f"remote run used {remote.workers} workers, wanted 2")
         for label, payload, baseline in [
