@@ -22,6 +22,7 @@ most promising tokens to keep generation latency predictable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -245,6 +246,8 @@ class PairScanPlan:
     """
 
     candidate_tokens: Tuple[str, ...]
+    #: Each candidate token's position in ``sorted(candidate_tokens)``.
+    rank: "np.ndarray"
     first_index: "np.ndarray"
     second_index: "np.ndarray"
     moduli: "np.ndarray"
@@ -258,14 +261,19 @@ class PairScanPlan:
         cls, candidate_tokens: Sequence[str], secret: int, modulus_cap: int
     ) -> "PairScanPlan":
         """Derive every candidate pair's modulus once, in one bulk pass."""
-        first_index, second_index = np.triu_indices(len(candidate_tokens), k=1)
-        values: List[int] = []
-        for row in upper_triangle_rows(candidate_tokens, secret, modulus_cap):
-            values += row
-        moduli = np.array(values, dtype=np.int64)
+        size = len(candidate_tokens)
+        first_index, second_index = np.triu_indices(size, k=1)
+        moduli = np.fromiter(
+            chain.from_iterable(upper_triangle_rows(candidate_tokens, secret, modulus_cap)),
+            np.int64,
+            count=first_index.size,
+        )
         valid = moduli >= 2
+        rank = np.empty(size, np.int64)
+        rank[sorted(range(size), key=candidate_tokens.__getitem__)] = np.arange(size)
         return cls(
             candidate_tokens=tuple(candidate_tokens),
+            rank=rank,
             first_index=first_index,
             second_index=second_index,
             moduli=moduli,
@@ -285,7 +293,10 @@ class PairScanPlan:
 
         ``counts`` / ``slack`` are the candidate tokens' frequencies and
         binding boundaries (aligned with :attr:`candidate_tokens`); the
-        arithmetic is one :func:`pair_scan` over the plan arrays.
+        arithmetic is one :func:`pair_scan` over the plan arrays. The
+        survivors' :attr:`EligiblePair.cost` is computed as an array, and
+        one ``np.lexsort`` by cost, then the first and the second token's
+        :attr:`rank`, gives the ``(cost, pair)`` order the loop sorts into.
         """
         survivors, remainder, difference = pair_scan(
             counts,
@@ -297,21 +308,27 @@ class PairScanPlan:
             valid=self.valid,
             require_modification=require_modification,
         )
+        moduli = self.moduli[survivors]
+        cost = np.where(remainder <= moduli // 2, remainder, moduli - remainder)
+        first = self.first_index[survivors]
+        second = self.second_index[survivors]
+        order = np.lexsort((self.rank[second], self.rank[first], cost))
         tokens = self.candidate_tokens
-        eligible = [
+        return [
             EligiblePair(
-                pair=TokenPair(
-                    tokens[int(self.first_index[index])],
-                    tokens[int(self.second_index[index])],
-                ),
-                modulus=int(self.moduli[index]),
-                remainder=int(remainder[position]),
-                frequency_difference=int(difference[position]),
+                pair=TokenPair(tokens[i], tokens[j]),
+                modulus=modulus,
+                remainder=remainder_ij,
+                frequency_difference=difference_ij,
             )
-            for position, index in enumerate(survivors)
+            for i, j, modulus, remainder_ij, difference_ij in zip(
+                first[order].tolist(),
+                second[order].tolist(),
+                moduli[order].tolist(),
+                remainder[order].tolist(),
+                difference[order].tolist(),
+            )
         ]
-        eligible.sort(key=lambda item: (item.cost, item.pair))
-        return eligible
 
 
 def generate_eligible_pairs(

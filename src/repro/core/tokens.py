@@ -19,9 +19,10 @@ computed from the token's bytes), so this module provides:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import Dict, Hashable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -126,6 +127,20 @@ class TokenPair:
         return TokenPair(b, a)
 
 
+def _code(tokens: Sequence[TokenValue]) -> Tuple[np.ndarray, Dict[TokenValue, int]]:
+    """``(codes, index)`` of ``tokens``, read in one pass.
+
+    Each token's ``int32`` code is looked up in a ``defaultdict`` that
+    gives a token it has not seen the next number, so codes number the
+    distinct tokens by first appearance. An unhashable token raises
+    ``TypeError``. The index comes back as a plain ``dict``, where a
+    lookup never inserts a key.
+    """
+    index: Dict[TokenValue, int] = defaultdict(count().__next__)
+    codes = np.fromiter(map(index.__getitem__, tokens), np.int32, count=len(tokens))
+    return codes, dict(index)
+
+
 class CodedTokens(SequenceABC):
     """A token sequence read once, on first use, into integer codes.
 
@@ -141,9 +156,10 @@ class CodedTokens(SequenceABC):
     The read keeps every string occurrence as given (a ``numpy.str_``
     stays one) and canonicalises every other value with
     :func:`canonical_token`; a list or tuple of strings is read as is,
-    anything else is copied into a list first. The vocabulary is one
-    ``dict.fromkeys`` pass and the codes one C-level ``np.fromiter``
-    pass. Indexing, iteration and ``len`` see the read tokens.
+    anything else is copied into a list first. One C-level
+    ``np.fromiter`` pass writes the codes and numbers the vocabulary as
+    it goes (see :func:`_code`). Indexing, iteration and ``len`` see the
+    read tokens.
     """
 
     __slots__ = ("_source", "_read")
@@ -161,21 +177,19 @@ class CodedTokens(SequenceABC):
         """
         if self._read is None:
             tokens = self._source
-            distinct = None
+            read = None
             if isinstance(tokens, (list, tuple)):
                 try:
-                    distinct = dict.fromkeys(tokens)
+                    read = _code(tokens)
                 except TypeError:  # an unhashable token
                     pass
-            if distinct is None or not all(map(isinstance, distinct, repeat(str))):
+            if read is None or not all(map(isinstance, read[1], repeat(str))):
                 tokens = [
                     token if isinstance(token, str) else canonical_token(token)
                     for token in tokens
                 ]
-                distinct = dict.fromkeys(tokens)
-            index = dict(zip(distinct, range(len(distinct))))
-            codes = np.fromiter(map(index.__getitem__, tokens), np.int32, count=len(tokens))
-            self._read = (tokens, codes, index)
+                read = _code(tokens)
+            self._read = (tokens, *read)
         return self._read
 
     def __len__(self) -> int:

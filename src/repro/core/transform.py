@@ -48,10 +48,10 @@ def apply_deltas_to_tokens(
     """Apply token-count ``deltas`` to a raw token sequence.
 
     The edit touches a few dozen appearances of a sequence that may hold
-    millions, so the whole sequence is read once at C speed (each token
-    to an integer code through a token index built by one
-    ``dict.fromkeys`` pass, see :class:`~repro.core.tokens.CodedTokens`;
-    a ``CodedTokens`` is used as it was read) and written once as slices
+    millions, so the whole sequence is read once at C speed (one pass
+    codes each token and numbers the distinct ones as it meets them, see
+    :class:`~repro.core.tokens.CodedTokens`; a ``CodedTokens`` is used
+    as it was read) and written once as slices
     between the edited positions. The random draws are those of
     :func:`repro.core.reference.apply_deltas_reference`, in the same
     order, so the output is identical to it.

@@ -191,11 +191,6 @@ class BlobStore:
                 self._shrink()
             return digest
 
-    def put_object(self, value: Any) -> BlobRef:
-        """Serialise and insert ``value``; returns its :class:`BlobRef`."""
-        data = dumps_oob(value)
-        return BlobRef(self.put(data, value=value))
-
     # -- read side ----------------------------------------------------- #
 
     def __contains__(self, digest: str) -> bool:
@@ -335,48 +330,33 @@ def maybe_blob(
 # Ref substitution in payload structures
 # --------------------------------------------------------------------- #
 
-_UNCHANGED = object()
 
+def _resolve(obj: Any, lookup: Callable[[str], Any], depth: int) -> Any:
+    """``obj`` with every :class:`BlobRef` replaced; containers only, bounded.
 
-def _transform(obj: Any, replace: Callable[[Any], Any], depth: int) -> Any:
-    """Rebuild ``obj`` with ``replace`` applied; containers only, bounded.
-
-    ``replace`` returns ``_UNCHANGED`` to leave a node alone. Container
-    copies happen only on an actual change, so ref-free payloads pass
-    through untouched (same object, no copying).
+    Container copies happen only on an actual change, so ref-free payloads
+    pass through untouched (same object, no copying).
     """
-    replacement = replace(obj)
-    if replacement is not _UNCHANGED:
-        return replacement
+    if isinstance(obj, BlobRef):
+        return lookup(obj.digest)
     if depth <= 0:
         return obj
     if type(obj) is tuple:
-        items = [_transform(item, replace, depth - 1) for item in obj]
+        items = [_resolve(item, lookup, depth - 1) for item in obj]
         if all(new is old for new, old in zip(items, obj)):
             return obj
         return tuple(items)
     if type(obj) is list:
-        items = [_transform(item, replace, depth - 1) for item in obj]
+        items = [_resolve(item, lookup, depth - 1) for item in obj]
         if all(new is old for new, old in zip(items, obj)):
             return obj
         return items
     if type(obj) is dict:
-        values = {key: _transform(item, replace, depth - 1) for key, item in obj.items()}
+        values = {key: _resolve(item, lookup, depth - 1) for key, item in obj.items()}
         if all(values[key] is obj[key] for key in obj):
             return obj
         return values
     return obj
-
-
-def rewrite_refs(obj: Any, mapping: Dict[str, Any], *, depth: int = 6) -> Any:
-    """Replace every :class:`BlobRef` whose digest is in ``mapping``."""
-
-    def replace(node: Any) -> Any:
-        if isinstance(node, BlobRef) and node.digest in mapping:
-            return mapping[node.digest]
-        return _UNCHANGED
-
-    return _transform(obj, replace, depth)
 
 
 def resolve_refs(
@@ -392,26 +372,7 @@ def resolve_refs(
     unchanged — the same object.
     """
     lookup = fetch if fetch is not None else default_blob_store().get_object
-
-    def replace(node: Any) -> Any:
-        if isinstance(node, BlobRef):
-            return lookup(node.digest)
-        return _UNCHANGED
-
-    return _transform(obj, replace, depth)
-
-
-def collect_refs(obj: Any, *, depth: int = 6) -> Tuple[str, ...]:
-    """Every distinct :class:`BlobRef` digest in ``obj``, in first-seen order."""
-    seen: Dict[str, None] = {}
-
-    def replace(node: Any) -> Any:
-        if isinstance(node, BlobRef):
-            seen.setdefault(node.digest)
-        return _UNCHANGED
-
-    _transform(obj, replace, depth)
-    return tuple(seen)
+    return _resolve(obj, lookup, depth)
 
 
 __all__ = [
@@ -421,12 +382,10 @@ __all__ = [
     "BlobRef",
     "BlobStore",
     "blob_digest",
-    "collect_refs",
     "default_blob_store",
     "dumps_oob",
     "loads_oob",
     "maybe_blob",
     "resolve_refs",
-    "rewrite_refs",
     "set_default_blob_store",
 ]

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import parity_harness as harness
-from repro.core.config import DetectionConfig
+from repro.core.config import MAX_MODULUS_CAP, DetectionConfig
 from repro.core.detector import verify_pair_arrays
 from repro.core.histogram import TokenHistogram
 from repro.core.modification import plan_deltas
@@ -233,6 +233,58 @@ class TestEligibilityParity:
             modulus_cap=modulus_cap,
             require_modification=require_modification,
         )
+
+
+#: Non-ASCII tokens, and tokens that are prefixes of one another, so the
+#: plan's rank order must match ``str`` comparison of the pairs. "Ａ"
+#: (U+FF21) sorts below "𝄞" (U+1D11E) by code point but above it in UTF-16.
+_ORDER_TOKENS = st.one_of(
+    st.sampled_from(["a", "ab", "abc", "é", "éa", "中", "中文", "Ａ", "𝄞", "𝄞a", "Z", "ß", "ss"]),
+    st.text(alphabet="aéZ中Ａ𝄞\x1f", min_size=1, max_size=4),
+)
+
+
+class TestEligibilityOrder:
+    """The plan's ``np.lexsort`` order against the loop's ``(cost, pair)`` sort."""
+
+    @_settings
+    @given(
+        counts=st.dictionaries(
+            _ORDER_TOKENS, st.integers(min_value=1, max_value=400), min_size=2, max_size=30
+        ),
+        modulus_cap=st.integers(min_value=2, max_value=7),
+        secret_value=st.integers(min_value=0, max_value=2**256),
+        require_modification=st.booleans(),
+    )
+    def test_small_caps_order_equal_costs_by_pair(
+        self, counts, modulus_cap, secret_value, require_modification
+    ):
+        harness.assert_eligibility_parity(
+            TokenHistogram.from_counts(counts),
+            secret_value=secret_value,
+            modulus_cap=modulus_cap,
+            require_modification=require_modification,
+        )
+
+    def test_caps_near_the_maximum_keep_int64_costs_exact(self):
+        # Gaps between counts as wide as the int64 counts allow give slacks
+        # that moduli near 2**63 can meet, so some pairs survive and their
+        # costs take both branches of ``EligiblePair.cost``.
+        rng = np.random.default_rng(20241019)
+        survivors = []
+        for trial in range(60):
+            size = int(rng.integers(2, 7))
+            gaps = rng.integers(2**56, MAX_MODULUS_CAP // size, size=size).tolist()
+            counts = dict(zip(["a", "ab", "é", "中文", "𝄞", "Z"], np.cumsum(gaps).tolist()))
+            survivors += harness.assert_eligibility_parity(
+                TokenHistogram.from_counts(counts),
+                secret_value=int(rng.integers(2**62)) << 190 | trial,
+                modulus_cap=MAX_MODULUS_CAP - trial % 3,
+            )
+        assert len(survivors) >= 30
+        assert max(item.modulus for item in survivors) > 2**61
+        assert any(item.remainder > item.modulus // 2 for item in survivors)
+        assert any(0 < item.remainder <= item.modulus // 2 for item in survivors)
 
 
 class TestMonteCarloParity:

@@ -33,12 +33,10 @@ from repro.exec.blobs import (
     MIN_BLOB_BYTES,
     BlobRef,
     BlobStore,
-    collect_refs,
     dumps_oob,
     loads_oob,
     maybe_blob,
     resolve_refs,
-    rewrite_refs,
 )
 from repro.exec.remote import RemoteScheduler
 from repro.exec.scheduler import LocalScheduler, SchedulerStats, TaskSpec
@@ -105,13 +103,9 @@ class TestMaybeBlob:
         assert isinstance(value, BlobRef) and len(refs) == 1
         assert resolve_refs(value) is original  # value cache: zero copies
 
-    def test_rewrite_and_collect_walk_nested_containers(self, fresh_store):
+    def test_resolve_walks_nested_containers(self, fresh_store):
         ref = maybe_blob(_payload_bytes())[0]
         nested = ("head", [1, {"inner": ref}], ref)
-        assert collect_refs(nested) == (ref.digest,)  # deduplicated
-        marker = object()
-        rewritten = rewrite_refs(nested, {ref.digest: marker})
-        assert rewritten[1][1]["inner"] is marker and rewritten[2] is marker
         resolved = resolve_refs(nested)
         assert resolved[1][1]["inner"] is resolve_refs(ref)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.tokens import (
     MULTI_ATTRIBUTE_SEPARATOR,
@@ -103,6 +105,44 @@ class TestHelpers:
         assert as_token_pair(pair) is pair
 
 
+def _two_pass_coding(tokens):
+    """Reference read: a ``dict.fromkeys`` vocabulary, then a lookup per token."""
+    distinct = None
+    if isinstance(tokens, (list, tuple)):
+        try:
+            distinct = dict.fromkeys(tokens)
+        except TypeError:
+            pass
+    if distinct is None or not all(isinstance(key, str) for key in distinct):
+        tokens = [token if isinstance(token, str) else canonical_token(token) for token in tokens]
+        distinct = dict.fromkeys(tokens)
+    index = {token: code for code, token in enumerate(distinct)}
+    return tokens, [index[token] for token in tokens], index
+
+
+_strings = st.text(alphabet="ab1é", max_size=2)
+_any_values = st.one_of(
+    _strings,
+    _strings.map(np.str_),
+    st.sampled_from([1, True, 1.0, "1"]),  # hash-equal, and "1" is 1's canonical form
+    st.binary(max_size=2),
+    st.tuples(_strings, st.integers(0, 2)),
+    st.lists(_strings, max_size=2),  # unhashable
+)
+
+
+def _sequences(values):
+    """Lists and tuples of ``values``."""
+    return st.lists(values, max_size=25).flatmap(
+        lambda items: st.sampled_from([items, tuple(items)])
+    )
+
+
+def _typed(values):
+    """Values with their types, since ``1 == True == 1.0``."""
+    return [(type(value), value) for value in values]
+
+
 class TestCodedTokens:
     def test_a_list_of_strings_is_read_as_is(self):
         tokens = ["b", np.str_("a"), "b", "c"]
@@ -120,3 +160,24 @@ class TestCodedTokens:
         # The sequence view is the read tokens, read once.
         assert len(coded) == 4 and coded[2] == "a\x1fb" and list(coded) == read
         assert coded.coded() is coded.coded()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tokens=st.one_of(
+            _sequences(st.one_of(_strings, _strings.map(np.str_))), _sequences(_any_values)
+        )
+    )
+    @example(tokens=[])
+    @example(tokens=())
+    @example(tokens=["1", 1, True, 1.0])
+    @example(tokens=[1, True, 1.0])
+    @example(tokens=["a", ["a"]])
+    def test_matches_the_two_pass_read(self, tokens):
+        expected_tokens, expected_codes, expected_index = _two_pass_coding(tokens)
+        read, codes, index = CodedTokens(tokens).coded()
+        assert (read is tokens) == (expected_tokens is tokens)
+        assert _typed(read) == _typed(expected_tokens)
+        assert codes.dtype == np.int32 and codes.tolist() == expected_codes
+        assert type(index) is dict
+        assert _typed(index) == _typed(expected_index)
+        assert list(index.values()) == list(range(len(index)))
