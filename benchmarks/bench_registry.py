@@ -102,8 +102,10 @@ def test_attribution_parity_and_speedup():
 
     buyers = registry.active_buyers
     secrets = [registry.secret_for(buyer) for buyer in buyers]
-    # Registration derived every secret's moduli (memoised on the
-    # secret), so the timed gap measures the scan itself, not hashing.
+    # The untimed warm-up pass derives every secret's moduli (memoised
+    # on the secret), so the timed gap measures the scan itself, not
+    # hashing. The warm-up attribution below builds the candidate index
+    # from those memos.
     detect_many_secrets(leaked, secrets, config)
     start = time.perf_counter()
     linear_results = detect_many_secrets(leaked, secrets, config)

@@ -139,7 +139,9 @@ def experiment_banner(identifier: str, description: str) -> None:
 #: over the sequential generator loop), the experiment-orchestration
 #: guard (bundled smoke spec: cache-hit rerun + deterministic reports),
 #: the vault-attribution guard (candidate-index parity with the
-#: linear scan + its speedup floor), the data-plane guard (>=5x
+#: linear scan + its speedup floor), the vault-open report (a reopened
+#: vault answers as the one that wrote it; open cost per buyer, first
+#: attribute and peak RSS, with no floor), the data-plane guard (>=5x
 #: bytes-on-wire dedup for shared remote payloads + the local
 #: shared-memory dispatch speedup), and the telemetry-overhead guard
 #: (disabled spans are free; instrumented dispatch within 3% of raw).
@@ -151,6 +153,7 @@ SMOKE_PATTERNS = (
     "bench_embed_many.py",
     "bench_experiment.py",
     "bench_registry.py",
+    "bench_vault_open.py",
     "bench_exec_dataplane.py",
     "bench_obs_overhead.py",
 )

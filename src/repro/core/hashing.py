@@ -157,9 +157,18 @@ def keyed_fingerprint(secret: int, *fields: "str | bytes | int") -> str:
 
     Used by the watermark registry and the re-watermarking defence to
     commit to a watermark description without revealing the secret.
+    The message is each field's :func:`_encode` bytes joined by
+    ``0x00``. When every field is an exact ``str`` or ``int`` it is
+    built in one join of their ``str`` forms: UTF-8 encoding commutes
+    with concatenation and a decimal integer is ASCII, so the bytes are
+    the same. Fingerprints are content addresses in the vault, so they
+    must never change.
     """
     key = _encode(secret)
-    message = _FIELD_SEPARATOR.join(_encode(field) for field in fields)
+    if set(map(type, fields)) <= {str, int}:
+        message = "\x00".join(map(str, fields)).encode("utf-8")
+    else:
+        message = _FIELD_SEPARATOR.join(map(_encode, fields))
     return hmac.new(key, message, hashlib.sha256).hexdigest()
 
 

@@ -301,13 +301,14 @@ class TokenHistogram:
         ----------
         tokens : Iterable[TokenValue]
             Token occurrences in any order; values are canonicalised via
-            :func:`repro.core.tokens.canonical_token`. An iterator is
-            consumed in bounded batches. For data that arrives in
-            chunks, :class:`repro.core.streaming.StreamingHistogramBuilder`
-            counts with the same routine and its result is bit-identical.
-            A :class:`~repro.core.tokens.CodedTokens` is read (on its
-            first use) and counted from its codes with ``np.bincount``,
-            with the same result.
+            :func:`repro.core.tokens.canonical_token`. A list or tuple
+            is read once through :class:`~repro.core.tokens.CodedTokens`
+            and a :class:`~repro.core.tokens.CodedTokens` on its first
+            use; either is counted from its codes with ``np.bincount``.
+            Any other iterable is consumed in bounded batches, as
+            :class:`repro.core.streaming.StreamingHistogramBuilder`
+            counts data that arrives in chunks. Every path gives the
+            same histogram.
 
         Returns
         -------
@@ -319,6 +320,8 @@ class TokenHistogram:
         HistogramError
             If the sequence is empty.
         """
+        if isinstance(tokens, (list, tuple)):
+            tokens = CodedTokens(tokens)
         if isinstance(tokens, CodedTokens):
             _, codes, index = tokens.coded()
             if not codes.size:

@@ -96,9 +96,9 @@ def count_batch(batch: list) -> Counter:
     canonical forms are ``"1"`` and ``"True"``.
 
     This is the one counting routine behind both
-    ``TokenHistogram.from_tokens`` (except for a
-    :class:`~repro.core.tokens.CodedTokens`, counted from its codes) and
-    :meth:`StreamingHistogramBuilder.add_tokens`.
+    ``TokenHistogram.from_tokens`` (for an iterable other than a list,
+    tuple or :class:`~repro.core.tokens.CodedTokens`, which it counts
+    from their codes) and :meth:`StreamingHistogramBuilder.add_tokens`.
 
     Parameters
     ----------

@@ -24,7 +24,11 @@ Attribution is sublinear in vault size: a
 vault to a candidate set, and only the candidates go through the exact
 stacked :func:`~repro.core.batch.detect_many_secrets` confirmation.
 Verdicts are identical to screening the whole vault (parity-tested);
-the million-secret scaling story lives in ``docs/registry.md``.
+the million-secret scaling story lives in ``docs/registry.md``. The
+index is built from the active secrets the first time a screen or
+:meth:`WatermarkRegistry.index_stats` reads it; after that, register
+and revoke keep it current in place. Detect, register and revoke never
+read it, so a vault that is only replayed derives no moduli.
 
 :class:`RegistryEntry` ``to_dict`` / ``from_dict`` is the one ledger
 record codec: the public ledger export, the on-disk vault's
@@ -217,7 +221,8 @@ class WatermarkRegistry:
         self._rows: Dict[str, int] = {}
         self._row_buyers: Dict[int, str] = {}
         self._next_row = 0
-        self._index = CandidateIndex()
+        # Built on first read (see _candidate_index); None until then.
+        self._index: Optional[CandidateIndex] = None
         self.last_attribution: Optional[AttributionStats] = None
 
     # ------------------------------------------------------------------ #
@@ -276,16 +281,19 @@ class WatermarkRegistry:
     ) -> RegistryEntry:
         """Register the watermark issued to ``buyer_id``.
 
-        The secret itself goes into the private vault (and its pair
-        buckets into the candidate index); only its keyed fingerprint
-        enters the chained public entry. A buyer whose watermark was
-        revoked may register a fresh one.
+        The secret itself goes into the private vault (and, once the
+        candidate index has been built, its pair buckets into the
+        index); only its keyed fingerprint enters the chained public
+        entry. Before the first screen nothing derives the secret's
+        moduli. A buyer whose watermark was revoked may register a
+        fresh one.
         """
         self._check_registrable(buyer_id, metadata)
         entry = self._append_entry(buyer_id, secret.fingerprint(), dict(metadata))
         row = self._next_row
         self._next_row += 1
-        self._index.add(row, secret)
+        if self._index is not None:
+            self._index.add(row, secret)
         self._vault[buyer_id] = secret
         self._rows[buyer_id] = row
         self._row_buyers[row] = buyer_id
@@ -307,7 +315,8 @@ class WatermarkRegistry:
         row = self._rows.pop(buyer_id)
         del self._row_buyers[row]
         del self._vault[buyer_id]
-        self._index.remove(row)
+        if self._index is not None:
+            self._index.remove(row)
         return entry
 
     def secret_for(self, buyer_id: str) -> WatermarkSecret:
@@ -325,6 +334,23 @@ class WatermarkRegistry:
         """Check the hash chain: any tampered entry breaks verification."""
         return _chain_valid(self._entries)
 
+    def _candidate_index(self) -> CandidateIndex:
+        """The candidate index, built on the first call.
+
+        The build posts every active secret in row order (deriving each
+        one's moduli) inside one ``dispute.index_build`` span; register
+        and revoke keep the built index current.
+        """
+        if self._index is None:
+            with trace_span("dispute.index_build") as stage:
+                index = CandidateIndex()
+                for row, buyer_id in self._row_buyers.items():
+                    index.add(row, self._vault[buyer_id])
+                if stage.recording:
+                    stage.set_attribute("secrets", len(index))
+            self._index = index
+        return self._index
+
     def attribute_leak(
         self,
         data: SuspectData,
@@ -340,10 +366,12 @@ class WatermarkRegistry:
         Runs in two stages. A :class:`~repro.dispute.index.CandidateIndex`
         screen first prunes the vault to a candidate set — one vectorized
         pass over the distinct token-pair modulus buckets, sublinear in
-        vault size. The candidates then go through the exact stacked
-        :func:`repro.core.batch.detect_many_secrets` confirmation. The
-        vault holds each registered secret object, so the confirmation
-        reads the moduli its index posting derived and hashes nothing.
+        vault size. The first screen builds the index, deriving each
+        active secret's moduli once. The candidates then go through the
+        exact stacked :func:`repro.core.batch.detect_many_secrets`
+        confirmation. The vault holds each registered secret object, so
+        the confirmation reads the moduli its index posting derived and
+        hashes nothing.
 
         Returns the buyers whose watermark verifies, sorted by decreasing
         accepted-pair fraction (the strongest match first). Verdicts are
@@ -354,7 +382,7 @@ class WatermarkRegistry:
         detection_config = detection or DetectionConfig(pair_threshold=1)
         counts = suspect_counts(data)
         with trace_span("dispute.screen") as stage:
-            screen = self._index.screen(counts, detection_config)
+            screen = self._candidate_index().screen(counts, detection_config)
             if stage.recording:
                 stage.set_attribute("candidates", len(screen.rows))
                 stage.set_attribute("active", screen.active_secrets)
@@ -373,8 +401,9 @@ class WatermarkRegistry:
         return matches
 
     def index_stats(self) -> IndexStats:
-        """Structural counters of the candidate-pruning index."""
-        return self._index.stats()
+        """Structural counters of the candidate-pruning index (built
+        here if no screen has built it yet)."""
+        return self._candidate_index().stats()
 
     # ------------------------------------------------------------------ #
     # Persistence

@@ -33,10 +33,13 @@ or tampered records anywhere *before* the tail are an integrity error,
 not a repair.
 
 Reloading replays each decoded record through the registry's own
-``register`` / ``revoke`` with persistence off, which also rebuilds the
-candidate index; the rebuilt entry must equal the stored record, so the
-replay is the chain check. A ledger holding records of any other shape
-(such as the older ``seq``/``action`` format) is refused with a
+``register`` / ``revoke`` with persistence off; the rebuilt entry must
+equal the stored record, so the replay is the chain check. Each secret
+file is checked against its content address as it is loaded. The
+replay builds no candidate index and derives no moduli: the first
+screen (or ``index_stats``) builds the index from the active secrets.
+A ledger holding records of any other shape (such as the older
+``seq``/``action`` format) is refused with a
 :class:`~repro.exceptions.DisputeError`.
 """
 
@@ -58,10 +61,11 @@ from repro.exceptions import DisputeError
 from repro.obs.trace import span as trace_span
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` atomically within its directory."""
-    temp = path.with_name(path.name + ".tmp")
-    temp.write_text(text, encoding="utf-8")
+    temp = path + ".tmp"
+    with open(temp, "w", encoding="utf-8") as handle:
+        handle.write(text)
     os.replace(temp, path)
 
 
@@ -88,18 +92,20 @@ class SecretVault(WatermarkRegistry):
     # Loading
     # ------------------------------------------------------------------ #
 
-    def _secret_path(self, fingerprint: str) -> Path:
-        return self.secrets_dir / f"{fingerprint}.json"
+    def _secret_path(self, fingerprint: str) -> str:
+        return os.path.join(self.secrets_dir, fingerprint + ".json")
 
     def _load_secret(self, fingerprint: str) -> WatermarkSecret:
         path = self._secret_path(fingerprint)
         try:
-            secret = WatermarkSecret.load(path)
+            with open(path, "rb") as handle:
+                text = handle.read().decode("utf-8")
         except FileNotFoundError:
             raise DisputeError(
                 f"vault ledger references secret {fingerprint} but "
                 f"{path} does not exist"
             ) from None
+        secret = WatermarkSecret.from_json(text)
         if secret.fingerprint() != fingerprint:
             raise DisputeError(
                 f"secret file {path} does not match its content address "
@@ -182,7 +188,7 @@ class SecretVault(WatermarkRegistry):
         with trace_span("dispute.register"):
             self._check_registrable(buyer_id, metadata)
             secret_path = self._secret_path(secret.fingerprint())
-            if not secret_path.exists():
+            if not os.path.exists(secret_path):
                 _atomic_write(secret_path, secret.to_json())
             return super().register(buyer_id, secret, **metadata)
 

@@ -235,7 +235,7 @@ class DetectionService:
                 "to freqywm worker",
             )
         if isinstance(request, StatsRequest):
-            return self._submit_stats(request)
+            return await self._submit_stats(request)
         if isinstance(request, EmbedRequest):
             with trace_span("service.embed"):
                 return await self._submit_embed(request)
@@ -246,20 +246,28 @@ class DetectionService:
         with trace_span("service.detect"):
             return await self._submit_detect(request)
 
-    def _submit_stats(self, request: StatsRequest) -> StatsResponse:
+    async def _submit_stats(self, request: StatsRequest) -> StatsResponse:
         """Answer a ``stats`` request with this service's stats groups.
 
         Each group is the ``as_dict()`` of an object this service holds:
         its own counters, its detector cache and its vault once one
         exists. Another service in the same process never shows up here.
+        The vault group is read as the vault verbs run, under their lock
+        in a worker thread: reading it may build or compact the
+        candidate index, so it waits for a register, revoke or attribute
+        in flight.
         """
         try:
+            vault = None
+            if self._vault_registry is not None:
+                async with self._vault_lock:
+                    vault = await asyncio.to_thread(self._vault_registry.index_stats)
             groups: Dict[str, Dict[str, object]] = {
                 "service": self.stats.as_dict(),
                 "detector_cache": self.cache.stats().as_dict(),
             }
-            if self._vault_registry is not None:
-                groups["vault"] = self._vault_registry.index_stats().as_dict()
+            if vault is not None:
+                groups["vault"] = vault.as_dict()
             return StatsResponse(
                 request_id=request.request_id,
                 metrics={"views": groups},

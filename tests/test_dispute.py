@@ -255,7 +255,7 @@ class TestDetectorCaching:
             for index, buyer in enumerate(("buyer-a", "buyer-b", "buyer-c"))
         }
 
-    def test_attribution_derives_no_moduli_after_registration(
+    def test_first_screen_derives_each_active_secret_once(
         self, per_buyer_watermarks, moduli_derivations
     ):
         secrets = {
@@ -265,21 +265,30 @@ class TestDetectorCaching:
         registry = WatermarkRegistry()
         for buyer, secret in secrets.items():
             registry.register(buyer, secret)
-        # Registration derives each secret's moduli once, for its index
-        # postings.
-        assert moduli_derivations == [len(secret) for secret in secrets.values()]
+        registry.revoke("buyer-c")
+        # Registration and revocation build no index: nothing is derived.
+        assert moduli_derivations == []
         detection = DetectionConfig(pair_threshold=0)
         leaked = per_buyer_watermarks["buyer-b"].watermarked_histogram
         other = per_buyer_watermarks["buyer-a"].watermarked_histogram
         first = registry.attribute_leak(leaked, detection=detection)
+        # The first screen builds the index from the active secrets, each
+        # derived once; the revoked secret never is.
+        assert moduli_derivations == [len(secrets["buyer-a"]), len(secrets["buyer-b"])]
+        assert "_moduli" not in vars(secrets["buyer-c"])
         assert registry.last_attribution.candidates >= 1
         second = registry.attribute_leak(other, detection=detection)
         assert [buyer for buyer, _ in first][:1] == ["buyer-b"]
         assert [buyer for buyer, _ in second][:1] == ["buyer-a"]
-        # Screens and confirmations read the vault's memoised moduli.
-        assert len(moduli_derivations) == len(secrets)
+        # Later screens and confirmations read the memoised moduli.
+        assert len(moduli_derivations) == 2
         assert first == registry.attribute_leak(leaked, detection=detection)
-        assert len(moduli_derivations) == len(secrets)
+        assert len(moduli_derivations) == 2
+        # Once the index exists, a registration posts into it at once.
+        registry.register("buyer-c", secrets["buyer-c"])
+        assert moduli_derivations[2:] == [len(secrets["buyer-c"])]
+        registry.attribute_leak(leaked, detection=detection)
+        assert len(moduli_derivations) == 3
 
     def test_judge_reuses_claimant_detectors_across_arbitrations(self, dispute_setup):
         owner_result, outcome = dispute_setup

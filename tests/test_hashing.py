@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.hashing import (
     DEFAULT_SECURITY_BITS,
+    _encode,
     digest_to_int,
     generate_secret,
     keyed_fingerprint,
@@ -95,6 +99,47 @@ class TestFingerprint:
         fingerprint = keyed_fingerprint(9, "x")
         assert len(fingerprint) == 64
         int(fingerprint, 16)  # must parse as hex
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**300),
+        st.lists(
+            st.one_of(st.text(), st.integers(), st.booleans(), st.binary()), max_size=12
+        ),
+    )
+    def test_message_is_the_per_field_encoding(self, key, fields):
+        # The HMAC of each field's _encode bytes joined by 0x00, whatever
+        # mix of field types takes which path.
+        message = b"\x00".join(map(_encode, fields))
+        expected = hmac.new(_encode(key), message, hashlib.sha256).hexdigest()
+        assert keyed_fingerprint(key, *fields) == expected
+
+    def test_secret_fingerprint_golden(self):
+        # Vault secret files are named by this digest and ledger records
+        # carry it, so it must never change. Pinned before the one-join
+        # message; the numpy.str_ tokens take the per-field path and
+        # their exact-str copies the one-join path.
+        tokens = [
+            ("caf\xe9", "na\xefve"),
+            ("\u6771\u4eac", "Z\xfcrich"),
+            ("plain", "ascii"),
+            ("\U0001f600", "x y"),
+        ]
+        secret_value = (1 << 255) | 0x5EED_F00D_CAFE_BABE_0123_4567_89AB_CDEF
+        assert secret_value.bit_length() == 256
+        mixed = WatermarkSecret(
+            pairs=tuple(
+                TokenPair(np.str_(first) if index % 2 == 0 else first, second)
+                for index, (first, second) in enumerate(tokens)
+            ),
+            secret=secret_value,
+            modulus_cap=131,
+        )
+        assert type(mixed.pairs[0].first) is np.str_
+        exact = WatermarkSecret.build(tokens, secret_value, 131)
+        golden = "6971809af39a58119cbaacfe44a354696085c6144a6ac788a2864177330dad08"
+        assert mixed.fingerprint() == golden
+        assert exact.fingerprint() == golden
 
 
 _tokens = st.lists(st.text(max_size=6), min_size=2, max_size=8, unique=True)

@@ -17,11 +17,14 @@ import json
 import logging as pylogging
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import scheduler_tasks
+from repro.dispute.index import CandidateIndex
+from repro.dispute.registry import WatermarkRegistry
 from repro.exceptions import ConfigurationError, ReproError, ServiceError
 from repro.exec.policy import ExecutionPolicy
 from repro.exec.remote import RemoteScheduler
@@ -64,6 +67,7 @@ from repro.obs.trace import (
 )
 from repro.service.service import DetectionService, ServiceConfig
 from repro.service.wire import (
+    AttributeRequest,
     StatsRequest,
     StatsResponse,
     TaskRequest,
@@ -307,6 +311,55 @@ class TestMetricsViews:
         assert views_b["service"]["requests"] == 3
         assert "freqywm_service_requests 10\n" in answer_a.prometheus
         assert "freqywm_detector_cache_capacity 8\n" in answer_a.prometheus
+
+    def test_stats_waits_for_a_vault_verb_in_flight(self, watermarked_bundle, monkeypatch):
+        """Reading the vault group may build or compact the candidate
+        index, so a ``stats`` sent while an attribute screens reads it
+        only after that attribute has returned."""
+        result, _original = watermarked_bundle
+        events = []
+        screening, release = threading.Event(), threading.Event()
+        screen = CandidateIndex.screen
+
+        def held_screen(index, data, detection):
+            events.append("screen")
+            screening.set()
+            assert release.wait(10)
+            events.append("screen returns")
+            return screen(index, data, detection)
+
+        registry = WatermarkRegistry()
+        registry.register("buyer", result.secret)
+        index_stats = registry.index_stats
+
+        def counted_index_stats():
+            events.append("index_stats")
+            return index_stats()
+
+        monkeypatch.setattr(CandidateIndex, "screen", held_screen)
+        monkeypatch.setattr(registry, "index_stats", counted_index_stats)
+        counts = result.watermarked_histogram.as_dict()
+
+        async def run():
+            async with DetectionService(registry=registry) as service:
+                attribute = asyncio.create_task(
+                    service.submit(AttributeRequest(request_id="a", counts=counts))
+                )
+                try:
+                    assert await asyncio.to_thread(screening.wait, 10)
+                    stats = asyncio.create_task(_stats_answer(service))
+                    await asyncio.sleep(0.05)
+                    held = (stats.done(), list(events))
+                finally:
+                    release.set()
+                return held, await attribute, await stats
+
+        (stats_done, seen), attributed, answered = asyncio.run(run())
+        assert (stats_done, seen) == (False, ["screen"])
+        assert attributed.ok and [buyer for buyer, _ in attributed.matches] == ["buyer"]
+        assert answered.ok, answered.error
+        assert events == ["screen", "screen returns", "index_stats"]
+        assert answered.metrics["views"]["vault"] == index_stats().as_dict()
 
     def test_scheduler_stats_parity_field_for_field(self):
         with LocalScheduler(workers=1) as scheduler:

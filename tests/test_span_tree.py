@@ -24,6 +24,7 @@ from repro.core.eligibility import EligibilityContext
 import repro.core.generator as generator_module
 from repro.core.generator import WatermarkGenerator
 from repro.core.histogram import TokenHistogram
+from repro.core.secrets import WatermarkSecret
 from repro.core.tokens import CodedTokens
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.dispute.vault import SecretVault
@@ -147,21 +148,33 @@ def test_token_generate_reads_its_dataset_once_inside_the_histogram_call(
 def test_service_verbs_hold_their_layer_spans(recorded, watermark, tmp_path):
     counts = watermark.watermarked_histogram.as_dict()
     secret = watermark.secret.to_dict()
+    tokens = watermark.watermarked_histogram.tokens
+    early = WatermarkSecret.build(
+        [(tokens[index], tokens[index + 1]) for index in range(0, 20, 2)], 12345, 31
+    )
+    SecretVault(tmp_path / "vault").register("early", early)
+    recorded()  # the reopen below is what this test traces
     vault = SecretVault(tmp_path / "vault")
     with SyncDetectionService(registry=vault) as service:
         detect = service.submit(DetectRequest(request_id="d", counts=counts, secret=secret))
         register = service.submit(
             RegisterRequest(request_id="r", buyer_id="acme", secret=secret)
         )
-        attribute = service.submit(AttributeRequest(request_id="a", counts=counts))
+        attributes = [
+            service.submit(AttributeRequest(request_id=f"a{index}", counts=counts))
+            for index in range(2)
+        ]
     assert detect.ok and detect.accepted
     assert register.ok
-    assert attribute.ok and [buyer for buyer, _ in attribute.matches] == ["acme"]
+    for attribute in attributes:
+        assert attribute.ok and [buyer for buyer, _ in attribute.matches] == ["acme"]
     spans = recorded()
     assert orphan_spans(spans) == []
 
+    # Replaying the ledger builds no index.
     (vault_open,) = _named(spans, "dispute.vault_open")
     assert vault_open["parent"] is None
+    assert _children(spans, vault_open) == []
 
     (detect_span,) = _named(spans, "service.detect")
     assert [child["name"] for child in _children(spans, detect_span)] == [
@@ -178,10 +191,19 @@ def test_service_verbs_hold_their_layer_spans(recorded, watermark, tmp_path):
         "dispute.register"
     ]
 
-    (attribute_span,) = _named(spans, "service.attribute")
-    screen, confirm = _children(spans, attribute_span)
+    first, second = _named(spans, "service.attribute")
+    screen, confirm = _children(spans, first)
     assert [screen["name"], confirm["name"]] == ["dispute.screen", "dispute.confirm"]
-    assert screen["attrs"] == {"candidates": 1, "active": 1}
+    assert screen["attrs"] == {"candidates": 1, "active": 2}
+    # The first screen builds the index from both active secrets; the
+    # second finds it built.
+    (build,) = _children(spans, screen)
+    assert build["name"] == "dispute.index_build"
+    assert build["attrs"] == {"secrets": 2}
+    screen, confirm = _children(spans, second)
+    assert [screen["name"], confirm["name"]] == ["dispute.screen", "dispute.confirm"]
+    assert _children(spans, screen) == []
+    assert len(_named(spans, "dispute.index_build")) == 1
 
 
 @pytest.fixture()

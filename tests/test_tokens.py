@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.histogram import TokenHistogram
 from repro.core.tokens import (
     MULTI_ATTRIBUTE_SEPARATOR,
     CodedTokens,
@@ -17,6 +18,7 @@ from repro.core.tokens import (
     decompose_token,
     unique_tokens,
 )
+from repro.exceptions import HistogramError
 
 
 class TestCanonicalToken:
@@ -181,3 +183,21 @@ class TestCodedTokens:
         assert type(index) is dict
         assert _typed(index) == _typed(expected_index)
         assert list(index.values()) == list(range(len(index)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(tokens=_sequences(_any_values))
+    @example(tokens=["1", 1, True, 1.0])
+    @example(tokens=("b", np.str_("a"), "a", b"b"))
+    @example(tokens=["a", ["a"], "a\x1f"])
+    def test_a_list_is_counted_as_the_batched_path_counts_it(self, tokens):
+        # A list or tuple is counted from its codes; an iterator of the
+        # same tokens takes the batched Counter path.
+        if not tokens:
+            with pytest.raises(HistogramError):
+                TokenHistogram.from_tokens(tokens)
+            return
+        coded = TokenHistogram.from_tokens(tokens)
+        batched = TokenHistogram.from_tokens(iter(tokens))
+        assert _typed(coded.tokens) == _typed(batched.tokens)
+        assert coded.counts_array().tolist() == batched.counts_array().tolist()
+        assert coded.counts_array().dtype == batched.counts_array().dtype

@@ -17,9 +17,12 @@ import json
 
 import pytest
 
+from repro.core.batch import detect_many_secrets
 from repro.core.config import DetectionConfig
 from repro.core.secrets import WatermarkSecret
 from repro.dispute import RegistryEntry, SecretVault, WatermarkRegistry
+from repro.dispute.index import IndexStats
+from repro.dispute.registry import AttributionStats
 from repro.exceptions import DisputeError
 
 DETECTION = DetectionConfig(pair_threshold=0, min_accepted_fraction=0.5)
@@ -291,18 +294,113 @@ def test_wrongly_typed_record_is_refused(tmp_path, vault_bundle, field, value):
         SecretVault(tmp_path)
 
 
-def test_reopen_derives_each_stored_secret_once(tmp_path, vault_bundle, moduli_derivations):
-    """Opening a vault derives each active secret's moduli once, for its
-    index postings; attribution afterwards derives nothing."""
+def test_reopen_derives_no_moduli_until_the_first_screen(
+    tmp_path, vault_bundle, moduli_derivations
+):
+    """Registering, revoking and reopening derive no moduli. The first
+    screen derives each active secret's moduli once, never a revoked
+    secret's; later attributes derive nothing."""
     vault, result = vault_bundle
+    leaked = result.watermarked_histogram
+    late = WatermarkSecret.build(
+        [(f"tok-{index:04d}", f"tok-{index + 50:04d}") for index in range(5)], 77, 131
+    )
+    vault.register("decoy-late", late)
     vault.revoke("decoy-1")
-    expected = vault.attribute_leak(result.watermarked_histogram, detection=DETECTION)
-    moduli_derivations.clear()
+    assert moduli_derivations == []
     reopened = SecretVault(tmp_path)
-    stored = [reopened.secret_for(buyer) for buyer in reopened.active_buyers]
-    # Replay registers all three secrets (the revoked one is posted, then
-    # withdrawn), each derived once.
-    assert moduli_derivations == [len(vault.secret_for("buyer-real"))] + [8, 8]
-    assert len(stored) == 2
-    assert reopened.attribute_leak(result.watermarked_histogram, detection=DETECTION) == expected
+    assert moduli_derivations == []
+    assert reopened.active_buyers == ("buyer-real", "decoy-0", "decoy-late")
+    first = reopened.attribute_leak(leaked, detection=DETECTION)
+    # One derivation per active secret, in row order; the revoked
+    # decoy-1 (replayed, then revoked) is never derived.
+    assert moduli_derivations == [len(result.secret), 8, 5]
+    assert reopened.attribute_leak(leaked, detection=DETECTION) == first
+    reopened.attribute_leak(result.original_histogram, detection=DETECTION)
+    reopened.index_stats()
     assert len(moduli_derivations) == 3
+    assert first == vault.attribute_leak(leaked, detection=DETECTION)
+
+
+def _scan(vault, data):
+    """What attribution must answer, from one full ``detect_many_secrets``
+    scan over the active secrets: ``(matches, last_attribution,
+    index_stats)``."""
+    buyers = vault.active_buyers
+    results = detect_many_secrets(
+        data, [vault.secret_for(buyer) for buyer in buyers], DETECTION, collect_evidence=True
+    )
+    matches = sorted(
+        ((buyer, found.accepted_fraction) for buyer, found in zip(buyers, results) if found.accepted),
+        key=lambda match: (-match[1], match[0]),
+    )
+    # Bucket acceptance depends only on (first, second, modulus).
+    buckets = {
+        (evidence.pair.first, evidence.pair.second, evidence.modulus): evidence.accepted
+        for found in results
+        for evidence in found.evidence
+    }
+    attribution = AttributionStats(
+        mode="index",
+        candidates=sum(found.accepted_pairs >= found.required_pairs for found in results),
+        active_secrets=len(buyers),
+        buckets_screened=len(buckets),
+        buckets_accepted=sum(buckets.values()),
+        matches=len(matches),
+    )
+    index = IndexStats(
+        active_secrets=len(buyers),
+        buckets=len(buckets),
+        postings=sum(found.total_pairs for found in results),
+    )
+    return matches, attribution, index
+
+
+@pytest.mark.parametrize("screen_before_reopen", [False, True])
+def test_reopened_vault_answers_as_a_full_scan(tmp_path, vault_bundle, screen_before_reopen):
+    """Register, revoke, attribute and reopen interleaved, with the index
+    built or not at each step: every answer equals a full scan."""
+    vault, result = vault_bundle
+    suspects = [result.watermarked_histogram, result.original_histogram]
+
+    def check(current):
+        for data in suspects:
+            matches, attribution, index = _scan(current, data)
+            assert current.attribute_leak(data, detection=DETECTION) == matches
+            assert current.last_attribution == attribution
+            assert current.index_stats() == index
+
+    def decoy(seed):
+        return _decoy_secret(result.watermarked_histogram, result.secret.modulus_cap, seed=seed)
+
+    def reopen(current):
+        if screen_before_reopen:
+            check(current)
+        reopened = SecretVault(tmp_path)
+        assert reopened.export_public_ledger() == current.export_public_ledger()
+        assert reopened.active_buyers == current.active_buyers
+        return reopened
+
+    vault.register("copycat", result.secret)  # index not built yet
+    vault.revoke("decoy-0")
+    check(vault)  # builds it
+    vault.register("decoy-2", decoy(2))  # posted into the built index
+    vault.revoke("decoy-1")  # withdrawn from it
+    check(vault)
+    vault = reopen(vault)
+    # Half the real pairs under the real R: a weaker match that ranks
+    # after the exact copies.
+    partial = WatermarkSecret.build(
+        [pair.as_tuple() for pair in result.secret.pairs[:20] + decoy(3).pairs],
+        result.secret.secret,
+        result.secret.modulus_cap,
+    )
+    vault.register("decoy-3", partial)
+    vault.revoke("buyer-real")
+    vault = reopen(vault)  # a vault whose index was never built
+    check(vault)
+    vault.register("buyer-real", decoy(4))  # a revoked buyer registers anew
+    vault.revoke("copycat")
+    vault = reopen(vault)
+    check(vault)
+    assert vault.active_buyers == ("decoy-2", "decoy-3", "buyer-real")
