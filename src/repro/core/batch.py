@@ -65,7 +65,7 @@ from repro.core.generator import WatermarkGenerator
 from repro.core.histogram import TokenHistogram
 from repro.core.secrets import WatermarkSecret
 from repro.exceptions import DetectionError, GenerationError
-from repro.exec.blobs import maybe_blob
+from repro.exec.blobs import BlobRef, default_blob_store, maybe_blob
 from repro.exec.chunking import (
     DETECTION_CHUNKS_PER_WORKER,
     DETECTION_MAX_CHUNK,
@@ -326,7 +326,7 @@ def dispatch_detection(
         max_chunk=DETECTION_MAX_CHUNK,
     )
     use_blobs = scheduler.ships_payloads
-    secret_value, secret_refs = maybe_blob(secret) if use_blobs else (secret, ())
+    secret_value, secret_refs = _blob_secret(secret) if use_blobs else (secret, ())
     specs: List[TaskSpec] = []
     for index, chunk in enumerate(split_chunks(items, size)):
         task = function
@@ -348,6 +348,27 @@ def dispatch_detection(
             )
         )
     return BatchDetectionReport(results=tuple(_gathered(scheduler.run(specs))))
+
+
+def _blob_secret(secret: WatermarkSecret) -> Tuple[Any, Tuple[str, ...]]:
+    """:func:`~repro.exec.blobs.maybe_blob` of ``secret``, pickled and hashed once.
+
+    Every sweep ships the same secret, so its blob digest is memoised on
+    it, as its moduli are, and never pickled (``__getstate__`` drops
+    memos). The digest is a content address, valid in any store: each
+    dispatch checks that the default store still holds it and marks it
+    used there, and a store that does not (evicted, cleared or swapped
+    for another) gets the secret put again. A secret too small to be a
+    blob is pickled each time, to learn that it stays inline.
+    """
+    store = default_blob_store()
+    digest = secret.__dict__.get("_blob_digest")
+    if digest is not None and store.touch(digest):
+        return BlobRef(digest), (digest,)
+    value, refs = maybe_blob(secret, store=store)
+    if refs:
+        object.__setattr__(secret, "_blob_digest", refs[0])
+    return value, refs
 
 
 def detect_many(

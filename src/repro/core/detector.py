@@ -74,11 +74,12 @@ def suspect_counts(data: SuspectData) -> SuspectCounts:
 def gather_counts(counts: SuspectCounts, tokens: Sequence[str]) -> np.ndarray:
     """``int64`` counts of ``tokens`` in one suspect, ``0`` where absent.
 
-    ``counts`` is a :func:`suspect_counts` form; a checked mapping is
-    read with one ``counts.get(token, 0)`` per token.
+    ``counts`` is a :func:`suspect_counts` form: a histogram is read
+    with :meth:`~repro.core.histogram.TokenHistogram.counts_of`, a
+    checked mapping with one ``counts.get(token, 0)`` per token.
     """
     if isinstance(counts, TokenHistogram):
-        return counts.arrays().frequencies(tokens)
+        return counts.counts_of(tokens)
     return np.fromiter(
         map(counts.get, tokens, repeat(0)), dtype=np.int64, count=len(tokens)
     )

@@ -30,6 +30,7 @@ import math
 import pickle
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -394,6 +395,18 @@ class TokenHistogram:
     def counts_array(self) -> np.ndarray:
         """Read-only ``int64`` counts in descending order."""
         return self._array
+
+    def counts_of(self, tokens: Sequence[str]) -> np.ndarray:
+        """``int64`` counts of canonical ``tokens`` in input order, ``0`` where absent.
+
+        One C-level ``rank.get`` pass over the tokens, then one gather
+        from the counts array extended by a trailing ``0``, which an
+        absent token's rank ``-1`` reads. No :meth:`arrays` view is built.
+        """
+        positions = np.fromiter(
+            map(self._rank.get, tokens, repeat(-1)), np.int64, count=len(tokens)
+        )
+        return np.append(self._array, 0)[positions]
 
     def frequency(self, token: TokenValue) -> int:
         """Appearance count of ``token`` (0 if absent)."""

@@ -145,8 +145,9 @@ class WatermarkSecret:
     def __getstate__(self) -> Dict[str, object]:
         """Pickle only the secret material, dropping the memos.
 
-        The memoised HMAC fingerprint and moduli are pure derived state;
-        shipping them across the sharded-embedding process boundary
+        The memoised HMAC fingerprint and moduli, and the blob digest a
+        sharded sweep memoises (:func:`repro.core.batch.dispatch_detection`),
+        are pure derived state; shipping them across a process boundary
         would bloat every :class:`~repro.core.generator.WatermarkResult`
         payload for values the receiver can recompute lazily.
         """

@@ -197,6 +197,17 @@ class BlobStore:
         with self._lock:
             return digest in self._entries
 
+    def touch(self, digest: str) -> bool:
+        """Mark ``digest`` as just used, as a repeated :meth:`put` would.
+
+        Returns whether the store holds it.
+        """
+        with self._lock:
+            if digest not in self._entries:
+                return False
+            self._entries.move_to_end(digest)
+            return True
+
     def size_of(self, digest: str) -> int:
         """Resident size of ``digest`` in bytes (0 when not in memory)."""
         with self._lock:

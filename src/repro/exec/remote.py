@@ -7,10 +7,14 @@
 process reachable by Unix socket or TCP, and reads one ``result`` line
 back. The distribution model is deliberately plain:
 
-* one client thread per worker address pulls indices off a shared work
-  queue, so a fast worker simply takes more tasks (work stealing by
-  construction, no partitioning step);
-* while a task runs remotely, the client probes liveness with
+* one ``selectors`` loop on the thread that called ``run`` serves every
+  worker connection. Each worker has one task in flight, and its result
+  pulls the next index off a shared work queue, so a fast worker simply
+  takes more tasks (work stealing by construction, no partitioning
+  step). Sockets are non-blocking and a connection's outbound bytes are
+  written only while it is writable, so a large payload to one worker
+  never holds up another worker's result or ``blob-request``;
+* while a task runs remotely, the loop probes liveness with
   ``__heartbeat__`` task lines — the worker answers them on its event
   loop even mid-task. A connection that stays silent past the heartbeat
   timeout (or drops) marks that worker **dead**: its in-flight
@@ -19,6 +23,9 @@ back. The distribution model is deliberately plain:
   :class:`~repro.exceptions.WorkerCrashError` surfaces. A lost worker
   that can be replaced (a local scheduler's forked child) is replaced
   before its task is re-queued;
+* a task that fails remotely raises its typed error as soon as its
+  result is read. A task still running elsewhere finishes on its
+  worker, and the next run skips its result by request id;
 * results are gathered **in submission order** regardless of which
   worker answered first.
 
@@ -42,14 +49,14 @@ import contextvars
 import gc
 import itertools
 import os
+import selectors
 import signal
 import socket
-import threading
 import time
 import warnings
 from collections import deque
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import repro.exceptions as _exceptions
 from repro.exceptions import (
@@ -81,6 +88,15 @@ from repro.service.wire import (
 )
 
 logger = get_logger(__name__)
+
+#: Bytes asked of one ``recv`` while no announced frame is pending.
+_RECV_BYTES = 1 << 16
+
+#: Upper bound on one ``recv`` while a large frame is arriving.
+_RECV_MAX = 1 << 20
+
+#: Buffers handed to one ``sendmsg`` call (well under any ``IOV_MAX``).
+_SEND_BATCH = 64
 
 
 def parse_address(address: str) -> Tuple[str, Any]:
@@ -137,101 +153,147 @@ class _WorkerDied(Exception):
     """Internal: the connection to one worker is gone (retry elsewhere)."""
 
 
-class _RetryInline(Exception):
-    """Internal: the worker misses a blob the client evicted.
+class _Channel:
+    """One worker connection as the run loop drives it.
 
-    The task itself never ran — re-queue it with its blob refs
-    materialised so the resubmission's frames carry full values, under
-    the same bounded-attempt budget as a crash.
+    A non-blocking socket, an inbound buffer that :meth:`messages` cuts
+    into complete ``(response, frames)`` messages, and an outbound queue
+    of buffers that :meth:`flush` writes as far as the socket takes
+    them. Line and frame reads share the one buffer, so a result's
+    frames are consumed right after its header whoever it answers, and
+    the stream never loses position. The channel also holds its one
+    request in flight: ``request_id`` (``None`` when idle) and
+    ``index``, the current run's task it carries (``None`` for a task
+    left running by an earlier run).
     """
 
+    def __init__(self, address: str, sock: socket.socket) -> None:
+        sock.setblocking(False)
+        self.address = address
+        self.sock = sock
+        self._inbound = bytearray()
+        #: A decoded line whose announced frames have not all arrived.
+        self._pending: Optional[Tuple[Any, Tuple[int, ...]]] = None
+        self._outbound: deque = deque()
+        #: Selector events this channel is registered for, 0 when it is not.
+        self.events = 0
+        self.request_id: Optional[str] = None
+        self.index: Optional[int] = None
+        self.refs: Tuple[str, ...] = ()
+        #: Digests the worker asked for while the request was in flight.
+        self.requested: set = set()
+        self.heard_at = 0.0
+        self.probed_at = 0.0
 
-class _LineChannel:
-    """Blocking JSON-lines channel over one socket, with recv timeouts.
+    def start(self, request_id: Optional[str], index: Optional[int], refs=()) -> None:
+        """Mark a request as in flight (``None`` marks the channel idle)."""
+        self.request_id, self.index = request_id, index
+        self.refs, self.requested = refs, set()
+        self.heard_at = time.monotonic()
+        self.probed_at = 0.0
 
-    :meth:`send_payload` writes a header line followed by raw frame
-    bytes, and :meth:`recv_exact` reads a frame body announced by a
-    decoded header. Line and frame reads share one
-    buffer, so interleaving them never loses stream position.
-    """
+    def send(self, line: str, frames: Sequence[Union[bytes, memoryview]] = ()) -> int:
+        """Queue a header line plus its binary frames; total bytes queued.
 
-    def __init__(self, sock: socket.socket) -> None:
-        self._sock = sock
-        self._buffer = bytearray()
-
-    def send_line(self, line: str) -> int:
-        """Write one line (appending the newline delimiter); bytes sent."""
-        data = line.encode("utf-8") + b"\n"
-        try:
-            self._sock.sendall(data)
-        except OSError as error:
-            raise _WorkerDied(f"send failed: {error}") from error
-        return len(data)
-
-    def send_payload(self, line: str, frames: Sequence[Union[bytes, memoryview]]) -> int:
-        """Write a header line plus its binary frames; total bytes sent.
-
-        Frames go out with separate ``sendall`` calls so large NumPy
-        buffers are never copied into a joined bytestring first.
+        What the socket takes at once is written here; the rest waits
+        for :meth:`flush`. Frames are queued as views, so large NumPy
+        buffers are never copied into a joined bytestring.
         """
-        total = self.send_line(line)
-        try:
-            for frame in frames:
-                self._sock.sendall(frame)
-                total += len(frame)
-        except OSError as error:
-            raise _WorkerDied(f"send failed: {error}") from error
+        head = memoryview((line + "\n").encode("utf-8"))
+        self._outbound.append(head)
+        total = head.nbytes
+        for frame in frames:
+            view = memoryview(frame).cast("B")
+            if view.nbytes:
+                self._outbound.append(view)
+                total += view.nbytes
+        self.flush()
         return total
 
-    def recv_exact(self, count: int, timeout: float) -> bytes:
-        """Exactly ``count`` frame bytes, or :class:`_WorkerDied`.
+    @property
+    def writing(self) -> bool:
+        """Whether queued bytes wait for the socket to become writable."""
+        return bool(self._outbound)
 
-        A timeout mid-frame is fatal for the connection (the stream
-        position is unrecoverable), unlike :meth:`recv_line`'s soft
-        ``None`` — the caller treats the worker as lost.
+    def flush(self) -> None:
+        """Write queued bytes until the queue empties or the socket is full."""
+        outbound = self._outbound
+        while outbound:
+            try:
+                sent = self.sock.sendmsg(list(itertools.islice(outbound, _SEND_BATCH)))
+            except BlockingIOError:
+                return
+            except OSError as error:
+                raise _WorkerDied(f"send failed: {error}") from error
+            while sent:
+                head = outbound[0]
+                if sent < head.nbytes:
+                    outbound[0] = head[sent:]
+                    break
+                sent -= head.nbytes
+                outbound.popleft()
+
+    def receive(self) -> None:
+        """Read once from the socket into the inbound buffer.
+
+        Any bytes read count as hearing from the worker; a closed or
+        failed connection loses it.
         """
-        deadline = time.monotonic() + timeout
-        while len(self._buffer) < count:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _WorkerDied(
-                    f"worker stalled mid-frame ({len(self._buffer)}/{count} bytes)"
-                )
-            self._sock.settimeout(remaining)
-            try:
-                data = self._sock.recv(max(65536, count - len(self._buffer)))
-            except (TimeoutError, socket.timeout):
-                continue
-            except OSError as error:
-                raise _WorkerDied(f"recv failed: {error}") from error
-            if not data:
-                raise _WorkerDied("worker closed the connection mid-frame")
-            self._buffer.extend(data)
-        frame = bytes(self._buffer[:count])
-        del self._buffer[:count]
-        return frame
+        wanted = _RECV_BYTES
+        if self._pending is not None:
+            wanted = min(max(wanted, sum(self._pending[1]) - len(self._inbound)), _RECV_MAX)
+        try:
+            data = self.sock.recv(wanted)
+        except BlockingIOError:
+            return
+        except OSError as error:
+            raise _WorkerDied(f"recv failed: {error}") from error
+        if not data:
+            state = " mid-frame" if self._pending is not None else ""
+            raise _WorkerDied(f"worker closed the connection{state}")
+        self.heard_at = time.monotonic()
+        self._inbound += data
 
-    def recv_line(self, timeout: float) -> Optional[str]:
-        """One decoded line, or None when ``timeout`` elapses first."""
-        while b"\n" not in self._buffer:
-            self._sock.settimeout(timeout)
-            try:
-                data = self._sock.recv(65536)
-            except (TimeoutError, socket.timeout):
-                return None
-            except OSError as error:
-                raise _WorkerDied(f"recv failed: {error}") from error
-            if not data:
-                raise _WorkerDied("worker closed the connection")
-            self._buffer.extend(data)
-        line, _, rest = bytes(self._buffer).partition(b"\n")
-        self._buffer = bytearray(rest)
-        return line.decode("utf-8")
+    def messages(self) -> Iterator[Tuple[Any, List[bytes]]]:
+        """Each complete buffered message, cut off the buffer as it is yielded.
+
+        A message is a decoded response and the frames its line
+        announced (only a ``result`` line announces any). A consumer
+        that stops early leaves the rest buffered. A line that does not
+        decode, or one longer than ``MAX_LINE_BYTES``, loses the worker,
+        since the stream position is gone.
+        """
+        buffer = self._inbound
+        while True:
+            if self._pending is None:
+                end = buffer.find(b"\n")
+                if end < 0:
+                    if len(buffer) > MAX_LINE_BYTES:
+                        raise _WorkerDied(f"worker line exceeds {MAX_LINE_BYTES} bytes")
+                    return
+                try:
+                    response = decode_response(buffer[:end].decode("utf-8"))
+                except (ReproError, ValueError) as error:
+                    raise _WorkerDied(f"worker sent an unreadable line: {error}") from error
+                del buffer[:end + 1]
+                sizes = response.frames if isinstance(response, TaskResult) else ()
+                self._pending = (response, sizes)
+            response, sizes = self._pending
+            if len(buffer) < sum(sizes):
+                return
+            frames, start = [], 0
+            with memoryview(buffer) as view:
+                for size in sizes:
+                    frames.append(view[start:start + size].tobytes())
+                    start += size
+            del buffer[:start]
+            self._pending = None
+            yield response, frames
 
     def close(self) -> None:
         """Close the underlying socket (idempotent, errors swallowed)."""
         try:
-            self._sock.close()
+            self.sock.close()
         except OSError:  # pragma: no cover - close is best-effort
             pass
 
@@ -242,8 +304,9 @@ class RemoteScheduler(Scheduler):
     Parameters
     ----------
     addresses : Sequence[str]
-        Worker addresses (:func:`parse_address` forms). One client
-        thread serves each; ``workers`` equals the address count.
+        Worker addresses (:func:`parse_address` forms). One loop on the
+        thread that calls :meth:`run` serves them all; ``workers``
+        equals the address count.
     max_retries : int, optional
         Resubmissions per task after a worker is lost (default 1 —
         retried exactly once, matching the local scheduler).
@@ -277,24 +340,19 @@ class RemoteScheduler(Scheduler):
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_timeout = connect_timeout
-        self._channels: Dict[str, _LineChannel] = {}
+        self._channels: Dict[str, _Channel] = {}
         self._dead: set = set()
         self._sequence = itertools.count()
-        self._stats_lock = threading.Lock()
-        # Per-run state, guarded by _cond's lock.
-        self._cond = threading.Condition()
+        # Per-run state, set by _run_traced.
+        self._selector: Optional[selectors.BaseSelector] = None
         self._specs: List[TaskSpec] = []
         self._queue: deque = deque()
         self._attempts: List[int] = []
         self._results: Dict[int, Any] = {}
-        self._failure: Optional[BaseException] = None
         self._on_result: Optional[Callable[[int, Any], None]] = None
         #: Task indices resent with their blob refs materialised after
         #: a blob miss (the client evicted a digest a worker asked for).
         self._inline_only: set = set()
-        #: Workers lost this run, ``(address, in-flight index, reason)``,
-        #: left for the thread that called :meth:`run` to settle.
-        self._lost: List[Tuple[str, Optional[int], str]] = []
 
     @property
     def ships_payloads(self) -> bool:
@@ -318,7 +376,7 @@ class RemoteScheduler(Scheduler):
         for address in self.addresses:
             parse_address(address)
 
-    def _connect(self, address: str) -> _LineChannel:
+    def _connect(self, address: str) -> _Channel:
         """The (cached) channel to one worker, connecting on first use."""
         channel = self._channels.get(address)
         if channel is not None:
@@ -326,18 +384,24 @@ class RemoteScheduler(Scheduler):
         kind, target = parse_address(address)
         if kind == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.connect_timeout)
-            sock.connect(target)
+            try:
+                sock.settimeout(self.connect_timeout)
+                sock.connect(target)
+            except BaseException:
+                sock.close()
+                raise
         else:
             sock = socket.create_connection(target, timeout=self.connect_timeout)
-        channel = _LineChannel(sock)
+        channel = _Channel(address, sock)
         self._channels[address] = channel
         return channel
 
     def _drop(self, address: str) -> None:
-        """Forget a dead worker's connection."""
+        """Forget a dead worker's connection (and stop selecting on it)."""
         channel = self._channels.pop(address, None)
         if channel is not None:
+            if self._selector is not None and channel.events:
+                self._selector.unregister(channel.sock)
             channel.close()
 
     # ------------------------------------------------------------------ #
@@ -372,7 +436,14 @@ class RemoteScheduler(Scheduler):
         specs: List[TaskSpec],
         on_result: Optional[Callable[[int, Any], None]],
     ) -> List[Any]:
-        """The fan-out body behind :meth:`run` (specs already counted and stamped)."""
+        """The fan-out body behind :meth:`run` (specs already counted and stamped).
+
+        Serves every worker from one selector on this thread until each
+        task has its result; ``on_result`` runs here too. A typed task
+        failure, an exhausted retry budget or the loss of every worker
+        raises at once. Channels outlive the run with whatever they
+        still have in flight, and the next run reads on from there.
+        """
         for address in [a for a in self.addresses if a in self._dead]:
             self._respawn(address)  # a worker lost after its run had settled
         live = [address for address in self.addresses if address not in self._dead]
@@ -381,143 +452,135 @@ class RemoteScheduler(Scheduler):
                 "no live remote workers left "
                 f"(all of {list(self.addresses)} marked dead)"
             )
-        with self._cond:
-            self._specs = specs
-            self._queue = deque(range(len(specs)))
-            self._attempts = [1] * len(specs)
-            self._results = {}
-            self._failure = None
-            self._on_result = on_result
-            self._inline_only = set()
-            self._lost = []
-        threads = [self._start_client(address) for address in live]
-        while True:
-            with self._cond:
-                while not self._lost and not self._finished():
-                    self._cond.wait(0.05)
-                lost, self._lost = self._lost, []
-                failure = self._failure
-            if not lost:
-                break
-            # Replace each lost worker (if it can be) before requeueing
-            # its task, on the thread that called run().
-            for address, index, reason in lost:
-                replacement = self._respawn(address)
-                if replacement is not None:
-                    threads.append(self._start_client(replacement))
-                self._settle(address, index, reason)
-        for thread in threads:
-            thread.join(timeout=self.heartbeat_timeout + 1.0)
-        if failure is not None:
-            raise failure
+        self._specs = specs
+        self._queue = deque(range(len(specs)))
+        self._attempts = [1] * len(specs)
+        self._results = {}
+        self._on_result = on_result
+        self._inline_only = set()
+        self._selector = selectors.DefaultSelector()
+        try:
+            for address in live:
+                self._enlist(address)
+            while len(self._results) < len(specs):
+                self._dispatch()
+                self._poll()
+        finally:
+            self._selector.close()
+            self._selector = None
+            for channel in self._channels.values():
+                channel.events = 0
+                channel.index = None  # whatever is still in flight is stale now
         return [self._results[index] for index in range(len(specs))]
 
-    def _start_client(self, address: str) -> threading.Thread:
-        """Start ``address``'s client thread, in a copy of this context so
-        the spans it opens (line encoding, blob shipping) nest under
-        ``scheduler.run``."""
-        thread = threading.Thread(
-            target=contextvars.copy_context().run,
-            args=(self._serve, address),
-            daemon=True,
-            name=f"repro-remote-{address}",
-        )
-        thread.start()
-        return thread
-
-    def _finished(self) -> bool:
-        """Run-complete predicate (callers hold the condition's lock)."""
-        return self._failure is not None or len(self._results) >= len(self._specs)
-
-    def _serve(self, address: str) -> None:
-        """One worker's client loop: pull indices, dispatch, collect."""
+    def _enlist(self, address: str) -> None:
+        """Serve ``address`` in this run's loop, connecting if need be."""
         try:
             channel = self._connect(address)
         except (OSError, _WorkerDied) as error:
             self._drop(address)
-            self._lose_worker(address, None, f"cannot connect: {error}")
+            self._lose(address, None, f"cannot connect: {error}")
             return
-        while True:
-            with self._cond:
-                while not self._queue and not self._finished():
-                    # Idle but the run is live: another worker may still
-                    # crash and re-queue its in-flight task, so poll.
-                    self._cond.wait(0.05)
-                if self._finished():
-                    return
-                index = self._queue.popleft()
-                attempt = self._attempts[index]
-            try:
-                value = self._execute(channel, address, index, attempt)
-            except _RetryInline as error:
-                # The worker is healthy; the client side evicted a blob
-                # it asked for. Re-queue the task with its refs
-                # materialised under the same bounded-attempt budget a
-                # crash gets, and keep serving.
-                with self._cond:
-                    if self._attempts[index] > self.max_retries:
-                        if self._failure is None:
-                            spec = self._specs[index]
-                            self._failure = WorkerCrashError(
-                                f"task {spec.fingerprint!r} lost to a blob "
-                                f"miss ({self._attempts[index]} attempts, "
-                                f"retries exhausted): {error}",
-                                fingerprint=spec.fingerprint,
-                                attempts=self._attempts[index],
-                            )
-                        self._cond.notify_all()
-                        return
-                    self._attempts[index] += 1
-                    self._inline_only.add(index)
-                    self._queue.append(index)
-                    self._cond.notify_all()
-                continue
-            except _WorkerDied as error:
-                self._drop(address)
-                self._lose_worker(address, index, str(error))
-                return
-            except ReproError as error:
-                # The task itself failed remotely: a typed library error,
-                # not an infrastructure loss. Propagate, no retry — the
-                # same task would fail the same way anywhere.
-                with self._cond:
-                    if self._failure is None:
-                        self._failure = error
-                    self._cond.notify_all()
-                return
-            except Exception as error:  # noqa: BLE001 - must never hang run()
-                # A client-side bug (malformed wire line, codec error)
-                # must surface as the run's failure, not as a silently
-                # dead thread that leaves run() waiting forever.
-                with self._cond:
-                    if self._failure is None:
-                        self._failure = SchedulerError(
-                            f"worker client for {address} failed: "
-                            f"{type(error).__name__}: {error}"
-                        )
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                if index not in self._results:
-                    self._results[index] = value
-                    if self._on_result is not None:
-                        self._on_result(index, value)
-                self._cond.notify_all()
+        # Nothing was read between runs: a task left in flight by an
+        # earlier run is timed from now.
+        channel.heard_at = time.monotonic()
+        channel.events = selectors.EVENT_READ
+        self._selector.register(channel.sock, channel.events, channel)
 
-    def _send_task(
-        self, channel: _LineChannel, index: int, request_id: str
-    ) -> Tuple[str, ...]:
+    def _dispatch(self) -> None:
+        """Give every idle worker the next queued task."""
+        while self._queue:
+            channel = next(
+                (c for c in self._channels.values() if c.request_id is None), None
+            )
+            if channel is None:
+                return
+            index = self._queue.popleft()
+            try:
+                self._send_task(channel, index)
+            except _WorkerDied as error:
+                self._lose(channel.address, index, str(error))
+
+    def _poll(self) -> None:
+        """Wait for socket events or the next heartbeat deadline; serve both."""
+        now = time.monotonic()
+        deadline = now + self.heartbeat_interval
+        for channel in self._channels.values():
+            events = selectors.EVENT_READ | (
+                selectors.EVENT_WRITE if channel.writing else 0
+            )
+            if events != channel.events:
+                channel.events = events
+                self._selector.modify(channel.sock, events, channel)
+            if channel.request_id is not None:
+                deadline = min(
+                    deadline,
+                    max(channel.heard_at, channel.probed_at) + self.heartbeat_interval,
+                    channel.heard_at + self.heartbeat_timeout,
+                )
+        for key, mask in self._selector.select(max(0.0, deadline - now)):
+            channel = key.data
+            if self._channels.get(channel.address) is not channel:
+                continue  # lost while serving an earlier event of this batch
+            try:
+                if mask & selectors.EVENT_WRITE:
+                    channel.flush()
+                if mask & selectors.EVENT_READ:
+                    channel.receive()
+                    for response, frames in channel.messages():
+                        self._handle(channel, response, frames)
+            except _WorkerDied as error:
+                self._lose(channel.address, channel.index, str(error))
+        self._check_liveness()
+
+    def _check_liveness(self) -> None:
+        """Lose each busy worker silent past the timeout; probe the quiet ones."""
+        now = time.monotonic()
+        for channel in list(self._channels.values()):
+            if channel.request_id is None:
+                continue
+            if now - channel.heard_at >= self.heartbeat_timeout:
+                task = (
+                    repr(self._specs[channel.index].fingerprint)
+                    if channel.index is not None
+                    else "of an earlier run"
+                )
+                self._lose(
+                    channel.address,
+                    channel.index,
+                    f"worker {channel.address} silent for more than "
+                    f"{self.heartbeat_timeout:.1f}s (task {task} in flight)",
+                )
+            elif now - max(channel.heard_at, channel.probed_at) >= self.heartbeat_interval:
+                channel.probed_at = now
+                probe = TaskRequest(
+                    request_id=f"hb-{next(self._sequence)}", function=HEARTBEAT_FUNCTION
+                )
+                try:
+                    channel.send(encode_line(probe))
+                except _WorkerDied as error:
+                    self._lose(channel.address, channel.index, str(error))
+
+    def _send_task(self, channel: _Channel, index: int) -> None:
         """Ship one task line plus its payload and init-args frames.
 
-        Returns the blob digests the line references (none once the
-        task's refs are materialised after a blob miss).
+        The line references the task's blob digests unless its refs
+        were materialised after a blob miss. A payload that cannot be
+        pickled fails the run with a :class:`SchedulerError`.
         """
         spec = self._specs[index]
         if index in self._inline_only:
             spec = self._inline_spec(spec)
-        payload_frames = dumps_oob(spec.payload).frames()
-        init_frames = dumps_oob(spec.init_args).frames() if spec.init_args else []
+        try:
+            payload_frames = dumps_oob(spec.payload).frames()
+            init_frames = dumps_oob(spec.init_args).frames() if spec.init_args else []
+        except Exception as error:  # noqa: BLE001 - a client-side failure, typed
+            raise SchedulerError(
+                f"worker client for {channel.address} failed: "
+                f"{type(error).__name__}: {error}"
+            ) from error
         frames = payload_frames + init_frames
+        request_id = f"task-{index}-{self._attempts[index]}-{next(self._sequence)}"
         request = TaskRequest(
             request_id=request_id,
             function=spec.function,
@@ -530,10 +593,71 @@ class RemoteScheduler(Scheduler):
             init_frames=len(init_frames),
             trace=spec.trace,
         )
-        sent = channel.send_payload(encode_line(request), frames)
-        with self._stats_lock:
-            self.stats.bytes_sent += sent
-        return spec.blob_refs
+        channel.start(request_id, index, spec.blob_refs)
+        self.stats.bytes_sent += channel.send(encode_line(request), frames)
+
+    def _handle(self, channel: _Channel, response: Any, frames: List[bytes]) -> None:
+        """Act on one message from a worker.
+
+        A ``blob-request`` is answered from the blob store, whichever
+        task asked. A result for the channel's request frees the
+        worker; one for the current run is stored (and streamed to
+        ``on_result``), resent inline after a blob miss or raised as its
+        typed error. Every referenced digest the worker did not request
+        before a successful result came from its own cache, and counts
+        as deduped. Anything else (heartbeat acks, stale duplicates) was
+        only a sign of life.
+        """
+        if isinstance(response, BlobRequest):
+            if response.request_id == channel.request_id:
+                channel.requested.add(response.digest)
+            self._answer_blob_request(channel, response)
+            return
+        if not isinstance(response, TaskResult) or response.request_id != channel.request_id:
+            return
+        index, refs, requested = channel.index, channel.refs, channel.requested
+        channel.start(None, None)
+        if index is None:
+            return  # a task an earlier run left in flight: the worker is free
+        if response.spans:
+            tracer().ingest(response.spans)
+        if not response.ok:
+            if response.error_type == "BlobNotFoundError":
+                self._retry_inline(index, response.error or "worker missed a blob")
+                return
+            raise _remote_error(response)
+        self._count_deduped([digest for digest in refs if digest not in requested])
+        try:
+            value = loads_oob(BlobData.from_frames(frames))
+        except ReproError:
+            raise
+        except Exception as error:  # noqa: BLE001 - a client-side failure, typed
+            raise SchedulerError(
+                f"worker client for {channel.address} failed: "
+                f"{type(error).__name__}: {error}"
+            ) from error
+        self._results[index] = value
+        if self._on_result is not None:
+            self._on_result(index, value)
+
+    def _retry_inline(self, index: int, reason: str) -> None:
+        """Re-queue a task whose worker missed a blob the client evicted.
+
+        The worker is healthy and the task never ran. The resubmission
+        carries its refs materialised, under the same bounded-attempt
+        budget a crash gets.
+        """
+        if self._attempts[index] > self.max_retries:
+            spec = self._specs[index]
+            raise WorkerCrashError(
+                f"task {spec.fingerprint!r} lost to a blob miss "
+                f"({self._attempts[index]} attempts, retries exhausted): {reason}",
+                fingerprint=spec.fingerprint,
+                attempts=self._attempts[index],
+            )
+        self._attempts[index] += 1
+        self._inline_only.add(index)
+        self._queue.append(index)
 
     def _count_deduped(self, digests: Sequence[str]) -> None:
         """Count ``digests`` a worker served from its own blob cache.
@@ -543,9 +667,8 @@ class RemoteScheduler(Scheduler):
         an earlier scheduler counts here too.
         """
         store = default_blob_store()
-        with self._stats_lock:
-            self.stats.blobs_deduped += len(digests)
-            self.stats.bytes_deduped += sum(store.size_of(d) for d in digests)
+        self.stats.blobs_deduped += len(digests)
+        self.stats.bytes_deduped += sum(store.size_of(d) for d in digests)
 
     @staticmethod
     def _inline_spec(spec: TaskSpec) -> TaskSpec:
@@ -559,14 +682,12 @@ class RemoteScheduler(Scheduler):
             blob_refs=(),
         )
 
-    def _answer_blob_request(
-        self, channel: _LineChannel, request: BlobRequest
-    ) -> None:
-        """Serve a worker's ``blob-request`` from the process-wide store."""
+    def _answer_blob_request(self, channel: _Channel, request: BlobRequest) -> None:
+        """Queue the answer to a worker's ``blob-request`` from the process-wide store."""
         try:
             data = default_blob_store().get(request.digest)
         except BlobNotFoundError as error:
-            channel.send_line(
+            channel.send(
                 encode_line(
                     BlobResponse(
                         request_id=request.request_id,
@@ -590,81 +711,17 @@ class RemoteScheduler(Scheduler):
         with trace_span(
             "blob.ship", attributes={"transport": "wire", "bytes": data.size}
         ):
-            sent = channel.send_payload(line, frames)
-        with self._stats_lock:
-            self.stats.bytes_sent += sent
-            self.stats.blobs_sent += 1
+            self.stats.bytes_sent += channel.send(line, frames)
+        self.stats.blobs_sent += 1
 
-    def _execute(
-        self, channel: _LineChannel, address: str, index: int, attempt: int
-    ) -> Any:
-        """Send one task and await its result, heartbeating in between.
-
-        Mid-flight the worker may interleave ``blob-request`` lines
-        (answered inline from the blob store) and framed results. A
-        framed result's frames are consumed *immediately* after its
-        header — before the request-id match check — because skipping
-        them would desynchronise the byte stream. Every referenced
-        digest the worker did not request before a successful result
-        came from its own cache, and counts as deduped.
-        """
-        spec = self._specs[index]
-        request_id = f"task-{index}-{attempt}-{next(self._sequence)}"
-        refs = self._send_task(channel, index, request_id)
-        requested: set = set()
-        last_heard = time.monotonic()
-        while True:
-            line = channel.recv_line(timeout=self.heartbeat_interval)
-            now = time.monotonic()
-            if line is None:
-                if now - last_heard >= self.heartbeat_timeout:
-                    raise _WorkerDied(
-                        f"worker {address} silent for more than "
-                        f"{self.heartbeat_timeout:.1f}s (task "
-                        f"{spec.fingerprint!r} in flight)"
-                    )
-                channel.send_line(
-                    encode_line(
-                        TaskRequest(
-                            request_id=f"hb-{next(self._sequence)}",
-                            function=HEARTBEAT_FUNCTION,
-                        )
-                    )
-                )
-                continue
-            last_heard = now
-            response = decode_response(line)
-            if isinstance(response, BlobRequest):
-                requested.add(response.digest)
-                self._answer_blob_request(channel, response)
-                continue
-            if not isinstance(response, TaskResult):
-                continue  # not ours (future wire chatter): liveness only
-            frame_bytes: List[bytes] = []
-            if response.frames:
-                # Consume the announced frames unconditionally to keep
-                # the stream in sync, even for a stale duplicate.
-                frame_bytes = [
-                    channel.recv_exact(size, self.heartbeat_timeout)
-                    for size in response.frames
-                ]
-            if response.request_id != request_id:
-                continue  # heartbeat acks and stale duplicates
-            if response.spans:
-                tracer().ingest(response.spans)
-            if response.ok:
-                self._count_deduped([d for d in refs if d not in requested])
-                return loads_oob(BlobData.from_frames(frame_bytes))
-            if response.error_type == "BlobNotFoundError":
-                raise _RetryInline(response.error or "worker missed a blob")
-            raise _remote_error(response)
-
-    def _lose_worker(self, address: str, index: Optional[int], reason: str) -> None:
-        """Mark a worker dead and hand its in-flight task to the run thread."""
-        with self._cond:
-            self._dead.add(address)
-            self._lost.append((address, index, reason))
-            self._cond.notify_all()
+    def _lose(self, address: str, index: Optional[int], reason: str) -> None:
+        """Mark a worker dead, replace it if it can be, then settle its task."""
+        self._dead.add(address)
+        self._drop(address)
+        replacement = self._respawn(address)
+        if replacement is not None:
+            self._enlist(replacement)
+        self._settle(address, index, reason)
 
     def _respawn(self, address: str) -> Optional[str]:
         """A replacement for the lost worker ``address`` (remote ones: None)."""
@@ -672,32 +729,29 @@ class RemoteScheduler(Scheduler):
 
     def _settle(self, address: str, index: Optional[int], reason: str) -> None:
         """Re-queue (or fail) a lost worker's in-flight task."""
-        with self._cond:
-            if index is not None:
-                spec = self._specs[index]
-                if self._attempts[index] > self.max_retries:
-                    if self._failure is None:
-                        self._failure = WorkerCrashError(
-                            f"remote worker {address} lost running task "
-                            f"{spec.fingerprint!r} "
-                            f"({self._attempts[index]} attempts, retries "
-                            "exhausted): " + reason,
-                            fingerprint=spec.fingerprint,
-                            attempts=self._attempts[index],
-                        )
-                else:
-                    self._attempts[index] += 1
-                    self._queue.append(index)
-                    logger.warning(
-                        "worker %s lost task %s (%s); resubmitting (attempt %d)",
-                        address, spec.fingerprint, reason, self._attempts[index],
-                    )
-            all_dead = all(a in self._dead for a in self.addresses)
-            if all_dead and not self._finished() and self._failure is None:
-                self._failure = SchedulerError(
-                    f"all remote workers died; last loss at {address}: {reason}"
+        if index is not None:
+            spec = self._specs[index]
+            if self._attempts[index] > self.max_retries:
+                raise WorkerCrashError(
+                    f"remote worker {address} lost running task "
+                    f"{spec.fingerprint!r} "
+                    f"({self._attempts[index]} attempts, retries "
+                    "exhausted): " + reason,
+                    fingerprint=spec.fingerprint,
+                    attempts=self._attempts[index],
                 )
-            self._cond.notify_all()
+            self._attempts[index] += 1
+            self._queue.append(index)
+            logger.warning(
+                "worker %s lost task %s (%s); resubmitting (attempt %d)",
+                address, spec.fingerprint, reason, self._attempts[index],
+            )
+        if all(a in self._dead for a in self.addresses) and len(self._results) < len(
+            self._specs
+        ):
+            raise SchedulerError(
+                f"all remote workers died; last loss at {address}: {reason}"
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -735,7 +789,7 @@ class _ForkedWorkers(RemoteScheduler):
     def _check_addresses(self) -> None:
         """Nothing to check: children join through :meth:`_fork`."""
 
-    def _connect(self, address: str) -> _LineChannel:
+    def _connect(self, address: str) -> _Channel:
         """A child's channel; a child is never reconnected."""
         channel = self._channels.get(address)
         if channel is None:
@@ -762,7 +816,7 @@ class _ForkedWorkers(RemoteScheduler):
         child_end.close()
         name = f"fork:{pid}"
         self._pids[name] = pid
-        self._channels[name] = _LineChannel(parent_end)
+        self._channels[name] = _Channel(name, parent_end)
         return name
 
     def _respawn(self, address: str) -> Optional[str]:

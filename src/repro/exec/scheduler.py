@@ -355,7 +355,12 @@ class Scheduler:
         *,
         on_result: Optional[Callable[[int, Any], None]] = None,
     ) -> List[Any]:
-        """Execute ``tasks``; result ``i`` corresponds to ``tasks[i]``."""
+        """Execute ``tasks``; result ``i`` corresponds to ``tasks[i]``.
+
+        ``on_result(index, value)`` is called on the thread that called
+        ``run``, once per task as its result arrives; an exception it
+        raises ends the run.
+        """
         raise NotImplementedError
 
     def close(self) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -231,9 +230,6 @@ class ExperimentRunner:
         results: Dict[str, Dict[str, object]] = {}
         executed: Dict[str, int] = {}
         cached: Dict[str, int] = {}
-        # Results may be delivered from scheduler client threads (remote
-        # scheduler); the cache and counters are guarded accordingly.
-        lock = threading.Lock()
         use_blobs = self._scheduler.ships_payloads
         # Dependency artifacts are shared by every downstream task in a
         # level, so each is blobbed at most once per run; the memo holds
@@ -279,13 +275,13 @@ class ExperimentRunner:
             def handle(_index: int, value) -> None:
                 # Streamed as tasks complete, not at the level barrier: an
                 # interrupted sharded run then resumes at task granularity,
-                # as cache.py documents.
+                # as cache.py documents. A scheduler calls on_result on the
+                # thread that called run, so nothing here needs a lock.
                 task_id, result, seconds = value
                 task = by_id[task_id]
-                with lock:
-                    self.cache.store(task, result, seconds=seconds)
-                    results[task_id] = dict(result)
-                    executed[task.kind] = executed.get(task.kind, 0) + 1
+                self.cache.store(task, result, seconds=seconds)
+                results[task_id] = dict(result)
+                executed[task.kind] = executed.get(task.kind, 0) + 1
 
             with trace_span(
                 "experiment.level",

@@ -292,8 +292,8 @@ class Tracer:
     def _record(self, record: Dict[str, object]) -> None:
         """Buffer one finished span (bounded) and append it to the sink.
 
-        Lock-guarded: the remote scheduler's per-worker client threads
-        ingest shipped spans concurrently, and sink lines must never
+        Lock-guarded: spans finish on several threads (the service's
+        executor and worker threads), and sink lines must never
         interleave mid-record.
         """
         with self._lock:

@@ -16,6 +16,7 @@ Four layers, matching ``docs/scheduler.md``:
   per child, and verdicts are identical to the inline path.
 * **Remote wire** — a real ``freqywm worker`` fetches each missing blob
   exactly once (dedup counters prove it, also across fresh schedulers),
+  a blob-request is answered while large payloads are still in flight,
   and a blob-request for an evicted digest fails typed and bounded.
 """
 
@@ -250,6 +251,34 @@ class TestRemoteDataPlane:
             assert stats.blobs_sent == 0
             assert stats.blobs_deduped == stats.tasks == 4
             assert stats.bytes_deduped >= 4 * len(shared)
+
+    def test_payloads_over_a_socket_buffer_and_a_blob_request_share_a_run(
+        self, fresh_store, tmp_path
+    ):
+        """Each worker gets an 8 MiB payload (and sends one back) while
+        one of them asks for a blob: the single run loop serves both."""
+        big = [bytes([index]) * (8 << 20) for index in range(2)]
+        shared = _payload_bytes()
+        ref, refs = maybe_blob(shared, store=fresh_store)
+        specs = [
+            TaskSpec(fingerprint="big-0", function="schedtest.echo", payload=big[0]),
+            TaskSpec(
+                fingerprint="big-1",
+                function="schedtest.echo",
+                payload=(big[1], ref),
+                blob_refs=refs,
+            ),
+        ]
+        sockets = [tmp_path / "worker-a.sock", tmp_path / "worker-b.sock"]
+        with scheduler_tasks.spawn_worker(sockets[0]):
+            with scheduler_tasks.spawn_worker(sockets[1]):
+                addresses = [f"unix:{path}" for path in sockets]
+                with RemoteScheduler(addresses) as scheduler:
+                    results = scheduler.run(specs)
+        assert results[0] == big[0]
+        assert results[1] == (big[1], shared)
+        assert scheduler.stats.blobs_sent == 1
+        assert scheduler.stats.bytes_sent > sum(map(len, big))
 
     def test_evicted_digest_fails_typed_within_the_retry_bound(
         self, fresh_store, tmp_path

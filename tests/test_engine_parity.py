@@ -341,6 +341,34 @@ class TestGatherParity:
         if expected:
             assert np.array_equal(matrix, np.stack(expected))
 
+    @_settings
+    @given(
+        batch=st.lists(_gather_cases(), min_size=1, max_size=5),
+        as_numpy=st.booleans(),
+    )
+    def test_histogram_rows_match_the_arrays_view_gather(self, batch, as_numpy):
+        """A histogram row read through its rank dict equals the row its
+        ``HistogramArrays`` view gathers: absent tokens, a row with no
+        column present, and ``numpy.str_`` columns included."""
+        histograms = [TokenHistogram.from_counts(counts) for counts, _ in batch]
+        histograms.append(TokenHistogram.from_counts({"only-stranger": 3}))
+        columns = [token for _, query in batch for token in query] + ["absent"]
+        if as_numpy:
+            columns = list(np.array(columns, dtype=str))
+            assert all(type(token) is np.str_ for token in columns)
+        matrix = count_matrix(histograms, columns)
+        expected = np.stack(
+            [histogram.arrays().frequencies(columns) for histogram in histograms]
+        )
+        assert matrix.dtype == np.int64
+        assert matrix.shape == expected.shape
+        assert np.array_equal(matrix, expected)
+        assert not matrix[-1].any()
+        for histogram in histograms:
+            assert histogram.counts_of(columns).tolist() == [
+                histogram.frequency(token) for token in columns
+            ]
+
 
 #: Token universe of the counts-path cases: digit strings, so that int,
 #: integral-float, bytes and one-tuple keys all alias them.

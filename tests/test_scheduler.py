@@ -14,6 +14,9 @@ Three layers, matching ``docs/scheduler.md``:
   sockets: ordered gather across two workers, typed remote errors, a
   heartbeat timeout marking an unresponsive worker dead *without* losing
   its in-flight task, and the all-workers-dead terminal error.
+* **One run thread** — neither a remote nor a sharded local run starts a
+  thread; a task error is raised as soon as it is read, and a worker
+  left running a sibling task serves the next run.
 
 Task functions live in ``tests/scheduler_tasks.py`` so spawned workers
 can ``--import`` the same registrations.
@@ -21,6 +24,7 @@ can ``--import`` the same registrations.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import socket
@@ -150,6 +154,31 @@ class TestLocalPool:
         with LocalScheduler(workers=2) as scheduler:
             with pytest.raises(DetectionError, match="kaput"):
                 scheduler.run(specs)
+
+    def test_a_task_error_does_not_wait_for_a_running_sibling(self):
+        specs = [
+            TaskSpec(fingerprint="slow", function="schedtest.sleepy", payload=(2.0, "slow")),
+            TaskSpec(fingerprint="boom", function="schedtest.fail", payload="kaput"),
+        ]
+        with LocalScheduler(workers=2) as scheduler:
+            started = time.monotonic()
+            with pytest.raises(DetectionError, match="kaput"):
+                scheduler.run(specs)
+            assert time.monotonic() - started < 1.0
+            # The first child is still sleeping, so the next run gives
+            # "late" to the second. "a" and "b" wait for the first child,
+            # whose stale "slow" result is read and skipped by request
+            # id, and finish before "late".
+            streamed = []
+            late = TaskSpec(
+                fingerprint="late", function="schedtest.sleepy", payload=(3.0, "late")
+            )
+            results = scheduler.run(
+                [late] + _echo_specs(["a", "b"]),
+                on_result=lambda index, value: streamed.append(index),
+            )
+        assert results == ["late", "a", "b"]
+        assert streamed == [1, 2, 0]
 
     def test_spawn_failure_falls_back_inline_via_hook(self, monkeypatch):
         def failing_fork():
@@ -415,3 +444,66 @@ class TestRemoteScheduler:
         addresses = [f"unix:{tmp_path / 'nonexistent.sock'}", two_workers[1]]
         with RemoteScheduler(addresses) as scheduler:
             assert scheduler.run(_echo_specs(["a", "b"])) == ["a", "b"]
+
+    def test_a_worker_left_running_after_an_early_failure_serves_a_fresh_scheduler(
+        self, two_workers
+    ):
+        specs = [
+            TaskSpec(fingerprint="slow", function="schedtest.sleepy", payload=(1.5, "slow")),
+            TaskSpec(fingerprint="boom", function="schedtest.fail", payload="kaput"),
+        ]
+        with RemoteScheduler(two_workers) as scheduler:
+            started = time.monotonic()
+            with pytest.raises(DetectionError, match="kaput"):
+                scheduler.run(specs)
+            assert time.monotonic() - started < 1.0
+        # The first worker finishes "slow" for a connection that is gone,
+        # then serves the next scheduler's tasks.
+        with RemoteScheduler(two_workers) as fresh:
+            assert fresh.run(_echo_specs(list(range(5)))) == list(range(5))
+
+
+# --------------------------------------------------------------------------- #
+# One run thread
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def no_thread_starts(monkeypatch):
+    """Make every ``Thread.start`` in this process fail while the block runs."""
+
+    @contextlib.contextmanager
+    def forbid():
+        def refuse(self):
+            raise AssertionError(f"a scheduler run started thread {self.name!r}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", refuse)
+            yield
+
+    return forbid
+
+
+class TestOneRunThread:
+    """Every worker channel is served from the thread that called ``run``."""
+
+    def test_a_remote_run_starts_no_thread(self, two_workers, no_thread_starts):
+        specs = [
+            TaskSpec(
+                fingerprint=f"sleepy-{index}",
+                function="schedtest.sleepy",
+                payload=(0.05 if index % 3 == 0 else 0.0, index),
+            )
+            for index in range(6)
+        ]
+        with RemoteScheduler(two_workers) as scheduler:
+            with no_thread_starts():
+                assert scheduler.run(specs) == list(range(6))
+
+    def test_a_sharded_local_run_starts_no_thread(self, no_thread_starts):
+        with LocalScheduler(workers=2) as scheduler:
+            # The children fork (and later start their own task threads)
+            # outside the patched block.
+            assert scheduler.run(_echo_specs([0, 1])) == [0, 1]
+            with no_thread_starts():
+                assert scheduler.run(_echo_specs(list(range(6)))) == list(range(6))

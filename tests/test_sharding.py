@@ -486,6 +486,63 @@ class TestCountsTask:
             run_task(_counts_task(watermark.secret, matrix))
 
 
+class _ShippingTwoWorkers(_TwoWorkers):
+    """A :class:`_TwoWorkers` that blob-ifies the secret, as a remote one does."""
+
+    ships_payloads = True
+
+
+class TestSecretBlobMemo:
+    """A sweep pickles and hashes its secret once, not on every dispatch."""
+
+    @pytest.fixture()
+    def pickled_secrets(self, monkeypatch, wide_watermark):
+        """How many times ``dumps_oob`` serialised the wide secret."""
+        import repro.exec.blobs as blobs
+
+        calls = []
+        dumps = blobs.dumps_oob
+
+        def counting(value):
+            calls.append(value is wide_watermark.secret)
+            return dumps(value)
+
+        monkeypatch.setattr(blobs, "dumps_oob", counting)
+        return calls
+
+    def _dispatch(self, wide_watermark):
+        scheduler = _ShippingTwoWorkers()
+        batch = [wide_watermark.watermarked_histogram, wide_watermark.original_histogram]
+        report = dispatch_detection(scheduler, wide_watermark.secret, None, batch)
+        (digest,) = {ref for spec in scheduler.specs for ref in spec.blob_refs}
+        return report, digest
+
+    def test_a_second_dispatch_does_not_serialise_the_secret(
+        self, wide_watermark, fresh_store, pickled_secrets
+    ):
+        first, digest = self._dispatch(wide_watermark)
+        second, again = self._dispatch(wide_watermark)
+        assert sum(pickled_secrets) == 1
+        assert again == digest == blob_digest(dumps_oob(wide_watermark.secret))
+        assert first.results == second.results
+        assert fresh_store.stats()["puts"] == 1
+        # The memo never travels with the secret.
+        assert pickle.loads(pickle.dumps(wide_watermark.secret)).__dict__.get(
+            "_blob_digest"
+        ) is None
+
+    def test_an_evicted_digest_is_put_again(
+        self, wide_watermark, fresh_store, pickled_secrets
+    ):
+        _, digest = self._dispatch(wide_watermark)
+        fresh_store.clear()
+        assert digest not in fresh_store
+        report, again = self._dispatch(wide_watermark)
+        assert again == digest and digest in fresh_store
+        assert sum(pickled_secrets) == 2
+        assert report.accepted_flags[0]
+
+
 class TestSerialisation:
     def test_histogram_pickle_roundtrip_is_lean_and_exact(self, watermark):
         histogram = watermark.watermarked_histogram

@@ -243,7 +243,7 @@ def test_remote_detect_many_records_detect_passes_in_the_workers(
         passes.append(detect_pass["attrs"]["batch"])
     assert passes == [2, 2, 2]
     assert len(_named(spans, "core.detect_pass")) == len(tasks)
-    # The client threads encode the task lines inside scheduler.run.
+    # The run loop encodes the task lines inside scheduler.run.
     encodes = _named(spans, "service.encode")
     assert len(encodes) >= len(tasks)
     assert all(encode["parent"] == run["span"] for encode in encodes)
