@@ -541,26 +541,22 @@ def _cmd_experiment_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@_writes_spans
 def _cmd_worker(args: argparse.Namespace) -> int:
-    import asyncio
     import importlib
+    import signal
 
     from repro.exec.scheduler import load_builtin_tasks
-    from repro.exec.worker import (
-        TaskWorkerServer,
-        serve_worker_tcp,
-        serve_worker_unix,
-    )
+    from repro.exec.worker import TaskWorkerServer, serve_worker
 
     if (args.socket is None) == (args.tcp is None):
         raise ReproError("pass exactly one of --socket PATH or --tcp HOST:PORT")
-    tcp_host: Optional[str] = None
-    tcp_port = 0
+    address = args.socket
     if args.tcp is not None:
         host, _separator, port_text = args.tcp.rpartition(":")
         if not host or not port_text.isdigit():
             raise ReproError(f"--tcp expects HOST:PORT, got {args.tcp!r}")
-        tcp_host, tcp_port = host, int(port_text)
+        address = (host, int(port_text))
     # Builtin task functions first, then any operator-supplied modules
     # registering custom ones.
     load_builtin_tasks()
@@ -573,33 +569,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         # (tests, CI) treat this line as the readiness signal.
         print(message, file=sys.stderr, flush=True)  # noqa: T201
 
-    async def run() -> int:
-        import signal
-
-        if args.socket is not None:
-            serving = serve_worker_unix(args.socket, server=server, announce=announce)
-        else:
-            assert tcp_host is not None
-            serving = serve_worker_tcp(
-                tcp_host, tcp_port, server=server, announce=announce
-            )
-        # SIGTERM drains into the same graceful path as Ctrl-C so fleet
-        # managers get the shutdown summary too.
-        task = asyncio.ensure_future(serving)
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGTERM, task.cancel)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover - win32
-            pass
-        try:
-            await task
-        except asyncio.CancelledError:
-            pass
-        return 0
-
+    # SIGTERM stops the loop like Ctrl-C, so fleet managers get the
+    # shutdown summary too.
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: server.stop())
     try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+        serve_worker(address, server=server, announce=announce)
         return 0
     finally:
         announce(f"worker summary: {server.summary_line()}")

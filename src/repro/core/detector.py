@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,11 +91,24 @@ def count_matrix(datasets: Sequence[SuspectData], columns: Sequence[str]) -> np.
 
     Row ``i`` is :func:`gather_counts` of :func:`suspect_counts` of
     ``datasets[i]``, so a malformed mapping raises
-    :class:`~repro.exceptions.HistogramError` here.
+    :class:`~repro.exceptions.HistogramError` here. A histogram holding
+    every column is read with one ``itemgetter(*columns)`` call on its
+    rank dict, the getter built once per matrix; a histogram lacking a
+    column, a one-column matrix and a mapping take :func:`gather_counts`
+    (so a batch of mappings builds no getter).
     """
     matrix = np.empty((len(datasets), len(columns)), dtype=np.int64)
+    ranks = None
     for row, data in enumerate(datasets):
-        matrix[row] = gather_counts(suspect_counts(data), columns)
+        counts = suspect_counts(data)
+        if isinstance(counts, TokenHistogram) and len(columns) > 1:
+            ranks = ranks or itemgetter(*columns)
+            try:
+                matrix[row] = counts.counts_at(ranks, len(columns))
+                continue
+            except KeyError:
+                pass  # an absent column: counts_of reads it as 0
+        matrix[row] = gather_counts(counts, columns)
     return matrix
 
 

@@ -31,7 +31,7 @@ import pickle
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -407,6 +407,17 @@ class TokenHistogram:
             map(self._rank.get, tokens, repeat(-1)), np.int64, count=len(tokens)
         )
         return np.append(self._array, 0)[positions]
+
+    def counts_at(
+        self, ranks: Callable[[Mapping[str, int]], Tuple[int, ...]], size: int
+    ) -> np.ndarray:
+        """``int64`` counts of the ``size`` tokens a prebuilt lookup reads.
+
+        ``ranks`` is an ``operator.itemgetter`` of two or more tokens,
+        built once and called on this histogram's rank dict; an absent
+        token raises ``KeyError`` (:meth:`counts_of` reads such tokens).
+        """
+        return self._array[np.fromiter(ranks(self._rank), np.intp, count=size)]
 
     def frequency(self, token: TokenValue) -> int:
         """Appearance count of ``token`` (0 if absent)."""

@@ -15,7 +15,7 @@ back. The distribution model is deliberately plain:
   written only while it is writable, so a large payload to one worker
   never holds up another worker's result or ``blob-request``;
 * while a task runs remotely, the loop probes liveness with
-  ``__heartbeat__`` task lines — the worker answers them on its event
+  ``__heartbeat__`` task lines — the worker answers them from its own
   loop even mid-task. A connection that stays silent past the heartbeat
   timeout (or drops) marks that worker **dead**: its in-flight
   fingerprint is *not* lost but re-queued, and another worker picks it
@@ -27,7 +27,13 @@ back. The distribution model is deliberately plain:
   result is read. A task still running elsewhere finishes on its
   worker, and the next run skips its result by request id;
 * results are gathered **in submission order** regardless of which
-  worker answered first.
+  worker answered first;
+* connections outlive the scheduler: :meth:`RemoteScheduler.close`
+  keeps each idle, drained connection in a process-wide pool, one per
+  address, and the next scheduler of the process takes it back, so
+  repeated ``detect_many`` calls connect once. A kept connection found
+  closed is replaced by one fresh connect, a forked child drops the
+  pool, and the pool closes at exit.
 
 Task data always travels as length-prefixed binary frames after the
 JSON header (pickle protocol 5), with shared values referenced by
@@ -43,7 +49,7 @@ would run the driver on. ``docs/scheduler.md`` spells this out.
 
 from __future__ import annotations
 
-import asyncio
+import atexit
 import contextlib
 import contextvars
 import gc
@@ -52,11 +58,12 @@ import os
 import selectors
 import signal
 import socket
+import threading
 import time
 import warnings
 from collections import deque
 from dataclasses import replace
-from typing import Any, Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import repro.exceptions as _exceptions
 from repro.exceptions import (
@@ -72,13 +79,13 @@ from repro.exec.blobs import (
     loads_oob,
     resolve_refs,
 )
+from repro.exec.channel import Channel, ChannelLost
 from repro.exec.scheduler import Scheduler, SchedulerStats, TaskSpec
 from repro.exec.worker import TaskWorkerServer
 from repro.obs.logging import get_logger
 from repro.obs.trace import span as trace_span, tracer
 from repro.service.wire import (
     HEARTBEAT_FUNCTION,
-    MAX_LINE_BYTES,
     BlobRequest,
     BlobResponse,
     TaskRequest,
@@ -89,14 +96,8 @@ from repro.service.wire import (
 
 logger = get_logger(__name__)
 
-#: Bytes asked of one ``recv`` while no announced frame is pending.
-_RECV_BYTES = 1 << 16
-
-#: Upper bound on one ``recv`` while a large frame is arriving.
-_RECV_MAX = 1 << 20
-
-#: Buffers handed to one ``sendmsg`` call (well under any ``IOV_MAX``).
-_SEND_BATCH = 64
+#: Request ids, unique in this process across every scheduler.
+_REQUEST_IDS = itertools.count()
 
 
 def parse_address(address: str) -> Tuple[str, Any]:
@@ -149,34 +150,30 @@ def _remote_error(result: TaskResult) -> ReproError:
     return SchedulerError(f"remote task {result.fingerprint!r} failed: {prefix}{message}")
 
 
-class _WorkerDied(Exception):
-    """Internal: the connection to one worker is gone (retry elsewhere)."""
+def _decode_response(raw: bytearray) -> Tuple[Any, Tuple[int, ...]]:
+    """A worker's line and the frames it announces (only a ``result`` has any).
+
+    A line that does not decode loses the worker, since the stream
+    position is gone.
+    """
+    try:
+        response = decode_response(raw.decode("utf-8"))
+    except (ReproError, ValueError) as error:
+        raise ChannelLost(f"worker sent an unreadable line: {error}") from error
+    return response, response.frames if isinstance(response, TaskResult) else ()
 
 
-class _Channel:
+class _Channel(Channel):
     """One worker connection as the run loop drives it.
 
-    A non-blocking socket, an inbound buffer that :meth:`messages` cuts
-    into complete ``(response, frames)`` messages, and an outbound queue
-    of buffers that :meth:`flush` writes as far as the socket takes
-    them. Line and frame reads share the one buffer, so a result's
-    frames are consumed right after its header whoever it answers, and
-    the stream never loses position. The channel also holds its one
-    request in flight: ``request_id`` (``None`` when idle) and
-    ``index``, the current run's task it carries (``None`` for a task
-    left running by an earlier run).
+    Besides the framed socket it holds its one request in flight:
+    ``request_id`` (``None`` when idle) and ``index``, the current run's
+    task it carries (``None`` for a task left running by an earlier run).
     """
 
     def __init__(self, address: str, sock: socket.socket) -> None:
-        sock.setblocking(False)
+        super().__init__(sock, _decode_response)
         self.address = address
-        self.sock = sock
-        self._inbound = bytearray()
-        #: A decoded line whose announced frames have not all arrived.
-        self._pending: Optional[Tuple[Any, Tuple[int, ...]]] = None
-        self._outbound: deque = deque()
-        #: Selector events this channel is registered for, 0 when it is not.
-        self.events = 0
         self.request_id: Optional[str] = None
         self.index: Optional[int] = None
         self.refs: Tuple[str, ...] = ()
@@ -192,110 +189,74 @@ class _Channel:
         self.heard_at = time.monotonic()
         self.probed_at = 0.0
 
-    def send(self, line: str, frames: Sequence[Union[bytes, memoryview]] = ()) -> int:
-        """Queue a header line plus its binary frames; total bytes queued.
+    def receive(self) -> int:
+        """Read once; any bytes read count as hearing from the worker."""
+        read = super().receive()
+        if read:
+            self.heard_at = time.monotonic()
+        return read
 
-        What the socket takes at once is written here; the rest waits
-        for :meth:`flush`. Frames are queued as views, so large NumPy
-        buffers are never copied into a joined bytestring.
-        """
-        head = memoryview((line + "\n").encode("utf-8"))
-        self._outbound.append(head)
-        total = head.nbytes
-        for frame in frames:
-            view = memoryview(frame).cast("B")
-            if view.nbytes:
-                self._outbound.append(view)
-                total += view.nbytes
-        self.flush()
-        return total
-
-    @property
-    def writing(self) -> bool:
-        """Whether queued bytes wait for the socket to become writable."""
-        return bool(self._outbound)
-
-    def flush(self) -> None:
-        """Write queued bytes until the queue empties or the socket is full."""
-        outbound = self._outbound
-        while outbound:
-            try:
-                sent = self.sock.sendmsg(list(itertools.islice(outbound, _SEND_BATCH)))
-            except BlockingIOError:
-                return
-            except OSError as error:
-                raise _WorkerDied(f"send failed: {error}") from error
-            while sent:
-                head = outbound[0]
-                if sent < head.nbytes:
-                    outbound[0] = head[sent:]
-                    break
-                sent -= head.nbytes
-                outbound.popleft()
-
-    def receive(self) -> None:
-        """Read once from the socket into the inbound buffer.
-
-        Any bytes read count as hearing from the worker; a closed or
-        failed connection loses it.
-        """
-        wanted = _RECV_BYTES
-        if self._pending is not None:
-            wanted = min(max(wanted, sum(self._pending[1]) - len(self._inbound)), _RECV_MAX)
+    def peer_open(self) -> bool:
+        """Whether the worker's end is still open: a peek, which reads nothing."""
         try:
-            data = self.sock.recv(wanted)
+            return bool(self.sock.recv(1, socket.MSG_PEEK))
         except BlockingIOError:
-            return
-        except OSError as error:
-            raise _WorkerDied(f"recv failed: {error}") from error
-        if not data:
-            state = " mid-frame" if self._pending is not None else ""
-            raise _WorkerDied(f"worker closed the connection{state}")
-        self.heard_at = time.monotonic()
-        self._inbound += data
+            return True
+        except OSError:
+            return False
 
-    def messages(self) -> Iterator[Tuple[Any, List[bytes]]]:
-        """Each complete buffered message, cut off the buffer as it is yielded.
 
-        A message is a decoded response and the frames its line
-        announced (only a ``result`` line announces any). A consumer
-        that stops early leaves the rest buffered. A line that does not
-        decode, or one longer than ``MAX_LINE_BYTES``, loses the worker,
-        since the stream position is gone.
-        """
-        buffer = self._inbound
-        while True:
-            if self._pending is None:
-                end = buffer.find(b"\n")
-                if end < 0:
-                    if len(buffer) > MAX_LINE_BYTES:
-                        raise _WorkerDied(f"worker line exceeds {MAX_LINE_BYTES} bytes")
-                    return
-                try:
-                    response = decode_response(buffer[:end].decode("utf-8"))
-                except (ReproError, ValueError) as error:
-                    raise _WorkerDied(f"worker sent an unreadable line: {error}") from error
-                del buffer[:end + 1]
-                sizes = response.frames if isinstance(response, TaskResult) else ()
-                self._pending = (response, sizes)
-            response, sizes = self._pending
-            if len(buffer) < sum(sizes):
-                return
-            frames, start = [], 0
-            with memoryview(buffer) as view:
-                for size in sizes:
-                    frames.append(view[start:start + size].tobytes())
-                    start += size
-            del buffer[:start]
-            self._pending = None
-            yield response, frames
+# --------------------------------------------------------------------- #
+# Connections kept between schedulers
+# --------------------------------------------------------------------- #
 
-    def close(self) -> None:
-        """Close the underlying socket (idempotent, errors swallowed)."""
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+#: One idle, drained channel per address, left by a closed scheduler.
+_POOL: Dict[str, _Channel] = {}
+_POOL_LOCK = threading.Lock()
+
+
+def _pool_put(channel: _Channel) -> bool:
+    """Keep an idle, drained channel for the next scheduler; whether it was kept."""
+    if channel.request_id is not None or not channel.drained or channel.closed:
+        return False
+    with _POOL_LOCK:
+        return _POOL.setdefault(channel.address, channel) is channel
+
+
+def _pool_take(address: str) -> Optional[_Channel]:
+    """The kept channel to ``address``, if one is kept and still open."""
+    with _POOL_LOCK:
+        channel = _POOL.pop(address, None)
+    if channel is not None and not channel.peer_open():
+        channel.close()  # the worker went away since: connect afresh
+        return None
+    return channel
+
+
+def _close_pool() -> None:
+    """Close every kept channel (at exit)."""
+    with _POOL_LOCK:
+        channels = list(_POOL.values())
+        _POOL.clear()
+    for channel in channels:
+        channel.close()
+
+
+def _drop_pool_in_child() -> None:
+    """A forked child keeps none of its parent's connections.
+
+    Closing its copies of the descriptors writes nothing, and the
+    parent's channels stay as they were.
+    """
+    global _POOL_LOCK
+    _POOL_LOCK = threading.Lock()
+    for channel in _POOL.values():
+        channel.close()
+    _POOL.clear()
+
+
+atexit.register(_close_pool)
+os.register_at_fork(after_in_child=_drop_pool_in_child)
 
 
 class RemoteScheduler(Scheduler):
@@ -342,7 +303,6 @@ class RemoteScheduler(Scheduler):
         self.connect_timeout = connect_timeout
         self._channels: Dict[str, _Channel] = {}
         self._dead: set = set()
-        self._sequence = itertools.count()
         # Per-run state, set by _run_traced.
         self._selector: Optional[selectors.BaseSelector] = None
         self._specs: List[TaskSpec] = []
@@ -364,9 +324,14 @@ class RemoteScheduler(Scheduler):
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Drop every worker connection (idempotent)."""
+        """Release every worker connection (idempotent).
+
+        An idle, drained channel is kept for the next scheduler of this
+        process that serves its address; one with work in flight closes.
+        """
         for channel in self._channels.values():
-            channel.close()
+            if not _pool_put(channel):
+                channel.close()
         self._channels.clear()
 
     def _check_addresses(self) -> None:
@@ -377,22 +342,25 @@ class RemoteScheduler(Scheduler):
             parse_address(address)
 
     def _connect(self, address: str) -> _Channel:
-        """The (cached) channel to one worker, connecting on first use."""
-        channel = self._channels.get(address)
-        if channel is not None:
-            return channel
-        kind, target = parse_address(address)
-        if kind == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                sock.settimeout(self.connect_timeout)
-                sock.connect(target)
-            except BaseException:
-                sock.close()
-                raise
-        else:
-            sock = socket.create_connection(target, timeout=self.connect_timeout)
-        channel = _Channel(address, sock)
+        """The channel to one worker: this scheduler's, a kept one, or a new one.
+
+        A kept channel whose worker has gone since is replaced by one
+        fresh connect, which charges nothing to the worker.
+        """
+        channel = self._channels.get(address) or _pool_take(address)
+        if channel is None:
+            kind, target = parse_address(address)
+            if kind == "unix":
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                try:
+                    sock.settimeout(self.connect_timeout)
+                    sock.connect(target)
+                except BaseException:
+                    sock.close()
+                    raise
+            else:
+                sock = socket.create_connection(target, timeout=self.connect_timeout)
+            channel = _Channel(address, sock)
         self._channels[address] = channel
         return channel
 
@@ -477,15 +445,14 @@ class RemoteScheduler(Scheduler):
         """Serve ``address`` in this run's loop, connecting if need be."""
         try:
             channel = self._connect(address)
-        except (OSError, _WorkerDied) as error:
+        except (OSError, ChannelLost) as error:
             self._drop(address)
             self._lose(address, None, f"cannot connect: {error}")
             return
         # Nothing was read between runs: a task left in flight by an
         # earlier run is timed from now.
         channel.heard_at = time.monotonic()
-        channel.events = selectors.EVENT_READ
-        self._selector.register(channel.sock, channel.events, channel)
+        channel.watch(self._selector)
 
     def _dispatch(self) -> None:
         """Give every idle worker the next queued task."""
@@ -498,7 +465,7 @@ class RemoteScheduler(Scheduler):
             index = self._queue.popleft()
             try:
                 self._send_task(channel, index)
-            except _WorkerDied as error:
+            except ChannelLost as error:
                 self._lose(channel.address, index, str(error))
 
     def _poll(self) -> None:
@@ -506,12 +473,7 @@ class RemoteScheduler(Scheduler):
         now = time.monotonic()
         deadline = now + self.heartbeat_interval
         for channel in self._channels.values():
-            events = selectors.EVENT_READ | (
-                selectors.EVENT_WRITE if channel.writing else 0
-            )
-            if events != channel.events:
-                channel.events = events
-                self._selector.modify(channel.sock, events, channel)
+            channel.watch(self._selector)
             if channel.request_id is not None:
                 deadline = min(
                     deadline,
@@ -529,7 +491,7 @@ class RemoteScheduler(Scheduler):
                     channel.receive()
                     for response, frames in channel.messages():
                         self._handle(channel, response, frames)
-            except _WorkerDied as error:
+            except ChannelLost as error:
                 self._lose(channel.address, channel.index, str(error))
         self._check_liveness()
 
@@ -554,11 +516,11 @@ class RemoteScheduler(Scheduler):
             elif now - max(channel.heard_at, channel.probed_at) >= self.heartbeat_interval:
                 channel.probed_at = now
                 probe = TaskRequest(
-                    request_id=f"hb-{next(self._sequence)}", function=HEARTBEAT_FUNCTION
+                    request_id=f"hb-{next(_REQUEST_IDS)}", function=HEARTBEAT_FUNCTION
                 )
                 try:
                     channel.send(encode_line(probe))
-                except _WorkerDied as error:
+                except ChannelLost as error:
                     self._lose(channel.address, channel.index, str(error))
 
     def _send_task(self, channel: _Channel, index: int) -> None:
@@ -580,7 +542,7 @@ class RemoteScheduler(Scheduler):
                 f"{type(error).__name__}: {error}"
             ) from error
         frames = payload_frames + init_frames
-        request_id = f"task-{index}-{self._attempts[index]}-{next(self._sequence)}"
+        request_id = f"task-{index}-{self._attempts[index]}-{next(_REQUEST_IDS)}"
         request = TaskRequest(
             request_id=request_id,
             function=spec.function,
@@ -781,10 +743,14 @@ class _ForkedWorkers(RemoteScheduler):
             raise
 
     def close(self) -> None:
-        """Close every channel, then kill and reap every child (idempotent)."""
+        """Close every channel, then kill and reap every child (idempotent).
+
+        A child's channel is never kept for another scheduler.
+        """
         for address in list(self._pids):
             self._reap(address)
-        super().close()
+        for address in list(self._channels):
+            self._drop(address)
 
     def _check_addresses(self) -> None:
         """Nothing to check: children join through :meth:`_fork`."""
@@ -793,7 +759,7 @@ class _ForkedWorkers(RemoteScheduler):
         """A child's channel; a child is never reconnected."""
         channel = self._channels.get(address)
         if channel is None:
-            raise _WorkerDied(f"{address} has no channel left")
+            raise ChannelLost(f"{address} has no channel left")
         return channel
 
     def _fork(self) -> str:
@@ -856,12 +822,7 @@ def _serve_forked(sock: socket.socket) -> NoReturn:
         os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
         server = TaskWorkerServer()
         server.blobs = default_blob_store()
-
-        async def serve() -> None:
-            reader, writer = await asyncio.open_connection(sock=sock, limit=MAX_LINE_BYTES)
-            await server.handle_connection(reader, writer)
-
-        contextvars.Context().run(asyncio.run, serve())
+        contextvars.Context().run(server.serve, sock, listening=False)
         status = 0
     finally:
         os._exit(status)

@@ -30,13 +30,17 @@ def load_spans(path: str) -> List[dict]:
 
     ``path`` may be the spans file itself or a run directory containing
     ``telemetry/spans.jsonl``. Blank lines are skipped; an unreadable
-    line raises :class:`ReproError` with its line number.
+    line raises :class:`ReproError` with its line number. A span is kept
+    once per ``(trace, span)`` id: a worker task span lands in the
+    worker's file and, shipped back on its result line, in the driver's,
+    which is one file when both run in the same directory.
     """
     if os.path.isdir(path):
         path = os.path.join(path, SPANS_RELPATH)
     if not os.path.exists(path):
         raise ReproError(f"no span stream at {path}")
     spans = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
@@ -50,7 +54,10 @@ def load_spans(path: str) -> List[dict]:
                 ) from error
             if not isinstance(record, dict):
                 raise ReproError(f"{path}:{number}: span is not an object")
-            spans.append(record)
+            key = (str(record.get("trace")), str(record.get("span")))
+            if key not in seen:
+                seen.add(key)
+                spans.append(record)
     return spans
 
 

@@ -78,7 +78,8 @@ def spawn_worker(socket_path, telemetry=None):
     yielding, and terminates the process afterwards. The worker imports
     this module, so the ``schedtest.*`` registrations above are served.
     ``telemetry`` (a ``FREQYWM_TELEMETRY`` value) turns the worker's own
-    telemetry on.
+    telemetry on. The worker runs in the socket's directory, where a
+    worker with spans on writes its ``telemetry/spans.jsonl``.
     """
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src_dir = os.path.join(os.path.dirname(tests_dir), "src")
@@ -100,6 +101,7 @@ def spawn_worker(socket_path, telemetry=None):
             "scheduler_tasks",
         ],
         env=env,
+        cwd=os.path.dirname(os.path.abspath(socket_path)),
         stderr=subprocess.PIPE,
         text=True,
     )

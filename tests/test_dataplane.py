@@ -23,6 +23,9 @@ Four layers, matching ``docs/scheduler.md``:
 from __future__ import annotations
 
 import pickle
+import socket
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -39,8 +42,10 @@ from repro.exec.blobs import (
     maybe_blob,
     resolve_refs,
 )
+from repro.exec import worker
 from repro.exec.remote import RemoteScheduler
 from repro.exec.scheduler import LocalScheduler, SchedulerStats, TaskSpec
+from repro.service.wire import BlobRequest, TaskRequest, TaskResult, decode_response, encode_line
 
 
 def _payload_bytes(count: int = 2 * MIN_BLOB_BYTES) -> bytes:
@@ -297,6 +302,42 @@ class TestRemoteDataPlane:
             with scheduler:
                 with pytest.raises(WorkerCrashError, match="blob miss"):
                     scheduler.run([spec])
+
+
+def test_a_blob_the_client_never_sends_fails_its_task_at_the_deadline(monkeypatch):
+    """The worker loop parks a task on its blob-request and fails it,
+    typed, once the fetch deadline passes without an answer."""
+    monkeypatch.setattr(worker, "BLOB_FETCH_TIMEOUT", 0.3)
+    server = worker.TaskWorkerServer()
+    client, served = socket.socketpair()
+    loop = threading.Thread(target=server.serve, args=(served,), kwargs={"listening": False})
+    loop.start()
+    digest = "ab" * 32
+    frames = dumps_oob("payload").frames()
+    task = TaskRequest(
+        request_id="t1",
+        function="schedtest.echo",
+        fingerprint="t1",
+        blob_refs=(digest,),
+        frames=tuple(len(frame) for frame in frames),
+        payload_frames=len(frames),
+    )
+    try:
+        with client, client.makefile("rb") as reader:
+            client.sendall((encode_line(task) + "\n").encode() + b"".join(map(bytes, frames)))
+            asked = decode_response(reader.readline().decode("utf-8"))
+            started = time.monotonic()
+            result = decode_response(reader.readline().decode("utf-8"))
+            waited = time.monotonic() - started
+        loop.join(timeout=10)  # the client's close is the loop's EOF
+        assert not loop.is_alive()
+    finally:
+        server.stop()
+        server.close()
+    assert isinstance(asked, BlobRequest) and (asked.request_id, asked.digest) == ("t1", digest)
+    assert isinstance(result, TaskResult) and not result.ok
+    assert result.error_type == "BlobNotFoundError" and "within" in result.error
+    assert 0.1 < waited < 5
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,12 @@ from hypothesis import strategies as st
 
 from repro.core.batch import detect_many, dispatch_detection
 from repro.core.config import DetectionConfig
-from repro.core.detector import WatermarkDetector, count_matrix, gather_counts
+from repro.core.detector import (
+    WatermarkDetector,
+    count_matrix,
+    gather_counts,
+    suspect_counts,
+)
 from repro.core.eligibility import generate_eligible_pairs
 from repro.core.histogram import TokenBoundaries, TokenHistogram
 from repro.core.knapsack import select_within_budget
@@ -368,6 +373,32 @@ class TestGatherParity:
             assert histogram.counts_of(columns).tolist() == [
                 histogram.frequency(token) for token in columns
             ]
+
+    @_settings
+    @given(
+        batch=st.lists(st.tuples(_counts, st.sampled_from(["histogram", "mapping"])), max_size=6),
+        picks=st.lists(st.integers(min_value=0), max_size=12),
+        strangers=st.lists(st.sampled_from(["absent", "zz-missing"]), max_size=2),
+        one_column=st.booleans(),
+    )
+    def test_itemgetter_rows_match_gather_counts(self, batch, picks, strangers, one_column):
+        """Histogram rows read by one prebuilt ``itemgetter`` equal the
+        ``gather_counts(suspect_counts(d), columns)`` row, in batches that
+        mix histograms with mappings, hold every column or miss some, and
+        read one column."""
+        universe = sorted({token for counts, _ in batch for token in counts}) or ["a"]
+        columns = [universe[pick % len(universe)] for pick in picks] + strangers
+        if one_column:
+            columns = columns[:1]
+        suspects = [
+            TokenHistogram.from_counts(counts) if kind == "histogram" else dict(counts)
+            for counts, kind in batch
+        ]
+        matrix = count_matrix(suspects, columns)
+        assert matrix.dtype == np.int64
+        assert matrix.shape == (len(suspects), len(columns))
+        for row, suspect in zip(matrix, suspects):
+            assert row.tolist() == gather_counts(suspect_counts(suspect), columns).tolist()
 
 
 #: Token universe of the counts-path cases: digit strings, so that int,

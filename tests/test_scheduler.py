@@ -25,16 +25,27 @@ can ``--import`` the same registrations.
 from __future__ import annotations
 
 import contextlib
+import json
+import logging
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
 import scheduler_tasks
+from repro.core.batch import detect_many
+from repro.core.generator import generate_watermark
+from repro.datasets.loaders import save_token_file
+from repro.datasets.synthetic import generate_power_law_tokens
 from repro.exceptions import DetectionError, SchedulerError, WorkerCrashError
+from repro.exec import remote
+from repro.exec.blobs import dumps_oob
+from repro.exec.policy import ExecutionPolicy
 from repro.exec.remote import RemoteScheduler, parse_address
 from repro.exec.scheduler import (
     LocalScheduler,
@@ -43,6 +54,8 @@ from repro.exec.scheduler import (
     register_task_function,
     run_task,
 )
+from repro.obs.report import load_spans
+from repro.service.wire import HEARTBEAT_FUNCTION, TaskRequest, encode_line
 
 
 def _echo_specs(values):
@@ -463,6 +476,31 @@ class TestRemoteScheduler:
             assert fresh.run(_echo_specs(list(range(5)))) == list(range(5))
 
 
+def _long_task():
+    return TaskSpec(fingerprint="long", function="schedtest.sleepy", payload=(1.0, "done"))
+
+
+class TestMidTaskHeartbeats:
+    """A worker busy with a task 3x longer than the heartbeat timeout
+    answers every probe, so it is never taken for dead."""
+
+    def test_a_worker_process_answers_probes_mid_task(self, two_workers):
+        scheduler = RemoteScheduler(
+            two_workers[:1], heartbeat_interval=0.05, heartbeat_timeout=0.3, max_retries=0
+        )
+        with scheduler:
+            assert scheduler.run([_long_task()]) == ["done"]
+        assert not scheduler._dead
+
+    def test_a_forked_child_answers_probes_mid_task(self):
+        with LocalScheduler(workers=2, max_retries=0) as scheduler:
+            assert scheduler.run(_echo_specs([0, 1])) == [0, 1]  # forks the children
+            children = scheduler._children
+            children.heartbeat_interval, children.heartbeat_timeout = 0.05, 0.3
+            assert scheduler.run([_long_task()] + _echo_specs(["a"])) == ["done", "a"]
+            assert not children._dead
+
+
 # --------------------------------------------------------------------------- #
 # One run thread
 # --------------------------------------------------------------------------- #
@@ -507,3 +545,243 @@ class TestOneRunThread:
             assert scheduler.run(_echo_specs([0, 1])) == [0, 1]
             with no_thread_starts():
                 assert scheduler.run(_echo_specs(list(range(6)))) == list(range(6))
+
+
+# --------------------------------------------------------------------------- #
+# Connections kept between schedulers
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def connects(monkeypatch):
+    """Every address a socket of this process connects to during the test."""
+    made = []
+    connect = socket.socket.connect
+
+    def counting(sock, address):
+        made.append(address)
+        return connect(sock, address)
+
+    monkeypatch.setattr(socket.socket, "connect", counting)
+    return made
+
+
+@pytest.fixture(scope="module")
+def watermark():
+    tokens = generate_power_law_tokens(0.7, n_tokens=60, sample_size=8_000, rng=5)
+    return generate_watermark(tokens, budget_percent=2.0, modulus_cap=31, rng=7)
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+class TestKeptConnections:
+    """A closed scheduler leaves each idle connection for the next one."""
+
+    def test_two_detect_many_calls_connect_to_each_worker_once(
+        self, two_workers, watermark, connects
+    ):
+        policy = ExecutionPolicy(scheduler="remote", addresses=two_workers)
+        suspects = [watermark.watermarked_histogram, watermark.original_histogram] * 4
+        expected = [result.accepted for result in detect_many(suspects, watermark.secret)]
+        for _ in range(2):
+            report = detect_many(suspects, watermark.secret, policy=policy)
+            assert [result.accepted for result in report] == expected
+        assert sorted(connects) == sorted(parse_address(a)[1] for a in two_workers)
+
+    def test_a_worker_restarted_at_its_address_is_reconnected_without_a_retry(
+        self, tmp_path, connects
+    ):
+        path = tmp_path / "worker.sock"
+        address = f"unix:{path}"
+        with scheduler_tasks.spawn_worker(path):
+            with RemoteScheduler([address]) as scheduler:
+                assert scheduler.run(_echo_specs([1, 2])) == [1, 2]
+        assert address in remote._POOL  # kept, and its worker is gone now
+        warnings = _Records()
+        logger = logging.getLogger("repro.exec.remote")
+        logger.addHandler(warnings)
+        try:
+            with scheduler_tasks.spawn_worker(path):
+                with RemoteScheduler([address], max_retries=0) as scheduler:
+                    assert scheduler.run(_echo_specs([3, 4])) == [3, 4]
+                    assert not scheduler._dead
+        finally:
+            logger.removeHandler(warnings)
+        assert warnings.records == []
+        assert connects == [str(path), str(path)]
+
+    def test_threads_sharing_the_pool_never_share_a_connection(self, two_workers):
+        """Eight threads, each running its own schedulers back to back,
+        take kept connections under a tight switch interval: a connection
+        two threads drove at once would mix their results."""
+        failures, interval = [], sys.getswitchinterval()
+
+        def sweep(thread):
+            for run in range(15):
+                values = [f"{thread}-{run}-{index}" for index in range(3)]
+                try:
+                    with RemoteScheduler(two_workers) as scheduler:
+                        if scheduler.run(_echo_specs(values)) != values:
+                            failures.append(values)
+                except Exception as error:  # noqa: BLE001 - collected for the assert
+                    failures.append(error)
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sweep, args=(index,)) for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert {remote._POOL[address].address for address in two_workers} == set(two_workers)
+
+    def test_a_forked_child_never_writes_on_a_kept_connection(self, two_workers, connects):
+        address = two_workers[0]
+        with RemoteScheduler([address]) as scheduler:
+            assert scheduler.run(_echo_specs(["a", "b"])) == ["a", "b"]
+        kept = remote._POOL[address]
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child leaves through os._exit
+            status = 1
+            try:
+                # The child's copy is closed, so nothing can be written on
+                # it; the child's own scheduler connects afresh.
+                if kept.closed and address not in remote._POOL:
+                    with RemoteScheduler([address]) as child:
+                        status = 0 if child.run(_echo_specs(["c", "d"])) == ["c", "d"] else 2
+            finally:
+                os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
+        with RemoteScheduler([address]) as scheduler:
+            assert scheduler.run(_echo_specs(["e", "f"])) == ["e", "f"]
+            assert scheduler._channels[address] is kept
+        assert connects == [parse_address(address)[1]]
+
+
+# --------------------------------------------------------------------------- #
+# Worker exit
+# --------------------------------------------------------------------------- #
+
+
+def _sleeper_then_probe(seconds):
+    """A ``schedtest.sleepy`` task line with its frames, then a heartbeat line."""
+    frames = dumps_oob((seconds, "slept")).frames()
+    task = TaskRequest(
+        request_id="sleeper",
+        function="schedtest.sleepy",
+        fingerprint="sleeper",
+        frames=tuple(len(frame) for frame in frames),
+        payload_frames=len(frames),
+    )
+    probe = TaskRequest(request_id="probe", function=HEARTBEAT_FUNCTION)
+    return b"".join(
+        [(encode_line(task) + "\n").encode()]
+        + [bytes(frame) for frame in frames]
+        + [(encode_line(probe) + "\n").encode()]
+    )
+
+
+@contextlib.contextmanager
+def _busy_connection(path):
+    """A connection whose worker has taken a 30 s task (its probe answered)."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.connect(str(path))
+        conn.sendall(_sleeper_then_probe(30.0))
+        with conn.makefile("rb") as reader:
+            assert b'"probe"' in reader.readline()
+            yield
+
+
+class TestWorkerExit:
+    """A worker leaves promptly, and cleanly, whatever its connections hold."""
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["term", "int"])
+    @pytest.mark.parametrize("busy", [False, True], ids=["idle-kept", "mid-task"])
+    def test_a_signal_stops_a_worker_within_five_seconds(self, tmp_path, signum, busy):
+        path = tmp_path / "worker.sock"
+        address = f"unix:{path}"
+        with scheduler_tasks.spawn_worker(path) as process:
+            with RemoteScheduler([address]) as scheduler:
+                assert scheduler.run(_echo_specs([1, 2])) == [1, 2]
+            assert not remote._POOL[address].closed  # an idle, open connection
+            with _busy_connection(path) if busy else contextlib.nullcontext():
+                started = time.monotonic()
+                process.send_signal(signum)
+                assert process.wait(timeout=5) == 0
+                assert time.monotonic() - started < 5
+            assert f"worker summary: served={3 if busy else 2} " in process.stderr.read()
+        assert not path.exists()
+
+    def test_a_forked_child_exits_at_eof_mid_task(self):
+        parent_end, child_end = socket.socketpair()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child leaves through os._exit
+            parent_end.close()
+            remote._serve_forked(child_end)
+        child_end.close()
+        with parent_end, parent_end.makefile("rb") as reader:
+            parent_end.sendall(_sleeper_then_probe(30.0))
+            assert b'"probe"' in reader.readline()
+        deadline = time.monotonic() + 5
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done and time.monotonic() < deadline:
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done and status == 0
+
+
+# --------------------------------------------------------------------------- #
+# Worker span file
+# --------------------------------------------------------------------------- #
+
+
+class TestWorkerSpanFile:
+    def test_a_task_span_both_processes_write_is_reported_once(self, tmp_path, watermark):
+        """A worker and a driver with spans on, in one directory, each
+        append the worker's task spans to ``telemetry/spans.jsonl``."""
+        watermark.secret.save(tmp_path / "secret.json")
+        (tmp_path / "suspects").mkdir()
+        for name in ("a", "b", "c"):
+            save_token_file(watermark.watermarked_tokens, tmp_path / "suspects" / f"{name}.txt")
+        path = tmp_path / "w.sock"
+        env = dict(os.environ, FREQYWM_TELEMETRY="spans")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+            + [part for part in env.get("PYTHONPATH", "").split(os.pathsep) if part]
+        )
+        cli = [sys.executable, "-m", "repro.cli"]
+        with scheduler_tasks.spawn_worker(path, telemetry="spans"):  # runs in tmp_path
+            detect = [*cli, "detect", "suspects", "secret.json"]
+            subprocess.run(
+                [*detect, "--scheduler", "remote", "--address", f"unix:{path}"],
+                cwd=tmp_path, env=env, check=True, capture_output=True,
+            )
+        lines = (tmp_path / "telemetry" / "spans.jsonl").read_text().splitlines()
+        written = [span for span in map(json.loads, lines) if span["name"] == "task:detect.files"]
+        ids = {span["span"] for span in written}
+        assert written and len(written) == 2 * len(ids)  # by the worker and the driver
+        spans = load_spans(str(tmp_path))
+        (run,) = [span for span in spans if span["name"] == "scheduler.run"]
+        tasks = [span for span in spans if span["name"] == "task:detect.files"]
+        assert {span["span"] for span in tasks} == ids and len(tasks) == len(ids)
+        assert all(span["parent"] == run["span"] for span in tasks)
+        report = subprocess.run(
+            [*cli, "trace", "report", "."], cwd=tmp_path, env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        (row,) = [line for line in report.splitlines() if line.startswith("task:detect.files ")]
+        assert int(row.split()[1]) == len(ids)

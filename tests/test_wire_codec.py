@@ -23,6 +23,8 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import socket
+import threading
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -33,7 +35,7 @@ from repro.core.generator import generate_watermark
 from repro.core.histogram import TokenCounts, TokenHistogram
 from repro.datasets.synthetic import generate_power_law_tokens
 from repro.exceptions import ServiceError
-from repro.exec.worker import TaskWorkerServer, serve_worker_unix
+from repro.exec.worker import TaskWorkerServer, serve_worker
 from repro.service import DetectionService, ServiceClient, serve_stdio, serve_unix
 from repro.service.wire import (
     HEARTBEAT_FUNCTION,
@@ -744,12 +746,20 @@ def test_serve_stdio_answers_lines_with_a_non_string_op():
 
 def test_worker_answers_a_non_string_op_with_a_failed_result():
     server = TaskWorkerServer()
+    client, served = socket.socketpair()
+    loop = threading.Thread(target=server.serve, args=(served,), kwargs={"listening": False})
+    loop.start()
     try:
-        result, frames = asyncio.run(server.respond('{"op": ["x"], "id": "a1"}'))
+        with client, client.makefile("rb") as reader:
+            client.sendall(b'{"op": ["x"], "id": "a1"}\n')
+            result = decode_response(reader.readline().decode("utf-8"))
+        loop.join(timeout=10)  # the client's close is the loop's EOF
+        assert not loop.is_alive()
     finally:
+        server.stop()
         server.close()
     assert isinstance(result, TaskResult)
-    assert (result.request_id, result.ok, frames) == ("a1", False, [])
+    assert (result.request_id, result.ok, result.frames) == ("a1", False, ())
     assert "unknown request op" in (result.error or "")
 
 
@@ -923,14 +933,56 @@ def test_worker_answers_a_non_utf8_line_and_keeps_the_connection(tmp_path):
         for index in (1, 2)
     ]
 
-    def start(ready):
-        return serve_worker_unix(socket_path, ready=ready)
-
-    answers, again = _serve_and_talk(
-        start,
-        lambda: _pipelined_answers(socket_path, [beats[0], NON_UTF8_LINE, beats[1]], 3),
+    server, ready = TaskWorkerServer(), threading.Event()
+    loop = threading.Thread(
+        target=serve_worker, args=(socket_path,), kwargs={"server": server, "ready": ready}
     )
+    loop.start()
+    try:
+        assert ready.wait(timeout=10)
+        answers, again = _pipelined_answers(
+            socket_path, [beats[0], NON_UTF8_LINE, beats[1]], 3
+        )
+    finally:
+        server.stop()
+        loop.join(timeout=10)
+    assert not loop.is_alive()
+    assert not socket_path.exists()  # removed on shutdown
     by_id = {answer.request_id: answer for answer in answers}
     assert by_id["hb1"].ok and by_id["hb2"].ok
     assert not by_id["?"].ok and "not valid JSON" in by_id["?"].error
     assert again is not None and again.ok  # the connection stayed open
+
+
+@pytest.mark.parametrize(
+    "garbage",
+    [b'{"op": "task", "id": "x", "frames": [-1]}\n', b"x" * 2048],
+    ids=["bad-frame-announcement", "over-long-line"],
+)
+def test_worker_drops_only_a_connection_that_loses_its_stream(tmp_path, monkeypatch, garbage):
+    """A line whose frames cannot be trusted, or one over the line limit,
+    closes that connection unanswered; the worker serves the next one."""
+    monkeypatch.setattr("repro.exec.channel.MAX_LINE_BYTES", 1024)
+    socket_path = tmp_path / "worker.sock"
+    beat = encode_line(TaskRequest(request_id="hb", function=HEARTBEAT_FUNCTION)) + "\n"
+    server, ready = TaskWorkerServer(), threading.Event()
+    loop = threading.Thread(
+        target=serve_worker, args=(socket_path,), kwargs={"server": server, "ready": ready}
+    )
+    loop.start()
+    try:
+        assert ready.wait(timeout=10)
+        with socket.socket(socket.AF_UNIX) as bad, socket.socket(socket.AF_UNIX) as good:
+            bad.settimeout(10)
+            bad.connect(str(socket_path))
+            good.connect(str(socket_path))
+            bad.sendall(garbage)
+            assert bad.recv(1) == b""  # closed by the worker, nothing answered
+            good.sendall(beat.encode())
+            with good.makefile("rb") as reader:
+                answer = decode_response(reader.readline().decode("utf-8"))
+    finally:
+        server.stop()
+        loop.join(timeout=10)
+    assert not loop.is_alive()
+    assert (answer.request_id, answer.ok) == ("hb", True)
